@@ -297,11 +297,16 @@ type scale_record = {
    the leg, report the leg's own footprint growth.  The heap never
    shrinks between compactions, so the post-run read is the leg's
    high-water mark. *)
-let with_peak_words f =
+(* Run [f] on a freshly compacted heap: its result, its wall-clock
+   seconds and its heap growth in words.  The clock starts after the
+   compaction, so a leg's time is the leg's own work. *)
+let timed_with_peak_words f =
   Gc.compact ();
   let base = (Gc.quick_stat ()).Gc.heap_words in
+  let t0 = Oclock.monotonic () in
   let r = f () in
-  (r, max 0 ((Gc.quick_stat ()).Gc.heap_words - base))
+  let dt = Int64.to_float (Int64.sub (Oclock.monotonic ()) t0) /. 1e9 in
+  (r, dt, max 0 ((Gc.quick_stat ()).Gc.heap_words - base))
 
 let run_explore_scale ~quick ~budget ~checkpoint ~obs ~traced_policy ~kappa =
   let module Exp = Asyncolor_check.Explorer.Make (Asyncolor.Algorithm2.P) in
@@ -332,13 +337,11 @@ let run_explore_scale ~quick ~budget ~checkpoint ~obs ~traced_policy ~kappa =
            one. *)
         let time ~policy ~jobs ~leg_obs =
           let before = Obs.metrics leg_obs in
-          let t0 = Oclock.monotonic () in
-          let r, peak =
-            with_peak_words (fun () ->
+          let r, dt, peak =
+            timed_with_peak_words (fun () ->
                 Exp.explore ~mode ~max_configs:cap ~jobs ~policy ?budget
                   ?checkpoint:ckpt ~obs:leg_obs graph ~idents)
           in
-          let dt = Int64.to_float (Int64.sub (Oclock.monotonic ()) t0) /. 1e9 in
           let after = Obs.metrics leg_obs in
           let d name = metric after name - metric before name in
           (r, dt, d "explorer.wait_ns", d "explorer.levels",

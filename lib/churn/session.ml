@@ -129,6 +129,41 @@ let popcount m =
   done;
   !c
 
+(* Index of the lowest set bit of [m <> 0], by halving: walking a mask's
+   set bits in ascending order costs O(popcount), not O(n). *)
+let lowest_bit m =
+  let b = ref (m land -m) and i = ref 0 in
+  if !b land 0xFFFF_FFFF = 0 then begin
+    i := !i + 32;
+    b := !b lsr 32
+  end;
+  if !b land 0xFFFF = 0 then begin
+    i := !i + 16;
+    b := !b lsr 16
+  end;
+  if !b land 0xFF = 0 then begin
+    i := !i + 8;
+    b := !b lsr 8
+  end;
+  if !b land 0xF = 0 then begin
+    i := !i + 4;
+    b := !b lsr 4
+  end;
+  if !b land 0x3 = 0 then begin
+    i := !i + 2;
+    b := !b lsr 2
+  end;
+  if !b land 0x1 = 0 then incr i;
+  !i
+
+(* Index of the [k]-th lowest set bit of [m] ([0 <= k < popcount m]). *)
+let nth_bit m k =
+  let m = ref m in
+  for _ = 1 to k do
+    m := !m land (!m - 1)
+  done;
+  lowest_bit !m
+
 (* Ring distance between nodes [a] and [b] on the n-cycle. *)
 let ring_dist n a b =
   let d = abs (a - b) in
@@ -198,6 +233,13 @@ let stability_window = 3
    activation horizon. *)
 let max_violations = 64
 
+(* [Status.output a = Status.output b] without the option boxes. *)
+let same_output (a : int Status.t) (b : int Status.t) =
+  match (a, b) with
+  | Status.Returned x, Status.Returned y -> Int.equal x y
+  | Status.Returned _, _ | _, Status.Returned _ -> false
+  | _ -> true
+
 let run ?(obs = Obs.disabled) cfg ~seed ~session =
   validate_config cfg;
   let octx = make_octx obs in
@@ -211,15 +253,39 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
   let idents = Idents.random_sparse prng ~n ~universe in
   let engine = E.create graph ~idents in
   let heal_bound = P.bound ~n in
-  let up = Array.make n true in
-  (* has this node's current incarnation already been counted as
-     returned (latency bookkeeping)? *)
-  let counted = Array.make n false in
-  (* has this node ever been recovered (only recovered incarnations feed
-     the latency histogram; the initial colouring does not)? *)
-  let recovered_inc = Array.make n false in
+  (* The session loop allocates nothing in steady state beyond what the
+     result keeps (latency and radius samples, violations) and what the
+     engine step itself allocates.  Node sets are bitmasks (n <= 62),
+     walked bit by bit so per-step and per-recovery work scales with what
+     changed; the scratch arrays below are allocated once per session. *)
+  let all = (1 lsl n) - 1 in
+  let up = ref all in
+  (* up nodes whose current incarnation has not yet been counted as
+     returned (latency bookkeeping) *)
+  let pending = ref all in
+  (* nodes ever recovered (only recovered incarnations feed the latency
+     histogram; the initial colouring does not) *)
+  let recovered = ref 0 in
   (* nodes the heal-starve mutant silently starves *)
-  let starved = Array.make n false in
+  let starved = ref 0 in
+  (* conservative freshness: the allocator avoids the identifiers of
+     every node, dead incarnations included — their registers may still
+     be visible to neighbours *)
+  let pool = Idents.pool ~universe in
+  let ident_of = E.ident engine in
+  let fresh_ident () = Idents.fresh_in pool ~count:n ident_of in
+  (* churn-fresh-ident scratch, indexed by identifier (every installed
+     identifier lies in [0, universe): drawn by [random_sparse], by the
+     allocator, or copied from another node): [owner.(id)] is the first
+     node seen holding [id] in the scan numbered [stamp.(id)] *)
+  let owner = Array.make universe 0 and stamp = Array.make universe 0 in
+  let scans = ref 0 in
+  (* heal's per-node activation count at the start of the quiet period *)
+  let start = Array.make n 0 in
+  (* outputs at the epoch's start, and after its heal *)
+  let baseline = Array.make n Status.Asleep in
+  let healed = Array.make n Status.Asleep in
+  let churned = ref 0 in
   let violations = ref [] in
   let nviol = ref 0 in
   let latencies = ref [] in
@@ -234,30 +300,25 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
     incr nviol;
     violations := { epoch; detector; message } :: !violations
   in
+  (* Walk the up, uncounted nodes — not the nodes activated this step: a
+     skip-reinit recovery leaves an already-returned node uncounted, and
+     it is counted on the next step. *)
   let check_new_returns () =
-    for p = 0 to n - 1 do
-      if up.(p) && (not counted.(p)) && Status.is_returned (E.status engine p)
-      then begin
-        counted.(p) <- true;
-        if recovered_inc.(p) then latencies := E.activations engine p :: !latencies
+    let m = ref !pending in
+    while !m <> 0 do
+      let p = lowest_bit !m in
+      m := !m land (!m - 1);
+      if Status.is_returned (E.status engine p) then begin
+        pending := !pending land lnot (1 lsl p);
+        if !recovered land (1 lsl p) <> 0 then
+          latencies := E.activations engine p :: !latencies
       end
     done
   in
   let step mask =
     (* the heal-starve bug withholds scheduling everywhere, not only in
        the heal phase — "silently never scheduled again" *)
-    let mask =
-      match cfg.mutant with
-      | Some Heal_starve ->
-          let m = ref mask in
-          for p = 0 to n - 1 do
-            if starved.(p) then m := !m land lnot (1 lsl p)
-          done;
-          !m
-      | _ -> mask
-    in
-    let live = mask land E.unfinished_mask engine in
-    E.activate_mask engine mask;
+    let live = E.activate_mask_live engine (mask land lnot !starved) in
     Obs.Counter.incr octx.oc_steps;
     let did = popcount live in
     activations := !activations + did;
@@ -268,15 +329,6 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
      detectors audit.  The planted bugs live here — each one breaks the
      recovery machinery, never the protocol. *)
   let recover ~epoch p =
-    let fresh_id =
-      let live = ref [] in
-      for q = n - 1 downto 0 do
-        live := E.ident engine q :: !live
-      done;
-      (* conservative freshness: avoid dead incarnations' identifiers
-         too — their registers may still be visible to neighbours *)
-      Idents.fresh ~live:!live ~universe
-    in
     (match cfg.mutant with
     | Some Ident_collide ->
         (* planted bug: reuse another node's identifier instead (distance
@@ -285,18 +337,21 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
     | Some Skip_reinit ->
         (* planted bug: declare the node recovered without re-initialising *)
         ()
-    | _ -> E.reset engine p ~ident:fresh_id);
-    up.(p) <- true;
-    counted.(p) <- false;
-    recovered_inc.(p) <- true;
-    (match cfg.mutant with Some Heal_starve -> starved.(p) <- true | _ -> ());
+    | _ -> E.reset engine p ~ident:(fresh_ident ()));
+    let bit = 1 lsl p in
+    up := !up lor bit;
+    pending := !pending lor bit;
+    recovered := !recovered lor bit;
+    (match cfg.mutant with
+    | Some Heal_starve -> starved := !starved lor bit
+    | _ -> ());
     incr recoveries;
     Obs.Counter.incr octx.oc_recoveries;
     (* churn-reinit: a recovered node must observably be a fresh process —
        asleep, register back to ⊥, activation counter restarted. *)
     (match E.status engine p with
-    | Status.Asleep when E.public engine p = None && E.activations engine p = 0
-      ->
+    | Status.Asleep
+      when Option.is_none (E.public engine p) && E.activations engine p = 0 ->
         ()
     | _ ->
         add_violation ~epoch "churn-reinit"
@@ -307,31 +362,64 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
              | Status.Working -> "working"
              | Status.Returned _ -> "returned")
              (E.activations engine p)));
-    (* churn-fresh-ident: installed identifiers stay pairwise distinct. *)
-    let seen = Hashtbl.create (2 * n) in
+    (* churn-fresh-ident: installed identifiers stay pairwise distinct.
+       It reads the engine's identifiers, never the allocator's buffer:
+       the ident-collide bug goes around the allocator. *)
+    incr scans;
+    let scan = !scans in
     for q = 0 to n - 1 do
       let id = E.ident engine q in
-      match Hashtbl.find_opt seen id with
-      | Some q0 ->
-          add_violation ~epoch "churn-fresh-ident"
-            (Printf.sprintf "nodes %d and %d both hold identifier %d" q0 q id)
-      | None -> Hashtbl.add seen id q
+      if stamp.(id) = scan then
+        add_violation ~epoch "churn-fresh-ident"
+          (Printf.sprintf "nodes %d and %d both hold identifier %d" owner.(id)
+             q id)
+      else begin
+        stamp.(id) <- scan;
+        owner.(id) <- q
+      end
     done
   in
-  let crash ~epoch:_ churned ev =
+  let crash ev =
     (* victim: uniform among up nodes, drawn from the event's own stream *)
-    let ups = ref [] in
-    for q = n - 1 downto 0 do
-      if up.(q) then ups := q :: !ups
+    if !up <> 0 then begin
+      let v = nth_bit !up (Prng.int ev (popcount !up)) in
+      up := !up land lnot (1 lsl v);
+      pending := !pending land lnot (1 lsl v);
+      churned := !churned lor (1 lsl v);
+      incr crashes;
+      Obs.Counter.incr octx.oc_crashes
+    end
+  in
+  (* Recover the down nodes in ascending order: all of them ([~drain]),
+     or each with the recovery probability, one draw per down node. *)
+  let recover_down ~epoch ~drain =
+    let down = ref (all land lnot !up) in
+    while !down <> 0 do
+      let p = lowest_bit !down in
+      down := !down land (!down - 1);
+      if drain || Prng.float prng 1.0 < cfg.recover_rate then begin
+        churned := !churned lor (1 lsl p);
+        recover ~epoch p
+      end
+    done
+  in
+  (* [Checker.ok] on the current outputs, without building them: every
+     returned colour on palette, no edge with equal returned colours. *)
+  let coloring_ok () =
+    let ok = ref true in
+    for p = 0 to n - 1 do
+      match E.status engine p with
+      | Status.Returned c ->
+          if not (P.in_palette c) then ok := false;
+          let nbrs = Graph.neighbours graph p in
+          for i = 0 to Array.length nbrs - 1 do
+            match E.status engine nbrs.(i) with
+            | Status.Returned c' when Int.equal c c' -> ok := false
+            | _ -> ()
+          done
+      | Status.Asleep | Status.Working -> ()
     done;
-    match !ups with
-    | [] -> ()
-    | l ->
-        let v = List.nth l (Prng.int ev (List.length l)) in
-        up.(v) <- false;
-        churned.(v) <- true;
-        incr crashes;
-        Obs.Counter.incr octx.oc_crashes
+    !ok
   in
   (* Quiet-period healing: round-robin singleton activations over the
      unfinished processes — the sequential adversary.  Wait-freedom then
@@ -348,36 +436,41 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
      guarantee that, and makes the invariant the literal per-process
      wait-freedom statement. *)
   let heal ~epoch =
-    let start = Array.init n (fun p -> E.activations engine p) in
-    let unfinished p = not (Status.is_returned (E.status engine p)) in
+    (* only the chosen process steps from here on, so this set shrinks
+       exactly when the chosen process returns *)
+    let unfinished = ref (E.unfinished_mask engine) in
+    let m = ref !unfinished in
+    while !m <> 0 do
+      let p = lowest_bit !m in
+      m := !m land (!m - 1);
+      start.(p) <- E.activations engine p
+    done;
     let give_up = ref false in
+    (* the round robin's next position *)
     let rr = ref 0 in
-    while (not (E.all_returned engine)) && not !give_up do
-      let chosen = ref (-1) in
-      let tried = ref 0 in
-      while !chosen < 0 && !tried < n do
-        let p = !rr mod n in
-        incr rr;
-        incr tried;
-        if unfinished p && not starved.(p) then chosen := p
-      done;
-      if !chosen < 0 then begin
+    while !unfinished <> 0 && not !give_up do
+      let candidates = !unfinished land lnot !starved in
+      if candidates = 0 then begin
         (* every unfinished process is starved: the healing machinery
            will never schedule them again *)
         give_up := true;
         let stuck = ref [] in
         for p = n - 1 downto 0 do
-          if unfinished p then stuck := p :: !stuck
+          if !unfinished land (1 lsl p) <> 0 then stuck := p :: !stuck
         done;
         add_violation ~epoch "churn-recovery"
           (Printf.sprintf "nodes [%s] are never scheduled again after recovery"
              (String.concat ";" (List.map string_of_int !stuck)))
       end
       else begin
-        let p = !chosen in
+        (* the first candidate at or after [rr], cyclically *)
+        let later = candidates land lnot ((1 lsl !rr) - 1) in
+        let p = lowest_bit (if later <> 0 then later else candidates) in
+        rr := (p + 1) mod n;
         step (1 lsl p);
-        if unfinished p && E.activations engine p - start.(p) > heal_bound
-        then begin
+        if Status.is_returned (E.status engine p) then
+          unfinished := !unfinished land lnot (1 lsl p)
+        else if E.activations engine p - start.(p) > heal_bound then begin
           give_up := true;
           add_violation ~epoch "churn-recovery"
             (Printf.sprintf
@@ -389,7 +482,7 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
     done;
     (* the coloring the quiet period restored must be proper and on
        palette — the other half of the recovery invariant *)
-    if not !give_up then begin
+    if (not !give_up) && not (coloring_ok ()) then begin
       let verdict =
         Checker.check ~equal:Int.equal ~in_palette:P.in_palette graph
           (E.outputs engine)
@@ -398,6 +491,83 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
         add_violation ~epoch "churn-recovery"
           (Format.asprintf "healed coloring invalid: %a" Checker.pp verdict)
     end
+  in
+  let run_epoch epoch =
+    for q = 0 to n - 1 do
+      baseline.(q) <- E.status engine q
+    done;
+    churned := 0;
+    (* -- churn phase: crashes, recoveries and activity interleave -- *)
+    for _ = 1 to churn_window do
+      if Prng.float prng 1.0 < cfg.crash_rate then begin
+        let ev = Prng.create ~seed:(event_seed base !event_idx) in
+        incr event_idx;
+        for _ = 1 to cfg.burst do
+          crash ev
+        done
+      end;
+      recover_down ~epoch ~drain:false;
+      (* one coin per up process, in ascending order *)
+      step (Prng.bool_mask prng !up)
+    done;
+    (* -- drain: the epoch's last churn events recover every down node -- *)
+    recover_down ~epoch ~drain:true;
+    (* -- heal: quiet period; the recovery invariant's clock runs here -- *)
+    heal ~epoch;
+    (* -- repair locality: nobody outside the churn radius recoloured -- *)
+    for q = 0 to n - 1 do
+      healed.(q) <- E.status engine q
+    done;
+    for q = 0 to n - 1 do
+      (* a node not coloured at baseline is not constrained *)
+      if
+        Status.is_returned baseline.(q)
+        && not (same_output baseline.(q) healed.(q))
+      then begin
+        let dist = ref n and m = ref !churned in
+        while !m <> 0 do
+          let c = lowest_bit !m in
+          m := !m land (!m - 1);
+          dist := min !dist (ring_dist n q c)
+        done;
+        let dist = !dist in
+        radii := dist :: !radii;
+        if dist > 0 then
+          add_violation ~epoch "churn-locality"
+            (Printf.sprintf
+               "node %d recoloured at ring distance %d from the nearest \
+                churned node"
+               q dist)
+      end
+    done;
+    (* -- stability: no churn in flight, so nobody may recolour.  The
+       healed outputs are compared after every step (not only at the
+       end), so a node that recolours and happens to land back on its old
+       colour within the window is still caught; [flagged] keeps it one
+       violation per node per epoch. -- *)
+    let flagged = ref 0 in
+    for s = 1 to stability_window do
+      (match cfg.mutant with
+      | Some Spurious_recolor when epoch = 1 && s = 1 ->
+          (* planted bug: an unrecorded reset while no churn is in flight *)
+          E.reset engine 0 ~ident:(fresh_ident ())
+      | _ -> ());
+      step (Prng.bool_mask prng all);
+      for q = 0 to n - 1 do
+        if
+          !flagged land (1 lsl q) = 0
+          && not (same_output healed.(q) (E.status engine q))
+        then begin
+          flagged := !flagged lor (1 lsl q);
+          add_violation ~epoch "churn-stability"
+            (Printf.sprintf "node %d changed output with no churn in flight" q)
+        end
+      done
+    done;
+    (* A stability violation leaves damage behind (the whole point of the
+       detector); quietly re-heal so later epochs measure their own churn,
+       not the planted bug's wake. *)
+    if not (E.all_returned engine) then heal ~epoch
   in
   Obs.span obs
     ~args:
@@ -422,103 +592,13 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
     incr epochs;
     Obs.Counter.incr octx.oc_epochs;
     let epoch = !epochs in
-    let baseline = E.outputs engine in
-    let churned = Array.make n false in
-    Obs.span obs ~args:[ ("epoch", string_of_int epoch) ] "churn.epoch"
-    @@ fun () ->
-    (* -- churn phase: crashes, recoveries and activity interleave -- *)
-    for _ = 1 to churn_window do
-      if Prng.float prng 1.0 < cfg.crash_rate then begin
-        let ev = Prng.create ~seed:(event_seed base !event_idx) in
-        incr event_idx;
-        for _ = 1 to cfg.burst do
-          crash ~epoch churned ev
-        done
-      end;
-      for p = 0 to n - 1 do
-        if (not up.(p)) && Prng.float prng 1.0 < cfg.recover_rate then begin
-          churned.(p) <- true;
-          recover ~epoch p
-        end
-      done;
-      let mask = ref 0 in
-      for p = 0 to n - 1 do
-        if up.(p) && Prng.bool prng then mask := !mask lor (1 lsl p)
-      done;
-      step !mask
-    done;
-    (* -- drain: the epoch's last churn events recover every down node -- *)
-    for p = 0 to n - 1 do
-      if not up.(p) then begin
-        churned.(p) <- true;
-        recover ~epoch p
-      end
-    done;
-    (* -- heal: quiet period; the recovery invariant's clock runs here -- *)
-    heal ~epoch;
-    (* -- repair locality: nobody outside the churn radius recoloured -- *)
-    let after = E.outputs engine in
-    let any_churn = Array.exists Fun.id churned in
-    for q = 0 to n - 1 do
-      match baseline.(q) with
-      | None -> () (* was not coloured at baseline: not constrained *)
-      | Some _ when baseline.(q) = after.(q) -> ()
-      | Some _ ->
-          let dist =
-            if not any_churn then n
-            else begin
-              let d = ref n in
-              for c = 0 to n - 1 do
-                if churned.(c) then d := min !d (ring_dist n q c)
-              done;
-              !d
-            end
-          in
-          radii := dist :: !radii;
-          if dist > 0 then
-            add_violation ~epoch "churn-locality"
-              (Printf.sprintf
-                 "node %d recoloured at ring distance %d from the nearest \
-                  churned node"
-                 q dist)
-    done;
-    (* -- stability: no churn in flight, so nobody may recolour.  The
-       snapshot is compared after every step (not only at the end), so a
-       node that recolours and happens to land back on its old colour
-       within the window is still caught; [flagged] keeps it one
-       violation per node per epoch. -- *)
-    let snap = E.outputs engine in
-    let flagged = Array.make n false in
-    for s = 1 to stability_window do
-      (match cfg.mutant with
-      | Some Spurious_recolor when epoch = 1 && s = 1 ->
-          (* planted bug: an unrecorded reset while no churn is in flight *)
-          E.reset engine 0
-            ~ident:
-              (let live = ref [] in
-               for q = n - 1 downto 0 do
-                 live := E.ident engine q :: !live
-               done;
-               Idents.fresh ~live:!live ~universe)
-      | _ -> ());
-      let mask = ref 0 in
-      for p = 0 to n - 1 do
-        if Prng.bool prng then mask := !mask lor (1 lsl p)
-      done;
-      step !mask;
-      let now = E.outputs engine in
-      for q = 0 to n - 1 do
-        if (not flagged.(q)) && snap.(q) <> now.(q) then begin
-          flagged.(q) <- true;
-          add_violation ~epoch "churn-stability"
-            (Printf.sprintf "node %d changed output with no churn in flight" q)
-        end
-      done
-    done;
-    (* A stability violation leaves damage behind (the whole point of the
-       detector); quietly re-heal so later epochs measure their own churn,
-       not the planted bug's wake. *)
-    if not (E.all_returned engine) then heal ~epoch
+    (* the span's arguments would allocate even on a disabled sink *)
+    if Obs.enabled obs then
+      Obs.span obs
+        ~args:[ ("epoch", string_of_int epoch) ]
+        "churn.epoch"
+        (fun () -> run_epoch epoch)
+    else run_epoch epoch
   done;
   let latencies = List.rev !latencies in
   (if Obs.enabled obs && latencies <> [] then

@@ -7,7 +7,7 @@
     a seed-deterministic churn schedule.  Processes crash (stop being
     scheduled, registers left behind), recover through
     {!Asyncolor_kernel.Engine.Make.reset} with a fresh identifier from
-    {!Asyncolor_workload.Idents.fresh}, and must be re-colored online.
+    {!Asyncolor_workload.Idents.fresh_in}, and must be re-colored online.
 
     Time is organised in {e epochs}: a short churn window (crashes and
     recoveries interleaved with random activity), a {e drain} (every node
@@ -120,7 +120,9 @@ val run : ?obs:Asyncolor_obs.Obs.t -> config -> seed:int -> session:int -> resul
 (** Run one session.  Deterministic: a pure function of
     [(config, seed, session)].  Emits [churn.*] counters, spans and the
     recovery-latency gauge when [obs] is enabled (out-of-band; the result
-    is byte-identical either way).
+    is byte-identical either way).  Allocation-free in steady state
+    beyond the engine step and the samples the result keeps: per-step
+    and per-recovery bookkeeping walks only the nodes that changed.
     @raise Invalid_argument on an invalid configuration. *)
 
 (** {1 Campaigns} *)

@@ -81,6 +81,15 @@ module Make (P : Protocol.S) : sig
       @raise Invalid_argument when [n t > Sys.int_size - 1] (the mask
       cannot name every process). *)
 
+  val activate_mask_live : t -> int -> int
+  (** [activate_mask_live t mask] is {!activate_mask}, returning the mask
+      of the processes that actually took a step: [mask] minus the
+      processes that had already returned.  [popcount] of the result is
+      the step's activation count, so a long-lived caller (the churn
+      session) need not pay an O(n) {!unfinished_mask} scan per step
+      to learn it.  {!activate_mask} is this function with the result
+      ignored — one step path, not two. *)
+
   val unfinished_mask : t -> int
   (** {!unfinished} as a bitmask.  @raise Invalid_argument when
       [n t > Sys.int_size - 1]. *)

@@ -35,6 +35,12 @@ val int_in : t -> int -> int -> int
 val bool : t -> bool
 (** Fair coin. *)
 
+val bool_mask : t -> int -> int
+(** [bool_mask t m] tosses one {!bool} per set bit of [m], lowest bit
+    first, and returns the set bits whose coin came up [true] — the same
+    draws, in the same order, as a loop of {!bool} calls, without a call
+    per coin. *)
+
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 

@@ -34,17 +34,34 @@ let bit_adversarial n =
 
 (* Fresh-identifier allocator for recovery: deterministic (smallest
    candidate), so churn sessions replay byte-identically without having
-   to persist allocator state. *)
-let fresh ~live ~universe =
+   to persist allocator state.  The occupancy buffer is a stamp per
+   identifier: a call marks the live identifiers with a new stamp and
+   scans for the first unmarked one, so it costs O(live + answer) and
+   allocates nothing — no clearing pass, no set. *)
+type pool = { stamp : int array; mutable gen : int }
+
+let pool ~universe =
   if universe <= 0 then invalid_arg "Idents.fresh: universe must be positive";
-  let module S = Set.Make (Int) in
-  let taken = List.fold_left (fun s x -> S.add x s) S.empty live in
-  let rec scan c =
-    if c >= universe then invalid_arg "Idents.fresh: universe exhausted"
-    else if S.mem c taken then scan (c + 1)
-    else c
-  in
-  scan 0
+  { stamp = Array.make universe 0; gen = 0 }
+
+let fresh_in pool ~count live =
+  pool.gen <- pool.gen + 1;
+  let gen = pool.gen and universe = Array.length pool.stamp in
+  for i = 0 to count - 1 do
+    let x = live i in
+    if x >= 0 && x < universe then pool.stamp.(x) <- gen
+  done;
+  let c = ref 0 in
+  while !c < universe && pool.stamp.(!c) = gen do
+    incr c
+  done;
+  if !c >= universe then invalid_arg "Idents.fresh: universe exhausted";
+  !c
+
+let fresh ~live ~universe =
+  let pool = pool ~universe in
+  let live = Array.of_list live in
+  fresh_in pool ~count:(Array.length live) (Array.get live)
 
 let is_injective a =
   let module S = Set.Make (Int) in

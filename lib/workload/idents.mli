@@ -46,15 +46,33 @@ val bit_adversarial : int -> int array
     (Gray-code-like), slowing the Cole–Vishkin reduction: stresses
     experiment E9. *)
 
+type pool
+(** A reusable occupancy buffer over the identifiers [\[0, universe)]:
+    the allocation-free form of {!fresh} for a caller that allocates
+    repeatedly (one churn session recovers hundreds of thousands of
+    processes). *)
+
+val pool : universe:int -> pool
+(** @raise Invalid_argument when [universe] is non-positive. *)
+
+val fresh_in : pool -> count:int -> (int -> int) -> int
+(** [fresh_in pool ~count live] is {!fresh} with the live identifiers
+    [live 0, …, live (count - 1)] and the pool's universe: the smallest
+    natural in [\[0, universe)] that is none of them.  Allocates nothing
+    and costs O([count] + the answer).  Live identifiers outside the
+    universe, and repeated ones, are harmless.
+    @raise Invalid_argument when every identifier in [\[0, universe)] is
+    live (universe exhausted). *)
+
 val fresh : live:int list -> universe:int -> int
 (** [fresh ~live ~universe] allocates an identifier for a recovering
     process: the smallest natural in [\[0, universe)] that collides with
     no identifier in [live] (the identifiers of the currently live
     processes — dead incarnations may be reused; only live collisions
     break the model).  Deterministic, so churn sessions replay without
-    persisting allocator state.  @raise Invalid_argument when [universe]
-    is non-positive or every identifier in [\[0, universe)] is live
-    (universe exhausted). *)
+    persisting allocator state.  A one-shot {!fresh_in} on a new pool.
+    @raise Invalid_argument when [universe] is non-positive or every
+    identifier in [\[0, universe)] is live (universe exhausted). *)
 
 val longest_monotone_run : int array -> int
 (** Length (number of edges) of the longest run of consecutive positions

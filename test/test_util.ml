@@ -33,6 +33,87 @@ let test_split_independent () =
   let xa = Prng.bits64 a and xb = Prng.bits64 b in
   check Alcotest.bool "split streams differ" true (xa <> xb)
 
+(* Known answers: the SplitMix64 stream is fixed by this implementation
+   (the experiment tables, the fuzzer's seeds and every churn schedule
+   are functions of it), so pin actual values, not only self-consistency.
+   Any change to the state representation must reproduce them exactly. *)
+let seed1_bits64 =
+  [
+    0xbfef8030ddc2d772L;
+    0x5f552ce482f2aa47L;
+    0x70335fc3daf3d8a7L;
+    0xf440fe3b62c79d2cL;
+    0x33ba2f29e7c168bbL;
+    0x98843f48a94b7866L;
+    0x74ad4c24d41a25f8L;
+    0x2f9a1f13648eab6eL;
+  ]
+
+let test_known_bits64 () =
+  let p = Prng.create ~seed:1 in
+  List.iter
+    (fun want -> check Alcotest.int64 "seed 1 bits64" want (Prng.bits64 p))
+    seed1_bits64;
+  check Alcotest.int64 "negative seed" 0xa39b91cb5ecb1a80L
+    (Prng.bits64 (Prng.create ~seed:(-7)));
+  check Alcotest.int64 "max_int seed" 0x2de2ce032c245fa7L
+    (Prng.bits64 (Prng.create ~seed:max_int))
+
+let test_known_split () =
+  let p = Prng.create ~seed:1 in
+  let c = Prng.split p in
+  List.iter
+    (fun want -> check Alcotest.int64 "split child bits64" want (Prng.bits64 c))
+    [
+      0xf0e0e7be2fcf87edL;
+      0xca7e1c9ef3f43d32L;
+      0x477203fc7af79e35L;
+      0x1bb4d534b5bbc443L;
+      0x1cb4822bf3c03b88L;
+      0x67171526d1674f9cL;
+      0xaa4d8b94d3d2f62cL;
+      0xdb6527529b9f36d1L;
+    ];
+  (* the split consumed exactly one draw of the parent *)
+  check Alcotest.int64 "parent resumes" (List.nth seed1_bits64 1) (Prng.bits64 p)
+
+let test_known_draws () =
+  let p = Prng.create ~seed:42 in
+  check
+    Alcotest.(list int)
+    "int 1000" [ 473; 191; 141; 366 ]
+    (List.init 4 (fun _ -> Prng.int p 1000));
+  check Alcotest.(list int) "int_in -5 5" [ -4; 5 ]
+    (List.init 2 (fun _ -> Prng.int_in p (-5) 5));
+  check
+    Alcotest.(list bool)
+    "bool"
+    [ true; false; true; true; false; false; false; false ]
+    (List.init 8 (fun _ -> Prng.bool p));
+  check
+    Alcotest.(list (float 0.0))
+    "float 1.0"
+    [ 0x1.36f1f7e8c90ap-5; 0x1.b53d1af09b619p-1; 0x1.158ab517a8cap-4 ]
+    (List.init 3 (fun _ -> Prng.float p 1.0));
+  check Alcotest.int "int max_int" 4607041891190626162
+    (Prng.int (Prng.create ~seed:1) max_int)
+
+(* [bool_mask] is a loop of [bool] calls, coin for coin: same heads,
+   same number of draws consumed (so the streams stay in step). *)
+let prop_bool_mask_matches_bool =
+  QCheck.Test.make ~name:"bool_mask = one bool per set bit, lowest first"
+    ~count:500
+    QCheck.(pair small_int int)
+    (fun (seed, m) ->
+      let a = Prng.create ~seed and b = Prng.create ~seed in
+      let want = ref 0 and rest = ref m in
+      while !rest <> 0 do
+        let low = !rest land - !rest in
+        rest := !rest lxor low;
+        if Prng.bool a then want := !want lor low
+      done;
+      Prng.bool_mask b m = !want && Prng.bits64 a = Prng.bits64 b)
+
 let test_int_bounds () =
   let p = Prng.create ~seed:7 in
   for _ = 1 to 10_000 do
@@ -881,6 +962,10 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
           Alcotest.test_case "copy" `Quick test_copy_preserves_stream;
           Alcotest.test_case "split" `Quick test_split_independent;
+          Alcotest.test_case "known bits64" `Quick test_known_bits64;
+          Alcotest.test_case "known split" `Quick test_known_split;
+          Alcotest.test_case "known draws" `Quick test_known_draws;
+          qtest prop_bool_mask_matches_bool;
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int invalid" `Quick test_int_invalid;
           Alcotest.test_case "int covers range" `Quick test_int_covers_range;

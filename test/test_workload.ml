@@ -76,6 +76,48 @@ let prop_fresh_no_collision =
       let id = Idents.fresh ~live ~universe in
       id >= 0 && id < universe && not (List.mem id live))
 
+(* The allocator before the reusable occupancy buffer, kept as the
+   oracle: fold the live list into a set, scan for the first gap. *)
+let reference_fresh ~live ~universe =
+  if universe <= 0 then invalid_arg "Idents.fresh: universe must be positive";
+  let module S = Set.Make (Int) in
+  let taken = List.fold_left (fun s x -> S.add x s) S.empty live in
+  let rec scan c =
+    if c >= universe then invalid_arg "Idents.fresh: universe exhausted"
+    else if S.mem c taken then scan (c + 1)
+    else c
+  in
+  scan 0
+
+let outcome f = match f () with id -> Ok id | exception Invalid_argument m -> Error m
+
+(* One pool serves a sequence of calls (its stamps must not leak from one
+   call into the next), and every answer — exhaustion included — matches
+   the oracle, for live sets with repeats and with identifiers outside
+   [0, universe). *)
+let prop_fresh_matches_reference =
+  QCheck.Test.make ~name:"fresh and a reused pool agree with the set oracle"
+    ~count:500
+    QCheck.(
+      make
+        ~print:Print.(pair int (list (list int)))
+        Gen.(
+          int_range 1 64 >>= fun universe ->
+          list_size (int_range 1 6)
+            (list_size (int_range 0 80) (int_range (-3) (universe + 8)))
+          >|= fun calls -> (universe, calls)))
+    (fun (universe, calls) ->
+      let pool = Idents.pool ~universe in
+      List.for_all
+        (fun live ->
+          let want = outcome (fun () -> reference_fresh ~live ~universe) in
+          let arr = Array.of_list live in
+          want = outcome (fun () -> Idents.fresh ~live ~universe)
+          && want
+             = outcome (fun () ->
+                   Idents.fresh_in pool ~count:(Array.length arr) (Array.get arr)))
+        calls)
+
 let test_longest_monotone_run () =
   check Alcotest.int "increasing ring 0..4" 4
     (Idents.longest_monotone_run (Idents.increasing 5));
@@ -205,6 +247,7 @@ let () =
           Alcotest.test_case "bit adversarial" `Quick test_bit_adversarial;
           Alcotest.test_case "fresh" `Quick test_fresh;
           qtest prop_fresh_no_collision;
+          qtest prop_fresh_matches_reference;
           Alcotest.test_case "longest monotone run" `Quick test_longest_monotone_run;
           qtest prop_monotone_run_bounds;
         ] );
