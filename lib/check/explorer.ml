@@ -846,35 +846,45 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
             if st.s_next_id < params.max_configs then begin
               E.restore engine config;
               E.activate_mask engine mask;
-              let succ = E.snapshot engine in
-              let t0 = if params.symmetry then Obs.now params.octx.o else 0L in
-              let key, rep, orbit, pi = canonicalize params.group succ in
-              if params.symmetry then begin
-                Obs.Counter.add params.octx.oc_canon_ns
-                  (Int64.to_int (Int64.sub (Obs.now params.octx.o) t0));
-                if pi <> 0 then Obs.Counter.incr params.octx.oc_orbit_hits;
-                st.s_exp_transitions <- st.s_exp_transitions + orbit_u
-              end;
+              (* Without symmetry the live engine is keyed in place and
+                 snapshotted only on a miss: most successors are
+                 duplicates, and a duplicate needs nothing but its key.
+                 [rep] is then a placeholder until the miss below. *)
+              let key, rep, orbit, pi =
+                if params.symmetry then begin
+                  let t0 = Obs.now params.octx.o in
+                  let (_, _, _, pi) as canon =
+                    canonicalize params.group (E.snapshot engine)
+                  in
+                  Obs.Counter.add params.octx.oc_canon_ns
+                    (Int64.to_int (Int64.sub (Obs.now params.octx.o) t0));
+                  if pi <> 0 then Obs.Counter.incr params.octx.oc_orbit_hits;
+                  st.s_exp_transitions <- st.s_exp_transitions + orbit_u;
+                  canon
+                end
+                else (E.key engine, config, 1, 0)
+              in
               st.s_transitions <- st.s_transitions + 1;
               Obs.Counter.incr params.octx.oc_transitions;
-              let vid, fresh =
+              let vid =
                 match Tbl.find_opt tbl key with
-                | Some id -> (id, false)
+                | Some id -> id
                 | None ->
+                    let rep =
+                      if params.symmetry then rep else E.snapshot engine
+                    in
                     let id = register_st ~params st rep ~orbit in
                     Queue.add (id, rep) queue;
                     Tbl.add tbl key id;
-                    (id, true)
+                    Vec.set st.s_parent_pred id uid;
+                    Vec.set st.s_parent_mask id mask;
+                    if pi <> 0 then E.restore engine rep;
+                    safety_check ~params st engine id rep;
+                    id
               in
               Level_log.push st.s_adj_data mask;
               Level_log.push st.s_adj_data vid;
-              if params.symmetry then Level_log.push st.s_adj_data pi;
-              if fresh then begin
-                Vec.set st.s_parent_pred vid uid;
-                Vec.set st.s_parent_mask vid mask;
-                if pi <> 0 then E.restore engine rep;
-                safety_check ~params st engine vid rep
-              end
+              if params.symmetry then Level_log.push st.s_adj_data pi
             end
             else st.s_complete <- false)
           masks;

@@ -1,5 +1,35 @@
 module Graph = Asyncolor_topology.Graph
 
+(* A growable int buffer that the key encoder writes through one
+   preallocated [emit] closure.  The engine owns one, so [key] on the
+   live engine allocates nothing but the key itself.  Unlike the
+   polymorphic [Vec], its stores are plain int writes, with no write
+   barrier. *)
+type kbuf = { mutable data : int array; mutable len : int; emit : int -> unit }
+
+let kbuf_push b x =
+  if b.len = Array.length b.data then begin
+    let data = Array.make (2 * b.len) 0 in
+    Array.blit b.data 0 data 0 b.len;
+    b.data <- data
+  end;
+  b.data.(b.len) <- x;
+  b.len <- b.len + 1
+
+(* A framed field: [kbuf_open] writes a length placeholder, the payload
+   encoder runs, and [kbuf_close] patches the placeholder with the
+   payload's length. *)
+let kbuf_open b =
+  let at = b.len in
+  kbuf_push b 0;
+  at
+
+let kbuf_close b at = b.data.(at) <- b.len - at - 1
+
+let kbuf_create () =
+  let rec b = { data = Array.make 64 0; len = 0; emit = (fun x -> kbuf_push b x) } in
+  b
+
 module Make (P : Protocol.S) = struct
   type event = {
     time : int;
@@ -22,6 +52,12 @@ module Make (P : Protocol.S) = struct
     mutable unfinished_cache : int list option;
         (* memoised [unfinished]; invalidated whenever a process returns or
            a snapshot is restored *)
+    views : P.register option array array;
+        (* one view buffer per node, sized by its degree and refilled at
+           each of its rounds (the [Protocol.S.transition] lifetime rule) *)
+    mutable step_returned : (int * P.output) list;
+        (* the current step's returns, newest first; traced runs only *)
+    kbuf : kbuf;  (* scratch for [key] *)
   }
 
   let create ?(record_trace = false) graph ~idents =
@@ -40,6 +76,9 @@ module Make (P : Protocol.S) = struct
       trace = [];
       record_trace;
       unfinished_cache = None;
+      views = Array.init n (fun p -> Array.make (Graph.degree graph p) None);
+      step_returned = [];
+      kbuf = kbuf_create ();
     }
 
   let graph t = t.graph
@@ -99,22 +138,32 @@ module Make (P : Protocol.S) = struct
     | Some _ -> ());
     t.public.(p) <- Some (P.publish (Option.get t.states.(p)))
 
-  let read_and_update t p returned =
+  let read_and_update t p =
     t.activations.(p) <- t.activations.(p) + 1;
     let nbrs = Graph.neighbours t.graph p in
-    let view = Array.map (fun q -> t.public.(q)) nbrs in
+    let view = t.views.(p) in
+    for i = 0 to Array.length nbrs - 1 do
+      view.(i) <- t.public.(nbrs.(i))
+    done;
     match P.transition (Option.get t.states.(p)) ~view with
     | Step.Continue s -> t.states.(p) <- Some s
     | Step.Return o ->
         t.status.(p) <- Status.Returned o;
         t.unfinished_cache <- None;
-        returned := (p, o) :: !returned
+        if t.record_trace then t.step_returned <- (p, o) :: t.step_returned
 
-  let finish_step t set returned =
-    if t.record_trace then
+  let finish_step t set =
+    if t.record_trace then begin
       t.trace <-
-        { time = t.time; activated = set; returned = List.rev !returned; resets = [] }
+        {
+          time = t.time;
+          activated = set;
+          returned = List.rev t.step_returned;
+          resets = [];
+        }
         :: t.trace;
+      t.step_returned <- []
+    end;
     match t.monitor with None -> () | Some f -> f t
 
   (* Recovery event (the dynamic-model extension): the process on node [p]
@@ -157,9 +206,9 @@ module Make (P : Protocol.S) = struct
     let set = List.sort_uniq compare set in
     let set = List.filter (fun p -> not (Status.is_returned t.status.(p))) set in
     List.iter (fun p -> wake_and_write t p) set;
-    let returned = ref [] in
-    List.iter (fun p -> read_and_update t p returned) set;
-    finish_step t set returned
+    t.step_returned <- [];
+    List.iter (fun p -> read_and_update t p) set;
+    finish_step t set
 
   (* Same step, set given as a bitmask over process indices.  Returned
      processes drop out exactly as in [activate]; bits are visited in
@@ -185,16 +234,16 @@ module Make (P : Protocol.S) = struct
     for p = 0 to n - 1 do
       if live land (1 lsl p) <> 0 then wake_and_write t p
     done;
-    let returned = ref [] in
+    t.step_returned <- [];
     for p = 0 to n - 1 do
-      if live land (1 lsl p) <> 0 then read_and_update t p returned
+      if live land (1 lsl p) <> 0 then read_and_update t p
     done;
     if t.record_trace || Option.is_some t.monitor then begin
       let set = ref [] in
       for p = n - 1 downto 0 do
         if live land (1 lsl p) <> 0 then set := p :: !set
       done;
-      finish_step t !set returned
+      finish_step t !set
     end;
     live
 
@@ -294,51 +343,57 @@ module Make (P : Protocol.S) = struct
     done;
     !h
 
-  (* Append process [p]'s framed segment to [buf].  [config_key] is the
-     in-order concatenation of these segments, so a permuted concatenation
-     is exactly the key of the correspondingly permuted configuration —
-     the invariant the explorer's orbit canonicalization leans on. *)
-  let emit_process_segment buf c p =
-    let emit x = Asyncolor_util.Vec.push buf x in
-    (* emit a length placeholder, run the payload encoder, patch it *)
-    let framed encode =
-      let at = Asyncolor_util.Vec.length buf in
-      emit 0;
-      encode ();
-      Asyncolor_util.Vec.set buf at (Asyncolor_util.Vec.length buf - at - 1)
-    in
-    (match c.c_status.(p) with
-    | Status.Asleep -> emit 0
-    | Status.Working -> emit 1
+  (* Append process [p]'s framed segment to [b], reading the three
+     visible arrays of a configuration or of the live engine alike.
+     [config_key] is the in-order concatenation of these segments, so a
+     permuted concatenation is exactly the key of the correspondingly
+     permuted configuration — the invariant the explorer's orbit
+     canonicalization leans on. *)
+  let encode_segment b ~status ~states ~public p =
+    (match status.(p) with
+    | Status.Asleep -> kbuf_push b 0
+    | Status.Working -> kbuf_push b 1
     | Status.Returned o ->
-        emit 2;
-        framed (fun () -> P.encode_output emit o));
-    (match c.c_states.(p) with
-    | None -> emit 0
+        kbuf_push b 2;
+        let at = kbuf_open b in
+        P.encode_output b.emit o;
+        kbuf_close b at);
+    (match states.(p) with
+    | None -> kbuf_push b 0
     | Some s ->
-        emit 1;
-        framed (fun () -> P.encode_state emit s));
-    match c.c_public.(p) with
-    | None -> emit 0
+        kbuf_push b 1;
+        let at = kbuf_open b in
+        P.encode_state b.emit s;
+        kbuf_close b at);
+    match public.(p) with
+    | None -> kbuf_push b 0
     | Some r ->
-        emit 1;
-        framed (fun () -> P.encode_register emit r)
+        kbuf_push b 1;
+        let at = kbuf_open b in
+        P.encode_register b.emit r;
+        kbuf_close b at
 
-  let config_key c =
-    let buf = Asyncolor_util.Vec.create ~capacity:64 ~dummy:0 () in
-    let n = Array.length c.c_status in
-    for p = 0 to n - 1 do
-      emit_process_segment buf c p
+  let encode_key b ~status ~states ~public =
+    b.len <- 0;
+    for p = 0 to Array.length status - 1 do
+      encode_segment b ~status ~states ~public p
     done;
-    let kdata = Asyncolor_util.Vec.to_array buf in
+    let kdata = Array.sub b.data 0 b.len in
     { kdata; khash = hash_ints kdata }
 
+  let config_key c =
+    encode_key (kbuf_create ()) ~status:c.c_status ~states:c.c_states
+      ~public:c.c_public
+
+  let key t = encode_key t.kbuf ~status:t.status ~states:t.states ~public:t.public
+
   let config_key_segments c =
-    let n = Array.length c.c_status in
-    Array.init n (fun p ->
-        let buf = Asyncolor_util.Vec.create ~capacity:16 ~dummy:0 () in
-        emit_process_segment buf c p;
-        Asyncolor_util.Vec.to_array buf)
+    let b = kbuf_create () in
+    Array.init (Array.length c.c_status) (fun p ->
+        let start = b.len in
+        encode_segment b ~status:c.c_status ~states:c.c_states
+          ~public:c.c_public p;
+        Array.sub b.data start (b.len - start))
 
   let config_permute c perm =
     let n = Array.length c.c_status in

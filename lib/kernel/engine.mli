@@ -187,6 +187,14 @@ module Make (P : Protocol.S) : sig
   (** Pack the process-visible part of [c] into a flat, hashable key
       (observers excluded, exactly like {!config_compare}). *)
 
+  val key : t -> key
+  (** [key t] packs the live engine's process-visible part: it equals
+      [config_key (snapshot t)] (same data, same hash) without building
+      the snapshot.  The explorer keys every successor this way and
+      snapshots only the ones it has not seen.  It writes through a
+      buffer owned by [t], so, like every other engine operation, it is
+      for one domain at a time. *)
+
   val key_hash : key -> int
   val key_equal : key -> key -> bool
 

@@ -35,7 +35,12 @@ module type S = sig
   val transition : state -> view:register option array -> (state, output) Step.t
   (** One round: [view.(i)] is the register of the [i]-th neighbour in the
       node's local order (the order of {!Asyncolor_topology.Graph.neighbours});
-      [None] encodes [⊥].  Must be deterministic and total. *)
+      [None] encodes [⊥].  Must be deterministic and total.
+
+      [view] is only valid during the call: the engine keeps one buffer
+      per node and refills it at that node's next round.  A transition
+      that needs the entries later must copy them, never retain [view]
+      itself. *)
 
   (** {2 Compact encoders}
 

@@ -21,7 +21,13 @@ module Make (H : Hashtbl.HashedType) = struct
     { tables = Array.init shards (fun _ -> Tbl.create n); mask = shards - 1 }
 
   let shards t = Array.length t.tables
-  let shard_of t k = H.hash k land t.mask
+
+  (* The shard comes from the high bits of the multiplicatively mixed
+     hash.  Each shard's [Hashtbl] buckets on the {e low} bits of the raw
+     hash, so taking the shard from those bits too would leave a shard
+     only the buckets congruent to its own index: 1/16 of them at 16
+     shards, with chains 16 times longer than the load factor says. *)
+  let shard_of t k = ((H.hash k * 0x2545F4914F6CDD1D) lsr 40) land t.mask
   let find_opt t k = Tbl.find_opt t.tables.(shard_of t k) k
   let add t k v = Tbl.add t.tables.(shard_of t k) k v
 

@@ -1,9 +1,11 @@
 (** A hash table split into independent shards by key hash — the
     sharded-interning substrate of the parallel explorer.
 
-    Shard ownership is a pure function of the key ([hash k land (shards-1)],
-    with the shard count rounded up to a power of two), so the partition of
-    the key space is fixed at creation and never depends on scheduling.  A
+    Shard ownership is a pure function of the key: the high bits of its
+    mixed hash, masked to the shard count (rounded up to a power of two).
+    They are independent of the low bits each shard's buckets use, and
+    the partition of the key space is fixed at creation and never
+    depends on scheduling.  A
     group of workers that (a) agrees on the shard count and (b) lets each
     worker touch only its own shards needs no locks at all: two workers
     never access the same underlying [Hashtbl].

@@ -11,6 +11,8 @@ module Adversary = Asyncolor_kernel.Adversary
 module Builders = Asyncolor_topology.Builders
 module Idents = Asyncolor_workload.Idents
 module Prng = Asyncolor_util.Prng
+module Mex = Asyncolor_util.Mex
+module Step = Asyncolor_kernel.Step
 module Explorer = Asyncolor_check.Explorer.Make (A2.P)
 
 let check = Alcotest.check
@@ -52,6 +54,59 @@ let test_output_never_conflicts_with_frozen_register () =
   let adv = Adversary.crash ~at:3 ~procs:[ 1; 4 ] Adversary.round_robin in
   let r = A2.run_on_cycle ~idents adv in
   check Alcotest.bool "proper" true (Checker.ok (validate 6 r.outputs))
+
+(* --- list-free transition vs the list-based reference ----------------- *)
+
+(* The transition as the paper states it, over lists: C is every visible
+   neighbour's (a, b), C+ those of neighbours with a greater identifier,
+   and mex comes from [Mex.of_list].  The protocol's own transition scans
+   [view] in place and must agree with it everywhere. *)
+let reference_transition (s : A2.fields) ~view =
+  let nbrs = Array.to_list view |> List.filter_map Fun.id in
+  let c = List.concat_map (fun (r : A2.fields) -> [ r.a; r.b ]) nbrs in
+  if not (List.mem s.a c) then Step.Return s.a
+  else if not (List.mem s.b c) then Step.Return s.b
+  else begin
+    let c_plus =
+      List.concat_map
+        (fun (r : A2.fields) -> if r.x > s.x then [ r.a; r.b ] else [])
+        nbrs
+    in
+    Step.Continue { s with a = Mex.of_list c_plus; b = Mex.of_list c }
+  end
+
+(* Small value ranges, so that candidates repeat and collide, and
+   neighbour identifiers within 2 of the caller's: above, below and
+   equal all occur. *)
+let arb_transition_case =
+  let open QCheck.Gen in
+  let candidate = int_range 0 5 in
+  let gen =
+    int_range 0 10 >>= fun x ->
+    let register =
+      map3
+        (fun dx a b -> { A2.x = x + dx; a; b })
+        (int_range (-2) 2) candidate candidate
+    in
+    let entry = frequency [ (1, return None); (3, map Option.some register) ] in
+    map3
+      (fun a b view -> ({ A2.x; a; b }, view))
+      candidate candidate
+      (int_range 0 6 >>= fun deg -> array_repeat deg entry)
+  in
+  let pp (r : A2.fields) = Printf.sprintf "{x=%d;a=%d;b=%d}" r.x r.a r.b in
+  let print (s, view) =
+    Printf.sprintf "state %s, view [%s]" (pp s)
+      (String.concat "; "
+         (Array.to_list
+            (Array.map (function None -> "⊥" | Some r -> pp r) view)))
+  in
+  QCheck.make ~print gen
+
+let prop_transition_matches_reference =
+  QCheck.Test.make ~name:"list-free transition = list-based reference"
+    ~count:2_000 arb_transition_case (fun (s, view) ->
+      A2.P.transition s ~view = reference_transition s ~view)
 
 (* --- finding F1 regression ------------------------------------------ *)
 
@@ -292,6 +347,7 @@ let () =
           Alcotest.test_case "bound formulas" `Quick test_bound_formulas;
           Alcotest.test_case "crash-frozen registers" `Quick
             test_output_never_conflicts_with_frozen_register;
+          qtest prop_transition_matches_reference;
         ] );
       ( "finding F1",
         [

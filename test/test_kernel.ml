@@ -328,6 +328,64 @@ let test_config_key_identity () =
         snaps)
     snaps
 
+(* [E.key] and the shared segment encoder, on random walks of the real
+   protocols.  Two engines run in lockstep, one stepped through the list
+   API and one through masks; masks may name returned processes and, with
+   [resets], a step may instead reset a node to a fresh identifier.  At
+   every step the live key must equal the snapshot's key, the snapshot's
+   segments must concatenate to its key, and the two engines' keys must
+   agree: the per-node view buffers may leak nothing between entry points
+   or between nodes. *)
+module Key_walk (P : Asyncolor_kernel.Protocol.S) = struct
+  module E = Engine.Make (P)
+
+  let keys_agree eng =
+    let c = E.snapshot eng in
+    let live = E.key eng and packed = E.config_key c in
+    E.key_data live = E.key_data packed
+    && E.key_hash live = E.key_hash packed
+    && Array.concat (Array.to_list (E.config_key_segments c))
+       = E.key_data packed
+
+  let walk ~resets (n, seed) =
+    let prng = Prng.create ~seed in
+    let idents =
+      Asyncolor_workload.Idents.random_permutation (Prng.split prng) n
+    in
+    let g = Builders.cycle n in
+    let by_list = E.create g ~idents and by_mask = E.create g ~idents in
+    let next_ident = ref (10 * n) in
+    let ok = ref (keys_agree by_list) in
+    for _ = 1 to 40 do
+      if resets && Prng.int prng 6 = 0 then begin
+        let p = Prng.int prng n in
+        incr next_ident;
+        E.reset by_list p ~ident:!next_ident;
+        E.reset by_mask p ~ident:!next_ident
+      end
+      else begin
+        let mask = 1 + Prng.int prng ((1 lsl n) - 1) in
+        E.activate by_list
+          (List.filter (fun p -> mask land (1 lsl p) <> 0) (List.init n Fun.id));
+        E.activate_mask by_mask mask
+      end;
+      ok :=
+        !ok && keys_agree by_list && keys_agree by_mask
+        && E.key_data (E.key by_list) = E.key_data (E.key by_mask)
+    done;
+    !ok
+
+  let prop name ~resets =
+    QCheck.Test.make ~name:("E.key = config_key (snapshot), " ^ name)
+      ~count:60
+      QCheck.(pair (int_range 5 8) (int_range 0 10_000))
+      (walk ~resets)
+end
+
+module Walk1 = Key_walk (Asyncolor.Algorithm1.P)
+module Walk2 = Key_walk (Asyncolor.Algorithm2.P)
+module Walk3 = Key_walk (Asyncolor.Algorithm3.P)
+
 let test_config_accessors () =
   let e = mk () in
   E3.activate e [ 1 ];
@@ -740,6 +798,9 @@ let () =
             test_restore_rewinds_observers;
           Alcotest.test_case "config key identity" `Quick test_config_key_identity;
           Alcotest.test_case "config accessors" `Quick test_config_accessors;
+          qtest (Walk1.prop "algorithm 1" ~resets:false);
+          qtest (Walk2.prop "algorithm 2" ~resets:false);
+          qtest (Walk3.prop "algorithm 3 with resets" ~resets:true);
         ] );
       ( "runner",
         [

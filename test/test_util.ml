@@ -824,6 +824,32 @@ let test_sharded_tbl_explicit_shard () =
   Int_tbl.iter (fun k v -> seen := (k, v) :: !seen) t;
   check Alcotest.int "iter visits every binding" 4 (List.length !seen)
 
+(* Every hash [16 * k] has the same low 4 bits.  A shard taken from those
+   bits puts every key in shard 0, and inside that shard the [Hashtbl]
+   buckets on the same low bits, so only 1/16 of its buckets fill. *)
+module Aliased_tbl = Asyncolor_util.Sharded_tbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = 16 * k
+end)
+
+let test_sharded_tbl_high_bits () =
+  let t = Aliased_tbl.create ~shards:16 16 in
+  for k = 0 to 4_095 do
+    Aliased_tbl.add t k k
+  done;
+  let used =
+    Array.fold_left
+      (fun acc l -> if l > 0 then acc + 1 else acc)
+      0 (Aliased_tbl.shard_lengths t)
+  in
+  check Alcotest.bool
+    (Printf.sprintf "keys with equal low hash bits span >= 8 shards (%d)" used)
+    true (used >= 8);
+  check Alcotest.(option int) "lookups still route" (Some 4_095)
+    (Aliased_tbl.find_opt t 4_095)
+
 (* --- Level_log -------------------------------------------------------- *)
 
 module Level_log = Asyncolor_util.Sharded_tbl.Level_log
@@ -1054,6 +1080,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_sharded_tbl_basics;
           Alcotest.test_case "explicit shards" `Quick
             test_sharded_tbl_explicit_shard;
+          Alcotest.test_case "shard from high hash bits" `Quick
+            test_sharded_tbl_high_bits;
         ] );
       ( "level_log",
         [
