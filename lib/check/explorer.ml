@@ -185,51 +185,81 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
              !ok)
       |> Array.of_list
 
+  (* Lexicographic comparison of two candidate keys read in place: the
+     candidate of [sigma] is the concatenation of [data]'s slices
+     [offs.(sigma.(0))..], [offs.(sigma.(1))..], ... — the key of
+     [config_permute c sigma] (the engine's offsets invariant).  Each
+     side is a cursor: slice index [q], position [i], slice end [e];
+     [q = -1] with [i = e] is the start.  All candidates have the same
+     length, so this is polymorphic [compare] on the built arrays, with
+     no array built.  The [int array] annotation matters: without it [<]
+     is a polymorphic [caml_compare] call per element. *)
+  let rec compare_candidates (data : int array) offs sigma tau qa ia ea qb ib eb =
+    if ia = ea then
+      let qa = qa + 1 in
+      if qa = Array.length sigma then 0
+      else
+        let p = sigma.(qa) in
+        compare_candidates data offs sigma tau qa offs.(p) offs.(p + 1) qb ib
+          eb
+    else if ib = eb then
+      let qb = qb + 1 in
+      let p = tau.(qb) in
+      compare_candidates data offs sigma tau qa ia ea qb offs.(p)
+        offs.(p + 1)
+    else
+      let x = data.(ia) and y = data.(ib) in
+      if x < y then -1
+      else if x > y then 1
+      else compare_candidates data offs sigma tau qa (ia + 1) ea qb (ib + 1) eb
+
   (* [canonicalize group c] is the orbit-canonicalization at the heart of
      the symmetry reduction: among the candidate keys
-     [q -> key_data (config_permute c sigma)] for every [sigma] in the
-     group — built by concatenating [c]'s per-process key segments in
-     permuted order, not by re-encoding — pick the lexicographically
-     least.  Returns [(key, representative, orbit size, winner index)]:
-     the representative is [config_permute c group.(winner)], whose
-     packed key is exactly the winning candidate (the engine's
-     segment-concatenation invariant), and the orbit size is the number
-     of distinct candidates — what the report's orbit-expansion
-     accounting sums.  With the trivial group this is [config_key] plus
-     four words. *)
+     [key_data (config_key (config_permute c sigma))] for every [sigma]
+     in the group, pick the lexicographically least, the first index
+     attaining it winning ties.  Candidates are compared in place over
+     [c]'s key slices ({!E.config_key_offsets}); only the winner is
+     materialised, and only when it is not the identity.  Returns
+     [(key, representative, orbit size, winner index)]: the
+     representative is [config_permute c group.(winner)].  The orbit
+     size is [|G| / |Stab c|] by orbit–stabiliser, where the stabiliser
+     is counted as the candidates equal to the least one (a coset of it);
+     that is exact because [group] is a duplicate-free subgroup
+     ({!symmetry_group}) and key equality is configuration equality (the
+     {!Protocol.S} encoder contract).  With the trivial group this is
+     [config_key] plus four words. *)
   let canonicalize group c =
-    if Array.length group = 1 then (E.config_key c, c, 1, 0)
+    let g = Array.length group in
+    if g = 1 then (E.config_key c, c, 1, 0)
     else begin
-      let segs = E.config_key_segments c in
-      let n = Array.length segs in
-      let total = Array.fold_left (fun a s -> a + Array.length s) 0 segs in
-      let build sigma =
-        let out = Array.make total 0 in
-        let off = ref 0 in
-        for q = 0 to n - 1 do
-          let s = segs.(sigma.(q)) in
-          Array.blit s 0 out !off (Array.length s);
-          off := !off + Array.length s
-        done;
-        out
-      in
-      let cands = Array.map build group in
-      let best = ref 0 in
-      for i = 1 to Array.length cands - 1 do
-        if compare cands.(i) cands.(!best) < 0 then best := i
+      let key, offs = E.config_key_offsets c in
+      let data = E.key_data key in
+      let best = ref 0 and ties = ref 1 in
+      for i = 1 to g - 1 do
+        let r =
+          compare_candidates data offs group.(i) group.(!best) (-1) 0 0 (-1)
+            0 0
+        in
+        if r < 0 then begin
+          best := i;
+          ties := 1
+        end
+        else if r = 0 then incr ties
       done;
-      let distinct = ref 0 in
-      Array.iteri
-        (fun i ci ->
-          let dup = ref false in
-          for j = 0 to i - 1 do
-            if (not !dup) && cands.(j) = ci then dup := true
-          done;
-          if not !dup then incr distinct)
-        cands;
-      let bi = !best in
-      let rep = if bi = 0 then c else E.config_permute c group.(bi) in
-      (E.key_of_data cands.(bi), rep, !distinct, bi)
+      let bi = !best and orbit = g / !ties in
+      if bi = 0 then (key, c, orbit, 0)
+      else begin
+        let sigma = group.(bi) in
+        let out = Array.make (Array.length data) 0 in
+        let at = ref 0 in
+        for q = 0 to Array.length sigma - 1 do
+          let p = sigma.(q) in
+          let len = offs.(p + 1) - offs.(p) in
+          Array.blit data offs.(p) out !at len;
+          at := !at + len
+        done;
+        (E.key_of_data out, E.config_permute c sigma, orbit, bi)
+      end
     end
 
   (* The packed configuration graph both builders produce: flat int

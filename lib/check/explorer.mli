@@ -112,12 +112,17 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
   val canonicalize : int array array -> E.config -> E.key * E.config * int * int
   (** [canonicalize group c] is the orbit canonicalization on the intern
       path: the lexicographically-least packed key among
-      [E.config_key (E.config_permute c sigma)] over the group, computed
-      by concatenating [c]'s per-process key segments in permuted order.
+      [E.config_key (E.config_permute c sigma)] over the group, the
+      first index attaining it winning ties.  Candidates are compared in
+      place over [c]'s key slices ({!E.config_key_offsets}), never
+      built; only a winner other than the identity is materialised.
       Returns [(key, representative, orbit_size, winner_index)] with
       [key = E.config_key representative],
       [representative = E.config_permute c group.(winner_index)], and
-      [orbit_size] the number of distinct candidate keys.  A pure
+      [orbit_size] the number of distinct candidate keys, computed as
+      [|group| / |stabiliser of c|].  [group] must be what
+      {!symmetry_group} returns: a duplicate-free subgroup with the
+      identity first.  A pure
       function of [(group, c)] — the determinism guarantee hangs on
       that, and the property tests pin it down
       ([canonicalize] is invariant under permuting [c] by any group
@@ -258,8 +263,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       κ overlap removes), ["explorer.overlap_submits"] (expansions
       submitted past the current level boundary), and the
       ["explorer.frontier_max"] / ["exec.kappa_overlap"] gauges.
-      Symmetry adds ["explorer.orbit_hits"] (successors whose canonical
-      representative differed from the raw successor) and
+      Symmetry adds ["explorer.orbit_hits"] (successors whose winner
+      index is not 0, i.e. remapped to another orbit member) and
       ["explorer.canon_ns"]; spilling adds ["spill.bytes_written"] /
       ["spill.bytes_read"] and the ["spill.levels_on_disk"] gauge; and
       ["explorer.peak_heap_words"] tracks the live-heap high-water mark

@@ -387,13 +387,17 @@ module Make (P : Protocol.S) = struct
 
   let key t = encode_key t.kbuf ~status:t.status ~states:t.states ~public:t.public
 
-  let config_key_segments c =
+  let config_key_offsets c =
     let b = kbuf_create () in
-    Array.init (Array.length c.c_status) (fun p ->
-        let start = b.len in
-        encode_segment b ~status:c.c_status ~states:c.c_states
-          ~public:c.c_public p;
-        Array.sub b.data start (b.len - start))
+    let n = Array.length c.c_status in
+    let offsets = Array.make (n + 1) 0 in
+    for p = 0 to n - 1 do
+      encode_segment b ~status:c.c_status ~states:c.c_states
+        ~public:c.c_public p;
+      offsets.(p + 1) <- b.len
+    done;
+    let kdata = Array.sub b.data 0 b.len in
+    ({ kdata; khash = hash_ints kdata }, offsets)
 
   let config_permute c perm =
     let n = Array.length c.c_status in

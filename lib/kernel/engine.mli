@@ -207,14 +207,17 @@ module Make (P : Protocol.S) : sig
   (** Rebuild a key from {!key_data} output (the hash is recomputed, so a
       checkpoint never has to trust a stored hash). *)
 
-  val config_key_segments : config -> int array array
-  (** The per-process framed segments of {!config_key}: element [p] is
-      the packed encoding of process [p]'s (status, state, register)
-      triple, and [key_data (config_key c)] is exactly the in-order
-      concatenation of the segments.  This decomposition is what lets the
-      explorer's symmetry layer build the key of a permuted configuration
-      by concatenating segments in permuted order, without re-running the
-      protocol encoders once per group element. *)
+  val config_key_offsets : config -> key * int array
+  (** [config_key_offsets c] is [(config_key c, offsets)], packed by the
+      same per-process encoder pass: [offsets] has [n + 1] entries,
+      starts at [0], is nondecreasing and ends at the key's length, and
+      process [p]'s framed (status, state, register) segment is
+      [key_data k] from [offsets.(p)] to [offsets.(p + 1)] (exclusive).
+      So the key of [config_permute c sigma] is the concatenation of the
+      slices [sigma.(0)], ..., [sigma.(n - 1)]: the explorer's symmetry
+      layer compares permuted keys by walking these slices in place,
+      without re-running the protocol encoders or building the permuted
+      keys. *)
 
   val config_permute : config -> int array -> config
   (** [config_permute c perm] is the configuration whose position [q]

@@ -467,7 +467,7 @@ let await fut =
 let create ?(obs = Obs.disabled) ?(chaos = Chaos.disabled)
     ?(degrade_after = 3) ?(policy = Synchronous) ?jobs () =
   (* The one place [jobs] is sanitised: clamped to at least 1, for every
-     client uniformly ([Domain_pool] included); [Serial] runs everything
+     client uniformly; [Serial] runs everything
      on the caller, so it forces a single worker and spawns nothing. *)
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let jobs = match policy with Serial -> 1 | Synchronous | Asynchronous _ -> jobs in

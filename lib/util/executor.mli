@@ -1,7 +1,7 @@
 (** The async execution core: per-worker work-stealing deques, futures,
     and policy-driven in-flight windows — every parallel path in the repo
-    (explorer BFS, fuzz campaigns, lockhunt slices, the sweep harness,
-    {!Domain_pool}) runs on this one engine.
+    (explorer BFS, fuzz campaigns, lockhunt slices, the sweep harness)
+    runs on this one engine.
 
     {b Shape.}  An executor owns [jobs] Chase–Lev deques — one per worker
     domain plus one ([0]) for the submitting caller — and [jobs - 1]
@@ -18,9 +18,8 @@
 
     {b Policies.}  {!policy} fixes how many tasks a batch or stream may
     keep in flight: [Serial] (one at a time, on the caller),
-    [Synchronous] (whole batch at once — the fork-join the old
-    [Domain_pool] implemented), [Asynchronous {max_active; kappa}]
-    (bounded window with backpressure; [kappa] additionally gates how
+    [Synchronous] (whole batch at once: fork-join),
+    [Asynchronous {max_active; kappa}] (bounded window with backpressure; [kappa] additionally gates how
     early the explorer may overlap successive BFS levels — see
     {!Asyncolor_check.Explorer}).  Policy never changes {e results}, only
     scheduling: outputs are byte-identical across policies and [jobs].
@@ -128,7 +127,7 @@ val create :
 (** [create ~policy ~jobs ()] spawns [jobs - 1] worker domains (so the
     caller is always worker 0).  {b [jobs] is clamped to at least 1 here,
     at the executor boundary} — [~jobs:0] and negative values behave as
-    [~jobs:1], uniformly for every client ({!Domain_pool} included); a
+    [~jobs:1], uniformly for every client; a
     [Serial] policy forces [jobs = 1] and spawns nothing.  [chaos]
     (default disabled) injects worker crashes at sites [exec.worker-N];
     [degrade_after] (default 3, clamped to ≥ 1) is the watchdog's

@@ -332,20 +332,38 @@ let test_config_key_identity () =
    protocols.  Two engines run in lockstep, one stepped through the list
    API and one through masks; masks may name returned processes and, with
    [resets], a step may instead reset a node to a fresh identifier.  At
-   every step the live key must equal the snapshot's key, the snapshot's
-   segments must concatenate to its key, and the two engines' keys must
-   agree: the per-node view buffers may leak nothing between entry points
-   or between nodes. *)
+   every step the live key must equal the snapshot's key, and the two
+   engines' keys must agree: the per-node view buffers may leak nothing
+   between entry points or between nodes.  The snapshot's segment offsets
+   must frame its key (start at 0, nondecreasing, end at its length), and
+   for every rotation and reflection sigma of the cycle the key of
+   [config_permute c sigma] must be the offset slices concatenated in
+   sigma-order — the invariant orbit canonicalization compares by. *)
 module Key_walk (P : Asyncolor_kernel.Protocol.S) = struct
   module E = Engine.Make (P)
 
-  let keys_agree eng =
+  let offsets_frame_key c dihedral =
+    let key, offs = E.config_key_offsets c in
+    let data = E.key_data key in
+    let n = Array.length offs - 1 in
+    let slice p = Array.sub data offs.(p) (offs.(p + 1) - offs.(p)) in
+    E.key_data key = E.key_data (E.config_key c)
+    && E.key_hash key = E.key_hash (E.config_key c)
+    && offs.(0) = 0
+    && offs.(n) = Array.length data
+    && List.for_all (fun p -> offs.(p) <= offs.(p + 1)) (List.init n Fun.id)
+    && List.for_all
+         (fun sigma ->
+           E.key_data (E.config_key (E.config_permute c sigma))
+           = Array.concat (List.map slice (Array.to_list sigma)))
+         dihedral
+
+  let keys_agree dihedral eng =
     let c = E.snapshot eng in
     let live = E.key eng and packed = E.config_key c in
     E.key_data live = E.key_data packed
     && E.key_hash live = E.key_hash packed
-    && Array.concat (Array.to_list (E.config_key_segments c))
-       = E.key_data packed
+    && offsets_frame_key c dihedral
 
   let walk ~resets (n, seed) =
     let prng = Prng.create ~seed in
@@ -353,6 +371,8 @@ module Key_walk (P : Asyncolor_kernel.Protocol.S) = struct
       Asyncolor_workload.Idents.random_permutation (Prng.split prng) n
     in
     let g = Builders.cycle n in
+    let dihedral = Asyncolor_topology.Graph.automorphisms g in
+    let keys_agree = keys_agree dihedral in
     let by_list = E.create g ~idents and by_mask = E.create g ~idents in
     let next_ident = ref (10 * n) in
     let ok = ref (keys_agree by_list) in

@@ -140,6 +140,131 @@ let test_mask_list_agree =
   QCheck.Test.make ~name:"mask/list engines agree post-canonicalization"
     ~count:100 arb_instance prop_mask_list_agree
 
+(* --- differential: in-place canonicalizer vs materialised candidates ---- *)
+
+(* The reference canonicalizer: build every candidate key as an array by
+   concatenating [c]'s per-process segments in permuted order, pick the
+   least with polymorphic [compare] (first index wins ties), and count
+   the orbit as the number of pairwise-distinct candidates.  It uses no
+   group structure, so it checks the orbit–stabiliser count of
+   [Exp.canonicalize] rather than sharing its assumption. *)
+let reference_canonicalize group c =
+  if Array.length group = 1 then (E.config_key c, c, 1, 0)
+  else begin
+    let key, offs = E.config_key_offsets c in
+    let data = E.key_data key in
+    let segs =
+      Array.init
+        (Array.length offs - 1)
+        (fun p -> Array.sub data offs.(p) (offs.(p + 1) - offs.(p)))
+    in
+    let build sigma =
+      Array.concat (List.map (fun p -> segs.(p)) (Array.to_list sigma))
+    in
+    let cands = Array.map build group in
+    let best = ref 0 in
+    for i = 1 to Array.length cands - 1 do
+      if compare cands.(i) cands.(!best) < 0 then best := i
+    done;
+    let distinct = ref 0 in
+    Array.iteri
+      (fun i ci ->
+        let dup = ref false in
+        for j = 0 to i - 1 do
+          if (not !dup) && cands.(j) = ci then dup := true
+        done;
+        if not !dup then incr distinct)
+      cands;
+    let bi = !best in
+    let rep = if bi = 0 then c else E.config_permute c group.(bi) in
+    (E.key_of_data cands.(bi), rep, !distinct, bi)
+  end
+
+let canon_matches_reference group c =
+  let key, rep, orbit, wi = Exp.canonicalize group c in
+  let key', rep', orbit', wi' = reference_canonicalize group c in
+  E.key_equal key key'
+  && E.config_compare rep rep' = 0
+  && orbit = orbit' && wi = wi'
+
+let prop_canon_matches_reference (n, w, masks) =
+  let graph = Builders.cycle n in
+  let idents = idents_of_workload n w in
+  let group = Exp.symmetry_group ~symmetry:true graph ~idents in
+  canon_matches_reference group (config_of_schedule graph ~idents masks)
+
+(* Topologies whose index-dihedral automorphisms are a proper subset of
+   the 2n candidates (the path's reversal, the star's reflections about
+   its centre) or all of them (the clique), under the two identifier
+   workloads that leave a nontrivial group. *)
+let topologies =
+  [ ("path", Builders.path); ("star", Builders.star); ("complete", Builders.complete) ]
+
+let arb_general_instance =
+  let gen =
+    QCheck.Gen.(
+      oneofl topologies >>= fun topo ->
+      int_range 3 10 >>= fun n ->
+      oneofl [ `Uniform; `Periodic ] >>= fun w ->
+      list_size (int_range 0 6) (int_range 1 ((1 lsl n) - 1)) >>= fun masks ->
+      return (topo, n, w, masks))
+  in
+  let print ((name, _), n, w, masks) =
+    Printf.sprintf "%s n=%d %s [%s]" name n (pp_workload w)
+      (String.concat ";" (List.map string_of_int masks))
+  in
+  QCheck.make ~print gen
+
+let prop_general_canon_matches_reference ((_, build), n, w, masks) =
+  let graph = build n in
+  let idents = idents_of_workload n w in
+  let group = Exp.symmetry_group ~symmetry:true graph ~idents in
+  canon_matches_reference group (config_of_schedule graph ~idents masks)
+
+let test_canon_matches_reference =
+  QCheck.Test.make ~name:"cycles: in-place canon = reference"
+    ~count:1000 arb_instance prop_canon_matches_reference
+
+let test_general_canon_matches_reference =
+  QCheck.Test.make
+    ~name:"path/star/clique: canon = reference"
+    ~count:1000 arb_general_instance prop_general_canon_matches_reference
+
+(* Orbit–stabiliser needs the group to be a group: duplicate-free, and
+   closed under composition (with the identity first, so the winner index
+   0 means "no remap").  Checked on every graph and workload the
+   properties above draw from. *)
+let test_group_is_subgroup () =
+  let compose s t = Array.map (fun q -> s.(q)) t in
+  List.iter
+    (fun (name, build) ->
+      for n = 3 to 10 do
+        List.iter
+          (fun w ->
+            let idents = idents_of_workload n w in
+            let group =
+              Exp.symmetry_group ~symmetry:true (build n) ~idents
+            in
+            let what = Printf.sprintf "%s n=%d %s" name n (pp_workload w) in
+            let mem s = Array.exists (fun t -> t = s) group in
+            check Alcotest.bool (what ^ ": identity first") true
+              (group.(0) = Array.init n Fun.id);
+            Array.iteri
+              (fun i s ->
+                for j = 0 to i - 1 do
+                  if group.(j) = s then
+                    Alcotest.failf "%s: elements %d and %d coincide" what j i
+                done;
+                Array.iter
+                  (fun t ->
+                    if not (mem (compose s t)) then
+                      Alcotest.failf "%s: not closed under composition" what)
+                  group)
+              group)
+          [ `Uniform; `Periodic; `Distinct ]
+      done)
+    (("cycle", Builders.cycle) :: topologies)
+
 (* --- differential: reduced vs unreduced -------------------------------- *)
 
 let report = Alcotest.testable Exp.pp_report ( = )
@@ -272,6 +397,10 @@ let () =
           qtest test_canon_idempotent;
           qtest test_orbit_size_bounded;
           qtest test_mask_list_agree;
+          qtest test_canon_matches_reference;
+          qtest test_general_canon_matches_reference;
+          Alcotest.test_case "symmetry group is a subgroup" `Quick
+            test_group_is_subgroup;
         ] );
       ( "differential",
         [

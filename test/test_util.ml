@@ -286,14 +286,17 @@ let test_vec_to_array () =
   List.iter (Vec.push v) [ "a"; "b"; "c" ];
   Alcotest.(check (array string)) "to_array" [| "a"; "b"; "c" |] (Vec.to_array v)
 
-(* --- Domain_pool ---------------------------------------------------- *)
+(* --- Fork-join batches: the Synchronous executor policy ------------- *)
 
-module Domain_pool = Asyncolor_util.Domain_pool
+module Executor = Asyncolor_util.Executor
+
+let with_pool ~jobs f =
+  Executor.with_executor ~policy:Executor.Synchronous ~jobs f
 
 let test_pool_map_ordering () =
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
+  with_pool ~jobs:4 (fun pool ->
       let input = Array.init 1_000 Fun.id in
-      let out = Domain_pool.map pool (fun x -> x * x) input in
+      let out = Executor.map pool (fun x -> x * x) input in
       Alcotest.(check (array int)) "squares in index order"
         (Array.map (fun x -> x * x) input)
         out)
@@ -301,14 +304,14 @@ let test_pool_map_ordering () =
 let test_pool_sequential_matches_parallel () =
   let f x = (x * 7919) mod 104729 in
   let input = List.init 257 Fun.id in
-  let seq = Domain_pool.with_pool ~jobs:1 (fun p -> Domain_pool.map_list p f input) in
-  let par = Domain_pool.with_pool ~jobs:4 (fun p -> Domain_pool.map_list p f input) in
+  let seq = with_pool ~jobs:1 (fun p -> Executor.map_list p f input) in
+  let par = with_pool ~jobs:4 (fun p -> Executor.map_list p f input) in
   Alcotest.(check (list int)) "jobs=1 and jobs=4 agree" seq par
 
 let test_pool_reuse () =
-  Domain_pool.with_pool ~jobs:3 (fun pool ->
+  with_pool ~jobs:3 (fun pool ->
       for round = 1 to 5 do
-        let out = Domain_pool.map pool (fun x -> x + round) (Array.init 50 Fun.id) in
+        let out = Executor.map pool (fun x -> x + round) (Array.init 50 Fun.id) in
         Alcotest.(check (array int))
           (Printf.sprintf "round %d" round)
           (Array.init 50 (fun i -> i + round))
@@ -322,8 +325,8 @@ let test_pool_exception_lowest_index () =
      lowest-index failure, whatever domain hit it first. *)
   for _ = 1 to 10 do
     match
-      Domain_pool.with_pool ~jobs:4 (fun pool ->
-          Domain_pool.map pool
+      with_pool ~jobs:4 (fun pool ->
+          Executor.map pool
             (fun x -> if x mod 13 = 12 then raise (Boom x) else x)
             (Array.init 100 Fun.id))
     with
@@ -332,25 +335,25 @@ let test_pool_exception_lowest_index () =
   done
 
 let test_pool_usable_after_exception () =
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
-      (try ignore (Domain_pool.map pool (fun _ -> failwith "boom") [| 0; 1 |])
+  with_pool ~jobs:4 (fun pool ->
+      (try ignore (Executor.map pool (fun _ -> failwith "boom") [| 0; 1 |])
        with Failure _ -> ());
-      let out = Domain_pool.map pool Fun.id (Array.init 10 Fun.id) in
+      let out = Executor.map pool Fun.id (Array.init 10 Fun.id) in
       Alcotest.(check (array int)) "pool survives a failed batch"
         (Array.init 10 Fun.id) out)
 
 let test_pool_empty_and_jobs_clamp () =
-  Domain_pool.with_pool ~jobs:64 (fun pool ->
-      Alcotest.(check (array int)) "empty input" [||] (Domain_pool.map pool Fun.id [||]));
-  check Alcotest.bool "default_jobs positive" true (Domain_pool.default_jobs () >= 1)
+  with_pool ~jobs:64 (fun pool ->
+      Alcotest.(check (array int)) "empty input" [||] (Executor.map pool Fun.id [||]));
+  check Alcotest.bool "default_jobs positive" true (Executor.default_jobs () >= 1)
 
 let test_pool_fail_fast_sequential () =
   (* jobs = 1 drains strictly in index order, so fail-fast has a fully
      deterministic witness: items after the failing one never execute. *)
   let executed = Atomic.make 0 in
-  Domain_pool.with_pool ~jobs:1 (fun pool ->
+  with_pool ~jobs:1 (fun pool ->
       match
-        Domain_pool.map_result pool
+        Executor.map_result pool
           (fun x ->
             Atomic.incr executed;
             if x = 5 then raise (Boom x))
@@ -358,8 +361,8 @@ let test_pool_fail_fast_sequential () =
       with
       | Ok _ -> Alcotest.fail "expected an error"
       | Error e ->
-          check Alcotest.int "failing index" 5 e.Domain_pool.index;
-          check Alcotest.int "single attempt" 1 e.Domain_pool.attempts;
+          check Alcotest.int "failing index" 5 e.Executor.index;
+          check Alcotest.int "single attempt" 1 e.Executor.attempts;
           check Alcotest.int "items 0..5 executed, tail skipped" 6
             (Atomic.get executed))
 
@@ -368,9 +371,9 @@ let test_pool_fail_fast_parallel () =
      must still cut deep into a 200-item batch when item 10 dies at once
      while every other item takes ~2ms. *)
   let executed = Atomic.make 0 in
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
+  with_pool ~jobs:4 (fun pool ->
       match
-        Domain_pool.map_result pool
+        Executor.map_result pool
           (fun x ->
             Atomic.incr executed;
             if x = 10 then raise (Boom x) else Unix.sleepf 0.002)
@@ -378,31 +381,31 @@ let test_pool_fail_fast_parallel () =
       with
       | Ok _ -> Alcotest.fail "expected an error"
       | Error e ->
-          check Alcotest.int "failing index" 10 e.Domain_pool.index;
+          check Alcotest.int "failing index" 10 e.Executor.index;
           check Alcotest.bool "most of the batch was cancelled" true
             (Atomic.get executed < 100))
 
 let test_pool_retry_exhausted () =
-  Domain_pool.with_pool ~jobs:2 (fun pool ->
+  with_pool ~jobs:2 (fun pool ->
       match
-        Domain_pool.map_result pool ~retries:3
+        Executor.map_result pool ~retries:3
           (fun x -> if x = 1 then failwith "always" else x)
           [| 0; 1; 2 |]
       with
       | Ok _ -> Alcotest.fail "expected an error"
       | Error e ->
-          check Alcotest.int "failing index" 1 e.Domain_pool.index;
-          check Alcotest.int "1 attempt + 3 retries" 4 e.Domain_pool.attempts;
+          check Alcotest.int "failing index" 1 e.Executor.index;
+          check Alcotest.int "1 attempt + 3 retries" 4 e.Executor.attempts;
           check Alcotest.bool "original exception kept" true
-            (match e.Domain_pool.error with Failure m -> m = "always" | _ -> false))
+            (match e.Executor.error with Failure m -> m = "always" | _ -> false))
 
 let test_pool_retry_rescues_flaky () =
   (* An item that fails twice then succeeds must not poison the batch when
      retries cover the flakiness. *)
   let attempts = Array.init 8 (fun _ -> Atomic.make 0) in
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
+  with_pool ~jobs:4 (fun pool ->
       let out =
-        Domain_pool.map pool ~retries:2
+        Executor.map pool ~retries:2
           (fun x ->
             let k = 1 + Atomic.fetch_and_add attempts.(x) 1 in
             if x = 3 && k <= 2 then failwith "flaky" else x * 10)
@@ -419,8 +422,8 @@ let test_pool_shutdown_after_failed_batch () =
      waiting on work_available) and surface the original exception. *)
   for _ = 1 to 20 do
     match
-      Domain_pool.with_pool ~jobs:4 (fun pool ->
-          Domain_pool.map pool
+      with_pool ~jobs:4 (fun pool ->
+          Executor.map pool
             (fun x -> if x >= 2 then raise (Boom x) else x)
             (Array.init 64 Fun.id))
     with
@@ -430,7 +433,6 @@ let test_pool_shutdown_after_failed_batch () =
 
 (* --- Executor: work-stealing deque ----------------------------------- *)
 
-module Executor = Asyncolor_util.Executor
 module Ws_deque = Executor.Ws_deque
 module Obs = Asyncolor_obs.Obs
 
@@ -557,11 +559,11 @@ let test_executor_jobs_clamped () =
     [ 0; -3 ];
   Executor.with_executor ~policy:Executor.Serial ~jobs:8 (fun exec ->
       check Alcotest.int "Serial forces jobs=1" 1 (Executor.jobs exec));
-  Domain_pool.with_pool ~jobs:0 (fun pool ->
-      check Alcotest.int "Domain_pool inherits the clamp" 1
-        (Domain_pool.jobs pool));
-  Domain_pool.with_pool ~jobs:(-7) (fun pool ->
-      check Alcotest.int "negative jobs too" 1 (Domain_pool.jobs pool))
+  with_pool ~jobs:0 (fun pool ->
+      check Alcotest.int "Synchronous inherits the clamp" 1
+        (Executor.jobs pool));
+  with_pool ~jobs:(-7) (fun pool ->
+      check Alcotest.int "negative jobs too" 1 (Executor.jobs pool))
 
 let test_policy_parsing () =
   let name s = Executor.policy_name (Executor.policy_of_string ~jobs:4 s) in
