@@ -1,17 +1,9 @@
 module Graph = Asyncolor_topology.Graph
 module Adversary = Asyncolor_kernel.Adversary
+module Mask = Asyncolor_util.Mask
 
 module Make (P : Asyncolor_kernel.Protocol.S) = struct
   module E = Asyncolor_kernel.Engine.Make (P)
-
-  let popcount m =
-    let c = ref 0 in
-    let m = ref m in
-    while !m <> 0 do
-      incr c;
-      m := !m land (!m - 1)
-    done;
-    !c
 
   (* Candidate activation sets as bitmasks, in the same order as the list
      version below builds them — the greedy tie-break keeps the first of
@@ -52,7 +44,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         | _ ->
             let base = E.snapshot engine in
             let um = E.config_unfinished_mask base in
-            let before = popcount um in
+            let before = Mask.popcount um in
             (* score = processes returning if this set is played; pick the
                minimum, tie-break on larger sets (more wasted work) *)
             let best = ref None in
@@ -60,8 +52,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
               (fun mask ->
                 E.restore scratch base;
                 E.activate_mask scratch mask;
-                let score = before - popcount (E.unfinished_mask scratch) in
-                let size = popcount mask in
+                let score = before - Mask.popcount (E.unfinished_mask scratch) in
+                let size = Mask.popcount mask in
                 let better =
                   match !best with
                   | None -> true

@@ -4,6 +4,7 @@ module Status = Asyncolor_kernel.Status
 module Idents = Asyncolor_workload.Idents
 module Stats = Asyncolor_workload.Stats
 module Prng = Asyncolor_util.Prng
+module Mask = Asyncolor_util.Mask
 module Executor = Asyncolor_util.Executor
 module Obs = Asyncolor_obs.Obs
 module Checker = Asyncolor.Checker
@@ -120,49 +121,6 @@ let session_seed ~seed i = seed lxor (i * 0x9E3779B97F4A7C1)
    draws from the session stream beyond its trigger coin — the schedule
    shape never depends on how many victims an earlier burst considered. *)
 let event_seed base k = base lxor ((k + 1) * 0x2545F4914F6CDD1D)
-
-let popcount m =
-  let c = ref 0 and m = ref m in
-  while !m <> 0 do
-    incr c;
-    m := !m land (!m - 1)
-  done;
-  !c
-
-(* Index of the lowest set bit of [m <> 0], by halving: walking a mask's
-   set bits in ascending order costs O(popcount), not O(n). *)
-let lowest_bit m =
-  let b = ref (m land -m) and i = ref 0 in
-  if !b land 0xFFFF_FFFF = 0 then begin
-    i := !i + 32;
-    b := !b lsr 32
-  end;
-  if !b land 0xFFFF = 0 then begin
-    i := !i + 16;
-    b := !b lsr 16
-  end;
-  if !b land 0xFF = 0 then begin
-    i := !i + 8;
-    b := !b lsr 8
-  end;
-  if !b land 0xF = 0 then begin
-    i := !i + 4;
-    b := !b lsr 4
-  end;
-  if !b land 0x3 = 0 then begin
-    i := !i + 2;
-    b := !b lsr 2
-  end;
-  if !b land 0x1 = 0 then incr i;
-  !i
-
-(* Index of the [k]-th lowest set bit of [m] ([0 <= k < popcount m]). *)
-let nth_bit m k =
-  let m = ref m in
-  for _ = 1 to k do
-    m := !m land (!m - 1)
-  done;
-  lowest_bit !m
 
 (* Ring distance between nodes [a] and [b] on the n-cycle. *)
 let ring_dist n a b =
@@ -300,27 +258,28 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
     incr nviol;
     violations := { epoch; detector; message } :: !violations
   in
-  (* Walk the up, uncounted nodes — not the nodes activated this step: a
-     skip-reinit recovery leaves an already-returned node uncounted, and
-     it is counted on the next step. *)
+  (* Walk the up, uncounted nodes that have returned — not the nodes
+     activated this step: a skip-reinit recovery leaves an
+     already-returned node uncounted, and it is counted on the next
+     step. *)
   let check_new_returns () =
-    let m = ref !pending in
+    let m = ref (!pending land lnot (E.unfinished_mask engine)) in
+    pending := !pending land lnot !m;
     while !m <> 0 do
-      let p = lowest_bit !m in
+      let p = Mask.lowest_bit !m in
       m := !m land (!m - 1);
-      if Status.is_returned (E.status engine p) then begin
-        pending := !pending land lnot (1 lsl p);
-        if !recovered land (1 lsl p) <> 0 then
-          latencies := E.activations engine p :: !latencies
-      end
+      if !recovered land (1 lsl p) <> 0 then
+        latencies := E.activations engine p :: !latencies
     done
   in
   let step mask =
     (* the heal-starve bug withholds scheduling everywhere, not only in
        the heal phase — "silently never scheduled again" *)
-    let live = E.activate_mask_live engine (mask land lnot !starved) in
+    let m = mask land lnot !starved in
+    let live = m land E.unfinished_mask engine in
+    E.activate_mask engine m;
     Obs.Counter.incr octx.oc_steps;
-    let did = popcount live in
+    let did = Mask.popcount live in
     activations := !activations + did;
     Obs.Counter.add octx.oc_activations did;
     check_new_returns ()
@@ -382,7 +341,7 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
   let crash ev =
     (* victim: uniform among up nodes, drawn from the event's own stream *)
     if !up <> 0 then begin
-      let v = nth_bit !up (Prng.int ev (popcount !up)) in
+      let v = Mask.nth_bit !up (Prng.int ev (Mask.popcount !up)) in
       up := !up land lnot (1 lsl v);
       pending := !pending land lnot (1 lsl v);
       churned := !churned lor (1 lsl v);
@@ -395,7 +354,7 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
   let recover_down ~epoch ~drain =
     let down = ref (all land lnot !up) in
     while !down <> 0 do
-      let p = lowest_bit !down in
+      let p = Mask.lowest_bit !down in
       down := !down land (!down - 1);
       if drain || Prng.float prng 1.0 < cfg.recover_rate then begin
         churned := !churned lor (1 lsl p);
@@ -441,7 +400,7 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
     let unfinished = ref (E.unfinished_mask engine) in
     let m = ref !unfinished in
     while !m <> 0 do
-      let p = lowest_bit !m in
+      let p = Mask.lowest_bit !m in
       m := !m land (!m - 1);
       start.(p) <- E.activations engine p
     done;
@@ -465,7 +424,7 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
       else begin
         (* the first candidate at or after [rr], cyclically *)
         let later = candidates land lnot ((1 lsl !rr) - 1) in
-        let p = lowest_bit (if later <> 0 then later else candidates) in
+        let p = Mask.lowest_bit (if later <> 0 then later else candidates) in
         rr := (p + 1) mod n;
         step (1 lsl p);
         if Status.is_returned (E.status engine p) then
@@ -526,7 +485,7 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
       then begin
         let dist = ref n and m = ref !churned in
         while !m <> 0 do
-          let c = lowest_bit !m in
+          let c = Mask.lowest_bit !m in
           m := !m land (!m - 1);
           dist := min !dist (ring_dist n q c)
         done;

@@ -42,16 +42,30 @@ module P = struct
     end
     else s
 
+  (* [in_c view ~plus ~x v i]: does a visible neighbour at index >= [i]
+     hold [v] as its [a] or [b]?  With [plus] only neighbours whose
+     identifier exceeds [x] count: the set C+ rather than C. *)
+  let rec in_c view ~plus ~x v i =
+    i < Array.length view
+    &&
+    match view.(i) with
+    | Some r when ((not plus) || r.x > x) && (r.a = v || r.b = v) -> true
+    | _ -> in_c view ~plus ~x v (i + 1)
+
+  (* mex of C or C+: the least m >= [m] that [in_c] rejects *)
+  let rec mex view ~plus ~x m =
+    if in_c view ~plus ~x m 0 then mex view ~plus ~x (m + 1) else m
+
+  (* Lines 6-10 colour, as in Algorithm 2; lines 11-19 reduce the
+     identifier, only when both neighbours have published. *)
   let transition s ~view =
-    let nbrs = Array.to_list view |> List.filter_map Fun.id in
-    let c = List.concat_map (fun r -> [ r.a; r.b ]) nbrs in
-    if not (List.mem s.a c) then Step.Return s.a
-    else if not (List.mem s.b c) then Step.Return s.b
+    let x = s.x in
+    if not (in_c view ~plus:false ~x s.a 0) then Step.Return s.a
+    else if not (in_c view ~plus:false ~x s.b 0) then Step.Return s.b
     else begin
-      let c_plus =
-        List.concat_map (fun r -> if r.x > s.x then [ r.a; r.b ] else []) nbrs
+      let s =
+        { s with a = mex view ~plus:true ~x 0; b = mex view ~plus:false ~x 0 }
       in
-      let s = { s with a = Mex.of_list c_plus; b = Mex.of_list c } in
       match view with
       | [| Some q; Some q' |] -> Step.Continue (reduce_identifier s q q')
       | _ -> Step.Continue s

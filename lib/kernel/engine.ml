@@ -1,4 +1,5 @@
 module Graph = Asyncolor_topology.Graph
+module Mask = Asyncolor_util.Mask
 
 (* A growable int buffer that the key encoder writes through one
    preallocated [emit] closure.  The engine owns one, so [key] on the
@@ -52,6 +53,11 @@ module Make (P : Protocol.S) = struct
     mutable unfinished_cache : int list option;
         (* memoised [unfinished]; invalidated whenever a process returns or
            a snapshot is restored *)
+    masked : bool;  (* [n <= Sys.int_size - 1]: [umask] is maintained *)
+    mutable umask : int;
+        (* when [masked], bit [p] is set iff process [p] has not returned:
+           set by [create] and [reset], cleared by [read_and_update] when
+           [p] returns, recomputed by [restore] *)
     views : P.register option array array;
         (* one view buffer per node, sized by its degree and refilled at
            each of its rounds (the [Protocol.S.transition] lifetime rule) *)
@@ -60,10 +66,20 @@ module Make (P : Protocol.S) = struct
     kbuf : kbuf;  (* scratch for [key] *)
   }
 
+  (* Bit [p] set iff [status.(p)] has not returned (for at most
+     [Sys.int_size - 1] processes). *)
+  let unfinished_bits status =
+    let m = ref 0 in
+    for p = 0 to Array.length status - 1 do
+      if not (Status.is_returned status.(p)) then m := !m lor (1 lsl p)
+    done;
+    !m
+
   let create ?(record_trace = false) graph ~idents =
     let n = Graph.n graph in
     if Array.length idents <> n then
       invalid_arg "Engine.create: idents length must match node count";
+    let masked = n <= Sys.int_size - 1 in
     {
       graph;
       idents = Array.copy idents;
@@ -76,6 +92,8 @@ module Make (P : Protocol.S) = struct
       trace = [];
       record_trace;
       unfinished_cache = None;
+      masked;
+      umask = (if masked then (1 lsl n) - 1 else 0);
       views = Array.init n (fun p -> Array.make (Graph.degree graph p) None);
       step_returned = [];
       kbuf = kbuf_create ();
@@ -107,22 +125,21 @@ module Make (P : Protocol.S) = struct
         t.unfinished_cache <- Some !acc;
         !acc
 
-  let all_returned t = Array.for_all Status.is_returned t.status
+  let all_returned t =
+    if t.masked then t.umask = 0 else Array.for_all Status.is_returned t.status
+
   let outputs t = Array.map Status.output t.status
 
   let check_mask_width t what =
-    if n t > Sys.int_size - 1 then
+    if not t.masked then
       invalid_arg
         (Printf.sprintf "Engine.%s: bitmask activation needs n <= %d" what
            (Sys.int_size - 1))
 
   let unfinished_mask t =
     check_mask_width t "unfinished_mask";
-    let m = ref 0 in
-    for p = 0 to n t - 1 do
-      if not (Status.is_returned t.status.(p)) then m := !m lor (1 lsl p)
-    done;
-    !m
+    t.umask
+
   let set_monitor t f = t.monitor <- Some f
   let trace t = List.rev t.trace
 
@@ -150,6 +167,7 @@ module Make (P : Protocol.S) = struct
     | Step.Return o ->
         t.status.(p) <- Status.Returned o;
         t.unfinished_cache <- None;
+        if t.masked then t.umask <- t.umask land lnot (1 lsl p);
         if t.record_trace then t.step_returned <- (p, o) :: t.step_returned
 
   let finish_step t set =
@@ -186,6 +204,7 @@ module Make (P : Protocol.S) = struct
     t.public.(p) <- None;
     t.activations.(p) <- 0;
     t.unfinished_cache <- None;
+    if t.masked then t.umask <- t.umask lor (1 lsl p);
     if t.record_trace then
       t.trace <-
         { time = t.time; activated = []; returned = []; resets = [ (p, ident) ] }
@@ -211,12 +230,12 @@ module Make (P : Protocol.S) = struct
     finish_step t set
 
   (* Same step, set given as a bitmask over process indices.  Returned
-     processes drop out exactly as in [activate]; bits are visited in
-     ascending index order, matching the sorted lists [activate] builds —
-     the two entry points are observably identical on equal sets.  The
-     mask path allocates nothing per step unless a trace is recorded.
-     Returns the processes that actually took a step. *)
-  let[@inline] activate_mask_live t mask =
+     processes drop out exactly as in [activate] (the [umask] filter);
+     bits are visited in ascending index order, matching the sorted lists
+     [activate] builds — the two entry points are observably identical on
+     equal sets.  The walk costs O(popcount live), and the mask path
+     allocates nothing per step unless a trace is recorded. *)
+  let activate_mask t mask =
     check_mask_width t "activate_mask";
     let n = n t in
     if mask < 0 || mask lsr n <> 0 then
@@ -225,18 +244,17 @@ module Make (P : Protocol.S) = struct
            "Engine.activate_mask: mask %#x names processes outside [0, %d)" mask
            n);
     t.time <- t.time + 1;
-    let live = ref 0 in
-    for p = 0 to n - 1 do
-      if mask land (1 lsl p) <> 0 && not (Status.is_returned t.status.(p)) then
-        live := !live lor (1 lsl p)
-    done;
-    let live = !live in
-    for p = 0 to n - 1 do
-      if live land (1 lsl p) <> 0 then wake_and_write t p
+    let live = mask land t.umask in
+    let m = ref live in
+    while !m <> 0 do
+      wake_and_write t (Mask.lowest_bit !m);
+      m := !m land (!m - 1)
     done;
     t.step_returned <- [];
-    for p = 0 to n - 1 do
-      if live land (1 lsl p) <> 0 then read_and_update t p
+    m := live;
+    while !m <> 0 do
+      read_and_update t (Mask.lowest_bit !m);
+      m := !m land (!m - 1)
     done;
     if t.record_trace || Option.is_some t.monitor then begin
       let set = ref [] in
@@ -244,12 +262,7 @@ module Make (P : Protocol.S) = struct
         if live land (1 lsl p) <> 0 then set := p :: !set
       done;
       finish_step t !set
-    end;
-    live
-
-  (* [activate_mask_live] is inlined here, so the explorer's hot loop runs
-     the same code as before, without a second call frame. *)
-  let activate_mask t mask = ignore (activate_mask_live t mask)
+    end
 
   let pp_spacetime ppf t =
     let n = n t in
@@ -316,7 +329,8 @@ module Make (P : Protocol.S) = struct
     Array.blit c.c_public 0 t.public 0 (Array.length c.c_public);
     Array.blit c.c_activations 0 t.activations 0 (Array.length c.c_activations);
     t.time <- c.c_time;
-    t.unfinished_cache <- None
+    t.unfinished_cache <- None;
+    if t.masked then t.umask <- unfinished_bits c.c_status
 
   (* Configuration identity covers only the process-visible part
      (states, statuses, registers); the observers captured for [restore]
@@ -442,11 +456,7 @@ module Make (P : Protocol.S) = struct
     let n = Array.length c.c_status in
     if n > Sys.int_size - 1 then
       invalid_arg "Engine.config_unfinished_mask: needs n <= word size - 1";
-    let m = ref 0 in
-    for p = 0 to n - 1 do
-      if not (Status.is_returned c.c_status.(p)) then m := !m lor (1 lsl p)
-    done;
-    !m
+    unfinished_bits c.c_status
 
   let config_outputs c = Array.map Status.output c.c_status
 

@@ -12,7 +12,18 @@
     - a returned process ignores further activations (it "no longer
       partakes in the execution");
     - a process's round — write, read, update — is atomic with respect to
-      other steps. *)
+      other steps.
+
+    {e The unfinished mask.}  When [n <= Sys.int_size - 1] an engine keeps
+    the set of processes that have not returned (asleep or working) as a
+    bitmask, bit [p] for process [p], updated where statuses change: every
+    bit is set by {!Make.create}, a process's bit is cleared by the round
+    in which it returns and set again by {!Make.reset}, and {!Make.restore}
+    recomputes the whole mask.  It equals a scan of {!Make.status} after
+    every operation, and makes {!Make.unfinished_mask} and
+    {!Make.all_returned} O(1) and {!Make.activate_mask} O(popcount) of the
+    processes that step.  Wider engines keep the O(n) status scans of the
+    list API, and the mask entry points raise there. *)
 
 module Make (P : Protocol.S) : sig
   type t
@@ -53,6 +64,8 @@ module Make (P : Protocol.S) : sig
   (** Sorted list of processes that have not returned (asleep or working). *)
 
   val all_returned : t -> bool
+  (** O(1) when [n t <= Sys.int_size - 1] (a test of the unfinished mask), an O(n) status scan otherwise. *)
+
   val outputs : t -> P.output option array
 
   val activate : t -> int list -> unit
@@ -81,17 +94,8 @@ module Make (P : Protocol.S) : sig
       @raise Invalid_argument when [n t > Sys.int_size - 1] (the mask
       cannot name every process). *)
 
-  val activate_mask_live : t -> int -> int
-  (** [activate_mask_live t mask] is {!activate_mask}, returning the mask
-      of the processes that actually took a step: [mask] minus the
-      processes that had already returned.  [popcount] of the result is
-      the step's activation count, so a long-lived caller (the churn
-      session) need not pay an O(n) {!unfinished_mask} scan per step
-      to learn it.  {!activate_mask} is this function with the result
-      ignored — one step path, not two. *)
-
   val unfinished_mask : t -> int
-  (** {!unfinished} as a bitmask.  @raise Invalid_argument when
+  (** {!unfinished} as a bitmask, in O(1).  @raise Invalid_argument when
       [n t > Sys.int_size - 1]. *)
 
   val reset : t -> int -> ident:int -> unit
@@ -156,7 +160,9 @@ module Make (P : Protocol.S) : sig
   val restore : t -> config -> unit
   (** [restore t c] rewinds statuses, states, registers, the time counter
       and the per-process activation counters to their values at
-      [snapshot].  The recorded trace and the monitor are left alone. *)
+      [snapshot], and recomputes the unfinished mask from the restored
+      statuses (a configuration does not store it).  The recorded trace
+      and the monitor are left alone. *)
 
   val config_compare : config -> config -> int
   (** Total order on the process-visible part of configurations

@@ -8,6 +8,9 @@ module Rank = Asyncolor.Rank
 module Color = Asyncolor.Color
 module Checker = Asyncolor.Checker
 module Status = Asyncolor_kernel.Status
+module Step = Asyncolor_kernel.Step
+module Mex = Asyncolor_util.Mex
+module Reduce = Asyncolor_cv.Reduce
 module Adversary = Asyncolor_kernel.Adversary
 module Builders = Asyncolor_topology.Builders
 module Idents = Asyncolor_workload.Idents
@@ -131,6 +134,94 @@ let test_lemma_4_6_local_max_stays_max () =
       done);
   ignore (A3.E.run e Adversary.synchronous)
 
+(* --- list-free transition vs the list-based reference ----------------- *)
+
+(* The transition as the paper states it, over lists: C is every visible
+   neighbour's (a, b), C+ those of neighbours with a greater identifier,
+   mex comes from [Mex.of_list], and the identifier block runs when both
+   neighbours have published.  The protocol's own colouring component
+   scans [view] in place and must agree with it everywhere. *)
+let reference_reduce_identifier (s : A3.fields) (q : A3.fields)
+    (q' : A3.fields) =
+  if Rank.is_finite s.r && Rank.(s.r <= min q.r q'.r) then begin
+    let lo = min q.x q'.x and hi = max q.x q'.x in
+    if lo < s.x && s.x < hi then begin
+      let y = Reduce.f s.x lo in
+      { s with r = Rank.succ s.r; x = (if y < lo then y else s.x) }
+    end
+    else begin
+      let x =
+        if s.x < lo then
+          min s.x (Mex.of_list [ Reduce.f q.x s.x; Reduce.f q'.x s.x ])
+        else s.x
+      in
+      { s with r = Rank.Inf; x }
+    end
+  end
+  else s
+
+let reference_transition (s : A3.fields) ~view =
+  let nbrs = Array.to_list view |> List.filter_map Fun.id in
+  let c = List.concat_map (fun (r : A3.fields) -> [ r.a; r.b ]) nbrs in
+  if not (List.mem s.a c) then Step.Return s.a
+  else if not (List.mem s.b c) then Step.Return s.b
+  else begin
+    let c_plus =
+      List.concat_map
+        (fun (r : A3.fields) -> if r.x > s.x then [ r.a; r.b ] else [])
+        nbrs
+    in
+    let s = { s with a = Mex.of_list c_plus; b = Mex.of_list c } in
+    match view with
+    | [| Some q; Some q' |] -> Step.Continue (reference_reduce_identifier s q q')
+    | _ -> Step.Continue s
+  end
+
+(* Small value ranges, so that candidates repeat and collide; neighbour
+   identifiers within 2 of the caller's, so above, below and equal all
+   occur; finite and infinite ranks, so the identifier block both runs
+   and is gated off.  Degree 2 views with both entries published reach
+   the identifier block. *)
+let arb_transition_case =
+  let open QCheck.Gen in
+  let candidate = int_range 0 5 in
+  let rank = frequency [ (1, return Rank.Inf); (3, map (fun k -> Rank.Fin k) (int_range 0 3)) ] in
+  let gen =
+    int_range 2 12 >>= fun x ->
+    let register =
+      map4
+        (fun dx r a b -> { A3.x = x + dx; r; a; b })
+        (int_range (-2) 2) rank candidate candidate
+    in
+    let entry = frequency [ (1, return None); (3, map Option.some register) ] in
+    let degree = frequency [ (1, int_range 0 6); (2, return 2) ] in
+    map4
+      (fun r a b view -> ({ A3.x; r; a; b }, view))
+      rank candidate candidate
+      (degree >>= fun deg -> array_repeat deg entry)
+  in
+  let pp (f : A3.fields) =
+    Format.asprintf "{x=%d;r=%a;a=%d;b=%d}" f.x Rank.pp f.r f.a f.b
+  in
+  let print (s, view) =
+    Printf.sprintf "state %s, view [%s]" (pp s)
+      (String.concat "; "
+         (Array.to_list
+            (Array.map (function None -> "⊥" | Some r -> pp r) view)))
+  in
+  QCheck.make ~print gen
+
+let prop_transition_matches_reference =
+  QCheck.Test.make ~name:"list-free transition = list-based reference"
+    ~count:3_000 arb_transition_case (fun (s, view) ->
+      let equal_step a b =
+        match (a, b) with
+        | Step.Return c, Step.Return c' -> Int.equal c c'
+        | Step.Continue t, Step.Continue t' -> A3.P.equal_state t t'
+        | _ -> false
+      in
+      equal_step (A3.P.transition s ~view) (reference_transition s ~view))
+
 (* --- Theorem 4.4 ------------------------------------------------------ *)
 
 let prop_logstar_rounds_random =
@@ -211,6 +302,7 @@ let () =
           Alcotest.test_case "Lemma 4.6: local max stays" `Quick
             test_lemma_4_6_local_max_stays_max;
         ] );
+      ("transition", [ qtest prop_transition_matches_reference ]);
       ( "theorem 4.4",
         [
           qtest prop_logstar_rounds_random;

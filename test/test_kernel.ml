@@ -406,6 +406,99 @@ module Walk1 = Key_walk (Asyncolor.Algorithm1.P)
 module Walk2 = Key_walk (Asyncolor.Algorithm2.P)
 module Walk3 = Key_walk (Asyncolor.Algorithm3.P)
 
+(* The engine's incremental unfinished mask against a status scan, on
+   random walks of the real protocols that interleave every operation
+   which moves it: list and mask steps, resets, snapshots and restores.
+   After each operation the mask must equal the scan and [all_returned]
+   must agree with it; a mask step must step exactly the masked
+   processes that were unfinished before it, as the activation counters
+   show.  n ranges over small cycles and the two widest the mask
+   supports. *)
+module Mask_walk (P : Asyncolor_kernel.Protocol.S) = struct
+  module E = Engine.Make (P)
+
+  let scan eng =
+    let m = ref 0 in
+    for p = 0 to E.n eng - 1 do
+      if not (Status.is_returned (E.status eng p)) then m := !m lor (1 lsl p)
+    done;
+    !m
+
+  let consistent eng =
+    E.unfinished_mask eng = scan eng
+    && E.all_returned eng
+       = Array.for_all Status.is_returned (Array.init (E.n eng) (E.status eng))
+
+  let walk (n, seed) =
+    let prng = Prng.create ~seed in
+    let idents =
+      Asyncolor_workload.Idents.random_permutation (Prng.split prng) n
+    in
+    let eng = E.create (Builders.cycle n) ~idents in
+    let all = (1 lsl n) - 1 in
+    (* dense and sparse random masks, so that steps both finish processes
+       quickly and leave most of the cycle alone *)
+    let random_mask () =
+      if Prng.bool prng then Prng.bool_mask prng all
+      else Prng.bool_mask prng all land Prng.bool_mask prng all
+    in
+    let snaps = ref [||] in
+    let next_ident = ref (10 * n) in
+    let ok = ref (consistent eng) in
+    for _ = 1 to 80 do
+      (match Prng.int prng 5 with
+      | 0 ->
+          let mask = random_mask () in
+          E.activate eng
+            (List.filter (fun p -> mask land (1 lsl p) <> 0) (List.init n Fun.id))
+      | 1 ->
+          let mask = random_mask () in
+          let before = scan eng in
+          let acts = Array.init n (E.activations eng) in
+          E.activate_mask eng mask;
+          for p = 0 to n - 1 do
+            let stepped = if mask land before land (1 lsl p) <> 0 then 1 else 0 in
+            if E.activations eng p <> acts.(p) + stepped then ok := false
+          done
+      | 2 ->
+          incr next_ident;
+          E.reset eng (Prng.int prng n) ~ident:!next_ident
+      | 3 -> snaps := Array.append !snaps [| E.snapshot eng |]
+      | _ ->
+          if !snaps <> [||] then E.restore eng (Prng.choose prng !snaps));
+      ok := !ok && consistent eng
+    done;
+    !ok
+
+  let prop name =
+    QCheck.Test.make ~name:("unfinished mask = status scan, " ^ name)
+      ~count:100
+      QCheck.(pair (oneofl [ 3; 4; 5; 6; 7; 8; 61; 62 ]) (int_range 0 10_000))
+      walk
+end
+
+module Mask2 = Mask_walk (Asyncolor.Algorithm2.P)
+module Mask3 = Mask_walk (Asyncolor.Algorithm3.P)
+
+(* Past the mask width the engine keeps its array scans: [run] still
+   drives it to completion, and the mask entry points refuse it. *)
+let test_wide_engine_without_mask () =
+  let module A3 = Asyncolor.Algorithm3 in
+  let n = Sys.int_size in
+  let e = A3.E.create (Builders.cycle n) ~idents:(Array.init n (fun p -> 3 * p)) in
+  let r = A3.E.run e Adversary.synchronous in
+  check Alcotest.bool "all returned" true r.all_returned;
+  check Alcotest.bool "engine agrees" true (A3.E.all_returned e);
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s accepted n = %d" what n
+      | exception Invalid_argument _ -> ())
+    [
+      ("unfinished_mask", fun () -> ignore (A3.E.unfinished_mask e));
+      ("activate_mask", fun () -> A3.E.activate_mask e 1);
+    ]
+
 let test_config_accessors () =
   let e = mk () in
   E3.activate e [ 1 ];
@@ -821,6 +914,10 @@ let () =
           qtest (Walk1.prop "algorithm 1" ~resets:false);
           qtest (Walk2.prop "algorithm 2" ~resets:false);
           qtest (Walk3.prop "algorithm 3 with resets" ~resets:true);
+          qtest (Mask2.prop "algorithm 2");
+          qtest (Mask3.prop "algorithm 3");
+          Alcotest.test_case "n = int_size: no mask, runs" `Quick
+            test_wide_engine_without_mask;
         ] );
       ( "runner",
         [
