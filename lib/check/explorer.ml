@@ -262,12 +262,12 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       end
     end
 
-  (* The packed configuration graph both builders produce: flat int
-     stores only — dense ids, CSR adjacency, parent pointers as (pred id,
-     activation mask).  The boxed configurations themselves are not part
-     of it; the parallel builder keeps only one frontier of them alive at
-     a time.  Adjacency is accessed through [adj_get] so a spilled run
-     can reassemble it into off-heap storage: entries are
+  (* The packed configuration graph the reference oracle and the BFS
+     driver both produce: flat int stores only — dense ids, CSR
+     adjacency, parent pointers as (pred id, activation mask).  The boxed
+     configurations themselves are not part of it; the driver keeps only
+     the pending ones alive.  Adjacency is accessed through [adj_get] so
+     a spilled run can reassemble it into off-heap storage: entries are
      (mask, vid) pairs at [adj_stride = 2], or (mask, vid, perm) triples
      at stride 3 under symmetry reduction, where [perm] indexes [group]
      with the automorphism [sigma] such that the true successor is the
@@ -543,12 +543,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
 
   (* --- crash-safe packed exploration: shared state --------------------- *)
 
-  (* Everything the two packed builders mutate, gathered in one record so
-     a checkpoint can snapshot it and a resumed run can pick it back up.
-     The boxed configurations are *not* part of it: each builder keeps its
-     own pending container (FIFO queue, or frontier arrays whose
-     concatenation is the same order), which is the only other state a
-     checkpoint has to persist. *)
+  (* Everything the BFS driver mutates, gathered in one record so a
+     checkpoint can snapshot it and a resumed run can pick it back up.
+     The boxed configurations are *not* part of it: the driver's pending
+     ring is the only other state a checkpoint has to persist. *)
   type bfs_state = {
     s_parent_pred : int Vec.t;
     s_parent_mask : int Vec.t;
@@ -591,7 +589,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     Vec.push st.s_adj_off 0;
     st
 
-  (* Exploration parameters threaded through both packed builders. *)
+  (* Exploration parameters threaded through the BFS driver. *)
   type params = {
     mode : [ `All_subsets | `Singletons ];
     max_configs : int;
@@ -699,11 +697,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      container.  Intern-table keys are stored as their packed int payloads
      ([E.key_data]) indexed by dense id and rebuilt with [E.key_of_data]
      — the hash is recomputed on load, never trusted.  [ck_pending] holds
-     the interned-but-unexpanded configurations in FIFO order (for the
-     pipelined builder: the ring's [lo, hi) window, whose positions are
-     the stored ids — a contiguous slice of that same order).  Both
-     builders expand pending entries in stored order and assign dense ids
-     in expansion order, so a resumed run — under any [jobs] value or
+     the interned-but-unexpanded configurations in FIFO order: the
+     pending ring's [lo, hi) window, whose positions are the stored ids.
+     The driver expands pending entries in stored order and assigns dense
+     ids in expansion order, so a resumed run — under any [jobs] value or
      policy — produces the same report, byte for byte, as one that was
      never interrupted. *)
   type ckpt = {
@@ -776,47 +773,14 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     Tbl.iter (fun k id -> a.(id) <- E.key_data k) tbl;
     a
 
-  (* --- packed sequential BFS: the jobs=1 fast path --------------------- *)
+  (* --- the BFS driver: one loop for every policy and for resume -------- *)
 
-  (* Same discovery order as [explore_reference] (FIFO queue, subsets in
-     [masks_of] order) and same packed output as the level-synchronous
-     builder below, without the per-level batching: configurations are
-     interned through their packed keys in one [Key_tbl], activation sets
-     stay bitmasks end-to-end, and a configuration is dropped as soon as
-     it has been expanded (only keys are retained), which is what keeps
-     multi-million-configuration runs inside memory.
-
-     The loop is boundary-instrumented: before expanding each queue entry
-     it may write a periodic checkpoint (pending = the current queue) and
-     polls the stop callback and resource budget.  On a hit it writes a
-     final checkpoint while the queue is still intact, then degrades
-     exactly like the [max_configs] cap: pending configurations that still
-     have working processes mark the exploration incomplete, and every
-     unexpanded entry keeps an empty adjacency row. *)
-  (* Close the adjacency tail as a spill level if it crossed the
-     threshold; [persist] runs the actual write (inline here, possibly a
-     background executor task in the pipelined builder).  Called only at
-     entry boundaries, where every pushed word is final. *)
-  let maybe_seal ~params st persist =
-    match params.spill with
-    | None -> ()
-    | Some _ -> (
-        match Level_log.seal st.s_adj_data with
-        | None -> ()
-        | Some (level, data) -> persist level data)
-
-  let spill_write ~params sp level data =
-    let bytes = Spill.write sp ~level data in
-    Obs.Counter.add params.octx.oc_spill_wb bytes;
-    Obs.Gauge.max_ params.octx.og_spill_levels (Spill.levels_on_disk sp)
-
-  (* Live-heap high-water mark, sampled every 1024 merge boundaries (and
-     once at the end of the run) — the number the bench's
-     [peak_live_words] field and the CLI's spill-pressure diagnostics
-     read back.  [Gc.quick_stat] reads cached GC state, no heap walk. *)
-  let sample_heap ~params ticks =
-    incr ticks;
-    if !ticks land 1023 = 0 && Obs.enabled params.octx.o then
+  (* Live-heap high-water mark, sampled at every 1024th merged id and
+     once where the loop exits — the number the bench's [peak_live_words]
+     field and the CLI's spill-pressure diagnostics read back.
+     [Gc.quick_stat] reads cached GC state, no heap walk. *)
+  let sample_heap ~params =
+    if Obs.enabled params.octx.o then
       Obs.Gauge.max_ params.octx.og_heap (Gc.quick_stat ()).Gc.heap_words
 
   (* A persistent I/O failure — a checkpoint save or spill write that
@@ -836,190 +800,124 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         true
     | _ -> false
 
-  let run_seq ~params ~graph ~idents st tbl queue =
-    let engine = E.create graph ~idents in
-    let last_ck = ref st.s_next_id in
-    let ticks = ref 0 in
-    let io_error = ref None in
-    let maybe_checkpoint ~force () =
-      match params.checkpoint with
-      | Some (path, every)
-        when (force || st.s_next_id - !last_ck >= max 1 every)
-             && !io_error = None -> (
-          match
-            save_ckpt ~params ~graph ~idents st
-              ~keys:(fun () -> keys_of_key_tbl tbl st.s_next_id)
-              ~pending:(fun () -> Array.of_seq (Queue.to_seq queue))
-              path
-          with
-          | () ->
-              last_ck := st.s_next_id;
-              Diag.printf "checkpoint: %d configs, %d pending -> %s\n"
-                st.s_next_id (Queue.length queue) path
-          | exception e when io_failed e ->
-              note_io_error io_error "checkpoint save" e)
-      | _ -> ()
-    in
-    let stopped = ref false in
-    while (not (Queue.is_empty queue)) && not !stopped do
-      maybe_checkpoint ~force:false ();
-      if should_stop ~params st || !io_error <> None then stopped := true
-      else begin
-        let uid, config = Queue.pop queue in
-        let orbit_u =
-          if params.symmetry then Vec.get st.s_orbit uid else 1
-        in
-        let um = E.config_unfinished_mask config in
-        let masks = if um = 0 then [||] else masks_of params.mode um in
-        Array.iter
-          (fun mask ->
-            if st.s_next_id < params.max_configs then begin
-              E.restore engine config;
-              E.activate_mask engine mask;
-              (* Without symmetry the live engine is keyed in place and
-                 snapshotted only on a miss: most successors are
-                 duplicates, and a duplicate needs nothing but its key.
-                 [rep] is then a placeholder until the miss below. *)
-              let key, rep, orbit, pi =
-                if params.symmetry then begin
-                  let t0 = Obs.now params.octx.o in
-                  let (_, _, _, pi) as canon =
-                    canonicalize params.group (E.snapshot engine)
-                  in
-                  Obs.Counter.add params.octx.oc_canon_ns
-                    (Int64.to_int (Int64.sub (Obs.now params.octx.o) t0));
-                  if pi <> 0 then Obs.Counter.incr params.octx.oc_orbit_hits;
-                  st.s_exp_transitions <- st.s_exp_transitions + orbit_u;
-                  canon
-                end
-                else (E.key engine, config, 1, 0)
-              in
-              st.s_transitions <- st.s_transitions + 1;
-              Obs.Counter.incr params.octx.oc_transitions;
-              let vid =
-                match Tbl.find_opt tbl key with
-                | Some id -> id
-                | None ->
-                    let rep =
-                      if params.symmetry then rep else E.snapshot engine
-                    in
-                    let id = register_st ~params st rep ~orbit in
-                    Queue.add (id, rep) queue;
-                    Tbl.add tbl key id;
-                    Vec.set st.s_parent_pred id uid;
-                    Vec.set st.s_parent_mask id mask;
-                    if pi <> 0 then E.restore engine rep;
-                    safety_check ~params st engine id rep;
-                    id
-              in
-              Level_log.push st.s_adj_data mask;
-              Level_log.push st.s_adj_data vid;
-              if params.symmetry then Level_log.push st.s_adj_data pi
-            end
-            else st.s_complete <- false)
-          masks;
-        Vec.push st.s_adj_off (Level_log.length st.s_adj_data);
-        (* A write that exhausts its retries stops the run at the next
-           boundary; the level's data stays resident in the spill store,
-           so the analysis reassembly below still sees every word. *)
-        (try
-           maybe_seal ~params st (fun level data ->
-               match params.spill with
-               | Some (sp, _) -> spill_write ~params sp level data
-               | None -> ())
-         with e when io_failed e -> note_io_error io_error "spill write" e);
-        sample_heap ~params ticks
-      end
-    done;
-    if !stopped then begin
-      maybe_checkpoint ~force:true ();
-      Queue.iter
-        (fun (_, c) ->
-          if E.config_unfinished_mask c <> 0 then st.s_complete <- false)
-        queue;
-      Queue.iter
-        (fun _ -> Vec.push st.s_adj_off (Level_log.length st.s_adj_data))
-        queue
-    end;
-    if !io_error <> None then st.s_complete <- false;
-    packed_of_state ~params st
+  (* [Serial] at one job, else [Synchronous] — for fresh and resumed
+     runs alike. *)
+  let default_policy ~jobs = function
+    | Some p -> p
+    | None -> if jobs <= 1 then Executor.Serial else Executor.Synchronous
 
-  let spill_threshold_of params = Option.map snd params.spill
+  (* The pending configurations — interned but not yet expanded — live in
+     a FIFO {!Ring} whose absolute positions {e are} their dense ids.  Each
+     iteration folds the head entry's successors, in [masks_of] order,
+     into the packed state through [merge] (intern, dense id, adjacency,
+     parent, safety checks) under the [max_configs] cap.  Every output
+     derives from this one order, so the report is byte-identical for
+     every [jobs] value, every policy, and the reference oracle.
 
-  let explore_seq ~params graph ~idents =
-    let st = fresh_state ?spill_threshold:(spill_threshold_of params) () in
-    let tbl = Tbl.create ~shards:16 1024 in
-    let queue = Queue.create () in
-    let engine = E.create graph ~idents in
-    let initial = E.snapshot engine in
-    (* The all-asleep root is fixed by every ident-preserving
-       automorphism (orbit size 1), so canonicalizing it is a no-op — but
-       going through [canonicalize] keeps the invariant that every
-       interned key is canonical without a special case. *)
-    let key, initial, orbit, _ = canonicalize params.group initial in
-    let root_id = register_st ~params st initial ~orbit in
-    Queue.add (root_id, initial) queue;
-    Tbl.add tbl key root_id;
-    safety_check ~params st engine root_id initial;
-    run_seq ~params ~graph ~idents st tbl queue
+     Only where the successors come from depends on the executor:
 
-  (* --- pipelined parallel BFS: async expansion, FIFO merge ------------- *)
+     - {e One job}: the merging domain expands the entry itself.  Without
+       symmetry the live engine is keyed in place and snapshotted only on
+       an intern miss — most successors are duplicates, and a duplicate
+       needs nothing but its key.  Spill writes run inline.
 
-  (* The parallel builder is a software pipeline over the executor.  The
-     pending configurations — interned but not yet expanded — live in a
-     FIFO {!Ring} whose absolute positions {e are} their dense ids, and
-     the loop runs two cursors over it:
+     - {e Two or more jobs}: a submission cursor ([submit_pos]) runs ahead
+       of the merge, handing pending entries to the executor as futures
+       that touch no shared state (each domain restores its own engine);
+       the merge awaits the {e head} future, whatever the completion
+       order.  [stream_window] bounds the futures in flight, and a
+       position past the current level boundary is submittable only once
+       a κ fraction of the level has merged (κ = 1 for [Synchronous]: a
+       barrier per level).  Spill levels are written by background tasks.
 
-     - {e Submission} ([submit_pos], runs ahead): hand pending entries to
-       the executor as expansion futures.  A task restores a
-       domain-private engine (via domain-local storage) and computes the
-       entry's full candidate array — (mask, packed key, successor) in
-       [masks_of] order — touching no shared state.  Discovery is
-       therefore async and unordered: whichever domain steals the task
-       runs it whenever.
-
-     - {e Merge} ([Ring.lo pend], the completion stream): await the
-       {e head} future — strictly FIFO, regardless of completion order —
-       and fold its candidates into the packed state exactly as the
-       sequential builder would: intern through one [Key_tbl], assign
-       dense ids in candidate order, record adjacency/parents, run the
-       safety checks, apply the [max_configs] cap.  Ids, parents,
-       adjacency, violation order and the cap all derive from this
-       jobs- and steal-independent order, so the report is byte-identical
-       for every [jobs] value, every policy, and the reference oracle.
-
-     How far submission may run ahead is the policy's business:
-     [stream_window] bounds in-flight futures (backpressure is counted
-     when the bound stalls a ready submission), and the κ gate decides
-     when the {e next} BFS level may start expanding — a position past
-     the current level boundary is submittable only once a κ fraction of
-     the current level has merged.  [Synchronous] is κ = 1 with an
-     unbounded window: the whole level in flight, full barrier between
-     levels — the old level-synchronous builder.  [Asynchronous {kappa}]
-     starts level k+1 expansions while the tail of level k is still
-     merging, which is where the barrier-wait time goes away (the
-     ["explorer.wait_ns"] counter vs. the ["explorer.overlap_submits"]
-     counter and ["exec.kappa_overlap"] gauge make the trade visible).
-
-     The merge boundary doubles as the crash-safety boundary, exactly
-     like the sequential builder's queue boundary: before merging each
-     entry the loop may write a periodic checkpoint (pending = the ring,
-     which {e is} the FIFO order the sequential builder would hold) and
-     polls the stop callback and resource budget — same degradation
-     contract, same checkpoint placement, byte-compatible files. *)
-  let run_async ~params ~exec ~graph ~idents st tbl (pend : E.config Ring.t) =
+     The merge boundary doubles as the crash-safety boundary: before
+     merging each entry the loop may write a periodic checkpoint (pending
+     = the ring) and polls the stop callback and resource budget.  On a
+     hit it writes a final checkpoint while the ring is still intact,
+     then degrades exactly like the [max_configs] cap: pending
+     configurations that still have working processes mark the
+     exploration incomplete, and every unexpanded entry keeps an empty
+     adjacency row. *)
+  let run ~params ?policy ~jobs ~graph ~idents st tbl pend =
     let octx = params.octx in
     let o = octx.o in
-    (* One private engine per domain, created lazily on first expansion
-       (the caller gets one too — it helps execute tasks while waiting). *)
-    let engine_key = Domain.DLS.new_key (fun () -> E.create graph ~idents) in
-    let check_engine = E.create graph ~idents in
-    let check id config =
-      (match params.check_config with
-      | Some _ -> E.restore check_engine config
-      | None -> ());
-      safety_check ~params st check_engine id config
+    Executor.with_executor ~obs:o ~chaos:params.chaos
+      ~policy:(default_policy ~jobs policy) ~jobs
+    @@ fun exec ->
+    let inline = Executor.jobs exec = 1 in
+    let snapshot_on_miss = inline && not params.symmetry in
+    (* The merging domain's engine: it expands at one job, and it hosts
+       [check_config] at every job count. *)
+    let engine = E.create graph ~idents in
+    let canon succ =
+      (* A pure function of the successor, so it may run on whichever
+         domain stole the expansion: the merge sees the same (key, rep,
+         orbit, perm) whatever the schedule. *)
+      let t0 = if params.symmetry then Obs.now o else 0L in
+      let r = canonicalize params.group succ in
+      if params.symmetry then
+        Obs.Counter.add octx.oc_canon_ns
+          (Int64.to_int (Int64.sub (Obs.now o) t0));
+      r
     in
+    let within_cap () =
+      if st.s_next_id >= params.max_configs then st.s_complete <- false;
+      st.s_next_id < params.max_configs
+    in
+    (* Folds one successor of [uid] into the packed state.  At one job
+       without symmetry [rep] is a placeholder and the live engine holds
+       the successor; otherwise [rep] is the canonical representative. *)
+    let merge uid orbit_u mask key rep orbit pi =
+      st.s_transitions <- st.s_transitions + 1;
+      Obs.Counter.incr octx.oc_transitions;
+      if params.symmetry then begin
+        if pi <> 0 then Obs.Counter.incr octx.oc_orbit_hits;
+        st.s_exp_transitions <- st.s_exp_transitions + orbit_u
+      end;
+      let vid =
+        match Tbl.find_opt tbl key with
+        | Some id -> id
+        | None ->
+            let rep = if snapshot_on_miss then E.snapshot engine else rep in
+            let id = register_st ~params st rep ~orbit in
+            Ring.push pend rep;
+            Tbl.add tbl key id;
+            Vec.set st.s_parent_pred id uid;
+            Vec.set st.s_parent_mask id mask;
+            (* The predicates read [engine] (seed contract): at one job
+               it already holds the successor, unless canonicalisation
+               picked another orbit member. *)
+            if Option.is_some params.check_config && (pi <> 0 || not inline)
+            then E.restore engine rep;
+            safety_check ~params st engine id rep;
+            id
+      in
+      Level_log.push st.s_adj_data mask;
+      Level_log.push st.s_adj_data vid;
+      if params.symmetry then Level_log.push st.s_adj_data pi
+    in
+    let expand_inline uid orbit_u config =
+      let um = E.config_unfinished_mask config in
+      if um <> 0 then begin
+        let masks = masks_of params.mode um in
+        for i = 0 to Array.length masks - 1 do
+          let mask = masks.(i) in
+          if within_cap () then begin
+            E.restore engine config;
+            E.activate_mask engine mask;
+            if params.symmetry then begin
+              let key, rep, orbit, pi = canon (E.snapshot engine) in
+              merge uid orbit_u mask key rep orbit pi
+            end
+            else merge uid orbit_u mask (E.key engine) config 1 0
+          end
+        done
+      end
+    in
+    (* One private engine per expanding domain, created lazily on first
+       expansion (the caller gets one too — it helps execute tasks while
+       waiting). *)
+    let engine_key = Domain.DLS.new_key (fun () -> E.create graph ~idents) in
     let expand config () =
       let um = E.config_unfinished_mask config in
       if um = 0 then [||]
@@ -1029,26 +927,19 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
           (fun mask ->
             E.restore eng config;
             E.activate_mask eng mask;
-            let succ = E.snapshot eng in
-            (* Canonicalization runs inside the expansion task — on
-               whichever domain stole it — which is safe because it is a
-               pure function of the successor: the merge below sees the
-               same (key, rep, orbit, perm) whatever the schedule. *)
-            let t0 = if params.symmetry then Obs.now params.octx.o else 0L in
-            let key, rep, orbit, pi = canonicalize params.group succ in
-            if params.symmetry then
-              Obs.Counter.add params.octx.oc_canon_ns
-                (Int64.to_int (Int64.sub (Obs.now params.octx.o) t0));
+            let key, rep, orbit, pi = canon (E.snapshot eng) in
             (mask, key, rep, orbit, pi))
           (masks_of params.mode um)
       end
     in
-    (* In-flight background spill writes: drained before any checkpoint
-       save (which rereads closed levels) and before the final analysis
-       reassembly.  A background write failure is latched into
-       [spill_err] — lowest level wins, for a deterministic diagnostic —
-       and surfaces at the next merge boundary (satellite contract: the
-       run fails at the faulting seal, not at reassembly time). *)
+    (* Spill writes in flight on background tasks: drained before any
+       checkpoint save (which rereads closed levels) and before the final
+       analysis reassembly.  A write failure — inline or background — is
+       latched into [spill_err] (lowest level wins, for a deterministic
+       diagnostic) and surfaces at the next merge boundary: the run fails
+       at the faulting seal, not at reassembly time.  The failed level's
+       data stays resident in the spill store, so the reassembly still
+       sees every word. *)
     let spill_futs : unit Executor.future list ref = ref [] in
     let spill_err : (int * exn) option Atomic.t = Atomic.make None in
     let note_spill_err level e =
@@ -1060,6 +951,27 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
             then latch ()
       in
       latch ()
+    in
+    (* Close the adjacency tail as a spill level if it crossed the
+       threshold.  Called only at entry boundaries, where every pushed word
+       is final.  The snapshot handed over by [Level_log.seal] is immutable
+       and level files are distinct, so the only ordering that matters —
+       written before reread — is enforced by [drain_spills]. *)
+    let seal () =
+      match params.spill with
+      | None -> ()
+      | Some (sp, _) -> (
+          match Level_log.seal st.s_adj_data with
+          | None -> ()
+          | Some (level, data) ->
+              let write () =
+                try
+                  Obs.Counter.add octx.oc_spill_wb (Spill.write sp ~level data);
+                  Obs.Gauge.max_ octx.og_spill_levels (Spill.levels_on_disk sp)
+                with e when io_failed e -> note_spill_err level e
+              in
+              if inline then write ()
+              else spill_futs := Executor.submit exec write :: !spill_futs)
     in
     let drain_spills () =
       List.iter Executor.await !spill_futs;
@@ -1075,7 +987,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       | None -> ()
     in
     let last_ck = ref st.s_next_id in
-    let ticks = ref 0 in
     let maybe_checkpoint ~force () =
       match params.checkpoint with
       | Some (path, every)
@@ -1102,12 +1013,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       | _ -> ()
     in
     (* Futures for submitted-but-unmerged entries, same absolute
-       positions as [pend]. *)
-    let futs :
-        (int * E.key * E.config * int * int) array Executor.future option
-        Ring.t =
-      Ring.create ~start:(Ring.lo pend) ~dummy:None ()
-    in
+       positions as [pend]; unused at one job. *)
+    let futs = Ring.create ~start:(Ring.lo pend) ~dummy:None () in
     let submit_pos = ref (Ring.lo pend) in
     (* On resume the whole pending slice plays the role of the current
        frontier (it may span what were several levels originally —
@@ -1130,16 +1037,13 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     in
     let sp_level = ref (if Ring.length pend > 0 then open_level () else None) in
     let close_level () =
-      match !sp_level with
-      | Some sp ->
-          Obs.end_span o sp;
-          sp_level := None
-      | None -> ()
+      Option.iter (Obs.end_span o) !sp_level;
+      sp_level := None
     in
     let stopped = ref false in
     while Ring.length pend > 0 && not !stopped do
-      let merge_pos = Ring.lo pend in
-      if merge_pos = !lvl_hi then begin
+      let uid = Ring.lo pend in
+      if uid = !lvl_hi then begin
         close_level ();
         incr level;
         lvl_lo := !lvl_hi;
@@ -1150,108 +1054,67 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       check_spill_err ();
       if should_stop ~params st || !io_error <> None then stopped := true
       else begin
-        (* Re-read the window and κ every iteration: the watchdog may
-           have degraded the policy since the last merge, and a degraded
-           executor wants the tighter bound immediately. *)
-        let window = Executor.stream_window exec in
-        let kappa = Executor.policy_kappa (Executor.policy exec) in
-        (* Top up the pipeline.  A position inside the current level is
-           always submittable (window permitting); one past it only once
-           a κ fraction of the level has merged. *)
-        let need =
-          int_of_float (Float.ceil (kappa *. float_of_int (!lvl_hi - !lvl_lo)))
-        in
-        let gate_open p = p < !lvl_hi || merge_pos - !lvl_lo >= need in
-        while
-          !submit_pos < Ring.hi pend
-          && !submit_pos - merge_pos < window
-          && gate_open !submit_pos
-        do
-          let p = !submit_pos in
-          Ring.push futs (Some (Executor.submit exec (expand (Ring.get pend p))));
-          if p >= !lvl_hi then begin
-            Obs.Counter.incr octx.oc_overlap;
-            Obs.Gauge.max_ octx.og_overlap (p - !lvl_hi + 1)
-          end;
-          incr submit_pos
-        done;
-        if !submit_pos < Ring.hi pend && !submit_pos - merge_pos >= window then
-          Executor.note_backpressure exec;
-        (* Merge the head entry — the sequential FIFO completion
-           stream.  The id-assignment below is the [run_seq] body,
-           verbatim, over the precomputed candidates. *)
-        let uid = merge_pos in
-        let orbit_u =
-          if params.symmetry then Vec.get st.s_orbit uid else 1
-        in
-        let fut =
-          match Ring.get futs uid with Some f -> f | None -> assert false
-        in
-        let t0 = Obs.now o in
-        let cands = Executor.await fut in
-        Obs.Counter.add octx.oc_wait_ns
-          (Int64.to_int (Int64.sub (Obs.now o) t0));
-        Ring.drop futs;
-        Array.iter
-          (fun (mask, key, rep, orbit, pi) ->
-            if st.s_next_id < params.max_configs then begin
-              st.s_transitions <- st.s_transitions + 1;
-              Obs.Counter.incr octx.oc_transitions;
-              if params.symmetry then begin
-                if pi <> 0 then Obs.Counter.incr octx.oc_orbit_hits;
-                st.s_exp_transitions <- st.s_exp_transitions + orbit_u
-              end;
-              let vid, fresh =
-                match Tbl.find_opt tbl key with
-                | Some id -> (id, false)
-                | None ->
-                    let id = register_st ~params st rep ~orbit in
-                    Ring.push pend rep;
-                    Tbl.add tbl key id;
-                    (id, true)
-              in
-              Level_log.push st.s_adj_data mask;
-              Level_log.push st.s_adj_data vid;
-              if params.symmetry then Level_log.push st.s_adj_data pi;
-              if fresh then begin
-                Vec.set st.s_parent_pred vid uid;
-                Vec.set st.s_parent_mask vid mask;
-                check vid rep
-              end
-            end
-            else st.s_complete <- false)
-          cands;
+        let orbit_u = if params.symmetry then Vec.get st.s_orbit uid else 1 in
+        if inline then expand_inline uid orbit_u (Ring.get pend uid)
+        else begin
+          (* Re-read the window and κ every iteration: the watchdog may
+             have degraded the policy since the last merge, and a
+             degraded executor wants the tighter bound immediately. *)
+          let window = Executor.stream_window exec in
+          let kappa = Executor.policy_kappa (Executor.policy exec) in
+          (* Top up the pipeline.  A position inside the current level is
+             always submittable (window permitting); one past it only
+             once a κ fraction of the level has merged. *)
+          let need =
+            int_of_float
+              (Float.ceil (kappa *. float_of_int (!lvl_hi - !lvl_lo)))
+          in
+          let gate_open p = p < !lvl_hi || uid - !lvl_lo >= need in
+          while
+            !submit_pos < Ring.hi pend
+            && !submit_pos - uid < window
+            && gate_open !submit_pos
+          do
+            let p = !submit_pos in
+            Ring.push futs
+              (Some (Executor.submit exec (expand (Ring.get pend p))));
+            if p >= !lvl_hi then begin
+              Obs.Counter.incr octx.oc_overlap;
+              Obs.Gauge.max_ octx.og_overlap (p - !lvl_hi + 1)
+            end;
+            incr submit_pos
+          done;
+          if !submit_pos < Ring.hi pend && !submit_pos - uid >= window
+          then Executor.note_backpressure exec;
+          let fut =
+            match Ring.get futs uid with Some f -> f | None -> assert false
+          in
+          let t0 = Obs.now o in
+          let cands = Executor.await fut in
+          Obs.Counter.add octx.oc_wait_ns
+            (Int64.to_int (Int64.sub (Obs.now o) t0));
+          Ring.drop futs;
+          Array.iter
+            (fun (mask, key, rep, orbit, pi) ->
+              if within_cap () then merge uid orbit_u mask key rep orbit pi)
+            cands
+        end;
         Vec.push st.s_adj_off (Level_log.length st.s_adj_data);
-        (* Closed spill levels drain on a background task while the
-           pipeline keeps expanding: the snapshot handed over by [seal]
-           is immutable, and level files are distinct, so the only
-           ordering that matters — written-before-reread — is enforced by
-           [drain_spills] at the checkpoint and analysis boundaries. *)
-        maybe_seal ~params st (fun level data ->
-            match params.spill with
-            | Some (sp, _) ->
-                spill_futs :=
-                  Executor.submit exec (fun () ->
-                      try spill_write ~params sp level data
-                      with e when io_failed e -> note_spill_err level e)
-                  :: !spill_futs
-            | None -> ());
-        sample_heap ~params ticks;
+        seal ();
+        if uid land 1023 = 0 then sample_heap ~params;
         Ring.drop pend
       end
     done;
     close_level ();
+    sample_heap ~params;
     if !stopped then begin
       (* In-flight futures are abandoned (the executor drains them on
-         shutdown); the ring still holds every unexpanded entry, so the
-         final checkpoint and the truncation accounting see exactly what
-         the sequential builder's queue would hold. *)
+         shutdown); the ring still holds every unexpanded entry for the
+         final checkpoint and the truncation accounting. *)
       maybe_checkpoint ~force:true ();
       for p = Ring.lo pend to Ring.hi pend - 1 do
         if E.config_unfinished_mask (Ring.get pend p) <> 0 then
-          st.s_complete <- false
-      done;
-      for _ = Ring.lo pend to Ring.hi pend - 1 do
+          st.s_complete <- false;
         Vec.push st.s_adj_off (Level_log.length st.s_adj_data)
       done
     end;
@@ -1260,19 +1123,26 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     if !io_error <> None then st.s_complete <- false;
     packed_of_state ~params st
 
-  let explore_async ~params ~policy ~jobs graph ~idents =
-    let st = fresh_state ?spill_threshold:(spill_threshold_of params) () in
+  (* The root run: intern the all-asleep configuration and drive the BFS
+     from it.  The root is fixed by every ident-preserving automorphism
+     (orbit size 1), so canonicalizing it is a no-op — but going through
+     [canonicalize] keeps the invariant that every interned key is
+     canonical without a special case. *)
+  let explore_fresh ~params ?policy ~jobs graph ~idents =
+    let st =
+      fresh_state ?spill_threshold:(Option.map snd params.spill) ()
+    in
     let tbl = Tbl.create ~shards:16 1024 in
     let engine = E.create graph ~idents in
-    let initial = E.snapshot engine in
-    let key, initial, orbit, _ = canonicalize params.group initial in
+    let key, initial, orbit, _ =
+      canonicalize params.group (E.snapshot engine)
+    in
     let root_id = register_st ~params st initial ~orbit in
     Tbl.add tbl key root_id;
     safety_check ~params st engine root_id initial;
     let pend = Ring.create ~dummy:initial () in
     Ring.push pend initial;
-    Executor.with_executor ~obs:params.octx.o ~chaos:params.chaos ~policy ~jobs
-      (fun exec -> run_async ~params ~exec ~graph ~idents st tbl pend)
+    run ~params ?policy ~jobs ~graph ~idents st tbl pend
 
   (* Callers that opt into chaos get the retry budget by default; without
      chaos (and without an explicit [retry]) every I/O primitive keeps its
@@ -1332,15 +1202,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
               octx;
             }
           in
-          let policy =
-            match policy with
-            | Some p -> p
-            | None ->
-                if jobs <= 1 then Executor.Serial else Executor.Synchronous
-          in
-          (match policy with
-          | Executor.Serial -> explore_seq ~params graph ~idents
-          | policy -> explore_async ~params ~policy ~jobs graph ~idents)
+          explore_fresh ~params ?policy ~jobs graph ~idents
     in
     finish_report ~octx ~n packed
 
@@ -1440,35 +1302,16 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     Array.iteri
       (fun id kdata -> Tbl.add tbl (E.key_of_data kdata) id)
       c.ck_keys;
-    let policy =
-      match policy with
-      | Some p -> p
-      | None -> if jobs <= 1 then Executor.Serial else Executor.Synchronous
+    (* Pending entries are the id slice [start, next_id) in FIFO order
+       (the checkpoint contract), so the ring's absolute positions — the
+       stored ids — carry over directly. *)
+    let start = c.ck_next_id - Array.length c.ck_pending in
+    let pend =
+      Ring.create ~start ~dummy:(E.snapshot (E.create graph ~idents)) ()
     in
-    let packed =
-      match policy with
-      | Executor.Serial ->
-          let queue = Queue.create () in
-          Array.iter (fun entry -> Queue.add entry queue) c.ck_pending;
-          run_seq ~params ~graph ~idents st tbl queue
-      | policy ->
-          (* Pending entries are a contiguous id slice in FIFO order (the
-             checkpoint contract), so the ring's absolute positions — the
-             stored ids — carry over directly. *)
-          let start =
-            if Array.length c.ck_pending = 0 then c.ck_next_id
-            else fst c.ck_pending.(0)
-          in
-          let dummy =
-            let engine = E.create graph ~idents in
-            E.snapshot engine
-          in
-          let pend = Ring.create ~start ~dummy () in
-          Array.iter (fun (_, cfg) -> Ring.push pend cfg) c.ck_pending;
-          Executor.with_executor ~obs ~chaos ~policy ~jobs (fun exec ->
-              run_async ~params ~exec ~graph ~idents st tbl pend)
-    in
-    finish_report ~octx ~n packed
+    Array.iter (fun (_, cfg) -> Ring.push pend cfg) c.ck_pending;
+    finish_report ~octx ~n
+      (run ~params ?policy ~jobs ~graph ~idents st tbl pend)
 
   let pp_report ppf r =
     Format.fprintf ppf

@@ -162,22 +162,25 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       [max_violations = 5].
 
       [impl] selects the exploration engine: [`Hashcons] (default) is the
-      packed pipelined BFS — configurations interned by the integer keys
-      of {!Asyncolor_kernel.Engine.Make.config_key} in one [Key_tbl],
-      adjacency in flat int arrays, expansion handed to an
-      {!Asyncolor_util.Executor} as futures; [`Reference] is the seed
+      packed BFS — configurations interned by the integer keys of
+      {!Asyncolor_kernel.Engine.Make.config_key} in one [Key_tbl],
+      adjacency in flat int arrays, one FIFO merge loop for every policy;
+      [`Reference] is the seed
       implementation (sequential FIFO BFS over a [Map] keyed by
       [config_compare]), kept as the oracle for the differential tests.
 
       [jobs] (default 1, [`Hashcons] only) sets the number of domains
       expanding configurations; [policy] the execution policy (default:
-      [Serial] when [jobs <= 1], else [Synchronous]).  [Serial] is the
-      in-line sequential builder; [Synchronous] keeps a full barrier
-      between BFS levels (level k+1 expansion starts only once level k
-      has fully merged); [Asynchronous {kappa; _}] lets level k+1
-      expansion start once a κ fraction of level k has merged, bounded
-      by the policy's in-flight window — discovery is async and
-      unordered, id assignment stays a sequential FIFO merge.
+      [Serial] when [jobs <= 1], else [Synchronous]).  Whenever the
+      executor has one job — [Serial], or any policy at [jobs = 1] — the
+      merging domain expands each entry in line.  With more jobs,
+      expansions run ahead of the merge as executor futures:
+      [Synchronous] keeps a full barrier between BFS levels (level k+1
+      expansion starts only once level k has fully merged);
+      [Asynchronous {kappa; _}] lets level k+1 expansion start once a κ
+      fraction of level k has merged, bounded by the policy's in-flight
+      window — discovery is async and unordered, id assignment stays a
+      sequential FIFO merge.
       {b Deterministic-output guarantee}: the report — configuration ids
       embedded in messages, schedules, violation order, every counter —
       is byte-identical for every [jobs] value, every policy, and
@@ -201,8 +204,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       ({!Asyncolor_resilience.Budget}); [stop] is an arbitrary
       cancellation callback (e.g. {!Asyncolor_resilience.Stop.requested}
       fed by signal handlers), polled with the current number of interned
-      configurations.  Both are checked at the same boundary in every
-      builder: before each pending entry is merged.  When either fires,
+      configurations.  Both are checked at the same boundary under every
+      policy: before each pending entry is merged.  When either fires,
       the run {e degrades, never corrupts}: a final checkpoint is
       written (if configured) while the pending set is intact, and the
       returned report is a well-formed truncation with [complete = false]
@@ -249,9 +252,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       The run is traced out-of-band — never through stdout, so the
       deterministic-output guarantee is untouched: the report is
       byte-identical with tracing on or off.  The whole call is an
-      ["explore"] span; the pipelined builder emits one ["bfs.level"]
-      span per BFS level with the executor's ["exec.task"] spans on
-      per-domain [exec-worker-N] lanes underneath; checkpoint writes are
+      ["explore"] span; every run emits one ["bfs.level"] span per BFS
+      level, with the executor's ["exec.task"] spans on per-domain
+      [exec-worker-N] lanes underneath when expansion is parallel; checkpoint writes are
       ["checkpoint.save"] spans and the final analyses
       ["analyze.livelock"]/["analyze.worstcase"].  Counters:
       ["explorer.configs"] equals {!report.configs} exactly on fresh
@@ -268,7 +271,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       ["explorer.canon_ns"]; spilling adds ["spill.bytes_written"] /
       ["spill.bytes_read"] and the ["spill.levels_on_disk"] gauge; and
       ["explorer.peak_heap_words"] tracks the live-heap high-water mark
-      sampled at merge boundaries — the number the bench's
+      sampled every 1024 merged entries and once at the end of the BFS —
+      the number the bench's
       [peak_live_words] field reports.  The
       [`Reference] oracle is deliberately uninstrumented — its counters
       stay 0 — so differential tests compare protocol behaviour, not
@@ -304,8 +308,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       describes, structurally: the packed configuration graph built so
       far, the intern table as flat key payloads, and the
       interned-but-unexpanded configurations in FIFO discovery order.
-      Because both packed builders expand pending entries in stored order
-      and assign dense ids in expansion order, resuming is
+      Because the BFS driver expands pending entries in stored order and
+      assigns dense ids in expansion order under every policy, resuming is
       {e byte-identical}: the final report of an interrupted-and-resumed
       run equals the report of an uninterrupted run, for every [jobs]
       value on either side of the interruption. *)

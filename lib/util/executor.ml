@@ -573,22 +573,26 @@ let map_result t ?(retries = 0) f input =
     (* first (lowest-index) final error wins, so failures are
        deterministic regardless of which domain hit them *)
     let error = ref None in
-    let cancelled = Atomic.make false in
+    (* Lowest index with a final error so far; [total] while none. *)
+    let first_failed = Atomic.make total in
+    let cancelled () = Atomic.get first_failed < total in
     let record_error (e : batch_error) =
       Mutex.lock t.mutex;
       (match !error with
       | Some prev when prev.index <= e.index -> ()
-      | _ -> error := Some e);
-      Mutex.unlock t.mutex;
-      Atomic.set cancelled true
+      | _ ->
+          error := Some e;
+          Atomic.set first_failed e.index);
+      Mutex.unlock t.mutex
     in
     let run_item i =
-      (* After cancellation a task completes as a no-op: [f] is never
-         called, so a poisoned item costs at most the in-flight window
-         beyond itself.  Dispatch is FIFO in index order, so the overall
-         lowest failing index always runs before cancellation can skip
-         it — the reported error is deterministic. *)
-      if not (Atomic.get cancelled) then begin
+      (* After cancellation a task above the failed index completes as a
+         no-op: [f] is never called, so a poisoned item costs at most the
+         in-flight window beyond itself.  Items below it still run — one
+         may have been dequeued but not started when a later item failed
+         — so the lowest failing index is always found and the reported
+         error is deterministic. *)
+      if i < Atomic.get first_failed then begin
         let rec attempt k =
           if k > 1 then Obs.Counter.incr t.c_retries;
           match f input.(i) with
@@ -608,7 +612,7 @@ let map_result t ?(retries = 0) f input =
       while
         !submitted < total
         && !submitted - !consumed < window
-        && not (Atomic.get cancelled)
+        && not (cancelled ())
       do
         let i = !submitted in
         futs.(i) <- Some (submit t (fun () -> run_item i));
@@ -618,7 +622,7 @@ let map_result t ?(retries = 0) f input =
       if
         !submitted < total
         && !submitted - !consumed >= window
-        && not (Atomic.get cancelled)
+        && not (cancelled ())
       then note_backpressure t;
       if !consumed < !submitted then begin
         (match futs.(!consumed) with

@@ -191,14 +191,14 @@ val map_result :
 
     {b Failure isolation.}  An item that raises is retried up to
     [retries] times (default 0).  Once an item's error is final the
-    batch is {e cancelled}: tasks not yet started complete as no-ops
-    (their [f] is never called), only in-flight items run to completion
-    — one poisoned item no longer pays for the whole remaining batch.
-    Because dispatch is FIFO in index order, the overall lowest failing
-    index is always dispatched before cancellation can skip anything
-    below it, so the reported error is deterministic regardless of
-    domain scheduling or policy.  The executor stays usable after a
-    failed batch. *)
+    batch is {e cancelled}: tasks above the lowest failing index not yet
+    started complete as no-ops (their [f] is never called), only
+    in-flight items run to completion — one poisoned item no longer pays
+    for the whole remaining batch.  Items below that index always run
+    (dispatch is FIFO in index order, so they were all submitted before
+    it), so the reported error is the overall lowest failing index,
+    deterministic regardless of domain scheduling or policy.  The
+    executor stays usable after a failed batch. *)
 
 val map : t -> ?retries:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Like {!map_result} but re-raises the lowest-index final error with

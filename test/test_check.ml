@@ -353,8 +353,8 @@ let test_resume_identical_at_every_cut () =
       done)
 
 let test_resume_after_parallel_interrupt () =
-  (* Interrupt a jobs=4 run (checkpoint boundaries are BFS levels there),
-     resume sequentially and in parallel: same report. *)
+  (* Interrupt a jobs=4 run (its expansions run ahead of the merge on
+     worker domains), resume sequentially and in parallel: same report. *)
   let baseline = baseline3 () in
   with_temp_ckpt (fun path ->
       List.iter
@@ -437,8 +437,8 @@ let test_resume_rejects_other_protocol () =
 
 let test_budget_truncates_cleanly () =
   (* An already-exhausted wall budget must yield a well-formed truncated
-     report — complete=false, the -1 sentinel — and no exception, for
-     both builders. *)
+     report — complete=false, the -1 sentinel — and no exception, with
+     expansion inline (jobs=1) and on worker domains (jobs=4). *)
   List.iter
     (fun jobs ->
       let r =
@@ -690,6 +690,51 @@ let test_adaptive_singleton_monotone_growth () =
   check Alcotest.bool "bounded by theorem" true
     (w16 <= Asyncolor.Algorithm2.activation_bound 16)
 
+(* --- observability: run-shape counters ---------------------------------- *)
+
+module Obs = Asyncolor_obs.Obs
+module E2 = Explorer.Make (Asyncolor.Algorithm2.P)
+
+let traced_c3 ?jobs ?policy () =
+  let obs = Obs.create () in
+  ignore (E2.explore ?jobs ?policy ~obs g3 ~idents:[| 5; 1; 9 |]);
+  Obs.metrics obs
+
+let test_peak_heap_sampled_on_small_runs () =
+  (* A C3 run merges far fewer than 1024 entries; the sample taken where
+     the loop exits must still land. *)
+  let heap = List.assoc "explorer.peak_heap_words" (traced_c3 ()) in
+  check Alcotest.bool "explorer.peak_heap_words > 0" true (heap > 0)
+
+let test_level_accounting_policy_independent () =
+  (* Levels are read off the one merge order, so every policy and job
+     count reports the same BFS shape. *)
+  let module Exec = Asyncolor_util.Executor in
+  let shape (name, jobs, policy) =
+    let m = traced_c3 ~jobs ~policy () in
+    ( name,
+      (List.assoc "explorer.levels" m, List.assoc "explorer.frontier_max" m) )
+  in
+  let rows =
+    List.map shape
+      [
+        ("serial", 1, Exec.Serial);
+        ("sync jobs=2", 2, Exec.Synchronous);
+        ("sync jobs=4", 4, Exec.Synchronous);
+        ("async κ=0.5 jobs=1", 1, Exec.asynchronous ~kappa:0.5 ~jobs:1 ());
+        ("async κ=0.5 jobs=2", 2, Exec.asynchronous ~kappa:0.5 ~jobs:2 ());
+        ("async κ=0.5 jobs=4", 4, Exec.asynchronous ~kappa:0.5 ~jobs:4 ());
+        ("async κ=0 jobs=4", 4, Exec.asynchronous ~kappa:0.0 ~jobs:4 ());
+      ]
+  in
+  let _, ((levels, frontier) as first) = List.hd rows in
+  check Alcotest.bool "levels > 0" true (levels > 0);
+  check Alcotest.bool "frontier_max > 0" true (frontier > 0);
+  List.iter
+    (fun (name, row) ->
+      check Alcotest.(pair int int) (name ^ ": (levels, frontier_max)") first row)
+    rows
+
 let () =
   Alcotest.run "check"
     [
@@ -766,5 +811,12 @@ let () =
             test_chaos_exhaustion_truncates_cleanly;
           Alcotest.test_case "spill failure truncates at seal" `Quick
             test_chaos_spill_failure_truncates_at_seal;
+        ] );
+      ( "observability",
+        [
+          Alcotest.test_case "peak heap sampled on small runs" `Quick
+            test_peak_heap_sampled_on_small_runs;
+          Alcotest.test_case "level accounting policy-independent" `Quick
+            test_level_accounting_policy_independent;
         ] );
     ]
