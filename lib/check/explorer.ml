@@ -1,4 +1,5 @@
 module Vec = Asyncolor_util.Vec
+module Mask = Asyncolor_util.Mask
 module Ring = Asyncolor_util.Ring
 module Executor = Asyncolor_util.Executor
 module Level_log = Asyncolor_util.Sharded_tbl.Level_log
@@ -102,15 +103,13 @@ let masks_of mode unfinished =
       done;
       out
   | `All_subsets ->
-      let positions = Array.make (Sys.int_size - 1) 0 in
-      let k = ref 0 in
-      for p = 0 to Sys.int_size - 2 do
-        if unfinished land (1 lsl p) <> 0 then begin
-          positions.(!k) <- p;
-          incr k
-        end
+      let k = Mask.popcount unfinished in
+      let positions = Array.make k 0 in
+      let m = ref unfinished in
+      for i = 0 to k - 1 do
+        positions.(i) <- Mask.lowest_bit !m;
+        m := !m land (!m - 1)
       done;
-      let k = !k in
       if k = 0 then [||]
       else
         Array.init
@@ -865,8 +864,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       st.s_next_id < params.max_configs
     in
     (* Folds one successor of [uid] into the packed state.  At one job
-       without symmetry [rep] is a placeholder and the live engine holds
-       the successor; otherwise [rep] is the canonical representative. *)
+       without symmetry [rep] is a placeholder, the live engine holds the
+       successor and [key] is its probe, copied only on a miss; otherwise
+       [rep] is the canonical representative. *)
     let merge uid orbit_u mask key rep orbit pi =
       st.s_transitions <- st.s_transitions + 1;
       Obs.Counter.incr octx.oc_transitions;
@@ -878,6 +878,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         match Tbl.find_opt tbl key with
         | Some id -> id
         | None ->
+            let key = if snapshot_on_miss then E.key_copy key else key in
             let rep = if snapshot_on_miss then E.snapshot engine else rep in
             let id = register_st ~params st rep ~orbit in
             Ring.push pend rep;
@@ -909,7 +910,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
               let key, rep, orbit, pi = canon (E.snapshot engine) in
               merge uid orbit_u mask key rep orbit pi
             end
-            else merge uid orbit_u mask (E.key engine) config 1 0
+            else merge uid orbit_u mask (E.key_probe engine) config 1 0
           end
         done
       end

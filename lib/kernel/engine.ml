@@ -2,10 +2,8 @@ module Graph = Asyncolor_topology.Graph
 module Mask = Asyncolor_util.Mask
 
 (* A growable int buffer that the key encoder writes through one
-   preallocated [emit] closure.  The engine owns one, so [key] on the
-   live engine allocates nothing but the key itself.  Unlike the
-   polymorphic [Vec], its stores are plain int writes, with no write
-   barrier. *)
+   preallocated [emit] closure.  Unlike the polymorphic [Vec], its stores
+   are plain int writes, with no write barrier. *)
 type kbuf = { mutable data : int array; mutable len : int; emit : int -> unit }
 
 let kbuf_push b x =
@@ -28,8 +26,29 @@ let kbuf_open b =
 let kbuf_close b at = b.data.(at) <- b.len - at - 1
 
 let kbuf_create () =
-  let rec b = { data = Array.make 64 0; len = 0; emit = (fun x -> kbuf_push b x) } in
+  let rec b = { data = Array.make 16 0; len = 0; emit = (fun x -> kbuf_push b x) } in
   b
+
+(* [config_key] and [config_key_offsets] encode into this per-domain
+   scratch, so a key costs its own allocation and nothing else. *)
+let scratch = Domain.DLS.new_key kbuf_create
+
+(* The key hash is the polynomial [h <- 31 h + x] over the key's ints,
+   modulo 2^62, then [mix]ed.  [Hashtbl] buckets on the low bits, and
+   the polynomial's low bits alone fill only about a third of the
+   buckets on the explorer's keys; the finaliser (a 63-bit variant of
+   MurmurHash3's fmix64) spreads every input bit over the whole word. *)
+let mix h =
+  let h = (h lxor (h lsr 33)) * 0x3f51_afd7_ed55_8ccd in
+  let h = (h lxor (h lsr 33)) * 0x04ce_b9fe_1a85_ec53 in
+  (h lxor (h lsr 33)) land max_int
+
+let hash_ints a =
+  let h = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    h := ((!h * 31) + a.(i)) land max_int
+  done;
+  !h
 
 module Make (P : Protocol.S) = struct
   type event = {
@@ -38,6 +57,25 @@ module Make (P : Protocol.S) = struct
     returned : (int * P.output) list;
     resets : (int * int) list;
   }
+
+  type config = {
+    c_states : P.state option array;
+    c_status : P.output Status.t array;
+    c_public : P.register option array;
+    c_time : int;
+    c_activations : int array;
+  }
+
+  (* No configuration's arrays are these, so an engine whose [last] is
+     [no_config] takes the full path at its next [restore]. *)
+  let no_config =
+    {
+      c_states = [||];
+      c_status = [||];
+      c_public = [||];
+      c_time = 0;
+      c_activations = [||];
+    }
 
   type t = {
     graph : Graph.t;
@@ -63,7 +101,27 @@ module Make (P : Protocol.S) = struct
            each of its rounds (the [Protocol.S.transition] lifetime rule) *)
     mutable step_returned : (int * P.output) list;
         (* the current step's returns, newest first; traced runs only *)
-    kbuf : kbuf;  (* scratch for [key] *)
+    segs : kbuf array;
+        (* [segs.(p)]: process [p]'s framed key segment, as of the last
+           [key_probe] that refreshed it *)
+    seg_hash : int array;  (* the polynomial hash of [segs.(p)] *)
+    seg_pow : int array;  (* 31 ^ length of [segs.(p)], modulo 2^62 *)
+    mutable stale : int;
+        (* when [masked], bit [p] is set iff [segs.(p)] may differ from
+           [p]'s live segment: set by every step for the processes it
+           steps and by [restore] for those it rewrites, set whole by
+           [reset] and a full [restore], cleared by [key_probe].
+           Unmasked engines re-encode every segment. *)
+    mutable last : config;
+        (* the configuration restored last; [no_config] before the first
+           [restore] and after a [reset] *)
+    mutable touched : int;
+        (* when [masked], bit [p] is set iff a step since the restore of
+           [last] stepped [p]: every other process still holds [last]'s
+           values *)
+    mutable probe_bufs : int array array;
+        (* [probe_bufs.(len)]: the buffer [key_probe] returns for keys of
+           [len] ints ([[||]] until first needed) *)
   }
 
   (* Bit [p] set iff [status.(p)] has not returned (for at most
@@ -96,7 +154,13 @@ module Make (P : Protocol.S) = struct
       umask = (if masked then (1 lsl n) - 1 else 0);
       views = Array.init n (fun p -> Array.make (Graph.degree graph p) None);
       step_returned = [];
-      kbuf = kbuf_create ();
+      segs = Array.init n (fun _ -> kbuf_create ());
+      seg_hash = Array.make n 0;
+      seg_pow = Array.make n 1;
+      stale = -1;
+      last = no_config;
+      touched = 0;
+      probe_bufs = [||];
     }
 
   let graph t = t.graph
@@ -139,6 +203,12 @@ module Make (P : Protocol.S) = struct
   let unfinished_mask t =
     check_mask_width t "unfinished_mask";
     t.umask
+
+  (* A step marks the processes it steps, once, from its live mask: their
+     key segments go stale and a fast [restore] must rewrite them. *)
+  let mark_stepped t live =
+    t.stale <- t.stale lor live;
+    t.touched <- t.touched lor live
 
   let set_monitor t f = t.monitor <- Some f
   let trace t = List.rev t.trace
@@ -204,6 +274,10 @@ module Make (P : Protocol.S) = struct
     t.public.(p) <- None;
     t.activations.(p) <- 0;
     t.unfinished_cache <- None;
+    (* Every cached segment goes stale, and the next [restore] is a full
+       one. *)
+    t.stale <- -1;
+    t.last <- no_config;
     if t.masked then t.umask <- t.umask lor (1 lsl p);
     if t.record_trace then
       t.trace <-
@@ -224,6 +298,8 @@ module Make (P : Protocol.S) = struct
     t.time <- t.time + 1;
     let set = List.sort_uniq compare set in
     let set = List.filter (fun p -> not (Status.is_returned t.status.(p))) set in
+    if t.masked then
+      mark_stepped t (List.fold_left (fun m p -> m lor (1 lsl p)) 0 set);
     List.iter (fun p -> wake_and_write t p) set;
     t.step_returned <- [];
     List.iter (fun p -> read_and_update t p) set;
@@ -245,6 +321,7 @@ module Make (P : Protocol.S) = struct
            n);
     t.time <- t.time + 1;
     let live = mask land t.umask in
+    mark_stepped t live;
     let m = ref live in
     while !m <> 0 do
       wake_and_write t (Mask.lowest_bit !m);
@@ -306,14 +383,6 @@ module Make (P : Protocol.S) = struct
     done;
     Format.fprintf ppf "@]"
 
-  type config = {
-    c_states : P.state option array;
-    c_status : P.output Status.t array;
-    c_public : P.register option array;
-    c_time : int;
-    c_activations : int array;
-  }
-
   let snapshot t =
     {
       c_states = Array.copy t.states;
@@ -323,14 +392,38 @@ module Make (P : Protocol.S) = struct
       c_activations = Array.copy t.activations;
     }
 
+  (* Back to the configuration restored last, only the processes stepped
+     since then differ from it: rewrite those and patch their [umask]
+     bits.  Any other configuration is copied whole. *)
   let restore t c =
-    Array.blit c.c_states 0 t.states 0 (Array.length c.c_states);
-    Array.blit c.c_status 0 t.status 0 (Array.length c.c_status);
-    Array.blit c.c_public 0 t.public 0 (Array.length c.c_public);
-    Array.blit c.c_activations 0 t.activations 0 (Array.length c.c_activations);
+    if t.masked && c == t.last then begin
+      let touched = t.touched in
+      let m = ref touched and live = ref 0 in
+      while !m <> 0 do
+        let p = Mask.lowest_bit !m in
+        t.states.(p) <- c.c_states.(p);
+        t.status.(p) <- c.c_status.(p);
+        t.public.(p) <- c.c_public.(p);
+        t.activations.(p) <- c.c_activations.(p);
+        if not (Status.is_returned c.c_status.(p)) then live := !live lor (1 lsl p);
+        m := !m land (!m - 1)
+      done;
+      t.umask <- (t.umask land lnot touched) lor !live;
+      t.stale <- t.stale lor touched;
+      t.touched <- 0
+    end
+    else begin
+      Array.blit c.c_states 0 t.states 0 (Array.length c.c_states);
+      Array.blit c.c_status 0 t.status 0 (Array.length c.c_status);
+      Array.blit c.c_public 0 t.public 0 (Array.length c.c_public);
+      Array.blit c.c_activations 0 t.activations 0 (Array.length c.c_activations);
+      if t.masked then t.umask <- unfinished_bits c.c_status;
+      t.stale <- -1;
+      t.touched <- 0;
+      t.last <- c
+    end;
     t.time <- c.c_time;
-    t.unfinished_cache <- None;
-    if t.masked then t.umask <- unfinished_bits c.c_status
+    t.unfinished_cache <- None
 
   (* Configuration identity covers only the process-visible part
      (states, statuses, registers); the observers captured for [restore]
@@ -350,12 +443,7 @@ module Make (P : Protocol.S) = struct
 
   type key = { kdata : int array; khash : int }
 
-  let hash_ints a =
-    let h = ref 0 in
-    for i = 0 to Array.length a - 1 do
-      h := ((!h * 31) + a.(i)) land max_int
-    done;
-    !h
+  let key_of_data kdata = { kdata; khash = mix (hash_ints kdata) }
 
   (* Append process [p]'s framed segment to [b], reading the three
      visible arrays of a configuration or of the live engine alike.
@@ -387,22 +475,73 @@ module Make (P : Protocol.S) = struct
         P.encode_register b.emit r;
         kbuf_close b at
 
-  let encode_key b ~status ~states ~public =
-    b.len <- 0;
-    for p = 0 to Array.length status - 1 do
-      encode_segment b ~status ~states ~public p
-    done;
-    let kdata = Array.sub b.data 0 b.len in
-    { kdata; khash = hash_ints kdata }
-
   let config_key c =
-    encode_key (kbuf_create ()) ~status:c.c_status ~states:c.c_states
-      ~public:c.c_public
+    let b = Domain.DLS.get scratch in
+    b.len <- 0;
+    for p = 0 to Array.length c.c_status - 1 do
+      encode_segment b ~status:c.c_status ~states:c.c_states ~public:c.c_public p
+    done;
+    key_of_data (Array.sub b.data 0 b.len)
 
-  let key t = encode_key t.kbuf ~status:t.status ~states:t.states ~public:t.public
+  (* Re-encode process [p]'s cached segment from the live engine. *)
+  let refresh_segment t p =
+    let b = t.segs.(p) in
+    b.len <- 0;
+    encode_segment b ~status:t.status ~states:t.states ~public:t.public p;
+    let h = ref 0 and pow = ref 1 in
+    for i = 0 to b.len - 1 do
+      h := ((!h * 31) + b.data.(i)) land max_int;
+      pow := (!pow * 31) land max_int
+    done;
+    t.seg_hash.(p) <- !h;
+    t.seg_pow.(p) <- !pow
+
+  let probe_buf t len =
+    if len >= Array.length t.probe_bufs then begin
+      let bufs = Array.make ((2 * len) + 1) [||] in
+      Array.blit t.probe_bufs 0 bufs 0 (Array.length t.probe_bufs);
+      t.probe_bufs <- bufs
+    end;
+    let buf = t.probe_bufs.(len) in
+    if Array.length buf = len then buf
+    else begin
+      let buf = Array.make len 0 in
+      t.probe_bufs.(len) <- buf;
+      buf
+    end
+
+  (* The flat hash of a concatenation [a @ b] is
+     [hash a * 31 ^ length b + hash b], so the segments' cached hashes
+     combine into the key's without rereading a single int.  The copy
+     loop is typed: its stores are plain int writes, where [Array.blit]
+     into a major-heap buffer would take the write barrier per element. *)
+  let key_probe t =
+    let n = n t in
+    let h = ref 0 and len = ref 0 in
+    for p = 0 to n - 1 do
+      if (not t.masked) || t.stale land (1 lsl p) <> 0 then refresh_segment t p;
+      h := ((!h * t.seg_pow.(p)) + t.seg_hash.(p)) land max_int;
+      len := !len + t.segs.(p).len
+    done;
+    t.stale <- 0;
+    let buf = probe_buf t !len in
+    let off = ref 0 in
+    for p = 0 to n - 1 do
+      let seg = t.segs.(p) in
+      let data = seg.data and o = !off in
+      for i = 0 to seg.len - 1 do
+        buf.(o + i) <- data.(i)
+      done;
+      off := o + seg.len
+    done;
+    { kdata = buf; khash = mix !h }
+
+  let key_copy k = { k with kdata = Array.copy k.kdata }
+  let key t = key_copy (key_probe t)
 
   let config_key_offsets c =
-    let b = kbuf_create () in
+    let b = Domain.DLS.get scratch in
+    b.len <- 0;
     let n = Array.length c.c_status in
     let offsets = Array.make (n + 1) 0 in
     for p = 0 to n - 1 do
@@ -410,8 +549,7 @@ module Make (P : Protocol.S) = struct
         ~public:c.c_public p;
       offsets.(p + 1) <- b.len
     done;
-    let kdata = Array.sub b.data 0 b.len in
-    ({ kdata; khash = hash_ints kdata }, offsets)
+    (key_of_data (Array.sub b.data 0 b.len), offsets)
 
   let config_permute c perm =
     let n = Array.length c.c_status in
@@ -427,16 +565,22 @@ module Make (P : Protocol.S) = struct
 
   let key_hash k = k.khash
   let key_data k = k.kdata
-  let key_of_data kdata = { kdata; khash = hash_ints kdata }
 
+  (* A loop, not a local recursive function: a duplicate probe reaches
+     the element compare on every lookup, and the closure such a function
+     needs would be its only allocation. *)
   let key_equal a b =
     a.khash = b.khash
     &&
-    let la = Array.length a.kdata in
-    la = Array.length b.kdata
+    let da = a.kdata and db = b.kdata in
+    let la = Array.length da in
+    la = Array.length db
     &&
-    let rec eq i = i >= la || (a.kdata.(i) = b.kdata.(i) && eq (i + 1)) in
-    eq 0
+    let i = ref 0 in
+    while !i < la && da.(!i) = db.(!i) do
+      incr i
+    done;
+    !i = la
 
   module Key_tbl = Hashtbl.Make (struct
     type t = key

@@ -19,11 +19,28 @@
     bitmask, bit [p] for process [p], updated where statuses change: every
     bit is set by {!Make.create}, a process's bit is cleared by the round
     in which it returns and set again by {!Make.reset}, and {!Make.restore}
-    recomputes the whole mask.  It equals a scan of {!Make.status} after
-    every operation, and makes {!Make.unfinished_mask} and
-    {!Make.all_returned} O(1) and {!Make.activate_mask} O(popcount) of the
-    processes that step.  Wider engines keep the O(n) status scans of the
-    list API, and the mask entry points raise there. *)
+    rewrites the bits of the processes it rewrites.  It equals a scan of
+    {!Make.status} after every operation, and makes {!Make.unfinished_mask}
+    and {!Make.all_returned} O(1) and {!Make.activate_mask} O(popcount) of
+    the processes that step.  Wider engines keep the O(n) status scans of
+    the list API, and the mask entry points raise there.
+
+    {e The segment cache.}  A step changes only the processes it steps
+    (paper §2.1), and a masked engine makes its snapshot loop pay for
+    those alone:
+    - every step marks the processes it steps, once per step;
+    - {!Make.restore} of the configuration restored last (the same
+      physical value) rewrites only the processes stepped since that
+      restore; any other configuration, and every restore after a
+      {!Make.reset}, is copied whole;
+    - the engine caches each process's framed key segment and the
+      segment's hash.  A segment is stale once its process is stepped
+      or rewritten, and every segment is stale after {!Make.reset} or a
+      full restore.  {!Make.key_probe} re-encodes only the stale ones.
+    The invariant: after every operation, a segment that is not stale
+    equals the encoding of its process's live status, state and
+    register.  Wider engines re-encode every segment and copy every
+    restore. *)
 
 module Make (P : Protocol.S) : sig
   type t
@@ -160,9 +177,12 @@ module Make (P : Protocol.S) : sig
   val restore : t -> config -> unit
   (** [restore t c] rewinds statuses, states, registers, the time counter
       and the per-process activation counters to their values at
-      [snapshot], and recomputes the unfinished mask from the restored
-      statuses (a configuration does not store it).  The recorded trace
-      and the monitor are left alone. *)
+      [snapshot], and sets the unfinished mask from the restored statuses
+      (a configuration does not store it).  The recorded trace and the
+      monitor are left alone.  When [c] is the configuration [t] restored
+      last and no {!reset} came since, only the processes stepped since
+      then are rewritten: O(popcount) of them instead of O(n).  The result
+      is the same either way. *)
 
   val config_compare : config -> config -> int
   (** Total order on the process-visible part of configurations
@@ -196,12 +216,28 @@ module Make (P : Protocol.S) : sig
   val key : t -> key
   (** [key t] packs the live engine's process-visible part: it equals
       [config_key (snapshot t)] (same data, same hash) without building
-      the snapshot.  The explorer keys every successor this way and
-      snapshots only the ones it has not seen.  It writes through a
-      buffer owned by [t], so, like every other engine operation, it is
-      for one domain at a time. *)
+      the snapshot.  It is [key_copy (key_probe t)]. *)
+
+  val key_probe : t -> key
+  (** [key_probe t] is {!key} without the copy: its data is a buffer
+      owned by [t], which the next operation on [t] may overwrite.  So a
+      probe is valid until the next engine operation, and it is for
+      lookups only: a table must store [key_copy] of it.  The explorer
+      looks up every successor with a probe and copies it only on a miss,
+      so a duplicate copies no key data.  It re-encodes only the stale
+      segments (see the segment cache above).  Like every other engine
+      operation, it is for one domain at a time. *)
+
+  val key_copy : key -> key
+  (** A key equal to its argument that shares no buffer with an engine. *)
 
   val key_hash : key -> int
+  (** The polynomial hash [h <- 31 h + x] modulo 2{^62} over the key's
+      ints, put through a 64-bit-style finaliser.  The polynomial part
+      concatenates: the hash of [a @ b] is [hash a * 31^length b + hash b],
+      so {!key_probe} combines cached segment hashes into exactly the hash
+      {!config_key} and {!key_of_data} compute from the flat data. *)
+
   val key_equal : key -> key -> bool
 
   val key_data : key -> int array

@@ -480,6 +480,193 @@ end
 module Mask2 = Mask_walk (Asyncolor.Algorithm2.P)
 module Mask3 = Mask_walk (Asyncolor.Algorithm3.P)
 
+(* The segment cache and the restore fast path against their full
+   counterparts, on random sequences of every operation that moves them:
+   restores of the configuration restored last or of another one, list
+   and mask steps, resets and snapshots.  Three engines take the same
+   operations.  [fast] and [lazy_] restore the snapshots themselves, so
+   restoring the configuration restored last takes the fast path; [full]
+   restores a fresh copy each time (an identity [config_permute]), so it
+   always copies the whole configuration.  After every operation [fast]
+   and [lazy_] must equal [full] in [config_compare], time, activation
+   counters and unfinished mask; on [fast], [key], [key_probe] and
+   [config_key (snapshot)] must agree in data and hash.  [lazy_] is keyed
+   only now and then, so stale marks pile up across operations between
+   its keys.  n runs over C3..C8 and one cycle past the mask width, where
+   every restore and key takes the full path. *)
+module Cache_walk (P : Asyncolor_kernel.Protocol.S) = struct
+  module E = Engine.Make (P)
+
+  let keys_agree eng =
+    let packed = E.config_key (E.snapshot eng) in
+    let copied = E.key eng in
+    let probe = E.key_probe eng in
+    List.for_all
+      (fun k ->
+        E.key_data k = E.key_data packed
+        && E.key_hash k = E.key_hash packed
+        && E.key_equal k packed)
+      [ copied; probe; E.key_of_data (E.key_data probe) ]
+
+  let same a b =
+    let n = E.n a in
+    E.config_compare (E.snapshot a) (E.snapshot b) = 0
+    && E.time a = E.time b
+    && List.for_all
+         (fun p -> E.activations a p = E.activations b p)
+         (List.init n Fun.id)
+    && (n > Sys.int_size - 1 || E.unfinished_mask a = E.unfinished_mask b)
+
+  let walk (n, seed) =
+    let prng = Prng.create ~seed in
+    let idents =
+      Asyncolor_workload.Idents.random_permutation (Prng.split prng) n
+    in
+    let g = Builders.cycle n in
+    let fast = E.create g ~idents
+    and lazy_ = E.create g ~idents
+    and full = E.create g ~idents in
+    let engines = [ fast; lazy_; full ] in
+    let masked = n <= Sys.int_size - 1 in
+    let all = if masked then (1 lsl n) - 1 else 0 in
+    let random_set () =
+      List.filter (fun _ -> Prng.int prng 3 = 0) (List.init n Fun.id)
+    in
+    let random_mask () =
+      if Prng.bool prng then Prng.bool_mask prng all
+      else Prng.bool_mask prng all land Prng.bool_mask prng all
+    in
+    let identity = Array.init n Fun.id in
+    let snaps = ref [||] and last = ref None in
+    let next_ident = ref (10 * n) in
+    let ok = ref (keys_agree fast) in
+    for _ = 1 to 60 do
+      (match Prng.int prng 6 with
+      | 0 | 1 -> (
+          let c =
+            match !last with
+            | Some c when Prng.bool prng -> Some c
+            | _ -> if !snaps = [||] then None else Some (Prng.choose prng !snaps)
+          in
+          match c with
+          | None -> ()
+          | Some c ->
+              E.restore fast c;
+              E.restore lazy_ c;
+              E.restore full (E.config_permute c identity);
+              last := Some c)
+      | 2 when masked ->
+          let mask = random_mask () in
+          List.iter (fun e -> E.activate_mask e mask) engines
+      | 2 | 3 ->
+          let set = random_set () in
+          List.iter (fun e -> E.activate e set) engines
+      | 4 ->
+          let p = Prng.int prng n in
+          incr next_ident;
+          List.iter (fun e -> E.reset e p ~ident:!next_ident) engines
+      | _ -> snaps := Array.append !snaps [| E.snapshot fast |]);
+      ok :=
+        !ok && same fast full && same lazy_ full && keys_agree fast
+        && (Prng.int prng 4 <> 0 || keys_agree lazy_)
+    done;
+    !ok
+
+  let prop name =
+    QCheck.Test.make
+      ~name:("segment cache and fast restore = full path, " ^ name)
+      ~count:100
+      QCheck.(pair (oneofl [ 3; 4; 5; 6; 7; 8; 8; Sys.int_size ]) (int_range 0 10_000))
+      walk
+end
+
+module Cache1 = Cache_walk (Asyncolor.Algorithm1.P)
+module Cache2 = Cache_walk (Asyncolor.Algorithm2.P)
+module Cache3 = Cache_walk (Asyncolor.Algorithm3.P)
+
+module A2 = Asyncolor.Algorithm2
+
+(* Every configuration the full model reaches from [idents] on the cycle,
+   interned the explorer's way: each successor is looked up with the
+   engine's probe and copied into the table only on a miss.  Returns the
+   table (key to BFS id), the configurations by id, and the engine.
+   Fails past [cap] configurations: a key whose hash disagrees with its
+   data never finds its duplicates, and the search would not end. *)
+let intern_reachable ~cap idents =
+  let eng = A2.E.create (Builders.cycle (Array.length idents)) ~idents in
+  let tbl = A2.E.Key_tbl.create 16 in
+  let root = A2.E.snapshot eng in
+  let found = ref [ root ] and next = ref 1 in
+  A2.E.Key_tbl.add tbl (A2.E.key eng) 0;
+  let queue = Queue.create () in
+  Queue.push root queue;
+  while not (Queue.is_empty queue) do
+    let c = Queue.pop queue in
+    let um = A2.E.config_unfinished_mask c in
+    let s = ref um in
+    while !s <> 0 do
+      A2.E.restore eng c;
+      A2.E.activate_mask eng !s;
+      let probe = A2.E.key_probe eng in
+      if not (A2.E.Key_tbl.mem tbl probe) then begin
+        if !next >= cap then Alcotest.failf "more than %d configurations" cap;
+        let succ = A2.E.snapshot eng in
+        A2.E.Key_tbl.add tbl (A2.E.key_copy probe) !next;
+        found := succ :: !found;
+        incr next;
+        Queue.push succ queue
+      end;
+      s := (!s - 1) land um
+    done
+  done;
+  (tbl, Array.of_list (List.rev !found), eng)
+
+(* The key hash must spread the explorer's keys over a [Hashtbl]'s
+   buckets, which it indexes by the low hash bits: over the C5 full
+   model's keys, a successful lookup must average at most two key
+   compares.  The unmixed polynomial hash needs 3.37. *)
+let test_key_hash_spread () =
+  let tbl, configs, _ = intern_reachable ~cap:100_000 [| 5; 1; 9; 4; 7 |] in
+  check Alcotest.int "C5 full-model configurations" 97_197 (Array.length configs);
+  let st = A2.E.Key_tbl.stats tbl in
+  let compares = ref 0 in
+  Array.iteri
+    (fun len buckets -> compares := !compares + (buckets * len * (len + 1) / 2))
+    st.bucket_histogram;
+  let mean = float !compares /. float st.num_bindings in
+  if mean > 2.0 then
+    Alcotest.failf "%.2f compares per successful lookup (max bucket %d)" mean
+      st.max_bucket_length
+
+(* A table filled probe-on-hit, copy-on-miss holds no buffer of the
+   engine's: after many more steps overwrite the probe buffers, it still
+   equals a table built from [config_key (snapshot)]. *)
+let test_probe_lifetime () =
+  let tbl, configs, eng = intern_reachable ~cap:3_000 [| 5; 1; 9; 4 |] in
+  let prng = Prng.create ~seed:3 in
+  for _ = 1 to 2_000 do
+    A2.E.restore eng (Prng.choose prng configs);
+    let um = A2.E.unfinished_mask eng in
+    if um <> 0 then begin
+      A2.E.activate_mask eng (Prng.bool_mask prng um);
+      ignore (A2.E.key_probe eng)
+    end
+  done;
+  check Alcotest.int "same size" (Array.length configs) (A2.E.Key_tbl.length tbl);
+  Array.iteri
+    (fun id c ->
+      match A2.E.Key_tbl.find_opt tbl (A2.E.config_key c) with
+      | Some id' when id' = id -> ()
+      | _ -> Alcotest.failf "config %d lost from the probe-filled table" id)
+    configs;
+  A2.E.Key_tbl.iter
+    (fun k id ->
+      let packed = A2.E.config_key configs.(id) in
+      if A2.E.key_data k <> A2.E.key_data packed
+         || A2.E.key_hash k <> A2.E.key_hash packed
+      then Alcotest.failf "stored key %d differs from config_key" id)
+    tbl
+
 (* Past the mask width the engine keeps its array scans: [run] still
    drives it to completion, and the mask entry points refuse it. *)
 let test_wide_engine_without_mask () =
@@ -916,6 +1103,12 @@ let () =
           qtest (Walk3.prop "algorithm 3 with resets" ~resets:true);
           qtest (Mask2.prop "algorithm 2");
           qtest (Mask3.prop "algorithm 3");
+          qtest (Cache1.prop "algorithm 1");
+          qtest (Cache2.prop "algorithm 2");
+          qtest (Cache3.prop "algorithm 3");
+          Alcotest.test_case "key hash spread (C5 full model)" `Quick
+            test_key_hash_spread;
+          Alcotest.test_case "probe lifetime" `Quick test_probe_lifetime;
           Alcotest.test_case "n = int_size: no mask, runs" `Quick
             test_wide_engine_without_mask;
         ] );
