@@ -756,9 +756,10 @@ let run_churn_scale ~quick ~budget =
 (* --- chaos-overhead: the injector's cost when armed but silent -------- *)
 
 (* The resilience layer's "free when off" claim, measured: an injector
-   armed at rate 0 draws one Bernoulli per I/O operation and per worker
-   task but never fires, so its cost against a fully disabled run bounds
-   what --chaos plumbing charges the production paths.  The reports must
+   armed at rate 0 is consulted once per checkpoint/spill I/O operation
+   and returns before touching its PRNG.  This run does no such I/O, so
+   its cost against a fully disabled run is what merely arming --chaos
+   charges the exploration path.  The reports must
    match exactly -- an armed-but-silent injector is invisible on the
    result (the explore-scale determinism gate, extended to chaos). *)
 type chaos_record = {

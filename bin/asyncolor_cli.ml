@@ -190,10 +190,33 @@ let jobs_arg =
            other fan-outs merge results by input index.  Timing/rate \
            diagnostics go to stderr.")
 
+(* [None] is "auto": the library derives Serial/Synchronous from [jobs],
+   exactly the pre-policy behaviour.  An async policy is parsed with
+   placeholder parameters; [make_policy] rebuilds it from [--kappa] and
+   [--jobs]. *)
+let exec_policy_conv =
+  let module Ex = Asyncolor_util.Executor in
+  let parse s =
+    if String.lowercase_ascii s = "auto" then Ok None
+    else
+      match Ex.policy_of_string ~jobs:1 s with
+      | p -> Ok (Some p)
+      | exception Invalid_argument _ ->
+          Error
+            (`Msg
+              (Printf.sprintf
+                 "unknown policy %S, expected auto, serial, sync or async" s))
+  in
+  let print ppf = function
+    | None -> Format.pp_print_string ppf "auto"
+    | Some p -> Format.pp_print_string ppf (Ex.policy_name p)
+  in
+  Arg.conv (parse, print)
+
 let exec_policy_arg =
   Arg.(
     value
-    & opt string "auto"
+    & opt exec_policy_conv None
     & info [ "exec-policy" ] ~docv:"POLICY"
         ~doc:
           "Execution policy for the parallel subcommands: $(b,auto) (serial \
@@ -213,12 +236,11 @@ let kappa_arg =
            BFS level k+1 may start once a K fraction of level k has merged \
            (clamped to [0,1]; 1 reproduces the synchronous barrier).")
 
-(* "auto" maps to [None]: the library derives Serial/Synchronous from
-   [jobs], exactly the pre-policy behaviour. *)
 let make_policy ~policy ~kappa ~jobs =
   match policy with
-  | "auto" -> None
-  | s -> Some (Asyncolor_util.Executor.policy_of_string ~kappa ~jobs s)
+  | Some (Asyncolor_util.Executor.Asynchronous _) ->
+      Some (Asyncolor_util.Executor.asynchronous ~kappa ~jobs ())
+  | p -> p
 
 let time_budget_arg =
   Arg.(
@@ -293,22 +315,51 @@ let finish_obs obs ~trace_out ~metrics =
    monotonic clock so a suspended or ntp-stepped run can't go negative. *)
 let elapsed_s t0 = Int64.to_float (Int64.sub (Oclock.monotonic ()) t0) /. 1e9
 
-(* --- chaos plumbing (check / lockhunt / fuzz) --------------------------
+(* --- chaos plumbing (check) ---------------------------------------------
 
    The injector is armed from one flag so the CI differential legs can
    toggle it without touching anything else.  The stats line goes to
    stderr through [Diag] -- stdout remains the byte-determinism surface,
    identical with and without faults. *)
 
+(* "seed:N,rate:R" in any order; R must be a number in [0, 1]. *)
+let chaos_conv =
+  let parse spec =
+    let kv acc field =
+      match (acc, String.index_opt field ':') with
+      | Error _, _ -> acc
+      | Ok _, None -> Error "expected seed:N,rate:R"
+      | Ok (seed, rate), Some i -> (
+          let v = String.sub field (i + 1) (String.length field - i - 1) in
+          match String.sub field 0 i with
+          | "seed" -> (
+              match int_of_string_opt v with
+              | Some n -> Ok (Some n, rate)
+              | None -> Error (Printf.sprintf "seed %S is not an integer" v))
+          | "rate" -> (
+              match float_of_string_opt v with
+              | Some r when r >= 0.0 && r <= 1.0 -> Ok (seed, Some r)
+              | _ -> Error (Printf.sprintf "rate %S is not a number in [0, 1]" v))
+          | k -> Error (Printf.sprintf "unknown key %S" k))
+    in
+    match List.fold_left kv (Ok (None, None)) (String.split_on_char ',' spec) with
+    | Ok (Some seed, Some rate) -> Ok (seed, rate)
+    | Ok (None, _) -> Error (`Msg "missing seed:N")
+    | Ok (_, None) -> Error (`Msg "missing rate:R")
+    | Error m -> Error (`Msg m)
+  in
+  let print ppf (seed, rate) = Format.fprintf ppf "seed:%d,rate:%g" seed rate in
+  Arg.conv (parse, print)
+
 let chaos_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some chaos_conv) None
     & info [ "chaos" ] ~docv:"seed:N,rate:R"
         ~doc:
           "Arm the environment-fault injector: every checkpoint/spill I/O \
-           operation and every executor worker draws a fault with \
-           probability R from a PRNG stream derived from (N, site).  \
+           operation draws a fault with probability R (in [0,1]) from a \
+           PRNG stream derived from (N, site).  \
            Schedules are deterministic in the seed, and the report on \
            stdout stays byte-identical to the fault-free run for any \
            schedule the $(b,--retry-max) budget survives.")
@@ -331,33 +382,9 @@ let backoff_ms_arg =
            (capped at 20xMS).  0 disables the delay -- what the tests and \
            the CI chaos leg use to stay instant.")
 
-let parse_chaos ~obs = function
+let make_chaos ~obs = function
   | None -> Chaos.disabled
-  | Some spec ->
-      let seed = ref None and rate = ref None in
-      List.iter
-        (fun kv ->
-          match String.index_opt kv ':' with
-          | Some i -> (
-              let k = String.sub kv 0 i
-              and v = String.sub kv (i + 1) (String.length kv - i - 1) in
-              match k with
-              | "seed" -> seed := Some (int_of_string v)
-              | "rate" -> rate := Some (float_of_string v)
-              | _ -> failwith (Printf.sprintf "--chaos: unknown key %S" k))
-          | None -> failwith "--chaos expects seed:N,rate:R")
-        (String.split_on_char ',' spec);
-      let seed =
-        match !seed with
-        | Some s -> s
-        | None -> failwith "--chaos: missing seed:N"
-      in
-      let rate =
-        match !rate with
-        | Some r -> r
-        | None -> failwith "--chaos: missing rate:R"
-      in
-      Chaos.create ~obs ~rate ~seed ()
+  | Some (seed, rate) -> Chaos.create ~obs ~rate ~seed ()
 
 let make_retry ~chaos ~retry_max ~backoff_ms =
   if Chaos.enabled chaos then
@@ -369,11 +396,9 @@ let make_retry ~chaos ~retry_max ~backoff_ms =
 
 let chaos_stats_line chaos =
   if Chaos.enabled chaos then begin
-    let { Chaos.injected; retries; quarantined; degraded } =
-      Chaos.stats chaos
-    in
-    Diag.printf "chaos: injected=%d retries=%d quarantined=%d degraded=%d\n"
-      injected retries quarantined degraded
+    let { Chaos.injected; retries; quarantined } = Chaos.stats chaos in
+    Diag.printf "chaos: injected=%d retries=%d quarantined=%d\n" injected
+      retries quarantined
   end
 
 (* The spill-pressure companion of the configs/sec line: how much of the
@@ -566,7 +591,7 @@ let check_cmd =
       chaos_spec retry_max backoff_ms trace_out metrics =
     let obs = make_obs ~trace_out ~metrics in
     let policy = make_policy ~policy:exec_policy ~kappa ~jobs in
-    let chaos = parse_chaos ~obs chaos_spec in
+    let chaos = make_chaos ~obs chaos_spec in
     let retry = make_retry ~chaos ~retry_max ~backoff_ms in
     let idents = Array.of_list idents in
     let n = Array.length idents in
@@ -664,16 +689,11 @@ let check_cmd =
 
 let lockhunt_cmd =
   let doc = "attack every adjacent pair with the isolate-pair schedule (finding F1)" in
-  let f alg n seed idents_kind jobs exec_policy kappa time_s mem_mb chaos_spec
-      retry_max backoff_ms trace_out metrics =
+  let f alg n seed idents_kind jobs exec_policy kappa time_s mem_mb trace_out
+      metrics =
     announce_seed seed;
     let obs = make_obs ~trace_out ~metrics in
     let policy = make_policy ~policy:exec_policy ~kappa ~jobs in
-    let chaos = parse_chaos ~obs chaos_spec in
-    (* lockhunt performs no checkpoint/spill I/O: the retry knobs are
-       accepted for a uniform chaos surface but only worker-crash
-       injection applies. *)
-    ignore (make_retry ~chaos ~retry_max ~backoff_ms);
     let graph = Builders.cycle n in
     let idents = make_idents ~kind:idents_kind ~seed n in
     let budget = make_budget ~time_s ~mem_mb in
@@ -687,8 +707,8 @@ let lockhunt_cmd =
       let t0 = Oclock.monotonic () in
       let findings =
         Stop.with_signals (fun () ->
-            H.hunt ~jobs ?policy ?budget ~stop:Stop.requested ~chaos ~obs
-              graph ~idents)
+            H.hunt ~jobs ?policy ?budget ~stop:Stop.requested ~obs graph
+              ~idents)
       in
       let dt = elapsed_s t0 in
       Diag.printf "%d probes in %.3fs (%.0f probes/sec, jobs=%d)\n"
@@ -696,7 +716,6 @@ let lockhunt_cmd =
         (float_of_int (List.length findings) /. Float.max dt 1e-9)
         jobs;
       Diag.printf "%s\n" (memory_pressure_line ());
-      chaos_stats_line chaos;
       let nedges = List.length (Graph.edges graph) in
       if List.length findings < nedges then
         Printf.printf "hunt cut short: probed %d/%d pairs\n"
@@ -726,8 +745,7 @@ let lockhunt_cmd =
     Term.(
       const f $ alg_arg $ n_arg $ seed_arg $ idents_arg $ jobs_arg
       $ exec_policy_arg $ kappa_arg $ time_budget_arg $ mem_budget_arg
-      $ chaos_arg $ retry_max_arg $ backoff_ms_arg $ trace_out_arg
-      $ metrics_arg)
+      $ trace_out_arg $ metrics_arg)
 
 let fuzz_cmd =
   let doc = "randomized fault-injection fuzzing with replayable, shrunk traces" in
@@ -782,8 +800,7 @@ let fuzz_cmd =
           ~doc:"Write the first finding's shrunk trace to PATH.")
   in
   let f seed execs max_n algos mutant corpus min_out jobs exec_policy kappa
-      time_s mem_mb chaos_spec retry_max backoff_ms list_mutants trace_out
-      metrics =
+      time_s mem_mb list_mutants trace_out metrics =
     if list_mutants then
       List.iter
         (fun (i : Fz.Mutation.info) ->
@@ -805,22 +822,18 @@ let fuzz_cmd =
       let budget = make_budget ~time_s ~mem_mb in
       let obs = make_obs ~trace_out ~metrics in
       let policy = make_policy ~policy:exec_policy ~kappa ~jobs in
-      let chaos = parse_chaos ~obs chaos_spec in
-      (* As for lockhunt: worker-crash injection only. *)
-      ignore (make_retry ~chaos ~retry_max ~backoff_ms);
       let t0 = Oclock.monotonic () in
       let report =
         Stop.with_signals (fun () ->
             Fz.Fuzz.campaign ~jobs ?policy ?budget ~stop:Stop.requested
-              ?corpus_dir:corpus ?mutation:mutant ~algos ~max_n ~chaos ~obs
-              ~seed ~execs ())
+              ?corpus_dir:corpus ?mutation:mutant ~algos ~max_n ~obs ~seed
+              ~execs ())
       in
       let dt = elapsed_s t0 in
       Diag.printf "%d execs in %.3fs (%.0f execs/sec, jobs=%d)\n"
         report.execs_done dt
         (float_of_int report.execs_done /. Float.max dt 1e-9)
         jobs;
-      chaos_stats_line chaos;
       (match budget with
       | Some b when Budget.exceeded b ->
           Diag.printf "budget exceeded (%s): truncated campaign\n"
@@ -866,8 +879,8 @@ let fuzz_cmd =
     Term.(
       const f $ seed_arg $ execs_arg $ max_n_arg $ algos_arg $ mutant_arg
       $ corpus_arg $ min_out_arg $ jobs_arg $ exec_policy_arg $ kappa_arg
-      $ time_budget_arg $ mem_budget_arg $ chaos_arg $ retry_max_arg
-      $ backoff_ms_arg $ list_mutants_arg $ trace_out_arg $ metrics_arg)
+      $ time_budget_arg $ mem_budget_arg $ list_mutants_arg $ trace_out_arg
+      $ metrics_arg)
 
 let churn_cmd =
   let doc = "long-lived churn sessions: crash-recovery with self-healing re-coloring" in

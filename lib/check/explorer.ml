@@ -840,10 +840,11 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
   let run ~params ?policy ~jobs ~graph ~idents st tbl pend =
     let octx = params.octx in
     let o = octx.o in
-    Executor.with_executor ~obs:o ~chaos:params.chaos
-      ~policy:(default_policy ~jobs policy) ~jobs
+    Executor.with_executor ~obs:o ~policy:(default_policy ~jobs policy) ~jobs
     @@ fun exec ->
     let inline = Executor.jobs exec = 1 in
+    let window = Executor.stream_window exec in
+    let kappa = Executor.policy_kappa (Executor.policy exec) in
     let snapshot_on_miss = inline && not params.symmetry in
     (* The merging domain's engine: it expands at one job, and it hosts
        [check_config] at every job count. *)
@@ -1058,11 +1059,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         let orbit_u = if params.symmetry then Vec.get st.s_orbit uid else 1 in
         if inline then expand_inline uid orbit_u (Ring.get pend uid)
         else begin
-          (* Re-read the window and κ every iteration: the watchdog may
-             have degraded the policy since the last merge, and a
-             degraded executor wants the tighter bound immediately. *)
-          let window = Executor.stream_window exec in
-          let kappa = Executor.policy_kappa (Executor.policy exec) in
           (* Top up the pipeline.  A position inside the current level is
              always submittable (window permitting); one past it only
              once a κ fraction of the level has merged. *)

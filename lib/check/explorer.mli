@@ -281,10 +281,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       {b Fault injection and recovery} ([chaos] / [retry]; [`Hashcons]
       only).  An enabled {!Asyncolor_resilience.Chaos} instance injects
       environment faults into every I/O edge of the run — checkpoint
-      saves/loads (sites ["checkpoint.*"]), spill writes/reads (sites
-      ["spill.*"]) and worker domains (sites ["exec.worker-N"], injected
-      crashes recovered by the executor's watchdog).  Checkpoint saves go
-      through {!Asyncolor_resilience.Checkpoint.save_rotated} (retry
+      saves/loads (sites ["checkpoint.*"]) and spill writes/reads (sites
+      ["spill.*"]).  Checkpoint saves go through
+      {!Asyncolor_resilience.Checkpoint.save_rotated} (retry
       budget, read-back verify, last-good rotation); spill failures are
       retried and rebuilt from memory where resident.  [retry] defaults
       to {!Asyncolor_resilience.Chaos.Retry.default} when chaos is

@@ -37,8 +37,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     let engine = E.create graph ~idents in
     probe_restored ~max_steps engine (E.snapshot engine) pair
 
-  let hunt ?max_steps ?(jobs = 1) ?policy ?budget ?stop
-      ?(chaos = Asyncolor_resilience.Chaos.disabled) ?(obs = Obs.disabled)
+  let hunt ?max_steps ?(jobs = 1) ?policy ?budget ?stop ?(obs = Obs.disabled)
       graph ~idents =
     let max_steps =
       match max_steps with Some m -> m | None -> default_steps (Graph.n graph)
@@ -97,7 +96,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         Array.init jobs (fun s -> (nedges * s / jobs, nedges * (s + 1) / jobs))
       in
       let per_slice =
-        Executor.with_executor ~obs ~chaos ~policy ~jobs (fun exec ->
+        Executor.with_executor ~obs ~policy ~jobs (fun exec ->
             Executor.map exec
               (fun (lo, hi) ->
                 let engine = E.create graph ~idents in

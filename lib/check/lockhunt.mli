@@ -28,7 +28,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
     ?policy:Asyncolor_util.Executor.policy ->
     ?budget:Asyncolor_resilience.Budget.t ->
     ?stop:(unit -> bool) ->
-    ?chaos:Asyncolor_resilience.Chaos.t ->
     ?obs:Asyncolor_obs.Obs.t ->
     Asyncolor_topology.Graph.t ->
     idents:int array ->

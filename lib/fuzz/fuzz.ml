@@ -119,8 +119,7 @@ let save_finding ~dir f =
   Trace.save ~path:min f.shrunk
 
 let campaign ?(jobs = 1) ?policy ?budget ?stop ?corpus_dir ?algos ?mutation
-    ?max_n ?(chaos = Asyncolor_resilience.Chaos.disabled) ?(obs = Obs.disabled)
-    ~seed ~execs () =
+    ?max_n ?(obs = Obs.disabled) ~seed ~execs () =
   let octx = make_octx obs in
   let policy =
     match policy with
@@ -147,7 +146,7 @@ let campaign ?(jobs = 1) ?policy ?budget ?stop ?corpus_dir ?algos ?mutation
      ~args:[ ("seed", string_of_int seed); ("execs", string_of_int execs) ]
      "fuzz.campaign"
   @@ fun () ->
-   Executor.with_executor ~obs ~chaos ~policy ~jobs (fun exec ->
+   Executor.with_executor ~obs ~policy ~jobs (fun exec ->
        let lo = ref 0 in
        while !lo < execs do
          if should_stop () then begin

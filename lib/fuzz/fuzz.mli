@@ -54,7 +54,6 @@ val campaign :
   ?algos:Scenario.algo list ->
   ?mutation:string ->
   ?max_n:int ->
-  ?chaos:Asyncolor_resilience.Chaos.t ->
   ?obs:Asyncolor_obs.Obs.t ->
   seed:int ->
   execs:int ->
@@ -68,10 +67,7 @@ val campaign :
     selects the executor policy the batches run under; an
     [Asynchronous {max_active; _}] policy bounds the in-flight execs per
     batch instead of queueing the whole batch at once.  The report is
-    byte-identical across policies.  [chaos] (default disabled) arms the
-    executor's fault injector: worker domains may be crashed at sites
-    [exec.worker-N] and are recovered by the watchdog — the report stays
-    byte-identical under any injected crash schedule.
+    byte-identical across policies.
 
     [obs] (default {!Asyncolor_obs.Obs.disabled}) traces the campaign
     out-of-band (the report stays a pure function of [seed]): a

@@ -6,14 +6,15 @@
    only thing that touches the PRNG, so a disabled instance costs one
    branch per operation.
 
-   The PRNG is the same SplitMix64 as Asyncolor_util.Prng, inlined:
-   resilience sits *below* util in the library DAG (Executor draws its
-   worker-crash schedule from here), so depending on util would be a
-   cycle. *)
+   The PRNG is the same SplitMix64 core as Asyncolor_util.Prng but
+   deliberately not shared: stream origins are derived from (seed, site)
+   and [stream_int] reduces by remainder where Prng.int rejection-samples,
+   so switching would change every recorded checkpoint/spill fault
+   schedule.  It also keeps resilience depending on obs alone. *)
 
 module Obs = Asyncolor_obs.Obs
 
-type fault = Enospc | Eio | Torn_write | Fsync_fail | Bit_rot | Crash
+type fault = Enospc | Eio | Torn_write | Fsync_fail | Bit_rot
 
 let fault_name = function
   | Enospc -> "enospc"
@@ -21,7 +22,6 @@ let fault_name = function
   | Torn_write -> "torn-write"
   | Fsync_fail -> "fsync-fail"
   | Bit_rot -> "bit-rot"
-  | Crash -> "crash"
 
 exception Injected of { site : string; op : int; fault : fault }
 
@@ -67,11 +67,9 @@ type inner = {
   n_injected : int Atomic.t;
   n_retries : int Atomic.t;
   n_quarantined : int Atomic.t;
-  n_degraded : int Atomic.t;
   c_injected : Obs.Counter.t;
   c_retries : Obs.Counter.t;
   c_quarantined : Obs.Counter.t;
-  c_degraded : Obs.Counter.t;
 }
 
 type t = inner option
@@ -89,27 +87,24 @@ let create ?(obs = Obs.disabled) ?(rate = 0.0) ?sites ~seed () : t =
       n_injected = Atomic.make 0;
       n_retries = Atomic.make 0;
       n_quarantined = Atomic.make 0;
-      n_degraded = Atomic.make 0;
       c_injected = Obs.counter obs "chaos.injected";
       c_retries = Obs.counter obs "chaos.retries";
       c_quarantined = Obs.counter obs "chaos.quarantined";
-      c_degraded = Obs.counter obs "chaos.degraded";
     }
 
 let enabled = function None -> false | Some _ -> true
 let seed = function None -> 0 | Some c -> c.seed
 let rate = function None -> 0.0 | Some c -> c.rate
 
-type stats = { injected : int; retries : int; quarantined : int; degraded : int }
+type stats = { injected : int; retries : int; quarantined : int }
 
 let stats : t -> stats = function
-  | None -> { injected = 0; retries = 0; quarantined = 0; degraded = 0 }
+  | None -> { injected = 0; retries = 0; quarantined = 0 }
   | Some c ->
       {
         injected = Atomic.get c.n_injected;
         retries = Atomic.get c.n_retries;
         quarantined = Atomic.get c.n_quarantined;
-        degraded = Atomic.get c.n_degraded;
       }
 
 let note_retry = function
@@ -123,12 +118,6 @@ let note_quarantine = function
   | Some c ->
       Atomic.incr c.n_quarantined;
       Obs.Counter.incr c.c_quarantined
-
-let note_degrade = function
-  | None -> ()
-  | Some c ->
-      Atomic.incr c.n_degraded;
-      Obs.Counter.incr c.c_degraded
 
 (* ------------------------------------------------------------------ *)
 (* Decision points                                                     *)
@@ -179,11 +168,9 @@ let draw (t : t) ~site kinds =
 
 let write_kinds = [| Enospc; Eio; Torn_write; Fsync_fail |]
 let read_kinds = [| Eio; Bit_rot |]
-let crash_kinds = [| Crash |]
 
 let draw_write t ~site = Option.map snd (draw t ~site write_kinds)
 let draw_read t ~site = Option.map snd (draw t ~site read_kinds)
-let draw_crash t ~site = Option.is_some (draw t ~site crash_kinds)
 
 (* A site-deterministic draw that does not count as an operation of the
    fault schedule (used for bit-rot positions and retry jitter). *)
@@ -238,7 +225,7 @@ let write_file t ?(fsync = true) ~site path data =
   | Some (op, Fsync_fail) ->
       output_all ~fsync:false path data;
       raise (Injected { site; op; fault = Fsync_fail })
-  | Some (_, (Bit_rot | Crash)) -> assert false
+  | Some (_, Bit_rot) -> assert false
 
 let read_file t ~site path =
   match draw t ~site read_kinds with
@@ -254,7 +241,7 @@ let read_file t ~site path =
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40))
       end;
       b
-  | Some (_, (Enospc | Torn_write | Fsync_fail | Crash)) -> assert false
+  | Some (_, (Enospc | Torn_write | Fsync_fail)) -> assert false
 
 (* ------------------------------------------------------------------ *)
 

@@ -5,7 +5,7 @@
     this module makes the {e harness} face the same music: a [t] is an
     adversary for the environment, deciding — from a PRNG stream derived
     from [(seed, site)] alone — whether the k-th I/O operation at a named
-    fault {e site} ("checkpoint.write", "spill.read", "exec.worker-2", …)
+    fault {e site} ("checkpoint.write", "spill.read", …)
     fails, and how.  Because each site owns its own SplitMix64 stream and
     its own operation counter, a fault schedule is reproducible from the
     seed: the k-th write at a given site fails identically on every run
@@ -17,14 +17,16 @@
     [Torn_write] silently persists only a prefix (the lying-disk case
     that only a read-back verify can catch — {!Checkpoint.save} performs
     one whenever chaos is enabled); a [Bit_rot] read flips one byte of
-    the data {e as read}, so a retry sees the intact file.  [Crash] is
-    drawn by {!Asyncolor_util.Executor} workers between tasks.
+    the data {e as read}, so a retry sees the intact file.  Faults are
+    environment faults only: the crashed {e processes} of the paper's
+    model are the adversary's business ([Asyncolor_kernel.Adversary]),
+    not this module's.
 
     The module also owns the recovery vocabulary: {!Retry} (bounded
     exponential backoff with deterministic jitter, virtual-clock driven
     so tests are instant) and the [chaos.injected] / [chaos.retries] /
-    [chaos.quarantined] / [chaos.degraded] accounting that every recovery
-    path reports through, both to an optional {!Asyncolor_obs.Obs} sink
+    [chaos.quarantined] accounting that every recovery path reports
+    through, both to an optional {!Asyncolor_obs.Obs} sink
     and to the always-on {!stats} snapshot. *)
 
 type fault =
@@ -33,7 +35,6 @@ type fault =
   | Torn_write  (** {e silent}: only a prefix of the write hits the disk *)
   | Fsync_fail  (** the data is written but the fsync raises *)
   | Bit_rot  (** one byte of the data is flipped as it is read *)
-  | Crash  (** an executor worker domain dies between tasks *)
 
 val fault_name : fault -> string
 
@@ -57,7 +58,7 @@ val create :
 (** A fault injector drawing each operation at probability [rate]
     (default [0.0]; clamped to [[0, 1]]).  [sites] restricts injection to
     sites with one of the given prefixes (e.g. [["spill.write"]] or
-    [["exec.worker"]]); default: all sites.  [obs] (default
+    [["checkpoint"]]); default: all sites.  [obs] (default
     {!Asyncolor_obs.Obs.disabled}) receives the [chaos.*] counters. *)
 
 val enabled : t -> bool
@@ -68,7 +69,6 @@ type stats = {
   injected : int;  (** faults actually delivered *)
   retries : int;  (** retry attempts spent recovering *)
   quarantined : int;  (** corrupt files moved aside instead of aborting *)
-  degraded : int;  (** executor policy downgrades by the watchdog *)
 }
 
 val stats : t -> stats
@@ -77,7 +77,6 @@ val stats : t -> stats
 
 val note_retry : t -> unit
 val note_quarantine : t -> unit
-val note_degrade : t -> unit
 (** Accounting hooks for the recovery paths (no-ops on {!disabled}). *)
 
 (** {1 Decision points} *)
@@ -90,10 +89,6 @@ val draw_write : t -> site:string -> fault option
 
 val draw_read : t -> site:string -> fault option
 (** Read-side counterpart: [Eio] or [Bit_rot]. *)
-
-val draw_crash : t -> site:string -> bool
-(** Worker-crash decision for {!Asyncolor_util.Executor}; counts as an
-    injection when true. *)
 
 (** {1 The injectable filesystem} *)
 

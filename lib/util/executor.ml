@@ -21,7 +21,6 @@
    (found) or bumps the stamp after it (wait skipped or woken). *)
 
 module Obs = Asyncolor_obs.Obs
-module Chaos = Asyncolor_resilience.Chaos
 
 module Ws_deque = struct
   (* Chase–Lev: [top] advances by CAS only (thieves, and the owner when
@@ -143,39 +142,18 @@ type 'a fstate =
 type t = {
   id : int;  (* key for the domain-local worker index *)
   jobs : int;
-  mutable pol : policy;  (* the watchdog degrades it; written under [mutex] *)
+  pol : policy;
   deques : (unit -> unit) Ws_deque.t array;
   mutex : Mutex.t;
   changed : Condition.t;
   mutable stamp : int;  (* bumped under [mutex] on every state change *)
   mutable stopping : bool;
   mutable domains : unit Domain.t list;
-  chaos : Chaos.t;
-  (* --- watchdog state ------------------------------------------------
-     [heartbeat.(w)] is bumped by worker [w] every loop iteration; the
-     caller's watchdog scan compares it against [last_hb.(w)] while the
-     system is starved.  [reinject] holds tasks reclaimed from dead or
-     stalled workers: deque pushes are owner-only, so the one legal way
-     to hand work back to the pool is this mutex-guarded queue, drained
-     by [take_task] after a deque miss. *)
-  heartbeat : int Atomic.t array;
-  dead : bool array;  (* written under [mutex] *)
-  reinject : (unit -> unit) Queue.t;  (* guarded by [mutex] *)
-  last_hb : int array;  (* watchdog-private, under [mutex] *)
-  stall_strikes : int array;  (* consecutive starved observations *)
-  mutable failures : int;  (* crashes + stalls since the last degrade *)
-  degrade_after : int;
-  mutable n_crashes : int;
-  mutable n_stalls : int;
-  mutable n_degraded : int;
   obs : Obs.t;
   c_tasks : Obs.Counter.t;
   c_retries : Obs.Counter.t;
   c_steals : Obs.Counter.t;
   c_backpressure : Obs.Counter.t;
-  c_crashes : Obs.Counter.t;
-  c_stalls : Obs.Counter.t;
-  c_degraded : Obs.Counter.t;
   g_inflight : Obs.Gauge.t;
 }
 
@@ -212,23 +190,9 @@ let self_ix t =
   let eid, w = Domain.DLS.get dls_worker in
   if eid = t.id then w else 0
 
-(* Tasks reclaimed from crashed/stalled workers.  The unlocked emptiness
-   probe is racy but safe: a stale "empty" is caught by the stamp bump
-   the producer made under the mutex, a stale "nonempty" just costs one
-   lock round. *)
-let take_reinjected t =
-  if Queue.is_empty t.reinject then None
-  else begin
-    Mutex.lock t.mutex;
-    let r = Queue.take_opt t.reinject in
-    Mutex.unlock t.mutex;
-    r
-  end
-
 (* Take one task: own deque first (worker 0 from the top, to preserve the
    caller's FIFO dispatch; workers from the bottom), then steal from the
-   others round-robin, then the reinjection queue.  Only cross-deque
-   takes count as steals. *)
+   others round-robin.  Only cross-deque takes count as steals. *)
 let take_task t ~self =
   let own =
     if self = 0 then Ws_deque.steal t.deques.(0)
@@ -236,7 +200,7 @@ let take_task t ~self =
   in
   match own with
   | Some _ as r -> r
-  | None -> (
+  | None ->
       let n = Array.length t.deques in
       let rec scan k =
         if k >= n then None
@@ -247,7 +211,7 @@ let take_task t ~self =
               r
           | None -> scan (k + 1)
       in
-      match scan 1 with Some _ as r -> r | None -> take_reinjected t)
+      scan 1
 
 let complete t fut v =
   Mutex.lock t.mutex;
@@ -281,121 +245,13 @@ let submit t f =
   Mutex.unlock t.mutex;
   fut
 
-(* --- the watchdog ----------------------------------------------------- *)
-
-(* One crash or stall is tolerated quietly; [degrade_after] of them walk
-   the policy down one rung (Asynchronous → Synchronous → Serial) —
-   narrower windows mean fewer in-flight tasks exposed to a flaky pool.
-   Results are unaffected: policy only changes scheduling, and the
-   explorer re-reads the window every iteration.  Called under [mutex]. *)
-let note_failure_locked t =
-  t.failures <- t.failures + 1;
-  if t.failures >= t.degrade_after then begin
-    let next =
-      match t.pol with
-      | Asynchronous _ -> Some Synchronous
-      | Synchronous -> Some Serial
-      | Serial -> None
-    in
-    match next with
-    | Some p ->
-        t.failures <- 0;
-        t.pol <- p;
-        t.n_degraded <- t.n_degraded + 1;
-        Obs.Counter.incr t.c_degraded;
-        Chaos.note_degrade t.chaos
-    | None -> ()
-  end
-
-(* A spawned worker's domain is about to die (injected crash, or a task
-   wrapper that somehow escaped): salvage its queued tasks into the
-   reinjection queue — we are still on the owner domain, so [pop] is
-   legal — and mark it dead so the watchdog stops expecting heartbeats. *)
-let worker_died t self =
-  Mutex.lock t.mutex;
-  let rec drain () =
-    match Ws_deque.pop t.deques.(self) with
-    | Some task ->
-        Queue.add task t.reinject;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  t.dead.(self) <- true;
-  t.n_crashes <- t.n_crashes + 1;
-  Obs.Counter.incr t.c_crashes;
-  note_failure_locked t;
-  t.stamp <- t.stamp + 1;
-  Condition.broadcast t.changed;
-  Mutex.unlock t.mutex
-
-(* Caller-side scan, run when an [await] is starved: a worker whose
-   heartbeat has not moved across [stall_limit] consecutive starved
-   observations *while it holds queued tasks* is presumed wedged (chaos
-   stall, page fault storm, runaway task); its queued items are stolen
-   into the reinjection queue so the rest of the pool makes progress.
-   The worker itself is left alone — if it wakes up it simply finds its
-   deque empty.  Workers that never hold private tasks (every submit in
-   this repo goes to deque 0) can never be struck. *)
-let stall_limit = 3
-
-let watchdog_scan t =
-  if t.jobs > 1 then begin
-    Mutex.lock t.mutex;
-    for w = 1 to t.jobs - 1 do
-      if not t.dead.(w) then begin
-        let hb = Atomic.get t.heartbeat.(w) in
-        if hb <> t.last_hb.(w) then begin
-          t.last_hb.(w) <- hb;
-          t.stall_strikes.(w) <- 0
-        end
-        else if Ws_deque.length t.deques.(w) > 0 then begin
-          t.stall_strikes.(w) <- t.stall_strikes.(w) + 1;
-          if t.stall_strikes.(w) >= stall_limit then begin
-            t.stall_strikes.(w) <- 0;
-            let rec reclaim k =
-              match Ws_deque.steal t.deques.(w) with
-              | Some task ->
-                  Queue.add task t.reinject;
-                  reclaim (k + 1)
-              | None -> k
-            in
-            let n = reclaim 0 in
-            if n > 0 then begin
-              t.n_stalls <- t.n_stalls + 1;
-              Obs.Counter.incr t.c_stalls;
-              note_failure_locked t;
-              t.stamp <- t.stamp + 1;
-              Condition.broadcast t.changed
-            end
-          end
-        end
-      end
-    done;
-    Mutex.unlock t.mutex
-  end
-
-exception Worker_crash of { self : int }
-
 let rec worker_loop t self =
-  Atomic.incr t.heartbeat.(self);
   (* The time between finishing one task and receiving the next is queue
      wait — an "exec.wait" interval on this domain's lane. *)
   let t0 = Obs.now t.obs in
   match take_task t ~self with
   | Some task ->
       Obs.interval t.obs "exec.wait" ~start:t0;
-      (* Injected worker death: the task just taken is handed back first,
-         so nothing is lost — it costs latency, never a result. *)
-      if Chaos.draw_crash t.chaos ~site:(Printf.sprintf "exec.worker-%d" self)
-      then begin
-        Mutex.lock t.mutex;
-        Queue.add task t.reinject;
-        t.stamp <- t.stamp + 1;
-        Condition.broadcast t.changed;
-        Mutex.unlock t.mutex;
-        raise (Worker_crash { self })
-      end;
       task ();
       worker_loop t self
   | None ->
@@ -437,10 +293,6 @@ let await_result fut =
         (match take_task t ~self with
         | Some task -> task ()
         | None -> (
-            (* Starved with the future pending: look for wedged workers
-               before sleeping.  A reclaim bumps the stamp, so the wait
-               below is skipped and the loop retries immediately. *)
-            watchdog_scan t;
             Mutex.lock t.mutex;
             match fut.fst with
             | Pending ->
@@ -464,8 +316,7 @@ let await fut =
   | Ok v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-let create ?(obs = Obs.disabled) ?(chaos = Chaos.disabled)
-    ?(degrade_after = 3) ?(policy = Synchronous) ?jobs () =
+let create ?(obs = Obs.disabled) ?(policy = Synchronous) ?jobs () =
   (* The one place [jobs] is sanitised: clamped to at least 1, for every
      client uniformly; [Serial] runs everything
      on the caller, so it forces a single worker and spawns nothing. *)
@@ -482,25 +333,11 @@ let create ?(obs = Obs.disabled) ?(chaos = Chaos.disabled)
       stamp = 0;
       stopping = false;
       domains = [];
-      chaos;
-      heartbeat = Array.init jobs (fun _ -> Atomic.make 0);
-      dead = Array.make jobs false;
-      reinject = Queue.create ();
-      last_hb = Array.make jobs (-1);
-      stall_strikes = Array.make jobs 0;
-      failures = 0;
-      degrade_after = max 1 degrade_after;
-      n_crashes = 0;
-      n_stalls = 0;
-      n_degraded = 0;
       obs;
       c_tasks = Obs.counter obs "exec.tasks";
       c_retries = Obs.counter obs "exec.retries";
       c_steals = Obs.counter obs "exec.steals";
       c_backpressure = Obs.counter obs "exec.backpressure";
-      c_crashes = Obs.counter obs "exec.worker_crashes";
-      c_stalls = Obs.counter obs "exec.worker_stalls";
-      c_degraded = Obs.counter obs "exec.degraded";
       g_inflight = Obs.gauge obs "exec.inflight_max";
     }
   in
@@ -511,8 +348,7 @@ let create ?(obs = Obs.disabled) ?(chaos = Chaos.disabled)
               ~tid:(Domain.self () :> int)
               (Printf.sprintf "exec-worker-%d" (w + 1));
             Domain.DLS.set dls_worker (t.id, w + 1);
-            try worker_loop t (w + 1)
-            with _ -> worker_died t (w + 1)));
+            worker_loop t (w + 1)));
   t
 
 let shutdown t =
@@ -524,36 +360,9 @@ let shutdown t =
   List.iter Domain.join t.domains;
   t.domains <- []
 
-let with_executor ?obs ?chaos ?degrade_after ?policy ?jobs f =
-  let t = create ?obs ?chaos ?degrade_after ?policy ?jobs () in
+let with_executor ?obs ?policy ?jobs f =
+  let t = create ?obs ?policy ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-let worker_crashes t =
-  Mutex.lock t.mutex;
-  let n = t.n_crashes in
-  Mutex.unlock t.mutex;
-  n
-
-let worker_stalls t =
-  Mutex.lock t.mutex;
-  let n = t.n_stalls in
-  Mutex.unlock t.mutex;
-  n
-
-let degradations t =
-  Mutex.lock t.mutex;
-  let n = t.n_degraded in
-  Mutex.unlock t.mutex;
-  n
-
-let alive_workers t =
-  Mutex.lock t.mutex;
-  let n = ref 1 in
-  for w = 1 to t.jobs - 1 do
-    if not t.dead.(w) then incr n
-  done;
-  Mutex.unlock t.mutex;
-  !n
 
 (* --- the batch layer: windowed map with failure isolation -------------- *)
 

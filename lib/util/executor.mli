@@ -24,25 +24,15 @@
     {!Asyncolor_check.Explorer}).  Policy never changes {e results}, only
     scheduling: outputs are byte-identical across policies and [jobs].
 
-    {b Watchdog.}  The executor survives its own workers.  Each spawned
-    domain bumps a heartbeat counter every loop iteration; a starved
-    {!await} scans for workers that died (their queued tasks are salvaged
-    by the domain's last act) or wedged while holding queued tasks (the
-    items are stolen back after repeated unchanged-heartbeat
-    observations).  Reclaimed tasks land in a reinjection queue that
-    every domain drains after a deque miss, so no submitted task is ever
-    lost — a crash costs latency, never a result.  After [degrade_after]
-    crashes/stalls the policy walks down one rung
-    ([Asynchronous → Synchronous → Serial]); since policy only changes
-    scheduling, outputs stay byte-identical through every degradation.
-    Injected worker crashes (site [exec.worker-N]) come from the
-    {!Asyncolor_resilience.Chaos} instance passed at {!create}.
+    {b Failure.}  {!submit} wraps every task, so an exception from a task
+    lands in its future and never reaches the worker loop.  Should a
+    worker domain ever die some other way, {!shutdown}'s [Domain.join]
+    re-raises its exception rather than hiding it.
 
     {b Observability} (all out-of-band, stdout untouched): every task
     runs under an ["exec.task"] span on the executing domain's lane
     (workers are named [exec-worker-N]); ["exec.tasks"],
-    ["exec.steals"], ["exec.retries"], ["exec.backpressure"],
-    ["exec.worker_crashes"], ["exec.worker_stalls"] and ["exec.degraded"]
+    ["exec.steals"], ["exec.retries"] and ["exec.backpressure"]
     counters accumulate per-domain sharded; ["exec.wait"] intervals
     record worker idle gaps and the ["exec.inflight_max"] gauge the
     widest batch window. *)
@@ -118,8 +108,6 @@ val default_jobs : unit -> int
 
 val create :
   ?obs:Asyncolor_obs.Obs.t ->
-  ?chaos:Asyncolor_resilience.Chaos.t ->
-  ?degrade_after:int ->
   ?policy:policy ->
   ?jobs:int ->
   unit ->
@@ -127,34 +115,16 @@ val create :
 (** [create ~policy ~jobs ()] spawns [jobs - 1] worker domains (so the
     caller is always worker 0).  {b [jobs] is clamped to at least 1 here,
     at the executor boundary} — [~jobs:0] and negative values behave as
-    [~jobs:1], uniformly for every client; a
-    [Serial] policy forces [jobs = 1] and spawns nothing.  [chaos]
-    (default disabled) injects worker crashes at sites [exec.worker-N];
-    [degrade_after] (default 3, clamped to ≥ 1) is the watchdog's
-    failure budget per policy rung.  Defaults: [policy = Synchronous],
+    [~jobs:1], uniformly for every client; a [Serial] policy forces
+    [jobs = 1] and spawns nothing.  Defaults: [policy = Synchronous],
     [jobs = default_jobs ()], [obs = Asyncolor_obs.Obs.disabled]. *)
 
 val jobs : t -> int
 (** The clamped worker count (caller included). *)
 
 val policy : t -> policy
-(** The {e current} policy — the watchdog may have degraded it below the
-    one passed to {!create}.  Streaming clients should re-read it (and
-    {!stream_window}) every iteration rather than caching it. *)
-
-val worker_crashes : t -> int
-(** Worker domains that died (injected or real); their queued tasks were
-    reinjected. *)
-
-val worker_stalls : t -> int
-(** Stall events: a wedged worker's queued tasks reclaimed by the
-    watchdog. *)
-
-val degradations : t -> int
-(** Policy rungs walked down by the watchdog so far. *)
-
-val alive_workers : t -> int
-(** Workers still running, caller included (so at least 1). *)
+(** The policy passed to {!create}; it is fixed for the executor's
+    lifetime. *)
 
 val stream_window : t -> int
 (** The in-flight bound a streaming client (the explorer) should keep:
@@ -210,12 +180,12 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 val shutdown : t -> unit
 (** Drain the remaining queued tasks, stop and join the worker domains.
     Safe to call while or after a batch has failed; subsequent {!submit}
-    or {!map} calls raise [Invalid_argument]. *)
+    or {!map} calls raise [Invalid_argument].  A worker domain that died
+    of an exception (tasks cannot cause one, see {!submit}) has it
+    re-raised here by [Domain.join]. *)
 
 val with_executor :
   ?obs:Asyncolor_obs.Obs.t ->
-  ?chaos:Asyncolor_resilience.Chaos.t ->
-  ?degrade_after:int ->
   ?policy:policy ->
   ?jobs:int ->
   (t -> 'a) ->

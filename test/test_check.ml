@@ -545,9 +545,8 @@ let chaos_leg ~seed ~jobs ~policy =
       (r, Chaos.stats chaos))
 
 (* S3: any fault schedule survived by the retry budget yields a report
-   equal to the fault-free run — with checkpoint saves, spilling and
-   worker-crash injection all armed, across jobs 1/2/4 and all three
-   execution policies. *)
+   equal to the fault-free run — with checkpoint saves and spilling both
+   armed, across jobs 1/2/4 and all three execution policies. *)
 let prop_chaos_differential =
   QCheck.Test.make ~count:4
     ~name:"fault-injected report = fault-free report (all policies)"
