@@ -401,22 +401,28 @@ let chaos_stats_line chaos =
       retries quarantined
   end
 
-(* The spill-pressure companion of the configs/sec line: how much of the
-   run is frontier-resident on the heap vs spilled to disk, so a
-   budget-limited run can tell at a glance whether --spill-dir is doing
-   its job.  Diagnostics only — stderr, never part of the report. *)
-let memory_pressure_line ?spill () =
+(* The memory companion of the rate line: the major heap's peak (not
+   its size after the run, which the analyses have already shrunk), the
+   explorer's intern store per configuration when an enabled sink
+   ([--metrics] or [--trace]) gauged it, and what spilling moved to
+   disk.  Diagnostics only — stderr, never part of the report. *)
+let memory_pressure_line ?intern_per_config ?spill () =
   let mib w = float_of_int w /. (1024. *. 1024.) in
-  let heap_b = (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8) in
+  let peak_b = (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) in
+  let intern =
+    match intern_per_config with
+    | Some b -> Printf.sprintf ", intern store %.0f B/config" b
+    | None -> ""
+  in
   match spill with
   | None ->
-      Printf.sprintf "memory: %.1f MiB frontier-resident, 0 B on disk"
-        (mib heap_b)
+      Printf.sprintf "memory: %.1f MiB peak heap%s, 0 B on disk" (mib peak_b)
+        intern
   | Some (sp, _) ->
       Printf.sprintf
-        "memory: %.1f MiB frontier-resident, %.1f MiB on disk (%d spill \
-         levels, %.1f MiB read back)"
-        (mib heap_b)
+        "memory: %.1f MiB peak heap%s, %.1f MiB on disk (%d spill levels, \
+         %.1f MiB read back)"
+        (mib peak_b) intern
         (mib (Asyncolor_resilience.Spill.bytes_written sp))
         (Asyncolor_resilience.Spill.levels_on_disk sp)
         (mib (Asyncolor_resilience.Spill.bytes_read sp))
@@ -572,9 +578,11 @@ let check_cmd =
           ~doc:
             "Spill closed BFS levels of the adjacency stream to \
              delta-encoded, checksummed files under DIR (created if \
-             missing), keeping the live heap to the frontier and the \
-             intern index.  Combine with $(b,--mem-budget-mb) to run \
-             instances whose full adjacency would not fit in memory.")
+             missing).  Only the adjacency leaves the heap: the intern \
+             store, the per-configuration arrays and the frontier stay \
+             resident and grow with the configurations explored.  \
+             Combine with $(b,--mem-budget-mb) to run instances whose \
+             full adjacency would not fit in memory.")
   in
   let spill_threshold_mb_arg =
     Arg.(
@@ -654,7 +662,13 @@ let check_cmd =
         r.configs dt
         (float_of_int r.configs /. Float.max dt 1e-9)
         jobs;
-      Diag.printf "%s\n" (memory_pressure_line ?spill ());
+      let intern_per_config =
+        match List.assoc_opt "explorer.intern_bytes" (Obs.metrics obs) with
+        | Some b when r.configs > 0 ->
+            Some (float_of_int b /. float_of_int r.configs)
+        | _ -> None
+      in
+      Diag.printf "%s\n" (memory_pressure_line ?intern_per_config ?spill ());
       chaos_stats_line chaos;
       finish_obs obs ~trace_out ~metrics;
       (match budget with

@@ -2,6 +2,7 @@ module Vec = Asyncolor_util.Vec
 module Mask = Asyncolor_util.Mask
 module Ring = Asyncolor_util.Ring
 module Executor = Asyncolor_util.Executor
+module Intern = Asyncolor_util.Intern
 module Level_log = Asyncolor_util.Sharded_tbl.Level_log
 module Checkpoint = Asyncolor_resilience.Checkpoint
 module Chaos = Asyncolor_resilience.Chaos
@@ -31,6 +32,7 @@ type octx = {
   og_overlap : Obs.Gauge.t;  (* most cross-level expansions in flight *)
   og_spill_levels : Obs.Gauge.t;  (* levels currently on disk *)
   og_heap : Obs.Gauge.t;  (* peak live heap words sampled at merge boundaries *)
+  og_intern : Obs.Gauge.t;  (* bytes held by the intern store *)
 }
 
 let make_octx o =
@@ -50,6 +52,7 @@ let make_octx o =
     og_overlap = Obs.gauge o "exec.kappa_overlap";
     og_spill_levels = Obs.gauge o "spill.levels_on_disk";
     og_heap = Obs.gauge o "explorer.peak_heap_words";
+    og_intern = Obs.gauge o "explorer.intern_bytes";
   }
 
 (* --- activation subsets: list form (reference) and packed form --------- *)
@@ -134,13 +137,6 @@ type orbit_stats = {
 
 module Make (P : Asyncolor_kernel.Protocol.S) = struct
   module E = Asyncolor_kernel.Engine.Make (P)
-
-  module Tbl = Asyncolor_util.Sharded_tbl.Make (struct
-    type t = E.key
-
-    let equal = E.key_equal
-    let hash = E.key_hash
-  end)
 
   module CMap = Map.Make (struct
     type t = E.config
@@ -618,17 +614,17 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
   let packed_of_state ~params st =
     let fetch = spill_fetch ~params in
     let adj_get =
-      match params.spill with
-      | None ->
-          let a = Level_log.to_array ~fetch st.s_adj_data in
-          Array.get a
-      | Some _ ->
-          (* Off-heap reassembly: the analyses of a spilled run walk the
-             stream through a bigarray the GC neither scans nor counts,
-             so the peak-live-heap win of spilling survives the analysis
-             phase. *)
-          let ba = Level_log.to_bigarray ~fetch st.s_adj_data in
-          fun i -> ba.{i}
+      if Level_log.spilled_levels st.s_adj_data = 0 then
+        (* Nothing left the heap: the analyses read the resident stream
+           in place, with no second copy of it at the heap's peak. *)
+        Level_log.get st.s_adj_data
+      else
+        (* Off-heap reassembly: the analyses of a spilled run walk the
+           stream through a bigarray the GC neither scans nor counts,
+           so the peak-live-heap win of spilling survives the analysis
+           phase. *)
+        let ba = Level_log.to_bigarray ~fetch st.s_adj_data in
+        fun i -> ba.{i}
     in
     {
       total = st.s_next_id;
@@ -767,10 +763,12 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         ck_pending = pending ();
       }
 
-  let keys_of_key_tbl tbl n =
-    let a = Array.make n [||] in
-    Tbl.iter (fun k id -> a.(id) <- E.key_data k) tbl;
-    a
+  (* The store's ids are the dense ids, so decoding in id order gives
+     exactly the [ck_keys] the v2 format has always held. *)
+  let keys_of_store store = Array.init (Intern.length store) (Intern.get store)
+
+  let intern_key store key =
+    Intern.intern store ~hash:(E.key_hash key) (E.key_data key)
 
   (* --- the BFS driver: one loop for every policy and for resume -------- *)
 
@@ -837,7 +835,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      configurations that still have working processes mark the
      exploration incomplete, and every unexpanded entry keeps an empty
      adjacency row. *)
-  let run ~params ?policy ~jobs ~graph ~idents st tbl pend =
+  let run ~params ?policy ~jobs ~graph ~idents st store pend =
     let octx = params.octx in
     let o = octx.o in
     Executor.with_executor ~obs:o ~policy:(default_policy ~jobs policy) ~jobs
@@ -866,8 +864,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     in
     (* Folds one successor of [uid] into the packed state.  At one job
        without symmetry [rep] is a placeholder, the live engine holds the
-       successor and [key] is its probe, copied only on a miss; otherwise
-       [rep] is the canonical representative. *)
+       successor and [key] is its probe, whose data the store reads in
+       place (and copies into its arena on a miss); otherwise [rep] is
+       the canonical representative. *)
     let merge uid orbit_u mask key rep orbit pi =
       st.s_transitions <- st.s_transitions + 1;
       Obs.Counter.incr octx.oc_transitions;
@@ -875,25 +874,22 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         if pi <> 0 then Obs.Counter.incr octx.oc_orbit_hits;
         st.s_exp_transitions <- st.s_exp_transitions + orbit_u
       end;
-      let vid =
-        match Tbl.find_opt tbl key with
-        | Some id -> id
-        | None ->
-            let key = if snapshot_on_miss then E.key_copy key else key in
-            let rep = if snapshot_on_miss then E.snapshot engine else rep in
-            let id = register_st ~params st rep ~orbit in
-            Ring.push pend rep;
-            Tbl.add tbl key id;
-            Vec.set st.s_parent_pred id uid;
-            Vec.set st.s_parent_mask id mask;
-            (* The predicates read [engine] (seed contract): at one job
-               it already holds the successor, unless canonicalisation
-               picked another orbit member. *)
-            if Option.is_some params.check_config && (pi <> 0 || not inline)
-            then E.restore engine rep;
-            safety_check ~params st engine id rep;
-            id
-      in
+      let vid = intern_key store key in
+      if vid = st.s_next_id then begin
+        (* A miss: the store appended the key under the next dense id. *)
+        let rep = if snapshot_on_miss then E.snapshot engine else rep in
+        let id = register_st ~params st rep ~orbit in
+        assert (id = vid);
+        Ring.push pend rep;
+        Vec.set st.s_parent_pred id uid;
+        Vec.set st.s_parent_mask id mask;
+        (* The predicates read [engine] (seed contract): at one job it
+           already holds the successor, unless canonicalisation picked
+           another orbit member. *)
+        if Option.is_some params.check_config && (pi <> 0 || not inline)
+        then E.restore engine rep;
+        safety_check ~params st engine id rep
+      end;
       Level_log.push st.s_adj_data mask;
       Level_log.push st.s_adj_data vid;
       if params.symmetry then Level_log.push st.s_adj_data pi
@@ -999,7 +995,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
           if !io_error = None then
             match
               save_ckpt ~params ~graph ~idents st
-                ~keys:(fun () -> keys_of_key_tbl tbl st.s_next_id)
+                ~keys:(fun () -> keys_of_store store)
                 ~pending:(fun () ->
                   Array.init (Ring.length pend) (fun i ->
                       let p = Ring.lo pend + i in
@@ -1104,6 +1100,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     done;
     close_level ();
     sample_heap ~params;
+    Obs.Gauge.set octx.og_intern (Intern.bytes store);
     if !stopped then begin
       (* In-flight futures are abandoned (the executor drains them on
          shutdown); the ring still holds every unexpanded entry for the
@@ -1129,17 +1126,17 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     let st =
       fresh_state ?spill_threshold:(Option.map snd params.spill) ()
     in
-    let tbl = Tbl.create ~shards:16 1024 in
+    let store = Intern.create () in
     let engine = E.create graph ~idents in
     let key, initial, orbit, _ =
       canonicalize params.group (E.snapshot engine)
     in
     let root_id = register_st ~params st initial ~orbit in
-    Tbl.add tbl key root_id;
+    ignore (intern_key store key);
     safety_check ~params st engine root_id initial;
     let pend = Ring.create ~dummy:initial () in
     Ring.push pend initial;
-    run ~params ?policy ~jobs ~graph ~idents st tbl pend
+    run ~params ?policy ~jobs ~graph ~idents st store pend
 
   (* Callers that opt into chaos get the retry budget by default; without
      chaos (and without an explicit [retry]) every I/O primitive keeps its
@@ -1295,10 +1292,15 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       }
     in
     let st = state_of_ckpt ?spill_threshold:(Option.map snd spill) c in
-    let tbl = Tbl.create ~shards:16 (max 1024 (2 * c.ck_next_id)) in
-    Array.iteri
-      (fun id kdata -> Tbl.add tbl (E.key_of_data kdata) id)
+    let store = Intern.create ~capacity:c.ck_next_id () in
+    Array.iter
+      (fun kdata -> ignore (intern_key store (E.key_of_data kdata)))
       c.ck_keys;
+    (* One distinct key per dense id, or every later id would shift. *)
+    if
+      Array.length c.ck_keys <> c.ck_next_id
+      || Intern.length store <> c.ck_next_id
+    then raise (Checkpoint.Corrupt "checkpoint keys do not match its ids");
     (* Pending entries are the id slice [start, next_id) in FIFO order
        (the checkpoint contract), so the ring's absolute positions — the
        stored ids — carry over directly. *)
@@ -1308,7 +1310,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     in
     Array.iter (fun (_, cfg) -> Ring.push pend cfg) c.ck_pending;
     finish_report ~octx ~n
-      (run ~params ?policy ~jobs ~graph ~idents st tbl pend)
+      (run ~params ?policy ~jobs ~graph ~idents st store pend)
 
   let pp_report ppf r =
     Format.fprintf ppf

@@ -163,8 +163,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
 
       [impl] selects the exploration engine: [`Hashcons] (default) is the
       packed BFS — configurations interned by the integer keys of
-      {!Asyncolor_kernel.Engine.Make.config_key} in one [Key_tbl],
-      adjacency in flat int arrays, one FIFO merge loop for every policy;
+      {!Asyncolor_kernel.Engine.Make.config_key} in one
+      {!Asyncolor_util.Intern} store (varint bytes in an arena, about
+      100 B a configuration), adjacency in flat int arrays, one FIFO
+      merge loop for every policy;
       [`Reference] is the seed
       implementation (sequential FIFO BFS over a [Map] keyed by
       [config_compare]), kept as the oracle for the differential tests.
@@ -198,7 +200,14 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       least [every] new configurations have been interned since the last
       save, and once more when the run is stopped early.  The interval is
       measured in configurations, not seconds, so checkpoint placement is
-      deterministic and testable.
+      deterministic and testable.  A save is not free in memory: the v2
+      format holds every key as an [int array], so each save decodes the
+      whole intern store into boxed arrays (about 60 words a
+      configuration) until the file is written.  The heap at a save
+      therefore peaks near where it sat when keys were boxed for good
+      (C5 [5,1,9,4,7] at one job: 130 MiB with a save every 20,000
+      configurations, 64 MiB without checkpoints), and a
+      [budget] on live heap words can trip just after one.
 
       [budget] bounds the run by wall-clock time and/or live heap words
       ({!Asyncolor_resilience.Budget}); [stop] is an arbitrary
@@ -241,8 +250,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       [threshold_words] at merge boundaries and written through
       {!Asyncolor_resilience.Spill} (delta-encoded, checksummed
       {!Asyncolor_resilience.Checkpoint} containers), leaving the live
-      heap to the frontier, the canonical-key index and the per-config
-      arrays.  Under a parallel policy the write runs as a background
+      heap to the frontier, the intern store and the per-config arrays —
+      all of which grow with the configurations explored.  Under a parallel policy the write runs as a background
       executor task while the pipeline keeps expanding.  The analyses
       reassemble the stream into an off-heap bigarray, so the peak-heap
       saving survives the analysis phase.  Spilling never changes any
@@ -273,7 +282,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       ["explorer.peak_heap_words"] tracks the live-heap high-water mark
       sampled every 1024 merged entries and once at the end of the BFS —
       the number the bench's
-      [peak_live_words] field reports.  The
+      [peak_live_words] field reports — and ["explorer.intern_bytes"]
+      the intern store's size at the end of the BFS ({!Asyncolor_util.Intern.bytes}).  The
       [`Reference] oracle is deliberately uninstrumented — its counters
       stay 0 — so differential tests compare protocol behaviour, not
       plumbing.

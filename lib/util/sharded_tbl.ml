@@ -75,6 +75,10 @@ module Level_log = struct
   let spilled_levels t = t.nclosed
   let length t = t.spilled + Vec.length t.tail
 
+  let get t i =
+    if i < t.spilled then invalid_arg "Level_log.get: word is spilled";
+    Vec.get t.tail (i - t.spilled)
+
   let seal t =
     match t.threshold with
     | Some w when Vec.length t.tail >= w && Vec.length t.tail > 0 ->

@@ -1,5 +1,6 @@
-(** A hash table split into independent shards by key hash — the
-    sharded-interning substrate of the parallel explorer.
+(** A hash table split into independent shards by key hash.  The
+    explorer interns through {!Intern} instead; this table remains the
+    baseline the benchmark's intern probe times.
 
     Shard ownership is a pure function of the key: the high bits of its
     mixed hash, masked to the shard count (rounded up to a power of two).
@@ -50,12 +51,13 @@ module Make (H : Hashtbl.HashedType) : sig
 end
 
 (** An append-only log of machine words whose closed prefix can leave the
-    heap — the spill half of the sharded-interning substrate.
+    heap — the explorer's adjacency stream.
 
-    The explorer's dominant allocation is not the intern table (which must
-    stay resident: every new configuration is looked up against it) but
-    the append-only adjacency stream of already-merged BFS levels, which
-    is never read again until the post-BFS analyses.  A [Level_log] keeps
+    The explorer's intern store must stay resident (every successor is
+    looked up against it) and grows with the configurations explored.
+    The append-only adjacency stream of already-merged BFS levels, 2–3
+    words per transition, is the part that can leave: it is never read
+    again until the post-BFS analyses.  A [Level_log] keeps
     an open {e tail} level in a resident vector and, at caller-chosen safe
     boundaries ({!seal}), closes the tail once it crosses the spill
     threshold: the log forgets the payload and remembers only its word
@@ -84,6 +86,13 @@ module Level_log : sig
   (** Total words, closed levels included — the stable absolute offset of
       the next {!push}, which is what the explorer stores in its CSR
       row-offset array. *)
+
+  val get : t -> int -> int
+  (** [get t i] reads the word at absolute position [i] in place, with
+      no copy — valid only for resident words, so on a log that has
+      never spilled it reads the whole stream.
+      @raise Invalid_argument when [i] lies in a closed level or at or
+      past {!length}. *)
 
   val resident_words : t -> int
   val spilled_words : t -> int

@@ -162,6 +162,18 @@ let test_disabled_noop () =
   check Alcotest.int "no spans recorded" 0 (List.length (Obs.spans o));
   check Alcotest.int "no metrics recorded" 0 (List.length (Obs.metrics o))
 
+(* The explorer gauges its intern store's size at the end of the BFS:
+   what the CLI's memory line divides by the configuration count when
+   --metrics or --trace enabled a sink. *)
+let test_intern_bytes_gauged () =
+  let module Exp = Asyncolor_check.Explorer.Make (Asyncolor.Algorithm2.P) in
+  let o = Obs.create () in
+  let r = Exp.explore ~jobs:2 ~obs:o (Builders.cycle 4) ~idents:[| 5; 1; 9; 4 |] in
+  let bytes = List.assoc "explorer.intern_bytes" (Obs.metrics o) in
+  check Alcotest.bool "intern store size gauged" true (bytes > 0);
+  check Alcotest.bool "a few bytes per configuration, not a boxed key" true
+    (bytes < 256 * r.configs)
+
 (* --- qcheck: span trees are well-nested ------------------------------- *)
 
 (* Interpret a list of small ints as a stack program over one sink:
@@ -389,5 +401,7 @@ let () =
           qtest prop_explorer_counters_match_report;
           Alcotest.test_case "resume counts only new configs" `Quick
             test_resume_counts_only_new;
+          Alcotest.test_case "intern store size gauged" `Quick
+            test_intern_bytes_gauged;
         ] );
     ]

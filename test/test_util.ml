@@ -1,5 +1,5 @@
-(* Unit and property tests for Asyncolor_util: the SplitMix64 PRNG and the
-   minimum-excludant helper. *)
+(* Unit and property tests for Asyncolor_util: the SplitMix64 PRNG, the
+   minimum-excludant helper, the executor and the explorer's stores. *)
 
 module Prng = Asyncolor_util.Prng
 module Mex = Asyncolor_util.Mex
@@ -819,6 +819,134 @@ let test_sharded_tbl_high_bits () =
   check Alcotest.(option int) "lookups still route" (Some 4_095)
     (Aliased_tbl.find_opt t 4_095)
 
+(* --- Intern ------------------------------------------------------------- *)
+
+module Intern = Asyncolor_util.Intern
+
+(* Elements that stress the varint coding: 0, both signs, one- and
+   multi-byte values and the extremes whose zigzag uses bit 62. *)
+let intern_elt =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range (-3) 3);
+        (2, int_range (-70_000) 70_000);
+        (1, oneofl [ 0; max_int; min_int; max_int - 1; min_int + 1; 63; 64; -64; -65 ]);
+        (1, int);
+      ])
+
+(* A small pool drawn from many times, so sequences repeat, share
+   prefixes, and include the empty one. *)
+let intern_ops =
+  QCheck.make
+    ~print:QCheck.Print.(list (array int))
+    QCheck.Gen.(
+      list_size (int_range 1 12) (array_size (int_range 0 6) intern_elt)
+      >>= fun pool ->
+      let pool = Array.of_list ([||] :: pool) in
+      list_size (int_range 0 200) (oneofa pool))
+
+(* Interns every sequence and checks it against a [Hashtbl] oracle: a
+   known sequence gets its first id back, a new one the next dense id,
+   and [get] decodes every id. *)
+let intern_matches_oracle ~hash ops =
+  let t = Intern.create ~capacity:1 () in
+  let oracle = Hashtbl.create 16 in
+  let ok =
+    List.for_all
+      (fun a ->
+        let expected =
+          match Hashtbl.find_opt oracle a with
+          | Some id -> id
+          | None ->
+              let id = Hashtbl.length oracle in
+              Hashtbl.add oracle a id;
+              id
+        in
+        Intern.intern t ~hash:(hash a) a = expected)
+      ops
+  in
+  ok
+  && Intern.length t = Hashtbl.length oracle
+  && Hashtbl.fold (fun a id acc -> acc && Intern.get t id = a) oracle true
+
+let prop_intern_oracle =
+  QCheck.Test.make ~name:"Intern: ids and payloads match a Hashtbl oracle"
+    ~count:300 intern_ops
+    (intern_matches_oracle ~hash:Hashtbl.hash)
+
+let prop_intern_constant_hash =
+  QCheck.Test.make
+    ~name:"Intern: constant hash, tag and bytes alone decide" ~count:300
+    intern_ops
+    (intern_matches_oracle ~hash:(fun _ -> 42))
+
+let test_intern_dense_ids () =
+  let t = Intern.create () in
+  let seqs =
+    [| [| 1; 2; 3 |]; [||]; [| min_int; max_int; 0; -1 |]; [| 1; 2 |] |]
+  in
+  Array.iteri
+    (fun i a ->
+      check Alcotest.int "next dense id" i (Intern.intern t ~hash:7 a))
+    seqs;
+  check Alcotest.int "length" 4 (Intern.length t);
+  Array.iteri
+    (fun i a -> check Alcotest.(array int) "get (intern s) = s" a (Intern.get t i))
+    seqs;
+  check Alcotest.int "re-interning returns the first id" 2
+    (Intern.intern t ~hash:7 [| min_int; max_int; 0; -1 |]);
+  (* Same hash, one sequence a prefix of another: only the stored length
+     tells them apart. *)
+  check Alcotest.int "proper prefix is new" 4 (Intern.intern t ~hash:7 [| 1 |]);
+  check Alcotest.int "proper extension is new" 5
+    (Intern.intern t ~hash:7 [| 1; 2; 3; 4 |]);
+  Alcotest.check_raises "get out of range"
+    (Invalid_argument "Intern.get: id out of range") (fun () ->
+      ignore (Intern.get t 6))
+
+(* From the smallest table, through many slot-array doublings, offset
+   growths and arena chunks, plus one sequence larger than a chunk. *)
+let test_intern_growth () =
+  let t = Intern.create ~capacity:1 () in
+  let n = 50_000 in
+  let seq i = [| i; -i; i * 1_000_003; i land 7 |] in
+  let hash a = Hashtbl.hash a in
+  for i = 0 to n - 1 do
+    if Intern.intern t ~hash:(hash (seq i)) (seq i) <> i then
+      Alcotest.failf "sequence %d got another id" i
+  done;
+  let big = Array.init 20_000 (fun i -> if i land 1 = 0 then max_int else i) in
+  check Alcotest.int "oversized sequence interned" n
+    (Intern.intern t ~hash:1 big);
+  check Alcotest.(array int) "oversized sequence decodes" big (Intern.get t n);
+  for i = 0 to n - 1 do
+    let a = seq i in
+    if Intern.intern t ~hash:(hash a) a <> i || Intern.get t i <> a then
+      Alcotest.failf "sequence %d lost across growth" i
+  done;
+  check Alcotest.int "new after growth" (n + 1)
+    (Intern.intern t ~hash:(hash (seq n)) (seq n));
+  check Alcotest.bool
+    (Printf.sprintf "compact: %d bytes for %d sequences" (Intern.bytes t) n)
+    true
+    (Intern.bytes t < 80 * n)
+
+(* Distinct, well-spread hashes: a lookup compares bytes only where a
+   slot's tag matches, so misses compare nothing and each hit once. *)
+let test_intern_tag_filters () =
+  let t = Intern.create ~capacity:1 () in
+  let hash i = i * 0x2545F4914F6CDD1D in
+  let n = 2_000 in
+  for i = 0 to n - 1 do
+    ignore (Intern.intern t ~hash:(hash i) [| i |])
+  done;
+  check Alcotest.int "misses compare no bytes" 0 (Intern.compares t);
+  for i = 0 to n - 1 do
+    ignore (Intern.intern t ~hash:(hash i) [| i |])
+  done;
+  check Alcotest.int "each hit compares once" n (Intern.compares t)
+
 (* --- Level_log -------------------------------------------------------- *)
 
 module Level_log = Asyncolor_util.Sharded_tbl.Level_log
@@ -836,6 +964,7 @@ let test_level_log_plain_vector () =
   check Alcotest.int "all resident" 100 (Level_log.resident_words l);
   check Alcotest.int "nothing spilled" 0 (Level_log.spilled_words l);
   check Alcotest.bool "seal is a no-op" true (Level_log.seal l = None);
+  check Alcotest.int "get reads in place" 297 (Level_log.get l 99);
   check
     Alcotest.(array int)
     "to_array round-trip"
@@ -864,6 +993,11 @@ let test_level_log_seal_threshold () =
   check Alcotest.int "two levels closed" 2 (Level_log.spilled_levels l);
   check Alcotest.int "spilled words" 28 (Level_log.spilled_words l);
   check Alcotest.int "resident tail" 7 (Level_log.resident_words l);
+  check Alcotest.int "get reads the resident tail in place" 30
+    (Level_log.get l 30);
+  Alcotest.check_raises "get of a spilled word"
+    (Invalid_argument "Level_log.get: word is spilled") (fun () ->
+      ignore (Level_log.get l 27));
   let fetch ~level = Hashtbl.find store level in
   check
     Alcotest.(array int)
@@ -1047,6 +1181,17 @@ let () =
             test_sharded_tbl_explicit_shard;
           Alcotest.test_case "shard from high hash bits" `Quick
             test_sharded_tbl_high_bits;
+        ] );
+      ( "intern",
+        [
+          qtest prop_intern_oracle;
+          qtest prop_intern_constant_hash;
+          Alcotest.test_case "dense ids, round trip, prefixes" `Quick
+            test_intern_dense_ids;
+          Alcotest.test_case "growth through rehashes and chunks" `Quick
+            test_intern_growth;
+          Alcotest.test_case "tags filter byte compares" `Quick
+            test_intern_tag_filters;
         ] );
       ( "level_log",
         [
