@@ -403,26 +403,27 @@ let chaos_stats_line chaos =
 
 (* The memory companion of the rate line: the major heap's peak (not
    its size after the run, which the analyses have already shrunk), the
-   explorer's intern store per configuration when an enabled sink
-   ([--metrics] or [--trace]) gauged it, and what spilling moved to
+   explorer's stores per configuration when an enabled sink
+   ([--metrics] or [--trace]) gauged them, and what spilling moved to
    disk.  Diagnostics only — stderr, never part of the report. *)
-let memory_pressure_line ?intern_per_config ?spill () =
+let memory_pressure_line ?(per_config = []) ?spill () =
   let mib w = float_of_int w /. (1024. *. 1024.) in
   let peak_b = (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) in
-  let intern =
-    match intern_per_config with
-    | Some b -> Printf.sprintf ", intern store %.0f B/config" b
-    | None -> ""
+  let stores =
+    String.concat ""
+      (List.map
+         (fun (store, b) -> Printf.sprintf ", %s %.0f B/config" store b)
+         per_config)
   in
   match spill with
   | None ->
       Printf.sprintf "memory: %.1f MiB peak heap%s, 0 B on disk" (mib peak_b)
-        intern
+        stores
   | Some (sp, _) ->
       Printf.sprintf
         "memory: %.1f MiB peak heap%s, %.1f MiB on disk (%d spill levels, \
          %.1f MiB read back)"
-        (mib peak_b) intern
+        (mib peak_b) stores
         (mib (Asyncolor_resilience.Spill.bytes_written sp))
         (Asyncolor_resilience.Spill.levels_on_disk sp)
         (mib (Asyncolor_resilience.Spill.bytes_read sp))
@@ -662,13 +663,21 @@ let check_cmd =
         r.configs dt
         (float_of_int r.configs /. Float.max dt 1e-9)
         jobs;
-      let intern_per_config =
-        match List.assoc_opt "explorer.intern_bytes" (Obs.metrics obs) with
-        | Some b when r.configs > 0 ->
-            Some (float_of_int b /. float_of_int r.configs)
-        | _ -> None
+      let per_config =
+        let metrics = Obs.metrics obs in
+        List.filter_map
+          (fun (store, gauge) ->
+            match List.assoc_opt gauge metrics with
+            | Some b when r.configs > 0 ->
+                Some (store, float_of_int b /. float_of_int r.configs)
+            | _ -> None)
+          [
+            ("intern store", "explorer.intern_bytes");
+            ("adjacency", "explorer.adj_bytes");
+            ("tables", "explorer.table_bytes");
+          ]
       in
-      Diag.printf "%s\n" (memory_pressure_line ?intern_per_config ?spill ());
+      Diag.printf "%s\n" (memory_pressure_line ~per_config ?spill ());
       chaos_stats_line chaos;
       finish_obs obs ~trace_out ~metrics;
       (match budget with

@@ -3,6 +3,7 @@ module Mask = Asyncolor_util.Mask
 module Ring = Asyncolor_util.Ring
 module Executor = Asyncolor_util.Executor
 module Intern = Asyncolor_util.Intern
+module Int_log = Asyncolor_util.Int_log
 module Level_log = Asyncolor_util.Sharded_tbl.Level_log
 module Checkpoint = Asyncolor_resilience.Checkpoint
 module Chaos = Asyncolor_resilience.Chaos
@@ -33,6 +34,8 @@ type octx = {
   og_spill_levels : Obs.Gauge.t;  (* levels currently on disk *)
   og_heap : Obs.Gauge.t;  (* peak live heap words sampled at merge boundaries *)
   og_intern : Obs.Gauge.t;  (* bytes held by the intern store *)
+  og_adj : Obs.Gauge.t;  (* bytes held by the resident adjacency stream *)
+  og_tables : Obs.Gauge.t;  (* bytes held by the per-id tables *)
 }
 
 let make_octx o =
@@ -53,6 +56,8 @@ let make_octx o =
     og_spill_levels = Obs.gauge o "spill.levels_on_disk";
     og_heap = Obs.gauge o "explorer.peak_heap_words";
     og_intern = Obs.gauge o "explorer.intern_bytes";
+    og_adj = Obs.gauge o "explorer.adj_bytes";
+    og_tables = Obs.gauge o "explorer.table_bytes";
   }
 
 (* --- activation subsets: list form (reference) and packed form --------- *)
@@ -261,8 +266,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      driver both produce: flat int stores only — dense ids, CSR
      adjacency, parent pointers as (pred id, activation mask).  The boxed
      configurations themselves are not part of it; the driver keeps only
-     the pending ones alive.  Adjacency is accessed through [adj_get] so
-     a spilled run can reassemble it into off-heap storage: entries are
+     the pending ones alive.  Every table is an accessor, not an array:
+     the driver's read its [Int_log]s in place (no copy at the heap's
+     peak), the oracle's wrap its arrays, and a spilled run's adjacency
+     reads an off-heap reassembly.  Adjacency entries are
      (mask, vid) pairs at [adj_stride = 2], or (mask, vid, perm) triples
      at stride 3 under symmetry reduction, where [perm] indexes [group]
      with the automorphism [sigma] such that the true successor is the
@@ -273,9 +280,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     transitions : int;
     terminal : int;
     complete : bool;
-    parent_pred : int array;  (* -1 at the root *)
-    parent_mask : int array;
-    adj_off : int array;  (* total + 1 offsets into the adjacency stream *)
+    parent_pred : int -> int;  (* -1 at the root *)
+    parent_mask : int -> int;
+    adj_off : int -> int;  (* total + 1 offsets into the adjacency stream *)
     adj_get : int -> int;  (* flattened adjacency stream *)
     adj_stride : int;  (* 2, or 3 with per-edge automorphism indices *)
     group : int array array;  (* symmetry group; singleton identity when off *)
@@ -288,8 +295,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      that reaches it. *)
   let schedule_to pred mask id =
     let rec loop id acc =
-      let p = pred.(id) in
-      if p < 0 then acc else loop p (subset_of_mask mask.(id) :: acc)
+      let p = pred id in
+      if p < 0 then acc else loop p (subset_of_mask (mask id) :: acc)
     in
     loop id []
 
@@ -302,19 +309,19 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     let ad = p.adj_get in
     let stride = p.adj_stride in
     let color = Bytes.make p.total '\000' in
-    let finish = Vec.create ~capacity:1024 ~dummy:0 () in
+    let finish = Int_log.create () in
     let livelock = ref None in
     let st_id = Vec.create ~capacity:64 ~dummy:0 () in
     let st_cur = Vec.create ~capacity:64 ~dummy:0 () in
     let path = Vec.create ~capacity:64 ~dummy:0 () in
     Vec.push st_id 0;
-    Vec.push st_cur p.adj_off.(0);
+    Vec.push st_cur (p.adj_off 0);
     Bytes.set color 0 '\001';
     while Vec.length st_id > 0 && !livelock = None do
       let depth = Vec.length st_id - 1 in
       let u = Vec.get st_id depth in
       let cur = Vec.get st_cur depth in
-      if cur < p.adj_off.(u + 1) then begin
+      if cur < p.adj_off (u + 1) then begin
         Vec.set st_cur depth (cur + stride);
         let mask = ad cur and v = ad (cur + 1) in
         match Bytes.get color v with
@@ -322,7 +329,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
             Bytes.set color v '\001';
             Vec.push path mask;
             Vec.push st_id v;
-            Vec.push st_cur p.adj_off.(v)
+            Vec.push st_cur (p.adj_off v)
         | '\001' ->
             (* A back edge: the masks on the tree path plus this one are a
                lasso schedule (prefix + cycle) witnessing the livelock. *)
@@ -346,7 +353,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         ignore (Vec.pop st_id);
         ignore (Vec.pop st_cur);
         Bytes.set color u '\002';
-        Vec.push finish u;
+        Int_log.push finish u;
         if Vec.length st_id > 0 then ignore (Vec.pop path)
       end
     done;
@@ -371,11 +378,12 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     let identity = p.group.(0) in
     let dp = Array.make (p.total * n) 0 in
     let best = ref 0 in
-    for i = Vec.length finish - 1 downto 0 do
-      let u = Vec.get finish i in
+    for i = Int_log.length finish - 1 downto 0 do
+      let u = Int_log.get finish i in
       let bu = u * n in
-      let e = ref p.adj_off.(u) in
-      while !e < p.adj_off.(u + 1) do
+      let e = ref (p.adj_off u) in
+      let e_end = p.adj_off (u + 1) in
+      while !e < e_end do
         let mask = ad !e and v = ad (!e + 1) in
         let sigma = if stride = 2 then identity else p.group.(ad (!e + 2)) in
         let bv = v * n in
@@ -520,16 +528,15 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         (subsets_of mode unfinished);
       Vec.push adj_off (Vec.length adj_data)
     done;
-    let adj = Vec.to_array adj_data in
     {
       total = !next_id;
       transitions = !transitions;
       terminal = !terminal;
       complete = !complete;
-      parent_pred = Vec.to_array parent_pred;
-      parent_mask = Vec.to_array parent_mask;
-      adj_off = Vec.to_array adj_off;
-      adj_get = Array.get adj;
+      parent_pred = Array.get (Vec.to_array parent_pred);
+      parent_mask = Array.get (Vec.to_array parent_mask);
+      adj_off = Array.get (Vec.to_array adj_off);
+      adj_get = Array.get (Vec.to_array adj_data);
       adj_stride = 2;
       group = [| Array.init (Asyncolor_topology.Graph.n graph) Fun.id |];
       expanded = None;
@@ -541,16 +548,18 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
   (* Everything the BFS driver mutates, gathered in one record so a
      checkpoint can snapshot it and a resumed run can pick it back up.
      The boxed configurations are *not* part of it: the driver's pending
-     ring is the only other state a checkpoint has to persist. *)
+     ring is the only other state a checkpoint has to persist.  The
+     per-id tables are append-only [Int_log]s: pushed once per id, never
+     copied as they grow, read in place by the analyses. *)
   type bfs_state = {
-    s_parent_pred : int Vec.t;
-    s_parent_mask : int Vec.t;
-    s_adj_off : int Vec.t;
+    s_parent_pred : Int_log.t;
+    s_parent_mask : Int_log.t;
+    s_adj_off : Int_log.t;
     s_adj_data : Level_log.t;
         (* the adjacency stream — the one store whose closed prefix can
            leave the heap (see [Level_log]); offsets in [s_adj_off] are
            absolute stream positions, so spilling never renumbers *)
-    s_orbit : int Vec.t;  (* orbit size per dense id; empty when symmetry off *)
+    s_orbit : Int_log.t;  (* orbit size per dense id; empty when symmetry off *)
     mutable s_next_id : int;
     mutable s_transitions : int;
     mutable s_terminal : int;
@@ -562,14 +571,23 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     mutable s_complete : bool;
   }
 
+  let table_bytes st =
+    Int_log.bytes st.s_parent_pred + Int_log.bytes st.s_parent_mask
+    + Int_log.bytes st.s_adj_off + Int_log.bytes st.s_orbit
+
+  (* The per-id tables take the adjacency tail's chunk size: 64 Ki
+     words, or the spill threshold's power of two when that is smaller,
+     so a small spilled run holds no mostly empty 512 KiB chunks. *)
   let fresh_state ?spill_threshold () =
+    let chunk_words = Int_log.chunk_words_for ?threshold_words:spill_threshold () in
+    let table () = Int_log.create ~chunk_words () in
     let st =
       {
-        s_parent_pred = Vec.create ~capacity:1024 ~dummy:(-1) ();
-        s_parent_mask = Vec.create ~capacity:1024 ~dummy:0 ();
-        s_adj_off = Vec.create ~capacity:1024 ~dummy:0 ();
+        s_parent_pred = table ();
+        s_parent_mask = table ();
+        s_adj_off = table ();
         s_adj_data = Level_log.create ?threshold_words:spill_threshold ();
-        s_orbit = Vec.create ~capacity:1024 ~dummy:1 ();
+        s_orbit = table ();
         s_next_id = 0;
         s_transitions = 0;
         s_terminal = 0;
@@ -581,7 +599,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         s_complete = true;
       }
     in
-    Vec.push st.s_adj_off 0;
+    Int_log.push st.s_adj_off 0;
     st
 
   (* Exploration parameters threaded through the BFS driver. *)
@@ -631,9 +649,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       transitions = st.s_transitions;
       terminal = st.s_terminal;
       complete = st.s_complete;
-      parent_pred = Vec.to_array st.s_parent_pred;
-      parent_mask = Vec.to_array st.s_parent_mask;
-      adj_off = Vec.to_array st.s_adj_off;
+      parent_pred = Int_log.get st.s_parent_pred;
+      parent_mask = Int_log.get st.s_parent_mask;
+      adj_off = Int_log.get st.s_adj_off;
       adj_get;
       adj_stride = (if params.symmetry then 3 else 2);
       group = params.group;
@@ -644,14 +662,15 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       safety_raw = List.rev st.s_safety_rev;
     }
 
-  let register_st ~params st config ~orbit =
+  (* [pred]/[mask]: the parent pointer, [-1]/[0] at the root. *)
+  let register_st ~params st config ~orbit ~pred ~mask =
     let id = st.s_next_id in
     st.s_next_id <- id + 1;
     Obs.Counter.incr params.octx.oc_configs;
-    Vec.push st.s_parent_pred (-1);
-    Vec.push st.s_parent_mask 0;
+    Int_log.push st.s_parent_pred pred;
+    Int_log.push st.s_parent_mask mask;
     if params.symmetry then begin
-      Vec.push st.s_orbit orbit;
+      Int_log.push st.s_orbit orbit;
       st.s_exp_configs <- st.s_exp_configs + orbit
     end;
     if E.config_unfinished_mask config = 0 then begin
@@ -751,13 +770,13 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         ck_transitions = st.s_transitions;
         ck_terminal = st.s_terminal;
         ck_complete = st.s_complete;
-        ck_parent_pred = Vec.to_array st.s_parent_pred;
-        ck_parent_mask = Vec.to_array st.s_parent_mask;
-        ck_adj_off = Vec.to_array st.s_adj_off;
+        ck_parent_pred = Int_log.to_array st.s_parent_pred;
+        ck_parent_mask = Int_log.to_array st.s_parent_mask;
+        ck_adj_off = Int_log.to_array st.s_adj_off;
         ck_adj_data = Level_log.to_array ~fetch:(spill_fetch ~params) st.s_adj_data;
         ck_safety_rev = st.s_safety_rev;
         ck_symmetry = params.symmetry;
-        ck_orbit = Vec.to_array st.s_orbit;
+        ck_orbit = Int_log.to_array st.s_orbit;
         ck_expanded = (st.s_exp_configs, st.s_exp_transitions, st.s_exp_terminal);
         ck_keys = keys ();
         ck_pending = pending ();
@@ -878,11 +897,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       if vid = st.s_next_id then begin
         (* A miss: the store appended the key under the next dense id. *)
         let rep = if snapshot_on_miss then E.snapshot engine else rep in
-        let id = register_st ~params st rep ~orbit in
+        let id = register_st ~params st rep ~orbit ~pred:uid ~mask in
         assert (id = vid);
         Ring.push pend rep;
-        Vec.set st.s_parent_pred id uid;
-        Vec.set st.s_parent_mask id mask;
         (* The predicates read [engine] (seed contract): at one job it
            already holds the successor, unless canonicalisation picked
            another orbit member. *)
@@ -1052,7 +1069,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       check_spill_err ();
       if should_stop ~params st || !io_error <> None then stopped := true
       else begin
-        let orbit_u = if params.symmetry then Vec.get st.s_orbit uid else 1 in
+        let orbit_u = if params.symmetry then Int_log.get st.s_orbit uid else 1 in
         if inline then expand_inline uid orbit_u (Ring.get pend uid)
         else begin
           (* Top up the pipeline.  A position inside the current level is
@@ -1092,7 +1109,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
               if within_cap () then merge uid orbit_u mask key rep orbit pi)
             cands
         end;
-        Vec.push st.s_adj_off (Level_log.length st.s_adj_data);
+        Int_log.push st.s_adj_off (Level_log.length st.s_adj_data);
         seal ();
         if uid land 1023 = 0 then sample_heap ~params;
         Ring.drop pend
@@ -1101,6 +1118,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     close_level ();
     sample_heap ~params;
     Obs.Gauge.set octx.og_intern (Intern.bytes store);
+    Obs.Gauge.set octx.og_adj (Level_log.resident_bytes st.s_adj_data);
+    Obs.Gauge.set octx.og_tables (table_bytes st);
     if !stopped then begin
       (* In-flight futures are abandoned (the executor drains them on
          shutdown); the ring still holds every unexpanded entry for the
@@ -1109,7 +1128,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       for p = Ring.lo pend to Ring.hi pend - 1 do
         if E.config_unfinished_mask (Ring.get pend p) <> 0 then
           st.s_complete <- false;
-        Vec.push st.s_adj_off (Level_log.length st.s_adj_data)
+        Int_log.push st.s_adj_off (Level_log.length st.s_adj_data)
       done
     end;
     drain_spills ();
@@ -1131,7 +1150,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     let key, initial, orbit, _ =
       canonicalize params.group (E.snapshot engine)
     in
-    let root_id = register_st ~params st initial ~orbit in
+    let root_id = register_st ~params st initial ~orbit ~pred:(-1) ~mask:0 in
     ignore (intern_key store key);
     safety_check ~params st engine root_id initial;
     let pend = Ring.create ~dummy:initial () in
@@ -1237,12 +1256,14 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
 
   let state_of_ckpt ?spill_threshold c =
     let exp_c, exp_t, exp_term = c.ck_expanded in
+    let chunk_words = Int_log.chunk_words_for ?threshold_words:spill_threshold () in
+    let table = Int_log.of_array ~chunk_words in
     {
-      s_parent_pred = Vec.of_array ~dummy:(-1) c.ck_parent_pred;
-      s_parent_mask = Vec.of_array ~dummy:0 c.ck_parent_mask;
-      s_adj_off = Vec.of_array ~dummy:0 c.ck_adj_off;
+      s_parent_pred = table c.ck_parent_pred;
+      s_parent_mask = table c.ck_parent_mask;
+      s_adj_off = table c.ck_adj_off;
       s_adj_data = Level_log.of_array ?threshold_words:spill_threshold c.ck_adj_data;
-      s_orbit = Vec.of_array ~dummy:1 c.ck_orbit;
+      s_orbit = table c.ck_orbit;
       s_next_id = c.ck_next_id;
       s_transitions = c.ck_transitions;
       s_terminal = c.ck_terminal;

@@ -165,7 +165,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       packed BFS — configurations interned by the integer keys of
       {!Asyncolor_kernel.Engine.Make.config_key} in one
       {!Asyncolor_util.Intern} store (varint bytes in an arena, about
-      100 B a configuration), adjacency in flat int arrays, one FIFO
+      100 B a configuration); adjacency, parent pointers and CSR row
+      offsets in append-only {!Asyncolor_util.Int_log}s (fixed-size
+      unboxed chunks, never copied as they grow), which the post-BFS
+      analyses read in place with no copy at the heap's peak; one FIFO
       merge loop for every policy;
       [`Reference] is the seed
       implementation (sequential FIFO BFS over a [Map] keyed by
@@ -176,13 +179,15 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       [Serial] when [jobs <= 1], else [Synchronous]).  Whenever the
       executor has one job — [Serial], or any policy at [jobs = 1] — the
       merging domain expands each entry in line.  With more jobs,
-      expansions run ahead of the merge as executor futures:
+      expansions run ahead of the merge as executor futures, at most
+      {!Asyncolor_util.Executor.stream_window} of them ([4 * jobs] by
+      default) past the entry being merged, so finished candidates never
+      pile up a whole level deep:
       [Synchronous] keeps a full barrier between BFS levels (level k+1
       expansion starts only once level k has fully merged);
       [Asynchronous {kappa; _}] lets level k+1 expansion start once a κ
-      fraction of level k has merged, bounded by the policy's in-flight
-      window — discovery is async and unordered, id assignment stays a
-      sequential FIFO merge.
+      fraction of level k has merged — discovery is async and unordered,
+      id assignment stays a sequential FIFO merge.
       {b Deterministic-output guarantee}: the report — configuration ids
       embedded in messages, schedules, violation order, every counter —
       is byte-identical for every [jobs] value, every policy, and
@@ -282,8 +287,12 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       ["explorer.peak_heap_words"] tracks the live-heap high-water mark
       sampled every 1024 merged entries and once at the end of the BFS —
       the number the bench's
-      [peak_live_words] field reports — and ["explorer.intern_bytes"]
-      the intern store's size at the end of the BFS ({!Asyncolor_util.Intern.bytes}).  The
+      [peak_live_words] field reports — and, at the end of the BFS,
+      ["explorer.intern_bytes"] the intern store's size
+      ({!Asyncolor_util.Intern.bytes}), ["explorer.adj_bytes"] the
+      resident adjacency stream's and ["explorer.table_bytes"] the
+      per-id tables' (parent id and mask, row offsets, orbit sizes), all
+      at allocated capacity.  The
       [`Reference] oracle is deliberately uninstrumented — its counters
       stay 0 — so differential tests compare protocol behaviour, not
       plumbing.

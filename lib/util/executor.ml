@@ -173,7 +173,7 @@ let policy t = t.pol
 let stream_window t =
   match t.pol with
   | Serial -> 1
-  | Synchronous -> max_int
+  | Synchronous -> 4 * t.jobs
   | Asynchronous { max_active; _ } -> max 1 max_active
 
 let note_backpressure t = Obs.Counter.incr t.c_backpressure

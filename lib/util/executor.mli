@@ -18,7 +18,8 @@
 
     {b Policies.}  {!policy} fixes how many tasks a batch or stream may
     keep in flight: [Serial] (one at a time, on the caller),
-    [Synchronous] (whole batch at once: fork-join),
+    [Synchronous] (a batch whole at once, fork-join; a stream
+    [4 * jobs] tasks ahead),
     [Asynchronous {max_active; kappa}] (bounded window with backpressure; [kappa] additionally gates how
     early the explorer may overlap successive BFS levels — see
     {!Asyncolor_check.Explorer}).  Policy never changes {e results}, only
@@ -63,8 +64,10 @@ end
 type policy =
   | Serial  (** one task at a time, executed by the caller; no domains *)
   | Synchronous
-      (** whole batch in flight, join at the end — fork-join semantics,
-          the explorer barriers at every BFS level *)
+      (** a whole batch in flight, join at the end — fork-join
+          semantics; a stream keeps [4 * jobs] in flight
+          ({!stream_window}), and the explorer barriers at every BFS
+          level *)
   | Asynchronous of { max_active : int; kappa : float }
       (** at most [max_active] tasks in flight, submission stalls
           (counted as ["exec.backpressure"]) when the window is full;
@@ -128,9 +131,11 @@ val policy : t -> policy
 
 val stream_window : t -> int
 (** The in-flight bound a streaming client (the explorer) should keep:
-    [1] for [Serial], [max_active] for [Asynchronous], effectively
-    unbounded for [Synchronous] (the stream's own level gate is the only
-    limit — fork-join semantics). *)
+    [1] for [Serial], [max_active] for [Asynchronous], and [4 * jobs]
+    for [Synchronous] — the default [max_active] of {!asynchronous}.
+    The stream's level barrier is its own business; the window only
+    bounds how many finished tasks' results wait for the client at once,
+    so a wide level is not held in memory whole. *)
 
 val note_backpressure : t -> unit
 (** Count one submission stall on the ["exec.backpressure"] counter —

@@ -58,7 +58,9 @@ end
     The append-only adjacency stream of already-merged BFS levels, 2–3
     words per transition, is the part that can leave: it is never read
     again until the post-BFS analyses.  A [Level_log] keeps
-    an open {e tail} level in a resident vector and, at caller-chosen safe
+    an open {e tail} level in a resident {!Int_log} (chunks of
+    {!Int_log.chunk_words_for} the threshold, kept across seals so a
+    spilled run refills the same chunks) and, at caller-chosen safe
     boundaries ({!seal}), closes the tail once it crosses the spill
     threshold: the log forgets the payload and remembers only its word
     count, handing the caller the snapshot to persist (the explorer writes
@@ -72,7 +74,7 @@ module Level_log : sig
 
   val create : ?threshold_words:int -> unit -> t
   (** A fresh log.  Without [threshold_words], {!seal} never closes a
-      level and the log degenerates to a plain resident vector.
+      level and the log degenerates to a plain resident {!Int_log}.
       @raise Invalid_argument on a negative threshold. *)
 
   val of_array : ?threshold_words:int -> int array -> t
@@ -95,6 +97,11 @@ module Level_log : sig
       past {!length}. *)
 
   val resident_words : t -> int
+
+  val resident_bytes : t -> int
+  (** Bytes the resident tail holds, chunks at capacity
+      ({!Int_log.bytes}). *)
+
   val spilled_words : t -> int
   val spilled_levels : t -> int
 

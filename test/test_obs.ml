@@ -174,6 +174,26 @@ let test_intern_bytes_gauged () =
   check Alcotest.bool "a few bytes per configuration, not a boxed key" true
     (bytes < 256 * r.configs)
 
+(* The adjacency and per-id table gauges next to the intern store's: each
+   counts every word it holds, and no more than the first chunk's
+   doubling can leave idle. *)
+let test_store_bytes_gauged () =
+  let module Exp = Asyncolor_check.Explorer.Make (Asyncolor.Algorithm2.P) in
+  let o = Obs.create () in
+  let r = Exp.explore ~jobs:2 ~obs:o (Builders.cycle 4) ~idents:[| 5; 1; 9; 4 |] in
+  let gauge name = List.assoc name (Obs.metrics o) in
+  let adj = gauge "explorer.adj_bytes" and tables = gauge "explorer.table_bytes" in
+  let word = Sys.word_size / 8 in
+  (* two words per transition; parent id, mask and row offset per config *)
+  let adj_words = 2 * r.transitions and table_words = 3 * r.configs in
+  check Alcotest.bool "adjacency holds every word" true (adj >= word * adj_words);
+  check Alcotest.bool "adjacency within its chunk slack" true
+    (adj <= word * ((2 * adj_words) + 1024 + 8));
+  check Alcotest.bool "tables hold every word" true
+    (tables >= word * table_words);
+  check Alcotest.bool "tables within their chunk slack" true
+    (tables <= word * ((2 * table_words) + (3 * (1024 + 8))))
+
 (* --- qcheck: span trees are well-nested ------------------------------- *)
 
 (* Interpret a list of small ints as a stack program over one sink:
@@ -403,5 +423,7 @@ let () =
             test_resume_counts_only_new;
           Alcotest.test_case "intern store size gauged" `Quick
             test_intern_bytes_gauged;
+          Alcotest.test_case "adjacency and table sizes gauged" `Quick
+            test_store_bytes_gauged;
         ] );
     ]

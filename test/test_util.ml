@@ -1052,6 +1052,180 @@ let test_level_log_empty_tail_never_seals () =
   | _ -> Alcotest.fail "threshold 0 seals any non-empty tail");
   check Alcotest.bool "tail empty again" true (Level_log.seal l = None)
 
+(* --- Int_log and Level_log against a plain-array oracle --------------- *)
+
+module Int_log = Asyncolor_util.Int_log
+
+(* Every observable of an [Int_log] against the oracle array of the words
+   pushed since the last clear: length, each word, out-of-range reads,
+   the chunk walk, [to_array] and an [of_array] copy. *)
+let int_log_agrees l oracle =
+  let n = Array.length oracle in
+  let chunks = ref [] and chunk_ok = ref true in
+  Int_log.iter_chunks l (fun chunk k ->
+      if k < 1 || k > Int_log.chunk_words l then chunk_ok := false;
+      chunks := Array.sub chunk 0 k :: !chunks);
+  let raises i =
+    match Int_log.get l i with _ -> false | exception Invalid_argument _ -> true
+  in
+  Int_log.length l = n
+  && Array.for_all Fun.id (Array.init n (fun i -> Int_log.get l i = oracle.(i)))
+  && raises n && raises (-1)
+  && !chunk_ok
+  && Array.concat (List.rev !chunks) = oracle
+  && Int_log.to_array l = oracle
+  && Int_log.to_array
+       (Int_log.of_array ~chunk_words:(Int_log.chunk_words l) oracle)
+     = oracle
+
+(* A chunk size of 1 to 4096 words and a program of pushes (small
+   counts) and clears (0), so lengths cross first-chunk growth and many
+   chunk boundaries, and refills reuse chunks. *)
+let int_log_program =
+  QCheck.make
+    ~print:QCheck.Print.(pair int (list int))
+    QCheck.Gen.(
+      pair (int_range 0 12)
+        (list_size (int_range 0 12)
+           (frequency [ (1, return 0); (6, int_range 1 1500) ])))
+
+let prop_int_log_oracle =
+  QCheck.Test.make ~name:"Int_log: pushes and clears match an array"
+    ~count:200 int_log_program (fun (shift, program) ->
+      let l = Int_log.create ~chunk_words:(1 lsl shift) () in
+      let oracle = ref [||] and next = ref (-7) in
+      List.for_all
+        (fun op ->
+          if op = 0 then begin
+            Int_log.clear l;
+            oracle := [||]
+          end
+          else begin
+            let words = Array.init op (fun i -> (!next + i) * 0x9E37) in
+            next := !next + op;
+            Array.iter (Int_log.push l) words;
+            oracle := Array.append !oracle words
+          end;
+          int_log_agrees l !oracle)
+        program)
+
+let test_int_log_full_chunks () =
+  (* the default chunk, crossed twice; and a log that allocates nothing
+     until its first push *)
+  let l = Int_log.create () in
+  check Alcotest.int "default chunk" 65_536 (Int_log.chunk_words l);
+  check Alcotest.int "empty log holds nothing" 0 (Int_log.bytes l);
+  let n = (2 * 65_536) + 3 in
+  for i = 0 to n - 1 do
+    Int_log.push l (n - i)
+  done;
+  List.iter
+    (fun i -> check Alcotest.int (Printf.sprintf "word %d" i) (n - i) (Int_log.get l i))
+    [ 0; 65_535; 65_536; 131_071; 131_072; n - 1 ];
+  check Alcotest.(array int) "to_array" (Array.init n (fun i -> n - i))
+    (Int_log.to_array l);
+  check Alcotest.bool "three chunks at capacity" true
+    (Int_log.bytes l >= 3 * 65_536 * 8 && Int_log.bytes l < (3 * 65_536 * 8) + 1024)
+
+let test_int_log_chunk_sizes () =
+  let f t = Int_log.chunk_words_for ?threshold_words:t () in
+  check Alcotest.(list int) "threshold rounded up, clamped"
+    [ 65_536; 1_024; 1_024; 1_024; 1_024; 2_048; 8_192; 65_536; 65_536 ]
+    [ f None; f (Some 0); f (Some 1); f (Some 1_023); f (Some 1_024);
+      f (Some 1_025); f (Some 8_192); f (Some 65_536); f (Some 1_000_000) ];
+  match Int_log.create ~chunk_words:3 () with
+  | _ -> Alcotest.fail "a chunk size that is not a power of two"
+  | exception Invalid_argument _ -> ()
+
+(* A [Level_log] driven like the explorer drives it — entries of a few
+   words, a seal attempt after each — against a model that keeps the
+   sealed levels and the tail as plain arrays. *)
+let level_log_agrees ?seed ~threshold entries =
+  let seed = Option.value seed ~default:[||] in
+  let l =
+    match threshold with
+    | None when seed = [||] -> Level_log.create ()
+    | _ -> Level_log.of_array ?threshold_words:threshold seed
+  in
+  (* the tail and the stream as reversed lists of entries, so the model
+     stays linear in the words pushed *)
+  let levels = ref [] and tail = ref [ seed ] and tail_len = ref (Array.length seed) in
+  let stream = ref [ seed ] in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  List.iteri
+    (fun e k ->
+      let words = Array.init k (fun i -> (e * 1000) + i) in
+      Array.iter (Level_log.push l) words;
+      tail := words :: !tail;
+      tail_len := !tail_len + k;
+      stream := words :: !stream;
+      let should =
+        match threshold with
+        | Some w -> !tail_len >= w && !tail_len > 0
+        | None -> false
+      in
+      match Level_log.seal l with
+      | Some (level, data) ->
+          expect should;
+          expect (level = List.length !levels);
+          expect (data = Array.concat (List.rev !tail));
+          levels := data :: !levels;
+          tail := [];
+          tail_len := 0
+      | None -> expect (not should))
+    entries;
+  let levels = Array.of_list (List.rev !levels) in
+  let tail = ref (Array.concat (List.rev !tail)) in
+  let stream = ref (Array.concat (List.rev !stream)) in
+  let spilled = Array.length !stream - Array.length !tail in
+  expect (Level_log.length l = Array.length !stream);
+  expect (Level_log.spilled_levels l = Array.length levels);
+  expect (Level_log.spilled_words l = spilled);
+  expect (Level_log.resident_words l = Array.length !tail);
+  Array.iteri (fun i x -> expect (Level_log.get l (spilled + i) = x)) !tail;
+  if spilled > 0 then
+    expect
+      (match Level_log.get l (spilled - 1) with
+      | _ -> false
+      | exception Invalid_argument _ -> true);
+  let fetch ~level = levels.(level) in
+  expect (Level_log.to_array ~fetch l = !stream);
+  let ba = Level_log.to_bigarray ~fetch l in
+  expect (Bigarray.Array1.dim ba = Array.length !stream);
+  Array.iteri (fun i x -> expect (Bigarray.Array1.get ba i = x)) !stream;
+  !ok
+
+let level_log_program =
+  QCheck.make
+    ~print:QCheck.Print.(triple (option int) int (list int))
+    QCheck.Gen.(
+      triple
+        (opt (oneofl [ 0; 1; 2; 7; 1_023; 1_024; 1_025; 2_047; 2_049 ]))
+        (oneofl [ 0; 0; 5; 1_500; 3_000 ])
+        (list_size (int_range 0 400) (int_range 0 40)))
+
+let prop_level_log_oracle =
+  QCheck.Test.make
+    ~name:"Level_log: seals, reads and reassembly match an array model"
+    ~count:200 level_log_program (fun (threshold, seed_len, entries) ->
+      let seed = Array.init seed_len (fun i -> -i) in
+      level_log_agrees ~seed ~threshold entries)
+
+let test_level_log_large_thresholds () =
+  (* thresholds either side of the largest chunk, over 200k words in
+     three-word entries, resumed from a seed longer than a chunk *)
+  let entries = List.init 70_000 (fun _ -> 3) in
+  List.iter
+    (fun w ->
+      check Alcotest.bool
+        (Printf.sprintf "threshold %d" w)
+        true
+        (level_log_agrees
+           ~seed:(Array.init 70_000 Fun.id)
+           ~threshold:(Some w) entries))
+    [ 65_535; 65_536; 65_537 ]
+
 (* --- Jsonout -------------------------------------------------------- *)
 
 module Jsonout = Asyncolor_util.Jsonout
@@ -1207,6 +1381,16 @@ let () =
             test_level_log_negative_threshold;
           Alcotest.test_case "empty tail never seals" `Quick
             test_level_log_empty_tail_never_seals;
+          qtest prop_level_log_oracle;
+          Alcotest.test_case "thresholds around the largest chunk" `Quick
+            test_level_log_large_thresholds;
+        ] );
+      ( "int_log",
+        [
+          qtest prop_int_log_oracle;
+          Alcotest.test_case "full chunks crossed" `Quick
+            test_int_log_full_chunks;
+          Alcotest.test_case "chunk sizes" `Quick test_int_log_chunk_sizes;
         ] );
       ( "jsonout",
         [
