@@ -1154,20 +1154,26 @@ let experiments_cmd =
   let only_arg =
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"ID" ~doc:"Run one experiment.")
   in
+  (* The [memory:] line goes to stderr, as [check]'s does: stdout stays
+     the report alone. *)
   let f quick only jobs =
-    match only with
-    | None ->
-        let outcomes = Asyncolor_experiments.Registry.run_all ~quick ~jobs () in
-        if not (Asyncolor_experiments.Outcome.all_ok outcomes) then exit 1
-    | Some id -> (
-        match Asyncolor_experiments.Registry.find id with
-        | None ->
-            Printf.eprintf "no experiment %S\n" id;
-            exit 2
-        | Some e ->
-            let outcome = e.run ~quick () in
-            Asyncolor_experiments.Outcome.print outcome;
-            if not outcome.ok then exit 1)
+    let ok =
+      match only with
+      | None ->
+          Asyncolor_experiments.Outcome.all_ok
+            (Asyncolor_experiments.Registry.run_all ~quick ~jobs ())
+      | Some id -> (
+          match Asyncolor_experiments.Registry.find id with
+          | None ->
+              Printf.eprintf "no experiment %S\n" id;
+              exit 2
+          | Some e ->
+              let outcome = e.run ~quick () in
+              Asyncolor_experiments.Outcome.print outcome;
+              outcome.ok)
+    in
+    Diag.printf "%s\n" (memory_pressure_line ());
+    if not ok then exit 1
   in
   Cmd.v (Cmd.info "experiments" ~doc) Term.(const f $ quick_arg $ only_arg $ jobs_arg)
 

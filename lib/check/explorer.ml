@@ -265,8 +265,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
   (* The packed configuration graph the reference oracle and the BFS
      driver both produce: flat int stores only — dense ids, CSR
      adjacency, parent pointers as (pred id, activation mask).  The boxed
-     configurations themselves are not part of it; the driver keeps only
-     the pending ones alive.  Every table is an accessor, not an array:
+     configurations themselves are not part of it; the BFS loop keeps
+     them as keys in its intern store.  Every table is an accessor, not an array:
      the driver's read its [Int_log]s in place (no copy at the heap's
      peak), the oracle's wrap its arrays, and a spilled run's adjacency
      reads an off-heap reassembly.  Adjacency entries are
@@ -360,8 +360,13 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     (!livelock, finish)
 
   (* Exact worst case by longest-path DP over the DAG in topological order
-     (the reversed finish order).  One flat [total * n] int table instead
-     of a row array per configuration.
+     (the reversed finish order).  One flat [total * n] table of int32s
+     off the OCaml heap, instead of a row array per configuration: half
+     the bytes of an [int array], and the GC neither scans it nor paces
+     the heap by it.  An entry counts one process's activations along a
+     path of the acyclic configuration graph, so it stays below [total];
+     the table refuses a graph of [2^31] configurations or more rather
+     than let an entry wrap.
 
      Under symmetry reduction a quotient edge [u -(m, sigma)-> v] stands
      for the original transitions [c -m'-> d] with [c] in [u]'s orbit;
@@ -372,11 +377,18 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      double-counts whenever one process line enters a configuration whose
      representative renames it (a two-process clique with equal idents
      already exhibits the off-by-one). *)
+  type dp_table = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
   let exact_worst ~n p finish =
     let ad = p.adj_get in
     let stride = p.adj_stride in
     let identity = p.group.(0) in
-    let dp = Array.make (p.total * n) 0 in
+    if p.total > Int32.to_int Int32.max_int then
+      failwith "Explorer.exact_worst: 2^31 configurations or more overflow the table";
+    let dp : dp_table =
+      Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (p.total * n)
+    in
+    Bigarray.Array1.fill dp 0l;
     let best = ref 0 in
     for i = Int_log.length finish - 1 downto 0 do
       let u = Int_log.get finish i in
@@ -389,15 +401,16 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         let bv = v * n in
         for q = 0 to n - 1 do
           let qu = sigma.(q) in
-          let du = dp.(bu + qu) in
+          let du = Int32.to_int dp.{bu + qu} in
+          let dv = Int32.to_int dp.{bv + q} in
           if mask land (1 lsl qu) <> 0 then begin
             let cand = du + 1 in
-            if cand > dp.(bv + q) then begin
-              dp.(bv + q) <- cand;
+            if cand > dv then begin
+              dp.{bv + q} <- Int32.of_int cand;
               if cand > !best then best := cand
             end
           end
-          else if du > dp.(bv + q) then dp.(bv + q) <- du
+          else if du > dv then dp.{bv + q} <- Int32.of_int du
         done;
         e := !e + stride
       done
@@ -547,10 +560,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
 
   (* Everything the BFS driver mutates, gathered in one record so a
      checkpoint can snapshot it and a resumed run can pick it back up.
-     The boxed configurations are *not* part of it: the driver's pending
-     ring is the only other state a checkpoint has to persist.  The
-     per-id tables are append-only [Int_log]s: pushed once per id, never
-     copied as they grow, read in place by the analyses. *)
+     A checkpoint persists it with the intern store and the first
+     pending id; no configuration is part of either.  The per-id tables
+     are append-only [Int_log]s: pushed once per id, never copied as
+     they grow, read in place by the analyses. *)
   type bfs_state = {
     s_parent_pred : Int_log.t;
     s_parent_mask : Int_log.t;
@@ -662,8 +675,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       safety_raw = List.rev st.s_safety_rev;
     }
 
-  (* [pred]/[mask]: the parent pointer, [-1]/[0] at the root. *)
-  let register_st ~params st config ~orbit ~pred ~mask =
+  (* [unfinished]: the configuration's unfinished mask; [pred]/[mask]:
+     its parent pointer, [-1]/[0] at the root. *)
+  let register_st ~params st ~unfinished ~orbit ~pred ~mask =
     let id = st.s_next_id in
     st.s_next_id <- id + 1;
     Obs.Counter.incr params.octx.oc_configs;
@@ -673,15 +687,18 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       Int_log.push st.s_orbit orbit;
       st.s_exp_configs <- st.s_exp_configs + orbit
     end;
-    if E.config_unfinished_mask config = 0 then begin
+    if unfinished = 0 then begin
       st.s_terminal <- st.s_terminal + 1;
       if params.symmetry then st.s_exp_terminal <- st.s_exp_terminal + orbit
     end;
     id
 
-  (* Runs the safety predicates; the engine must currently hold [config]
-     (seed contract). *)
-  let safety_check ~params st engine id config =
+  let has_predicates params =
+    Option.is_some params.check_outputs || Option.is_some params.check_config
+
+  (* Runs the safety predicates on configuration [id], which the engine
+     must currently hold (seed contract). *)
+  let safety_check ~params st engine id =
     if st.s_n_safety < params.max_violations then begin
       let record message =
         st.s_n_safety <- st.s_n_safety + 1;
@@ -690,7 +707,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       (match params.check_outputs with
       | None -> ()
       | Some f -> (
-          match f (E.config_outputs config) with
+          match f (E.outputs engine) with
           | None -> ()
           | Some msg -> record msg));
       match params.check_config with
@@ -708,13 +725,15 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
   (* --- checkpoint payload ---------------------------------------------- *)
 
   (* Marshalled as the payload of an [Asyncolor_resilience.Checkpoint]
-     container.  Intern-table keys are stored as their packed int payloads
-     ([E.key_data]) indexed by dense id and rebuilt with [E.key_of_data]
-     — the hash is recomputed on load, never trusted.  [ck_pending] holds
-     the interned-but-unexpanded configurations in FIFO order: the
-     pending ring's [lo, hi) window, whose positions are the stored ids.
-     The driver expands pending entries in stored order and assigns dense
-     ids in expansion order, so a resumed run — under any [jobs] value or
+     container.  The intern store is saved as its image — the arena's
+     varint bytes and one offset per dense id — and rebuilt with
+     [Intern.of_image], the hashes recomputed on load, never trusted.
+     Every int log is saved as its chunks ([segments]).  The pending
+     configurations are the ids [ck_pending_from, ck_next_id): interned,
+     not yet expanded, in FIFO order; a resumed run rebuilds each from
+     its key when it expands it, as an uninterrupted run does.  The BFS
+     loop expands pending entries in id order and assigns dense ids in
+     expansion order, so a resumed run — under any [jobs] value or
      policy — produces the same report, byte for byte, as one that was
      never interrupted. *)
   type ckpt = {
@@ -728,30 +747,69 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     ck_transitions : int;
     ck_terminal : int;
     ck_complete : bool;
-    ck_parent_pred : int array;
-    ck_parent_mask : int array;
-    ck_adj_off : int array;
-    ck_adj_data : int array;
+    ck_parent_pred : int array array;
+    ck_parent_mask : int array array;
+    ck_adj_off : int array array;
+    ck_adj_data : int array array;
     ck_safety_rev : (string * int) list;
     ck_symmetry : bool;
-    ck_orbit : int array;  (* orbit size by dense id; [||] when symmetry off *)
+    ck_orbit : int array array;  (* orbit size by dense id; empty when symmetry off *)
     ck_expanded : int * int * int;
         (* orbit-expanded (configs, transitions, terminal) so far *)
-    ck_keys : int array array;  (* packed key payloads, indexed by dense id *)
-    ck_pending : (int * E.config) array;  (* FIFO order *)
+    ck_store : Intern.image;  (* packed keys, by dense id *)
+    ck_pending_from : int;  (* the first pending id *)
+  }
+
+  (* The v2 payload, still loadable: whole arrays where v3 has segments,
+     every key as an [int array], and the pending configurations as
+     marshalled engine configurations, each with its id. *)
+  type ckpt_v2 = {
+    c2_protocol : string;
+    c2_graph : Asyncolor_topology.Graph.t;
+    c2_idents : int array;
+    c2_mode : [ `All_subsets | `Singletons ];
+    c2_max_configs : int;
+    c2_max_violations : int;
+    c2_next_id : int;
+    c2_transitions : int;
+    c2_terminal : int;
+    c2_complete : bool;
+    c2_parent_pred : int array;
+    c2_parent_mask : int array;
+    c2_adj_off : int array;
+    c2_adj_data : int array;
+    c2_safety_rev : (string * int) list;
+    c2_symmetry : bool;
+    c2_orbit : int array;
+    c2_expanded : int * int * int;
+    c2_keys : int array array;
+    c2_pending : (int * E.config) array;
   }
 
   (* Bump whenever the [ckpt] record or the engine's key packing changes
-     shape — [Checkpoint.load] rejects other versions up front.
+     shape — [Checkpoint.load] rejects versions it is not given up front.
      v2: symmetry fields (ck_symmetry/ck_orbit/ck_expanded) and the
-     stride-3 adjacency encoding under symmetry.  The adjacency stream is
-     persisted in full even on a spilled run (reassembled transiently at
-     save time), so a checkpoint stays a single self-contained file and
-     resuming needs no spill directory — the resumed run re-spills as its
-     own levels close. *)
-  let ckpt_version = 2
+     stride-3 adjacency encoding under symmetry.
+     v3: the intern store's image instead of boxed keys, int logs as
+     their chunks instead of copies, and the pending configurations as
+     an id range instead of marshalled configurations — a save holds no
+     configuration and decodes no key.
+     The adjacency stream is persisted in full even on a spilled run
+     (closed levels are read back at save time), so a
+     checkpoint stays a single self-contained file and resuming needs no
+     spill directory — the resumed run re-spills as its own levels
+     close. *)
+  let ckpt_version = 3
 
-  let save_ckpt ~params ~graph ~idents st ~keys ~pending path =
+  (* A log as its chunks: each full chunk shared with the log, the last
+     one cut to length.  [iter] is the log's chunk iterator. *)
+  let segments iter =
+    let acc = ref [] in
+    iter (fun data n ->
+        acc := (if n = Array.length data then data else Array.sub data 0 n) :: !acc);
+    Array.of_list (List.rev !acc)
+
+  let save_ckpt ~params ~graph ~idents st store ~pending_from path =
     Obs.Counter.incr params.octx.oc_ckpt_saves;
     Obs.span params.octx.o
       ~args:[ ("configs", string_of_int st.s_next_id) ]
@@ -770,21 +828,19 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         ck_transitions = st.s_transitions;
         ck_terminal = st.s_terminal;
         ck_complete = st.s_complete;
-        ck_parent_pred = Int_log.to_array st.s_parent_pred;
-        ck_parent_mask = Int_log.to_array st.s_parent_mask;
-        ck_adj_off = Int_log.to_array st.s_adj_off;
-        ck_adj_data = Level_log.to_array ~fetch:(spill_fetch ~params) st.s_adj_data;
+        ck_parent_pred = segments (Int_log.iter_chunks st.s_parent_pred);
+        ck_parent_mask = segments (Int_log.iter_chunks st.s_parent_mask);
+        ck_adj_off = segments (Int_log.iter_chunks st.s_adj_off);
+        ck_adj_data =
+          segments
+            (Level_log.iter_segments ~fetch:(spill_fetch ~params) st.s_adj_data);
         ck_safety_rev = st.s_safety_rev;
         ck_symmetry = params.symmetry;
-        ck_orbit = Int_log.to_array st.s_orbit;
+        ck_orbit = segments (Int_log.iter_chunks st.s_orbit);
         ck_expanded = (st.s_exp_configs, st.s_exp_transitions, st.s_exp_terminal);
-        ck_keys = keys ();
-        ck_pending = pending ();
+        ck_store = Intern.image store;
+        ck_pending_from = pending_from;
       }
-
-  (* The store's ids are the dense ids, so decoding in id order gives
-     exactly the [ck_keys] the v2 format has always held. *)
-  let keys_of_store store = Array.init (Intern.length store) (Intern.get store)
 
   let intern_key store key =
     Intern.intern store ~hash:(E.key_hash key) (E.key_data key)
@@ -822,39 +878,44 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     | Some p -> p
     | None -> if jobs <= 1 then Executor.Serial else Executor.Synchronous
 
-  (* The pending configurations — interned but not yet expanded — live in
-     a FIFO {!Ring} whose absolute positions {e are} their dense ids.  Each
-     iteration folds the head entry's successors, in [masks_of] order,
-     into the packed state through [merge] (intern, dense id, adjacency,
-     parent, safety checks) under the [max_configs] cap.  Every output
-     derives from this one order, so the report is byte-identical for
-     every [jobs] value, every policy, and the reference oracle.
+  (* The pending configurations — interned but not yet expanded — are
+     the dense ids [!next, st.s_next_id): every intern miss appends one,
+     and the loop expands them in id order, so they are a FIFO that
+     needs no storage of its own.  A pending configuration is only its
+     key in the intern store; [config_of_id] decodes it when it is
+     expanded ({!E.config_of_key_data}, observers zero).  Each iteration
+     folds the head entry's successors, in [masks_of] order, into the
+     packed state through [merge] (intern, dense id, adjacency, parent,
+     safety checks) under the [max_configs] cap.  Every output derives
+     from this one order, so the report is byte-identical for every
+     [jobs] value, every policy, and the reference oracle.
 
      Only where the successors come from depends on the executor:
 
-     - {e One job}: the merging domain expands the entry itself.  Without
-       symmetry the live engine is keyed in place and snapshotted only on
-       an intern miss — most successors are duplicates, and a duplicate
-       needs nothing but its key.  Spill writes run inline.
+     - {e One job}: the merging domain decodes and expands the entry
+       itself.  Without symmetry the live engine is keyed in place, and
+       a successor is never snapshotted: a miss stores its key, a
+       duplicate needs nothing but its key.  Spill writes run inline.
 
      - {e Two or more jobs}: a submission cursor ([submit_pos]) runs ahead
-       of the merge, handing pending entries to the executor as futures
+       of the merge, decoding pending entries (the store has one owner,
+       the merging domain) and handing them to the executor as futures
        that touch no shared state (each domain restores its own engine);
        the merge awaits the {e head} future, whatever the completion
-       order.  [stream_window] bounds the futures in flight, and a
+       order.  So a configuration is boxed only while its future is in
+       flight.  [stream_window] bounds the futures in flight, and a
        position past the current level boundary is submittable only once
        a κ fraction of the level has merged (κ = 1 for [Synchronous]: a
        barrier per level).  Spill levels are written by background tasks.
 
      The merge boundary doubles as the crash-safety boundary: before
      merging each entry the loop may write a periodic checkpoint (pending
-     = the ring) and polls the stop callback and resource budget.  On a
-     hit it writes a final checkpoint while the ring is still intact,
-     then degrades exactly like the [max_configs] cap: pending
-     configurations that still have working processes mark the
-     exploration incomplete, and every unexpanded entry keeps an empty
-     adjacency row. *)
-  let run ~params ?policy ~jobs ~graph ~idents st store pend =
+     = the id range) and polls the stop callback and resource budget.  On
+     a hit it writes a final checkpoint, then degrades exactly like the
+     [max_configs] cap: pending configurations that still have working
+     processes mark the exploration incomplete, and every unexpanded
+     entry keeps an empty adjacency row. *)
+  let run ~params ?policy ~jobs ~graph ~idents st store ~pending_from =
     let octx = params.octx in
     let o = octx.o in
     Executor.with_executor ~obs:o ~policy:(default_policy ~jobs policy) ~jobs
@@ -862,10 +923,18 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     let inline = Executor.jobs exec = 1 in
     let window = Executor.stream_window exec in
     let kappa = Executor.policy_kappa (Executor.policy exec) in
-    let snapshot_on_miss = inline && not params.symmetry in
+    let n = Asyncolor_topology.Graph.n graph in
     (* The merging domain's engine: it expands at one job, and it hosts
-       [check_config] at every job count. *)
+       the safety predicates at every job count. *)
     let engine = E.create graph ~idents in
+    let key_buf = ref [||] in
+    let config_of_id id =
+      let len = Intern.seq_length store id in
+      if Array.length !key_buf < len then key_buf := Array.make (2 * len) 0;
+      Intern.blit store id !key_buf;
+      E.config_of_key_data ~n ~len !key_buf
+    in
+    let next = ref pending_from in
     let canon succ =
       (* A pure function of the successor, so it may run on whichever
          domain stole the expansion: the merge sees the same (key, rep,
@@ -895,17 +964,19 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       end;
       let vid = intern_key store key in
       if vid = st.s_next_id then begin
-        (* A miss: the store appended the key under the next dense id. *)
-        let rep = if snapshot_on_miss then E.snapshot engine else rep in
-        let id = register_st ~params st rep ~orbit ~pred:uid ~mask in
+        (* A miss: the store appended the key under the next dense id,
+           which makes it pending.  At one job the engine holds the
+           successor, unless canonicalisation picked another orbit
+           member. *)
+        let holds = inline && pi = 0 in
+        let unfinished =
+          if holds then E.unfinished_mask engine else E.config_unfinished_mask rep
+        in
+        let id = register_st ~params st ~unfinished ~orbit ~pred:uid ~mask in
         assert (id = vid);
-        Ring.push pend rep;
-        (* The predicates read [engine] (seed contract): at one job it
-           already holds the successor, unless canonicalisation picked
-           another orbit member. *)
-        if Option.is_some params.check_config && (pi <> 0 || not inline)
-        then E.restore engine rep;
-        safety_check ~params st engine id rep
+        (* The predicates read [engine] (seed contract). *)
+        if has_predicates params && not holds then E.restore engine rep;
+        safety_check ~params st engine id
       end;
       Level_log.push st.s_adj_data mask;
       Level_log.push st.s_adj_data vid;
@@ -1011,32 +1082,26 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
           check_spill_err ();
           if !io_error = None then
             match
-              save_ckpt ~params ~graph ~idents st
-                ~keys:(fun () -> keys_of_store store)
-                ~pending:(fun () ->
-                  Array.init (Ring.length pend) (fun i ->
-                      let p = Ring.lo pend + i in
-                      (p, Ring.get pend p)))
-                path
+              save_ckpt ~params ~graph ~idents st store ~pending_from:!next path
             with
             | () ->
                 last_ck := st.s_next_id;
                 Diag.printf "checkpoint: %d configs, %d pending -> %s\n"
-                  st.s_next_id (Ring.length pend) path
+                  st.s_next_id (st.s_next_id - !next) path
             | exception e when io_failed e ->
                 note_io_error io_error "checkpoint save" e)
       | _ -> ()
     in
-    (* Futures for submitted-but-unmerged entries, same absolute
-       positions as [pend]; unused at one job. *)
-    let futs = Ring.create ~start:(Ring.lo pend) ~dummy:None () in
-    let submit_pos = ref (Ring.lo pend) in
-    (* On resume the whole pending slice plays the role of the current
+    (* Futures for submitted-but-unmerged entries, at their ids as
+       absolute positions; unused at one job. *)
+    let futs = Ring.create ~start:pending_from ~dummy:None () in
+    let submit_pos = ref pending_from in
+    (* On resume the whole pending range plays the role of the current
        frontier (it may span what were several levels originally —
        level accounting is observability, never output). *)
     let level = ref 0 in
-    let lvl_lo = ref (Ring.lo pend) in
-    let lvl_hi = ref (Ring.hi pend) in
+    let lvl_lo = ref pending_from in
+    let lvl_hi = ref st.s_next_id in
     let open_level () =
       Obs.Counter.incr octx.oc_levels;
       Obs.Gauge.max_ octx.og_frontier (!lvl_hi - !lvl_lo);
@@ -1050,19 +1115,19 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
              ]
            "bfs.level")
     in
-    let sp_level = ref (if Ring.length pend > 0 then open_level () else None) in
+    let sp_level = ref (if !lvl_hi > !lvl_lo then open_level () else None) in
     let close_level () =
       Option.iter (Obs.end_span o) !sp_level;
       sp_level := None
     in
     let stopped = ref false in
-    while Ring.length pend > 0 && not !stopped do
-      let uid = Ring.lo pend in
+    while !next < st.s_next_id && not !stopped do
+      let uid = !next in
       if uid = !lvl_hi then begin
         close_level ();
         incr level;
         lvl_lo := !lvl_hi;
-        lvl_hi := Ring.hi pend;
+        lvl_hi := st.s_next_id;
         sp_level := open_level ()
       end;
       maybe_checkpoint ~force:false ();
@@ -1070,7 +1135,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       if should_stop ~params st || !io_error <> None then stopped := true
       else begin
         let orbit_u = if params.symmetry then Int_log.get st.s_orbit uid else 1 in
-        if inline then expand_inline uid orbit_u (Ring.get pend uid)
+        if inline then expand_inline uid orbit_u (config_of_id uid)
         else begin
           (* Top up the pipeline.  A position inside the current level is
              always submittable (window permitting); one past it only
@@ -1081,20 +1146,20 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
           in
           let gate_open p = p < !lvl_hi || uid - !lvl_lo >= need in
           while
-            !submit_pos < Ring.hi pend
+            !submit_pos < st.s_next_id
             && !submit_pos - uid < window
             && gate_open !submit_pos
           do
             let p = !submit_pos in
             Ring.push futs
-              (Some (Executor.submit exec (expand (Ring.get pend p))));
+              (Some (Executor.submit exec (expand (config_of_id p))));
             if p >= !lvl_hi then begin
               Obs.Counter.incr octx.oc_overlap;
               Obs.Gauge.max_ octx.og_overlap (p - !lvl_hi + 1)
             end;
             incr submit_pos
           done;
-          if !submit_pos < Ring.hi pend && !submit_pos - uid >= window
+          if !submit_pos < st.s_next_id && !submit_pos - uid >= window
           then Executor.note_backpressure exec;
           let fut =
             match Ring.get futs uid with Some f -> f | None -> assert false
@@ -1112,7 +1177,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         Int_log.push st.s_adj_off (Level_log.length st.s_adj_data);
         seal ();
         if uid land 1023 = 0 then sample_heap ~params;
-        Ring.drop pend
+        incr next
       end
     done;
     close_level ();
@@ -1122,11 +1187,11 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     Obs.Gauge.set octx.og_tables (table_bytes st);
     if !stopped then begin
       (* In-flight futures are abandoned (the executor drains them on
-         shutdown); the ring still holds every unexpanded entry for the
-         final checkpoint and the truncation accounting. *)
+         shutdown); every unexpanded entry is still pending for the final
+         checkpoint and the truncation accounting. *)
       maybe_checkpoint ~force:true ();
-      for p = Ring.lo pend to Ring.hi pend - 1 do
-        if E.config_unfinished_mask (Ring.get pend p) <> 0 then
+      for p = !next to st.s_next_id - 1 do
+        if E.config_unfinished_mask (config_of_id p) <> 0 then
           st.s_complete <- false;
         Int_log.push st.s_adj_off (Level_log.length st.s_adj_data)
       done
@@ -1150,12 +1215,14 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     let key, initial, orbit, _ =
       canonicalize params.group (E.snapshot engine)
     in
-    let root_id = register_st ~params st initial ~orbit ~pred:(-1) ~mask:0 in
+    let root_id =
+      register_st ~params st
+        ~unfinished:(E.config_unfinished_mask initial)
+        ~orbit ~pred:(-1) ~mask:0
+    in
     ignore (intern_key store key);
-    safety_check ~params st engine root_id initial;
-    let pend = Ring.create ~dummy:initial () in
-    Ring.push pend initial;
-    run ~params ?policy ~jobs ~graph ~idents st store pend
+    safety_check ~params st engine root_id;
+    run ~params ?policy ~jobs ~graph ~idents st store ~pending_from:root_id
 
   (* Callers that opt into chaos get the retry budget by default; without
      chaos (and without an explicit [retry]) every I/O primitive keeps its
@@ -1231,15 +1298,73 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     ri_pending : int;
   }
 
+  let key_hash_of_data data = E.key_hash (E.key_of_data data)
+
+  (* A v2 file as a v3 payload: its keys interned in id order, and each
+     pending configuration checked against the key of its id — it is the
+     key, not the marshalled configuration, that a resumed run expands. *)
+  let ckpt_of_v2 c =
+    let store = Intern.create ~capacity:c.c2_next_id () in
+    Array.iter
+      (fun kdata -> ignore (Intern.intern store ~hash:(key_hash_of_data kdata) kdata))
+      c.c2_keys;
+    (* One distinct key per dense id, or every later id would shift. *)
+    if
+      Array.length c.c2_keys <> c.c2_next_id
+      || Intern.length store <> c.c2_next_id
+    then raise (Checkpoint.Corrupt "checkpoint keys do not match its ids");
+    let pending_from = c.c2_next_id - Array.length c.c2_pending in
+    Array.iteri
+      (fun i (id, config) ->
+        if
+          id <> pending_from + i
+          || E.key_data (E.config_key config) <> Intern.get store id
+        then
+          raise
+            (Checkpoint.Corrupt
+               (Printf.sprintf
+                  "checkpoint pending configuration %d disagrees with its key"
+                  id)))
+      c.c2_pending;
+    {
+      ck_protocol = c.c2_protocol;
+      ck_graph = c.c2_graph;
+      ck_idents = c.c2_idents;
+      ck_mode = c.c2_mode;
+      ck_max_configs = c.c2_max_configs;
+      ck_max_violations = c.c2_max_violations;
+      ck_next_id = c.c2_next_id;
+      ck_transitions = c.c2_transitions;
+      ck_terminal = c.c2_terminal;
+      ck_complete = c.c2_complete;
+      ck_parent_pred = [| c.c2_parent_pred |];
+      ck_parent_mask = [| c.c2_parent_mask |];
+      ck_adj_off = [| c.c2_adj_off |];
+      ck_adj_data = [| c.c2_adj_data |];
+      ck_safety_rev = c.c2_safety_rev;
+      ck_symmetry = c.c2_symmetry;
+      ck_orbit = [| c.c2_orbit |];
+      ck_expanded = c.c2_expanded;
+      ck_store = Intern.image store;
+      ck_pending_from = pending_from;
+    }
+
   let load_ckpt ?(chaos = Chaos.disabled) ?retry path =
-    let (c : ckpt) =
-      Checkpoint.load_rotated ~chaos ?retry ~path ~version:ckpt_version ()
+    let c =
+      match
+        Checkpoint.load_rotated_any ~chaos ?retry ~path
+          ~versions:[ ckpt_version; 2 ] ()
+      with
+      | 2, v -> ckpt_of_v2 (Obj.obj v : ckpt_v2)
+      | _, v -> (Obj.obj v : ckpt)
     in
     if c.ck_protocol <> P.name then
       raise
         (Checkpoint.Corrupt
            (Printf.sprintf "checkpoint is for protocol %S, not %S"
               c.ck_protocol P.name));
+    if c.ck_pending_from < 0 || c.ck_pending_from > c.ck_next_id then
+      raise (Checkpoint.Corrupt "checkpoint pending range outside its ids");
     c
 
   let resume_info path =
@@ -1251,18 +1376,24 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       ri_max_configs = c.ck_max_configs;
       ri_max_violations = c.ck_max_violations;
       ri_configs = c.ck_next_id;
-      ri_pending = Array.length c.ck_pending;
+      ri_pending = c.ck_next_id - c.ck_pending_from;
     }
 
   let state_of_ckpt ?spill_threshold c =
     let exp_c, exp_t, exp_term = c.ck_expanded in
     let chunk_words = Int_log.chunk_words_for ?threshold_words:spill_threshold () in
-    let table = Int_log.of_array ~chunk_words in
+    let table segs =
+      let log = Int_log.create ~chunk_words () in
+      Array.iter (Array.iter (Int_log.push log)) segs;
+      log
+    in
+    let adj = Level_log.create ?threshold_words:spill_threshold () in
+    Array.iter (Array.iter (Level_log.push adj)) c.ck_adj_data;
     {
       s_parent_pred = table c.ck_parent_pred;
       s_parent_mask = table c.ck_parent_mask;
       s_adj_off = table c.ck_adj_off;
-      s_adj_data = Level_log.of_array ?threshold_words:spill_threshold c.ck_adj_data;
+      s_adj_data = adj;
       s_orbit = table c.ck_orbit;
       s_next_id = c.ck_next_id;
       s_transitions = c.ck_transitions;
@@ -1313,25 +1444,17 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       }
     in
     let st = state_of_ckpt ?spill_threshold:(Option.map snd spill) c in
-    let store = Intern.create ~capacity:c.ck_next_id () in
-    Array.iter
-      (fun kdata -> ignore (intern_key store (E.key_of_data kdata)))
-      c.ck_keys;
-    (* One distinct key per dense id, or every later id would shift. *)
-    if
-      Array.length c.ck_keys <> c.ck_next_id
-      || Intern.length store <> c.ck_next_id
-    then raise (Checkpoint.Corrupt "checkpoint keys do not match its ids");
-    (* Pending entries are the id slice [start, next_id) in FIFO order
-       (the checkpoint contract), so the ring's absolute positions — the
-       stored ids — carry over directly. *)
-    let start = c.ck_next_id - Array.length c.ck_pending in
-    let pend =
-      Ring.create ~start ~dummy:(E.snapshot (E.create graph ~idents)) ()
+    let store =
+      match Intern.of_image c.ck_store ~hash:key_hash_of_data with
+      | store -> store
+      | exception Invalid_argument msg ->
+          raise (Checkpoint.Corrupt ("checkpoint key store: " ^ msg))
     in
-    Array.iter (fun (_, cfg) -> Ring.push pend cfg) c.ck_pending;
+    if Intern.length store <> c.ck_next_id then
+      raise (Checkpoint.Corrupt "checkpoint keys do not match its ids");
     finish_report ~octx ~n
-      (run ~params ?policy ~jobs ~graph ~idents st store pend)
+      (run ~params ?policy ~jobs ~graph ~idents st store
+         ~pending_from:c.ck_pending_from)
 
   let pp_report ppf r =
     Format.fprintf ppf

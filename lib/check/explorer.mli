@@ -31,7 +31,8 @@
     enumeration ({!masks_of}), engine steps
     ({!Asyncolor_kernel.Engine.Make.activate_mask}), the adjacency of the
     configuration graph (flat int arrays in CSR layout) and the
-    longest-path table (one flat [n * configs] int array).  Lists of
+    longest-path table (one flat [n * configs] int32 bigarray, off the
+    OCaml heap).  Lists of
     process indices only appear at the API boundary, in
     {!Make.violation.schedule}.  This caps the explorer at
     [n <= Sys.int_size - 1] processes — far beyond exhaustive reach. *)
@@ -151,7 +152,13 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
   (** [explore g ~idents] exhausts the configuration graph of the protocol
       on [g] with the given identifiers.  [check_outputs] inspects the
       partial output vector of each configuration; [check_config] is given
-      an engine restored to the configuration (read-only use).
+      an engine restored to the configuration (read-only use).  Both see
+      only the process-visible part: the explorer keeps a pending
+      configuration as its key and rebuilds it with
+      {!Asyncolor_kernel.Engine.Make.config_of_key_data}, whose observers
+      are zero, so the engine's [time] and activation counters at a
+      check count the steps since the last expanded configuration, not
+      since the root.
 
       [mode] selects the schedule space: [`All_subsets] (default) allows
       arbitrary simultaneous activations, the paper's full model;
@@ -165,7 +172,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       packed BFS — configurations interned by the integer keys of
       {!Asyncolor_kernel.Engine.Make.config_key} in one
       {!Asyncolor_util.Intern} store (varint bytes in an arena, about
-      100 B a configuration); adjacency, parent pointers and CSR row
+      100 B a configuration), which is also the pending queue: the
+      pending configurations are the ids interned but not yet expanded,
+      each decoded from its key when it is expanded, so no pending
+      configuration is boxed; adjacency, parent pointers and CSR row
       offsets in append-only {!Asyncolor_util.Int_log}s (fixed-size
       unboxed chunks, never copied as they grow), which the post-BFS
       analyses read in place with no copy at the heap's peak; one FIFO
@@ -205,14 +215,12 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       least [every] new configurations have been interned since the last
       save, and once more when the run is stopped early.  The interval is
       measured in configurations, not seconds, so checkpoint placement is
-      deterministic and testable.  A save is not free in memory: the v2
-      format holds every key as an [int array], so each save decodes the
-      whole intern store into boxed arrays (about 60 words a
-      configuration) until the file is written.  The heap at a save
-      therefore peaks near where it sat when keys were boxed for good
-      (C5 [5,1,9,4,7] at one job: 130 MiB with a save every 20,000
-      configurations, 64 MiB without checkpoints), and a
-      [budget] on live heap words can trip just after one.
+      deterministic and testable.  A save copies little: the payload
+      (format v3) holds the intern store's arena bytes and the int logs'
+      chunks as they are, and is marshalled straight to the file, so a
+      save costs the id offsets and the logs' last partial chunks on the
+      heap (C5 [5,1,9,4,7] at one job: 26 MiB of peak heap with a save
+      every 20,000 configurations, 23 MiB without checkpoints).
 
       [budget] bounds the run by wall-clock time and/or live heap words
       ({!Asyncolor_resilience.Budget}); [stop] is an arbitrary
@@ -324,8 +332,13 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
 
       What a checkpoint written by {!explore} (or {!explore_resume})
       describes, structurally: the packed configuration graph built so
-      far, the intern table as flat key payloads, and the
-      interned-but-unexpanded configurations in FIFO discovery order.
+      far, the intern store's image (its arena bytes and offsets), and
+      the range of ids interned but not yet expanded, in FIFO discovery
+      order.  A resumed run rebuilds each pending configuration from its
+      key, exactly as an uninterrupted run does.  Version 2 files (which
+      held boxed keys and marshalled pending configurations) still load:
+      each pending configuration must agree with the key of its id, or
+      the load raises {!Asyncolor_resilience.Checkpoint.Corrupt}.
       Because the BFS driver expands pending entries in stored order and
       assigns dense ids in expansion order under every policy, resuming is
       {e byte-identical}: the final report of an interrupted-and-resumed

@@ -39,6 +39,12 @@ module P = struct
     emit a;
     emit b
 
+  let decode_state data pos _ =
+    { x = data.(pos); a = data.(pos + 1); b = data.(pos + 2) }
+
+  let decode_register = decode_state
+  let decode_output data pos _ : output = (data.(pos), data.(pos + 1))
+
   let pp_state ppf s = Format.fprintf ppf "{x=%d;a=%d;b=%d}" s.x s.a s.b
   let pp_register = pp_state
   let pp_output = Color.pp_pair

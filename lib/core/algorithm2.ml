@@ -44,6 +44,12 @@ module P = struct
 
   let encode_register = encode_state
   let encode_output emit (c : output) = emit c
+
+  let decode_state data pos _ =
+    { x = data.(pos); a = data.(pos + 1); b = data.(pos + 2) }
+
+  let decode_register = decode_state
+  let decode_output data pos _ : output = data.(pos)
   let pp_state ppf s = Format.fprintf ppf "{x=%d;a=%d;b=%d}" s.x s.a s.b
   let pp_register = pp_state
   let pp_output = Format.pp_print_int

@@ -83,6 +83,14 @@ module P = struct
   let encode_register = encode_state
   let encode_output emit (c : output) = emit c
 
+  let decode_state data pos _ =
+    let r = Rank.decode data (pos + 1) in
+    let at = pos + 1 + Rank.encoded_length r in
+    { x = data.(pos); r; a = data.(at); b = data.(at + 1) }
+
+  let decode_register = decode_state
+  let decode_output data pos _ : output = data.(pos)
+
   let pp_state ppf s =
     Format.fprintf ppf "{x=%d;r=%a;a=%d;b=%d}" s.x Rank.pp s.r s.a s.b
 

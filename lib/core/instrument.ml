@@ -92,6 +92,28 @@ module P = struct
     emit a;
     emit b
 
+  (* The set written by [encode_set] at [pos], and the position after it. *)
+  let decode_set data pos =
+    let card = data.(pos) in
+    let set = ref IntSet.empty in
+    for i = 1 to card do
+      set := IntSet.add data.(pos + i) !set
+    done;
+    (!set, pos + 1 + card)
+
+  let decode_state data pos _ =
+    let a_set, at = decode_set data (pos + 3) in
+    let b_set, at = decode_set data at in
+    {
+      base = { Algorithm1.x = data.(pos); a = data.(pos + 1); b = data.(pos + 2) };
+      shadow = { a_set; b_set };
+      higher_awake = data.(at);
+      lower_awake = data.(at + 1);
+    }
+
+  let decode_register = decode_state
+  let decode_output data pos _ : output = (data.(pos), data.(pos + 1))
+
   let pp_state ppf s =
     let pp_set ppf set =
       Format.fprintf ppf "{%a}"

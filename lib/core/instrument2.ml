@@ -68,6 +68,21 @@ module P = struct
   let encode_register = encode_state
   let encode_output emit (c : output) = emit c
 
+  let decode_state data pos _ =
+    let card = data.(pos + 3) in
+    let a_set = ref IntSet.empty in
+    for i = 1 to card do
+      a_set := IntSet.add data.(pos + 3 + i) !a_set
+    done;
+    {
+      base = { Algorithm2.x = data.(pos); a = data.(pos + 1); b = data.(pos + 2) };
+      a_set = !a_set;
+      higher_awake = data.(pos + 4 + card);
+    }
+
+  let decode_register = decode_state
+  let decode_output data pos _ : output = data.(pos)
+
   let pp_state ppf s =
     Format.fprintf ppf "{x=%d;a=%d;b=%d;|A|=%d}" s.base.Algorithm2.x
       s.base.Algorithm2.a s.base.Algorithm2.b (IntSet.cardinal s.a_set)

@@ -21,6 +21,14 @@ let encode emit = function
       emit k
   | Inf -> emit 1
 
+let decode data pos =
+  match data.(pos) with
+  | 0 -> Fin data.(pos + 1)
+  | 1 -> Inf
+  | tag -> invalid_arg (Printf.sprintf "Rank.decode: tag %d" tag)
+
+let encoded_length = function Fin _ -> 2 | Inf -> 1
+
 let pp ppf = function
   | Fin k -> Format.pp_print_int ppf k
   | Inf -> Format.pp_print_string ppf "∞"

@@ -20,4 +20,11 @@ val equal : t -> t -> bool
 val encode : (int -> unit) -> t -> unit
 (** Injective integer encoding for the run-core packed-key layer. *)
 
+val decode : int array -> int -> t
+(** [decode data pos] reads back what {!encode} wrote at [pos].
+    @raise Invalid_argument on a tag {!encode} never writes. *)
+
+val encoded_length : t -> int
+(** The number of integers {!encode} writes for the value. *)
+
 val pp : Format.formatter -> t -> unit

@@ -551,6 +551,57 @@ module Make (P : Protocol.S) = struct
     done;
     (key_of_data (Array.sub b.data 0 b.len), offsets)
 
+  (* The inverse of [config_key]: walk the [n] framed segments, handing
+     each framed payload to its protocol decoder.  The observers are not
+     in the key, so they come back zero.  The walk threads one cursor
+     record through top-level functions, so a decode allocates the
+     configuration and nothing else. *)
+  type cursor = { src : int array; src_len : int; mutable pos : int }
+
+  let bad_key cur what =
+    invalid_arg
+      (Printf.sprintf "Engine.config_of_key_data: %s at %d of %d" what cur.pos
+         cur.src_len)
+
+  let next_int cur =
+    if cur.pos >= cur.src_len then bad_key cur "key ends";
+    let x = cur.src.(cur.pos) in
+    cur.pos <- cur.pos + 1;
+    x
+
+  (* A framed field: its length, then the payload handed to [decode]. *)
+  let framed cur decode =
+    let l = next_int cur in
+    let at = cur.pos in
+    if l < 0 || at + l > cur.src_len then bad_key cur "bad frame";
+    cur.pos <- at + l;
+    decode cur.src at l
+
+  let optional cur decode =
+    match next_int cur with
+    | 0 -> None
+    | 1 -> Some (framed cur decode)
+    | _ -> bad_key cur "bad option tag"
+
+  let config_of_key_data ~n ?len data =
+    let len = Option.value len ~default:(Array.length data) in
+    let cur = { src = data; src_len = len; pos = 0 } in
+    let c_status = Array.make n Status.Asleep in
+    let c_states = Array.make n None in
+    let c_public = Array.make n None in
+    for p = 0 to n - 1 do
+      c_status.(p) <-
+        (match next_int cur with
+        | 0 -> Status.Asleep
+        | 1 -> Status.Working
+        | 2 -> Status.Returned (framed cur P.decode_output)
+        | _ -> bad_key cur "bad status tag");
+      c_states.(p) <- optional cur P.decode_state;
+      c_public.(p) <- optional cur P.decode_register
+    done;
+    if cur.pos <> len then bad_key cur "trailing data";
+    { c_states; c_status; c_public; c_time = 0; c_activations = Array.make n 0 }
+
   let config_permute c perm =
     let n = Array.length c.c_status in
     if Array.length perm <> n then

@@ -261,6 +261,28 @@ module Make (P : Protocol.S) : sig
       without re-running the protocol encoders or building the permuted
       keys. *)
 
+  val config_of_key_data : n:int -> ?len:int -> int array -> config
+  (** [config_of_key_data ~n data] is the configuration of [n] processes
+      whose key data ({!key_data}) is the first [len] integers of [data]
+      (default: all of them), rebuilt by the protocol's decoders
+      ({!Protocol.S.decode_state} and its siblings).  Its key equals the
+      key it was read from, and it is {!config_compare}-equal to every
+      configuration with that key whenever the decoders give back
+      structurally equal values.
+
+      A key holds only the process-visible part, so the observers of
+      the result are zero: time 0 and every activation counter 0.  The
+      explorer keeps its pending configurations as keys and rebuilds each
+      with this function when it expands it, so nothing in exploration
+      may read the observers of a configuration it expands: neither
+      identity ({!config_compare}, {!config_key}), the cycle check, the
+      worst-case DP (which counts activations along edges), nor a safety
+      predicate.  A predicate that prints [time] in its message gets the
+      distance from the last expanded configuration, not from the root.
+      @raise Invalid_argument when the data is not the key of [n]
+      processes: a bad tag or frame, too few integers, or integers left
+      over. *)
+
   val config_permute : config -> int array -> config
   (** [config_permute c perm] is the configuration whose position [q]
       holds what [c] held at position [perm.(q)] (status, state, register

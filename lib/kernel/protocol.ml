@@ -59,6 +59,22 @@ module type S = sig
   val encode_register : (int -> unit) -> register -> unit
   val encode_output : (int -> unit) -> output -> unit
 
+  (** {2 Decoders}
+
+      The inverses of the encoders: [decode_state data pos len] rebuilds
+      the state whose encoding is the [len] integers of [data] from
+      [pos], the slice the engine framed around one [encode_state] call.
+      The contract: decoding an encoding gives back an equal value
+      ([equal_state (decode_state d 0 (length d)) s] where [d] is what
+      [encode_state] emitted for [s]).  The explorer keeps pending
+      configurations as their keys only and rebuilds each one with these
+      when it is expanded ({!Engine.Make.config_of_key_data}).  A
+      decoder may raise on a slice no encoder could have written. *)
+
+  val decode_state : int array -> int -> int -> state
+  val decode_register : int array -> int -> int -> register
+  val decode_output : int array -> int -> int -> output
+
   val equal_state : state -> state -> bool
   (** Structural equality; used by the model checker to canonicalise
       configurations. *)

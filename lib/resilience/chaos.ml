@@ -196,36 +196,44 @@ let read_raw path =
       really_input ic b 0 len;
       b)
 
-let output_all ~fsync path data =
+(* Run [write] on a fresh file at [path]; the file's length after it. *)
+let output_with ~fsync path write =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_bytes oc data;
+      write oc;
       flush oc;
-      if fsync then Unix.fsync (Unix.descr_of_out_channel oc))
+      if fsync then Unix.fsync (Unix.descr_of_out_channel oc);
+      pos_out oc)
 
-let prefix_bytes data n = Bytes.sub data 0 (min n (Bytes.length data))
-
-let write_file t ?(fsync = true) ~site path data =
+(* A drawn fault is realised on the whole written file by cutting it
+   back to the prefix the fault leaves, so a streamed write needs no
+   copy of its bytes in memory. *)
+let write_with t ?(fsync = true) ~site path write =
   match draw t ~site write_kinds with
-  | None -> output_all ~fsync path data
+  | None -> ignore (output_with ~fsync path write)
   | Some (op, Enospc) ->
       (* Disk fills mid-write: half the payload lands, then the error. *)
-      output_all ~fsync:false path (prefix_bytes data (Bytes.length data / 2));
+      let len = output_with ~fsync:false path write in
+      Unix.truncate path (len / 2);
       raise (Injected { site; op; fault = Enospc })
   | Some (op, Eio) ->
-      output_all ~fsync:false path (prefix_bytes data 16);
+      let len = output_with ~fsync:false path write in
+      Unix.truncate path (min 16 len);
       raise (Injected { site; op; fault = Eio })
   | Some (_, Torn_write) ->
       (* The lying disk: reports success, persists only a prefix.  Only
          a read-back verify can catch this one. *)
-      let len = Bytes.length data in
-      output_all ~fsync path (prefix_bytes data (max 0 (len - max 1 (len / 4))))
+      let len = output_with ~fsync path write in
+      Unix.truncate path (max 0 (len - max 1 (len / 4)))
   | Some (op, Fsync_fail) ->
-      output_all ~fsync:false path data;
+      ignore (output_with ~fsync:false path write);
       raise (Injected { site; op; fault = Fsync_fail })
   | Some (_, Bit_rot) -> assert false
+
+let write_file t ?fsync ~site path data =
+  write_with t ?fsync ~site path (fun oc -> output_bytes oc data)
 
 let read_file t ~site path =
   match draw t ~site read_kinds with

@@ -102,6 +102,14 @@ val write_file : t -> ?fsync:bool -> site:string -> string -> bytes -> unit
     {!Injected}, silent torn write, or a failed fsync).  [fsync] defaults
     to [true]. *)
 
+val write_with :
+  t -> ?fsync:bool -> site:string -> string -> (out_channel -> unit) -> unit
+(** {!write_file} for content that is streamed rather than held: the
+    callback writes the file through the channel (it may seek back and
+    patch what it wrote).  The drawn fault is realised on the finished
+    file, by cutting it back to the prefix {!write_file} would have
+    left, so the two draw and fail alike. *)
+
 val read_file : t -> site:string -> string -> bytes
 (** Whole-file read, fault-injected via {!draw_read}: [Eio] raises
     {!Injected} without touching the file; [Bit_rot] flips one byte of

@@ -16,85 +16,120 @@ let buf_be64 b v =
   buf_be32 b ((v lsr 32) land 0xffffffff);
   buf_be32 b (v land 0xffffffff)
 
-(* The container is built in memory and written in one call so the write
-   can be routed through the injectable filesystem (Chaos.write_file):
-   fault injection then sees the write as one operation of the site's
-   schedule, and a partial/torn write truncates the container exactly
-   like a real crash would. *)
-let container_bytes ~version payload =
-  let b = Buffer.create (Bytes.length payload + 48) in
-  Buffer.add_string b magic;
-  buf_be32 b container_format;
-  buf_be32 b version;
-  buf_be64 b (Bytes.length payload);
-  Buffer.add_string b (Digest.bytes payload);
-  Buffer.add_bytes b payload;
-  Buffer.to_bytes b
+let header_bytes = 48
 
-let parse ~version data =
+(* The container is streamed to [path] through [oc]: the header with a
+   zero length and digest, the payload marshalled straight to the
+   channel, then the real length and digest patched into the header.
+   The digest is read back from the file, so a save holds no copy of the
+   payload on the OCaml heap (the marshaller's buffer is off-heap and
+   freed when the call returns).  The whole container is one write of
+   the injectable filesystem ({!Chaos.write_with}), so fault injection
+   sees one operation of the site's schedule, and a partial or torn
+   write cuts the container exactly like a real crash would. *)
+let write_container ~version path v oc =
+  let header = Buffer.create header_bytes in
+  Buffer.add_string header magic;
+  buf_be32 header container_format;
+  buf_be32 header version;
+  Buffer.add_string header (String.make 24 '\000');
+  Buffer.output_buffer oc header;
+  Marshal.to_channel oc v [];
+  flush oc;
+  let len = pos_out oc - header_bytes in
+  let digest =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        seek_in ic header_bytes;
+        Digest.channel ic len)
+  in
+  let tail = Buffer.create 24 in
+  buf_be64 tail len;
+  Buffer.add_string tail digest;
+  seek_out oc 24;
+  Buffer.output_buffer oc tail
+
+(* Check the container around a payload: the payload's version (one of
+   [versions]) and its length, having checked the digest. *)
+let validate ~versions data =
   let pos = ref 0 in
-  let take n what =
+  let need n what =
     if !pos + n > Bytes.length data then
       corrupt "truncated file while reading %s" what;
-    let b = Bytes.sub data !pos n in
-    pos := !pos + n;
-    b
+    let at = !pos in
+    pos := at + n;
+    at
   in
   let be32 what =
-    let b = take 4 what in
-    (Char.code (Bytes.get b 0) lsl 24)
-    lor (Char.code (Bytes.get b 1) lsl 16)
-    lor (Char.code (Bytes.get b 2) lsl 8)
-    lor Char.code (Bytes.get b 3)
+    let at = need 4 what in
+    (Char.code (Bytes.get data at) lsl 24)
+    lor (Char.code (Bytes.get data (at + 1)) lsl 16)
+    lor (Char.code (Bytes.get data (at + 2)) lsl 8)
+    lor Char.code (Bytes.get data (at + 3))
   in
-  let m = Bytes.to_string (take (String.length magic) "magic") in
+  let magic_len = String.length magic in
+  let m = Bytes.sub_string data (need magic_len "magic") magic_len in
   if m <> magic then corrupt "bad magic: not an asyncolor checkpoint";
   let fmt = be32 "container format" in
   if fmt <> container_format then
     corrupt "container format %d (this build reads %d)" fmt container_format;
   let ver = be32 "payload version" in
-  if ver <> version then
-    corrupt "payload version %d, expected %d (stale checkpoint?)" ver version;
+  if not (List.mem ver versions) then
+    corrupt "payload version %d, expected %s (stale checkpoint?)" ver
+      (String.concat " or " (List.map string_of_int versions));
   let hi = be32 "payload length" in
   let lo = be32 "payload length" in
   let len = (hi lsl 32) lor lo in
   if len < 0 then corrupt "negative payload length";
-  let digest = Bytes.to_string (take 16 "digest") in
-  let payload = take len "payload" in
-  if Digest.bytes payload <> digest then
+  let digest = Bytes.sub_string data (need 16 "digest") 16 in
+  let at = need len "payload" in
+  if Digest.subbytes data at len <> digest then
     corrupt "digest mismatch: payload corrupted";
-  match Marshal.from_bytes payload 0 with
-  | v -> v
+  (ver, len)
+
+let parse_any ~versions data =
+  let ver, _ = validate ~versions data in
+  match Marshal.from_bytes data header_bytes with
+  | v -> (ver, Obj.repr v)
   | exception _ -> corrupt "payload does not unmarshal"
 
 (* Write the container to [path ^ ".tmp"]; under chaos, read it back and
-   compare — a Torn_write is silent, and without this verify the rename
-   below would install a corrupt file as the last-good checkpoint. *)
-let write_tmp ~chaos ~site ~tmp data =
-  Chaos.write_file chaos ~site:(site ^ ".write") tmp data;
+   validate it — a Torn_write is silent, and without this verify the
+   rename below would install a corrupt file as the last-good
+   checkpoint. *)
+let write_tmp ~chaos ~site ~tmp ~version v =
+  Chaos.write_with chaos ~site:(site ^ ".write") tmp
+    (write_container ~version tmp v);
   if Chaos.enabled chaos then begin
     let back =
       try Chaos.read_raw tmp
       with Sys_error msg -> corrupt "verify after save failed: %s" msg
     in
-    if not (Bytes.equal back data) then
-      corrupt "torn write detected verifying %s" tmp
+    match validate ~versions:[ version ] back with
+    | _ -> ()
+    | exception Corrupt msg ->
+        corrupt "torn write detected verifying %s (%s)" tmp msg
   end
 
 let save ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path ~version v =
-  let data = container_bytes ~version (Marshal.to_bytes v []) in
   let tmp = path ^ ".tmp" in
-  write_tmp ~chaos ~site ~tmp data;
+  write_tmp ~chaos ~site ~tmp ~version v;
   (* fsync happened before the rename: the rename must never become
      durable ahead of the data it points at *)
   Sys.rename tmp path
 
-let load ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path ~version () =
+let load_any ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path ~versions
+    () =
   let data =
     try Chaos.read_file chaos ~site:(site ^ ".read") path
     with Sys_error msg -> corrupt "cannot open checkpoint: %s" msg
   in
-  parse ~version data
+  parse_any ~versions data
+
+let load ?chaos ?site ~path ~version () =
+  Obj.obj (snd (load_any ?chaos ?site ~path ~versions:[ version ] ()))
 
 (* ------------------------------------------------------------------ *)
 (* Rotation, quarantine, stale-tmp hygiene                             *)
@@ -144,11 +179,10 @@ let resolve_retry ~chaos = function
 let save_rotated ?(chaos = Chaos.disabled) ?retry ?(site = "checkpoint") ~path
     ~version v =
   let retry = resolve_retry ~chaos retry in
-  let data = container_bytes ~version (Marshal.to_bytes v []) in
   let tmp = path ^ ".tmp" in
   (try
      Chaos.Retry.run chaos retry ~retry_on:retry_corrupt ~site:(site ^ ".save")
-       (fun () -> write_tmp ~chaos ~site ~tmp data)
+       (fun () -> write_tmp ~chaos ~site ~tmp ~version v)
    with e ->
      (* Exhausted (or non-retryable): never leave a half-written tmp
         around for a later resume to trip over. *)
@@ -164,12 +198,12 @@ let unwrap_corrupt = function
   | Chaos.Retry.Exhausted { last = Corrupt _ as c; _ } -> c
   | e -> e
 
-let load_rotated ?(chaos = Chaos.disabled) ?retry ?(site = "checkpoint") ~path
-    ~version () =
+let load_rotated_any ?(chaos = Chaos.disabled) ?retry ?(site = "checkpoint")
+    ~path ~versions () =
   let retry = resolve_retry ~chaos retry in
   let attempt p =
     Chaos.Retry.run chaos retry ~retry_on:retry_corrupt ~site:(site ^ ".load")
-      (fun () -> load ~chaos ~site ~path:p ~version ())
+      (fun () -> load_any ~chaos ~site ~path:p ~versions ())
   in
   try attempt path
   with (Corrupt _ | Chaos.Retry.Exhausted _) as first -> (
@@ -185,3 +219,7 @@ let load_rotated ?(chaos = Chaos.disabled) ?retry ?(site = "checkpoint") ~path
         v
     | exception (Corrupt _ | Chaos.Retry.Exhausted _) ->
         raise (unwrap_corrupt first))
+
+let load_rotated ?chaos ?retry ?site ~path ~version () =
+  Obj.obj
+    (snd (load_rotated_any ?chaos ?retry ?site ~path ~versions:[ version ] ()))

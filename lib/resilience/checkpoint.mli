@@ -16,16 +16,22 @@
     {!save} is {e atomic}: the container is written to [path ^ ".tmp"],
     flushed and fsynced, then renamed over [path] — a crash (including
     SIGKILL) at any point leaves either the previous checkpoint or the new
-    one, never a torn file.  {!load} re-verifies magic, versions, length
-    and digest before unmarshalling, so a corrupt or truncated file
-    surfaces as {!Corrupt}, not as a segfault or a garbage value.
+    one, never a torn file.  The payload is marshalled straight into the
+    file and the length and digest patched into the header after it, the
+    digest read back from the file: a save holds no copy of the payload
+    on the OCaml heap, so saving a large value costs about its own size
+    in (off-heap, transient) marshalling buffers, not two heap copies.
+    {!load} re-verifies magic, versions, length and digest before
+    unmarshalling, so a corrupt or truncated file surfaces as {!Corrupt},
+    not as a segfault or a garbage value.
 
     {b Fault injection.}  All I/O goes through
     {!Asyncolor_resilience.Chaos}'s injectable filesystem: pass [?chaos]
     to exercise ENOSPC/EIO/torn-write/fsync-failure/bit-rot schedules.
     When chaos is enabled, {!save} additionally {e verifies} the written
-    tmp file by reading it back before the rename — a silently torn write
-    must never be installed as the last-good checkpoint.
+    tmp file by reading it back and checking its length and digest before
+    the rename — a silently torn write must never be installed as the
+    last-good checkpoint.
 
     {b Rotation.}  {!save_rotated}/{!load_rotated} add a one-deep history:
     the previous checkpoint survives at [path ^ ".1"], saves retry under a
@@ -113,3 +119,20 @@ val load_rotated :
     unreadable primary is {e quarantined} and the load falls back to
     [path ^ ".1"].
     @raise Corrupt only when both generations are unreadable. *)
+
+(** {1 Several payload versions}
+
+    A caller whose payload type changed may keep reading files of the
+    old type. *)
+
+val load_rotated_any :
+  ?chaos:Chaos.t ->
+  ?retry:Chaos.Retry.cfg ->
+  ?site:string ->
+  path:string ->
+  versions:int list ->
+  unit ->
+  int * Obj.t
+(** {!load_rotated}, accepting any of [versions]: the version found,
+    with the payload as an [Obj.t] that the caller converts at the type
+    that version was saved at ([Obj.obj]). *)

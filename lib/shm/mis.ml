@@ -48,6 +48,9 @@ module Greedy = struct
     let encode_state emit s = emit s.x
     let encode_register = encode_state
     let encode_output emit (b : output) = emit (Bool.to_int b)
+    let decode_state data pos _ = { x = data.(pos) }
+    let decode_register = decode_state
+    let decode_output data pos _ : output = data.(pos) <> 0
     let pp_state ppf s = Format.fprintf ppf "{x=%d}" s.x
     let pp_register = pp_state
     let pp_output = Format.pp_print_bool
@@ -103,6 +106,19 @@ module Cautious = struct
 
     let encode_register = encode_state
     let encode_output emit (b : output) = emit (Bool.to_int b)
+
+    let decode_state data pos _ =
+      let decision =
+        match data.(pos + 1) with
+        | 0 -> Undecided
+        | 1 -> Pending false
+        | 2 -> Pending true
+        | d -> invalid_arg (Printf.sprintf "Mis.Cautious: decision %d" d)
+      in
+      { x = data.(pos); decision }
+
+    let decode_register = decode_state
+    let decode_output data pos _ : output = data.(pos) <> 0
 
     let pp_state ppf s =
       let d =

@@ -35,6 +35,12 @@ module Make (M : Asyncolor_kernel.Protocol.S with type output = bool) = struct
     let encode_register = M.encode_register
     let encode_output emit (c : output) = emit c
 
+    let decode_state data pos len =
+      { me = data.(pos); inner = M.decode_state data (pos + 1) (len - 1) }
+
+    let decode_register = M.decode_register
+    let decode_output data pos _ : output = data.(pos)
+
     let pp_state ppf s = Format.fprintf ppf "{p%d;%a}" s.me M.pp_state s.inner
     let pp_register = M.pp_register
     let pp_output = Format.pp_print_int

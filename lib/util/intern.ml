@@ -202,32 +202,98 @@ let intern t ~hash data =
 
 (* --- decoding --------------------------------------------------------- *)
 
-let get t id =
-  if id < 0 || id >= t.count then invalid_arg "Intern.get: id out of range";
+(* The unsigned LEB128 value at [!p] in [b], advancing [p] past it.
+   One-byte varints (small zigzagged values, nearly every element of a
+   configuration key) return at the first test. *)
+let read_uleb b p =
+  let c = Char.code (Bytes.get b !p) in
+  incr p;
+  if c < 128 then c
+  else begin
+    let v = ref (c land 127) and shift = ref 7 and continue = ref true in
+    while !continue do
+      let c = Char.code (Bytes.get b !p) in
+      incr p;
+      v := !v lor ((c land 127) lsl !shift);
+      shift := !shift + 7;
+      continue := c land 128 <> 0
+    done;
+    !v
+  end
+
+let check_id t id what =
+  if id < 0 || id >= t.count then invalid_arg ("Intern." ^ what ^ ": id out of range")
+
+(* Every element takes at least one byte, so a length the rest of the
+   chunk cannot hold is damage (a store read from an image), not a
+   sequence. *)
+let seq_length t id =
+  check_id t id "seq_length";
   let s = t.starts.(id) in
   let b = t.chunks.(s lsr 32) in
   let p = ref (s land id_mask) in
-  (* One-byte varints (small zigzagged values, nearly every element of a
-     configuration key) return at the first test. *)
-  let next () =
-    let c = Char.code (Bytes.get b !p) in
-    incr p;
-    if c < 128 then c
-    else begin
-      let v = ref (c land 127) and shift = ref 7 and continue = ref true in
-      while !continue do
-        let c = Char.code (Bytes.get b !p) in
-        incr p;
-        v := !v lor ((c land 127) lsl !shift);
-        shift := !shift + 7;
-        continue := c land 128 <> 0
-      done;
-      !v
-    end
-  in
-  let n = next () in
-  let a = Array.make n 0 in
+  let n = read_uleb b p in
+  if n > Bytes.length b - !p then invalid_arg "Intern: sequence runs past its chunk";
+  n
+
+(* Decode [id]'s elements into [dst] from [0]; [dst] must have room. *)
+let decode_into t id dst =
+  let s = t.starts.(id) in
+  let b = t.chunks.(s lsr 32) in
+  let p = ref (s land id_mask) in
+  let n = read_uleb b p in
+  if Array.length dst < n then invalid_arg "Intern.blit: destination too short";
   for i = 0 to n - 1 do
-    Array.unsafe_set a i (unzigzag (next ()))
+    Array.unsafe_set dst i (unzigzag (read_uleb b p))
   done;
+  n
+
+let blit t id dst =
+  check_id t id "blit";
+  ignore (decode_into t id dst)
+
+let get t id =
+  check_id t id "get";
+  let a = Array.make (seq_length t id) 0 in
+  ignore (decode_into t id a);
   a
+
+(* --- images ----------------------------------------------------------- *)
+
+type image = { im_chunks : Bytes.t array; im_starts : int array }
+
+(* Full chunks are shared, not copied: an image costs the offsets and
+   the used part of the last chunk. *)
+let image t =
+  let im_chunks = Array.sub t.chunks 0 t.nchunks in
+  if t.nchunks > 0 then
+    im_chunks.(t.nchunks - 1) <- Bytes.sub im_chunks.(t.nchunks - 1) 0 t.pos;
+  { im_chunks; im_starts = Array.sub t.starts 0 t.count }
+
+let of_image { im_chunks; im_starts } ~hash =
+  let count = Array.length im_starts in
+  if count > max_count then invalid_arg "Intern.of_image: too many sequences";
+  let t = create ~capacity:count () in
+  let nchunks = Array.length im_chunks in
+  t.chunks <- Array.copy im_chunks;
+  t.nchunks <- nchunks;
+  (* The last chunk is full as far as appends go: the next one opens a
+     fresh chunk. *)
+  t.pos <- (if nchunks = 0 then 0 else Bytes.length im_chunks.(nchunks - 1));
+  t.arena <- Array.fold_left (fun a c -> a + Bytes.length c) 0 im_chunks;
+  Array.iteri
+    (fun id s ->
+      let c = s lsr 32 and off = s land id_mask in
+      if c >= nchunks || off >= Bytes.length im_chunks.(c) then
+        invalid_arg "Intern.of_image: offset outside the arena";
+      t.starts.(id) <- s;
+      t.count <- id + 1;
+      (* Reading the sequence checks its varints stay inside the chunk. *)
+      let data = get t id in
+      let tag = tag_of (hash data) in
+      let i = probe t tag data in
+      if t.slots.(i) <> 0 then invalid_arg "Intern.of_image: duplicate sequence";
+      t.slots.(i) <- (tag lsl 32) lor (id + 1);
+      if 2 * t.count > Array.length t.slots then grow_slots t)
+    im_starts;
+  t

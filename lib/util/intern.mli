@@ -45,6 +45,44 @@ val get : t -> int -> int array
 (** The sequence with that id, decoded afresh.
     @raise Invalid_argument when the id is out of range. *)
 
+val seq_length : t -> int -> int
+(** The length of the sequence with that id, read from its prefix.
+    @raise Invalid_argument when the id is out of range. *)
+
+val blit : t -> int -> int array -> unit
+(** [blit t id dst] decodes the sequence with that id into
+    [dst.(0 .. seq_length t id - 1)], allocating nothing: how the
+    explorer reads a pending configuration's key into a reused buffer.
+    @raise Invalid_argument when the id is out of range or [dst] is
+    shorter than the sequence. *)
+
+(** {1 Images}
+
+    An image is the store's content as plain data — the arena's bytes
+    and each id's offset into them — for a checkpoint to marshal as it
+    is, without decoding one sequence.  The slot table is not part of
+    it: {!of_image} rebuilds it from hashes it recomputes. *)
+
+type image = {
+  im_chunks : Bytes.t array;  (** the arena, chunk by chunk *)
+  im_starts : int array;
+      (** by id: [(chunk lsl 32) lor offset] of its bytes *)
+}
+
+val image : t -> image
+(** The store's image.  Every chunk but the last is shared with the
+    store, not copied (the store never writes bytes it has handed out);
+    the last is copied up to its used length, and the offsets up to
+    {!length}. *)
+
+val of_image : image -> hash:(int array -> int) -> t
+(** The store whose ids and sequences are the image's: id [i] holds the
+    sequence at [im_starts.(i)].  [hash] must be the hash the store's
+    lookups are given ({!intern}'s [~hash]); it is recomputed for every
+    sequence, never stored.  New sequences go to a fresh chunk.
+    @raise Invalid_argument when an offset lies outside the arena, a
+    varint runs past its chunk, or two ids hold equal sequences. *)
+
 val bytes : t -> int
 (** Bytes the store holds: arena chunks, offset and slot arrays, all at
     allocated capacity. *)

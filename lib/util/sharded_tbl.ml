@@ -120,6 +120,8 @@ module Level_log = struct
     done;
     Int_log.iter_chunks t.tail emit
 
+  let iter_segments ~fetch t f = iter_stored ~fetch t (fun _ data n -> f data n)
+
   let to_array ~fetch t =
     let out = Array.make (length t) 0 in
     iter_stored ~fetch t (fun off data n -> Array.blit data 0 out off n);

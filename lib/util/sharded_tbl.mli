@@ -112,6 +112,15 @@ module Level_log : sig
       threshold, empty, or no threshold was given.  Call only at points
       where every word pushed so far is final. *)
 
+  val iter_segments :
+    fetch:(level:int -> int array) -> t -> (int array -> int -> unit) -> unit
+  (** [iter_segments ~fetch t f] calls [f data n] for each piece of the
+      stream in order — each closed level as [fetch] returns it, then
+      each chunk of the resident tail — where the first [n] words of
+      [data] are the stream's next [n] words.  A tail chunk is the
+      log's own storage: read it, do not keep it past the next push.
+      @raise Invalid_argument as {!to_array}. *)
+
   val to_array : fetch:(level:int -> int array) -> t -> int array
   (** Reassemble the whole stream; [fetch] supplies each closed level's
       words (it must return exactly the sealed snapshot —

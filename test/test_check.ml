@@ -33,6 +33,9 @@ struct
 
   let encode_register _ () = ()
   let encode_output emit (c : output) = emit c
+  let decode_state data pos _ = { ident = data.(pos); left = data.(pos + 1) }
+  let decode_register _ _ _ = ()
+  let decode_output data pos _ : output = data.(pos)
   let pp_state ppf s = Format.fprintf ppf "%d" s.left
   let pp_register ppf () = Format.pp_print_string ppf "()"
   let pp_output = Format.pp_print_int
@@ -53,6 +56,9 @@ module Forever = struct
   let encode_state _ () = ()
   let encode_register _ () = ()
   let encode_output emit (c : output) = emit c
+  let decode_state _ _ _ = ()
+  let decode_register _ _ _ = ()
+  let decode_output data pos _ : output = data.(pos)
   let pp_state ppf () = Format.pp_print_string ppf "()"
   let pp_register ppf () = Format.pp_print_string ppf "()"
   let pp_output = Format.pp_print_int
@@ -409,6 +415,67 @@ let test_resume_safety_checks_continue () =
           check Alcotest.bool "violations actually present" true
             (resumed.safety <> []))
         [ 3; 10; 30 ])
+
+(* The layout of a version 2 checkpoint payload (the explorer's [ckpt]
+   record of that version), with the configurations left opaque: enough
+   to read the committed v2 fixture, alter it, and write it back. *)
+type v2_payload = {
+  v_protocol : string;
+  v_graph : Asyncolor_topology.Graph.t;
+  v_idents : int array;
+  v_mode : [ `All_subsets | `Singletons ];
+  v_max_configs : int;
+  v_max_violations : int;
+  v_next_id : int;
+  v_transitions : int;
+  v_terminal : int;
+  v_complete : bool;
+  v_parent_pred : int array;
+  v_parent_mask : int array;
+  v_adj_off : int array;
+  v_adj_data : int array;
+  v_safety_rev : (string * int) list;
+  v_symmetry : bool;
+  v_orbit : int array;
+  v_expanded : int * int * int;
+  v_keys : int array array;
+  v_pending : (int * Obj.t) array;
+}
+
+module EA2 = Explorer.Make (Asyncolor.Algorithm2.P)
+
+(* Written by an earlier build: check -a 2 --idents 5,1,9,4 --checkpoint
+   ... --checkpoint-every 400 --kill-after 900.  Found next to the test
+   executable, where the build copies it. *)
+let v2_fixture =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    "../bin/fixtures/ckpt-alg2-c4.bin"
+
+(* A v2 file resumes from the keys of its pending ids; the marshalled
+   configurations are only checked against them.  Re-saved unchanged it
+   resumes to the uninterrupted report; with two pending configurations
+   swapped, each disagrees with the key of its id and the load fails. *)
+let test_resume_v2_pending_checked () =
+  let (c : v2_payload) = Checkpoint.load ~path:v2_fixture ~version:2 () in
+  check Alcotest.bool "fixture has pending entries" true
+    (Array.length c.v_pending >= 2);
+  let baseline = EA2.explore (Builders.cycle 4) ~idents:[| 5; 1; 9; 4 |] in
+  let report = Alcotest.testable EA2.pp_report ( = ) in
+  with_temp_ckpt (fun path ->
+      Checkpoint.save ~path ~version:2 c;
+      check report "unchanged v2 payload resumes" baseline
+        (EA2.explore_resume path);
+      let pending = Array.copy c.v_pending in
+      let (i0, c0), (i1, c1) = (pending.(0), pending.(1)) in
+      pending.(0) <- (i0, c1);
+      pending.(1) <- (i1, c0);
+      Checkpoint.save ~path ~version:2 { c with v_pending = pending };
+      match EA2.explore_resume path with
+      | _ -> Alcotest.fail "a pending configuration off its key was resumed"
+      | exception Checkpoint.Corrupt msg ->
+          check Alcotest.bool "says which id" true
+            (Astring.String.is_infix ~affix:"disagrees with its key" msg))
 
 let test_resume_info_describes_checkpoint () =
   with_temp_ckpt (fun path ->
@@ -792,6 +859,8 @@ let () =
             test_resume_safety_checks_continue;
           Alcotest.test_case "resume_info metadata" `Quick
             test_resume_info_describes_checkpoint;
+          Alcotest.test_case "v2 pending checked against keys" `Quick
+            test_resume_v2_pending_checked;
           Alcotest.test_case "protocol mismatch rejected" `Quick
             test_resume_rejects_other_protocol;
           Alcotest.test_case "budget truncates cleanly" `Quick

@@ -51,6 +51,25 @@ struct
 
   let encode_register emit (r : register) = emit r
   let encode_output emit (c : output) = emit c
+
+  (* The inverse of [encode_state]: each view, then the list of views,
+     is length-prefixed. *)
+  let decode_state data pos _ =
+    let at = ref (pos + 3) in
+    let next () =
+      let x = data.(!at) in
+      incr at;
+      x
+    in
+    let views =
+      List.init data.(pos + 2) (fun _ ->
+          List.init (next ()) (fun _ ->
+              match next () with 0 -> None | _ -> Some (next ())))
+    in
+    { ident = data.(pos); rounds = data.(pos + 1); views }
+
+  let decode_register data pos _ : register = data.(pos)
+  let decode_output data pos _ : output = data.(pos)
   let pp_state ppf s = Format.fprintf ppf "{id=%d;r=%d}" s.ident s.rounds
   let pp_register = Format.pp_print_int
   let pp_output = Format.pp_print_int
@@ -584,6 +603,330 @@ module Cache1 = Cache_walk (Asyncolor.Algorithm1.P)
 module Cache2 = Cache_walk (Asyncolor.Algorithm2.P)
 module Cache3 = Cache_walk (Asyncolor.Algorithm3.P)
 
+(* --- decoders: decode (encode x) = x --------------------------------- *)
+
+(* The ints [enc] emits for [x]. *)
+let encoded enc x =
+  let acc = ref [] in
+  enc (fun i -> acc := i :: !acc) x;
+  Array.of_list (List.rev !acc)
+
+(* Decode [x]'s encoding from the middle of a larger buffer, so a decoder
+   that ignores its position, or reads a neighbour's ints, is caught. *)
+let round_trip enc dec equal x =
+  let d = encoded enc x in
+  let buf = Array.concat [ [| 91; -17 |]; d; [| 53; -8 |] ] in
+  equal (dec buf 2 (Array.length d)) x
+
+(* One qcheck per encoder of a protocol: state, register and output each
+   come back equal from their encoding. *)
+module Codec_props
+    (P : Asyncolor_kernel.Protocol.S) (G : sig
+      val state : P.state QCheck.Gen.t
+      val register : P.register QCheck.Gen.t
+      val output : P.output QCheck.Gen.t
+      val equal_output : P.output -> P.output -> bool
+    end) =
+struct
+  let prop what gen enc dec equal =
+    QCheck.Test.make
+      ~name:(Printf.sprintf "%s: decode_%s (encode_%s x) = x" P.name what what)
+      ~count:200 (QCheck.make gen)
+      (round_trip enc dec equal)
+
+  let tests =
+    [
+      prop "state" G.state P.encode_state P.decode_state P.equal_state;
+      prop "register" G.register P.encode_register P.decode_register
+        P.equal_register;
+      prop "output" G.output P.encode_output P.decode_output G.equal_output;
+    ]
+end
+
+(* Field values: small ones, as protocols write them, and any int, so
+   the varint and sign handling of the store never matter here. *)
+let field = QCheck.Gen.(oneof [ int_range (-3) 40; int ])
+let color_pair = QCheck.Gen.pair field field
+let small_list = QCheck.Gen.(list_size (int_range 0 6) field)
+let int_set = QCheck.Gen.map Asyncolor.Instrument.IntSet.of_list small_list
+let int_set2 = QCheck.Gen.map Asyncolor.Instrument2.IntSet.of_list small_list
+
+module A1_codec =
+  Codec_props
+    (Asyncolor.Algorithm1.P)
+    (struct
+      let state =
+        QCheck.Gen.map3 (fun x a b -> { Asyncolor.Algorithm1.x; a; b }) field field field
+
+      let register = state
+      let output = color_pair
+      let equal_output = ( = )
+    end)
+
+module A2_codec =
+  Codec_props
+    (Asyncolor.Algorithm2.P)
+    (struct
+      let state =
+        QCheck.Gen.map3 (fun x a b -> { Asyncolor.Algorithm2.x; a; b }) field field field
+
+      let register = state
+      let output = field
+      let equal_output = Int.equal
+    end)
+
+module A2s_codec =
+  Codec_props
+    (Asyncolor.Algorithm2s.P)
+    (struct
+      let state =
+        QCheck.Gen.map3 (fun x a b -> { Asyncolor.Algorithm2s.x; a; b }) field field field
+
+      let register = state
+      let output = field
+      let equal_output = Int.equal
+    end)
+
+let rank =
+  QCheck.Gen.(
+    oneof
+      [ return Asyncolor.Rank.Inf; map (fun k -> Asyncolor.Rank.Fin k) field ])
+
+module A3_codec =
+  Codec_props
+    (Asyncolor.Algorithm3.P)
+    (struct
+      let state =
+        QCheck.Gen.(
+          map
+            (fun (x, r, a, b) -> { Asyncolor.Algorithm3.x; r; a; b })
+            (quad field rank field field))
+
+      let register = state
+      let output = field
+      let equal_output = Int.equal
+    end)
+
+module Instrument_codec =
+  Codec_props
+    (Asyncolor.Instrument.P)
+    (struct
+      let state =
+        QCheck.Gen.(
+          map
+            (fun ((x, a, b), (a_set, b_set), (higher_awake, lower_awake)) ->
+              {
+                Asyncolor.Instrument.base = { Asyncolor.Algorithm1.x; a; b };
+                shadow = { a_set; b_set };
+                higher_awake;
+                lower_awake;
+              })
+            (triple (triple field field field) (pair int_set int_set)
+               (pair field field)))
+
+      let register = state
+      let output = color_pair
+      let equal_output = ( = )
+    end)
+
+module Instrument2_codec =
+  Codec_props
+    (Asyncolor.Instrument2.P)
+    (struct
+      let state =
+        QCheck.Gen.(
+          map
+            (fun ((x, a, b), a_set, higher_awake) ->
+              {
+                Asyncolor.Instrument2.base = { Asyncolor.Algorithm2.x; a; b };
+                a_set;
+                higher_awake;
+              })
+            (triple (triple field field field) int_set2 field))
+
+      let register = state
+      let output = field
+      let equal_output = Int.equal
+    end)
+
+module Mis = Asyncolor_shm.Mis
+
+let greedy_state = QCheck.Gen.map (fun x -> { Mis.Greedy.x }) field
+
+let cautious_state =
+  QCheck.Gen.(
+    map2
+      (fun x decision -> { Mis.Cautious.x; decision })
+      field
+      (oneofl Mis.Cautious.[ Undecided; Pending false; Pending true ]))
+
+module Greedy_codec =
+  Codec_props
+    (Mis.Greedy.P)
+    (struct
+      let state = greedy_state
+      let register = state
+      let output = QCheck.Gen.bool
+      let equal_output = Bool.equal
+    end)
+
+module Cautious_codec =
+  Codec_props
+    (Mis.Cautious.P)
+    (struct
+      let state = cautious_state
+      let register = state
+      let output = QCheck.Gen.bool
+      let equal_output = Bool.equal
+    end)
+
+module Red_greedy = Asyncolor_shm.Reduction.Make (Mis.Greedy.P)
+module Red_cautious = Asyncolor_shm.Reduction.Make (Mis.Cautious.P)
+
+module Red_greedy_codec =
+  Codec_props
+    (Red_greedy.P)
+    (struct
+      let state =
+        QCheck.Gen.map2 (fun me inner -> { Red_greedy.me; inner }) field greedy_state
+
+      let register = greedy_state
+      let output = field
+      let equal_output = Int.equal
+    end)
+
+module Red_cautious_codec =
+  Codec_props
+    (Red_cautious.P)
+    (struct
+      let state =
+        QCheck.Gen.map2
+          (fun me inner -> { Red_cautious.me; inner })
+          field cautious_state
+
+      let register = cautious_state
+      let output = field
+      let equal_output = Int.equal
+    end)
+
+module Renaming_codec =
+  Codec_props
+    (Asyncolor_shm.Renaming.P)
+    (struct
+      let state =
+        QCheck.Gen.map2
+          (fun x proposal -> { Asyncolor_shm.Renaming.x; proposal })
+          field field
+
+      let register = state
+      let output = field
+      let equal_output = Int.equal
+    end)
+
+module Probe_codec =
+  Codec_props
+    (P3)
+    (struct
+      let state =
+        QCheck.Gen.(
+          map3
+            (fun ident rounds views -> { P3.ident; rounds; views })
+            field field
+            (list_size (int_range 0 4)
+               (list_size (int_range 0 3) (opt field))))
+
+      let register = field
+      let output = field
+      let equal_output = Int.equal
+    end)
+
+let codec_tests =
+  List.concat
+    [
+      A1_codec.tests;
+      A2_codec.tests;
+      A2s_codec.tests;
+      A3_codec.tests;
+      Instrument_codec.tests;
+      Instrument2_codec.tests;
+      Greedy_codec.tests;
+      Cautious_codec.tests;
+      Red_greedy_codec.tests;
+      Red_cautious_codec.tests;
+      Renaming_codec.tests;
+      Probe_codec.tests;
+    ]
+
+(* [E.config_of_key_data] against the configurations a random walk of
+   the real protocol reaches on a cycle, with random (possibly repeated)
+   identifiers and random masks: the decoded configuration has the same
+   key, is [config_compare]-equal to the snapshot, and has the same
+   unfinished mask; restored into an engine, it keys like the snapshot.
+   Its observers are zero. *)
+module Decode_walk (P : Asyncolor_kernel.Protocol.S) = struct
+  module E = Engine.Make (P)
+
+  let agrees eng c =
+    let n = E.n eng in
+    let k = E.config_key c in
+    let d = E.config_of_key_data ~n (E.key_data k) in
+    (* decoding from a longer buffer reads only the [len] given *)
+    let padded = Array.append (E.key_data k) [| 7; 7 |] in
+    let d' = E.config_of_key_data ~n ~len:(Array.length (E.key_data k)) padded in
+    E.key_equal (E.config_key d) k
+    && E.config_compare c d = 0
+    && E.config_compare c d' = 0
+    && E.config_unfinished_mask d = E.config_unfinished_mask c
+    &&
+    let probe = E.create (E.graph eng) ~idents:(Array.init n (E.ident eng)) in
+    E.restore probe d;
+    E.key_equal (E.key probe) k
+    && E.time probe = 0
+    && List.for_all (fun p -> E.activations probe p = 0) (List.init n Fun.id)
+
+  let walk (n, seed) =
+    let prng = Prng.create ~seed in
+    let idents = Array.init n (fun _ -> Prng.int prng (2 * n)) in
+    let eng = E.create (Builders.cycle n) ~idents in
+    let ok = ref (agrees eng (E.snapshot eng)) in
+    let steps = ref 0 in
+    while !ok && !steps < 60 && E.unfinished_mask eng <> 0 do
+      incr steps;
+      E.activate_mask eng (Prng.bool_mask prng (E.unfinished_mask eng));
+      ok := agrees eng (E.snapshot eng)
+    done;
+    !ok
+
+  let prop name =
+    QCheck.Test.make ~name:("config_of_key_data inverts config_key, " ^ name)
+      ~count:100
+      QCheck.(pair (int_range 3 7) (int_range 0 10_000))
+      walk
+end
+
+module Decode1 = Decode_walk (Asyncolor.Algorithm1.P)
+module Decode2 = Decode_walk (Asyncolor.Algorithm2.P)
+module Decode2s = Decode_walk (Asyncolor.Algorithm2s.P)
+module Decode3 = Decode_walk (Asyncolor.Algorithm3.P)
+
+(* Data no key of [n] processes can be: each is refused. *)
+let test_config_of_key_data_rejects () =
+  let module E = Asyncolor.Algorithm2.E in
+  let eng = E.create (Builders.cycle 3) ~idents:[| 1; 2; 3 |] in
+  E.activate eng [ 0; 1 ];
+  let good = E.key_data (E.key eng) in
+  let rejects what data =
+    match E.config_of_key_data ~n:3 data with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "truncated" (Array.sub good 0 (Array.length good - 1));
+  rejects "trailing data" (Array.append good [| 0 |]);
+  rejects "bad status tag" (Array.mapi (fun i x -> if i = 0 then 5 else x) good);
+  rejects "empty" [||];
+  check Alcotest.bool "the key itself decodes" true
+    (E.config_compare (E.snapshot eng) (E.config_of_key_data ~n:3 good) = 0)
+
 module A2 = Asyncolor.Algorithm2
 
 (* Every configuration the full model reaches from [idents] on the cycle,
@@ -1106,12 +1449,19 @@ let () =
           qtest (Cache1.prop "algorithm 1");
           qtest (Cache2.prop "algorithm 2");
           qtest (Cache3.prop "algorithm 3");
+          qtest (Decode1.prop "algorithm 1");
+          qtest (Decode2.prop "algorithm 2");
+          qtest (Decode2s.prop "algorithm 2s");
+          qtest (Decode3.prop "algorithm 3");
+          Alcotest.test_case "config_of_key_data rejects non-keys" `Quick
+            test_config_of_key_data_rejects;
           Alcotest.test_case "key hash spread (C5 full model)" `Quick
             test_key_hash_spread;
           Alcotest.test_case "probe lifetime" `Quick test_probe_lifetime;
           Alcotest.test_case "n = int_size: no mask, runs" `Quick
             test_wide_engine_without_mask;
         ] );
+      ("decoders", List.map qtest codec_tests);
       ( "runner",
         [
           Alcotest.test_case "synchronous" `Quick test_run_synchronous;

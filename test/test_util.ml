@@ -947,6 +947,57 @@ let test_intern_tag_filters () =
   done;
   check Alcotest.int "each hit compares once" n (Intern.compares t)
 
+(* A store rebuilt from its image (marshalled, as a checkpoint does) has
+   the same ids and sequences, finds every old sequence, and gives new
+   ones the next ids; [blit] decodes like [get]. *)
+let prop_intern_image =
+  QCheck.Test.make ~name:"Intern: of_image (image t) is t" ~count:200
+    (QCheck.pair intern_ops intern_ops) (fun (before, after) ->
+      let t = Intern.create ~capacity:1 () in
+      List.iter (fun a -> ignore (Intern.intern t ~hash:(Hashtbl.hash a) a)) before;
+      let (image : Intern.image) =
+        Marshal.from_string (Marshal.to_string (Intern.image t) []) 0
+      in
+      let u = Intern.of_image image ~hash:Hashtbl.hash in
+      let same_ids =
+        Intern.length u = Intern.length t
+        && List.for_all
+             (fun id ->
+               let buf = Array.make (Intern.seq_length t id + 1) 7 in
+               Intern.blit u id buf;
+               Intern.get u id = Intern.get t id
+               && Array.sub buf 0 (Intern.seq_length u id) = Intern.get t id)
+             (List.init (Intern.length t) Fun.id)
+      in
+      (* both stores take the same further operations to the same ids *)
+      same_ids
+      && List.for_all
+           (fun a ->
+             Intern.intern u ~hash:(Hashtbl.hash a) a
+             = Intern.intern t ~hash:(Hashtbl.hash a) a)
+           (before @ after))
+
+let test_intern_image_rejects () =
+  let t = Intern.create () in
+  List.iter
+    (fun a -> ignore (Intern.intern t ~hash:(Hashtbl.hash a) a))
+    [ [| 1; 2 |]; [| 3 |]; [||]; [| -5; 70_000 |] ];
+  let image = Intern.image t in
+  let rejects what image =
+    match Intern.of_image image ~hash:Hashtbl.hash with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "duplicate ids"
+    { image with Intern.im_starts = [| image.im_starts.(0); image.im_starts.(0) |] };
+  rejects "offset past the arena"
+    { image with Intern.im_starts = [| 1_000_000 |] };
+  rejects "chunk out of range" { image with Intern.im_starts = [| 5 lsl 32 |] };
+  rejects "length past the chunk"
+    { Intern.im_chunks = [| Bytes.of_string "\x7f\x02" |]; im_starts = [| 0 |] };
+  check Alcotest.int "the image itself loads" 4
+    (Intern.length (Intern.of_image image ~hash:Hashtbl.hash))
+
 (* --- Level_log -------------------------------------------------------- *)
 
 module Level_log = Asyncolor_util.Sharded_tbl.Level_log
@@ -1366,6 +1417,9 @@ let () =
             test_intern_growth;
           Alcotest.test_case "tags filter byte compares" `Quick
             test_intern_tag_filters;
+          qtest prop_intern_image;
+          Alcotest.test_case "of_image rejects damage" `Quick
+            test_intern_image_rejects;
         ] );
       ( "level_log",
         [
