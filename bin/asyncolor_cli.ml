@@ -592,8 +592,10 @@ let check_cmd =
       & info [ "spill-threshold-mb" ] ~docv:"MB"
           ~doc:
             "Close and spill a level once the resident adjacency tail \
-             exceeds MB megabytes (0 spills at every merge boundary — \
-             only useful for exercising the spill path in tests).")
+             holds MB megabytes of entries counted at 8 bytes each (an \
+             edge is 2 entries, 3 under symmetry; its varint bytes take \
+             a fraction of that).  0 spills at every merge boundary — \
+             only useful for exercising the spill path in tests.")
   in
   let f alg idents mode max_configs jobs exec_policy kappa ckpt_path ckpt_every
       resume time_s mem_mb kill_after symmetry spill_dir spill_threshold_mb
@@ -612,7 +614,7 @@ let check_cmd =
     let spill =
       Option.map
         (fun dir ->
-          (* MB -> machine words (8 bytes each on 64-bit). *)
+          (* MB -> entries of 8 bytes, the level log's threshold unit. *)
           ( Asyncolor_resilience.Spill.create ~chaos ?retry
               ~retain:(if Chaos.enabled chaos then 4 else 0)
               ~dir (),

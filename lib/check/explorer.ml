@@ -4,7 +4,7 @@ module Ring = Asyncolor_util.Ring
 module Executor = Asyncolor_util.Executor
 module Intern = Asyncolor_util.Intern
 module Int_log = Asyncolor_util.Int_log
-module Level_log = Asyncolor_util.Sharded_tbl.Level_log
+module Level_log = Asyncolor_util.Level_log
 module Checkpoint = Asyncolor_resilience.Checkpoint
 module Chaos = Asyncolor_resilience.Chaos
 module Budget = Asyncolor_resilience.Budget
@@ -268,13 +268,14 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      configurations themselves are not part of it; the BFS loop keeps
      them as keys in its intern store.  Every table is an accessor, not an array:
      the driver's read its [Int_log]s in place (no copy at the heap's
-     peak), the oracle's wrap its arrays, and a spilled run's adjacency
-     reads an off-heap reassembly.  Adjacency entries are
-     (mask, vid) pairs at [adj_stride = 2], or (mask, vid, perm) triples
-     at stride 3 under symmetry reduction, where [perm] indexes [group]
-     with the automorphism [sigma] such that the true successor is the
-     stored one permuted by [sigma] — the translation the worst-case DP
-     needs to stay exact on the quotient. *)
+     peak) and the oracle's wrap its arrays.  The adjacency is a
+     [Level_log] byte stream read row by row through a cursor: in place,
+     or from an off-heap reassembly on a spilled run.  An edge is
+     (mask, vid), plus under symmetry reduction [perm], an index into
+     [group] of the automorphism [sigma] such that the true successor is
+     the stored one permuted by [sigma] — the translation the worst-case
+     DP needs to stay exact on the quotient ([perm] reads 0, the
+     identity, without symmetry). *)
   type packed = {
     total : int;
     transitions : int;
@@ -282,9 +283,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     complete : bool;
     parent_pred : int -> int;  (* -1 at the root *)
     parent_mask : int -> int;
-    adj_off : int -> int;  (* total + 1 offsets into the adjacency stream *)
-    adj_get : int -> int;  (* flattened adjacency stream *)
-    adj_stride : int;  (* 2, or 3 with per-edge automorphism indices *)
+    adj_off : int -> int;  (* total + 1 byte offsets into the adjacency stream *)
+    adj_cursor : unit -> Level_log.cursor;  (* a fresh cursor over its rows *)
     group : int array array;  (* symmetry group; singleton identity when off *)
     expanded : (int * int * int) option;
         (* orbit-expanded (configs, transitions, terminal) — symmetry only *)
@@ -306,8 +306,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      path), so the longest simple path of the configuration graph — which
      at K7 scale exceeds any native stack — costs heap words, not frames. *)
   let detect_livelock p =
-    let ad = p.adj_get in
-    let stride = p.adj_stride in
+    let c = p.adj_cursor () in
     let color = Bytes.make p.total '\000' in
     let finish = Int_log.create () in
     let livelock = ref None in
@@ -320,10 +319,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     while Vec.length st_id > 0 && !livelock = None do
       let depth = Vec.length st_id - 1 in
       let u = Vec.get st_id depth in
-      let cur = Vec.get st_cur depth in
-      if cur < p.adj_off (u + 1) then begin
-        Vec.set st_cur depth (cur + stride);
-        let mask = ad cur and v = ad (cur + 1) in
+      Level_log.seek c ~uid:u (Vec.get st_cur depth) (p.adj_off (u + 1));
+      if Level_log.next c then begin
+        Vec.set st_cur depth c.pos;
+        let mask = c.mask and v = c.target in
         match Bytes.get color v with
         | '\000' ->
             Bytes.set color v '\001';
@@ -380,9 +379,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
   type dp_table = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
   let exact_worst ~n p finish =
-    let ad = p.adj_get in
-    let stride = p.adj_stride in
-    let identity = p.group.(0) in
+    let c = p.adj_cursor () in
     if p.total > Int32.to_int Int32.max_int then
       failwith "Explorer.exact_worst: 2^31 configurations or more overflow the table";
     let dp : dp_table =
@@ -393,11 +390,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     for i = Int_log.length finish - 1 downto 0 do
       let u = Int_log.get finish i in
       let bu = u * n in
-      let e = ref (p.adj_off u) in
-      let e_end = p.adj_off (u + 1) in
-      while !e < e_end do
-        let mask = ad !e and v = ad (!e + 1) in
-        let sigma = if stride = 2 then identity else p.group.(ad (!e + 2)) in
+      Level_log.seek c ~uid:u (p.adj_off u) (p.adj_off (u + 1));
+      while Level_log.next c do
+        let mask = c.mask and v = c.target in
+        let sigma = p.group.(c.perm) in
         let bv = v * n in
         for q = 0 to n - 1 do
           let qu = sigma.(q) in
@@ -411,8 +407,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
             end
           end
           else if du > dv then dp.{bv + q} <- Int32.of_int du
-        done;
-        e := !e + stride
+        done
       done
     done;
     !best
@@ -458,7 +453,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
   (* Kept verbatim in spirit as the oracle for the differential tests: a
      FIFO queue over a [Map] keyed by [config_compare], expanding with the
      list-based [subsets_of] and [E.activate].  Only the output format
-     changed with the data layer (packed adjacency and parent arrays). *)
+     changed with the data layer (packed adjacency and parent arrays); its
+     adjacency goes through the same [Level_log] codec, which test_util
+     checks against an int-array model. *)
   let explore_reference ~max_configs ~max_violations ~mode ~check_outputs
       ~check_config graph ~idents =
     let engine = E.create graph ~idents in
@@ -467,7 +464,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     let parent_pred = Vec.create ~capacity:1024 ~dummy:(-1) () in
     let parent_mask = Vec.create ~capacity:1024 ~dummy:0 () in
     let adj_off = Vec.create ~capacity:1024 ~dummy:0 () in
-    let adj_data = Vec.create ~capacity:4096 ~dummy:0 () in
+    let adj = Level_log.create ~stride:2 () in
     Vec.push adj_off 0;
     let next_id = ref 0 in
     let transitions = ref 0 in
@@ -528,8 +525,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
             let succ = E.snapshot engine in
             let vid, fresh = intern succ in
             incr transitions;
-            Vec.push adj_data (mask_of_subset subset);
-            Vec.push adj_data vid;
+            Level_log.push adj ~uid ~mask:(mask_of_subset subset) ~target:vid
+              ~perm:0;
             if fresh then begin
               Vec.set parent_pred vid uid;
               Vec.set parent_mask vid (mask_of_subset subset);
@@ -539,7 +536,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
           end
           else complete := false)
         (subsets_of mode unfinished);
-      Vec.push adj_off (Vec.length adj_data)
+      Vec.push adj_off (Level_log.offset adj)
     done;
     {
       total = !next_id;
@@ -549,8 +546,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       parent_pred = Array.get (Vec.to_array parent_pred);
       parent_mask = Array.get (Vec.to_array parent_mask);
       adj_off = Array.get (Vec.to_array adj_off);
-      adj_get = Array.get (Vec.to_array adj_data);
-      adj_stride = 2;
+      adj_cursor = (fun () -> Level_log.cursor adj);
       group = [| Array.init (Asyncolor_topology.Graph.n graph) Fun.id |];
       expanded = None;
       safety_raw = List.rev !safety;
@@ -571,7 +567,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     s_adj_data : Level_log.t;
         (* the adjacency stream — the one store whose closed prefix can
            leave the heap (see [Level_log]); offsets in [s_adj_off] are
-           absolute stream positions, so spilling never renumbers *)
+           absolute byte offsets, so spilling never renumbers *)
     s_orbit : Int_log.t;  (* orbit size per dense id; empty when symmetry off *)
     mutable s_next_id : int;
     mutable s_transitions : int;
@@ -588,10 +584,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     Int_log.bytes st.s_parent_pred + Int_log.bytes st.s_parent_mask
     + Int_log.bytes st.s_adj_off + Int_log.bytes st.s_orbit
 
-  (* The per-id tables take the adjacency tail's chunk size: 64 Ki
-     words, or the spill threshold's power of two when that is smaller,
-     so a small spilled run holds no mostly empty 512 KiB chunks. *)
-  let fresh_state ?spill_threshold () =
+  (* The per-id tables take chunks of 64 Ki words, or of the spill
+     threshold's power of two when that is smaller, so a small spilled
+     run holds no mostly empty 512 KiB chunks. *)
+  let fresh_state ~stride ?spill_threshold () =
     let chunk_words = Int_log.chunk_words_for ?threshold_words:spill_threshold () in
     let table () = Int_log.create ~chunk_words () in
     let st =
@@ -599,7 +595,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         s_parent_pred = table ();
         s_parent_mask = table ();
         s_adj_off = table ();
-        s_adj_data = Level_log.create ?threshold_words:spill_threshold ();
+        s_adj_data = Level_log.create ?threshold_words:spill_threshold ~stride ();
         s_orbit = table ();
         s_next_id = 0;
         s_transitions = 0;
@@ -627,7 +623,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     stop : (configs:int -> bool) option;
     symmetry : bool;
     group : int array array;  (* singleton identity when symmetry off *)
-    spill : (Spill.t * int) option;  (* store, threshold in words *)
+    spill : (Spill.t * int) option;  (* store, threshold in entries (an edge is its stride) *)
     chaos : Chaos.t;
     retry : Chaos.Retry.cfg;
     octx : octx;
@@ -642,20 +638,22 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         Obs.Counter.add params.octx.oc_spill_rb (Spill.bytes_read sp - before);
         data
 
+  let stride_of ~symmetry = if symmetry then 3 else 2
+
   let packed_of_state ~params st =
-    let fetch = spill_fetch ~params in
-    let adj_get =
+    let adj_cursor =
       if Level_log.spilled_levels st.s_adj_data = 0 then
         (* Nothing left the heap: the analyses read the resident stream
            in place, with no second copy of it at the heap's peak. *)
-        Level_log.get st.s_adj_data
+        fun () -> Level_log.cursor st.s_adj_data
       else
         (* Off-heap reassembly: the analyses of a spilled run walk the
-           stream through a bigarray the GC neither scans nor counts,
+           stream's bytes in a bigarray the GC neither scans nor counts,
            so the peak-live-heap win of spilling survives the analysis
            phase. *)
-        let ba = Level_log.to_bigarray ~fetch st.s_adj_data in
-        fun i -> ba.{i}
+        let flat = Level_log.reassemble ~fetch:(spill_fetch ~params) st.s_adj_data in
+        let stride = stride_of ~symmetry:params.symmetry in
+        fun () -> Level_log.flat_cursor ~stride flat
     in
     {
       total = st.s_next_id;
@@ -665,8 +663,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       parent_pred = Int_log.get st.s_parent_pred;
       parent_mask = Int_log.get st.s_parent_mask;
       adj_off = Int_log.get st.s_adj_off;
-      adj_get;
-      adj_stride = (if params.symmetry then 3 else 2);
+      adj_cursor;
       group = params.group;
       expanded =
         (if params.symmetry then
@@ -728,7 +725,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      container.  The intern store is saved as its image — the arena's
      varint bytes and one offset per dense id — and rebuilt with
      [Intern.of_image], the hashes recomputed on load, never trusted.
-     Every int log is saved as its chunks ([segments]).  The pending
+     Every int log is saved as its chunks ([segments]), the adjacency
+     stream as its bytes (closed levels read back, then the tail's
+     chunks) with its rows' byte offsets.  The pending
      configurations are the ids [ck_pending_from, ck_next_id): interned,
      not yet expanded, in FIFO order; a resumed run rebuilds each from
      its key when it expands it, as an uninterrupted run does.  The BFS
@@ -736,7 +735,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      expansion order, so a resumed run — under any [jobs] value or
      policy — produces the same report, byte for byte, as one that was
      never interrupted. *)
-  type ckpt = {
+  type 'adj ckpt_of = {
     ck_protocol : string;
     ck_graph : Asyncolor_topology.Graph.t;
     ck_idents : int array;
@@ -750,7 +749,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     ck_parent_pred : int array array;
     ck_parent_mask : int array array;
     ck_adj_off : int array array;
-    ck_adj_data : int array array;
+    ck_adj_data : 'adj;
     ck_safety_rev : (string * int) list;
     ck_symmetry : bool;
     ck_orbit : int array array;  (* orbit size by dense id; empty when symmetry off *)
@@ -759,6 +758,13 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     ck_store : Intern.image;  (* packed keys, by dense id *)
     ck_pending_from : int;  (* the first pending id *)
   }
+
+  (* v4: the adjacency stream's bytes, offsets in bytes. *)
+  type ckpt = Bytes.t array ckpt_of
+
+  (* v3, still loadable: the stream as int words, (mask, vid[, perm]) a
+     transition, offsets in words. *)
+  type ckpt_v3 = int array array ckpt_of
 
   (* The v2 payload, still loadable: whole arrays where v3 has segments,
      every key as an [int array], and the pending configurations as
@@ -794,20 +800,24 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      their chunks instead of copies, and the pending configurations as
      an id range instead of marshalled configurations — a save holds no
      configuration and decodes no key.
+     v4: the adjacency stream as the [Level_log]'s varint bytes, its row
+     offsets in bytes.
      The adjacency stream is persisted in full even on a spilled run
      (closed levels are read back at save time), so a
      checkpoint stays a single self-contained file and resuming needs no
      spill directory — the resumed run re-spills as its own levels
      close. *)
-  let ckpt_version = 3
+  let ckpt_version = 4
 
   (* A log as its chunks: each full chunk shared with the log, the last
      one cut to length.  [iter] is the log's chunk iterator. *)
-  let segments iter =
+  let segments ~length ~sub iter =
     let acc = ref [] in
-    iter (fun data n ->
-        acc := (if n = Array.length data then data else Array.sub data 0 n) :: !acc);
+    iter (fun data n -> acc := (if n = length data then data else sub data 0 n) :: !acc);
     Array.of_list (List.rev !acc)
+
+  let int_segments = segments ~length:Array.length ~sub:Array.sub
+  let byte_segments = segments ~length:Bytes.length ~sub:Bytes.sub
 
   let save_ckpt ~params ~graph ~idents st store ~pending_from path =
     Obs.Counter.incr params.octx.oc_ckpt_saves;
@@ -828,15 +838,15 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         ck_transitions = st.s_transitions;
         ck_terminal = st.s_terminal;
         ck_complete = st.s_complete;
-        ck_parent_pred = segments (Int_log.iter_chunks st.s_parent_pred);
-        ck_parent_mask = segments (Int_log.iter_chunks st.s_parent_mask);
-        ck_adj_off = segments (Int_log.iter_chunks st.s_adj_off);
+        ck_parent_pred = int_segments (Int_log.iter_chunks st.s_parent_pred);
+        ck_parent_mask = int_segments (Int_log.iter_chunks st.s_parent_mask);
+        ck_adj_off = int_segments (Int_log.iter_chunks st.s_adj_off);
         ck_adj_data =
-          segments
+          byte_segments
             (Level_log.iter_segments ~fetch:(spill_fetch ~params) st.s_adj_data);
         ck_safety_rev = st.s_safety_rev;
         ck_symmetry = params.symmetry;
-        ck_orbit = segments (Int_log.iter_chunks st.s_orbit);
+        ck_orbit = int_segments (Int_log.iter_chunks st.s_orbit);
         ck_expanded = (st.s_exp_configs, st.s_exp_transitions, st.s_exp_terminal);
         ck_store = Intern.image store;
         ck_pending_from = pending_from;
@@ -978,9 +988,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         if has_predicates params && not holds then E.restore engine rep;
         safety_check ~params st engine id
       end;
-      Level_log.push st.s_adj_data mask;
-      Level_log.push st.s_adj_data vid;
-      if params.symmetry then Level_log.push st.s_adj_data pi
+      Level_log.push st.s_adj_data ~uid ~mask ~target:vid ~perm:pi
     in
     let expand_inline uid orbit_u config =
       let um = E.config_unfinished_mask config in
@@ -1025,7 +1033,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
        diagnostic) and surfaces at the next merge boundary: the run fails
        at the faulting seal, not at reassembly time.  The failed level's
        data stays resident in the spill store, so the reassembly still
-       sees every word. *)
+       sees every byte. *)
     let spill_futs : unit Executor.future list ref = ref [] in
     let spill_err : (int * exn) option Atomic.t = Atomic.make None in
     let note_spill_err level e =
@@ -1039,8 +1047,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       latch ()
     in
     (* Close the adjacency tail as a spill level if it crossed the
-       threshold.  Called only at entry boundaries, where every pushed word
-       is final.  The snapshot handed over by [Level_log.seal] is immutable
+       threshold.  Called only at entry boundaries, where every pushed edge
+       is final.  The bytes handed over by [Level_log.seal] are a fresh copy
        and level files are distinct, so the only ordering that matters —
        written before reread — is enforced by [drain_spills]. *)
     let seal () =
@@ -1174,7 +1182,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
               if within_cap () then merge uid orbit_u mask key rep orbit pi)
             cands
         end;
-        Int_log.push st.s_adj_off (Level_log.length st.s_adj_data);
+        Int_log.push st.s_adj_off (Level_log.offset st.s_adj_data);
         seal ();
         if uid land 1023 = 0 then sample_heap ~params;
         incr next
@@ -1183,7 +1191,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     close_level ();
     sample_heap ~params;
     Obs.Gauge.set octx.og_intern (Intern.bytes store);
-    Obs.Gauge.set octx.og_adj (Level_log.resident_bytes st.s_adj_data);
+    Obs.Gauge.set octx.og_adj (Level_log.bytes st.s_adj_data);
     Obs.Gauge.set octx.og_tables (table_bytes st);
     if !stopped then begin
       (* In-flight futures are abandoned (the executor drains them on
@@ -1193,7 +1201,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       for p = !next to st.s_next_id - 1 do
         if E.config_unfinished_mask (config_of_id p) <> 0 then
           st.s_complete <- false;
-        Int_log.push st.s_adj_off (Level_log.length st.s_adj_data)
+        Int_log.push st.s_adj_off (Level_log.offset st.s_adj_data)
       done
     end;
     drain_spills ();
@@ -1208,7 +1216,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      canonical without a special case. *)
   let explore_fresh ~params ?policy ~jobs graph ~idents =
     let st =
-      fresh_state ?spill_threshold:(Option.map snd params.spill) ()
+      fresh_state
+        ~stride:(stride_of ~symmetry:params.symmetry)
+        ?spill_threshold:(Option.map snd params.spill) ()
     in
     let store = Intern.create () in
     let engine = E.create graph ~idents in
@@ -1303,7 +1313,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
   (* A v2 file as a v3 payload: its keys interned in id order, and each
      pending configuration checked against the key of its id — it is the
      key, not the marshalled configuration, that a resumed run expands. *)
-  let ckpt_of_v2 c =
+  let ckpt_of_v2 c : ckpt_v3 =
     let store = Intern.create ~capacity:c.c2_next_id () in
     Array.iter
       (fun kdata -> ignore (Intern.intern store ~hash:(key_hash_of_data kdata) kdata))
@@ -1349,13 +1359,56 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       ck_pending_from = pending_from;
     }
 
+  (* A saved adjacency stream pushed again, row by row, into a fresh log:
+     [edges u start stop f] calls [f mask target perm] for each edge of
+     row [u], which lies between saved offsets [start] and [stop].
+     Returns the log and its row offsets.  Damage the walk or the
+     encoder trips over is a corrupt checkpoint. *)
+  let relog ?threshold_words ~stride ~chunk_words offs edges =
+    let log = Level_log.create ?threshold_words ~stride () in
+    let log_off = Int_log.create ~chunk_words () in
+    (try
+       Array.iteri
+         (fun u off ->
+           if u > 0 then
+             edges (u - 1) offs.(u - 1) off (fun mask target perm ->
+                 Level_log.push log ~uid:(u - 1) ~mask ~target ~perm);
+           Int_log.push log_off (Level_log.offset log))
+         offs
+     with Invalid_argument msg ->
+       raise (Checkpoint.Corrupt ("checkpoint adjacency: " ^ msg)));
+    (log, log_off)
+
+  (* A v3 payload as a v4 one: its int stream re-encoded, its word
+     offsets converted to byte offsets. *)
+  let ckpt_of_v3 (c : ckpt_v3) : ckpt =
+    let stride = stride_of ~symmetry:c.ck_symmetry in
+    let words = Array.concat (Array.to_list c.ck_adj_data) in
+    let log, log_off =
+      relog ~stride ~chunk_words:(Int_log.chunk_words_for ())
+        (Array.concat (Array.to_list c.ck_adj_off))
+        (fun _ start stop f ->
+          let e = ref start in
+          while !e < stop do
+            f words.(!e) words.(!e + 1) (if stride = 3 then words.(!e + 2) else 0);
+            e := !e + stride
+          done)
+    in
+    {
+      c with
+      ck_adj_off = int_segments (Int_log.iter_chunks log_off);
+      ck_adj_data =
+        byte_segments (Level_log.iter_segments ~fetch:(fun ~level:_ -> assert false) log);
+    }
+
   let load_ckpt ?(chaos = Chaos.disabled) ?retry path =
     let c =
       match
         Checkpoint.load_rotated_any ~chaos ?retry ~path
-          ~versions:[ ckpt_version; 2 ] ()
+          ~versions:[ ckpt_version; 3; 2 ] ()
       with
-      | 2, v -> ckpt_of_v2 (Obj.obj v : ckpt_v2)
+      | 2, v -> ckpt_of_v3 (ckpt_of_v2 (Obj.obj v : ckpt_v2))
+      | 3, v -> ckpt_of_v3 (Obj.obj v : ckpt_v3)
       | _, v -> (Obj.obj v : ckpt)
     in
     if c.ck_protocol <> P.name then
@@ -1379,7 +1432,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       ri_pending = c.ck_next_id - c.ck_pending_from;
     }
 
-  let state_of_ckpt ?spill_threshold c =
+  (* The saved stream is pushed again, row by row, into a log with the
+     resumed run's spill threshold: its chunk size, hence its padding and
+     offsets, may differ from the saving run's. *)
+  let state_of_ckpt ?spill_threshold (c : ckpt) =
     let exp_c, exp_t, exp_term = c.ck_expanded in
     let chunk_words = Int_log.chunk_words_for ?threshold_words:spill_threshold () in
     let table segs =
@@ -1387,12 +1443,21 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       Array.iter (Array.iter (Int_log.push log)) segs;
       log
     in
-    let adj = Level_log.create ?threshold_words:spill_threshold () in
-    Array.iter (Array.iter (Level_log.push adj)) c.ck_adj_data;
+    let stride = stride_of ~symmetry:c.ck_symmetry in
+    let saved = Level_log.flat_cursor ~stride (Level_log.flat_of_segments c.ck_adj_data) in
+    let adj, adj_off =
+      relog ?threshold_words:spill_threshold ~stride ~chunk_words
+        (Array.concat (Array.to_list c.ck_adj_off))
+        (fun u start stop f ->
+          Level_log.seek saved ~uid:u start stop;
+          while Level_log.next saved do
+            f saved.mask saved.target saved.perm
+          done)
+    in
     {
       s_parent_pred = table c.ck_parent_pred;
       s_parent_mask = table c.ck_parent_mask;
-      s_adj_off = table c.ck_adj_off;
+      s_adj_off = adj_off;
       s_adj_data = adj;
       s_orbit = table c.ck_orbit;
       s_next_id = c.ck_next_id;

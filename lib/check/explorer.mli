@@ -175,10 +175,14 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       100 B a configuration), which is also the pending queue: the
       pending configurations are the ids interned but not yet expanded,
       each decoded from its key when it is expanded, so no pending
-      configuration is boxed; adjacency, parent pointers and CSR row
-      offsets in append-only {!Asyncolor_util.Int_log}s (fixed-size
-      unboxed chunks, never copied as they grow), which the post-BFS
-      analyses read in place with no copy at the heap's peak; one FIFO
+      configuration is boxed; the adjacency as an
+      {!Asyncolor_util.Level_log} of varint bytes (an edge is its mask
+      and its target's zigzagged distance from its row, about 20 B a
+      configuration), parent pointers and CSR row offsets (byte offsets
+      into that stream) in append-only {!Asyncolor_util.Int_log}s; every
+      store grows by fixed-size chunks, never copied, and the post-BFS
+      analyses read them in place, the adjacency row by row through an
+      allocation-free cursor, with no copy at the heap's peak; one FIFO
       merge loop for every policy;
       [`Reference] is the seed
       implementation (sequential FIFO BFS over a [Map] keyed by
@@ -216,11 +220,12 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       save, and once more when the run is stopped early.  The interval is
       measured in configurations, not seconds, so checkpoint placement is
       deterministic and testable.  A save copies little: the payload
-      (format v3) holds the intern store's arena bytes and the int logs'
-      chunks as they are, and is marshalled straight to the file, so a
-      save costs the id offsets and the logs' last partial chunks on the
-      heap (C5 [5,1,9,4,7] at one job: 26 MiB of peak heap with a save
-      every 20,000 configurations, 23 MiB without checkpoints).
+      (format v4) holds the intern store's arena bytes, the int logs'
+      chunks and the adjacency stream's byte chunks as they are, and is
+      marshalled straight to the file, so a save costs the id offsets
+      and the logs' last partial chunks on the heap (C5 [5,1,9,4,7] at
+      one job: 18 MiB of peak heap with a save every 20,000
+      configurations, 16 MiB without checkpoints).
 
       [budget] bounds the run by wall-clock time and/or live heap words
       ({!Asyncolor_resilience.Budget}); [stop] is an arbitrary
@@ -257,16 +262,18 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       successor, so the deterministic-output guarantee above is unchanged.
 
       {b Spilling} ([spill:(store, threshold_words)]; [`Hashcons] only).
-      The adjacency stream of merged configurations — the dominant
-      allocation of a full-model run, 2–3 words per transition, never read
-      again until the post-BFS analyses — is closed into levels of
-      [threshold_words] at merge boundaries and written through
-      {!Asyncolor_resilience.Spill} (delta-encoded, checksummed
+      The adjacency stream of merged configurations — varint bytes, a
+      few per transition, never read again until the post-BFS
+      analyses — is closed into levels at merge boundaries once a level
+      holds [threshold_words] entries (an edge counts 2, or 3 under
+      symmetry: the words of an int encoding, so level cuts do not
+      depend on the byte coding), and each level's bytes are written as
+      they are through {!Asyncolor_resilience.Spill} (checksummed
       {!Asyncolor_resilience.Checkpoint} containers), leaving the live
       heap to the frontier, the intern store and the per-config arrays —
       all of which grow with the configurations explored.  Under a parallel policy the write runs as a background
       executor task while the pipeline keeps expanding.  The analyses
-      reassemble the stream into an off-heap bigarray, so the peak-heap
+      reassemble the stream's bytes into an off-heap char bigarray, so the peak-heap
       saving survives the analysis phase.  Spilling never changes any
       report field — only where bytes live.
 
@@ -394,7 +401,11 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       resume; [spill] may be freshly supplied — checkpoints are
       self-contained (the adjacency stream is reassembled into the file at
       save time), so a resumed run re-spills into its own directory as
-      levels close.  [chaos]/[retry] behave as in {!explore}; the resume
+      levels close.  The saved stream is pushed again, row by row, into
+      the resumed run's own log, whose chunk size follows its own spill
+      threshold.  Files of formats v2 and v3 still load: their int
+      adjacency is re-encoded as varint bytes and their word offsets
+      converted to byte offsets.  [chaos]/[retry] behave as in {!explore}; the resume
       load itself goes through
       {!Asyncolor_resilience.Checkpoint.load_rotated}, so a corrupt
       primary is quarantined and the previous rotation resumed instead.

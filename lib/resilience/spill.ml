@@ -1,5 +1,6 @@
-(* Spilled BFS levels: delta-encoded int arrays inside the Checkpoint
-   container, one file per level under a caller-owned directory.
+(* Spilled BFS levels: each level's adjacency bytes, as the log coded
+   them, inside the Checkpoint container, one file per level under a
+   caller-owned directory.
 
    Failure handling is asymmetric by design.  A level is dropped from the
    in-memory Level_log *before* its write runs (seal clears the tail so
@@ -21,12 +22,12 @@ type t = {
   retry : Chaos.Retry.cfg;
   retain : int;
   mu : Mutex.t;  (* retained/failed tables: writers run on executor tasks *)
-  retained : (int, int array) Hashtbl.t;
+  retained : (int, Bytes.t) Hashtbl.t;
   retained_order : int Queue.t;
-  failed : (int, int array) Hashtbl.t;
+  failed : (int, Bytes.t) Hashtbl.t;
 }
 
-let payload_version = 1
+let payload_version = 2
 
 let create ?(chaos = Chaos.disabled) ?retry ?(retain = 0) ~dir () =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
@@ -55,31 +56,6 @@ let create ?(chaos = Chaos.disabled) ?retry ?(retain = 0) ~dir () =
 
 let dir t = t.dir
 let path t ~level = Filename.concat t.dir (Printf.sprintf "level-%06d.spill" level)
-
-(* First word verbatim, then successive differences: adjacency streams are
-   dominated by near-monotone config ids and small masks, so the deltas are
-   mostly short ints, which Marshal encodes in 1–2 bytes instead of 8. *)
-let delta_encode a =
-  let n = Array.length a in
-  let out = Array.make n 0 in
-  if n > 0 then begin
-    out.(0) <- a.(0);
-    for i = 1 to n - 1 do
-      out.(i) <- a.(i) - a.(i - 1)
-    done
-  end;
-  out
-
-let delta_decode d =
-  let n = Array.length d in
-  let out = Array.make n 0 in
-  if n > 0 then begin
-    out.(0) <- d.(0);
-    for i = 1 to n - 1 do
-      out.(i) <- out.(i - 1) + d.(i)
-    done
-  end;
-  out
 
 let retry_on = function Checkpoint.Corrupt _ -> true | _ -> false
 
@@ -115,11 +91,10 @@ let resident t ~level =
 
 let write t ~level data =
   let path = path t ~level in
-  let encoded = delta_encode data in
   (try
      Chaos.Retry.run t.chaos t.retry ~retry_on ~site:"spill.write" (fun () ->
          Checkpoint.save ~chaos:t.chaos ~site:"spill" ~path
-           ~version:payload_version encoded)
+           ~version:payload_version data)
    with e ->
      retain_failure t ~level data;
      raise e);
@@ -145,9 +120,9 @@ let read t ~level =
         Checkpoint.load ~chaos:t.chaos ~site:"spill" ~path
           ~version:payload_version ())
   with
-  | delta ->
+  | data ->
       account_read ();
-      delta_decode delta
+      data
   | exception e -> (
       match resident t ~level with
       | Some data ->
@@ -167,7 +142,7 @@ let read t ~level =
              Chaos.Retry.run t.chaos t.retry ~retry_on ~site:"spill.write"
                (fun () ->
                  Checkpoint.save ~chaos:t.chaos ~site:"spill" ~path
-                   ~version:payload_version (delta_encode data))
+                   ~version:payload_version data)
            with _ -> ());
           account_read ();
           data

@@ -2,14 +2,14 @@
     live heap.
 
     A spill store owns a directory of level files, one per closed BFS
-    level handed over by {!Asyncolor_util.Sharded_tbl.Level_log.seal}.
+    level handed over by {!Asyncolor_util.Level_log.seal}.
     Each file is an ordinary {!Checkpoint} container (same magic, format,
     atomic tmp+fsync+rename write, MD5-checksummed payload), whose payload
-    is the level's word array {e delta-encoded} (first word verbatim, then
-    successive differences — adjacency streams are near-monotone, so the
-    deltas marshal to 1–2 bytes instead of 8).
+    is the level's bytes exactly as the log coded them (varint edges, see
+    {!Asyncolor_util.Level_log}): the store adds no encoding pass of its
+    own, and a read returns the bytes written.
 
-    {b Failure handling.}  [Level_log.seal] drops a level from the heap
+    {b Failure handling.}  [Level_log.seal] drops a level from the log
     {e before} its write runs, so a lost write would otherwise lose the
     level.  The store therefore (a) retries writes and reads under a
     {!Chaos.Retry} budget, (b) keeps the data of any write that exhausted
@@ -49,8 +49,8 @@ val path : t -> level:int -> string
 (** The file that {!write} targets for [level] ([level-NNNNNN.spill]
     under the store's directory). *)
 
-val write : t -> level:int -> int array -> int
-(** Delta-encode and persist one closed level, atomically, retrying
+val write : t -> level:int -> Bytes.t -> int
+(** Persist one closed level's bytes, atomically, retrying
     under the store's budget; returns the container size in bytes.
     Levels are written at most once per run (level indices come from
     [Level_log.seal], which assigns them sequentially).
@@ -58,8 +58,8 @@ val write : t -> level:int -> int array -> int
     data stays resident in the store, so a later {!read} still succeeds
     by rebuilding. *)
 
-val read : t -> level:int -> int array
-(** Load and decode a level, retrying under the store's budget; falls
+val read : t -> level:int -> Bytes.t
+(** Load a level's bytes, retrying under the store's budget; falls
     back to the resident copy (quarantining and rewriting the on-disk
     file) when the file is unreadable but the level is still in memory.
     @raise Checkpoint.Corrupt — message prefixed with the file path — on

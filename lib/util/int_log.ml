@@ -83,19 +83,6 @@ let iter_chunks t f =
     incr c
   done
 
-let to_array t =
-  let out = Array.make t.len 0 in
-  let at = ref 0 in
-  iter_chunks t (fun chunk n ->
-      Array.blit chunk 0 out !at n;
-      at := !at + n);
-  out
-
-let of_array ?chunk_words a =
-  let t = create ?chunk_words () in
-  Array.iter (push t) a;
-  t
-
 let bytes t =
   let words = ref (Array.length t.chunks) in
   for c = 0 to t.nchunks - 1 do

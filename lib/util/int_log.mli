@@ -1,5 +1,5 @@
 (** An append-only log of ints in fixed-size chunks — the explorer's
-    adjacency stream and per-configuration tables.
+    per-configuration tables.
 
     The words live in plain [int array] chunks of one power-of-two size.
     Growing the log adds a chunk and copies none it already has, so a
@@ -47,12 +47,6 @@ val iter_chunks : t -> (int array -> int -> unit) -> unit
 (** [iter_chunks t f] calls [f chunk n] for each chunk in order, where
     the first [n] words of [chunk] are the log's next [n] words.  The
     chunk is the log's own storage: read it, do not keep it. *)
-
-val to_array : t -> int array
-(** A fresh array of the [length t] words. *)
-
-val of_array : ?chunk_words:int -> int array -> t
-(** A log holding a copy of the array. *)
 
 val bytes : t -> int
 (** Bytes the log holds: every allocated chunk at capacity, plus the

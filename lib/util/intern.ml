@@ -53,63 +53,15 @@ let compares t = t.compares
 let bytes t =
   t.arena + (8 * (Array.length t.starts + Array.length t.slots + t.nchunks))
 
-(* --- varints ---------------------------------------------------------- *)
-
-let zigzag x = (x lsl 1) lxor (x asr (Sys.int_size - 1))
-let unzigzag z = (z lsr 1) lxor -(z land 1)
-
-(* Byte length of [z] as unsigned LEB128 (the top bit of a negative int
-   counts as bit 62 of an unsigned 63-bit number). *)
-let uleb_size z =
-  let z = ref z and n = ref 1 in
-  while !z lsr 7 <> 0 do
-    z := !z lsr 7;
-    incr n
-  done;
-  !n
-
-let put_uleb b pos z =
-  let z = ref z and p = ref pos in
-  while !z lsr 7 <> 0 do
-    Bytes.unsafe_set b !p (Char.unsafe_chr (!z land 127 lor 128));
-    z := !z lsr 7;
-    incr p
-  done;
-  Bytes.unsafe_set b !p (Char.unsafe_chr !z);
-  !p + 1
-
-(* Match [z]'s LEB128 bytes against [b] at [pos]: the position after
-   them, or [-1] at the first differing byte.  Prefix-freeness makes a
-   full match of the bytes a match of the value. *)
-let match_uleb b pos z =
-  let z = ref z and p = ref pos in
-  while !p >= 0 && !z lsr 7 <> 0 do
-    if Char.code (Bytes.get b !p) = !z land 127 lor 128 then begin
-      z := !z lsr 7;
-      incr p
-    end
-    else p := -1
-  done;
-  if !p >= 0 && Char.code (Bytes.get b !p) = !z then !p + 1 else -1
-
 (* --- lookup ----------------------------------------------------------- *)
 
-(* Do the stored bytes of [id] encode [data]?  The length prefix goes
-   first, so a stored sequence that [data] is a proper prefix of (or
-   vice versa) differs there, and the element loop never reads past the
-   stored sequence's end. *)
+module Varint = Level_log.Varint
+
+(* Do the stored bytes of [id] encode [data]? *)
 let equal_at t id data =
   t.compares <- t.compares + 1;
   let s = t.starts.(id) in
-  let b = t.chunks.(s lsr 32) in
-  let n = Array.length data in
-  let p = ref (match_uleb b (s land id_mask) n) in
-  let i = ref 0 in
-  while !p >= 0 && !i < n do
-    p := match_uleb b !p (zigzag (Array.unsafe_get data !i));
-    incr i
-  done;
-  !p >= 0
+  Varint.equal_seq t.chunks.(s lsr 32) (s land id_mask) data
 
 (* The slot holding [data], or the empty slot where it would go: a slot
    index [i] with [slots.(i) = 0] on a miss.  A loop, not a local
@@ -164,12 +116,7 @@ let reserve t size =
   end
 
 let append t data =
-  let n = Array.length data in
-  let size = ref (uleb_size n) in
-  for i = 0 to n - 1 do
-    size := !size + uleb_size (zigzag data.(i))
-  done;
-  reserve t !size;
+  reserve t (Varint.seq_size data);
   let id = t.count in
   if id = Array.length t.starts then begin
     let starts = Array.make (2 * id) 0 in
@@ -178,12 +125,7 @@ let append t data =
   end;
   let c = t.nchunks - 1 in
   t.starts.(id) <- (c lsl 32) lor t.pos;
-  let b = t.chunks.(c) in
-  let p = ref (put_uleb b t.pos n) in
-  for i = 0 to n - 1 do
-    p := put_uleb b !p (zigzag data.(i))
-  done;
-  t.pos <- !p;
+  t.pos <- Varint.put_seq t.chunks.(c) t.pos data;
   t.count <- id + 1;
   id
 
@@ -202,60 +144,29 @@ let intern t ~hash data =
 
 (* --- decoding --------------------------------------------------------- *)
 
-(* The unsigned LEB128 value at [!p] in [b], advancing [p] past it.
-   One-byte varints (small zigzagged values, nearly every element of a
-   configuration key) return at the first test. *)
-let read_uleb b p =
-  let c = Char.code (Bytes.get b !p) in
-  incr p;
-  if c < 128 then c
-  else begin
-    let v = ref (c land 127) and shift = ref 7 and continue = ref true in
-    while !continue do
-      let c = Char.code (Bytes.get b !p) in
-      incr p;
-      v := !v lor ((c land 127) lsl !shift);
-      shift := !shift + 7;
-      continue := c land 128 <> 0
-    done;
-    !v
-  end
-
 let check_id t id what =
   if id < 0 || id >= t.count then invalid_arg ("Intern." ^ what ^ ": id out of range")
 
-(* Every element takes at least one byte, so a length the rest of the
-   chunk cannot hold is damage (a store read from an image), not a
-   sequence. *)
-let seq_length t id =
-  check_id t id "seq_length";
+let length_of t id =
   let s = t.starts.(id) in
-  let b = t.chunks.(s lsr 32) in
-  let p = ref (s land id_mask) in
-  let n = read_uleb b p in
-  if n > Bytes.length b - !p then invalid_arg "Intern: sequence runs past its chunk";
-  n
+  Varint.seq_length t.chunks.(s lsr 32) (s land id_mask)
 
-(* Decode [id]'s elements into [dst] from [0]; [dst] must have room. *)
 let decode_into t id dst =
   let s = t.starts.(id) in
-  let b = t.chunks.(s lsr 32) in
-  let p = ref (s land id_mask) in
-  let n = read_uleb b p in
-  if Array.length dst < n then invalid_arg "Intern.blit: destination too short";
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i (unzigzag (read_uleb b p))
-  done;
-  n
+  ignore (Varint.read_seq t.chunks.(s lsr 32) (s land id_mask) dst)
+
+let seq_length t id =
+  check_id t id "seq_length";
+  length_of t id
 
 let blit t id dst =
   check_id t id "blit";
-  ignore (decode_into t id dst)
+  decode_into t id dst
 
 let get t id =
   check_id t id "get";
-  let a = Array.make (seq_length t id) 0 in
-  ignore (decode_into t id a);
+  let a = Array.make (length_of t id) 0 in
+  decode_into t id a;
   a
 
 (* --- images ----------------------------------------------------------- *)

@@ -5,7 +5,8 @@
     order, and is stored once, compactly, in three parts:
 
     - {b Payload.}  The sequence is written as LEB128 varint bytes: its
-      length, then each element zigzag-encoded.  Zigzag LEB128 is
+      length, then each element zigzag-encoded ({!Level_log.Varint}, the
+      codec the adjacency stream uses too).  Zigzag LEB128 is
       injective and prefix-free, so two stored sequences are equal iff
       their bytes are.  The bytes live in fixed-size [Bytes] chunks
       (a sequence never straddles two), so the arena grows by adding a

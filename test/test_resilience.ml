@@ -124,7 +124,7 @@ let with_temp_spill f = with_temp_dir (fun dir -> f (Spill.create ~dir ()))
 
 let expect_corrupt_with_path what path f =
   match f () with
-  | (_ : int array) -> Alcotest.failf "%s: expected Corrupt" what
+  | (_ : Bytes.t) -> Alcotest.failf "%s: expected Corrupt" what
   | exception Checkpoint.Corrupt msg ->
       check Alcotest.bool (what ^ ": message names the file") true
         (Astring.String.is_infix ~affix:path msg)
@@ -140,14 +140,18 @@ let damage path mutate =
   output_bytes oc b;
   close_out oc
 
+(* A level's bytes, as a test writes them. *)
+let level_bytes n f = Bytes.init n (fun i -> Char.chr (f i land 255))
+
 let prop_spill_roundtrip =
-  QCheck.Test.make ~name:"spill write/read round-trip (delta codec)"
-    QCheck.(array int)
-    (fun words ->
+  QCheck.Test.make ~name:"spill write/read round-trip (bytes as written)"
+    QCheck.string
+    (fun s ->
       with_temp_spill (fun sp ->
-          let bytes = Spill.write sp ~level:0 words in
+          let data = Bytes.of_string s in
+          let bytes = Spill.write sp ~level:0 data in
           bytes > 0
-          && Spill.read sp ~level:0 = words
+          && Spill.read sp ~level:0 = data
           && Spill.bytes_written sp = bytes
           && Spill.bytes_read sp = bytes
           && Spill.levels_on_disk sp = 1
@@ -155,7 +159,7 @@ let prop_spill_roundtrip =
 
 let test_spill_truncated () =
   with_temp_spill (fun sp ->
-      ignore (Spill.write sp ~level:3 (Array.init 200 (fun i -> i * i)));
+      ignore (Spill.write sp ~level:3 (level_bytes 200 (fun i -> i * i)));
       let path = Spill.path sp ~level:3 in
       damage path (fun b -> Bytes.sub b 0 (Bytes.length b - 9));
       expect_corrupt_with_path "truncated level" path (fun () ->
@@ -163,7 +167,7 @@ let test_spill_truncated () =
 
 let test_spill_bit_flip () =
   with_temp_spill (fun sp ->
-      ignore (Spill.write sp ~level:0 (Array.init 500 (fun i -> 3 * i)));
+      ignore (Spill.write sp ~level:0 (level_bytes 500 (fun i -> 3 * i)));
       let path = Spill.path sp ~level:0 in
       damage path (fun b ->
           (* flip one payload byte past the 48-byte container header *)
@@ -175,7 +179,7 @@ let test_spill_bit_flip () =
 
 let test_spill_bad_magic () =
   with_temp_spill (fun sp ->
-      ignore (Spill.write sp ~level:1 [| 42 |]);
+      ignore (Spill.write sp ~level:1 (Bytes.of_string "*"));
       let path = Spill.path sp ~level:1 in
       damage path (fun b ->
           Bytes.set b 0 'X';
@@ -185,7 +189,7 @@ let test_spill_bad_magic () =
 
 let test_spill_missing_level () =
   with_temp_spill (fun sp ->
-      ignore (Spill.write sp ~level:0 [| 1; 2; 3 |]);
+      ignore (Spill.write sp ~level:0 (Bytes.of_string "\001\002\003"));
       expect_corrupt_with_path "level never written"
         (Spill.path sp ~level:7)
         (fun () -> Spill.read sp ~level:7))
@@ -203,7 +207,7 @@ let test_spill_version_skew () =
 let test_spill_files_sorted () =
   with_temp_spill (fun sp ->
       List.iter
-        (fun level -> ignore (Spill.write sp ~level [| level |]))
+        (fun level -> ignore (Spill.write sp ~level (level_bytes 1 (fun _ -> level))))
         [ 2; 0; 1 ];
       check
         Alcotest.(list string)
@@ -533,11 +537,11 @@ let test_checkpoint_clean_stale () =
 let test_spill_quarantine_and_rebuild () =
   with_temp_dir (fun dir ->
       let sp = Spill.create ~retain:4 ~dir () in
-      let data = Array.init 500 (fun i -> i * 37 mod 101) in
+      let data = level_bytes 500 (fun i -> i * 37 mod 101) in
       ignore (Spill.write sp ~level:0 data);
       let path = Spill.path sp ~level:0 in
       damage path (fun b -> Bytes.sub b 0 (Bytes.length b / 2));
-      check (Alcotest.array Alcotest.int) "rebuilt from the retained copy"
+      check Alcotest.bytes "rebuilt from the retained copy"
         data (Spill.read sp ~level:0);
       check Alcotest.int "level quarantined" 1 (Spill.quarantined sp);
       check Alcotest.int "level rebuilt" 1 (Spill.rebuilt sp);
@@ -546,7 +550,7 @@ let test_spill_quarantine_and_rebuild () =
            (Filename.concat (Filename.concat dir "quarantine")
               "level-000000.spill"));
       (* the rewrite healed the on-disk copy: this read is clean *)
-      check (Alcotest.array Alcotest.int) "healed on disk" data
+      check Alcotest.bytes "healed on disk" data
         (Spill.read sp ~level:0);
       check Alcotest.int "no second quarantine" 1 (Spill.quarantined sp))
 
@@ -563,10 +567,10 @@ let test_spill_failed_write_stays_resident () =
           in
           let retry = Chaos.Retry.cfg ~max_attempts:2 ~sleep:(fun _ -> ()) () in
           let sp = Spill.create ~chaos ~retry ~retain:4 ~dir () in
-          let data = Array.init 200 (fun i -> i * i) in
+          let data = level_bytes 200 (fun i -> i * i) in
           (try ignore (Spill.write sp ~level:seed data)
            with Chaos.Retry.Exhausted _ -> ());
-          check (Alcotest.array Alcotest.int)
+          check Alcotest.bytes
             (Printf.sprintf "seed %d: read survives the failed write" seed)
             data (Spill.read sp ~level:seed))
         [ 0; 1; 2; 3; 4; 5; 6; 7 ])

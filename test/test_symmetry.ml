@@ -388,6 +388,48 @@ let test_spill_report_invariant () =
         ])
     [ false; true ]
 
+(* A checkpoint of a spilled run holds the whole adjacency stream, its
+   closed levels read back from disk; a resumed run pushes it again into
+   a log of its own threshold, which sets the chunk size and so the
+   padding and byte offsets.  Whatever the resuming side spills, and
+   with or without symmetry's per-edge automorphism index, the report
+   is the uninterrupted one. *)
+let test_spilled_checkpoint_resumes () =
+  let graph = Builders.cycle 4 in
+  let idents = Idents.uniform 4 in
+  List.iter
+    (fun symmetry ->
+      let plain = Exp.explore ~symmetry graph ~idents in
+      List.iter
+        (fun cut ->
+          let path = Filename.temp_file "asyncolor-sym" ".ckpt" in
+          Fun.protect
+            ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+            (fun () ->
+              with_temp_spill_dir (fun dir ->
+                  ignore
+                    (Exp.explore ~symmetry ~checkpoint:(path, max_int)
+                       ~stop:(fun ~configs -> configs >= cut)
+                       ~spill:(Spill.create ~dir (), 500)
+                       graph ~idents));
+              List.iter
+                (fun threshold ->
+                  let resumed =
+                    match threshold with
+                    | None -> Exp.explore_resume path
+                    | Some w ->
+                        with_temp_spill_dir (fun dir ->
+                            Exp.explore_resume ~spill:(Spill.create ~dir (), w) path)
+                  in
+                  check report
+                    (Printf.sprintf "symmetry %b, cut %d, resumed with threshold %s"
+                       symmetry cut
+                       (match threshold with None -> "none" | Some w -> string_of_int w))
+                    plain resumed)
+                [ None; Some 200 ]))
+        [ 10; 300 ])
+    [ false; true ]
+
 let () =
   Alcotest.run "symmetry"
     [
@@ -417,5 +459,7 @@ let () =
         [
           Alcotest.test_case "report invariant under spilling" `Quick
             test_spill_report_invariant;
+          Alcotest.test_case "spilled checkpoint resumes" `Quick
+            test_spilled_checkpoint_resumes;
         ] );
     ]

@@ -1000,116 +1000,171 @@ let test_intern_image_rejects () =
 
 (* --- Level_log -------------------------------------------------------- *)
 
-module Level_log = Asyncolor_util.Sharded_tbl.Level_log
+module Level_log = Asyncolor_util.Level_log
+module Varint = Level_log.Varint
 
 let no_fetch ~level = Alcotest.failf "unexpected fetch of level %d" level
 
-let test_level_log_plain_vector () =
-  (* without a threshold the log is a plain resident vector: seal never
-     closes anything and reassembly needs no fetch *)
-  let l = Level_log.create () in
-  for i = 0 to 99 do
-    Level_log.push l (i * 3)
+(* One row through a cursor, as (mask, target, perm) triples. *)
+let read_row c ~uid start stop =
+  Level_log.seek c ~uid start stop;
+  let acc = ref [] in
+  while Level_log.next c do
+    acc := (c.mask, c.target, c.perm) :: !acc
   done;
-  check Alcotest.int "length" 100 (Level_log.length l);
-  check Alcotest.int "all resident" 100 (Level_log.resident_words l);
-  check Alcotest.int "nothing spilled" 0 (Level_log.spilled_words l);
+  Array.of_list (List.rev !acc)
+
+let edges = Alcotest.(array (triple int int int))
+
+(* Rows [0 .. k - 1] of [k] edges each, targets on both sides of the row. *)
+let push_rows l ~stride ~rows ~per_row ~offs =
+  for u = 0 to rows - 1 do
+    for e = 0 to per_row - 1 do
+      Level_log.push l ~uid:u ~mask:(e + 1) ~target:(u + e - 2)
+        ~perm:(if stride = 3 then e else 0)
+    done;
+    offs.(u + 1) <- Level_log.offset l
+  done
+
+let row_model ~stride ~per_row u =
+  Array.init per_row (fun e -> (e + 1, u + e - 2, if stride = 3 then e else 0))
+
+let test_level_log_plain_vector () =
+  (* without a threshold seal never closes anything, a cursor reads the
+     stream in place and reassembly needs no fetch *)
+  let l = Level_log.create ~stride:2 () in
+  let offs = Array.make 101 0 in
+  push_rows l ~stride:2 ~rows:100 ~per_row:3 ~offs;
+  check Alcotest.int "one byte a field" 600 (Level_log.offset l);
+  check Alcotest.int "nothing spilled" 0 (Level_log.spilled_levels l);
   check Alcotest.bool "seal is a no-op" true (Level_log.seal l = None);
-  check Alcotest.int "get reads in place" 297 (Level_log.get l 99);
-  check
-    Alcotest.(array int)
-    "to_array round-trip"
-    (Array.init 100 (fun i -> i * 3))
-    (Level_log.to_array ~fetch:no_fetch l)
+  let c = Level_log.cursor l in
+  check edges "row 99 in place" (row_model ~stride:2 ~per_row:3 99)
+    (read_row c ~uid:99 offs.(99) offs.(100));
+  let flat = Level_log.reassemble ~fetch:no_fetch l in
+  check edges "row 0 reassembled" (row_model ~stride:2 ~per_row:3 0)
+    (read_row (Level_log.flat_cursor ~stride:2 flat) ~uid:0 0 offs.(1))
 
 let test_level_log_seal_threshold () =
-  let l = Level_log.create ~threshold_words:10 () in
+  (* 4 words a row: a 10-word threshold closes every third row *)
+  let l = Level_log.create ~threshold_words:10 ~stride:2 () in
   let store = Hashtbl.create 8 in
-  let maybe_seal () =
+  let offs = Array.make 8 0 in
+  for u = 0 to 6 do
+    for e = 0 to 1 do
+      Level_log.push l ~uid:u ~mask:(e + 1) ~target:(u + e - 2) ~perm:0
+    done;
+    offs.(u + 1) <- Level_log.offset l;
     match Level_log.seal l with
-    | None -> ()
-    | Some (level, words) ->
+    | None -> check Alcotest.bool "below threshold" true ((u + 1) mod 3 <> 0)
+    | Some (level, data) ->
+        check Alcotest.int "at or above threshold" 2 (u mod 3);
         check Alcotest.bool "level indices sequential" false
           (Hashtbl.mem store level);
-        check Alcotest.bool "sealed at or above threshold" true
-          (Array.length words >= 10);
-        Hashtbl.add store level words
-  in
-  for i = 0 to 34 do
-    Level_log.push l i;
-    (* a safe boundary every 7 pushes: below threshold the tail stays *)
-    if (i + 1) mod 7 = 0 then maybe_seal ()
+        Hashtbl.add store level data
   done;
-  check Alcotest.int "length counts closed levels" 35 (Level_log.length l);
   check Alcotest.int "two levels closed" 2 (Level_log.spilled_levels l);
-  check Alcotest.int "spilled words" 28 (Level_log.spilled_words l);
-  check Alcotest.int "resident tail" 7 (Level_log.resident_words l);
-  check Alcotest.int "get reads the resident tail in place" 30
-    (Level_log.get l 30);
-  Alcotest.check_raises "get of a spilled word"
-    (Invalid_argument "Level_log.get: word is spilled") (fun () ->
-      ignore (Level_log.get l 27));
+  check Alcotest.int "spilled bytes" offs.(6)
+    (Hashtbl.fold (fun _ b a -> a + Bytes.length b) store 0);
+  check Alcotest.int "offset counts closed levels" 28 (Level_log.offset l);
+  let c = Level_log.cursor l in
+  check edges "the resident tail reads in place" (row_model ~stride:2 ~per_row:2 6)
+    (read_row c ~uid:6 offs.(6) offs.(7));
+  Alcotest.check_raises "a spilled row"
+    (Invalid_argument "Level_log.seek: offset is spilled") (fun () ->
+      ignore (read_row c ~uid:5 offs.(5) offs.(6)));
   let fetch ~level = Hashtbl.find store level in
-  check
-    Alcotest.(array int)
-    "to_array stitches levels in order"
-    (Array.init 35 Fun.id)
-    (Level_log.to_array ~fetch l);
-  let ba = Level_log.to_bigarray ~fetch l in
-  check Alcotest.int "bigarray dim" 35 (Bigarray.Array1.dim ba);
-  let ok = ref true in
-  for i = 0 to 34 do
-    if Bigarray.Array1.get ba i <> i then ok := false
-  done;
-  check Alcotest.bool "bigarray contents" true !ok
-
-let test_level_log_of_array () =
-  let l = Level_log.of_array ~threshold_words:2 [| 9; 8; 7 |] in
-  check Alcotest.int "seeded length" 3 (Level_log.length l);
-  Level_log.push l 6;
-  match Level_log.seal l with
-  | None -> Alcotest.fail "tail above threshold must seal"
-  | Some (level, words) ->
-      check Alcotest.int "first level index" 0 level;
-      check Alcotest.(array int) "seed + push sealed" [| 9; 8; 7; 6 |] words;
-      check Alcotest.int "offsets stable across seal" 4 (Level_log.length l);
-      check
-        Alcotest.(array int)
-        "reassembly fetches the seal"
-        [| 9; 8; 7; 6 |]
-        (Level_log.to_array ~fetch:(fun ~level:_ -> words) l)
+  let fc = Level_log.flat_cursor ~stride:2 (Level_log.reassemble ~fetch l) in
+  for u = 0 to 6 do
+    check edges (Printf.sprintf "row %d reassembled" u)
+      (row_model ~stride:2 ~per_row:2 u)
+      (read_row fc ~uid:u offs.(u) offs.(u + 1))
+  done
 
 let test_level_log_fetch_length_mismatch () =
-  let l = Level_log.of_array ~threshold_words:1 [| 1; 2; 3 |] in
+  let l = Level_log.create ~threshold_words:1 ~stride:2 () in
+  Level_log.push l ~uid:0 ~mask:1 ~target:1 ~perm:0;
   (match Level_log.seal l with
   | Some _ -> ()
   | None -> Alcotest.fail "seal expected");
   (* the cheap second line of defence behind the spill checksum *)
-  match Level_log.to_array ~fetch:(fun ~level:_ -> [| 1; 2 |]) l with
+  match Level_log.reassemble ~fetch:(fun ~level:_ -> Bytes.make 1 '\001') l with
   | _ -> Alcotest.fail "length mismatch must be rejected"
   | exception Invalid_argument _ -> ()
 
 let test_level_log_negative_threshold () =
-  match Level_log.create ~threshold_words:(-1) () with
+  (match Level_log.create ~threshold_words:(-1) ~stride:2 () with
   | _ -> Alcotest.fail "negative threshold must be rejected"
+  | exception Invalid_argument _ -> ());
+  (match Level_log.create ~stride:4 () with
+  | _ -> Alcotest.fail "stride 4 must be rejected"
+  | exception Invalid_argument _ -> ());
+  (* a zero mask would read as padding *)
+  match Level_log.push (Level_log.create ~stride:2 ()) ~uid:0 ~mask:0 ~target:0 ~perm:0 with
+  | () -> Alcotest.fail "a zero mask must be rejected"
   | exception Invalid_argument _ -> ()
 
 let test_level_log_empty_tail_never_seals () =
-  let l = Level_log.create ~threshold_words:0 () in
+  let l = Level_log.create ~threshold_words:0 ~stride:3 () in
   check Alcotest.bool "empty tail" true (Level_log.seal l = None);
-  Level_log.push l 42;
+  Level_log.push l ~uid:5 ~mask:3 ~target:4 ~perm:2;
   (match Level_log.seal l with
-  | Some (0, [| 42 |]) -> ()
+  | Some (0, b) -> check Alcotest.string "mask, zigzag(-1), perm" "\003\001\002" (Bytes.to_string b)
   | _ -> Alcotest.fail "threshold 0 seals any non-empty tail");
   check Alcotest.bool "tail empty again" true (Level_log.seal l = None)
 
-(* --- Int_log and Level_log against a plain-array oracle --------------- *)
+let test_level_log_bytes_at_capacity () =
+  (* 9-byte fields, 27 bytes an edge: 5,000 edges fill two 64 KiB chunks
+     and start a third *)
+  let l = Level_log.create ~stride:3 () in
+  check Alcotest.int "an empty log holds nothing" 0 (Level_log.bytes l);
+  let big = (1 lsl 62) - 1 in
+  for u = 0 to 4_999 do
+    Level_log.push l ~uid:u ~mask:big ~target:(u - (1 lsl 61)) ~perm:big
+  done;
+  check Alcotest.int "three chunks at capacity, and the chunk table"
+    ((3 * 65_536) + (4 * 8)) (Level_log.bytes l);
+  check Alcotest.int "padding at each full chunk's end"
+    ((2 * 65_536) + ((5_000 - (2 * (65_536 / 27))) * 27))
+    (Level_log.offset l)
+
+let test_varint_codec () =
+  let values =
+    [ 0; 1; -1; 63; -64; 64; 127; 128; 16_383; 16_384; max_int; min_int;
+      (1 lsl 62) - 1; -(1 lsl 61) ]
+  in
+  List.iter
+    (fun x ->
+      let z = Varint.zigzag x in
+      check Alcotest.int (Printf.sprintf "unzigzag %d" x) x (Varint.unzigzag z);
+      let b = Bytes.make 12 '\255' in
+      let stop = Varint.put b 1 z in
+      check Alcotest.int "size" (Varint.size z) (stop - 1);
+      let p = ref 1 in
+      check Alcotest.int (Printf.sprintf "read %d" x) z (Varint.read b p);
+      check Alcotest.int "read stops after it" stop !p)
+    values;
+  check Alcotest.(list int) "zigzag interleaves signs" [ 0; 2; 1; 4; 3 ]
+    (List.map Varint.zigzag [ 0; 1; -1; 2; -2 ]);
+  check Alcotest.(list int) "sizes" [ 1; 1; 2; 2; 3; 9; 9 ]
+    (List.map Varint.size [ 0; 127; 128; 16_383; 16_384; max_int; -1 ]);
+  let seq = [| 3; -7; 1 lsl 40 |] in
+  let b = Bytes.make (Varint.seq_size seq) '\000' in
+  check Alcotest.int "put_seq fills seq_size" (Bytes.length b) (Varint.put_seq b 0 seq);
+  check Alcotest.bool "equal_seq" true (Varint.equal_seq b 0 seq);
+  check Alcotest.bool "a prefix is not equal" false (Varint.equal_seq b 0 [| 3; -7 |]);
+  check Alcotest.int "seq_length" 3 (Varint.seq_length b 0);
+  let dst = Array.make 4 0 in
+  check Alcotest.int "read_seq" 3 (Varint.read_seq b 0 dst);
+  check Alcotest.(array int) "decoded" seq (Array.sub dst 0 3)
+
+(* --- Int_log and Level_log against plain-array models ----------------- *)
 
 module Int_log = Asyncolor_util.Int_log
 
 (* Every observable of an [Int_log] against the oracle array of the words
-   pushed since the last clear: length, each word, out-of-range reads,
-   the chunk walk, [to_array] and an [of_array] copy. *)
+   pushed since the last clear: length, each word, out-of-range reads and
+   the chunk walk. *)
 let int_log_agrees l oracle =
   let n = Array.length oracle in
   let chunks = ref [] and chunk_ok = ref true in
@@ -1124,10 +1179,6 @@ let int_log_agrees l oracle =
   && raises n && raises (-1)
   && !chunk_ok
   && Array.concat (List.rev !chunks) = oracle
-  && Int_log.to_array l = oracle
-  && Int_log.to_array
-       (Int_log.of_array ~chunk_words:(Int_log.chunk_words l) oracle)
-     = oracle
 
 (* A chunk size of 1 to 4096 words and a program of pushes (small
    counts) and clears (0), so lengths cross first-chunk growth and many
@@ -1173,8 +1224,8 @@ let test_int_log_full_chunks () =
   List.iter
     (fun i -> check Alcotest.int (Printf.sprintf "word %d" i) (n - i) (Int_log.get l i))
     [ 0; 65_535; 65_536; 131_071; 131_072; n - 1 ];
-  check Alcotest.(array int) "to_array" (Array.init n (fun i -> n - i))
-    (Int_log.to_array l);
+  check Alcotest.bool "agrees with the pushed words" true
+    (int_log_agrees l (Array.init n (fun i -> n - i)));
   check Alcotest.bool "three chunks at capacity" true
     (Int_log.bytes l >= 3 * 65_536 * 8 && Int_log.bytes l < (3 * 65_536 * 8) + 1024)
 
@@ -1188,93 +1239,113 @@ let test_int_log_chunk_sizes () =
   | _ -> Alcotest.fail "a chunk size that is not a power of two"
   | exception Invalid_argument _ -> ()
 
-(* A [Level_log] driven like the explorer drives it — entries of a few
-   words, a seal attempt after each — against a model that keeps the
-   sealed levels and the tail as plain arrays. *)
-let level_log_agrees ?seed ~threshold entries =
-  let seed = Option.value seed ~default:[||] in
-  let l =
-    match threshold with
-    | None when seed = [||] -> Level_log.create ()
-    | _ -> Level_log.of_array ?threshold_words:threshold seed
-  in
-  (* the tail and the stream as reversed lists of entries, so the model
-     stays linear in the words pushed *)
-  let levels = ref [] and tail = ref [ seed ] and tail_len = ref (Array.length seed) in
-  let stream = ref [ seed ] in
+(* A [Level_log] driven like the explorer drives it — rows of edges, the
+   row's end offset recorded and a seal attempted after each — against
+   a model that keeps every row as an array of (mask, target, perm)
+   triples and counts the open level's words.  Every row is read back:
+   in place when it is resident (and rejected when it is spilled), and
+   through the reassembly of the sealed levels. *)
+let level_log_agrees ~stride ~threshold rows =
+  let l = Level_log.create ?threshold_words:threshold ~stride () in
+  let n = Array.length rows in
+  let offs = Array.make (n + 1) 0 in
+  let levels = ref [] and tail_words = ref 0 in
   let ok = ref true in
   let expect b = if not b then ok := false in
-  List.iteri
-    (fun e k ->
-      let words = Array.init k (fun i -> (e * 1000) + i) in
-      Array.iter (Level_log.push l) words;
-      tail := words :: !tail;
-      tail_len := !tail_len + k;
-      stream := words :: !stream;
+  Array.iteri
+    (fun u row ->
+      Array.iter
+        (fun (mask, target, perm) -> Level_log.push l ~uid:u ~mask ~target ~perm)
+        row;
+      tail_words := !tail_words + (stride * Array.length row);
+      offs.(u + 1) <- Level_log.offset l;
       let should =
         match threshold with
-        | Some w -> !tail_len >= w && !tail_len > 0
+        | Some w -> !tail_words >= w && !tail_words > 0
         | None -> false
       in
       match Level_log.seal l with
       | Some (level, data) ->
           expect should;
           expect (level = List.length !levels);
-          expect (data = Array.concat (List.rev !tail));
           levels := data :: !levels;
-          tail := [];
-          tail_len := 0
+          tail_words := 0
       | None -> expect (not should))
-    entries;
+    rows;
   let levels = Array.of_list (List.rev !levels) in
-  let tail = ref (Array.concat (List.rev !tail)) in
-  let stream = ref (Array.concat (List.rev !stream)) in
-  let spilled = Array.length !stream - Array.length !tail in
-  expect (Level_log.length l = Array.length !stream);
+  let spilled = Array.fold_left (fun a b -> a + Bytes.length b) 0 levels in
   expect (Level_log.spilled_levels l = Array.length levels);
-  expect (Level_log.spilled_words l = spilled);
-  expect (Level_log.resident_words l = Array.length !tail);
-  Array.iteri (fun i x -> expect (Level_log.get l (spilled + i) = x)) !tail;
-  if spilled > 0 then
-    expect
-      (match Level_log.get l (spilled - 1) with
-      | _ -> false
-      | exception Invalid_argument _ -> true);
+  expect (Level_log.offset l = offs.(n));
+  let c = Level_log.cursor l in
+  Array.iteri
+    (fun u row ->
+      if offs.(u) >= spilled then expect (read_row c ~uid:u offs.(u) offs.(u + 1) = row)
+      else
+        expect
+          (match read_row c ~uid:u offs.(u) offs.(u + 1) with
+          | _ -> false
+          | exception Invalid_argument _ -> true))
+    rows;
   let fetch ~level = levels.(level) in
-  expect (Level_log.to_array ~fetch l = !stream);
-  let ba = Level_log.to_bigarray ~fetch l in
-  expect (Bigarray.Array1.dim ba = Array.length !stream);
-  Array.iteri (fun i x -> expect (Bigarray.Array1.get ba i = x)) !stream;
+  let flat = Level_log.reassemble ~fetch l in
+  expect (Bigarray.Array1.dim flat = offs.(n));
+  let segs = ref [] in
+  Level_log.iter_segments ~fetch l (fun b k -> segs := Bytes.sub b 0 k :: !segs);
+  expect (Level_log.flat_of_segments (Array.of_list (List.rev !segs)) = flat);
+  let fc = Level_log.flat_cursor ~stride flat in
+  Array.iteri
+    (fun u row -> expect (read_row fc ~uid:u offs.(u) offs.(u + 1) = row))
+    rows;
   !ok
+
+(* Rows of up to [width] edges.  A value is small, or anywhere up to 62
+   bits; a target is near its row on either side, or anywhere up to 62
+   bits, so [target - uid] spans both signs and every varint length. *)
+let level_log_rows ~stride ~seed ~n ~width =
+  let st = Random.State.make [| seed |] in
+  let big () = Random.State.bits st lor (Random.State.bits st lsl 30) lor (Random.State.int st 4 lsl 60) in
+  let value () =
+    match Random.State.int st 4 with
+    | 0 -> big ()
+    | 1 -> Random.State.int st 1_000
+    | _ -> Random.State.int st 64
+  in
+  Array.init n (fun u ->
+      Array.init (Random.State.int st (width + 1)) (fun _ ->
+          let mask = max 1 (value ()) in
+          let target =
+            match Random.State.int st 3 with
+            | 0 -> big ()
+            | _ -> max 0 (u + Random.State.int st 200 - 100)
+          in
+          (mask, target, if stride = 3 then value () else 0)))
 
 let level_log_program =
   QCheck.make
-    ~print:QCheck.Print.(triple (option int) int (list int))
+    ~print:QCheck.Print.(quad int (option int) int (pair int int))
     QCheck.Gen.(
-      triple
-        (opt (oneofl [ 0; 1; 2; 7; 1_023; 1_024; 1_025; 2_047; 2_049 ]))
-        (oneofl [ 0; 0; 5; 1_500; 3_000 ])
-        (list_size (int_range 0 400) (int_range 0 40)))
+      quad (oneofl [ 2; 3 ])
+        (opt (oneofl [ 0; 1; 2; 7; 1_023; 1_024; 1_025 ]))
+        (int_bound 1_000_000)
+        (pair (int_range 0 400) (oneofl [ 0; 1; 4; 12; 40 ])))
 
 let prop_level_log_oracle =
   QCheck.Test.make
     ~name:"Level_log: seals, reads and reassembly match an array model"
-    ~count:200 level_log_program (fun (threshold, seed_len, entries) ->
-      let seed = Array.init seed_len (fun i -> -i) in
-      level_log_agrees ~seed ~threshold entries)
+    ~count:200 level_log_program (fun (stride, threshold, seed, (n, width)) ->
+      level_log_agrees ~stride ~threshold
+        (level_log_rows ~stride ~seed ~n ~width))
 
 let test_level_log_large_thresholds () =
   (* thresholds either side of the largest chunk, over 200k words in
-     three-word entries, resumed from a seed longer than a chunk *)
-  let entries = List.init 70_000 (fun _ -> 3) in
+     three-word entries of every varint length *)
   List.iter
     (fun w ->
       check Alcotest.bool
         (Printf.sprintf "threshold %d" w)
         true
-        (level_log_agrees
-           ~seed:(Array.init 70_000 Fun.id)
-           ~threshold:(Some w) entries))
+        (level_log_agrees ~stride:3 ~threshold:(Some w)
+           (level_log_rows ~stride:3 ~seed:w ~n:7_000 ~width:20)))
     [ 65_535; 65_536; 65_537 ]
 
 (* --- Jsonout -------------------------------------------------------- *)
@@ -1427,8 +1498,6 @@ let () =
             test_level_log_plain_vector;
           Alcotest.test_case "seal threshold semantics" `Quick
             test_level_log_seal_threshold;
-          Alcotest.test_case "of_array seeds the tail" `Quick
-            test_level_log_of_array;
           Alcotest.test_case "fetch length mismatch rejected" `Quick
             test_level_log_fetch_length_mismatch;
           Alcotest.test_case "negative threshold rejected" `Quick
@@ -1438,6 +1507,9 @@ let () =
           qtest prop_level_log_oracle;
           Alcotest.test_case "thresholds around the largest chunk" `Quick
             test_level_log_large_thresholds;
+          Alcotest.test_case "bytes counts chunks at capacity" `Quick
+            test_level_log_bytes_at_capacity;
+          Alcotest.test_case "varint codec" `Quick test_varint_codec;
         ] );
       ( "int_log",
         [
