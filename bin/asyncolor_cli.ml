@@ -359,47 +359,38 @@ let chaos_arg =
         ~doc:
           "Arm the environment-fault injector: every checkpoint/spill I/O \
            operation draws a fault with probability R (in [0,1]) from a \
-           PRNG stream derived from (N, site).  \
-           Schedules are deterministic in the seed, and the report on \
-           stdout stays byte-identical to the fault-free run for any \
-           schedule the $(b,--retry-max) budget survives.")
-
-let retry_max_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "retry-max" ] ~docv:"N"
-        ~doc:
-          "Retries per I/O operation after the first attempt (N+1 attempts \
-           total) before the run truncates cleanly.  Only meaningful with \
-           $(b,--chaos); without it I/O fails fast.")
-
-let backoff_ms_arg =
-  Arg.(
-    value & opt float 50.
-    & info [ "backoff-ms" ] ~docv:"MS"
-        ~doc:
-          "Initial retry backoff in milliseconds, doubling per attempt \
-           (capped at 20xMS).  0 disables the delay -- what the tests and \
-           the CI chaos leg use to stay instant.")
+           PRNG stream derived from (N, site).  Schedules are deterministic \
+           in the seed.  Nothing is retried: a fault truncates the run as a \
+           real disk fault would (complete=false, or exit 2 when the \
+           analyses cannot read a spilled level back), and resuming from \
+           the last good $(b,--checkpoint) with a fresh seed, as many times \
+           as it takes, ends in the fault-free report byte for byte.")
 
 let make_chaos ~obs = function
   | None -> Chaos.disabled
   | Some (seed, rate) -> Chaos.create ~obs ~rate ~seed ()
 
-let make_retry ~chaos ~retry_max ~backoff_ms =
-  if Chaos.enabled chaos then
-    Some
-      (Chaos.Retry.cfg
-         ~max_attempts:(max 0 retry_max + 1)
-         ~backoff_ms ~max_backoff_ms:(backoff_ms *. 20.) ())
-  else None
-
 let chaos_stats_line chaos =
   if Chaos.enabled chaos then begin
-    let { Chaos.injected; retries; quarantined } = Chaos.stats chaos in
-    Diag.printf "chaos: injected=%d retries=%d quarantined=%d\n" injected
-      retries quarantined
+    let { Chaos.injected; quarantined } = Chaos.stats chaos in
+    Diag.printf "chaos: injected=%d quarantined=%d\n" injected quarantined
   end
+
+(* An unreadable checkpoint or spilled level ends [check] with no
+   report.  The diagnostic names the file (in [msg]) and the first of
+   [candidates] (the run's own checkpoint, then the one it resumed) of
+   which a generation is still on disk. *)
+let io_exit_code = 2
+
+let io_exit ~chaos ~candidates msg =
+  let on_disk p =
+    Sys.file_exists p || Sys.file_exists (Checkpoint.rotated_path p)
+  in
+  (match List.find_opt on_disk candidates with
+  | Some p -> Diag.printf "io: %s; no report, resume with --resume %s\n" msg p
+  | None -> Diag.printf "io: %s; no report, and no checkpoint to resume from\n" msg);
+  chaos_stats_line chaos;
+  exit io_exit_code
 
 (* The memory companion of the rate line: the major heap's peak (not
    its size after the run, which the analyses have already shrunk), the
@@ -599,11 +590,10 @@ let check_cmd =
   in
   let f alg idents mode max_configs jobs exec_policy kappa ckpt_path ckpt_every
       resume time_s mem_mb kill_after symmetry spill_dir spill_threshold_mb
-      chaos_spec retry_max backoff_ms trace_out metrics =
+      chaos_spec trace_out metrics =
     let obs = make_obs ~trace_out ~metrics in
     let policy = make_policy ~policy:exec_policy ~kappa ~jobs in
     let chaos = make_chaos ~obs chaos_spec in
-    let retry = make_retry ~chaos ~retry_max ~backoff_ms in
     let idents = Array.of_list idents in
     let n = Array.length idents in
     if n < 3 then failwith "need at least 3 identifiers";
@@ -615,9 +605,7 @@ let check_cmd =
       Option.map
         (fun dir ->
           (* MB -> entries of 8 bytes, the level log's threshold unit. *)
-          ( Asyncolor_resilience.Spill.create ~chaos ?retry
-              ~retain:(if Chaos.enabled chaos then 4 else 0)
-              ~dir (),
+          ( Asyncolor_resilience.Spill.create ~chaos ~dir (),
             spill_threshold_mb * 1024 * 1024 / 8 ))
         spill_dir
     in
@@ -643,22 +631,29 @@ let check_cmd =
       in
       let t0 = Oclock.monotonic () in
       let r =
-        Stop.with_signals (fun () ->
-            match resume with
-            | Some path ->
-                let info = Exp.resume_info path in
-                Diag.printf
-                  "resuming %s: %d configs interned, %d pending (n=%d)\n" path
-                  info.ri_configs info.ri_pending
-                  (Graph.n info.ri_graph);
-                Exp.explore_resume ~jobs ?policy ?checkpoint ?budget ~stop
-                  ?spill ~chaos ?retry
-                  ~check_outputs:(coloring_check info.ri_graph) ~obs path
-            | None ->
-                let graph = Builders.cycle n in
-                Exp.explore ~mode ~max_configs ~jobs ?policy ?checkpoint
-                  ?budget ~stop ~symmetry ?spill ~chaos ?retry
-                  ~check_outputs:(coloring_check graph) ~obs graph ~idents)
+        match
+          Stop.with_signals (fun () ->
+              match resume with
+              | Some path ->
+                  let info = Exp.resume_info path in
+                  Diag.printf
+                    "resuming %s: %d configs interned, %d pending (n=%d)\n"
+                    path info.ri_configs info.ri_pending
+                    (Graph.n info.ri_graph);
+                  Exp.explore_resume ~jobs ?policy ?checkpoint ?budget ~stop
+                    ?spill ~chaos
+                    ~check_outputs:(coloring_check info.ri_graph) ~obs path
+              | None ->
+                  let graph = Builders.cycle n in
+                  Exp.explore ~mode ~max_configs ~jobs ?policy ?checkpoint
+                    ?budget ~stop ~symmetry ?spill ~chaos
+                    ~check_outputs:(coloring_check graph) ~obs graph ~idents)
+        with
+        | r -> r
+        | exception Checkpoint.Corrupt msg ->
+            io_exit ~chaos
+              ~candidates:(Option.to_list ckpt_path @ Option.to_list resume)
+              msg
       in
       let dt = elapsed_s t0 in
       Diag.printf "explored %d configs in %.3fs (%.0f configs/sec, jobs=%d)\n"
@@ -704,13 +699,21 @@ let check_cmd =
     | 3 -> go (module Asyncolor.Algorithm3.P) Color.in_five
     | n -> failwith (Printf.sprintf "check supports algorithms 1-3, not %d" n)
   in
-  Cmd.v (Cmd.info "check" ~doc)
+  let exits =
+    Cmd.Exit.info io_exit_code
+      ~doc:
+        "when a checkpoint or spilled level could not be read and the run \
+         ended without a report; the $(b,io:) line on stderr names the file \
+         and the checkpoint to $(b,--resume) from."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v (Cmd.info "check" ~doc ~exits)
     Term.(
       const f $ alg_arg $ idents_csv $ mode_arg $ max_configs_arg $ jobs_arg
       $ exec_policy_arg $ kappa_arg $ checkpoint_arg $ checkpoint_every_arg
       $ resume_arg $ time_budget_arg $ mem_budget_arg $ kill_after_arg
       $ symmetry_arg $ spill_dir_arg $ spill_threshold_mb_arg $ chaos_arg
-      $ retry_max_arg $ backoff_ms_arg $ trace_out_arg $ metrics_arg)
+      $ trace_out_arg $ metrics_arg)
 
 let lockhunt_cmd =
   let doc = "attack every adjacent pair with the isolate-pair schedule (finding F1)" in

@@ -625,7 +625,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     group : int array array;  (* singleton identity when symmetry off *)
     spill : (Spill.t * int) option;  (* store, threshold in entries (an edge is its stride) *)
     chaos : Chaos.t;
-    retry : Chaos.Retry.cfg;
     octx : octx;
   }
 
@@ -825,7 +824,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       ~args:[ ("configs", string_of_int st.s_next_id) ]
       "checkpoint.save"
     @@ fun () ->
-    Checkpoint.save_rotated ~chaos:params.chaos ~retry:params.retry ~path
+    Checkpoint.save_rotated ~chaos:params.chaos ~path
       ~version:ckpt_version
       {
         ck_protocol = P.name;
@@ -865,11 +864,11 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     if Obs.enabled params.octx.o then
       Obs.Gauge.max_ params.octx.og_heap (Gc.quick_stat ()).Gc.heap_words
 
-  (* A persistent I/O failure — a checkpoint save or spill write that
-     exhausted its retry budget — ends the run the way a spent budget
-     does: cleanly, with a truncated [complete = false] report.  Never an
-     exception up through the analysis phase, and never a corrupt file
-     left as last-good (save_rotated guarantees the latter). *)
+  (* An I/O failure — a checkpoint save, or a spill write or read — is
+     not retried: it ends the run the way a spent budget does, cleanly,
+     with a truncated [complete = false] report and the last good
+     checkpoint left to resume from (save_rotated never installs a
+     corrupt file as last-good).  Never an exception out of the BFS. *)
   let note_io_error io_error what e =
     if !io_error = None then begin
       io_error := Some what;
@@ -878,7 +877,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     end
 
   let io_failed = function
-    | Chaos.Retry.Exhausted _ | Chaos.Injected _ | Checkpoint.Corrupt _ ->
+    | Chaos.Injected _ | Checkpoint.Corrupt _ | Sys_error _ | Unix.Unix_error _
+      ->
         true
     | _ -> false
 
@@ -1234,20 +1234,11 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     safety_check ~params st engine root_id;
     run ~params ?policy ~jobs ~graph ~idents st store ~pending_from:root_id
 
-  (* Callers that opt into chaos get the retry budget by default; without
-     chaos (and without an explicit [retry]) every I/O primitive keeps its
-     single-attempt fail-fast behaviour. *)
-  let resolve_retry ~chaos retry =
-    match retry with
-    | Some r -> r
-    | None ->
-        if Chaos.enabled chaos then Chaos.Retry.default else Chaos.Retry.none
-
   let explore ?(max_configs = 500_000) ?(max_violations = 5)
       ?(mode = `All_subsets) ?(impl = `Hashcons) ?(jobs = 1) ?policy
       ?checkpoint ?budget ?stop ?(symmetry = false) ?spill
-      ?(chaos = Chaos.disabled) ?retry ?check_outputs
-      ?check_config ?(obs = Obs.disabled) graph ~idents =
+      ?(chaos = Chaos.disabled) ?check_outputs ?check_config
+      ?(obs = Obs.disabled) graph ~idents =
     let n = Asyncolor_topology.Graph.n graph in
     if n > Sys.int_size - 1 then
       invalid_arg "Explorer.explore: packed activation masks need n <= 62";
@@ -1288,7 +1279,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
               group = symmetry_group ~symmetry graph ~idents;
               spill;
               chaos;
-              retry = resolve_retry ~chaos retry;
               octx;
             }
           in
@@ -1401,10 +1391,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         byte_segments (Level_log.iter_segments ~fetch:(fun ~level:_ -> assert false) log);
     }
 
-  let load_ckpt ?(chaos = Chaos.disabled) ?retry path =
+  let load_ckpt ?(chaos = Chaos.disabled) path =
     let c =
       match
-        Checkpoint.load_rotated_any ~chaos ?retry ~path
+        Checkpoint.load_rotated_any ~chaos ~path
           ~versions:[ ckpt_version; 3; 2 ] ()
       with
       | 2, v -> ckpt_of_v3 (ckpt_of_v2 (Obj.obj v : ckpt_v2))
@@ -1472,10 +1462,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     }
 
   let explore_resume ?(jobs = 1) ?policy ?checkpoint ?budget ?stop ?spill
-      ?(chaos = Chaos.disabled) ?retry ?check_outputs ?check_config
+      ?(chaos = Chaos.disabled) ?check_outputs ?check_config
       ?(obs = Obs.disabled) path =
     let octx = make_octx obs in
-    let retry = resolve_retry ~chaos retry in
     (* The process being resumed may have died mid-save: sweep its stale
        tmp (and any at the new checkpoint target) before touching disk. *)
     ignore (Checkpoint.clean_stale ~path);
@@ -1483,7 +1472,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       (fun (p, _) -> ignore (Checkpoint.clean_stale ~path:p))
       checkpoint;
     let c =
-      Obs.span obs "checkpoint.load" (fun () -> load_ckpt ~chaos ~retry path)
+      Obs.span obs "checkpoint.load" (fun () -> load_ckpt ~chaos path)
     in
     let graph = c.ck_graph and idents = c.ck_idents in
     let n = Asyncolor_topology.Graph.n graph in
@@ -1504,7 +1493,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         group = symmetry_group ~symmetry:c.ck_symmetry graph ~idents;
         spill;
         chaos;
-        retry;
         octx;
       }
     in

@@ -142,7 +142,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
     ?symmetry:bool ->
     ?spill:Asyncolor_resilience.Spill.t * int ->
     ?chaos:Asyncolor_resilience.Chaos.t ->
-    ?retry:Asyncolor_resilience.Chaos.Retry.cfg ->
     ?check_outputs:(P.output option array -> string option) ->
     ?check_config:(E.t -> string option) ->
     ?obs:Asyncolor_obs.Obs.t ->
@@ -312,28 +311,31 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       stay 0 — so differential tests compare protocol behaviour, not
       plumbing.
 
-      {b Fault injection and recovery} ([chaos] / [retry]; [`Hashcons]
-      only).  An enabled {!Asyncolor_resilience.Chaos} instance injects
-      environment faults into every I/O edge of the run — checkpoint
-      saves/loads (sites ["checkpoint.*"]) and spill writes/reads (sites
-      ["spill.*"]).  Checkpoint saves go through
-      {!Asyncolor_resilience.Checkpoint.save_rotated} (retry
-      budget, read-back verify, last-good rotation); spill failures are
-      retried and rebuilt from memory where resident.  [retry] defaults
-      to {!Asyncolor_resilience.Chaos.Retry.default} when chaos is
-      enabled and to a single fail-fast attempt otherwise.  Because
-      recovery is deterministic (per-site fault schedules, FIFO merge),
-      the report stays {e byte-identical to the fault-free run} for any
-      schedule the retry budget survives.  When a budget is exhausted the
-      run truncates cleanly instead of crashing: exploration stops at the
-      failing merge boundary, the last-good checkpoint is left intact,
-      and the report is a well-formed truncation with [complete = false]
-      (the failure reason goes to the diagnostic stream only, never
-      stdout).
+      {b Fault injection and recovery} ([chaos]; [`Hashcons] only).  An
+      enabled {!Asyncolor_resilience.Chaos} instance injects environment
+      faults into every I/O edge of the run — checkpoint saves/loads
+      (sites ["checkpoint.*"]) and spill writes/reads (sites
+      ["spill.*"]).  Nothing is retried, with or without chaos: a
+      checkpoint save (through
+      {!Asyncolor_resilience.Checkpoint.save_rotated}: read-back verify
+      under chaos, last-good rotation) or a spill write or read that
+      fails truncates the run cleanly, as a real disk fault must:
+      exploration stops at the next merge boundary, the last-good
+      checkpoint is left intact, and the report is a well-formed
+      truncation with [complete = false] (the failure reason goes to
+      the diagnostic stream only, never stdout).  A failed spill write
+      keeps its level resident, so the analyses still see every byte.
+      Recovery is a resume from the last good checkpoint
+      ({!explore_resume}); resumed hops reach the fault-free report
+      byte for byte.
 
       @raise Invalid_argument when the graph has more than
       [Sys.int_size - 1] nodes (activation masks could not name every
-      process). *)
+      process).
+      @raise Asyncolor_resilience.Checkpoint.Corrupt when a spilled level
+      cannot be read back for the analyses after the BFS (the message
+      names the level's file); the last good checkpoint is intact, and
+      resuming from it re-spills the level. *)
 
   (** {1 Resuming}
 
@@ -378,7 +380,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
     ?stop:(configs:int -> bool) ->
     ?spill:Asyncolor_resilience.Spill.t * int ->
     ?chaos:Asyncolor_resilience.Chaos.t ->
-    ?retry:Asyncolor_resilience.Chaos.Retry.cfg ->
     ?check_outputs:(P.output option array -> string option) ->
     ?check_config:(E.t -> string option) ->
     ?obs:Asyncolor_obs.Obs.t ->
@@ -405,13 +406,14 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       the resumed run's own log, whose chunk size follows its own spill
       threshold.  Files of formats v2 and v3 still load: their int
       adjacency is re-encoded as varint bytes and their word offsets
-      converted to byte offsets.  [chaos]/[retry] behave as in {!explore}; the resume
-      load itself goes through
+      converted to byte offsets.  [chaos] behaves as in {!explore}; the
+      resume load itself goes through
       {!Asyncolor_resilience.Checkpoint.load_rotated}, so a corrupt
       primary is quarantined and the previous rotation resumed instead.
       Stale [.tmp] files left by a killed predecessor (at [path] and at
       the new checkpoint target) are swept before any I/O.
-      @raise Asyncolor_resilience.Checkpoint.Corrupt as {!resume_info}. *)
+      @raise Asyncolor_resilience.Checkpoint.Corrupt as {!resume_info},
+      and as {!explore} when a spilled level cannot be read back. *)
 
   val pp_report : Format.formatter -> report -> unit
 end

@@ -65,10 +65,8 @@ type inner = {
   mu : Mutex.t;  (* streams table + stream state; callers span domains *)
   streams : (string, stream) Hashtbl.t;
   n_injected : int Atomic.t;
-  n_retries : int Atomic.t;
   n_quarantined : int Atomic.t;
   c_injected : Obs.Counter.t;
-  c_retries : Obs.Counter.t;
   c_quarantined : Obs.Counter.t;
 }
 
@@ -85,10 +83,8 @@ let create ?(obs = Obs.disabled) ?(rate = 0.0) ?sites ~seed () : t =
       mu = Mutex.create ();
       streams = Hashtbl.create 16;
       n_injected = Atomic.make 0;
-      n_retries = Atomic.make 0;
       n_quarantined = Atomic.make 0;
       c_injected = Obs.counter obs "chaos.injected";
-      c_retries = Obs.counter obs "chaos.retries";
       c_quarantined = Obs.counter obs "chaos.quarantined";
     }
 
@@ -96,22 +92,15 @@ let enabled = function None -> false | Some _ -> true
 let seed = function None -> 0 | Some c -> c.seed
 let rate = function None -> 0.0 | Some c -> c.rate
 
-type stats = { injected : int; retries : int; quarantined : int }
+type stats = { injected : int; quarantined : int }
 
 let stats : t -> stats = function
-  | None -> { injected = 0; retries = 0; quarantined = 0 }
+  | None -> { injected = 0; quarantined = 0 }
   | Some c ->
       {
         injected = Atomic.get c.n_injected;
-        retries = Atomic.get c.n_retries;
         quarantined = Atomic.get c.n_quarantined;
       }
-
-let note_retry = function
-  | None -> ()
-  | Some c ->
-      Atomic.incr c.n_retries;
-      Obs.Counter.incr c.c_retries
 
 let note_quarantine = function
   | None -> ()
@@ -173,7 +162,7 @@ let draw_write t ~site = Option.map snd (draw t ~site write_kinds)
 let draw_read t ~site = Option.map snd (draw t ~site read_kinds)
 
 (* A site-deterministic draw that does not count as an operation of the
-   fault schedule (used for bit-rot positions and retry jitter). *)
+   fault schedule (the position of a bit-rot flip). *)
 let side_u01 t ~site =
   match t with
   | None -> 0.0
@@ -250,58 +239,3 @@ let read_file t ~site path =
       end;
       b
   | Some (_, (Enospc | Torn_write | Fsync_fail)) -> assert false
-
-(* ------------------------------------------------------------------ *)
-
-module Retry = struct
-  type cfg = {
-    max_attempts : int;
-    backoff_ms : float;
-    multiplier : float;
-    max_backoff_ms : float;
-    sleep : float -> unit;
-  }
-
-  let real_sleep s = if s > 0.0 then Unix.sleepf s
-
-  let cfg ?(max_attempts = 5) ?(backoff_ms = 25.0) ?(multiplier = 2.0)
-      ?(max_backoff_ms = 1000.0) ?(sleep = real_sleep) () =
-    { max_attempts = max 1 max_attempts; backoff_ms; multiplier; max_backoff_ms; sleep }
-
-  let default = cfg ()
-  let none = cfg ~max_attempts:1 ~backoff_ms:0.0 ()
-
-  exception Exhausted of { site : string; attempts : int; last : exn }
-
-  let () =
-    Printexc.register_printer (function
-      | Exhausted { site; attempts; last } ->
-          Some
-            (Printf.sprintf "Chaos.Retry.Exhausted(%s after %d attempts: %s)"
-               site attempts (Printexc.to_string last))
-      | _ -> None)
-
-  let default_retryable = function
-    | Injected _ | Sys_error _ | Unix.Unix_error _ -> true
-    | _ -> false
-
-  let run t cfg ?(retry_on = fun _ -> false) ~site f =
-    let rec go attempt =
-      match f () with
-      | v -> v
-      | exception e when default_retryable e || retry_on e ->
-          if attempt >= cfg.max_attempts then
-            raise (Exhausted { site; attempts = attempt; last = e })
-          else begin
-            note_retry t;
-            let base =
-              cfg.backoff_ms *. (cfg.multiplier ** float_of_int (attempt - 1))
-            in
-            let jitter = 1.0 +. (0.5 *. side_u01 t ~site:(site ^ ".retry")) in
-            let delay_ms = Float.min cfg.max_backoff_ms base *. jitter in
-            if delay_ms > 0.0 then cfg.sleep (delay_ms /. 1000.0);
-            go (attempt + 1)
-          end
-    in
-    go 1
-end

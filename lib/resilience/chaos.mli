@@ -17,17 +17,17 @@
     [Torn_write] silently persists only a prefix (the lying-disk case
     that only a read-back verify can catch — {!Checkpoint.save} performs
     one whenever chaos is enabled); a [Bit_rot] read flips one byte of
-    the data {e as read}, so a retry sees the intact file.  Faults are
+    the data {e as read}, leaving the file intact on disk.  Faults are
     environment faults only: the crashed {e processes} of the paper's
     model are the adversary's business ([Asyncolor_kernel.Adversary]),
     not this module's.
 
-    The module also owns the recovery vocabulary: {!Retry} (bounded
-    exponential backoff with deterministic jitter, virtual-clock driven
-    so tests are instant) and the [chaos.injected] / [chaos.retries] /
-    [chaos.quarantined] accounting that every recovery path reports
-    through, both to an optional {!Asyncolor_obs.Obs} sink
-    and to the always-on {!stats} snapshot. *)
+    The module also keeps the [chaos.injected] / [chaos.quarantined]
+    accounting, both in an optional {!Asyncolor_obs.Obs} sink and in the
+    always-on {!stats} snapshot.  It does not recover from what it
+    injects: a failed operation fails its caller, which truncates the
+    run at the next boundary and leaves the last good checkpoint to
+    resume from, exactly as it must for a real disk fault. *)
 
 type fault =
   | Enospc  (** write fails mid-way; a partial file is left behind *)
@@ -67,7 +67,6 @@ val rate : t -> float
 
 type stats = {
   injected : int;  (** faults actually delivered *)
-  retries : int;  (** retry attempts spent recovering *)
   quarantined : int;  (** corrupt files moved aside instead of aborting *)
 }
 
@@ -75,9 +74,9 @@ val stats : t -> stats
 (** Always-on snapshot (atomics, not the obs sink) — what the CLI prints
     on stderr after a chaos run. *)
 
-val note_retry : t -> unit
 val note_quarantine : t -> unit
-(** Accounting hooks for the recovery paths (no-ops on {!disabled}). *)
+(** Accounting hook for {!Checkpoint.quarantine} (a no-op on
+    {!disabled}). *)
 
 (** {1 Decision points} *)
 
@@ -113,48 +112,5 @@ val write_with :
 val read_file : t -> site:string -> string -> bytes
 (** Whole-file read, fault-injected via {!draw_read}: [Eio] raises
     {!Injected} without touching the file; [Bit_rot] flips one byte of
-    the returned buffer (the on-disk file is untouched, so a retry reads
-    clean data).
+    the returned buffer (the on-disk file is untouched).
     @raise Sys_error as [open_in_bin] when the file is missing. *)
-
-(** {1 Bounded retry with deterministic jitter} *)
-
-module Retry : sig
-  type cfg = {
-    max_attempts : int;  (** total attempts, first try included (>= 1) *)
-    backoff_ms : float;  (** delay before the second attempt *)
-    multiplier : float;  (** backoff growth per attempt *)
-    max_backoff_ms : float;  (** backoff ceiling *)
-    sleep : float -> unit;
-        (** receives seconds; [Unix.sleepf] by default — tests inject a
-            virtual clock (e.g. an accumulator) so retries are instant *)
-  }
-
-  val cfg :
-    ?max_attempts:int ->
-    ?backoff_ms:float ->
-    ?multiplier:float ->
-    ?max_backoff_ms:float ->
-    ?sleep:(float -> unit) ->
-    unit ->
-    cfg
-  (** Defaults: 5 attempts, 25 ms doubling up to 1000 ms, real sleep. *)
-
-  val default : cfg
-
-  val none : cfg
-  (** One attempt, no backoff — retry disabled. *)
-
-  exception Exhausted of { site : string; attempts : int; last : exn }
-  (** Every attempt failed; [last] is the final attempt's exception. *)
-
-  val run : t -> cfg -> ?retry_on:(exn -> bool) -> site:string -> (unit -> 'a) -> 'a
-  (** [run chaos cfg ~site f] calls [f] up to [max_attempts] times.
-      Retryable by default: {!Injected}, [Sys_error], [Unix.Unix_error];
-      [retry_on] extends the set (e.g. with
-      {!Asyncolor_resilience.Checkpoint.Corrupt} for read-back verifies).
-      Non-retryable exceptions propagate immediately.  Each retry counts
-      on [chaos.retries] and backs off exponentially with a
-      site-deterministic jitter in [[0, 0.5]] of the delay.
-      @raise Exhausted once the attempt budget is spent. *)
-end

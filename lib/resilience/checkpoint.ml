@@ -123,8 +123,9 @@ let save ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path ~version v =
 let load_any ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path ~versions
     () =
   let data =
-    try Chaos.read_file chaos ~site:(site ^ ".read") path
-    with Sys_error msg -> corrupt "cannot open checkpoint: %s" msg
+    try Chaos.read_file chaos ~site:(site ^ ".read") path with
+    | Sys_error msg -> corrupt "cannot open checkpoint: %s" msg
+    | Chaos.Injected _ as e -> corrupt "cannot read: %s" (Printexc.to_string e)
   in
   parse_any ~versions data
 
@@ -168,45 +169,24 @@ let clean_stale ~path =
     with Sys_error _ -> false)
   else false
 
-let retry_corrupt = function Corrupt _ -> true | _ -> false
-
-(* When chaos is off and the caller didn't ask for retries, behave
-   exactly like the primitive save/load: one attempt, fail fast. *)
-let resolve_retry ~chaos = function
-  | Some r -> r
-  | None -> if Chaos.enabled chaos then Chaos.Retry.default else Chaos.Retry.none
-
-let save_rotated ?(chaos = Chaos.disabled) ?retry ?(site = "checkpoint") ~path
+let save_rotated ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path
     ~version v =
-  let retry = resolve_retry ~chaos retry in
   let tmp = path ^ ".tmp" in
-  (try
-     Chaos.Retry.run chaos retry ~retry_on:retry_corrupt ~site:(site ^ ".save")
-       (fun () -> write_tmp ~chaos ~site ~tmp ~version v)
+  (try write_tmp ~chaos ~site ~tmp ~version v
    with e ->
-     (* Exhausted (or non-retryable): never leave a half-written tmp
-        around for a later resume to trip over. *)
+     (* Never leave a half-written tmp around for a later resume to trip
+        over: the last-good checkpoint and its rotation are untouched. *)
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   if Sys.file_exists path then (
     try Sys.rename path (rotated_path path) with Sys_error _ -> ());
   Sys.rename tmp path
 
-(* Normalise an Exhausted wrapping a Corrupt back to the Corrupt: callers
-   pattern-match on Corrupt for their "stale/foreign checkpoint" paths. *)
-let unwrap_corrupt = function
-  | Chaos.Retry.Exhausted { last = Corrupt _ as c; _ } -> c
-  | e -> e
-
-let load_rotated_any ?(chaos = Chaos.disabled) ?retry ?(site = "checkpoint")
-    ~path ~versions () =
-  let retry = resolve_retry ~chaos retry in
-  let attempt p =
-    Chaos.Retry.run chaos retry ~retry_on:retry_corrupt ~site:(site ^ ".load")
-      (fun () -> load_any ~chaos ~site ~path:p ~versions ())
-  in
+let load_rotated_any ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path
+    ~versions () =
+  let attempt p = load_any ~chaos ~site ~path:p ~versions () in
   try attempt path
-  with (Corrupt _ | Chaos.Retry.Exhausted _) as first -> (
+  with Corrupt _ as first -> (
     (* The primary is unreadable: move it aside as evidence and fall back
        to the previous rotation rather than aborting the resume. *)
     (match quarantine ~chaos path with
@@ -217,9 +197,7 @@ let load_rotated_any ?(chaos = Chaos.disabled) ?retry ?(site = "checkpoint")
     | v ->
         Diag.printf "checkpoint: resumed from rotation %s\n" (rotated_path path);
         v
-    | exception (Corrupt _ | Chaos.Retry.Exhausted _) ->
-        raise (unwrap_corrupt first))
+    | exception Corrupt _ -> raise first)
 
-let load_rotated ?chaos ?retry ?site ~path ~version () =
-  Obj.obj
-    (snd (load_rotated_any ?chaos ?retry ?site ~path ~versions:[ version ] ()))
+let load_rotated ?chaos ?site ~path ~version () =
+  Obj.obj (snd (load_rotated_any ?chaos ?site ~path ~versions:[ version ] ()))

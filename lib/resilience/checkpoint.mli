@@ -34,10 +34,13 @@
     last-good checkpoint.
 
     {b Rotation.}  {!save_rotated}/{!load_rotated} add a one-deep history:
-    the previous checkpoint survives at [path ^ ".1"], saves retry under a
-    {!Chaos.Retry} budget, and a corrupt primary is {e quarantined} (moved
-    to [quarantine/] next to the checkpoint) with the load falling back to
-    the rotation instead of aborting.
+    the previous checkpoint survives at [path ^ ".1"], a failed save
+    leaves both generations as they were, and a corrupt primary is
+    {e quarantined} (moved to [quarantine/] next to the checkpoint) with
+    the load falling back to the rotation instead of aborting.  Nothing
+    is retried: a real disk fault (a full disk, rotted bits) comes back
+    on a retry, so a failure ends the caller's run at its next boundary,
+    to be resumed from the last good checkpoint.
 
     {b Versioning rules.}  The payload is serialised with [Marshal], so its
     schema is the OCaml type of the saved value.  Callers must bump their
@@ -62,14 +65,16 @@ val save :
     ["checkpoint"]) names the chaos fault site; the write draws from
     [site ^ ".write"].  Under chaos the tmp file is verified by read-back
     before the rename.
-    @raise Chaos.Injected when an injected fault fires (single attempt —
-    wrap in {!Chaos.Retry.run} or use {!save_rotated} for recovery). *)
+    @raise Chaos.Injected when an injected fault fires;
+    @raise Corrupt when the read-back verify finds a torn write;
+    @raise Sys_error on a real I/O failure. *)
 
 val load :
   ?chaos:Chaos.t -> ?site:string -> path:string -> version:int -> unit -> 'a
 (** [load ~path ~version] validates the container and returns the payload.
     Reads draw faults from [site ^ ".read"].
-    @raise Corrupt on any validation failure (missing file included). *)
+    @raise Corrupt on any validation failure, and on a file that cannot
+    be opened or read (an injected read fault included). *)
 
 (** {1 Rotation, quarantine, hygiene} *)
 
@@ -91,33 +96,18 @@ val clean_stale : path:string -> bool
     on explorer startup and resume. *)
 
 val save_rotated :
-  ?chaos:Chaos.t ->
-  ?retry:Chaos.Retry.cfg ->
-  ?site:string ->
-  path:string ->
-  version:int ->
-  'a ->
-  unit
-(** {!save} with a retry budget and last-good rotation: the tmp write
-    (with its read-back verify) retries under [retry], then the previous
-    [path] is renamed to [path ^ ".1"] and the new file installed.  On
-    exhaustion the half-written tmp is removed — the last-good checkpoint
-    and its rotation are both still intact.  [retry] defaults to
-    {!Chaos.Retry.default} when chaos is enabled and to a single attempt
-    otherwise.
-    @raise Chaos.Retry.Exhausted when the budget is spent. *)
+  ?chaos:Chaos.t -> ?site:string -> path:string -> version:int -> 'a -> unit
+(** {!save} with last-good rotation: the tmp write (with its read-back
+    verify) runs once, then the previous [path] is renamed to
+    [path ^ ".1"] and the new file installed.  On failure the
+    half-written tmp is removed — the last-good checkpoint and its
+    rotation are both still intact — and the exception re-raised.
+    @raise Chaos.Injected, Corrupt or Sys_error as {!save}. *)
 
 val load_rotated :
-  ?chaos:Chaos.t ->
-  ?retry:Chaos.Retry.cfg ->
-  ?site:string ->
-  path:string ->
-  version:int ->
-  unit ->
-  'a
-(** {!load} with recovery: reads retry under [retry]; a persistently
-    unreadable primary is {e quarantined} and the load falls back to
-    [path ^ ".1"].
+  ?chaos:Chaos.t -> ?site:string -> path:string -> version:int -> unit -> 'a
+(** {!load} with recovery: an unreadable primary is {e quarantined} and
+    the load falls back to [path ^ ".1"].
     @raise Corrupt only when both generations are unreadable. *)
 
 (** {1 Several payload versions}
@@ -127,7 +117,6 @@ val load_rotated :
 
 val load_rotated_any :
   ?chaos:Chaos.t ->
-  ?retry:Chaos.Retry.cfg ->
   ?site:string ->
   path:string ->
   versions:int list ->

@@ -11,16 +11,14 @@
 
     {b Failure handling.}  [Level_log.seal] drops a level from the log
     {e before} its write runs, so a lost write would otherwise lose the
-    level.  The store therefore (a) retries writes and reads under a
-    {!Chaos.Retry} budget, (b) keeps the data of any write that exhausted
-    its budget resident in memory (plus, with [retain > 0], the last N
-    successful levels as a bit-rot hedge), and (c) on an unreadable file
-    whose level is still resident, {e quarantines} the damaged file into
-    [quarantine/] and rebuilds it from memory instead of aborting.  Only
-    a level that is both unreadable and no longer resident surfaces as
-    {!Checkpoint.Corrupt} — with the offending {e file path} prefixed
-    onto the message, since a run can own many level files and the caller
-    needs to know which one to inspect.
+    level.  A write that fails keeps the level's bytes resident in the
+    store and re-raises; the explorer then truncates its run at the next
+    merge boundary.  A level is therefore either resident, because its
+    write failed, or on disk, and {!read} serves a resident level from
+    memory without consulting the disk.  An unreadable file surfaces as
+    {!Checkpoint.Corrupt}, with the offending {e file path} prefixed onto
+    the message, since a run can own many level files and the caller
+    needs to know which one to inspect.  Nothing is retried.
 
     Byte counters are atomics: {!write} may run on a background executor
     task while the merge thread keeps interning, and the CLI reads the
@@ -28,18 +26,10 @@
 
 type t
 
-val create :
-  ?chaos:Chaos.t ->
-  ?retry:Chaos.Retry.cfg ->
-  ?retain:int ->
-  dir:string ->
-  unit ->
-  t
+val create : ?chaos:Chaos.t -> dir:string -> unit -> t
 (** Open (creating if needed) the spill directory.  [chaos] (default
     {!Chaos.disabled}) injects faults at sites ["spill.write"] /
-    ["spill.read"]; [retry] defaults to {!Chaos.Retry.default} when chaos
-    is enabled, single-attempt otherwise; [retain] (default 0) keeps the
-    last N successfully written levels resident for rebuilds.
+    ["spill.read"].
     @raise Invalid_argument if [dir] exists and is not a directory;
     @raise Unix.Unix_error if it cannot be created. *)
 
@@ -50,21 +40,20 @@ val path : t -> level:int -> string
     under the store's directory). *)
 
 val write : t -> level:int -> Bytes.t -> int
-(** Persist one closed level's bytes, atomically, retrying
-    under the store's budget; returns the container size in bytes.
-    Levels are written at most once per run (level indices come from
-    [Level_log.seal], which assigns them sequentially).
-    @raise Chaos.Retry.Exhausted when the budget is spent — the level's
-    data stays resident in the store, so a later {!read} still succeeds
-    by rebuilding. *)
+(** Persist one closed level's bytes, atomically; returns the container
+    size in bytes.  Levels are written at most once per store (level
+    indices come from [Level_log.seal], which assigns them
+    sequentially); the file of a level an earlier run wrote is replaced.
+    @raise Chaos.Injected, Checkpoint.Corrupt or Sys_error as
+    {!Checkpoint.save} — the level's data then stays resident in the
+    store, so a later {!read} still returns it. *)
 
 val read : t -> level:int -> Bytes.t
-(** Load a level's bytes, retrying under the store's budget; falls
-    back to the resident copy (quarantining and rewriting the on-disk
-    file) when the file is unreadable but the level is still in memory.
+(** Load a level's bytes: a level whose {!write} failed from memory,
+    any other from its file.
     @raise Checkpoint.Corrupt — message prefixed with the file path — on
-    a missing, truncated, bit-flipped or version-skewed file whose level
-    is no longer resident. *)
+    a missing, unreadable, truncated, bit-flipped or version-skewed
+    file. *)
 
 val bytes_written : t -> int
 val bytes_read : t -> int
@@ -72,12 +61,5 @@ val bytes_read : t -> int
 val levels_on_disk : t -> int
 (** Number of levels written through this store. *)
 
-val quarantined : t -> int
-(** Damaged level files moved into [quarantine/] by {!read}. *)
-
-val rebuilt : t -> int
-(** Levels served from the resident copy after an unreadable file. *)
-
 val files : t -> string list
-(** The [.spill] files currently in the directory, sorted — what the CI
-    artifact step lists (the [quarantine/] subdirectory is not listed). *)
+(** The [.spill] files currently in the directory, sorted. *)

@@ -151,7 +151,6 @@ type t = {
   mutable domains : unit Domain.t list;
   obs : Obs.t;
   c_tasks : Obs.Counter.t;
-  c_retries : Obs.Counter.t;
   c_steals : Obs.Counter.t;
   c_backpressure : Obs.Counter.t;
   g_inflight : Obs.Gauge.t;
@@ -161,7 +160,6 @@ type 'a future = { mutable fst : 'a fstate; owner : t }
 
 type batch_error = {
   index : int;
-  attempts : int;
   error : exn;
   backtrace : Printexc.raw_backtrace;
 }
@@ -335,7 +333,6 @@ let create ?(obs = Obs.disabled) ?(policy = Synchronous) ?jobs () =
       domains = [];
       obs;
       c_tasks = Obs.counter obs "exec.tasks";
-      c_retries = Obs.counter obs "exec.retries";
       c_steals = Obs.counter obs "exec.steals";
       c_backpressure = Obs.counter obs "exec.backpressure";
       g_inflight = Obs.gauge obs "exec.inflight_max";
@@ -372,17 +369,17 @@ let batch_window t ~total =
   | Synchronous -> total
   | Asynchronous { max_active; _ } -> max 1 max_active
 
-let map_result t ?(retries = 0) f input =
+let map_result t f input =
   let total = Array.length input in
   if total = 0 then Ok [||]
   else begin
     if t.stopping then invalid_arg "Executor.map: executor is shut down";
     let window = batch_window t ~total in
     let results = Array.make total None in
-    (* first (lowest-index) final error wins, so failures are
+    (* first (lowest-index) error wins, so failures are
        deterministic regardless of which domain hit them *)
     let error = ref None in
-    (* Lowest index with a final error so far; [total] while none. *)
+    (* Lowest index with an error so far; [total] while none. *)
     let first_failed = Atomic.make total in
     let cancelled () = Atomic.get first_failed < total in
     let record_error (e : batch_error) =
@@ -401,19 +398,12 @@ let map_result t ?(retries = 0) f input =
          may have been dequeued but not started when a later item failed
          — so the lowest failing index is always found and the reported
          error is deterministic. *)
-      if i < Atomic.get first_failed then begin
-        let rec attempt k =
-          if k > 1 then Obs.Counter.incr t.c_retries;
-          match f input.(i) with
-          | v -> results.(i) <- Some v
-          | exception exn ->
-              let backtrace = Printexc.get_raw_backtrace () in
-              if k <= retries then attempt (k + 1)
-              else
-                record_error { index = i; attempts = k; error = exn; backtrace }
-        in
-        attempt 1
-      end
+      if i < Atomic.get first_failed then
+        match f input.(i) with
+        | v -> results.(i) <- Some v
+        | exception error ->
+            let backtrace = Printexc.get_raw_backtrace () in
+            record_error { index = i; error; backtrace }
     in
     let futs = Array.make total None in
     let submitted = ref 0 and consumed = ref 0 in
@@ -454,8 +444,8 @@ let map_result t ?(retries = 0) f input =
              results)
   end
 
-let map t ?retries f input =
-  match map_result t ?retries f input with
+let map t f input =
+  match map_result t f input with
   | Ok out -> out
   | Error e -> Printexc.raise_with_backtrace e.error e.backtrace
 

@@ -33,7 +33,7 @@
     {b Observability} (all out-of-band, stdout untouched): every task
     runs under an ["exec.task"] span on the executing domain's lane
     (workers are named [exec-worker-N]); ["exec.tasks"],
-    ["exec.steals"], ["exec.retries"] and ["exec.backpressure"]
+    ["exec.steals"] and ["exec.backpressure"]
     counters accumulate per-domain sharded; ["exec.wait"] intervals
     record worker idle gaps and the ["exec.inflight_max"] gauge the
     widest batch window. *)
@@ -101,9 +101,8 @@ type 'a future
 
 type batch_error = {
   index : int;  (** input index whose execution failed *)
-  attempts : int;  (** executions performed, retries included *)
-  error : exn;  (** the exception of the final attempt *)
-  backtrace : Printexc.raw_backtrace;  (** backtrace of the final attempt *)
+  error : exn;  (** the exception it raised *)
+  backtrace : Printexc.raw_backtrace;  (** its backtrace *)
 }
 
 val default_jobs : unit -> int
@@ -157,16 +156,14 @@ val await : 'a future -> 'a
 val await_result : 'a future -> ('a, exn * Printexc.raw_backtrace) result
 (** Like {!await} but returns the exception instead of raising. *)
 
-val map_result :
-  t -> ?retries:int -> ('a -> 'b) -> 'a array -> ('b array, batch_error) result
+val map_result : t -> ('a -> 'b) -> 'a array -> ('b array, batch_error) result
 (** Parallel [Array.map] with deterministic result order: output index
     [i] always holds [f input.(i)].  The policy fixes the in-flight
     window (see {!policy}); completed futures are consumed as a
     sequential FIFO stream.
 
-    {b Failure isolation.}  An item that raises is retried up to
-    [retries] times (default 0).  Once an item's error is final the
-    batch is {e cancelled}: tasks above the lowest failing index not yet
+    {b Failure isolation.}  Once an item raises, the batch is
+    {e cancelled}: tasks above the lowest failing index not yet
     started complete as no-ops (their [f] is never called), only
     in-flight items run to completion — one poisoned item no longer pays
     for the whole remaining batch.  Items below that index always run
@@ -175,9 +172,9 @@ val map_result :
     deterministic regardless of domain scheduling or policy.  The
     executor stays usable after a failed batch. *)
 
-val map : t -> ?retries:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Like {!map_result} but re-raises the lowest-index final error with
-    its backtrace. *)
+val map : t -> ('a -> 'b) -> 'a array -> 'b array
+(** Like {!map_result} but re-raises the lowest-index error with its
+    backtrace. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over lists, preserving order. *)

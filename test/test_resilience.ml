@@ -104,7 +104,7 @@ let test_checkpoint_overwrite_atomic () =
    Corrupt raised through [Spill.read] must carry the offending file's
    path in its message. *)
 
-(* Recursive: recovery paths may create a quarantine/ subdirectory. *)
+(* Recursive: checkpoint recovery may create a quarantine/ subdirectory. *)
 let rec rm_rf path =
   if Sys.is_directory path then begin
     Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
@@ -391,7 +391,7 @@ let test_chaos_read_faults () =
         match Chaos.read_file t ~site:"r" path with
         | b ->
             (* bit rot flips exactly one byte — and only in the returned
-               buffer, never on disk, so a retry reads clean *)
+               buffer, never on disk, so a later read is clean *)
             incr rots;
             let diffs = ref 0 in
             Bytes.iteri (fun i c -> if c <> Bytes.get data i then incr diffs) b;
@@ -401,84 +401,6 @@ let test_chaos_read_faults () =
         | exception Chaos.Injected { fault = Chaos.Eio; _ } -> incr eios
       done;
       check Alcotest.bool "both read faults appeared" true (!rots > 0 && !eios > 0))
-
-let test_retry_backoff_and_exhaustion () =
-  (* With chaos disabled the jitter factor is exactly 1.0, so the backoff
-     sequence is fully determined: base * multiplier^k, capped. *)
-  let sleeps = ref [] in
-  let cfg =
-    Chaos.Retry.cfg ~max_attempts:4 ~backoff_ms:100.0 ~multiplier:2.0
-      ~max_backoff_ms:250.0
-      ~sleep:(fun s -> sleeps := s :: !sleeps)
-      ()
-  in
-  let attempts = ref 0 in
-  (match
-     Chaos.Retry.run Chaos.disabled cfg ~site:"t" (fun () ->
-         incr attempts;
-         raise (Sys_error "transient"))
-   with
-  | () -> Alcotest.fail "expected Exhausted"
-  | exception Chaos.Retry.Exhausted { attempts = a; site; last = Sys_error _ } ->
-      check Alcotest.int "attempts recorded" 4 a;
-      check Alcotest.string "site recorded" "t" site);
-  check Alcotest.int "every attempt ran" 4 !attempts;
-  let near a b = Float.abs (a -. b) < 1e-9 in
-  (match List.rev !sleeps with
-  | [ s1; s2; s3 ] ->
-      check Alcotest.bool "backoffs 100ms, 200ms, capped 250ms" true
-        (near s1 0.1 && near s2 0.2 && near s3 0.25)
-  | l -> Alcotest.failf "expected 3 backoffs, saw %d" (List.length l))
-
-let test_retry_jitter_bounded_and_counted () =
-  let chaos = Chaos.create ~seed:2 ~rate:0.0 () in
-  let sleeps = ref [] in
-  let cfg =
-    Chaos.Retry.cfg ~max_attempts:5 ~backoff_ms:100.0 ~multiplier:1.0
-      ~max_backoff_ms:1000.0
-      ~sleep:(fun s -> sleeps := s :: !sleeps)
-      ()
-  in
-  (try
-     Chaos.Retry.run chaos cfg ~site:"t" (fun () -> raise (Sys_error "flaky"))
-   with Chaos.Retry.Exhausted _ -> ());
-  check Alcotest.int "retries counted in stats" 4 (Chaos.stats chaos).Chaos.retries;
-  List.iter
-    (fun s ->
-      check Alcotest.bool "jittered delay within [base, 1.5*base]" true
-        (s >= 0.1 -. 1e-9 && s <= 0.15 +. 1e-9))
-    !sleeps
-
-let test_retry_success_and_retry_on () =
-  let cfg = Chaos.Retry.cfg ~max_attempts:5 ~sleep:(fun _ -> ()) () in
-  let n = ref 0 in
-  let v =
-    Chaos.Retry.run Chaos.disabled cfg ~site:"t" (fun () ->
-        incr n;
-        if !n < 3 then raise (Sys_error "flaky") else !n)
-  in
-  check Alcotest.int "third attempt wins" 3 v;
-  (* non-retryable exceptions escape on the first attempt... *)
-  let n = ref 0 in
-  (match
-     Chaos.Retry.run Chaos.disabled cfg ~site:"t" (fun () ->
-         incr n;
-         failwith "fatal")
-   with
-  | () -> Alcotest.fail "expected Failure"
-  | exception Failure _ -> check Alcotest.int "no retries on fatal" 1 !n);
-  (* ...unless retry_on opts them in *)
-  let n = ref 0 in
-  match
-    Chaos.Retry.run Chaos.disabled cfg
-      ~retry_on:(function Failure _ -> true | _ -> false)
-      ~site:"t"
-      (fun () ->
-        incr n;
-        failwith "retryable after all")
-  with
-  | () -> Alcotest.fail "expected Exhausted"
-  | exception Chaos.Retry.Exhausted _ -> check Alcotest.int "all attempts" 5 !n
 
 (* --- Checkpoint rotation, quarantine, stale-tmp hygiene --------------- *)
 
@@ -509,15 +431,19 @@ let test_checkpoint_rotation_fallback () =
       expect_corrupt "both generations unreadable" (fun () ->
           (Checkpoint.load_rotated ~path ~version:1 () : string)))
 
-let test_checkpoint_save_rotated_exhaustion_keeps_last_good () =
+let test_checkpoint_failed_save_keeps_last_good () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "c.ckpt" in
       Checkpoint.save_rotated ~path ~version:1 "good";
-      let chaos = Chaos.create ~seed:11 ~rate:1.0 ~sites:[ "checkpoint" ] () in
-      let retry = Chaos.Retry.cfg ~max_attempts:2 ~sleep:(fun _ -> ()) () in
-      (match Checkpoint.save_rotated ~chaos ~retry ~path ~version:1 "doomed" with
-      | () -> Alcotest.fail "expected Exhausted"
-      | exception Chaos.Retry.Exhausted _ -> ());
+      (* each seed's first draw picks the fault kind: a partial write, a
+         failed fsync, or a torn write the read-back verify catches *)
+      List.iter
+        (fun seed ->
+          let chaos = Chaos.create ~seed ~rate:1.0 ~sites:[ "checkpoint" ] () in
+          match Checkpoint.save_rotated ~chaos ~path ~version:1 "doomed" with
+          | () -> Alcotest.fail "expected the save to fail"
+          | exception (Chaos.Injected _ | Checkpoint.Corrupt _) -> ())
+        [ 0; 1; 2; 3; 4; 5; 6; 7 ];
       check Alcotest.bool "no half-written tmp left behind" false
         (Sys.file_exists (path ^ ".tmp"));
       check Alcotest.string "last-good checkpoint untouched" "good"
@@ -534,46 +460,45 @@ let test_checkpoint_clean_stale () =
 
 (* --- Spill recovery --------------------------------------------------- *)
 
-let test_spill_quarantine_and_rebuild () =
-  with_temp_dir (fun dir ->
-      let sp = Spill.create ~retain:4 ~dir () in
-      let data = level_bytes 500 (fun i -> i * 37 mod 101) in
-      ignore (Spill.write sp ~level:0 data);
-      let path = Spill.path sp ~level:0 in
-      damage path (fun b -> Bytes.sub b 0 (Bytes.length b / 2));
-      check Alcotest.bytes "rebuilt from the retained copy"
-        data (Spill.read sp ~level:0);
-      check Alcotest.int "level quarantined" 1 (Spill.quarantined sp);
-      check Alcotest.int "level rebuilt" 1 (Spill.rebuilt sp);
-      check Alcotest.bool "damaged file kept as evidence" true
-        (Sys.file_exists
-           (Filename.concat (Filename.concat dir "quarantine")
-              "level-000000.spill"));
-      (* the rewrite healed the on-disk copy: this read is clean *)
-      check Alcotest.bytes "healed on disk" data
-        (Spill.read sp ~level:0);
-      check Alcotest.int "no second quarantine" 1 (Spill.quarantined sp))
-
 let test_spill_failed_write_stays_resident () =
-  (* Every write attempt fails (or lands torn and is caught by the
-     read-back verify); the level's bytes must survive in memory and
-     still serve reads.  Exercised across seeds so each fault kind gets
-     its turn as the terminal failure. *)
+  (* The write fails (or lands torn and is caught by the read-back
+     verify); the level's bytes must survive in memory and still serve
+     reads.  Exercised across seeds so each fault kind gets its turn. *)
   with_temp_dir (fun dir ->
       List.iter
         (fun seed ->
           let chaos =
             Chaos.create ~seed ~rate:1.0 ~sites:[ "spill.write" ] ()
           in
-          let retry = Chaos.Retry.cfg ~max_attempts:2 ~sleep:(fun _ -> ()) () in
-          let sp = Spill.create ~chaos ~retry ~retain:4 ~dir () in
+          let sp = Spill.create ~chaos ~dir () in
           let data = level_bytes 200 (fun i -> i * i) in
-          (try ignore (Spill.write sp ~level:seed data)
-           with Chaos.Retry.Exhausted _ -> ());
+          (match Spill.write sp ~level:seed data with
+          | _ -> Alcotest.fail "expected the write to fail"
+          | exception (Chaos.Injected _ | Checkpoint.Corrupt _) -> ());
           check Alcotest.bytes
             (Printf.sprintf "seed %d: read survives the failed write" seed)
             data (Spill.read sp ~level:seed))
         [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
+(* A resumed run numbers its spill levels from 0 again, into a directory
+   that may hold the earlier run's files.  When the resumed run's write
+   of a level fails, the earlier file of that level is still on disk,
+   checksum intact; the read must return the level this store wrote, not
+   that file — even when the two have the same length, where nothing
+   downstream could tell them apart. *)
+let test_spill_failed_write_shadows_stale_file () =
+  with_temp_dir (fun dir ->
+      let earlier = Spill.create ~dir () in
+      ignore (Spill.write earlier ~level:0 (level_bytes 64 (fun i -> i)));
+      let chaos = Chaos.create ~seed:1 ~rate:1.0 ~sites:[ "spill.write" ] () in
+      let resumed = Spill.create ~chaos ~dir () in
+      let data = level_bytes 64 (fun i -> 255 - i) in
+      (try ignore (Spill.write resumed ~level:0 data)
+       with Chaos.Injected _ | Checkpoint.Corrupt _ -> ());
+      check Alcotest.bool "the earlier run's file is still on disk" true
+        (Sys.file_exists (Spill.path resumed ~level:0));
+      check Alcotest.bytes "the resumed store reads its own level" data
+        (Spill.read resumed ~level:0))
 
 let () =
   Alcotest.run "resilience"
@@ -636,24 +561,18 @@ let () =
             test_chaos_write_faults;
           Alcotest.test_case "read fault realization" `Quick
             test_chaos_read_faults;
-          Alcotest.test_case "retry backoff and exhaustion" `Quick
-            test_retry_backoff_and_exhaustion;
-          Alcotest.test_case "retry jitter bounded, retries counted" `Quick
-            test_retry_jitter_bounded_and_counted;
-          Alcotest.test_case "retry success midway, retry_on" `Quick
-            test_retry_success_and_retry_on;
         ] );
       ( "recovery",
         [
           Alcotest.test_case "rotation fallback and quarantine" `Quick
             test_checkpoint_rotation_fallback;
-          Alcotest.test_case "exhausted save keeps last-good" `Quick
-            test_checkpoint_save_rotated_exhaustion_keeps_last_good;
+          Alcotest.test_case "failed save keeps last-good" `Quick
+            test_checkpoint_failed_save_keeps_last_good;
           Alcotest.test_case "stale tmp cleanup" `Quick
             test_checkpoint_clean_stale;
-          Alcotest.test_case "spill quarantine-and-rebuild" `Quick
-            test_spill_quarantine_and_rebuild;
           Alcotest.test_case "spill failed write stays resident" `Quick
             test_spill_failed_write_stays_resident;
+          Alcotest.test_case "spill failed write shadows a stale file" `Quick
+            test_spill_failed_write_shadows_stale_file;
         ] );
     ]

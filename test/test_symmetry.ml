@@ -359,9 +359,11 @@ let with_temp_spill_dir f =
     (fun () -> f dir)
 
 (* Spilling closed levels to disk is a memory optimisation, not a
-   semantic one: with a zero threshold (spill at every merge boundary)
-   the report must stay identical to the in-memory run, symmetric or
-   not, serial or work-stealing. *)
+   semantic one: with many levels on disk the report must stay identical
+   to the in-memory run, symmetric or not, serial or work-stealing.  A
+   threshold of a few hundred entries closes hundreds of levels here;
+   a zero threshold (one fsynced file per merged row) is left to the
+   chaos legs, which need every merge boundary to be an I/O site. *)
 let test_spill_report_invariant () =
   let graph = Builders.cycle 5 in
   let idents = Idents.uniform 5 in
@@ -373,15 +375,15 @@ let test_spill_report_invariant () =
           with_temp_spill_dir (fun dir ->
               let sp = Spill.create ~dir () in
               let spilled =
-                Exp.explore ~symmetry ~spill:(sp, 0) ~jobs ~policy graph
+                Exp.explore ~symmetry ~spill:(sp, 500) ~jobs ~policy graph
                   ~idents
               in
               check report
                 (Printf.sprintf "spilled %s (symmetry %b) = in-memory" name
                    symmetry)
                 plain spilled;
-              check Alcotest.bool "levels actually hit the disk" true
-                (Spill.levels_on_disk sp > 0)))
+              check Alcotest.bool "several levels hit the disk" true
+                (Spill.levels_on_disk sp >= 4)))
         [
           ("serial", 1, Executor.Serial);
           ("async κ=0.5 jobs=4", 4, Executor.asynchronous ~kappa:0.5 ~jobs:4 ());

@@ -362,7 +362,8 @@ let test_pool_fail_fast_sequential () =
       | Ok _ -> Alcotest.fail "expected an error"
       | Error e ->
           check Alcotest.int "failing index" 5 e.Executor.index;
-          check Alcotest.int "single attempt" 1 e.Executor.attempts;
+          check Alcotest.bool "the item's exception kept" true
+            (e.Executor.error = Boom 5);
           check Alcotest.int "items 0..5 executed, tail skipped" 6
             (Atomic.get executed))
 
@@ -384,37 +385,6 @@ let test_pool_fail_fast_parallel () =
           check Alcotest.int "failing index" 10 e.Executor.index;
           check Alcotest.bool "most of the batch was cancelled" true
             (Atomic.get executed < 100))
-
-let test_pool_retry_exhausted () =
-  with_pool ~jobs:2 (fun pool ->
-      match
-        Executor.map_result pool ~retries:3
-          (fun x -> if x = 1 then failwith "always" else x)
-          [| 0; 1; 2 |]
-      with
-      | Ok _ -> Alcotest.fail "expected an error"
-      | Error e ->
-          check Alcotest.int "failing index" 1 e.Executor.index;
-          check Alcotest.int "1 attempt + 3 retries" 4 e.Executor.attempts;
-          check Alcotest.bool "original exception kept" true
-            (match e.Executor.error with Failure m -> m = "always" | _ -> false))
-
-let test_pool_retry_rescues_flaky () =
-  (* An item that fails twice then succeeds must not poison the batch when
-     retries cover the flakiness. *)
-  let attempts = Array.init 8 (fun _ -> Atomic.make 0) in
-  with_pool ~jobs:4 (fun pool ->
-      let out =
-        Executor.map pool ~retries:2
-          (fun x ->
-            let k = 1 + Atomic.fetch_and_add attempts.(x) 1 in
-            if x = 3 && k <= 2 then failwith "flaky" else x * 10)
-          (Array.init 8 Fun.id)
-      in
-      Alcotest.(check (array int)) "all items succeed"
-        (Array.init 8 (fun i -> i * 10))
-        out;
-      check Alcotest.int "flaky item ran 3 times" 3 (Atomic.get attempts.(3)))
 
 let test_pool_shutdown_after_failed_batch () =
   (* with_pool's Fun.protect shuts the pool down while the failed batch's
@@ -1437,9 +1407,6 @@ let () =
             test_pool_fail_fast_sequential;
           Alcotest.test_case "fail-fast: parallel batch cancelled" `Quick
             test_pool_fail_fast_parallel;
-          Alcotest.test_case "retries exhausted" `Quick test_pool_retry_exhausted;
-          Alcotest.test_case "retries rescue a flaky item" `Quick
-            test_pool_retry_rescues_flaky;
           Alcotest.test_case "shutdown after failed batch" `Quick
             test_pool_shutdown_after_failed_batch;
         ] );
