@@ -5,6 +5,7 @@ module Executor = Asyncolor_util.Executor
 module Intern = Asyncolor_util.Intern
 module Int_log = Asyncolor_util.Int_log
 module Level_log = Asyncolor_util.Level_log
+module Varint = Level_log.Varint
 module Checkpoint = Asyncolor_resilience.Checkpoint
 module Chaos = Asyncolor_resilience.Chaos
 module Budget = Asyncolor_resilience.Budget
@@ -903,20 +904,32 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      Only where the successors come from depends on the executor:
 
      - {e One job}: the merging domain decodes and expands the entry
-       itself.  Without symmetry the live engine is keyed in place, and
-       a successor is never snapshotted: a miss stores its key, a
-       duplicate needs nothing but its key.  Spill writes run inline.
+       itself, and a successor is never snapshotted.  The live engine
+       is keyed in place: by {!E.key_probe} without symmetry, by
+       {!E.canonical_probe} over the engine's segment cache with it.
+       The store reads the probe's data (and copies it into its arena
+       on a miss); a duplicate needs nothing but its key.  Spill writes
+       run inline.
 
      - {e Two or more jobs}: a submission cursor ([submit_pos]) runs ahead
        of the merge, decoding pending entries (the store has one owner,
        the merging domain) and handing them to the executor as futures
-       that touch no shared state (each domain restores its own engine);
-       the merge awaits the {e head} future, whatever the completion
-       order.  So a configuration is boxed only while its future is in
-       flight.  [stream_window] bounds the futures in flight, and a
-       position past the current level boundary is submittable only once
-       a κ fraction of the level has merged (κ = 1 for [Synchronous]: a
-       barrier per level).  Spill levels are written by background tasks.
+       that touch no shared state (each domain restores its own engine
+       and canonicalises each successor with {!E.canonical_probe}); the
+       merge awaits the {e head} future, whatever the completion order.
+       A future's result is one buffer of successor records whose keys
+       are already in the store's byte encoding, so the merge interns a
+       key with a byte compare (a hit) or a blit (a miss), and nothing
+       is boxed per successor.  [stream_window] bounds the futures in
+       flight, and a position past the current level boundary is
+       submittable only once a κ fraction of the level has merged (κ = 1
+       for [Synchronous]: a barrier per level).  Spill levels are written
+       by background tasks.
+
+     A predicate runs on the merging domain's engine.  When that engine
+     does not hold the representative — at two jobs and more, or when
+     the winner is not the identity — the representative is rebuilt
+     from the key just interned, as a pending configuration is.
 
      The merge boundary doubles as the crash-safety boundary: before
      merging each entry the loop may write a periodic checkpoint (pending
@@ -945,12 +958,12 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       E.config_of_key_data ~n ~len !key_buf
     in
     let next = ref pending_from in
-    let canon succ =
-      (* A pure function of the successor, so it may run on whichever
-         domain stole the expansion: the merge sees the same (key, rep,
-         orbit, perm) whatever the schedule. *)
+    (* Canonicalises the successor [eng] holds, on whichever domain
+       expanded it: a pure function of the successor, so the merge sees
+       the same (key, winner, orbit, mask) whatever the schedule. *)
+    let probe eng =
       let t0 = if params.symmetry then Obs.now o else 0L in
-      let r = canonicalize params.group succ in
+      let r = E.canonical_probe eng params.group in
       if params.symmetry then
         Obs.Counter.add octx.oc_canon_ns
           (Int64.to_int (Int64.sub (Obs.now o) t0));
@@ -960,32 +973,31 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       if st.s_next_id >= params.max_configs then st.s_complete <- false;
       st.s_next_id < params.max_configs
     in
-    (* Folds one successor of [uid] into the packed state.  At one job
-       without symmetry [rep] is a placeholder, the live engine holds the
-       successor and [key] is its probe, whose data the store reads in
-       place (and copies into its arena on a miss); otherwise [rep] is
-       the canonical representative. *)
-    let merge uid orbit_u mask key rep orbit pi =
+    (* Folds one successor of [uid], already interned as [vid], into the
+       packed state: [um], [orbit] and [pi] are its representative's
+       unfinished mask, orbit size and winner index.  At one job with
+       [pi = 0] the engine holds the representative, and [um] is read
+       from it on a miss (the path without symmetry passes a
+       placeholder). *)
+    let merge uid orbit_u mask vid ~um ~orbit ~pi =
       st.s_transitions <- st.s_transitions + 1;
       Obs.Counter.incr octx.oc_transitions;
       if params.symmetry then begin
         if pi <> 0 then Obs.Counter.incr octx.oc_orbit_hits;
         st.s_exp_transitions <- st.s_exp_transitions + orbit_u
       end;
-      let vid = intern_key store key in
       if vid = st.s_next_id then begin
         (* A miss: the store appended the key under the next dense id,
-           which makes it pending.  At one job the engine holds the
-           successor, unless canonicalisation picked another orbit
-           member. *)
+           which makes it pending. *)
         let holds = inline && pi = 0 in
-        let unfinished =
-          if holds then E.unfinished_mask engine else E.config_unfinished_mask rep
-        in
+        let unfinished = if holds then E.unfinished_mask engine else um in
         let id = register_st ~params st ~unfinished ~orbit ~pred:uid ~mask in
         assert (id = vid);
-        (* The predicates read [engine] (seed contract). *)
-        if has_predicates params && not holds then E.restore engine rep;
+        (* The predicates read [engine] (seed contract): one that does
+           not hold the representative is given it, rebuilt from the key
+           just interned, as a pending configuration is. *)
+        if has_predicates params && not holds then
+          E.restore engine (config_of_id vid);
         safety_check ~params st engine id
       end;
       Level_log.push st.s_adj_data ~uid ~mask ~target:vid ~perm:pi
@@ -1000,31 +1012,77 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
             E.restore engine config;
             E.activate_mask engine mask;
             if params.symmetry then begin
-              let key, rep, orbit, pi = canon (E.snapshot engine) in
-              merge uid orbit_u mask key rep orbit pi
+              let key, pi, orbit, um = probe engine in
+              merge uid orbit_u mask (intern_key store key) ~um ~orbit ~pi
             end
-            else merge uid orbit_u mask (E.key_probe engine) config 1 0
+            else
+              merge uid orbit_u mask
+                (intern_key store (E.key_probe engine))
+                ~um:0 ~orbit:1 ~pi:0
           end
         done
       end
     in
-    (* One private engine per expanding domain, created lazily on first
-       expansion (the caller gets one too — it helps execute tasks while
-       waiting). *)
+    (* One private engine and record buffer per expanding domain,
+       created lazily on first expansion (the caller gets one too — it
+       helps execute tasks while waiting). *)
     let engine_key = Domain.DLS.new_key (fun () -> E.create graph ~idents) in
+    let records_key = Domain.DLS.new_key (fun () -> ref (Bytes.create 4096)) in
+    (* An expansion task's result: one record per successor, in [masks_of]
+       order — its mask, its representative's unfinished mask, orbit
+       size and winner index as varints, its key's hash as 8 bytes, then
+       its key encoded as the intern store holds it.  The merge interns
+       the key from these bytes ({!Intern.intern_encoded}), so a
+       successor crosses domains as a few bytes, not boxed values. *)
     let expand config () =
       let um = E.config_unfinished_mask config in
-      if um = 0 then [||]
+      if um = 0 then Bytes.empty
       else begin
         let eng = Domain.DLS.get engine_key in
-        Array.map
+        let out = Domain.DLS.get records_key in
+        let pos = ref 0 in
+        Array.iter
           (fun mask ->
             E.restore eng config;
             E.activate_mask eng mask;
-            let key, rep, orbit, pi = canon (E.snapshot eng) in
-            (mask, key, rep, orbit, pi))
-          (masks_of params.mode um)
+            let key, pi, orbit, um = probe eng in
+            let data = E.key_data key in
+            (* Four varints and the hash, then the key's length and
+               ints: at most 9 bytes a varint. *)
+            let room = 44 + (9 * (Array.length data + 1)) in
+            if !pos + room > Bytes.length !out then begin
+              let b = Bytes.create (2 * (!pos + room)) in
+              Bytes.blit !out 0 b 0 !pos;
+              out := b
+            end;
+            let b = !out in
+            let p = Varint.put b !pos mask in
+            let p = Varint.put b p um in
+            let p = Varint.put b p orbit in
+            let p = Varint.put b p pi in
+            Bytes.set_int64_le b p (Int64.of_int (E.key_hash key));
+            pos := Varint.put_seq b (p + 8) data)
+          (masks_of params.mode um);
+        Bytes.sub !out 0 !pos
       end
+    in
+    (* The merge's half of [expand]: folds each record of [records] into
+       the packed state. *)
+    let merge_records uid orbit_u records =
+      let p = ref 0 in
+      while !p < Bytes.length records do
+        let mask = Varint.read records p in
+        let um = Varint.read records p in
+        let orbit = Varint.read records p in
+        let pi = Varint.read records p in
+        let hash = Int64.to_int (Bytes.get_int64_le records !p) in
+        let pos = !p + 8 in
+        p := Varint.seq_end records pos;
+        if within_cap () then
+          merge uid orbit_u mask
+            (Intern.intern_encoded store ~hash records ~pos ~len:(!p - pos))
+            ~um ~orbit ~pi
+      done
     in
     (* Spill writes in flight on background tasks: drained before any
        checkpoint save (which rereads closed levels) and before the final
@@ -1167,20 +1225,18 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
             end;
             incr submit_pos
           done;
+          Executor.note_inflight exec (!submit_pos - uid);
           if !submit_pos < st.s_next_id && !submit_pos - uid >= window
           then Executor.note_backpressure exec;
           let fut =
             match Ring.get futs uid with Some f -> f | None -> assert false
           in
           let t0 = Obs.now o in
-          let cands = Executor.await fut in
+          let records = Executor.await fut in
           Obs.Counter.add octx.oc_wait_ns
             (Int64.to_int (Int64.sub (Obs.now o) t0));
           Ring.drop futs;
-          Array.iter
-            (fun (mask, key, rep, orbit, pi) ->
-              if within_cap () then merge uid orbit_u mask key rep orbit pi)
-            cands
+          merge_records uid orbit_u records
         end;
         Int_log.push st.s_adj_off (Level_log.offset st.s_adj_data);
         seal ();
@@ -1212,7 +1268,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
   (* The root run: intern the all-asleep configuration and drive the BFS
      from it.  The root is fixed by every ident-preserving automorphism
      (orbit size 1), so canonicalizing it is a no-op — but going through
-     [canonicalize] keeps the invariant that every interned key is
+     [E.canonical_probe] keeps the invariant that every interned key is
      canonical without a special case. *)
   let explore_fresh ~params ?policy ~jobs graph ~idents =
     let st =
@@ -1222,13 +1278,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     in
     let store = Intern.create () in
     let engine = E.create graph ~idents in
-    let key, initial, orbit, _ =
-      canonicalize params.group (E.snapshot engine)
-    in
+    let key, _, orbit, unfinished = E.canonical_probe engine params.group in
     let root_id =
-      register_st ~params st
-        ~unfinished:(E.config_unfinished_mask initial)
-        ~orbit ~pred:(-1) ~mask:0
+      register_st ~params st ~unfinished ~orbit ~pred:(-1) ~mask:0
     in
     ignore (intern_key store key);
     safety_check ~params st engine root_id;

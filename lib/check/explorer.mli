@@ -111,8 +111,11 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       a trivial group.  Exposed for the canonicalization property tests. *)
 
   val canonicalize : int array array -> E.config -> E.key * E.config * int * int
-  (** [canonicalize group c] is the orbit canonicalization on the intern
-      path: the lexicographically-least packed key among
+  (** [canonicalize group c] is the orbit canonicalization of a
+      configuration value, the oracle the engine's in-place
+      {!Asyncolor_kernel.Engine.Make.canonical_probe} (which the
+      explorer runs on every successor) is tested against: the
+      lexicographically-least packed key among
       [E.config_key (E.config_permute c sigma)] over the group, the
       first index attaining it winning ties.  Candidates are compared in
       place over [c]'s key slices ({!E.config_key_offsets}), never
@@ -155,9 +158,13 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       only the process-visible part: the explorer keeps a pending
       configuration as its key and rebuilds it with
       {!Asyncolor_kernel.Engine.Make.config_of_key_data}, whose observers
-      are zero, so the engine's [time] and activation counters at a
-      check count the steps since the last expanded configuration, not
-      since the root.
+      are zero, and it rebuilds a new configuration the same way, from
+      the key it just interned, whenever the merging engine does not
+      hold it (at two jobs and more, and under symmetry when the
+      canonical representative is not the successor itself).  So the
+      engine's [time] and activation counters at a check count the steps
+      since the last expanded configuration, or are zero, never the
+      steps since the root.
 
       [mode] selects the schedule space: [`All_subsets] (default) allows
       arbitrary simultaneous activations, the paper's full model;
@@ -191,11 +198,18 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       expanding configurations; [policy] the execution policy (default:
       [Serial] when [jobs <= 1], else [Synchronous]).  Whenever the
       executor has one job — [Serial], or any policy at [jobs = 1] — the
-      merging domain expands each entry in line.  With more jobs,
+      merging domain expands each entry in line, keying each successor
+      on its live engine.  With more jobs,
       expansions run ahead of the merge as executor futures, at most
       {!Asyncolor_util.Executor.stream_window} of them ([4 * jobs] by
-      default) past the entry being merged, so finished candidates never
-      pile up a whole level deep:
+      default) past the entry being merged (the
+      ["exec.inflight_max"] gauge), so finished candidates never
+      pile up a whole level deep.  A future returns its successors as
+      one byte buffer — per successor its mask, its representative's
+      unfinished mask, orbit size and winner index, its key's hash, then
+      the key in the intern store's own encoding — which the merge
+      interns with
+      {!Asyncolor_util.Intern.intern_encoded}:
       [Synchronous] keeps a full barrier between BFS levels (level k+1
       expansion starts only once level k has fully merged);
       [Asynchronous {kappa; _}] lets level k+1 expansion start once a κ

@@ -120,8 +120,12 @@ module Make (P : Protocol.S) = struct
            [last] stepped [p]: every other process still holds [last]'s
            values *)
     mutable probe_bufs : int array array;
-        (* [probe_bufs.(len)]: the buffer [key_probe] returns for keys of
-           [len] ints ([[||]] until first needed) *)
+        (* [probe_bufs.(len)]: the buffer [key_probe] and
+           [canonical_probe] return for keys of [len] ints ([[||]] until
+           first needed) *)
+    identity : int array;  (* the order [key_probe] writes segments in *)
+    order : int array;  (* [canonical_probe]'s scratch: processes by segment *)
+    rank : int array;  (* [canonical_probe]'s scratch: each segment's rank *)
   }
 
   (* Bit [p] set iff [status.(p)] has not returned (for at most
@@ -161,6 +165,9 @@ module Make (P : Protocol.S) = struct
       last = no_config;
       touched = 0;
       probe_bufs = [||];
+      identity = Array.init n Fun.id;
+      order = Array.make n 0;
+      rank = Array.make n 0;
     }
 
   let graph t = t.graph
@@ -510,23 +517,28 @@ module Make (P : Protocol.S) = struct
       buf
     end
 
-  (* The flat hash of a concatenation [a @ b] is
+  (* Re-encode the stale segments; the key's length. *)
+  let refresh_stale t =
+    let len = ref 0 in
+    for p = 0 to n t - 1 do
+      if (not t.masked) || t.stale land (1 lsl p) <> 0 then refresh_segment t p;
+      len := !len + t.segs.(p).len
+    done;
+    t.stale <- 0;
+    !len
+
+  (* The key whose segments are the cached ones in [sigma] order, in the
+     probe buffer.  The flat hash of a concatenation [a @ b] is
      [hash a * 31 ^ length b + hash b], so the segments' cached hashes
      combine into the key's without rereading a single int.  The copy
      loop is typed: its stores are plain int writes, where [Array.blit]
      into a major-heap buffer would take the write barrier per element. *)
-  let key_probe t =
-    let n = n t in
-    let h = ref 0 and len = ref 0 in
-    for p = 0 to n - 1 do
-      if (not t.masked) || t.stale land (1 lsl p) <> 0 then refresh_segment t p;
+  let write_key t len sigma =
+    let buf = probe_buf t len in
+    let h = ref 0 and off = ref 0 in
+    for q = 0 to Array.length sigma - 1 do
+      let p = sigma.(q) in
       h := ((!h * t.seg_pow.(p)) + t.seg_hash.(p)) land max_int;
-      len := !len + t.segs.(p).len
-    done;
-    t.stale <- 0;
-    let buf = probe_buf t !len in
-    let off = ref 0 in
-    for p = 0 to n - 1 do
       let seg = t.segs.(p) in
       let data = seg.data and o = !off in
       for i = 0 to seg.len - 1 do
@@ -535,6 +547,72 @@ module Make (P : Protocol.S) = struct
       off := o + seg.len
     done;
     { kdata = buf; khash = mix !h }
+
+  let key_probe t = write_key t (refresh_stale t) t.identity
+
+  (* Lexicographic order of the cached segments of processes [a] and
+     [b].  A segment is self-delimiting (a tag, then framed payloads
+     whose lengths it holds), so neither of two different segments is a
+     prefix of the other: they differ inside the shorter one, and two
+     that agree that far are equal. *)
+  let compare_segs t a b =
+    let sa = t.segs.(a) and sb = t.segs.(b) in
+    let da = sa.data and db = sb.data in
+    let m = if sa.len < sb.len then sa.len else sb.len in
+    let i = ref 0 in
+    while !i < m && da.(!i) = db.(!i) do
+      incr i
+    done;
+    if !i < m then if da.(!i) < db.(!i) then -1 else 1
+    else compare sa.len sb.len
+
+  (* Since no segment is a prefix of another, two candidates first differ
+     at the first position whose segments differ, and compare as those
+     segments do.  So the segments are ranked once — sorted by insertion,
+     equal segments sharing a rank — and the candidates are compared as
+     their sequences of ranks, an int a position.  The least candidate
+     wins, the first index attaining it winning ties; the orbit is
+     [|G| / ties] by orbit-stabiliser, as in the explorer's
+     [canonicalize]. *)
+  let canonical_probe t group =
+    check_mask_width t "canonical_probe";
+    let len = refresh_stale t in
+    let n = n t in
+    let order = t.order and rank = t.rank in
+    for p = 0 to n - 1 do
+      let j = ref p in
+      while !j > 0 && compare_segs t order.(!j - 1) p > 0 do
+        order.(!j) <- order.(!j - 1);
+        decr j
+      done;
+      order.(!j) <- p
+    done;
+    for i = 0 to n - 1 do
+      rank.(order.(i)) <-
+        (if i > 0 && compare_segs t order.(i - 1) order.(i) = 0 then
+           rank.(order.(i - 1))
+         else i)
+    done;
+    let best = ref 0 and ties = ref 1 in
+    for i = 1 to Array.length group - 1 do
+      let sigma = group.(i) and tau = group.(!best) in
+      let r = ref 0 and q = ref 0 in
+      while !r = 0 && !q < n do
+        r := rank.(sigma.(!q)) - rank.(tau.(!q));
+        incr q
+      done;
+      if !r < 0 then begin
+        best := i;
+        ties := 1
+      end
+      else if !r = 0 then incr ties
+    done;
+    let sigma = group.(!best) in
+    let um = ref 0 in
+    for q = 0 to n - 1 do
+      if t.umask land (1 lsl sigma.(q)) <> 0 then um := !um lor (1 lsl q)
+    done;
+    (write_key t len sigma, !best, Array.length group / !ties, !um)
 
   let key_copy k = { k with kdata = Array.copy k.kdata }
   let key t = key_copy (key_probe t)

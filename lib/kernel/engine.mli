@@ -36,11 +36,14 @@
     - the engine caches each process's framed key segment and the
       segment's hash.  A segment is stale once its process is stepped
       or rewritten, and every segment is stale after {!Make.reset} or a
-      full restore.  {!Make.key_probe} re-encodes only the stale ones.
+      full restore.  {!Make.key_probe} and {!Make.canonical_probe}
+      re-encode only the stale ones.
     The invariant: after every operation, a segment that is not stale
     equals the encoding of its process's live status, state and
-    register.  Wider engines re-encode every segment and copy every
-    restore. *)
+    register.  So a probe reads every process's segment from the cache,
+    in any order: {!Make.key_probe} in process order,
+    {!Make.canonical_probe} in the order of each candidate permutation.
+    Wider engines re-encode every segment and copy every restore. *)
 
 module Make (P : Protocol.S) : sig
   type t
@@ -227,6 +230,36 @@ module Make (P : Protocol.S) : sig
       so a duplicate copies no key data.  It re-encodes only the stale
       segments (see the segment cache above).  Like every other engine
       operation, it is for one domain at a time. *)
+
+  val canonical_probe : t -> int array array -> key * int * int * int
+  (** [canonical_probe t group] canonicalises the live configuration
+      over [group], a duplicate-free group of process permutations given
+      as arrays of length [n t]: among the candidate keys, the key of
+      {!config_permute} of the live configuration by [sigma] for each
+      [sigma] in [group], it picks the lexicographically least, the
+      first index attaining it winning ties.  It returns
+      [(key, winner, orbit, unfinished)]:
+      - [key], a probe ({!key_probe}'s lifetime rule) whose data and
+        hash are those of the winner's key;
+      - [winner], the winner's index in [group];
+      - [orbit], the number of distinct candidate keys, computed as
+        [|group| / ties] (orbit-stabiliser; exact because [group] is a
+        group and key equality is configuration equality);
+      - [unfinished], the representative's unfinished mask: bit [q] is
+        set iff process [group.(winner).(q)] has not returned.
+
+      It works on the segment cache alone: it re-encodes the stale
+      segments and compares the candidates in place over the cached
+      ones.  A segment is self-delimiting, so two different segments
+      differ inside the shorter one, and two candidates compare as their
+      first differing pair of segments: the probe ranks the [n]
+      segments once and compares candidates as sequences of ranks.  It
+      folds the winner's hash from the cached segment hashes in the
+      winner's order, and writes the winner's ints and nothing else.  With the identity alone in [group] it is
+      {!key_probe} plus the unfinished mask.  It equals the explorer's
+      [canonicalize] of [snapshot t] on every output, which the
+      symmetry tests check.
+      @raise Invalid_argument when [n t > Sys.int_size - 1]. *)
 
   val key_copy : key -> key
   (** A key equal to its argument that shares no buffer with an engine. *)

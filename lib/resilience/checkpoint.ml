@@ -113,9 +113,18 @@ let write_tmp ~chaos ~site ~tmp ~version v =
         corrupt "torn write detected verifying %s (%s)" tmp msg
   end
 
+(* A write that fails removes its half-written tmp before it raises, so
+   no later run or listing trips over it; whatever [path] held is
+   untouched. *)
+let write_tmp_or_clean ~chaos ~site ~tmp ~version v =
+  try write_tmp ~chaos ~site ~tmp ~version v
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
 let save ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path ~version v =
   let tmp = path ^ ".tmp" in
-  write_tmp ~chaos ~site ~tmp ~version v;
+  write_tmp_or_clean ~chaos ~site ~tmp ~version v;
   (* fsync happened before the rename: the rename must never become
      durable ahead of the data it points at *)
   Sys.rename tmp path
@@ -172,12 +181,7 @@ let clean_stale ~path =
 let save_rotated ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path
     ~version v =
   let tmp = path ^ ".tmp" in
-  (try write_tmp ~chaos ~site ~tmp ~version v
-   with e ->
-     (* Never leave a half-written tmp around for a later resume to trip
-        over: the last-good checkpoint and its rotation are untouched. *)
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
+  write_tmp_or_clean ~chaos ~site ~tmp ~version v;
   if Sys.file_exists path then (
     try Sys.rename path (rotated_path path) with Sys_error _ -> ());
   Sys.rename tmp path

@@ -64,7 +64,8 @@ val save :
     (write to [path ^ ".tmp"], fsync, rename).  [site] (default
     ["checkpoint"]) names the chaos fault site; the write draws from
     [site ^ ".write"].  Under chaos the tmp file is verified by read-back
-    before the rename.
+    before the rename.  A save that fails removes its tmp file before it
+    raises and leaves [path] as it was.
     @raise Chaos.Injected when an injected fault fires;
     @raise Corrupt when the read-back verify finds a torn write;
     @raise Sys_error on a real I/O failure. *)

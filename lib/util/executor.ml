@@ -175,6 +175,7 @@ let stream_window t =
   | Asynchronous { max_active; _ } -> max 1 max_active
 
 let note_backpressure t = Obs.Counter.incr t.c_backpressure
+let note_inflight t k = Obs.Gauge.max_ t.g_inflight k
 
 (* Which deque the current domain owns in executor [t]: spawned workers
    record (executor id, index) in domain-local storage; everyone else —
@@ -417,7 +418,7 @@ let map_result t f input =
         futs.(i) <- Some (submit t (fun () -> run_item i));
         incr submitted
       done;
-      Obs.Gauge.max_ t.g_inflight (!submitted - !consumed);
+      note_inflight t (!submitted - !consumed);
       if
         !submitted < total
         && !submitted - !consumed >= window

@@ -141,6 +141,11 @@ val note_backpressure : t -> unit
     called by streaming clients when {!stream_window} makes them hold a
     ready task back. *)
 
+val note_inflight : t -> int -> unit
+(** Raise the ["exec.inflight_max"] gauge to [k] tasks submitted and not
+    yet consumed — called by streaming clients after each top-up, as
+    {!map} does for its own window. *)
+
 val submit : t -> (unit -> 'a) -> 'a future
 (** Queue a task.  Tasks submitted by the caller are dispatched in
     submission order (FIFO).  Only submit from the caller domain or from

@@ -63,6 +63,21 @@ let equal_at t id data =
   let s = t.starts.(id) in
   Varint.equal_seq t.chunks.(s lsr 32) (s land id_mask) data
 
+(* Are the stored bytes of [id] the [len] bytes of [src] at [pos]?  A
+   stored sequence is one code word of a prefix-free code, and so is the
+   slice, so equal bytes over the slice's length are equal sequences. *)
+let equal_bytes_at t id src pos len =
+  t.compares <- t.compares + 1;
+  let s = t.starts.(id) in
+  let b = t.chunks.(s lsr 32) and off = s land id_mask in
+  off + len <= Bytes.length b
+  &&
+  let i = ref 0 in
+  while !i < len && Bytes.unsafe_get b (off + !i) = Bytes.unsafe_get src (pos + !i) do
+    incr i
+  done;
+  !i = len
+
 (* The slot holding [data], or the empty slot where it would go: a slot
    index [i] with [slots.(i) = 0] on a miss.  A loop, not a local
    recursive function, so a lookup allocates no closure. *)
@@ -74,6 +89,22 @@ let probe t tag data =
   while not !found do
     let s = Array.unsafe_get slots !i in
     if s = 0 || (s lsr 32 = tag && equal_at t ((s land id_mask) - 1) data)
+    then found := true
+    else i := (!i + 1) land mask
+  done;
+  !i
+
+(* [probe] for an encoded slice. *)
+let probe_bytes t tag src pos len =
+  let slots = t.slots in
+  let mask = Array.length slots - 1 in
+  let i = ref (tag lsr t.shift) in
+  let found = ref false in
+  while not !found do
+    let s = Array.unsafe_get slots !i in
+    if
+      s = 0
+      || (s lsr 32 = tag && equal_bytes_at t ((s land id_mask) - 1) src pos len)
     then found := true
     else i := (!i + 1) land mask
   done;
@@ -115,18 +146,25 @@ let reserve t size =
     t.arena <- t.arena + Bytes.length chunk
   end
 
-let append t data =
-  reserve t (Varint.seq_size data);
+(* A new id whose [size] bytes start at [t.pos] of the last chunk, which
+   the caller then writes. *)
+let append t size =
+  if t.count >= max_count then failwith "Intern: too many sequences";
+  reserve t size;
   let id = t.count in
   if id = Array.length t.starts then begin
     let starts = Array.make (2 * id) 0 in
     Array.blit t.starts 0 starts 0 id;
     t.starts <- starts
   end;
-  let c = t.nchunks - 1 in
-  t.starts.(id) <- (c lsl 32) lor t.pos;
-  t.pos <- Varint.put_seq t.chunks.(c) t.pos data;
+  t.starts.(id) <- ((t.nchunks - 1) lsl 32) lor t.pos;
   t.count <- id + 1;
+  id
+
+(* Occupy the empty slot [i] with the id just appended. *)
+let fill_slot t i tag id =
+  t.slots.(i) <- (tag lsl 32) lor (id + 1);
+  if 2 * t.count > Array.length t.slots then grow_slots t;
   id
 
 let intern t ~hash data =
@@ -135,11 +173,21 @@ let intern t ~hash data =
   let s = t.slots.(i) in
   if s <> 0 then (s land id_mask) - 1
   else begin
-    if t.count >= max_count then failwith "Intern: too many sequences";
-    let id = append t data in
-    t.slots.(i) <- (tag lsl 32) lor (id + 1);
-    if 2 * t.count > Array.length t.slots then grow_slots t;
-    id
+    let id = append t (Varint.seq_size data) in
+    t.pos <- Varint.put_seq t.chunks.(t.nchunks - 1) t.pos data;
+    fill_slot t i tag id
+  end
+
+let intern_encoded t ~hash src ~pos ~len =
+  let tag = tag_of hash in
+  let i = probe_bytes t tag src pos len in
+  let s = t.slots.(i) in
+  if s <> 0 then (s land id_mask) - 1
+  else begin
+    let id = append t len in
+    Bytes.blit src pos t.chunks.(t.nchunks - 1) t.pos len;
+    t.pos <- t.pos + len;
+    fill_slot t i tag id
   end
 
 (* --- decoding --------------------------------------------------------- *)

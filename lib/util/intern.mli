@@ -42,6 +42,18 @@ val intern : t -> hash:int -> int array -> int
     arena, never retained.
     @raise Failure past [2^30] sequences (the tag/id slot layout). *)
 
+val intern_encoded : t -> hash:int -> Bytes.t -> pos:int -> len:int -> int
+(** [intern_encoded t ~hash src ~pos ~len] is [intern t ~hash data] for
+    the [data] whose encoding ({!Level_log.Varint.put_seq}, the arena's
+    own layout) is the [len] bytes of [src] at [pos]: the same id, the
+    same arena bytes.  It decodes nothing: a hit is a byte compare
+    against the stored bytes, a miss a blit of the slice into the arena.
+    So a sequence encoded where it was made (the explorer's expansion
+    tasks) reaches the store as bytes.  [hash] is the hash {!intern}
+    would be given for [data].  The slice must be one well-formed
+    encoding, as {!Level_log.Varint.put_seq} writes it.
+    @raise Failure past [2^30] sequences. *)
+
 val get : t -> int -> int array
 (** The sequence with that id, decoded afresh.
     @raise Invalid_argument when the id is out of range. *)

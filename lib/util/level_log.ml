@@ -91,6 +91,17 @@ module Varint = struct
     if n > Bytes.length b - !p then invalid_arg "Varint: sequence runs past its bytes";
     n
 
+  let seq_end b pos =
+    let p = ref pos in
+    let n = read b p in
+    for _ = 1 to n do
+      while Char.code (Bytes.get b !p) >= 128 do
+        incr p
+      done;
+      incr p
+    done;
+    !p
+
   let read_seq b pos dst =
     let p = ref pos in
     let n = read b p in

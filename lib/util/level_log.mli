@@ -72,6 +72,11 @@ module Varint : sig
       @raise Invalid_argument when the rest of the bytes cannot hold that
       many elements. *)
 
+  val seq_end : Bytes.t -> int -> int
+  (** The position just past the sequence at that position: its bytes
+      are the slice from there to the result.
+      @raise Invalid_argument when they run past the end of [b]. *)
+
   val read_seq : Bytes.t -> int -> int array -> int
   (** [read_seq b pos dst] decodes the sequence into [dst] from index 0
       and returns its length.

@@ -194,6 +194,23 @@ let test_store_bytes_gauged () =
   check Alcotest.bool "tables within their chunk slack" true
     (tables <= word * ((2 * table_words) + (3 * (1024 + 8))))
 
+(* The explorer's submission loop gauges the expansions in flight after
+   each top-up: on a two-job run with thousands of tasks the gauge must
+   read something, and never more than the window it keeps. *)
+let test_inflight_gauged () =
+  let module Exp = Asyncolor_check.Explorer.Make (Asyncolor.Algorithm2.P) in
+  let module Executor = Asyncolor_util.Executor in
+  let o = Obs.create () in
+  let policy = Executor.asynchronous ~kappa:0.5 ~jobs:2 () in
+  let r =
+    Exp.explore ~jobs:2 ~policy ~obs:o (Builders.cycle 4) ~idents:[| 5; 1; 9; 4 |]
+  in
+  let window = Executor.with_executor ~policy ~jobs:2 Executor.stream_window in
+  let inflight = List.assoc "exec.inflight_max" (Obs.metrics o) in
+  check Alcotest.bool "a run of thousands of tasks" true (r.configs > 1000);
+  check Alcotest.bool "expansions in flight gauged" true (inflight > 0);
+  check Alcotest.bool "never past the stream window" true (inflight <= window)
+
 (* --- qcheck: span trees are well-nested ------------------------------- *)
 
 (* Interpret a list of small ints as a stack program over one sink:
@@ -425,5 +442,7 @@ let () =
             test_intern_bytes_gauged;
           Alcotest.test_case "adjacency and table sizes gauged" `Quick
             test_store_bytes_gauged;
+          Alcotest.test_case "explorer gauges tasks in flight" `Quick
+            test_inflight_gauged;
         ] );
     ]

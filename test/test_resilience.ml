@@ -500,6 +500,49 @@ let test_spill_failed_write_shadows_stale_file () =
       check Alcotest.bytes "the resumed store reads its own level" data
         (Spill.read resumed ~level:0))
 
+(* A spill write that fails mid-way leaves a partial [.tmp] file behind
+   on a real disk; the save must remove it, so the spill directory holds
+   only level files, and the run still ends as a clean truncation with
+   its diagnostic.  The seed is the first whose first spill write draws
+   ENOSPC. *)
+let test_spill_enospc_leaves_no_tmp () =
+  let module Exp = Asyncolor_check.Explorer.Make (Asyncolor.Algorithm2.P) in
+  let rec enospc_seed seed =
+    let probe = Chaos.create ~seed ~rate:1.0 ~sites:[ "spill.write" ] () in
+    match Chaos.draw_write probe ~site:"spill.write" with
+    | Some Chaos.Enospc -> seed
+    | _ -> enospc_seed (seed + 1)
+  in
+  let seed = enospc_seed 0 in
+  with_temp_dir (fun dir ->
+      let chaos = Chaos.create ~seed ~rate:1.0 ~sites:[ "spill.write" ] () in
+      let diag = Filename.concat dir "diag.log" in
+      let spill_dir = Filename.concat dir "spill" in
+      Unix.mkdir spill_dir 0o755;
+      let oc = open_out diag in
+      Diag.set_channel oc;
+      let r =
+        Fun.protect
+          ~finally:(fun () ->
+            Diag.set_channel stderr;
+            close_out oc)
+          (fun () ->
+            Exp.explore ~chaos
+              ~spill:(Spill.create ~chaos ~dir:spill_dir (), 0)
+              (Asyncolor_topology.Builders.cycle 4) ~idents:[| 5; 1; 9; 4 |])
+      in
+      check Alcotest.int "the fault fired" 1 (Chaos.stats chaos).Chaos.injected;
+      check
+        Alcotest.(list string)
+        "no tmp left in the spill directory" []
+        (List.filter
+           (fun f -> Filename.check_suffix f ".tmp")
+           (Array.to_list (Sys.readdir spill_dir)));
+      check Alcotest.bool "truncated" false r.complete;
+      let log = In_channel.with_open_text diag In_channel.input_all in
+      check Alcotest.bool "io: diagnostic" true
+        (Astring.String.is_infix ~affix:"io: spill write (level 0) failed" log))
+
 let () =
   Alcotest.run "resilience"
     [
@@ -574,5 +617,7 @@ let () =
             test_spill_failed_write_stays_resident;
           Alcotest.test_case "spill failed write shadows a stale file" `Quick
             test_spill_failed_write_shadows_stale_file;
+          Alcotest.test_case "spill ENOSPC leaves no tmp" `Quick
+            test_spill_enospc_leaves_no_tmp;
         ] );
     ]

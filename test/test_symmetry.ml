@@ -13,8 +13,103 @@ module Spill = Asyncolor_resilience.Spill
 let check = Alcotest.check
 let qtest t = QCheck_alcotest.to_alcotest t
 
-module Exp = Explorer.Make (Asyncolor.Algorithm2.P)
+(* --- differential: in-place canonicalizers vs materialised candidates --- *)
+
+module Canon (P : Asyncolor_kernel.Protocol.S) = struct
+  module X = Explorer.Make (P)
+  module E = X.E
+
+  (* The reference canonicalizer: build every candidate key as an array
+     by concatenating [c]'s per-process segments in permuted order, pick
+     the least with polymorphic [compare] (first index wins ties), and
+     count the orbit as the number of pairwise-distinct candidates.  It
+     uses no group structure, so it checks the orbit–stabiliser count of
+     [X.canonicalize] and [E.canonical_probe] rather than sharing their
+     assumption. *)
+  let reference_canonicalize group c =
+    if Array.length group = 1 then (E.config_key c, c, 1, 0)
+    else begin
+      let key, offs = E.config_key_offsets c in
+      let data = E.key_data key in
+      let segs =
+        Array.init
+          (Array.length offs - 1)
+          (fun p -> Array.sub data offs.(p) (offs.(p + 1) - offs.(p)))
+      in
+      let build sigma =
+        Array.concat (List.map (fun p -> segs.(p)) (Array.to_list sigma))
+      in
+      let cands = Array.map build group in
+      let best = ref 0 in
+      for i = 1 to Array.length cands - 1 do
+        if compare cands.(i) cands.(!best) < 0 then best := i
+      done;
+      let distinct = ref 0 in
+      Array.iteri
+        (fun i ci ->
+          let dup = ref false in
+          for j = 0 to i - 1 do
+            if (not !dup) && cands.(j) = ci then dup := true
+          done;
+          if not !dup then incr distinct)
+        cands;
+      let bi = !best in
+      let rep = if bi = 0 then c else E.config_permute c group.(bi) in
+      (E.key_of_data cands.(bi), rep, !distinct, bi)
+    end
+
+  (* The engine's canonical probe of the live configuration against both
+     canonicalizers of its snapshot: the same key data and hash, winner
+     and orbit, and the representative's unfinished mask. *)
+  let probe_agrees group eng =
+    let key, wi, orbit, um = E.canonical_probe eng group in
+    let data = Array.copy (E.key_data key) and hash = E.key_hash key in
+    let c = E.snapshot eng in
+    let k1, rep, o1, w1 = X.canonicalize group c in
+    let k2, _, o2, w2 = reference_canonicalize group c in
+    data = E.key_data k1
+    && data = E.key_data k2
+    && hash = E.key_hash k1
+    && hash = E.key_hash k2
+    && wi = w1 && wi = w2 && orbit = o1 && orbit = o2
+    && um = E.config_unfinished_mask rep
+
+  (* Drive one engine the way the explorer's loops do, probing after
+     every operation: [`Step raw] steps the working processes among
+     [raw]; [`Branch raw] restores the configuration restored last
+     (the fast restore) and steps from it; [`Rebase] restores a snapshot
+     of the live configuration (a full restore, every segment stale).
+     So the probe meets segments that are cached, stepped, rewritten
+     and wholly stale. *)
+  let prop_probe graph ~idents ops =
+    let group = X.symmetry_group ~symmetry:true graph ~idents in
+    let eng = E.create graph ~idents in
+    let base = ref (E.snapshot eng) in
+    E.restore eng !base;
+    let step raw =
+      let m = raw land E.unfinished_mask eng in
+      if m <> 0 then E.activate_mask eng m
+    in
+    probe_agrees group eng
+    && List.for_all
+         (fun op ->
+           (match op with
+           | `Step raw -> step raw
+           | `Branch raw ->
+               E.restore eng !base;
+               step raw
+           | `Rebase ->
+               base := E.snapshot eng;
+               E.restore eng !base);
+           probe_agrees group eng)
+         ops
+end
+
+module C2 = Canon (Asyncolor.Algorithm2.P)
+module Exp = C2.X
 module E = Exp.E
+
+let reference_canonicalize = C2.reference_canonicalize
 
 (* --- canonicalization properties --------------------------------------- *)
 
@@ -140,46 +235,6 @@ let test_mask_list_agree =
   QCheck.Test.make ~name:"mask/list engines agree post-canonicalization"
     ~count:100 arb_instance prop_mask_list_agree
 
-(* --- differential: in-place canonicalizer vs materialised candidates ---- *)
-
-(* The reference canonicalizer: build every candidate key as an array by
-   concatenating [c]'s per-process segments in permuted order, pick the
-   least with polymorphic [compare] (first index wins ties), and count
-   the orbit as the number of pairwise-distinct candidates.  It uses no
-   group structure, so it checks the orbit–stabiliser count of
-   [Exp.canonicalize] rather than sharing its assumption. *)
-let reference_canonicalize group c =
-  if Array.length group = 1 then (E.config_key c, c, 1, 0)
-  else begin
-    let key, offs = E.config_key_offsets c in
-    let data = E.key_data key in
-    let segs =
-      Array.init
-        (Array.length offs - 1)
-        (fun p -> Array.sub data offs.(p) (offs.(p + 1) - offs.(p)))
-    in
-    let build sigma =
-      Array.concat (List.map (fun p -> segs.(p)) (Array.to_list sigma))
-    in
-    let cands = Array.map build group in
-    let best = ref 0 in
-    for i = 1 to Array.length cands - 1 do
-      if compare cands.(i) cands.(!best) < 0 then best := i
-    done;
-    let distinct = ref 0 in
-    Array.iteri
-      (fun i ci ->
-        let dup = ref false in
-        for j = 0 to i - 1 do
-          if (not !dup) && cands.(j) = ci then dup := true
-        done;
-        if not !dup then incr distinct)
-      cands;
-    let bi = !best in
-    let rep = if bi = 0 then c else E.config_permute c group.(bi) in
-    (E.key_of_data cands.(bi), rep, !distinct, bi)
-  end
-
 let canon_matches_reference group c =
   let key, rep, orbit, wi = Exp.canonicalize group c in
   let key', rep', orbit', wi' = reference_canonicalize group c in
@@ -229,6 +284,60 @@ let test_general_canon_matches_reference =
   QCheck.Test.make
     ~name:"path/star/clique: canon = reference"
     ~count:1000 arb_general_instance prop_general_canon_matches_reference
+
+(* The engine's in-place canonical probe against [Exp.canonicalize] and
+   the reference, over Algorithms 1, 2, 2s and 3 on cycles (n 3..8,
+   uniform and periodic idents) and on the general graphs above. *)
+module C1 = Canon (Asyncolor.Algorithm1.P)
+module C2s = Canon (Asyncolor.Algorithm2s.P)
+module C3 = Canon (Asyncolor.Algorithm3.P)
+
+let probe_algorithms =
+  [
+    ("alg1", C1.prop_probe);
+    ("alg2", C2.prop_probe);
+    ("alg2s", C2s.prop_probe);
+    ("alg3", C3.prop_probe);
+  ]
+
+let graphs = ("cycle", Builders.cycle) :: topologies
+
+let arb_probe_instance =
+  let gen =
+    QCheck.Gen.(
+      oneofl probe_algorithms >>= fun alg ->
+      oneofl graphs >>= fun topo ->
+      int_range 3 8 >>= fun n ->
+      oneofl [ `Uniform; `Periodic ] >>= fun w ->
+      let raw = int_range 1 ((1 lsl n) - 1) in
+      let op =
+        frequency
+          [
+            (4, map (fun r -> `Step r) raw);
+            (4, map (fun r -> `Branch r) raw);
+            (1, return `Rebase);
+          ]
+      in
+      list_size (int_range 0 12) op >>= fun ops ->
+      return (alg, topo, n, w, ops))
+  in
+  let print ((alg, _), (topo, _), n, w, ops) =
+    Printf.sprintf "%s %s n=%d %s [%s]" alg topo n (pp_workload w)
+      (String.concat ";"
+         (List.map
+            (function
+              | `Step r -> Printf.sprintf "step %d" r
+              | `Branch r -> Printf.sprintf "branch %d" r
+              | `Rebase -> "rebase")
+            ops))
+  in
+  QCheck.make ~print gen
+
+let test_probe_matches_canonicalize =
+  QCheck.Test.make ~name:"engine canonical probe = canonicalize = reference"
+    ~count:1000 arb_probe_instance
+    (fun ((_, prop), (_, build), n, w, ops) ->
+      prop (build n) ~idents:(idents_of_workload n w) ops)
 
 (* Orbit–stabiliser needs the group to be a group: duplicate-free, and
    closed under composition (with the identity first, so the winner index
@@ -432,6 +541,102 @@ let test_spilled_checkpoint_resumes () =
         [ 10; 300 ])
     [ false; true ]
 
+(* --- safety predicates on the quotient ------------------------------- *)
+
+(* A predicate checks the representative, which a run rebuilds from the
+   key it interned whenever the engine does not already hold it: at two
+   jobs and more always, at one job when the winner is not the identity.
+   Both predicates below read what a rebuild restores (outputs,
+   statuses, states, registers) and they fire on representatives first
+   reached through a non-identity winner.  The expected list was
+   recorded before the rebuild replaced the permuted snapshot, and it is
+   the same at every jobs value and policy. *)
+let pp_out = function None -> "_" | Some c -> string_of_int c
+
+let check_outputs outs =
+  if Array.exists Option.is_some outs then
+    Some ("outputs " ^ String.concat "," (Array.to_list (Array.map pp_out outs)))
+  else None
+
+let check_config e =
+  let n = E.n e in
+  let st p =
+    match E.status e p with
+    | Asyncolor_kernel.Status.Asleep -> 'A'
+    | Working -> 'W'
+    | Returned _ -> 'R'
+  in
+  if st 0 = 'A' && st 1 = 'W' && st (n - 1) = 'W' then
+    let fields p =
+      match E.public e p with
+      | None -> "_"
+      | Some (r : Asyncolor.Algorithm2.fields) ->
+          let s : Asyncolor.Algorithm2.fields = E.state e p in
+          Printf.sprintf "%d%d/%d%d" r.a r.b s.a s.b
+    in
+    Some
+      (Printf.sprintf "statuses %s fields %s" (String.init n st)
+         (String.concat "," (List.init n fields)))
+  else None
+
+let expected_safety =
+  [
+    ("outputs _,_,_,_,0", [ [ 0 ] ]);
+    ("outputs _,_,0,_,0", [ [ 0; 2 ] ]);
+    ("outputs _,_,_,_,0", [ [ 0; 1; 3 ] ]);
+    ("statuses AWWWW fields _,00/01,00/01,00/01,00/01", [ [ 0; 1; 2; 3 ] ]);
+    ("outputs _,_,_,_,0", [ [ 0 ]; [ 0 ] ]);
+    ("outputs _,_,_,_,0", [ [ 0 ]; [ 0; 1 ] ]);
+    ("outputs _,_,0,_,0", [ [ 0 ]; [ 0; 2 ] ]);
+    ("outputs _,_,_,_,0", [ [ 0 ]; [ 0; 1; 2 ] ]);
+    ("outputs _,_,_,0,_", [ [ 0 ]; [ 0; 3 ] ]);
+    ("outputs _,_,_,0,_", [ [ 0 ]; [ 0; 1; 3 ] ]);
+    ( "statuses AWWRW fields _,00/01,00/01,00/00,00/01",
+      [ [ 0 ]; [ 0; 1; 3 ] ] );
+  ]
+
+(* The winner index of the last step of a violation's schedule: the
+   schedule replayed on the quotient, each step from the representative
+   the previous one reached. *)
+let last_winner graph ~idents group schedule =
+  let eng = E.create graph ~idents in
+  let rep = ref (E.snapshot eng) and wi = ref 0 in
+  List.iter
+    (fun set ->
+      E.restore eng !rep;
+      E.activate eng set;
+      let _, r, _, w = Exp.canonicalize group (E.snapshot eng) in
+      rep := r;
+      wi := w)
+    schedule;
+  !wi
+
+let test_predicates_under_symmetry () =
+  let graph = Builders.cycle 5 and idents = Idents.uniform 5 in
+  let group = Exp.symmetry_group ~symmetry:true graph ~idents in
+  let safety = Alcotest.(list (pair string (list (list int)))) in
+  List.iter
+    (fun (what, jobs, policy) ->
+      let r =
+        Exp.explore ~symmetry:true ~max_violations:10 ~jobs ?policy
+          ~check_outputs ~check_config graph ~idents
+      in
+      let got =
+        List.map (fun (v : Exp.violation) -> (v.message, v.schedule)) r.safety
+      in
+      check safety (what ^ ": violations as recorded") expected_safety got;
+      check Alcotest.bool
+        (what ^ ": a predicate fired through a non-identity winner")
+        true
+        (List.exists
+           (fun (_, sched) -> last_winner graph ~idents group sched <> 0)
+           got))
+    [
+      ("jobs=1", 1, None);
+      ("jobs=2 sync", 2, Some Executor.Synchronous);
+      ("jobs=4 async", 4, Some (Executor.asynchronous ~kappa:0.5 ~jobs:4 ()));
+    ]
+
 let () =
   Alcotest.run "symmetry"
     [
@@ -443,6 +648,7 @@ let () =
           qtest test_mask_list_agree;
           qtest test_canon_matches_reference;
           qtest test_general_canon_matches_reference;
+          qtest test_probe_matches_canonicalize;
           Alcotest.test_case "symmetry group is a subgroup" `Quick
             test_group_is_subgroup;
         ] );
@@ -456,6 +662,8 @@ let () =
             test_diff_periodic_c6;
           Alcotest.test_case "distinct idents: trivial group" `Quick
             test_diff_distinct_trivial_group;
+          Alcotest.test_case "predicates on rebuilt representatives" `Quick
+            test_predicates_under_symmetry;
         ] );
       ( "spill",
         [

@@ -851,6 +851,49 @@ let prop_intern_constant_hash =
     intern_ops
     (intern_matches_oracle ~hash:(fun _ -> 42))
 
+(* [intern_encoded] against [intern] over one stream of sequences: each
+   encoded where the last one ended (after a junk byte, so slices do not
+   start at 0), sliced with [Varint.seq_end], and interned as bytes into
+   one store and as arrays into another.  Same ids, same images. *)
+let encoded_matches_intern ~hash ops =
+  let module V = Asyncolor_util.Level_log.Varint in
+  let by_array = Intern.create ~capacity:1 () in
+  let by_bytes = Intern.create ~capacity:1 () in
+  let stream =
+    Bytes.create
+      (List.fold_left (fun acc a -> acc + 1 + V.seq_size a) 0 ops)
+  in
+  let pos = ref 0 in
+  List.for_all
+    (fun a ->
+      Bytes.set stream !pos '\255';
+      let at = !pos + 1 in
+      pos := V.put_seq stream at a;
+      V.seq_end stream at = !pos
+      && Intern.intern_encoded by_bytes ~hash:(hash a) stream ~pos:at
+           ~len:(!pos - at)
+         = Intern.intern by_array ~hash:(hash a) a)
+    ops
+  && Intern.image by_bytes = Intern.image by_array
+
+let prop_intern_encoded =
+  QCheck.Test.make ~name:"Intern: encoded slices intern as their arrays"
+    ~count:300 intern_ops
+    (encoded_matches_intern ~hash:Hashtbl.hash)
+
+let prop_intern_encoded_constant_hash =
+  QCheck.Test.make
+    ~name:"Intern: encoded slices, constant hash" ~count:300 intern_ops
+    (encoded_matches_intern ~hash:(fun _ -> 42))
+
+(* Enough sequences to fill several arena chunks and grow the slots. *)
+let test_intern_encoded_chunks () =
+  let seqs =
+    List.init 30_000 (fun i -> Array.init (1 + (i mod 7)) (fun j -> (i * 131) - j))
+  in
+  check Alcotest.bool "ids and image across chunks" true
+    (encoded_matches_intern ~hash:Hashtbl.hash (seqs @ List.rev seqs))
+
 let test_intern_dense_ids () =
   let t = Intern.create () in
   let seqs =
@@ -1449,6 +1492,10 @@ let () =
         [
           qtest prop_intern_oracle;
           qtest prop_intern_constant_hash;
+          qtest prop_intern_encoded;
+          qtest prop_intern_encoded_constant_hash;
+          Alcotest.test_case "encoded slices across chunks" `Quick
+            test_intern_encoded_chunks;
           Alcotest.test_case "dense ids, round trip, prefixes" `Quick
             test_intern_dense_ids;
           Alcotest.test_case "growth through rehashes and chunks" `Quick
