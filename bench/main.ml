@@ -350,7 +350,7 @@ let run_explore_scale ~quick ~budget ~checkpoint ~obs ~traced_policy ~kappa =
         let leg_obs leg =
           if not (Obs.enabled obs) then Obs.disabled
           else if leg = traced_policy then obs
-          else Obs.create ()
+          else Obs.create ~spans:false ()
         in
         let r1, dt1, _, _, _, peak1 =
           time ~policy:Executor.Serial ~jobs:1 ~leg_obs:Obs.disabled
@@ -913,7 +913,9 @@ let () =
   let trace_out = find_opt "--trace-out" in
   let metrics = List.mem "--metrics" argv in
   let obs =
-    if trace_out <> None || metrics then Obs.create () else Obs.disabled
+    if trace_out <> None then Obs.create ()
+    else if metrics then Obs.create ~spans:false ()
+    else Obs.disabled
   in
   let scale_records =
     if no_bench then []

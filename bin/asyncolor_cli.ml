@@ -297,8 +297,12 @@ let metrics_arg =
           "Print the flat metrics table (counter and gauge totals, sorted \
            by name) to stderr after the run.")
 
+(* Only the trace exporter reads span records: a [--metrics] run alone
+   keeps its counters and gauges and records no spans. *)
 let make_obs ~trace_out ~metrics =
-  if Option.is_some trace_out || metrics then Obs.create () else Obs.disabled
+  if Option.is_some trace_out then Obs.create ()
+  else if metrics then Obs.create ~spans:false ()
+  else Obs.disabled
 
 let finish_obs obs ~trace_out ~metrics =
   (match trace_out with

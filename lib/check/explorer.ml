@@ -735,7 +735,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      expansion order, so a resumed run — under any [jobs] value or
      policy — produces the same report, byte for byte, as one that was
      never interrupted. *)
-  type 'adj ckpt_of = {
+  type ckpt = {
     ck_protocol : string;
     ck_graph : Asyncolor_topology.Graph.t;
     ck_idents : int array;
@@ -749,7 +749,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     ck_parent_pred : int array array;
     ck_parent_mask : int array array;
     ck_adj_off : int array array;
-    ck_adj_data : 'adj;
+    ck_adj_data : Bytes.t array;  (* the stream's varint bytes; offsets in bytes *)
     ck_safety_rev : (string * int) list;
     ck_symmetry : bool;
     ck_orbit : int array array;  (* orbit size by dense id; empty when symmetry off *)
@@ -759,41 +759,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     ck_pending_from : int;  (* the first pending id *)
   }
 
-  (* v4: the adjacency stream's bytes, offsets in bytes. *)
-  type ckpt = Bytes.t array ckpt_of
-
-  (* v3, still loadable: the stream as int words, (mask, vid[, perm]) a
-     transition, offsets in words. *)
-  type ckpt_v3 = int array array ckpt_of
-
-  (* The v2 payload, still loadable: whole arrays where v3 has segments,
-     every key as an [int array], and the pending configurations as
-     marshalled engine configurations, each with its id. *)
-  type ckpt_v2 = {
-    c2_protocol : string;
-    c2_graph : Asyncolor_topology.Graph.t;
-    c2_idents : int array;
-    c2_mode : [ `All_subsets | `Singletons ];
-    c2_max_configs : int;
-    c2_max_violations : int;
-    c2_next_id : int;
-    c2_transitions : int;
-    c2_terminal : int;
-    c2_complete : bool;
-    c2_parent_pred : int array;
-    c2_parent_mask : int array;
-    c2_adj_off : int array;
-    c2_adj_data : int array;
-    c2_safety_rev : (string * int) list;
-    c2_symmetry : bool;
-    c2_orbit : int array;
-    c2_expanded : int * int * int;
-    c2_keys : int array array;
-    c2_pending : (int * E.config) array;
-  }
-
   (* Bump whenever the [ckpt] record or the engine's key packing changes
-     shape — [Checkpoint.load] rejects versions it is not given up front.
+     shape — [Checkpoint.load] rejects any other version, so a file of an
+     earlier one fails to resume with an error that names its version.
      v2: symmetry fields (ck_symmetry/ck_orbit/ck_expanded) and the
      stride-3 adjacency encoding under symmetry.
      v3: the intern store's image instead of boxed keys, int logs as
@@ -1352,55 +1320,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
 
   let key_hash_of_data data = E.key_hash (E.key_of_data data)
 
-  (* A v2 file as a v3 payload: its keys interned in id order, and each
-     pending configuration checked against the key of its id — it is the
-     key, not the marshalled configuration, that a resumed run expands. *)
-  let ckpt_of_v2 c : ckpt_v3 =
-    let store = Intern.create ~capacity:c.c2_next_id () in
-    Array.iter
-      (fun kdata -> ignore (Intern.intern store ~hash:(key_hash_of_data kdata) kdata))
-      c.c2_keys;
-    (* One distinct key per dense id, or every later id would shift. *)
-    if
-      Array.length c.c2_keys <> c.c2_next_id
-      || Intern.length store <> c.c2_next_id
-    then raise (Checkpoint.Corrupt "checkpoint keys do not match its ids");
-    let pending_from = c.c2_next_id - Array.length c.c2_pending in
-    Array.iteri
-      (fun i (id, config) ->
-        if
-          id <> pending_from + i
-          || E.key_data (E.config_key config) <> Intern.get store id
-        then
-          raise
-            (Checkpoint.Corrupt
-               (Printf.sprintf
-                  "checkpoint pending configuration %d disagrees with its key"
-                  id)))
-      c.c2_pending;
-    {
-      ck_protocol = c.c2_protocol;
-      ck_graph = c.c2_graph;
-      ck_idents = c.c2_idents;
-      ck_mode = c.c2_mode;
-      ck_max_configs = c.c2_max_configs;
-      ck_max_violations = c.c2_max_violations;
-      ck_next_id = c.c2_next_id;
-      ck_transitions = c.c2_transitions;
-      ck_terminal = c.c2_terminal;
-      ck_complete = c.c2_complete;
-      ck_parent_pred = [| c.c2_parent_pred |];
-      ck_parent_mask = [| c.c2_parent_mask |];
-      ck_adj_off = [| c.c2_adj_off |];
-      ck_adj_data = [| c.c2_adj_data |];
-      ck_safety_rev = c.c2_safety_rev;
-      ck_symmetry = c.c2_symmetry;
-      ck_orbit = [| c.c2_orbit |];
-      ck_expanded = c.c2_expanded;
-      ck_store = Intern.image store;
-      ck_pending_from = pending_from;
-    }
-
   (* A saved adjacency stream pushed again, row by row, into a fresh log:
      [edges u start stop f] calls [f mask target perm] for each edge of
      row [u], which lies between saved offsets [start] and [stop].
@@ -1421,38 +1340,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
        raise (Checkpoint.Corrupt ("checkpoint adjacency: " ^ msg)));
     (log, log_off)
 
-  (* A v3 payload as a v4 one: its int stream re-encoded, its word
-     offsets converted to byte offsets. *)
-  let ckpt_of_v3 (c : ckpt_v3) : ckpt =
-    let stride = stride_of ~symmetry:c.ck_symmetry in
-    let words = Array.concat (Array.to_list c.ck_adj_data) in
-    let log, log_off =
-      relog ~stride ~chunk_words:(Int_log.chunk_words_for ())
-        (Array.concat (Array.to_list c.ck_adj_off))
-        (fun _ start stop f ->
-          let e = ref start in
-          while !e < stop do
-            f words.(!e) words.(!e + 1) (if stride = 3 then words.(!e + 2) else 0);
-            e := !e + stride
-          done)
-    in
-    {
-      c with
-      ck_adj_off = int_segments (Int_log.iter_chunks log_off);
-      ck_adj_data =
-        byte_segments (Level_log.iter_segments ~fetch:(fun ~level:_ -> assert false) log);
-    }
-
   let load_ckpt ?(chaos = Chaos.disabled) path =
-    let c =
-      match
-        Checkpoint.load_rotated_any ~chaos ~path
-          ~versions:[ ckpt_version; 3; 2 ] ()
-      with
-      | 2, v -> ckpt_of_v3 (ckpt_of_v2 (Obj.obj v : ckpt_v2))
-      | 3, v -> ckpt_of_v3 (Obj.obj v : ckpt_v3)
-      | _, v -> (Obj.obj v : ckpt)
-    in
+    let c : ckpt = Checkpoint.load_rotated ~chaos ~path ~version:ckpt_version () in
     if c.ck_protocol <> P.name then
       raise
         (Checkpoint.Corrupt

@@ -59,6 +59,7 @@ end
 
 type t = {
   on : bool;
+  keep_spans : bool;  (* [on] and recording span records *)
   clock : Clock.t;
   mutex : Mutex.t;  (* guards everything below *)
   mutable completed : span_record list;  (* reverse completion order *)
@@ -68,9 +69,10 @@ type t = {
   lane_names : (int, string) Hashtbl.t;
 }
 
-let make ~on ~clock =
+let make ~on ~spans ~clock =
   {
     on;
+    keep_spans = on && spans;
     clock;
     mutex = Mutex.create ();
     completed = [];
@@ -80,8 +82,10 @@ let make ~on ~clock =
     lane_names = Hashtbl.create 8;
   }
 
-let create ?(clock = Clock.monotonic) () = make ~on:true ~clock
-let disabled = make ~on:false ~clock:(fun () -> 0L)
+let create ?(clock = Clock.monotonic) ?(spans = true) () =
+  make ~on:true ~spans ~clock
+
+let disabled = make ~on:false ~spans:false ~clock:(fun () -> 0L)
 let enabled t = t.on
 let now t = if t.on then t.clock () else 0L
 
@@ -93,7 +97,7 @@ let dummy_span =
   { sp_sid = -1; sp_parent = -1; sp_tid = 0; sp_name = ""; sp_start = 0L; sp_args = [] }
 
 let begin_span t ?tid ?parent ?(args = []) name =
-  if not t.on then dummy_span
+  if not t.keep_spans then dummy_span
   else begin
     (* Read the clock outside the lock: allocation order of sids may then
        differ from start order under contention, which is fine — nothing
@@ -119,7 +123,7 @@ let begin_span t ?tid ?parent ?(args = []) name =
   end
 
 let end_span t sp =
-  if t.on && sp.sp_sid >= 0 then begin
+  if t.keep_spans && sp.sp_sid >= 0 then begin
     let stop = t.clock () in
     let dur =
       let d = Int64.sub stop sp.sp_start in
@@ -140,14 +144,14 @@ let end_span t sp =
   end
 
 let span t ?tid ?parent ?args name f =
-  if not t.on then f ()
+  if not t.keep_spans then f ()
   else begin
     let sp = begin_span t ?tid ?parent ?args name in
     Fun.protect ~finally:(fun () -> end_span t sp) f
   end
 
 let interval t ?tid ?parent ?args name ~start =
-  if t.on then begin
+  if t.keep_spans then begin
     let sp = begin_span t ?tid ?parent ?args name in
     end_span t { sp with sp_start = start }
   end

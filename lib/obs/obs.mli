@@ -38,8 +38,12 @@ type span_record = {
   r_args : (string * string) list;
 }
 
-val create : ?clock:Clock.t -> unit -> t
-(** A fresh enabled sink.  Default clock: {!Clock.monotonic}. *)
+val create : ?clock:Clock.t -> ?spans:bool -> unit -> t
+(** A fresh enabled sink.  Default clock: {!Clock.monotonic}.  With
+    [~spans:false] it keeps only counters, gauges and lane names: every
+    span call runs its body and records nothing, so a metrics-only run
+    does not hold one record per task and wait interval (default
+    [true]). *)
 
 val disabled : t
 (** The no-op sink: never reads a clock, never allocates a record. *)

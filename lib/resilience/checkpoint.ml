@@ -51,9 +51,9 @@ let write_container ~version path v oc =
   seek_out oc 24;
   Buffer.output_buffer oc tail
 
-(* Check the container around a payload: the payload's version (one of
-   [versions]) and its length, having checked the digest. *)
-let validate ~versions data =
+(* Check the container around a payload: its magic, format, payload
+   version, length and digest. *)
+let validate ~version data =
   let pos = ref 0 in
   let need n what =
     if !pos + n > Bytes.length data then
@@ -76,9 +76,8 @@ let validate ~versions data =
   if fmt <> container_format then
     corrupt "container format %d (this build reads %d)" fmt container_format;
   let ver = be32 "payload version" in
-  if not (List.mem ver versions) then
-    corrupt "payload version %d, expected %s (stale checkpoint?)" ver
-      (String.concat " or " (List.map string_of_int versions));
+  if ver <> version then
+    corrupt "payload version %d, expected %d (stale checkpoint?)" ver version;
   let hi = be32 "payload length" in
   let lo = be32 "payload length" in
   let len = (hi lsl 32) lor lo in
@@ -86,14 +85,7 @@ let validate ~versions data =
   let digest = Bytes.sub_string data (need 16 "digest") 16 in
   let at = need len "payload" in
   if Digest.subbytes data at len <> digest then
-    corrupt "digest mismatch: payload corrupted";
-  (ver, len)
-
-let parse_any ~versions data =
-  let ver, _ = validate ~versions data in
-  match Marshal.from_bytes data header_bytes with
-  | v -> (ver, Obj.repr v)
-  | exception _ -> corrupt "payload does not unmarshal"
+    corrupt "digest mismatch: payload corrupted"
 
 (* Write the container to [path ^ ".tmp"]; under chaos, read it back and
    validate it — a Torn_write is silent, and without this verify the
@@ -107,10 +99,8 @@ let write_tmp ~chaos ~site ~tmp ~version v =
       try Chaos.read_raw tmp
       with Sys_error msg -> corrupt "verify after save failed: %s" msg
     in
-    match validate ~versions:[ version ] back with
-    | _ -> ()
-    | exception Corrupt msg ->
-        corrupt "torn write detected verifying %s (%s)" tmp msg
+    try validate ~version back
+    with Corrupt msg -> corrupt "torn write detected verifying %s (%s)" tmp msg
   end
 
 (* A write that fails removes its half-written tmp before it raises, so
@@ -129,17 +119,16 @@ let save ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path ~version v =
      durable ahead of the data it points at *)
   Sys.rename tmp path
 
-let load_any ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path ~versions
-    () =
+let load ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path ~version () =
   let data =
     try Chaos.read_file chaos ~site:(site ^ ".read") path with
     | Sys_error msg -> corrupt "cannot open checkpoint: %s" msg
     | Chaos.Injected _ as e -> corrupt "cannot read: %s" (Printexc.to_string e)
   in
-  parse_any ~versions data
-
-let load ?chaos ?site ~path ~version () =
-  Obj.obj (snd (load_any ?chaos ?site ~path ~versions:[ version ] ()))
+  validate ~version data;
+  match Marshal.from_bytes data header_bytes with
+  | v -> v
+  | exception _ -> corrupt "payload does not unmarshal"
 
 (* ------------------------------------------------------------------ *)
 (* Rotation, quarantine, stale-tmp hygiene                             *)
@@ -186,9 +175,9 @@ let save_rotated ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path
     try Sys.rename path (rotated_path path) with Sys_error _ -> ());
   Sys.rename tmp path
 
-let load_rotated_any ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path
-    ~versions () =
-  let attempt p = load_any ~chaos ~site ~path:p ~versions () in
+let load_rotated ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path
+    ~version () =
+  let attempt p = load ~chaos ~site ~path:p ~version () in
   try attempt path
   with Corrupt _ as first -> (
     (* The primary is unreadable: move it aside as evidence and fall back
@@ -202,6 +191,3 @@ let load_rotated_any ?(chaos = Chaos.disabled) ?(site = "checkpoint") ~path
         Diag.printf "checkpoint: resumed from rotation %s\n" (rotated_path path);
         v
     | exception Corrupt _ -> raise first)
-
-let load_rotated ?chaos ?site ~path ~version () =
-  Obj.obj (snd (load_rotated_any ?chaos ?site ~path ~versions:[ version ] ()))

@@ -110,19 +110,3 @@ val load_rotated :
 (** {!load} with recovery: an unreadable primary is {e quarantined} and
     the load falls back to [path ^ ".1"].
     @raise Corrupt only when both generations are unreadable. *)
-
-(** {1 Several payload versions}
-
-    A caller whose payload type changed may keep reading files of the
-    old type. *)
-
-val load_rotated_any :
-  ?chaos:Chaos.t ->
-  ?site:string ->
-  path:string ->
-  versions:int list ->
-  unit ->
-  int * Obj.t
-(** {!load_rotated}, accepting any of [versions]: the version found,
-    with the payload as an [Obj.t] that the caller converts at the type
-    that version was saved at ([Obj.obj]). *)

@@ -1,102 +1,15 @@
-(* The async execution core: Chase–Lev work-stealing deques under a
-   policy-driven in-flight window, with futures and a lost-wakeup-free
-   sleep protocol.
+(* The async execution core: one FIFO queue of tasks under one mutex and
+   condition variable, a policy-driven in-flight window, and futures.
 
-   Layout: deque 0 belongs to the submitting caller and is drained from
-   the top (FIFO) by every domain — caller included while it waits in
-   [await] — so caller-submitted tasks are dispatched in submission
-   order.  Deques 1..jobs-1 belong to the spawned workers: each pops its
-   own LIFO and steals from the others' tops.  The FIFO discipline on
-   deque 0 is what keeps batch failures (lowest-index error) and the
-   explorer's id-assignment deterministic whatever the steal
-   interleaving; the steal path itself is a single CAS on a monotonic
-   [top] counter, no lock.
-
-   Sleeping without lost wakeups: the deques are lock-free, so a worker
-   cannot atomically check-empty-and-wait.  Instead a [stamp] change
-   counter is bumped (under the one mutex) by every submit, completion
-   and shutdown; a worker that found nothing records the stamp, rescans
-   the deques, and only waits on the condvar if the stamp is still
-   unchanged — any concurrent push either happened before the rescan
-   (found) or bumps the stamp after it (wait skipped or woken). *)
+   Every domain — the spawned workers in their loop, the caller while it
+   helps in [await] — takes the oldest task from the same queue, so tasks
+   are dispatched in submission order.  That FIFO dispatch is what keeps
+   batch failures (lowest-index error) and the explorer's id assignment
+   deterministic whichever domain runs what.  Every check-then-wait is
+   made under the mutex, and every state change (a submit, a completed
+   task, shutdown) broadcasts under it, so no wakeup is lost. *)
 
 module Obs = Asyncolor_obs.Obs
-
-module Ws_deque = struct
-  (* Chase–Lev: [top] advances by CAS only (thieves, and the owner when
-     popping the last element), so it is monotonic and an index is handed
-     out exactly once — no ABA.  [bottom] is written only by the owner.
-     Slots hold ['a option] so dead entries can be dropped for the GC;
-     the buffer is in an [Atomic] because the owner replaces it on grow
-     while thieves may still be reading the old one (whose copied range
-     is identical, so a stale read stays correct). *)
-  type 'a t = {
-    top : int Atomic.t;
-    bottom : int Atomic.t;
-    buf : 'a option array Atomic.t;
-  }
-
-  let create () =
-    {
-      top = Atomic.make 0;
-      bottom = Atomic.make 0;
-      buf = Atomic.make (Array.make 16 None);
-    }
-
-  let length q = max 0 (Atomic.get q.bottom - Atomic.get q.top)
-
-  let grow q b t =
-    let old = Atomic.get q.buf in
-    let osz = Array.length old in
-    let nw = Array.make (2 * osz) None in
-    for i = t to b - 1 do
-      nw.(i land ((2 * osz) - 1)) <- old.(i land (osz - 1))
-    done;
-    Atomic.set q.buf nw
-
-  let push q x =
-    let b = Atomic.get q.bottom and t = Atomic.get q.top in
-    if b - t >= Array.length (Atomic.get q.buf) then grow q b t;
-    let buf = Atomic.get q.buf in
-    buf.(b land (Array.length buf - 1)) <- Some x;
-    Atomic.set q.bottom (b + 1)
-
-  let pop q =
-    let b = Atomic.get q.bottom - 1 in
-    Atomic.set q.bottom b;
-    let t = Atomic.get q.top in
-    if b < t then begin
-      (* already empty: undo the decrement *)
-      Atomic.set q.bottom t;
-      None
-    end
-    else begin
-      let buf = Atomic.get q.buf in
-      let i = b land (Array.length buf - 1) in
-      let x = buf.(i) in
-      if b > t then begin
-        buf.(i) <- None;
-        x
-      end
-      else begin
-        (* last element: race the thieves for it via the top CAS *)
-        let won = Atomic.compare_and_set q.top t (t + 1) in
-        Atomic.set q.bottom (t + 1);
-        if won then x else None
-      end
-    end
-
-  let rec steal q =
-    let t = Atomic.get q.top in
-    let b = Atomic.get q.bottom in
-    if t >= b then None
-    else begin
-      let buf = Atomic.get q.buf in
-      let x = buf.(t land (Array.length buf - 1)) in
-      if Atomic.compare_and_set q.top t (t + 1) then x
-      else steal q (* lost the race: someone else took index [t] *)
-    end
-end
 
 type policy =
   | Serial
@@ -140,13 +53,11 @@ type 'a fstate =
   | Raised of exn * Printexc.raw_backtrace
 
 type t = {
-  id : int;  (* key for the domain-local worker index *)
   jobs : int;
   pol : policy;
-  deques : (unit -> unit) Ws_deque.t array;
+  queue : (unit -> unit) Queue.t;  (* guarded by [mutex] *)
   mutex : Mutex.t;
-  changed : Condition.t;
-  mutable stamp : int;  (* bumped under [mutex] on every state change *)
+  changed : Condition.t;  (* broadcast under [mutex] on every state change *)
   mutable stopping : bool;
   mutable domains : unit Domain.t list;
   obs : Obs.t;
@@ -177,106 +88,56 @@ let stream_window t =
 let note_backpressure t = Obs.Counter.incr t.c_backpressure
 let note_inflight t k = Obs.Gauge.max_ t.g_inflight k
 
-(* Which deque the current domain owns in executor [t]: spawned workers
-   record (executor id, index) in domain-local storage; everyone else —
-   the caller in particular — is worker 0. *)
-let next_exec_id = Atomic.make 0
-
-let dls_worker : (int * int) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (-1, 0))
-
-let self_ix t =
-  let eid, w = Domain.DLS.get dls_worker in
-  if eid = t.id then w else 0
-
-(* Take one task: own deque first (worker 0 from the top, to preserve the
-   caller's FIFO dispatch; workers from the bottom), then steal from the
-   others round-robin.  Only cross-deque takes count as steals. *)
-let take_task t ~self =
-  let own =
-    if self = 0 then Ws_deque.steal t.deques.(0)
-    else Ws_deque.pop t.deques.(self)
-  in
-  match own with
-  | Some _ as r -> r
-  | None ->
-      let n = Array.length t.deques in
-      let rec scan k =
-        if k >= n then None
-        else
-          match Ws_deque.steal t.deques.((self + k) mod n) with
-          | Some _ as r ->
-              Obs.Counter.incr t.c_steals;
-              r
-          | None -> scan (k + 1)
-      in
-      scan 1
-
 let complete t fut v =
   Mutex.lock t.mutex;
   fut.fst <- v;
-  t.stamp <- t.stamp + 1;
   Condition.broadcast t.changed;
   Mutex.unlock t.mutex
 
 let submit t f =
-  if t.stopping then invalid_arg "Executor.submit: executor is shut down";
   let fut = { fst = Pending; owner = t } in
   let task () =
     Obs.Counter.incr t.c_tasks;
     let v =
-      if Obs.enabled t.obs then begin
-        match Obs.span t.obs "exec.task" f with
-        | v -> Returned v
-        | exception e -> Raised (e, Printexc.get_raw_backtrace ())
-      end
-      else
-        match f () with
-        | v -> Returned v
-        | exception e -> Raised (e, Printexc.get_raw_backtrace ())
+      match Obs.span t.obs "exec.task" f with
+      | v -> Returned v
+      | exception e -> Raised (e, Printexc.get_raw_backtrace ())
     in
     complete t fut v
   in
-  Ws_deque.push t.deques.(self_ix t) task;
   Mutex.lock t.mutex;
-  t.stamp <- t.stamp + 1;
+  if t.stopping then begin
+    Mutex.unlock t.mutex;
+    invalid_arg "Executor.submit: executor is shut down"
+  end;
+  Queue.push task t.queue;
   Condition.broadcast t.changed;
   Mutex.unlock t.mutex;
   fut
 
-let rec worker_loop t self =
-  (* The time between finishing one task and receiving the next is queue
-     wait — an "exec.wait" interval on this domain's lane. *)
+(* A spawned worker: wait while the queue is empty, run the oldest task,
+   and exit once shutdown has been asked for and the queue is drained.
+   The time between finishing one task and receiving the next is queue
+   wait — an "exec.wait" interval on this domain's lane. *)
+let rec worker_loop t =
   let t0 = Obs.now t.obs in
-  match take_task t ~self with
+  Mutex.lock t.mutex;
+  while Queue.is_empty t.queue && not t.stopping do
+    Condition.wait t.changed t.mutex
+  done;
+  match Queue.take_opt t.queue with
+  | None -> Mutex.unlock t.mutex
   | Some task ->
+      Mutex.unlock t.mutex;
+      Obs.Counter.incr t.c_steals;
       Obs.interval t.obs "exec.wait" ~start:t0;
       task ();
-      worker_loop t self
-  | None ->
-      Mutex.lock t.mutex;
-      let s0 = t.stamp and stop = t.stopping in
-      Mutex.unlock t.mutex;
-      if not stop then begin
-        (* Rescan after recording the stamp: a push that the first scan
-           missed either lands in this one or bumps the stamp. *)
-        (match take_task t ~self with
-        | Some task ->
-            Obs.interval t.obs "exec.wait" ~start:t0;
-            task ()
-        | None ->
-            Mutex.lock t.mutex;
-            if (not t.stopping) && t.stamp = s0 then
-              Condition.wait t.changed t.mutex;
-            Mutex.unlock t.mutex);
-        worker_loop t self
-      end
+      worker_loop t
 
 let await_result fut =
   let t = fut.owner in
-  let self = self_ix t in
+  Mutex.lock t.mutex;
   let rec loop () =
-    Mutex.lock t.mutex;
     match fut.fst with
     | Returned v ->
         Mutex.unlock t.mutex;
@@ -284,29 +145,24 @@ let await_result fut =
     | Raised (e, bt) ->
         Mutex.unlock t.mutex;
         Error (e, bt)
-    | Pending ->
-        let s0 = t.stamp in
-        Mutex.unlock t.mutex;
+    | Pending -> (
         (* Help: run queued tasks instead of blocking, so a window of
            submitted work always makes progress even at jobs = 1. *)
-        (match take_task t ~self with
-        | Some task -> task ()
-        | None -> (
+        match Queue.take_opt t.queue with
+        | Some task ->
+            Mutex.unlock t.mutex;
+            task ();
             Mutex.lock t.mutex;
-            match fut.fst with
-            | Pending ->
-                if t.stopping then begin
-                  Mutex.unlock t.mutex;
-                  invalid_arg
-                    "Executor.await: executor shut down with the future \
-                     still pending"
-                end
-                else begin
-                  if t.stamp = s0 then Condition.wait t.changed t.mutex;
-                  Mutex.unlock t.mutex
-                end
-            | _ -> Mutex.unlock t.mutex));
-        loop ()
+            loop ()
+        | None ->
+            if t.stopping then begin
+              Mutex.unlock t.mutex;
+              invalid_arg
+                "Executor.await: executor shut down with the future still \
+                 pending"
+            end;
+            Condition.wait t.changed t.mutex;
+            loop ())
   in
   loop ()
 
@@ -323,13 +179,11 @@ let create ?(obs = Obs.disabled) ?(policy = Synchronous) ?jobs () =
   let jobs = match policy with Serial -> 1 | Synchronous | Asynchronous _ -> jobs in
   let t =
     {
-      id = Atomic.fetch_and_add next_exec_id 1;
       jobs;
       pol = policy;
-      deques = Array.init jobs (fun _ -> Ws_deque.create ());
+      queue = Queue.create ();
       mutex = Mutex.create ();
       changed = Condition.create ();
-      stamp = 0;
       stopping = false;
       domains = [];
       obs;
@@ -345,14 +199,12 @@ let create ?(obs = Obs.disabled) ?(policy = Synchronous) ?jobs () =
             Obs.set_lane obs
               ~tid:(Domain.self () :> int)
               (Printf.sprintf "exec-worker-%d" (w + 1));
-            Domain.DLS.set dls_worker (t.id, w + 1);
-            worker_loop t (w + 1)));
+            worker_loop t));
   t
 
 let shutdown t =
   Mutex.lock t.mutex;
   t.stopping <- true;
-  t.stamp <- t.stamp + 1;
   Condition.broadcast t.changed;
   Mutex.unlock t.mutex;
   List.iter Domain.join t.domains;

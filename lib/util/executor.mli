@@ -1,20 +1,17 @@
-(** The async execution core: per-worker work-stealing deques, futures,
-    and policy-driven in-flight windows — every parallel path in the repo
+(** The async execution core: one FIFO task queue, futures, and
+    policy-driven in-flight windows — every parallel path in the repo
     (explorer BFS, fuzz campaigns, lockhunt slices, the sweep harness)
     runs on this one engine.
 
-    {b Shape.}  An executor owns [jobs] Chase–Lev deques — one per worker
-    domain plus one ([0]) for the submitting caller — and [jobs - 1]
-    spawned domains.  {!submit} pushes a task onto the submitter's deque
-    and returns a {!future}; idle workers pop their own deque LIFO and
-    steal from everyone else's top FIFO (a lock-free CAS, no mutex on the
-    steal path).  The caller's deque is drained from the {e top} by
-    everybody — caller included, while it blocks in {!await} — so tasks
-    submitted by the caller are {e dispatched in submission order}.  That
-    FIFO dispatch is the executor's determinism anchor: batch failures
-    report the lowest failing index (see {!map_result}) and the
-    explorer's sequential id-merge stays byte-identical whatever the
-    steal interleaving.
+    {b Shape.}  An executor owns one queue of tasks, guarded by a mutex
+    and a condition variable, and [jobs - 1] spawned worker domains.
+    {!submit} appends a task and returns a {!future}; idle workers take
+    the oldest task, and so does the caller while it blocks in {!await}.
+    Tasks are therefore {e dispatched in submission order}.  That FIFO
+    dispatch is the executor's determinism anchor: batch failures report
+    the lowest failing index (see {!map_result}) and the explorer's
+    sequential id-merge stays byte-identical whichever domain runs which
+    task.
 
     {b Policies.}  {!policy} fixes how many tasks a batch or stream may
     keep in flight: [Serial] (one at a time, on the caller),
@@ -32,34 +29,12 @@
 
     {b Observability} (all out-of-band, stdout untouched): every task
     runs under an ["exec.task"] span on the executing domain's lane
-    (workers are named [exec-worker-N]); ["exec.tasks"],
-    ["exec.steals"] and ["exec.backpressure"]
-    counters accumulate per-domain sharded; ["exec.wait"] intervals
-    record worker idle gaps and the ["exec.inflight_max"] gauge the
-    widest batch window. *)
-
-(** A lock-free work-stealing deque (Chase–Lev).  Owner pushes and pops
-    at the bottom; any domain steals at the top through a CAS on a
-    monotonic counter, so an element is handed out exactly once.
-    Exposed for the linearizability tests; clients use the executor. *)
-module Ws_deque : sig
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val push : 'a t -> 'a -> unit
-  (** Owner only. *)
-
-  val pop : 'a t -> 'a option
-  (** Owner only: LIFO end.  [None] when empty. *)
-
-  val steal : 'a t -> 'a option
-  (** Any domain: FIFO end.  [None] only when the deque is empty —
-      losing a CAS race to another thief retries internally. *)
-
-  val length : 'a t -> int
-  (** Snapshot size (racy under concurrent use, exact when quiescent). *)
-end
+    (workers are named [exec-worker-N]); the ["exec.tasks"] counter
+    counts tasks run, ["exec.steals"] the tasks a spawned worker took
+    (the rest ran on the caller, or inside an {!await}), and
+    ["exec.backpressure"] the stalled submissions; ["exec.wait"]
+    intervals record worker idle gaps and the ["exec.inflight_max"] gauge
+    the widest batch window. *)
 
 type policy =
   | Serial  (** one task at a time, executed by the caller; no domains *)

@@ -382,7 +382,7 @@ let report = Alcotest.testable Exp.pp_report ( = )
    expansion: counts, completeness, both verdicts, the exact worst case.
    And the reduced run must be report-identical to itself across jobs
    and execution policies — canonicalization is deterministic, so the
-   work-stealing merge still produces one canonical report. *)
+   parallel merge still produces one canonical report. *)
 let diff_symmetric ?(mode = `All_subsets) graph ~idents () =
   let off = Exp.explore ~mode graph ~idents in
   let on_ = Exp.explore ~mode ~symmetry:true graph ~idents in
@@ -469,7 +469,7 @@ let with_temp_spill_dir f =
 
 (* Spilling closed levels to disk is a memory optimisation, not a
    semantic one: with many levels on disk the report must stay identical
-   to the in-memory run, symmetric or not, serial or work-stealing.  A
+   to the in-memory run, symmetric or not, serial or parallel.  A
    threshold of a few hundred entries closes hundreds of levels here;
    a zero threshold (one fsynced file per merged row) is left to the
    chaos legs, which need every merge boundary to be an I/O site. *)

@@ -401,119 +401,103 @@ let test_pool_shutdown_after_failed_batch () =
     | exception Boom x -> check Alcotest.int "lowest index" 2 x
   done
 
-(* --- Executor: work-stealing deque ----------------------------------- *)
+(* --- Executor: the one queue ------------------------------------------ *)
 
-module Ws_deque = Executor.Ws_deque
 module Obs = Asyncolor_obs.Obs
 
-(* Sequential linearizability against the obvious list model (head = the
-   steal/FIFO end, tail = the owner/LIFO end): every operation's result
-   and the deque length must match the model at each step.  Ops are 0 =
-   push (of the next integer), 1 = pop, 2 = steal. *)
-let prop_deque_matches_model =
-  QCheck.Test.make ~name:"Ws_deque: sequential ops match the list model"
-    ~count:500
-    QCheck.(list (int_range 0 2))
-    (fun ops ->
-      let d = Ws_deque.create () in
-      let model = ref [] in
-      let next = ref 0 in
-      List.for_all
-        (fun op ->
-          let step_ok =
-            match op with
-            | 0 ->
-                let v = !next in
-                incr next;
-                Ws_deque.push d v;
-                model := !model @ [ v ];
-                true
-            | 1 -> (
-                let got = Ws_deque.pop d in
-                match List.rev !model with
-                | [] -> got = None
-                | last :: rev_rest ->
-                    model := List.rev rev_rest;
-                    got = Some last)
-            | _ -> (
-                let got = Ws_deque.steal d in
-                match !model with
-                | [] -> got = None
-                | first :: rest ->
-                    model := rest;
-                    got = Some first)
-          in
-          step_ok && Ws_deque.length d = List.length !model)
-        ops)
+let metric obs name = Option.value ~default:0 (List.assoc_opt name (Obs.metrics obs))
 
-let rec strictly_increasing = function
-  | a :: (b :: _ as tl) -> a < b && strictly_increasing tl
-  | _ -> true
-
-let test_deque_concurrent_conservation () =
-  (* One owner pushes 0..N-1 (popping every fifth push, so the grow path
-     and the owner/thief races on a shrinking bottom are exercised) while
-     three thief domains steal continuously.  Two linearizability facts
-     survive any interleaving: every item is handed out exactly once
-     (conservation), and each thief's stolen sequence is strictly
-     increasing (steals come off a monotone top, and the live region of
-     the buffer always holds increasing values). *)
-  let d = Ws_deque.create () in
+let test_executor_reverse_await () =
+  (* 20,000 tasks on four domains, awaited newest first: the caller's
+     [await] helps from the oldest end while three workers drain the
+     same queue, and each task still runs exactly once. *)
   let total = 20_000 in
-  let done_ = Atomic.make false in
-  let stolen = Array.init 3 (fun _ -> ref []) in
-  let thieves =
-    Array.map
-      (fun acc ->
-        Domain.spawn (fun () ->
-            let rec loop () =
-              match Ws_deque.steal d with
-              | Some v ->
-                  acc := v :: !acc;
-                  loop ()
-              | None ->
-                  if not (Atomic.get done_) then begin
-                    Domain.cpu_relax ();
-                    loop ()
-                  end
-            in
-            loop ()))
-      stolen
-  in
-  let popped = ref [] in
-  for i = 0 to total - 1 do
-    Ws_deque.push d i;
-    if i mod 5 = 0 then
-      match Ws_deque.pop d with
-      | Some v -> popped := v :: !popped
-      | None -> ()
-  done;
-  Atomic.set done_ true;
-  Array.iter Domain.join thieves;
-  let rec drain () =
-    match Ws_deque.pop d with
-    | Some v ->
-        popped := v :: !popped;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  let all =
-    List.concat (!popped :: Array.to_list (Array.map (fun r -> !r) stolen))
-  in
-  check Alcotest.int "every pushed item handed out exactly once" total
-    (List.length all);
-  Alcotest.(check (list int))
-    "no duplicates, no losses"
-    (List.init total Fun.id)
-    (List.sort compare all);
-  Array.iteri
-    (fun k acc ->
-      check Alcotest.bool
-        (Printf.sprintf "thief %d stole in increasing order" k)
-        true
-        (strictly_increasing (List.rev !acc)))
-    stolen
+  let runs = Array.init total (fun _ -> Atomic.make 0) in
+  Executor.with_executor ~jobs:4 (fun exec ->
+      let futs =
+        Array.init total (fun i ->
+            Executor.submit exec (fun () ->
+                Atomic.incr runs.(i);
+                i))
+      in
+      for i = total - 1 downto 0 do
+        check Alcotest.int "result of its own task" i (Executor.await futs.(i))
+      done);
+  check Alcotest.bool "every task ran exactly once" true
+    (Array.for_all (fun r -> Atomic.get r = 1) runs)
+
+let test_executor_nested_await () =
+  (* A task that submits a task of its own and awaits it completes: the
+     awaiting domain, worker or caller, runs queued tasks while it
+     waits. *)
+  Executor.with_executor ~jobs:4 (fun exec ->
+      let outer =
+        Array.init 200 (fun i ->
+            Executor.submit exec (fun () ->
+                let inner = Executor.submit exec (fun () -> i * i) in
+                Executor.await inner + 1))
+      in
+      Array.iteri
+        (fun i fut -> check Alcotest.int "nested result" ((i * i) + 1) (Executor.await fut))
+        outer)
+
+let test_executor_idle_shutdown () =
+  (* Workers asleep on an empty queue, with and without a task run first,
+     are woken and joined by [shutdown] every time. *)
+  for round = 1 to 200 do
+    let exec = Executor.create ~jobs:4 () in
+    if round mod 2 = 0 then
+      check Alcotest.int "task result" round
+        (Executor.await (Executor.submit exec (fun () -> round)));
+    Executor.shutdown exec
+  done
+
+(* Spin until [flag] is set, failing after [seconds]: the caller never
+   awaits, so only a spawned worker can set it. *)
+let wait_for_worker ~seconds flag =
+  let deadline = Unix.gettimeofday () +. seconds in
+  while not (Atomic.get flag) do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "no worker took a task the caller left alone";
+    Domain.cpu_relax ()
+  done
+
+let test_executor_workers_take_work () =
+  (* A submitted task wakes a sleeping worker, and a worker woken while
+     the caller emptied the queue goes back to sleep rather than
+     leaving: after each helped batch, and a pause that lets the worker
+     fall asleep, a task the caller does not await still runs. *)
+  Executor.with_executor ~jobs:2 (fun exec ->
+      for round = 1 to 50 do
+        ignore (Executor.map exec (fun x -> x + round) (Array.init 8 Fun.id));
+        Unix.sleepf 0.002;
+        let ran = Atomic.make false in
+        let fut = Executor.submit exec (fun () -> Atomic.set ran true) in
+        wait_for_worker ~seconds:10.0 ran;
+        Executor.await fut
+      done)
+
+let test_executor_steals_counted () =
+  (* [exec.steals] counts tasks a spawned worker took: none without
+     workers, and never more than the tasks run. *)
+  List.iter
+    (fun (policy, jobs) ->
+      let obs = Obs.create () in
+      Executor.with_executor ~obs ~policy ~jobs (fun exec ->
+          ignore (Executor.map exec (fun x -> x * 2) (Array.init 500 Fun.id)));
+      let tasks = metric obs "exec.tasks" and steals = metric obs "exec.steals" in
+      check Alcotest.int (Executor.policy_name policy ^ " tasks") 500 tasks;
+      if policy = Executor.Serial then
+        check Alcotest.int "no steals without workers" 0 steals
+      else
+        check Alcotest.bool
+          (Executor.policy_name policy ^ " steals <= tasks")
+          true (steals <= tasks))
+    [
+      (Executor.Serial, 4);
+      (Executor.Synchronous, 4);
+      (Executor.asynchronous ~jobs:2 (), 2);
+    ]
 
 (* --- Executor: policies, clamping, windows --------------------------- *)
 
@@ -570,8 +554,6 @@ let test_executor_policies_agree () =
       Executor.asynchronous ~kappa:0.5 ~jobs:4 ();
       Executor.asynchronous ~max_active:2 ~jobs:4 ();
     ]
-
-let metric obs name = Option.value ~default:0 (List.assoc_opt name (Obs.metrics obs))
 
 let test_executor_backpressure_bounded () =
   (* Slow producer feeding a fast consumer through a max_active=2 window:
@@ -650,8 +632,8 @@ let test_executor_submit_after_shutdown () =
 
 (* --- Executor: raising tasks never reach the worker loop ------------- *)
 
-(* Spin enough that spawned workers get scheduled and steal tasks before
-   the caller drains the whole deque itself. *)
+(* Spin enough that spawned workers get scheduled and take tasks before
+   the caller drains the whole queue itself. *)
 let slow f x =
   for _ = 1 to 10_000 do
     ignore (Sys.opaque_identity x)
@@ -1453,12 +1435,6 @@ let () =
           Alcotest.test_case "shutdown after failed batch" `Quick
             test_pool_shutdown_after_failed_batch;
         ] );
-      ( "ws_deque",
-        [
-          qtest prop_deque_matches_model;
-          Alcotest.test_case "4-domain conservation + steal order" `Quick
-            test_deque_concurrent_conservation;
-        ] );
       ( "executor",
         [
           Alcotest.test_case "jobs <= 0 clamped at the boundary" `Quick
@@ -1477,6 +1453,16 @@ let () =
             test_executor_submit_after_shutdown;
           Alcotest.test_case "raising tasks leave every worker alive" `Quick
             test_executor_raising_batches;
+          Alcotest.test_case "20k tasks awaited in reverse run once" `Quick
+            test_executor_reverse_await;
+          Alcotest.test_case "a task awaits its nested task" `Quick
+            test_executor_nested_await;
+          Alcotest.test_case "idle workers shut down, 200 times" `Quick
+            test_executor_idle_shutdown;
+          Alcotest.test_case "workers take work the caller leaves" `Quick
+            test_executor_workers_take_work;
+          Alcotest.test_case "exec.steals: 0 on Serial, <= exec.tasks" `Quick
+            test_executor_steals_counted;
         ] );
       ( "ring",
         [ Alcotest.test_case "absolute-position FIFO" `Quick test_ring_fifo_window ] );
