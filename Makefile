@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick examples experiments coverage clean
+.PHONY: all build test bench bench-quick bench-seed examples experiments coverage clean
 
 all: build
 
@@ -16,6 +16,11 @@ bench:
 
 bench-quick:
 	dune exec bench/main.exe -- --quick
+
+# Regenerate the perf-regression baseline CI gates on: one perfbench run
+# per BENCHMARK.json workload (≈ 35 s).  Run on a quiet host.
+bench-seed:
+	python3 scripts/check_bench_regression.py record BENCH_seed.json
 
 # Dump every experiment table as CSV into ./results
 csv:

@@ -1,108 +1,125 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over the bench --json record.
+"""Perf-regression gate over the perfbench rows.
 
-Usage: check_bench_regression.py BASELINE.json CURRENT.json
+Usage: check_bench_regression.py record|check BASELINE.json
 
-Compares rows matched by instance name across the sections below and
-fails (exit 1) with a message naming the offending row when
+Run from the root of a checkout.  For every workload BENCHMARK.json
+declares, it runs
 
-  * throughput drops by more than 25% against the baseline, or
-  * p99 recovery latency rises by more than 50% against the baseline.
+    python3 perfbench/run.py --workload W --seed 1 --seconds 10
 
-Sections and the keys compared:
+and reads the result line.
 
-  churn          activations_per_sec (throughput), recovery_p99 (latency)
-  explore_scale  configs_per_sec_jobs4 (throughput)
+  record  writes BASELINE.json: per workload, the result line's metrics,
+          plus the commit, seed and seconds they were measured at.  This
+          is the one command that regenerates the committed baseline
+          (`make bench-seed`); run it on a quiet host after an
+          intentional perf change.
 
-Rows present on only one side are reported and skipped — the gate only
-judges matching rows — but an empty intersection is itself a failure:
-it means the baseline predates the section and must be regenerated
-(see HACKING.md, "Benchmarks").  Incomplete rows (complete=false, a
-tripped --time-budget) are skipped: a truncated run measures the
-budget, not the code.
+  check   fails (exit 1), naming the workload, when a result is
+          `correct: false` (a report digest differs from the one fixed in
+          perfbench/bench.ml), when any call failed, when the run itself
+          errs, or when `ops_per_s` is below baseline x (1 - bound), with
+          the bound of `ops_per_s` in BENCHMARK.json's end_to_end list.
+          A workload missing from the baseline fails too: regenerate it.
+
+The digests pin every report exactly, the churn workload's
+recovery-latency summary included, so the only tolerance the gate
+applies is the throughput bound.  Times are host-normalised by
+perfbench, so a baseline recorded on one host is comparable on another.
 """
 
 import json
+import subprocess
 import sys
 
-THROUGHPUT_DROP = 0.25  # fail below 75% of baseline
-LATENCY_RISE = 0.50  # fail above 150% of baseline
-
-# section -> (throughput key, latency key); None = not applicable
-SECTIONS = {
-    "churn": ("activations_per_sec", "recovery_p99"),
-    "explore_scale": ("configs_per_sec_jobs4", None),
-}
+SEED = 1
+SECONDS = 10
 
 
-def rows_by_instance(report, section):
-    return {r["instance"]: r for r in report.get(section, [])}
+def benchmark_spec():
+    with open("BENCHMARK.json") as f:
+        spec = json.load(f)
+    workloads = [w["name"] for w in spec["workloads"]]
+    bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "ops_per_s")
+    return workloads, bound
 
 
-def complete(row):
-    # churn rows are always complete (the campaign runs to its horizon);
-    # explore_scale rows carry an explicit flag.
-    return row.get("complete", True)
+def run_workload(name):
+    """Run one workload; return its result line, or None if the run erred."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", name,
+         "--seed", str(SEED), "--seconds", str(SECONDS)],
+        stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        return None
+    return json.loads(lines[-1])
+
+
+def commit():
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          text=True)
+    return proc.stdout.strip() or "unknown"
+
+
+def record(path, workloads):
+    rows = {}
+    for name in workloads:
+        result = run_workload(name)
+        if result is None or not result["correct"] or result["failed"]:
+            sys.exit(f"{name}: run failed or incorrect, baseline not written")
+        rows[name] = result["metrics"]
+        print(f"{name}: ops_per_s {rows[name]['ops_per_s']['value']:.0f}")
+    with open(path, "w") as f:
+        json.dump({"commit": commit(), "seed": SEED, "seconds": SECONDS,
+                   "workloads": rows}, f, indent=2)
+        f.write("\n")
+    print(f"wrote {path}")
+
+
+def check(path, workloads, bound):
+    with open(path) as f:
+        baseline = json.load(f)["workloads"]
+    failures = []
+    for name in workloads:
+        if name not in baseline:
+            failures.append(f"{name}: not in {path}; regenerate it "
+                            "with `make bench-seed`")
+            continue
+        result = run_workload(name)
+        if result is None:
+            failures.append(f"{name}: the benchmark run failed")
+            continue
+        if not result["correct"] or result["failed"]:
+            failures.append(f"{name}: incorrect result ({result['failed']} of "
+                            f"{result['attempted']} calls failed)")
+            continue
+        base = baseline[name]["ops_per_s"]["value"]
+        cur = result["metrics"]["ops_per_s"]["value"]
+        ratio = cur / base
+        verdict = "OK"
+        if ratio < 1.0 - bound:
+            verdict = "FAIL"
+            failures.append(f"{name}: throughput regression, ops_per_s "
+                            f"{cur:.0f} is {ratio:.0%} of baseline {base:.0f} "
+                            f"(floor {1.0 - bound:.0%})")
+        print(f"{name}: ops_per_s {cur:.0f} vs baseline {base:.0f} "
+              f"({ratio:.0%}) {verdict}")
+    for msg in failures:
+        print(msg, file=sys.stderr)
+    sys.exit(1 if failures else 0)
 
 
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) != 3 or sys.argv[1] not in ("record", "check"):
         sys.exit(__doc__.strip().splitlines()[2])
-    with open(sys.argv[1]) as f:
-        baseline = json.load(f)
-    with open(sys.argv[2]) as f:
-        current = json.load(f)
-
-    failures = []
-    compared = 0
-    for section, (tp_key, lat_key) in SECTIONS.items():
-        base_rows = rows_by_instance(baseline, section)
-        cur_rows = rows_by_instance(current, section)
-        for name in sorted(set(base_rows) | set(cur_rows)):
-            if name not in base_rows:
-                print(f"{section}/{name}: not in baseline, skipped "
-                      "(regenerate BENCH_seed.json to gate it)")
-                continue
-            if name not in cur_rows:
-                print(f"{section}/{name}: not in current run, skipped")
-                continue
-            base, cur = base_rows[name], cur_rows[name]
-            if not (complete(base) and complete(cur)):
-                print(f"{section}/{name}: truncated leg, skipped")
-                continue
-            compared += 1
-            b_tp, c_tp = base.get(tp_key), cur.get(tp_key)
-            if b_tp and c_tp is not None:
-                ratio = c_tp / b_tp
-                verdict = "OK"
-                if ratio < 1.0 - THROUGHPUT_DROP:
-                    verdict = "FAIL"
-                    failures.append(
-                        f"{section}/{name}: throughput regression — "
-                        f"{tp_key} {c_tp:.0f} is {ratio:.0%} of baseline "
-                        f"{b_tp:.0f} (floor {1.0 - THROUGHPUT_DROP:.0%})")
-                print(f"{section}/{name}: {tp_key} {c_tp:.0f} vs baseline "
-                      f"{b_tp:.0f} ({ratio:.0%}) {verdict}")
-            if lat_key is not None:
-                b_lat, c_lat = base.get(lat_key), cur.get(lat_key)
-                if b_lat is not None and c_lat is not None and b_lat > 0:
-                    ratio = c_lat / b_lat
-                    verdict = "OK"
-                    if ratio > 1.0 + LATENCY_RISE:
-                        verdict = "FAIL"
-                        failures.append(
-                            f"{section}/{name}: latency regression — "
-                            f"{lat_key} {c_lat} is {ratio:.0%} of baseline "
-                            f"{b_lat} (ceiling {1.0 + LATENCY_RISE:.0%})")
-                    print(f"{section}/{name}: {lat_key} {c_lat} vs baseline "
-                          f"{b_lat} ({ratio:.0%}) {verdict}")
-
-    if compared == 0:
-        sys.exit("no matching complete rows between baseline and current "
-                 "run — regenerate BENCH_seed.json")
-    for f in failures:
-        print(f, file=sys.stderr)
-    sys.exit(1 if failures else 0)
+    workloads, bound = benchmark_spec()
+    if sys.argv[1] == "record":
+        record(sys.argv[2], workloads)
+    else:
+        check(sys.argv[2], workloads, bound)
 
 
 if __name__ == "__main__":

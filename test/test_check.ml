@@ -319,10 +319,15 @@ let test_differential_safety_and_truncation () =
 module Budget = Asyncolor_resilience.Budget
 module Checkpoint = Asyncolor_resilience.Checkpoint
 
+(* Removes the rotation [Checkpoint.save_rotated] leaves beside the
+   checkpoint and any leftover [.tmp] too. *)
 let with_temp_ckpt f =
   let path = Filename.temp_file "asyncolor-explorer" ".ckpt" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; Checkpoint.rotated_path path; path ^ ".tmp" ])
     (fun () -> f path)
 
 module E3 = Explorer.Make (Three)
@@ -659,6 +664,37 @@ let test_chaos_spill_read_failure_names_file () =
                 && Astring.String.is_infix ~affix:".spill" msg)))
     [ 1; 4 ]
 
+(* An injector armed at rate 0 is consulted at every checkpoint save and
+   spill write and read, and must never fire: on a run that does that
+   I/O, its report equals the disabled injector's exactly. *)
+let test_chaos_rate0_invisible () =
+  let module EA = Explorer.Make (Asyncolor.Algorithm2.P) in
+  let report = Alcotest.testable EA.pp_report ( = ) in
+  let c4 = Builders.cycle 4 and idents = [| 5; 1; 9; 4 |] in
+  List.iter
+    (fun (jobs, policy) ->
+      let run chaos =
+        with_temp_dir (fun dir ->
+            let ckpt = Filename.concat dir "c.ckpt" in
+            let sp = Spill.create ~chaos ~dir:(Filename.concat dir "spill") () in
+            let r =
+              EA.explore ~jobs ~policy ~checkpoint:(ckpt, 50) ~spill:(sp, 0)
+                ~chaos c4 ~idents
+            in
+            check Alcotest.bool "a checkpoint was written" true
+              (Sys.file_exists ckpt);
+            check Alcotest.bool "a level was spilled" true
+              (Spill.levels_on_disk sp > 0);
+            r)
+      in
+      let off = run Chaos.disabled in
+      let armed = Chaos.create ~seed:1 ~rate:0.0 () in
+      check report
+        (Printf.sprintf "jobs=%d: armed rate-0 report = disabled report" jobs)
+        off (run armed);
+      check Alcotest.int "no fault injected" 0 (Chaos.stats armed).Chaos.injected)
+    [ (1, Exec.Serial); (2, Exec.asynchronous ~kappa:0.5 ~jobs:2 ()) ]
+
 (* --- lockhunt ---------------------------------------------------------- *)
 
 let test_lockhunt_alg1_immune () =
@@ -866,6 +902,8 @@ let () =
             test_chaos_spill_failure_truncates_at_seal;
           Alcotest.test_case "spill read failure names the file" `Quick
             test_chaos_spill_read_failure_names_file;
+          Alcotest.test_case "armed rate 0 is invisible" `Quick
+            test_chaos_rate0_invisible;
         ] );
       ( "observability",
         [
