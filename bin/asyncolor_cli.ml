@@ -183,64 +183,12 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the parallel subcommands (sweep, check, lockhunt, \
-           experiments).  Defaults to the recommended domain count.  \
-           Deterministic-output guarantee: stdout is byte-identical for every \
-           value — the exhaustive explorer merges discoveries in a \
+           experiments, fuzz, churn).  Defaults to the recommended domain \
+           count.  Deterministic-output guarantee: stdout is byte-identical \
+           for every value — the exhaustive explorer merges discoveries in a \
            jobs-independent order (so even configuration ids match), and the \
            other fan-outs merge results by input index.  Timing/rate \
            diagnostics go to stderr.")
-
-(* [None] is "auto": the library derives Serial/Synchronous from [jobs],
-   exactly the pre-policy behaviour.  An async policy is parsed with
-   placeholder parameters; [make_policy] rebuilds it from [--kappa] and
-   [--jobs]. *)
-let exec_policy_conv =
-  let module Ex = Asyncolor_util.Executor in
-  let parse s =
-    if String.lowercase_ascii s = "auto" then Ok None
-    else
-      match Ex.policy_of_string ~jobs:1 s with
-      | p -> Ok (Some p)
-      | exception Invalid_argument _ ->
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "unknown policy %S, expected auto, serial, sync or async" s))
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "auto"
-    | Some p -> Format.pp_print_string ppf (Ex.policy_name p)
-  in
-  Arg.conv (parse, print)
-
-let exec_policy_arg =
-  Arg.(
-    value
-    & opt exec_policy_conv None
-    & info [ "exec-policy" ] ~docv:"POLICY"
-        ~doc:
-          "Execution policy for the parallel subcommands: $(b,auto) (serial \
-           when $(b,--jobs) is 1, synchronous otherwise), $(b,serial), \
-           $(b,sync) (level-synchronous barrier), or $(b,async) \
-           (\xCE\xBA-overlapped pipeline, bounded in-flight work).  The report on \
-           stdout is byte-identical under every policy; only wall clock \
-           changes.")
-
-let kappa_arg =
-  Arg.(
-    value
-    & opt float 0.5
-    & info [ "kappa" ] ~docv:"K"
-        ~doc:
-          "Overlap fraction for $(b,--exec-policy) $(b,async): expansion of \
-           BFS level k+1 may start once a K fraction of level k has merged \
-           (clamped to [0,1]; 1 reproduces the synchronous barrier).")
-
-let make_policy ~policy ~kappa ~jobs =
-  match policy with
-  | Some (Asyncolor_util.Executor.Asynchronous _) ->
-      Some (Asyncolor_util.Executor.asynchronous ~kappa ~jobs ())
-  | p -> p
 
 let time_budget_arg =
   Arg.(
@@ -592,11 +540,10 @@ let check_cmd =
              a fraction of that).  0 spills at every merge boundary — \
              only useful for exercising the spill path in tests.")
   in
-  let f alg idents mode max_configs jobs exec_policy kappa ckpt_path ckpt_every
-      resume time_s mem_mb kill_after symmetry spill_dir spill_threshold_mb
-      chaos_spec trace_out metrics =
+  let f alg idents mode max_configs jobs ckpt_path ckpt_every resume time_s
+      mem_mb kill_after symmetry spill_dir spill_threshold_mb chaos_spec
+      trace_out metrics =
     let obs = make_obs ~trace_out ~metrics in
-    let policy = make_policy ~policy:exec_policy ~kappa ~jobs in
     let chaos = make_chaos ~obs chaos_spec in
     let idents = Array.of_list idents in
     let n = Array.length idents in
@@ -644,13 +591,13 @@ let check_cmd =
                     "resuming %s: %d configs interned, %d pending (n=%d)\n"
                     path info.ri_configs info.ri_pending
                     (Graph.n info.ri_graph);
-                  Exp.explore_resume ~jobs ?policy ?checkpoint ?budget ~stop
-                    ?spill ~chaos
+                  Exp.explore_resume ~jobs ?checkpoint ?budget ~stop ?spill
+                    ~chaos
                     ~check_outputs:(coloring_check info.ri_graph) ~obs path
               | None ->
                   let graph = Builders.cycle n in
-                  Exp.explore ~mode ~max_configs ~jobs ?policy ?checkpoint
-                    ?budget ~stop ~symmetry ?spill ~chaos
+                  Exp.explore ~mode ~max_configs ~jobs ?checkpoint ?budget
+                    ~stop ~symmetry ?spill ~chaos
                     ~check_outputs:(coloring_check graph) ~obs graph ~idents)
         with
         | r -> r
@@ -714,18 +661,15 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc ~exits)
     Term.(
       const f $ alg_arg $ idents_csv $ mode_arg $ max_configs_arg $ jobs_arg
-      $ exec_policy_arg $ kappa_arg $ checkpoint_arg $ checkpoint_every_arg
-      $ resume_arg $ time_budget_arg $ mem_budget_arg $ kill_after_arg
-      $ symmetry_arg $ spill_dir_arg $ spill_threshold_mb_arg $ chaos_arg
-      $ trace_out_arg $ metrics_arg)
+      $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ time_budget_arg
+      $ mem_budget_arg $ kill_after_arg $ symmetry_arg $ spill_dir_arg
+      $ spill_threshold_mb_arg $ chaos_arg $ trace_out_arg $ metrics_arg)
 
 let lockhunt_cmd =
   let doc = "attack every adjacent pair with the isolate-pair schedule (finding F1)" in
-  let f alg n seed idents_kind jobs exec_policy kappa time_s mem_mb trace_out
-      metrics =
+  let f alg n seed idents_kind jobs time_s mem_mb trace_out metrics =
     announce_seed seed;
     let obs = make_obs ~trace_out ~metrics in
-    let policy = make_policy ~policy:exec_policy ~kappa ~jobs in
     let graph = Builders.cycle n in
     let idents = make_idents ~kind:idents_kind ~seed n in
     let budget = make_budget ~time_s ~mem_mb in
@@ -739,8 +683,7 @@ let lockhunt_cmd =
       let t0 = Oclock.monotonic () in
       let findings =
         Stop.with_signals (fun () ->
-            H.hunt ~jobs ?policy ?budget ~stop:Stop.requested ~obs graph
-              ~idents)
+            H.hunt ~jobs ?budget ~stop:Stop.requested ~obs graph ~idents)
       in
       let dt = elapsed_s t0 in
       Diag.printf "%d probes in %.3fs (%.0f probes/sec, jobs=%d)\n"
@@ -776,8 +719,7 @@ let lockhunt_cmd =
   Cmd.v (Cmd.info "lockhunt" ~doc)
     Term.(
       const f $ alg_arg $ n_arg $ seed_arg $ idents_arg $ jobs_arg
-      $ exec_policy_arg $ kappa_arg $ time_budget_arg $ mem_budget_arg
-      $ trace_out_arg $ metrics_arg)
+      $ time_budget_arg $ mem_budget_arg $ trace_out_arg $ metrics_arg)
 
 let fuzz_cmd =
   let doc = "randomized fault-injection fuzzing with replayable, shrunk traces" in
@@ -831,8 +773,8 @@ let fuzz_cmd =
       & info [ "min-out" ] ~docv:"PATH"
           ~doc:"Write the first finding's shrunk trace to PATH.")
   in
-  let f seed execs max_n algos mutant corpus min_out jobs exec_policy kappa
-      time_s mem_mb list_mutants trace_out metrics =
+  let f seed execs max_n algos mutant corpus min_out jobs time_s mem_mb
+      list_mutants trace_out metrics =
     if list_mutants then
       List.iter
         (fun (i : Fz.Mutation.info) ->
@@ -853,11 +795,10 @@ let fuzz_cmd =
       in
       let budget = make_budget ~time_s ~mem_mb in
       let obs = make_obs ~trace_out ~metrics in
-      let policy = make_policy ~policy:exec_policy ~kappa ~jobs in
       let t0 = Oclock.monotonic () in
       let report =
         Stop.with_signals (fun () ->
-            Fz.Fuzz.campaign ~jobs ?policy ?budget ~stop:Stop.requested
+            Fz.Fuzz.campaign ~jobs ?budget ~stop:Stop.requested
               ?corpus_dir:corpus ?mutation:mutant ~algos ~max_n ~obs ~seed
               ~execs ())
       in
@@ -910,9 +851,8 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
       const f $ seed_arg $ execs_arg $ max_n_arg $ algos_arg $ mutant_arg
-      $ corpus_arg $ min_out_arg $ jobs_arg $ exec_policy_arg $ kappa_arg
-      $ time_budget_arg $ mem_budget_arg $ list_mutants_arg $ trace_out_arg
-      $ metrics_arg)
+      $ corpus_arg $ min_out_arg $ jobs_arg $ time_budget_arg $ mem_budget_arg
+      $ list_mutants_arg $ trace_out_arg $ metrics_arg)
 
 let churn_cmd =
   let doc = "long-lived churn sessions: crash-recovery with self-healing re-coloring" in
@@ -996,9 +936,8 @@ let churn_cmd =
              the recorded violations reproduce byte-for-byte.  Exit 0 on \
              reproduction, 1 on mismatch, 2 on a corrupt file.")
   in
-  let f algo n horizon crash_rate recover_rate burst sessions seed jobs
-      exec_policy kappa mutant list_mutants save_trace replay trace_out metrics
-      =
+  let f algo n horizon crash_rate recover_rate burst sessions seed jobs mutant
+      list_mutants save_trace replay trace_out metrics =
     if list_mutants then
       List.iter
         (fun b ->
@@ -1008,7 +947,6 @@ let churn_cmd =
         Churn.Session.bugs
     else begin
       let obs = make_obs ~trace_out ~metrics in
-      let policy = make_policy ~policy:exec_policy ~kappa ~jobs in
       match replay with
       | Some path -> (
           match Churn.Trace.load path with
@@ -1017,9 +955,7 @@ let churn_cmd =
               exit 2
           | t ->
               Format.printf "%a@." Churn.Trace.pp t;
-              let _report, reproduced =
-                Churn.Trace.replay ~jobs ?policy ~obs t
-              in
+              let _report, reproduced = Churn.Trace.replay ~jobs ~obs t in
               Printf.printf "reproduced=%b\n" reproduced;
               finish_obs obs ~trace_out ~metrics;
               if not reproduced then exit 1)
@@ -1058,8 +994,7 @@ let churn_cmd =
           let t0 = Oclock.monotonic () in
           let report : Churn.Session.report =
             Stop.with_signals (fun () ->
-                Churn.Session.campaign ~jobs ?policy ~obs cfg ~seed ~sessions
-                  ())
+                Churn.Session.campaign ~jobs ~obs cfg ~seed ~sessions ())
           in
           let dt = elapsed_s t0 in
           Diag.printf "%d activations in %.3fs (%.0f activations/sec, jobs=%d)\n"
@@ -1088,8 +1023,8 @@ let churn_cmd =
     Term.(
       const f $ algo_arg $ churn_n_arg $ horizon_arg $ crash_rate_arg
       $ recover_rate_arg $ burst_arg $ sessions_arg $ seed_arg $ jobs_arg
-      $ exec_policy_arg $ kappa_arg $ mutant_arg $ list_mutants_arg
-      $ save_trace_arg $ replay_trace_arg $ trace_out_arg $ metrics_arg)
+      $ mutant_arg $ list_mutants_arg $ save_trace_arg $ replay_trace_arg
+      $ trace_out_arg $ metrics_arg)
 
 let replay_cmd =
   let doc = "replay an explicit schedule (e.g. a lasso printed by check) or a fuzz trace" in

@@ -851,12 +851,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         true
     | _ -> false
 
-  (* [Serial] at one job, else [Synchronous] — for fresh and resumed
-     runs alike. *)
-  let default_policy ~jobs = function
-    | Some p -> p
-    | None -> if jobs <= 1 then Executor.Serial else Executor.Synchronous
-
   (* The pending configurations — interned but not yet expanded — are
      the dense ids [!next, st.s_next_id): every intern miss appends one,
      and the loop expands them in id order, so they are a FIFO that
@@ -890,9 +884,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
        key with a byte compare (a hit) or a blit (a miss), and nothing
        is boxed per successor.  [stream_window] bounds the futures in
        flight, and a position past the current level boundary is
-       submittable only once a κ fraction of the level has merged (κ = 1
-       for [Synchronous]: a barrier per level).  Spill levels are written
-       by background tasks.
+       submittable only once a κ fraction of the level has merged (κ = 1:
+       a barrier per level).  Spill levels are written by background
+       tasks.
 
      A predicate runs on the merging domain's engine.  When that engine
      does not hold the representative — at two jobs and more, or when
@@ -909,7 +903,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
   let run ~params ?policy ~jobs ~graph ~idents st store ~pending_from =
     let octx = params.octx in
     let o = octx.o in
-    Executor.with_executor ~obs:o ~policy:(default_policy ~jobs policy) ~jobs
+    Executor.with_executor ~obs:o ?policy ~jobs
     @@ fun exec ->
     let inline = Executor.jobs exec = 1 in
     let window = Executor.stream_window exec in

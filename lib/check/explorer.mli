@@ -196,10 +196,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
 
       [jobs] (default 1, [`Hashcons] only) sets the number of domains
       expanding configurations; [policy] the execution policy (default:
-      [Serial] when [jobs <= 1], else [Synchronous]).  Whenever the
-      executor has one job — [Serial], or any policy at [jobs = 1] — the
-      merging domain expands each entry in line, keying each successor
-      on its live engine.  With more jobs,
+      the one {!Asyncolor_util.Executor.create} picks for [jobs]).
+      Whenever the executor has one job — [Serial], or any policy at
+      [jobs = 1] — the merging domain expands each entry in line, keying
+      each successor on its live engine.  With more jobs,
       expansions run ahead of the merge as executor futures, at most
       {!Asyncolor_util.Executor.stream_window} of them ([4 * jobs] by
       default) past the entry being merged (the
@@ -209,12 +209,11 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       unfinished mask, orbit size and winner index, its key's hash, then
       the key in the intern store's own encoding — which the merge
       interns with
-      {!Asyncolor_util.Intern.intern_encoded}:
-      [Synchronous] keeps a full barrier between BFS levels (level k+1
-      expansion starts only once level k has fully merged);
-      [Asynchronous {kappa; _}] lets level k+1 expansion start once a κ
-      fraction of level k has merged — discovery is async and unordered,
-      id assignment stays a sequential FIFO merge.
+      {!Asyncolor_util.Intern.intern_encoded}.
+      The policy's κ ({!Asyncolor_util.Executor.policy_kappa}) lets level
+      k+1 expansion start once a κ fraction of level k has merged (κ = 1
+      is a full barrier between levels) — discovery is async and
+      unordered, id assignment stays a sequential FIFO merge.
       {b Deterministic-output guarantee}: the report — configuration ids
       embedded in messages, schedules, violation order, every counter —
       is byte-identical for every [jobs] value, every policy, and

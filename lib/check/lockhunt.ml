@@ -37,8 +37,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     let engine = E.create graph ~idents in
     probe_restored ~max_steps engine (E.snapshot engine) pair
 
-  let hunt ?max_steps ?(jobs = 1) ?policy ?budget ?stop ?(obs = Obs.disabled)
-      graph ~idents =
+  let hunt ?max_steps ?(jobs = 1) ?budget ?stop ?(obs = Obs.disabled) graph
+      ~idents =
     let max_steps =
       match max_steps with Some m -> m | None -> default_steps (Graph.n graph)
     in
@@ -68,12 +68,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         ]
       "lockhunt"
     @@ fun () ->
-    let policy =
-      match policy with
-      | Some p -> p
-      | None -> if jobs <= 1 then Executor.Serial else Executor.Synchronous
-    in
-    if policy = Executor.Serial || jobs <= 1 || nedges <= 1 then begin
+    if jobs <= 1 || nedges <= 1 then begin
       let engine = E.create graph ~idents in
       let initial = E.snapshot engine in
       let acc = ref [] in
@@ -96,7 +91,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         Array.init jobs (fun s -> (nedges * s / jobs, nedges * (s + 1) / jobs))
       in
       let per_slice =
-        Executor.with_executor ~obs ~policy ~jobs (fun exec ->
+        Executor.with_executor ~obs ~jobs (fun exec ->
             Executor.map exec
               (fun (lo, hi) ->
                 let engine = E.create graph ~idents in

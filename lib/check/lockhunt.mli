@@ -25,7 +25,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
   val hunt :
     ?max_steps:int ->
     ?jobs:int ->
-    ?policy:Asyncolor_util.Executor.policy ->
     ?budget:Asyncolor_resilience.Budget.t ->
     ?stop:(unit -> bool) ->
     ?obs:Asyncolor_obs.Obs.t ->
@@ -36,13 +35,11 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       into [jobs] contiguous slices, each owning one engine that is
       rewound (snapshot/restore) between probes rather than re-created
       per edge; with [jobs > 1] the slices fan out across that many
-      domains through an {!Asyncolor_util.Executor} running [policy]
-      (default: [Serial] when [jobs <= 1], else [Synchronous]; an
-      [Asynchronous] policy bounds how many slices are in flight at
-      once).  Probes share no mutable state and findings are merged by
-      slice index, so the result is identical for every [jobs] value and
-      policy and comes back in edge order regardless.  [jobs] defaults
-      to [1] (sequential, no domain spawned).
+      domains through an {!Asyncolor_util.Executor}.  Probes share no
+      mutable state and findings are merged by slice index, so the
+      result is identical for every [jobs] value and comes back in edge
+      order regardless.  [jobs] defaults to [1] (sequential, no domain
+      spawned).
 
       [budget] and [stop] are polled between probes: when either fires
       the hunt returns the findings gathered so far instead of raising —

@@ -111,9 +111,8 @@ type result = {
 
 (* Per-session PRNG stream: a pure function of (campaign seed, session
    index), the same odd-multiplier xor combine as the fuzzer's per-exec
-   streams — session [i] runs the same schedule whatever --jobs or
-   --exec-policy is, which is the whole determinism argument of the
-   campaign. *)
+   streams — session [i] runs the same schedule whatever --jobs is,
+   which is the whole determinism argument of the campaign. *)
 let session_seed ~seed i = seed lxor (i * 0x9E3779B97F4A7C1)
 
 (* Per-(seed, event) stream: the [k]-th churn event draws its internals
@@ -593,18 +592,13 @@ type report = {
 let campaign ?(jobs = 1) ?policy ?(obs = Obs.disabled) cfg ~seed ~sessions () =
   validate_config cfg;
   if sessions < 1 then invalid_arg "Churn: sessions must be positive";
-  let policy =
-    match policy with
-    | Some p -> p
-    | None -> if jobs <= 1 then Executor.Serial else Executor.Synchronous
-  in
   let results =
     Obs.span obs
       ~args:
         [ ("seed", string_of_int seed); ("sessions", string_of_int sessions) ]
       "churn.campaign"
     @@ fun () ->
-    Executor.with_executor ~obs ~policy ~jobs (fun exec ->
+    Executor.with_executor ~obs ?policy ~jobs (fun exec ->
         Executor.map exec
           (fun i -> run ~obs cfg ~seed ~session:i)
           (Array.init sessions Fun.id))

@@ -52,10 +52,9 @@ let load path =
 
 (* Re-run the campaign the trace came from and compare findings — true
    when every recorded violation reproduces byte-for-byte. *)
-let replay ?(jobs = 1) ?policy ?obs (t : t) =
+let replay ?(jobs = 1) ?obs (t : t) =
   let r =
-    Session.campaign ?policy ?obs ~jobs t.cfg ~seed:t.seed ~sessions:t.sessions
-      ()
+    Session.campaign ?obs ~jobs t.cfg ~seed:t.seed ~sessions:t.sessions ()
   in
   (r, r.Session.violations = t.violations)
 

@@ -24,7 +24,6 @@ val load : string -> t
 
 val replay :
   ?jobs:int ->
-  ?policy:Asyncolor_util.Executor.policy ->
   ?obs:Asyncolor_obs.Obs.t ->
   t ->
   Session.report * bool

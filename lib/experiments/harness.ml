@@ -3,13 +3,8 @@ module Prng = Asyncolor_util.Prng
 module Executor = Asyncolor_util.Executor
 module Checker = Asyncolor.Checker
 
-let map_cells ?jobs ?policy f cells =
-  match (jobs, policy) with
-  | Some j, None when j <= 1 -> List.map f cells
-  | _, Some Executor.Serial -> List.map f cells
-  | _ ->
-      Executor.with_executor ?policy ?jobs (fun exec ->
-          Executor.map_list exec f cells)
+let map_cells ?jobs f cells =
+  Executor.with_executor ?jobs (fun exec -> Executor.map_list exec f cells)
 
 let adversary_suite ~seed ~n =
   ignore n;

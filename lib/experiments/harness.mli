@@ -6,7 +6,6 @@ module Adversary = Asyncolor_kernel.Adversary
 
 val map_cells :
   ?jobs:int ->
-  ?policy:Asyncolor_util.Executor.policy ->
   ('a -> 'b) ->
   'a list ->
   'b list
@@ -16,10 +15,9 @@ val map_cells :
     {!Asyncolor_util.Executor}, results merged back in input order.
     Cells must be self-contained — derive PRNG seeds from the cell
     description, share no mutable state — which makes the output
-    byte-identical for every [jobs] value and policy.  [jobs] defaults
-    to {!Asyncolor_util.Executor.default_jobs}; [jobs <= 1] (with no
-    explicit policy) and [~policy:Serial] run sequentially in the
-    calling domain with no executor spawned. *)
+    byte-identical for every [jobs] value.  [jobs] defaults to
+    {!Asyncolor_util.Executor.default_jobs}; at [jobs <= 1] the cells
+    run one by one in the calling domain and no domain is spawned. *)
 
 val adversary_suite : seed:int -> n:int -> Adversary.t list
 (** The standard stress suite: synchronous, sequential, round-robin,

@@ -22,16 +22,6 @@ type outcome = {
   returned : int;
 }
 
-let invariant_names =
-  [
-    "proper";
-    "palette";
-    "activation-bound";
-    "mask-agreement";
-    "churn-reinit";
-    "churn-fresh-ident";
-  ]
-
 (* A protocol plus everything the invariant suite needs to judge a run of
    it: output equality and rendering, the palette claim (graph-dependent)
    and the wait-freedom activation bound (cycle-only). *)

@@ -49,8 +49,6 @@ type outcome = {
   returned : int;
 }
 
-val invariant_names : string list
-
 val run : Scenario.t -> outcome
 (** Execute the scenario (its mutation applied, if any) and check every
     applicable invariant.  Deterministic: equal scenarios yield equal

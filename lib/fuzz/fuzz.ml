@@ -118,14 +118,9 @@ let save_finding ~dir f =
   Trace.save ~path:raw f.trace;
   Trace.save ~path:min f.shrunk
 
-let campaign ?(jobs = 1) ?policy ?budget ?stop ?corpus_dir ?algos ?mutation
-    ?max_n ?(obs = Obs.disabled) ~seed ~execs () =
+let campaign ?(jobs = 1) ?budget ?stop ?corpus_dir ?algos ?mutation ?max_n
+    ?(obs = Obs.disabled) ~seed ~execs () =
   let octx = make_octx obs in
-  let policy =
-    match policy with
-    | Some p -> p
-    | None -> if jobs <= 1 then Executor.Serial else Executor.Synchronous
-  in
   let should_stop () =
     (match stop with Some f -> f () | None -> false)
     || match budget with Some b -> Budget.exceeded b | None -> false
@@ -146,7 +141,7 @@ let campaign ?(jobs = 1) ?policy ?budget ?stop ?corpus_dir ?algos ?mutation
      ~args:[ ("seed", string_of_int seed); ("execs", string_of_int execs) ]
      "fuzz.campaign"
   @@ fun () ->
-   Executor.with_executor ~obs ~policy ~jobs (fun exec ->
+   Executor.with_executor ~obs ~jobs (fun exec ->
        let lo = ref 0 in
        while !lo < execs do
          if should_stop () then begin

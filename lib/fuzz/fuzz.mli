@@ -47,7 +47,6 @@ val run_one :
 
 val campaign :
   ?jobs:int ->
-  ?policy:Asyncolor_util.Executor.policy ->
   ?budget:Asyncolor_resilience.Budget.t ->
   ?stop:(unit -> bool) ->
   ?corpus_dir:string ->
@@ -63,11 +62,9 @@ val campaign :
     [t%04d.trace] (raw) and [t%04d.min.trace] (shrunk) keyed by exec
     index, as they are found — an interrupted campaign keeps its corpus.
 
-    [policy] (default: [Serial] when [jobs <= 1], else [Synchronous])
-    selects the executor policy the batches run under; an
-    [Asynchronous {max_active; _}] policy bounds the in-flight execs per
-    batch instead of queueing the whole batch at once.  The report is
-    byte-identical across policies.
+    The batches run on an executor of [jobs] domains (default 1), at
+    most {!Asyncolor_util.Executor.stream_window} execs in flight.  The
+    report is byte-identical for every [jobs].
 
     [obs] (default {!Asyncolor_obs.Obs.disabled}) traces the campaign
     out-of-band (the report stays a pure function of [seed]): a

@@ -377,19 +377,6 @@ module Make (P : Protocol.S) = struct
       events;
     Format.fprintf ppf "@]"
 
-  let pp_snapshot ppf t =
-    Format.fprintf ppf "@[<v>t=%d (%s)" t.time P.name;
-    for p = 0 to n t - 1 do
-      let pp_opt pp ppf = function
-        | None -> Format.pp_print_string ppf "⊥"
-        | Some x -> pp ppf x
-      in
-      Format.fprintf ppf "@,  p%d id=%d %a: state=%a reg=%a acts=%d" p t.idents.(p)
-        (Status.pp P.pp_output) t.status.(p) (pp_opt P.pp_state) t.states.(p)
-        (pp_opt P.pp_register) t.public.(p) t.activations.(p)
-    done;
-    Format.fprintf ppf "@]"
-
   let snapshot t =
     {
       c_states = Array.copy t.states;

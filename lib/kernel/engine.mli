@@ -153,9 +153,6 @@ module Make (P : Protocol.S) : sig
       [R] returned at that step, [_] already returned.  Requires
       [record_trace:true]. *)
 
-  val pp_snapshot : Format.formatter -> t -> unit
-  (** Render the full configuration (status, state, register per node). *)
-
   (** {1 Configuration snapshots}
 
       A configuration records an execution point: per-process status,

@@ -1,4 +1,1 @@
 type ('state, 'output) t = Continue of 'state | Return of 'output
-
-let map_state f = function Continue s -> Continue (f s) | Return o -> Return o
-let is_return = function Return _ -> true | Continue _ -> false

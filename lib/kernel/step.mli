@@ -3,6 +3,3 @@
 type ('state, 'output) t =
   | Continue of 'state  (** The stopping condition is not met; adopt this state. *)
   | Return of 'output  (** Terminate and output; the process takes no further steps. *)
-
-val map_state : ('a -> 'b) -> ('a, 'o) t -> ('b, 'o) t
-val is_return : ('s, 'o) t -> bool

@@ -1,5 +1,6 @@
-(** Synchronous Cole–Vishkin 3-colouring of the oriented ring — the
-    failure-free LOCAL-model baseline (paper §1.1 and Property 2.2).
+(** Cole–Vishkin 3-colouring of the oriented ring in synchronous
+    rounds — the failure-free LOCAL-model baseline (paper §1.1 and
+    Property 2.2).
 
     Nodes [0 … n-1] form a directed ring ([i]'s successor is [i+1 mod n]).
     Starting from their unique identifiers as colours, every node

@@ -159,7 +159,6 @@ let write_kinds = [| Enospc; Eio; Torn_write; Fsync_fail |]
 let read_kinds = [| Eio; Bit_rot |]
 
 let draw_write t ~site = Option.map snd (draw t ~site write_kinds)
-let draw_read t ~site = Option.map snd (draw t ~site read_kinds)
 
 (* A site-deterministic draw that does not count as an operation of the
    fault schedule (the position of a bit-rot flip). *)

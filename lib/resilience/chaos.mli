@@ -86,9 +86,6 @@ val draw_write : t -> site:string -> fault option
     [Fsync_fail].  Exposed for the determinism tests; I/O goes through
     {!write_file}. *)
 
-val draw_read : t -> site:string -> fault option
-(** Read-side counterpart: [Eio] or [Bit_rot]. *)
-
 (** {1 The injectable filesystem} *)
 
 val read_raw : string -> bytes
@@ -110,7 +107,8 @@ val write_with :
     left, so the two draw and fail alike. *)
 
 val read_file : t -> site:string -> string -> bytes
-(** Whole-file read, fault-injected via {!draw_read}: [Eio] raises
-    {!Injected} without touching the file; [Bit_rot] flips one byte of
-    the returned buffer (the on-disk file is untouched).
+(** Whole-file read, fault-injected by one draw of [site]'s stream, as
+    {!draw_write} draws for a write: [Eio] raises {!Injected} without
+    touching the file; [Bit_rot] flips one byte of the returned buffer
+    (the on-disk file is untouched).
     @raise Sys_error as [open_in_bin] when the file is missing. *)

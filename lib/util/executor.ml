@@ -19,24 +19,8 @@ type policy =
 let clamp_kappa k =
   if Float.is_nan k then 1.0 else Float.max 0.0 (Float.min 1.0 k)
 
-let asynchronous ?max_active ?(kappa = 0.5) ~jobs () =
-  let jobs = max 1 jobs in
-  let max_active =
-    match max_active with Some m -> max 1 m | None -> 4 * jobs
-  in
-  Asynchronous { max_active; kappa = clamp_kappa kappa }
-
-let policy_of_string ?max_active ?kappa ~jobs s =
-  match String.lowercase_ascii s with
-  | "serial" -> Serial
-  | "sync" | "synchronous" -> Synchronous
-  | "async" | "asynchronous" -> asynchronous ?max_active ?kappa ~jobs ()
-  | s ->
-      invalid_arg
-        (Printf.sprintf
-           "Executor.policy_of_string: unknown policy %S (expected \
-            serial|sync|async)"
-           s)
+let asynchronous ?(kappa = 0.5) ~jobs () =
+  Asynchronous { max_active = 4 * max 1 jobs; kappa = clamp_kappa kappa }
 
 let policy_name = function
   | Serial -> "serial"
@@ -171,11 +155,17 @@ let await fut =
   | Ok v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-let create ?(obs = Obs.disabled) ?(policy = Synchronous) ?jobs () =
-  (* The one place [jobs] is sanitised: clamped to at least 1, for every
-     client uniformly; [Serial] runs everything
-     on the caller, so it forces a single worker and spawns nothing. *)
+let create ?(obs = Obs.disabled) ?policy ?jobs () =
+  (* The one place [jobs] is sanitised (clamped to at least 1) and the
+     one place a policy is chosen when none is given: [Serial] at one
+     job, else [asynchronous].  [Serial] runs everything on the caller,
+     so it forces a single worker and spawns nothing. *)
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+  let policy =
+    match policy with
+    | Some p -> p
+    | None -> if jobs = 1 then Serial else asynchronous ~jobs ()
+  in
   let jobs = match policy with Serial -> 1 | Synchronous | Asynchronous _ -> jobs in
   let t =
     {
@@ -216,18 +206,12 @@ let with_executor ?obs ?policy ?jobs f =
 
 (* --- the batch layer: windowed map with failure isolation -------------- *)
 
-let batch_window t ~total =
-  match t.pol with
-  | Serial -> 1
-  | Synchronous -> total
-  | Asynchronous { max_active; _ } -> max 1 max_active
-
 let map_result t f input =
   let total = Array.length input in
   if total = 0 then Ok [||]
   else begin
     if t.stopping then invalid_arg "Executor.map: executor is shut down";
-    let window = batch_window t ~total in
+    let window = stream_window t in
     let results = Array.make total None in
     (* first (lowest-index) error wins, so failures are
        deterministic regardless of which domain hit them *)

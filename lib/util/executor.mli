@@ -14,12 +14,11 @@
     task.
 
     {b Policies.}  {!policy} fixes how many tasks a batch or stream may
-    keep in flight: [Serial] (one at a time, on the caller),
-    [Synchronous] (a batch whole at once, fork-join; a stream
-    [4 * jobs] tasks ahead),
-    [Asynchronous {max_active; kappa}] (bounded window with backpressure; [kappa] additionally gates how
-    early the explorer may overlap successive BFS levels — see
-    {!Asyncolor_check.Explorer}).  Policy never changes {e results}, only
+    keep in flight: [Serial] (one at a time, on the caller) or a window
+    of [4 * jobs] with backpressure, whose [kappa] additionally gates
+    how early the explorer may overlap successive BFS levels (see
+    {!Asyncolor_check.Explorer}).  Callers normally pass only [jobs]:
+    {!create} picks the policy.  Policy never changes {e results}, only
     scheduling: outputs are byte-identical across policies and [jobs].
 
     {b Failure.}  {!submit} wraps every task, so an exception from a task
@@ -39,29 +38,20 @@
 type policy =
   | Serial  (** one task at a time, executed by the caller; no domains *)
   | Synchronous
-      (** a whole batch in flight, join at the end — fork-join
-          semantics; a stream keeps [4 * jobs] in flight
-          ({!stream_window}), and the explorer barriers at every BFS
-          level *)
+      (** [Asynchronous] at [kappa = 1]: [4 * jobs] tasks in flight,
+          and the explorer barriers at every BFS level *)
   | Asynchronous of { max_active : int; kappa : float }
       (** at most [max_active] tasks in flight, submission stalls
           (counted as ["exec.backpressure"]) when the window is full;
           [kappa] ∈ [0, 1] is the fraction of BFS level [k] that must
           have merged before level [k+1] expansion may start *)
 
-val asynchronous : ?max_active:int -> ?kappa:float -> jobs:int -> unit -> policy
-(** Smart constructor: [max_active] defaults to [4 * jobs] and is clamped
-    to at least 1; [kappa] (default [0.5]) is clamped into [[0, 1]]. *)
-
-val policy_of_string :
-  ?max_active:int -> ?kappa:float -> jobs:int -> string -> policy
-(** ["serial"], ["sync"]/["synchronous"], ["async"]/["asynchronous"]
-    (case-insensitive); the CLI surface of [--exec-policy].
-    @raise Invalid_argument on anything else. *)
+val asynchronous : ?kappa:float -> jobs:int -> unit -> policy
+(** Smart constructor: [max_active = 4 * jobs] ([jobs] clamped to at
+    least 1); [kappa] (default [0.5]) is clamped into [[0, 1]]. *)
 
 val policy_name : policy -> string
-(** ["serial"], ["synchronous"] or ["asynchronous"] — recorded in
-    [bench --json]. *)
+(** ["serial"], ["synchronous"] or ["asynchronous"]. *)
 
 val policy_kappa : policy -> float
 (** The level-overlap fraction: [kappa] for [Asynchronous], [1.0] for
@@ -93,8 +83,10 @@ val create :
     caller is always worker 0).  {b [jobs] is clamped to at least 1 here,
     at the executor boundary} — [~jobs:0] and negative values behave as
     [~jobs:1], uniformly for every client; a [Serial] policy forces
-    [jobs = 1] and spawns nothing.  Defaults: [policy = Synchronous],
-    [jobs = default_jobs ()], [obs = Asyncolor_obs.Obs.disabled]. *)
+    [jobs = 1] and spawns nothing.  Defaults: [jobs = default_jobs ()],
+    [obs = Asyncolor_obs.Obs.disabled], and [policy] [Serial] at one
+    (clamped) job, else [asynchronous ~jobs ()] — the only place a
+    policy is chosen for a caller that gives none. *)
 
 val jobs : t -> int
 (** The clamped worker count (caller included). *)
@@ -106,10 +98,10 @@ val policy : t -> policy
 val stream_window : t -> int
 (** The in-flight bound a streaming client (the explorer) should keep:
     [1] for [Serial], [max_active] for [Asynchronous], and [4 * jobs]
-    for [Synchronous] — the default [max_active] of {!asynchronous}.
-    The stream's level barrier is its own business; the window only
-    bounds how many finished tasks' results wait for the client at once,
-    so a wide level is not held in memory whole. *)
+    for [Synchronous].  {!map_result} keeps the same window.  The
+    stream's level barrier is its own business; the window only bounds
+    how many finished tasks' results wait for the client at once, so a
+    wide level is not held in memory whole. *)
 
 val note_backpressure : t -> unit
 (** Count one submission stall on the ["exec.backpressure"] counter —
@@ -139,7 +131,7 @@ val await_result : 'a future -> ('a, exn * Printexc.raw_backtrace) result
 val map_result : t -> ('a -> 'b) -> 'a array -> ('b array, batch_error) result
 (** Parallel [Array.map] with deterministic result order: output index
     [i] always holds [f input.(i)].  The policy fixes the in-flight
-    window (see {!policy}); completed futures are consumed as a
+    window ({!stream_window}); completed futures are consumed as a
     sequential FIFO stream.
 
     {b Failure isolation.}  Once an item raises, the batch is

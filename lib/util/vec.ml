@@ -48,11 +48,6 @@ let pop t =
 let clear t = t.len <- 0
 let to_array t = Array.sub t.data 0 t.len
 
-let of_array ~dummy a =
-  { data = (if Array.length a = 0 then [| dummy |] else Array.copy a);
-    len = Array.length a;
-    dummy }
-
 let iteri f t =
   for i = 0 to t.len - 1 do
     f i t.data.(i)

@@ -34,8 +34,4 @@ val clear : 'a t -> unit
 val to_array : 'a t -> 'a array
 (** Fresh array of the first [length t] elements. *)
 
-val of_array : dummy:'a -> 'a array -> 'a t
-(** Vector holding a copy of [a] (checkpoint-resume rebuilds the
-    explorer's stores through this). *)
-
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

@@ -286,7 +286,7 @@ let test_vec_to_array () =
   List.iter (Vec.push v) [ "a"; "b"; "c" ];
   Alcotest.(check (array string)) "to_array" [| "a"; "b"; "c" |] (Vec.to_array v)
 
-(* --- Fork-join batches: the Synchronous executor policy ------------- *)
+(* --- Batches on the Synchronous executor policy --------------------- *)
 
 module Executor = Asyncolor_util.Executor
 
@@ -519,19 +519,21 @@ let test_executor_jobs_clamped () =
   with_pool ~jobs:(-7) (fun pool ->
       check Alcotest.int "negative jobs too" 1 (Executor.jobs pool))
 
-let test_policy_parsing () =
-  let name s = Executor.policy_name (Executor.policy_of_string ~jobs:4 s) in
-  check Alcotest.string "serial" "serial" (name "serial");
-  check Alcotest.string "sync" "synchronous" (name "sync");
-  check Alcotest.string "SYNC is case-insensitive" "synchronous" (name "SYNC");
-  check Alcotest.string "async" "asynchronous" (name "async");
-  (match Executor.policy_of_string ~jobs:4 "level-sync" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument on an unknown policy");
+let test_default_policy () =
+  (* [create] is the one place a policy is chosen for a caller that
+     gives none: Serial at one job, else Asynchronous at kappa 0.5. *)
+  Executor.with_executor ~jobs:1 (fun exec ->
+      check Alcotest.bool "jobs:1 runs Serial" true
+        (Executor.policy exec = Executor.Serial));
+  Executor.with_executor ~jobs:2 (fun exec ->
+      match Executor.policy exec with
+      | Executor.Asynchronous { kappa; max_active } ->
+          check (Alcotest.float 0.0) "default kappa" 0.5 kappa;
+          check Alcotest.int "window 4*jobs" 8 max_active
+      | p -> Alcotest.fail ("jobs:2 runs " ^ Executor.policy_name p));
   (match Executor.asynchronous ~kappa:1.5 ~jobs:2 () with
-  | Executor.Asynchronous { kappa; max_active } ->
-      check (Alcotest.float 0.0) "kappa clamped to 1" 1.0 kappa;
-      check Alcotest.int "max_active defaults to 4*jobs" 8 max_active
+  | Executor.Asynchronous { kappa; _ } ->
+      check (Alcotest.float 0.0) "kappa clamped to 1" 1.0 kappa
   | _ -> Alcotest.fail "asynchronous must build Asynchronous");
   check (Alcotest.float 0.0) "Synchronous is a full barrier" 1.0
     (Executor.policy_kappa Executor.Synchronous);
@@ -552,18 +554,19 @@ let test_executor_policies_agree () =
       Executor.Serial;
       Executor.Synchronous;
       Executor.asynchronous ~kappa:0.5 ~jobs:4 ();
-      Executor.asynchronous ~max_active:2 ~jobs:4 ();
+      Executor.asynchronous ~jobs:1 ();
     ]
 
 let test_executor_backpressure_bounded () =
-  (* Slow producer feeding a fast consumer through a max_active=2 window:
-     the in-flight gauge must never exceed the window and the window must
+  (* Slow producer feeding a fast consumer through a 4-task window (the
+     4 * jobs window of [asynchronous ~jobs:1], run on two domains): the
+     in-flight gauge must never exceed the window and the window must
      actually have stalled submissions (the exec.backpressure counter). *)
   let obs = Obs.create () in
-  Executor.with_executor ~obs
-    ~policy:(Executor.asynchronous ~max_active:2 ~jobs:2 ())
+  Executor.with_executor ~obs ~policy:(Executor.asynchronous ~jobs:1 ())
     ~jobs:2
     (fun exec ->
+      check Alcotest.int "window" 4 (Executor.stream_window exec);
       let out =
         Executor.map exec
           (fun x ->
@@ -575,8 +578,8 @@ let test_executor_backpressure_bounded () =
         "results intact under the window"
         (Array.init 50 (fun i -> i + 1))
         out);
-  check Alcotest.bool "inflight stayed within max_active" true
-    (metric obs "exec.inflight_max" <= 2);
+  check Alcotest.bool "inflight stayed within the window" true
+    (metric obs "exec.inflight_max" <= 4);
   check Alcotest.bool "window produced backpressure" true
     (metric obs "exec.backpressure" > 0);
   check Alcotest.int "every task ran exactly once" 50 (metric obs "exec.tasks")
@@ -586,9 +589,7 @@ let test_executor_async_failure_isolation () =
      of the batch (skipped items never call f) and still report the
      lowest failing index, deterministically. *)
   let executed = Atomic.make 0 in
-  Executor.with_executor
-    ~policy:(Executor.asynchronous ~max_active:2 ~jobs:4 ())
-    ~jobs:4
+  Executor.with_executor ~policy:(Executor.asynchronous ~jobs:1 ()) ~jobs:4
     (fun exec ->
       match
         Executor.map_result exec
@@ -1439,8 +1440,8 @@ let () =
         [
           Alcotest.test_case "jobs <= 0 clamped at the boundary" `Quick
             test_executor_jobs_clamped;
-          Alcotest.test_case "policy parsing and clamping" `Quick
-            test_policy_parsing;
+          Alcotest.test_case "default policy and clamping" `Quick
+            test_default_policy;
           Alcotest.test_case "policies agree on outputs" `Quick
             test_executor_policies_agree;
           Alcotest.test_case "backpressure bounds in-flight work" `Quick
