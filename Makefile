@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick bench-seed examples experiments coverage clean
+.PHONY: all build test bench-seed csv examples experiments coverage clean
 
 all: build
 
@@ -10,13 +10,6 @@ build:
 test:
 	dune runtest
 
-# Full experiment tables + Bechamel timings (≈ 2-3 min)
-bench:
-	dune exec bench/main.exe
-
-bench-quick:
-	dune exec bench/main.exe -- --quick
-
 # Regenerate the perf-regression baseline CI gates on: one perfbench run
 # per BENCHMARK.json workload (≈ 35 s).  Run on a quiet host.
 bench-seed:
@@ -24,8 +17,7 @@ bench-seed:
 
 # Dump every experiment table as CSV into ./results
 csv:
-	mkdir -p results
-	dune exec bench/main.exe -- --no-bench --csv results
+	dune exec bin/asyncolor_cli.exe -- experiments -j 1 --csv results
 
 examples:
 	dune exec examples/quickstart.exe

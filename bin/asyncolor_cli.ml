@@ -403,7 +403,7 @@ let sweep_cmd =
     let row n =
       let graph = Builders.cycle n in
       let idents = make_idents ~kind:idents_kind ~seed n in
-      let suite = Asyncolor_experiments.Harness.adversary_suite ~seed ~n in
+      let suite = Asyncolor_experiments.Harness.adversary_suite ~seed in
       let summary =
         match alg with
         | 1 ->
@@ -521,10 +521,11 @@ let check_cmd =
       & info [ "spill-dir" ] ~docv:"DIR"
           ~doc:
             "Spill closed BFS levels of the adjacency stream to \
-             delta-encoded, checksummed files under DIR (created if \
-             missing).  Only the adjacency leaves the heap: the intern \
-             store, the per-configuration arrays and the frontier stay \
-             resident and grow with the configurations explored.  \
+             checksummed files of the level log's varint bytes under \
+             DIR (created if missing).  Only the adjacency leaves the \
+             heap: the intern store, the per-configuration arrays and \
+             the frontier stay resident and grow with the \
+             configurations explored.  \
              Combine with $(b,--mem-budget-mb) to run instances whose \
              full adjacency would not fit in memory.")
   in
@@ -1093,19 +1094,26 @@ let tracecheck_cmd =
   Cmd.v (Cmd.info "tracecheck" ~doc) Term.(const f $ path_arg)
 
 let experiments_cmd =
-  let doc = "run the reproduction experiments (E1-E13)" in
+  let doc = "run the reproduction experiments (E1-E18)" in
   let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sizes.") in
   let only_arg =
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"ID" ~doc:"Run one experiment.")
   in
-  (* The [memory:] line goes to stderr, as [check]'s does: stdout stays
-     the report alone. *)
-  let f quick only jobs =
-    let ok =
+  let csv_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"DIR"
+          ~doc:
+            "Also write every table of the run as a CSV file under DIR \
+             (created if missing), one file per table.")
+  in
+  (* The [wrote …] and [memory:] lines go to stderr, as [check]'s do:
+     stdout stays the report alone. *)
+  let f quick only jobs csv =
+    let outcomes =
       match only with
-      | None ->
-          Asyncolor_experiments.Outcome.all_ok
-            (Asyncolor_experiments.Registry.run_all ~quick ~jobs ())
+      | None -> Asyncolor_experiments.Registry.run_all ~quick ~jobs ()
       | Some id -> (
           match Asyncolor_experiments.Registry.find id with
           | None ->
@@ -1114,12 +1122,21 @@ let experiments_cmd =
           | Some e ->
               let outcome = e.run ~quick () in
               Asyncolor_experiments.Outcome.print outcome;
-              outcome.ok)
+              [ outcome ])
     in
+    Option.iter
+      (fun dir ->
+        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        let written =
+          List.concat_map (Asyncolor_experiments.Outcome.write_csvs ~dir) outcomes
+        in
+        Diag.printf "wrote %d CSV files to %s\n" (List.length written) dir)
+      csv;
     Diag.printf "%s\n" (memory_pressure_line ());
-    if not ok then exit 1
+    if not (Asyncolor_experiments.Outcome.all_ok outcomes) then exit 1
   in
-  Cmd.v (Cmd.info "experiments" ~doc) Term.(const f $ quick_arg $ only_arg $ jobs_arg)
+  Cmd.v (Cmd.info "experiments" ~doc)
+    Term.(const f $ quick_arg $ only_arg $ jobs_arg $ csv_arg)
 
 let () =
   let doc = "wait-free colouring of the asynchronous cycle (PODC 2022 reproduction)" in

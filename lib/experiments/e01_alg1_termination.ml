@@ -35,7 +35,7 @@ let run ?(quick = false) ?(seed = 42) () =
               ~equal:(fun a b -> a = b)
               ~in_palette:(Asyncolor.Color.pair_in_palette ~budget:2)
               ~graph ~idents
-              (Harness.adversary_suite ~seed ~n)
+              (Harness.adversary_suite ~seed)
           in
           let bound = Asyncolor.Algorithm1.activation_bound n in
           let row_ok =

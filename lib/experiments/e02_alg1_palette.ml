@@ -60,7 +60,7 @@ let run ?(quick = false) ?(seed = 43) () =
           ~equal:(fun a b -> a = b)
           ~in_palette:(Color.pair_in_palette ~budget:2)
           ~graph ~idents
-          (Harness.adversary_suite ~seed ~n)
+          (Harness.adversary_suite ~seed)
       in
       ok := !ok && s.all_proper && s.all_palette && s.distinct_colors_max <= 6;
       Table.add_row sweep_table

@@ -30,7 +30,7 @@ let run ?(quick = false) ?(seed = 44) () =
           let s =
             Sweep.run
               ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents
-              (Harness.adversary_suite ~seed ~n)
+              (Harness.adversary_suite ~seed)
           in
           let bound = Asyncolor.Algorithm2.activation_bound n in
           ok :=

@@ -38,7 +38,7 @@ let run ?(quick = false) ?(seed = 45) () =
     (fun n ->
       let graph = Builders.cycle n in
       let suite =
-        if n <= 1_000 then Harness.adversary_suite ~seed ~n else light_suite ~seed
+        if n <= 1_000 then Harness.adversary_suite ~seed else light_suite ~seed
       in
       let workloads =
         if n <= 100_000 then

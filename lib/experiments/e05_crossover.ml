@@ -24,7 +24,7 @@ let run ?(quick = false) ?(seed = 46) () =
     (fun n ->
       let graph = Builders.cycle n in
       let idents = Idents.increasing n in
-      let suite () = Harness.adversary_suite ~seed ~n in
+      let suite () = Harness.adversary_suite ~seed in
       let s2 =
         Sweep2.run ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents (suite ())
       in

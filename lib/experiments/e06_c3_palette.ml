@@ -75,7 +75,7 @@ let run ?quick:(_ = false) ?(seed = 47) () =
         SweepR.run ~equal:Int.equal
           ~in_palette:(fun c -> c >= 0 && c <= Asyncolor_shm.Renaming.name_bound 3)
           ~graph:(Builders.complete 3) ~idents
-          (Harness.adversary_suite ~seed ~n:3)
+          (Harness.adversary_suite ~seed)
       in
       (* distinct names = proper colouring on the clique *)
       ok := !ok && s.all_proper && s.all_palette && s.all_returned;

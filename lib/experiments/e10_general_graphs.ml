@@ -52,7 +52,7 @@ let run ?(quick = false) ?(seed = 51) () =
           ~equal:(fun a b -> a = b)
           ~in_palette:(Asyncolor.Algorithm4.in_palette ~max_degree:delta)
           ~graph ~idents
-          (Harness.adversary_suite ~seed ~n)
+          (Harness.adversary_suite ~seed)
       in
       let row_ok =
         s.all_proper && s.all_palette && s.all_returned && not s.livelocked

@@ -28,7 +28,7 @@ let run ?(quick = false) ?(seed = 53) () =
     (fun n ->
       let graph = Builders.cycle n in
       let idents = Idents.increasing n in
-      let suite () = Harness.adversary_suite ~seed ~n in
+      let suite () = Harness.adversary_suite ~seed in
       let s1 =
         Sweep1.run
           ~equal:(fun a b -> a = b)

@@ -63,7 +63,7 @@ let run ?(quick = false) ?(seed = 56) () =
           ~equal:(fun a b -> a = b)
           ~in_palette:(Asyncolor.Algorithm4.in_palette ~max_degree:delta)
           ~graph ~idents
-          (Harness.adversary_suite ~seed ~n)
+          (Harness.adversary_suite ~seed)
       in
       ok := !ok && s4.all_proper && s4.all_palette && not s4.livelocked;
       Table.add_row table

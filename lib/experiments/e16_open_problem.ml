@@ -114,7 +114,7 @@ let run ?(quick = false) ?(seed = 57) () =
         Sweep.run ~equal:Int.equal
           ~in_palette:(A2.in_general_palette ~max_degree:delta)
           ~graph ~idents
-          (Harness.adversary_suite ~seed ~n)
+          (Harness.adversary_suite ~seed)
       in
       ok :=
         !ok && s.all_proper && s.all_palette && s.all_returned && not s.livelocked;

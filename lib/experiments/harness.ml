@@ -6,8 +6,7 @@ module Checker = Asyncolor.Checker
 let map_cells ?jobs f cells =
   Executor.with_executor ?jobs (fun exec -> Executor.map_list exec f cells)
 
-let adversary_suite ~seed ~n =
-  ignore n;
+let adversary_suite ~seed =
   let prng k = Prng.create ~seed:(seed + k) in
   [
     Adversary.synchronous;

@@ -19,7 +19,7 @@ val map_cells :
     {!Asyncolor_util.Executor.default_jobs}; at [jobs <= 1] the cells
     run one by one in the calling domain and no domain is spawned. *)
 
-val adversary_suite : seed:int -> n:int -> Adversary.t list
+val adversary_suite : seed:int -> Adversary.t list
 (** The standard stress suite: synchronous, sequential, round-robin,
     random singletons and random subsets (three densities).  Fresh
     (independently seeded) on every call.  Deliberately excludes the

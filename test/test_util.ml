@@ -1344,36 +1344,6 @@ let test_level_log_large_thresholds () =
            (level_log_rows ~stride:3 ~seed:w ~n:7_000 ~width:20)))
     [ 65_535; 65_536; 65_537 ]
 
-(* --- Jsonout -------------------------------------------------------- *)
-
-module Jsonout = Asyncolor_util.Jsonout
-
-let test_json_escaping () =
-  let s =
-    Jsonout.to_string
-      (Jsonout.Obj
-         [
-           ("k\"ey", Jsonout.String "line\nbreak\ttab \\ \x01");
-           ("nums", Jsonout.List [ Jsonout.Int 3; Jsonout.Float 1.5; Jsonout.Null ]);
-           ("b", Jsonout.Bool true);
-           ("empty", Jsonout.Obj []);
-         ])
-  in
-  check Alcotest.bool "escapes quote" true
-    (Astring.String.is_infix ~affix:"\"k\\\"ey\"" s);
-  check Alcotest.bool "escapes newline" true
-    (Astring.String.is_infix ~affix:"line\\nbreak\\ttab \\\\ \\u0001" s);
-  check Alcotest.bool "float has a dot" true (Astring.String.is_infix ~affix:"1.5" s);
-  check Alcotest.bool "null" true (Astring.String.is_infix ~affix:"null" s)
-
-let test_json_float_forms () =
-  check Alcotest.string "integral float gets .0" "2.0"
-    (String.trim (Jsonout.to_string (Jsonout.Float 2.)));
-  check Alcotest.string "nan is null" "null"
-    (String.trim (Jsonout.to_string (Jsonout.Float Float.nan)));
-  check Alcotest.string "inf is null" "null"
-    (String.trim (Jsonout.to_string (Jsonout.Float Float.infinity)))
-
 let () =
   Alcotest.run "util"
     [
@@ -1518,10 +1488,5 @@ let () =
           Alcotest.test_case "full chunks crossed" `Quick
             test_int_log_full_chunks;
           Alcotest.test_case "chunk sizes" `Quick test_int_log_chunk_sizes;
-        ] );
-      ( "jsonout",
-        [
-          Alcotest.test_case "escaping" `Quick test_json_escaping;
-          Alcotest.test_case "float forms" `Quick test_json_float_forms;
         ] );
     ]
