@@ -328,6 +328,19 @@ let chaos_stats_line chaos =
     Diag.printf "chaos: injected=%d quarantined=%d\n" injected quarantined
   end
 
+(* [--csv] and [--spill-dir] name a directory the command writes into.
+   It is made here, before any work, if it is missing (its parent must
+   exist), so a path that cannot be one ends the command with one line
+   on stderr and exit 2, not an exception after the work is done. *)
+let ensure_dir ~flag dir =
+  let fail msg =
+    Printf.eprintf "%s %s\n" flag msg;
+    exit 2
+  in
+  match if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 with
+  | () -> if not (Sys.is_directory dir) then fail (dir ^ ": not a directory")
+  | exception Sys_error msg -> fail msg
+
 (* An unreadable checkpoint or spilled level ends [check] with no
    report.  The diagnostic names the file (in [msg]) and the first of
    [candidates] (the run's own checkpoint, then the one it resumed) of
@@ -551,6 +564,7 @@ let check_cmd =
     if n < 3 then failwith "need at least 3 identifiers";
     if n > Sys.int_size - 1 then
       failwith "too many identifiers for packed activation masks (n <= 62)";
+    Option.iter (ensure_dir ~flag:"--spill-dir") spill_dir;
     let checkpoint = Option.map (fun p -> (p, ckpt_every)) ckpt_path in
     let budget = make_budget ~time_s ~mem_mb in
     let spill =
@@ -1111,6 +1125,7 @@ let experiments_cmd =
   (* The [wrote …] and [memory:] lines go to stderr, as [check]'s do:
      stdout stays the report alone. *)
   let f quick only jobs csv =
+    Option.iter (ensure_dir ~flag:"--csv") csv;
     let outcomes =
       match only with
       | None -> Asyncolor_experiments.Registry.run_all ~quick ~jobs ()
@@ -1126,7 +1141,6 @@ let experiments_cmd =
     in
     Option.iter
       (fun dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
         let written =
           List.concat_map (Asyncolor_experiments.Outcome.write_csvs ~dir) outcomes
         in

@@ -131,6 +131,19 @@ let masks_of mode unfinished =
             done;
             !mask)
 
+(* The set after [s] in [masks_of mode unfinished], or 0 after the last;
+   [next_mask mode unfinished 0] is the first.  [masks_of] lists its
+   sets in increasing order (it deposits an increasing counter's bits
+   into ascending positions), so this is the next submask of
+   [unfinished] ([`All_subsets]) or its next set bit ([`Singletons]):
+   the same walk, allocating nothing. *)
+let next_mask mode unfinished s =
+  match mode with
+  | `All_subsets -> (s - unfinished) land unfinished
+  | `Singletons ->
+      let above = if s = 0 then unfinished else unfinished land -(s lsl 1) in
+      above land -above
+
 (* Shared across functor instances: experiments convert reports between
    differently-instantiated explorers, and the orbit statistics carry no
    protocol-specific type. *)
@@ -820,8 +833,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         ck_pending_from = pending_from;
       }
 
-  let intern_key store key =
-    Intern.intern store ~hash:(E.key_hash key) (E.key_data key)
+  (* Intern the key [eng]'s last probe wrote, whose hash is [hash]. *)
+  let intern_probe store eng hash =
+    Intern.intern_encoded store ~hash (E.probe_bytes eng) ~pos:0
+      ~len:(E.probe_length eng)
 
   (* --- the BFS driver: one loop for every policy and for resume -------- *)
 
@@ -866,11 +881,14 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      Only where the successors come from depends on the executor:
 
      - {e One job}: the merging domain decodes and expands the entry
-       itself, and a successor is never snapshotted.  The live engine
-       is keyed in place: by {!E.key_probe} without symmetry, by
+       itself, walking its activation sets with [next_mask], and a
+       successor is never snapshotted.  The live engine is keyed in
+       place: by {!E.key_probe} without symmetry, by
        {!E.canonical_probe} over the engine's segment cache with it.
-       The store reads the probe's data (and copies it into its arena
-       on a miss); a duplicate needs nothing but its key.  Spill writes
+       Either writes the key once, already in the store's byte encoding,
+       from the cached segments' bytes; the store compares the probe's
+       bytes (and copies them into its arena on a miss), so a duplicate
+       costs the stale segments' encoding and one compare.  Spill writes
        run inline.
 
      - {e Two or more jobs}: a submission cursor ([submit_pos]) runs ahead
@@ -880,12 +898,12 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
        and canonicalises each successor with {!E.canonical_probe}); the
        merge awaits the {e head} future, whatever the completion order.
        A future's result is one buffer of successor records whose keys
-       are already in the store's byte encoding, so the merge interns a
+       are the probes' bytes, copied as they are, so the merge interns a
        key with a byte compare (a hit) or a blit (a miss), and nothing
-       is boxed per successor.  [stream_window] bounds the futures in
-       flight, and a position past the current level boundary is
-       submittable only once a κ fraction of the level has merged (κ = 1:
-       a barrier per level).  Spill levels are written by background
+       is boxed or re-encoded per successor.  [stream_window] bounds the
+       futures in flight, and a position past the current level boundary
+       is submittable only once a κ fraction of the level has merged
+       (κ = 1: a barrier per level).  Spill levels are written by background
        tasks.
 
      A predicate runs on the merging domain's engine.  When that engine
@@ -966,24 +984,22 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     in
     let expand_inline uid orbit_u config =
       let um = E.config_unfinished_mask config in
-      if um <> 0 then begin
-        let masks = masks_of params.mode um in
-        for i = 0 to Array.length masks - 1 do
-          let mask = masks.(i) in
-          if within_cap () then begin
-            E.restore engine config;
-            E.activate_mask engine mask;
-            if params.symmetry then begin
-              let key, pi, orbit, um = probe engine in
-              merge uid orbit_u mask (intern_key store key) ~um ~orbit ~pi
-            end
-            else
-              merge uid orbit_u mask
-                (intern_key store (E.key_probe engine))
-                ~um:0 ~orbit:1 ~pi:0
+      let mask = ref (next_mask params.mode um 0) in
+      while !mask <> 0 do
+        if within_cap () then begin
+          E.restore engine config;
+          E.activate_mask engine !mask;
+          if params.symmetry then begin
+            let hash, pi, orbit, um = probe engine in
+            merge uid orbit_u !mask (intern_probe store engine hash) ~um ~orbit ~pi
           end
-        done
-      end
+          else
+            merge uid orbit_u !mask
+              (intern_probe store engine (E.key_probe engine))
+              ~um:0 ~orbit:1 ~pi:0
+        end;
+        mask := next_mask params.mode um !mask
+      done
     in
     (* One private engine and record buffer per expanding domain,
        created lazily on first expansion (the caller gets one too — it
@@ -993,9 +1009,10 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     (* An expansion task's result: one record per successor, in [masks_of]
        order — its mask, its representative's unfinished mask, orbit
        size and winner index as varints, its key's hash as 8 bytes, then
-       its key encoded as the intern store holds it.  The merge interns
-       the key from these bytes ({!Intern.intern_encoded}), so a
-       successor crosses domains as a few bytes, not boxed values. *)
+       the byte length of its key and the key as the intern store holds
+       it, copied from the probe.  The merge interns the key from these
+       bytes ({!Intern.intern_encoded}), so a successor crosses domains
+       as a few bytes, not boxed values. *)
     let expand config () =
       let um = E.config_unfinished_mask config in
       if um = 0 then Bytes.empty
@@ -1003,28 +1020,31 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         let eng = Domain.DLS.get engine_key in
         let out = Domain.DLS.get records_key in
         let pos = ref 0 in
-        Array.iter
-          (fun mask ->
-            E.restore eng config;
-            E.activate_mask eng mask;
-            let key, pi, orbit, um = probe eng in
-            let data = E.key_data key in
-            (* Four varints and the hash, then the key's length and
-               ints: at most 9 bytes a varint. *)
-            let room = 44 + (9 * (Array.length data + 1)) in
-            if !pos + room > Bytes.length !out then begin
-              let b = Bytes.create (2 * (!pos + room)) in
-              Bytes.blit !out 0 b 0 !pos;
-              out := b
-            end;
-            let b = !out in
-            let p = Varint.put b !pos mask in
-            let p = Varint.put b p um in
-            let p = Varint.put b p orbit in
-            let p = Varint.put b p pi in
-            Bytes.set_int64_le b p (Int64.of_int (E.key_hash key));
-            pos := Varint.put_seq b (p + 8) data)
-          (masks_of params.mode um);
+        let mask = ref (next_mask params.mode um 0) in
+        while !mask <> 0 do
+          E.restore eng config;
+          E.activate_mask eng !mask;
+          let hash, pi, orbit, um' = probe eng in
+          let len = E.probe_length eng in
+          (* Five varints and the hash, then the key: at most 9 bytes a
+             varint. *)
+          let room = 53 + len in
+          if !pos + room > Bytes.length !out then begin
+            let b = Bytes.create (2 * (!pos + room)) in
+            Bytes.blit !out 0 b 0 !pos;
+            out := b
+          end;
+          let b = !out in
+          let p = Varint.put b !pos !mask in
+          let p = Varint.put b p um' in
+          let p = Varint.put b p orbit in
+          let p = Varint.put b p pi in
+          Bytes.set_int64_le b p (Int64.of_int hash);
+          let p = Varint.put b (p + 8) len in
+          Bytes.blit (E.probe_bytes eng) 0 b p len;
+          pos := p + len;
+          mask := next_mask params.mode um !mask
+        done;
         Bytes.sub !out 0 !pos
       end
     in
@@ -1038,11 +1058,13 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
         let orbit = Varint.read records p in
         let pi = Varint.read records p in
         let hash = Int64.to_int (Bytes.get_int64_le records !p) in
-        let pos = !p + 8 in
-        p := Varint.seq_end records pos;
+        p := !p + 8;
+        let len = Varint.read records p in
+        let pos = !p in
+        p := pos + len;
         if within_cap () then
           merge uid orbit_u mask
-            (Intern.intern_encoded store ~hash records ~pos ~len:(!p - pos))
+            (Intern.intern_encoded store ~hash records ~pos ~len)
             ~um ~orbit ~pi
       done
     in
@@ -1240,11 +1262,11 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     in
     let store = Intern.create () in
     let engine = E.create graph ~idents in
-    let key, _, orbit, unfinished = E.canonical_probe engine params.group in
+    let hash, _, orbit, unfinished = E.canonical_probe engine params.group in
     let root_id =
       register_st ~params st ~unfinished ~orbit ~pred:(-1) ~mask:0
     in
-    ignore (intern_key store key);
+    ignore (intern_probe store engine hash : int);
     safety_check ~params st engine root_id;
     run ~params ?policy ~jobs ~graph ~idents st store ~pending_from:root_id
 

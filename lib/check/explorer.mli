@@ -50,6 +50,14 @@ val masks_of : [ `All_subsets | `Singletons ] -> int -> int array
     bitmasks, in the same order — [Array.to_list (Array.map subset_of_mask
     (masks_of mode m))] equals [subsets_of mode (subset_of_mask m)]. *)
 
+val next_mask : [ `All_subsets | `Singletons ] -> int -> int -> int
+(** [next_mask mode unfinished s] is the set after [s] in
+    [masks_of mode unfinished], or [0] after the last; the first is
+    [next_mask mode unfinished 0].  The explorer walks a configuration's
+    activation sets this way, allocating nothing: {!masks_of} lists them
+    in increasing order, so this is the next submask of [unfinished]
+    ([`All_subsets]) or its next set bit ([`Singletons]). *)
+
 val subset_of_mask : int -> int list
 (** Ascending list of the set bits of a mask. *)
 

@@ -1,5 +1,6 @@
 module Graph = Asyncolor_topology.Graph
 module Mask = Asyncolor_util.Mask
+module Varint = Asyncolor_util.Level_log.Varint
 
 (* A growable int buffer that the key encoder writes through one
    preallocated [emit] closure.  Unlike the polymorphic [Vec], its stores
@@ -103,14 +104,18 @@ module Make (P : Protocol.S) = struct
         (* the current step's returns, newest first; traced runs only *)
     segs : kbuf array;
         (* [segs.(p)]: process [p]'s framed key segment, as of the last
-           [key_probe] that refreshed it *)
+           probe that refreshed it *)
+    seg_bytes : Bytes.t array;
+        (* [segs.(p)] zigzag-LEB128 encoded, in its first [seg_blen.(p)]
+           bytes: the segment as the intern store holds it *)
+    seg_blen : int array;
     seg_hash : int array;  (* the polynomial hash of [segs.(p)] *)
     seg_pow : int array;  (* 31 ^ length of [segs.(p)], modulo 2^62 *)
     mutable stale : int;
         (* when [masked], bit [p] is set iff [segs.(p)] may differ from
            [p]'s live segment: set by every step for the processes it
            steps and by [restore] for those it rewrites, set whole by
-           [reset] and a full [restore], cleared by [key_probe].
+           [reset] and a full [restore], cleared by every probe.
            Unmasked engines re-encode every segment. *)
     mutable last : config;
         (* the configuration restored last; [no_config] before the first
@@ -119,10 +124,10 @@ module Make (P : Protocol.S) = struct
         (* when [masked], bit [p] is set iff a step since the restore of
            [last] stepped [p]: every other process still holds [last]'s
            values *)
-    mutable probe_bufs : int array array;
-        (* [probe_bufs.(len)]: the buffer [key_probe] and
-           [canonical_probe] return for keys of [len] ints ([[||]] until
-           first needed) *)
+    mutable probe : Bytes.t;
+        (* the key [key_probe] and [canonical_probe] wrote last, in its
+           first [probe_len] bytes *)
+    mutable probe_len : int;
     identity : int array;  (* the order [key_probe] writes segments in *)
     order : int array;  (* [canonical_probe]'s scratch: processes by segment *)
     rank : int array;  (* [canonical_probe]'s scratch: each segment's rank *)
@@ -159,12 +164,15 @@ module Make (P : Protocol.S) = struct
       views = Array.init n (fun p -> Array.make (Graph.degree graph p) None);
       step_returned = [];
       segs = Array.init n (fun _ -> kbuf_create ());
+      seg_bytes = Array.init n (fun _ -> Bytes.create 64);
+      seg_blen = Array.make n 0;
       seg_hash = Array.make n 0;
       seg_pow = Array.make n 1;
       stale = -1;
       last = no_config;
       touched = 0;
-      probe_bufs = [||];
+      probe = Bytes.create 256;
+      probe_len = 0;
       identity = Array.init n Fun.id;
       order = Array.make n 0;
       rank = Array.make n 0;
@@ -477,34 +485,36 @@ module Make (P : Protocol.S) = struct
     done;
     key_of_data (Array.sub b.data 0 b.len)
 
-  (* Re-encode process [p]'s cached segment from the live engine. *)
+  (* Re-encode process [p]'s cached segment from the live engine: its
+     ints, their hash, and their bytes as the intern store writes them
+     (zigzag LEB128, {!Asyncolor_util.Level_log.Varint}).  Nearly every
+     int of a key is small, so the zigzag and the one-byte case are
+     written in line (as calls, they cost c5-full about a tenth of its
+     wall time on a 2-vCPU host). *)
   let refresh_segment t p =
     let b = t.segs.(p) in
     b.len <- 0;
     encode_segment b ~status:t.status ~states:t.states ~public:t.public p;
-    let h = ref 0 and pow = ref 1 in
+    if Bytes.length t.seg_bytes.(p) < 9 * b.len then
+      t.seg_bytes.(p) <- Bytes.create (18 * b.len);
+    let sb = t.seg_bytes.(p) in
+    let h = ref 0 and pow = ref 1 and at = ref 0 in
     for i = 0 to b.len - 1 do
-      h := ((!h * 31) + b.data.(i)) land max_int;
-      pow := (!pow * 31) land max_int
+      let x = b.data.(i) in
+      h := ((!h * 31) + x) land max_int;
+      pow := (!pow * 31) land max_int;
+      let z = (x lsl 1) lxor (x asr (Sys.int_size - 1)) in
+      if z < 128 then begin
+        Bytes.unsafe_set sb !at (Char.unsafe_chr z);
+        incr at
+      end
+      else at := Varint.put sb !at z
     done;
     t.seg_hash.(p) <- !h;
-    t.seg_pow.(p) <- !pow
+    t.seg_pow.(p) <- !pow;
+    t.seg_blen.(p) <- !at
 
-  let probe_buf t len =
-    if len >= Array.length t.probe_bufs then begin
-      let bufs = Array.make ((2 * len) + 1) [||] in
-      Array.blit t.probe_bufs 0 bufs 0 (Array.length t.probe_bufs);
-      t.probe_bufs <- bufs
-    end;
-    let buf = t.probe_bufs.(len) in
-    if Array.length buf = len then buf
-    else begin
-      let buf = Array.make len 0 in
-      t.probe_bufs.(len) <- buf;
-      buf
-    end
-
-  (* Re-encode the stale segments; the key's length. *)
+  (* Re-encode the stale segments; the key's length in ints. *)
   let refresh_stale t =
     let len = ref 0 in
     for p = 0 to n t - 1 do
@@ -514,28 +524,51 @@ module Make (P : Protocol.S) = struct
     t.stale <- 0;
     !len
 
-  (* The key whose segments are the cached ones in [sigma] order, in the
-     probe buffer.  The flat hash of a concatenation [a @ b] is
+  (* The hash of the key whose segments are the cached ones in [sigma]
+     order.  The flat hash of a concatenation [a @ b] is
      [hash a * 31 ^ length b + hash b], so the segments' cached hashes
-     combine into the key's without rereading a single int.  The copy
-     loop is typed: its stores are plain int writes, where [Array.blit]
-     into a major-heap buffer would take the write barrier per element. *)
-  let write_key t len sigma =
-    let buf = probe_buf t len in
-    let h = ref 0 and off = ref 0 in
+     combine into the key's without rereading a single int. *)
+  let fold_hash t sigma =
+    let h = ref 0 in
     for q = 0 to Array.length sigma - 1 do
       let p = sigma.(q) in
-      h := ((!h * t.seg_pow.(p)) + t.seg_hash.(p)) land max_int;
-      let seg = t.segs.(p) in
-      let data = seg.data and o = !off in
-      for i = 0 to seg.len - 1 do
-        buf.(o + i) <- data.(i)
-      done;
-      off := o + seg.len
+      h := ((!h * t.seg_pow.(p)) + t.seg_hash.(p)) land max_int
     done;
-    { kdata = buf; khash = mix !h }
+    mix !h
 
-  let key_probe t = write_key t (refresh_stale t) t.identity
+  (* Write the key of [len] ints whose segments are the cached ones in
+     [sigma] order into the probe buffer, as the intern store encodes
+     it: the length, then the segments' bytes.  Returns its hash. *)
+  let write_probe t len sigma =
+    let size = ref 9 in
+    for p = 0 to n t - 1 do
+      size := !size + t.seg_blen.(p)
+    done;
+    if Bytes.length t.probe < !size then t.probe <- Bytes.create (2 * !size);
+    let buf = t.probe in
+    let at = ref (Varint.put buf 0 len) in
+    for q = 0 to Array.length sigma - 1 do
+      let p = sigma.(q) in
+      Bytes.unsafe_blit t.seg_bytes.(p) 0 buf !at t.seg_blen.(p);
+      at := !at + t.seg_blen.(p)
+    done;
+    t.probe_len <- !at;
+    fold_hash t sigma
+
+  let key_probe t = write_probe t (refresh_stale t) t.identity
+  let probe_bytes t = t.probe
+  let probe_length t = t.probe_len
+
+  (* A fresh key of the live configuration, from the cached segments. *)
+  let key t =
+    let len = refresh_stale t in
+    let data = Array.make len 0 and off = ref 0 in
+    Array.iter
+      (fun seg ->
+        Array.blit seg.data 0 data !off seg.len;
+        off := !off + seg.len)
+      t.segs;
+    { kdata = data; khash = fold_hash t t.identity }
 
   (* Lexicographic order of the cached segments of processes [a] and
      [b].  A segment is self-delimiting (a tag, then framed payloads
@@ -599,10 +632,7 @@ module Make (P : Protocol.S) = struct
     for q = 0 to n - 1 do
       if t.umask land (1 lsl sigma.(q)) <> 0 then um := !um lor (1 lsl q)
     done;
-    (write_key t len sigma, !best, Array.length group / !ties, !um)
-
-  let key_copy k = { k with kdata = Array.copy k.kdata }
-  let key t = key_copy (key_probe t)
+    (write_probe t len sigma, !best, Array.length group / !ties, !um)
 
   let config_key_offsets c =
     let b = Domain.DLS.get scratch in

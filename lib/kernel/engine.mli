@@ -33,16 +33,22 @@
       physical value) rewrites only the processes stepped since that
       restore; any other configuration, and every restore after a
       {!Make.reset}, is copied whole;
-    - the engine caches each process's framed key segment and the
-      segment's hash.  A segment is stale once its process is stepped
-      or rewritten, and every segment is stale after {!Make.reset} or a
-      full restore.  {!Make.key_probe} and {!Make.canonical_probe}
-      re-encode only the stale ones.
+    - the engine caches each process's framed key segment twice, as
+      ints (what {!Make.canonical_probe} ranks and the hash folds) and
+      as the intern store's zigzag-LEB128 bytes
+      ({!Asyncolor_util.Level_log.Varint}), with the segment's hash.  A
+      segment is stale once its process is stepped or rewritten, and
+      every segment is stale after {!Make.reset} or a full restore.
+      {!Make.key_probe} and {!Make.canonical_probe} re-encode only the
+      stale ones, both forms at once.
     The invariant: after every operation, a segment that is not stale
     equals the encoding of its process's live status, state and
     register.  So a probe reads every process's segment from the cache,
     in any order: {!Make.key_probe} in process order,
     {!Make.canonical_probe} in the order of each candidate permutation.
+    A probe writes its key once, as bytes: the key's length, then the
+    cached segments' bytes end to end, which is the key's
+    {!Asyncolor_util.Level_log.Varint.put_seq} encoding.
     Wider engines re-encode every segment and copy every restore. *)
 
 module Make (P : Protocol.S) : sig
@@ -216,28 +222,38 @@ module Make (P : Protocol.S) : sig
   val key : t -> key
   (** [key t] packs the live engine's process-visible part: it equals
       [config_key (snapshot t)] (same data, same hash) without building
-      the snapshot.  It is [key_copy (key_probe t)]. *)
+      the snapshot, read from the segment cache. *)
 
-  val key_probe : t -> key
-  (** [key_probe t] is {!key} without the copy: its data is a buffer
-      owned by [t], which the next operation on [t] may overwrite.  So a
-      probe is valid until the next engine operation, and it is for
-      lookups only: a table must store [key_copy] of it.  The explorer
-      looks up every successor with a probe and copies it only on a miss,
-      so a duplicate copies no key data.  It re-encodes only the stale
-      segments (see the segment cache above).  Like every other engine
-      operation, it is for one domain at a time. *)
+  val key_probe : t -> int
+  (** [key_probe t] writes the live configuration's key into the
+      engine's probe buffer, encoded as the intern store holds it: the
+      first {!probe_length} bytes of {!probe_bytes} are
+      [Varint.put_seq] of [key_data (key t)].  It returns the key's hash,
+      [key_hash (key t)].  It re-encodes only the stale segments (see
+      the segment cache above), and allocates nothing once the buffers
+      have grown to the key's size.  The buffer belongs to [t]: the next
+      probe overwrites it, so a store must copy the bytes (the explorer
+      hands them to {!Asyncolor_util.Intern.intern_encoded}, which
+      copies them on a miss).  Like every other engine operation, it is
+      for one domain at a time. *)
 
-  val canonical_probe : t -> int array array -> key * int * int * int
+  val probe_bytes : t -> Bytes.t
+  (** The probe buffer the last {!key_probe} or {!canonical_probe}
+      wrote, valid in its first {!probe_length} bytes until the next
+      probe. *)
+
+  val probe_length : t -> int
+
+  val canonical_probe : t -> int array array -> int * int * int * int
   (** [canonical_probe t group] canonicalises the live configuration
       over [group], a duplicate-free group of process permutations given
       as arrays of length [n t]: among the candidate keys, the key of
       {!config_permute} of the live configuration by [sigma] for each
       [sigma] in [group], it picks the lexicographically least, the
-      first index attaining it winning ties.  It returns
-      [(key, winner, orbit, unfinished)]:
-      - [key], a probe ({!key_probe}'s lifetime rule) whose data and
-        hash are those of the winner's key;
+      first index attaining it winning ties.  It writes the winner's key
+      into the probe buffer as {!key_probe} does and returns
+      [(hash, winner, orbit, unfinished)]:
+      - [hash], the winner's key hash;
       - [winner], the winner's index in [group];
       - [orbit], the number of distinct candidate keys, computed as
         [|group| / ties] (orbit-stabiliser; exact because [group] is a
@@ -247,33 +263,31 @@ module Make (P : Protocol.S) : sig
 
       It works on the segment cache alone: it re-encodes the stale
       segments and compares the candidates in place over the cached
-      ones.  A segment is self-delimiting, so two different segments
-      differ inside the shorter one, and two candidates compare as their
-      first differing pair of segments: the probe ranks the [n]
+      int segments.  A segment is self-delimiting, so two different
+      segments differ inside the shorter one, and two candidates compare
+      as their first differing pair of segments: the probe ranks the [n]
       segments once and compares candidates as sequences of ranks.  It
       folds the winner's hash from the cached segment hashes in the
-      winner's order, and writes the winner's ints and nothing else.  With the identity alone in [group] it is
+      winner's order, and writes the winner's bytes once, from the
+      cached segment bytes.  With the identity alone in [group] it is
       {!key_probe} plus the unfinished mask.  It equals the explorer's
       [canonicalize] of [snapshot t] on every output, which the
       symmetry tests check.
       @raise Invalid_argument when [n t > Sys.int_size - 1]. *)
 
-  val key_copy : key -> key
-  (** A key equal to its argument that shares no buffer with an engine. *)
-
   val key_hash : key -> int
   (** The polynomial hash [h <- 31 h + x] modulo 2{^62} over the key's
       ints, put through a 64-bit-style finaliser.  The polynomial part
       concatenates: the hash of [a @ b] is [hash a * 31^length b + hash b],
-      so {!key_probe} combines cached segment hashes into exactly the hash
+      so the probes combine cached segment hashes into exactly the hash
       {!config_key} and {!key_of_data} compute from the flat data. *)
 
   val key_equal : key -> key -> bool
 
   val key_data : key -> int array
   (** The packed payload of a key.  [key_of_data (key_data k)] is equal
-      (and equi-hashed) to [k] — the round-trip the explorer's checkpoint
-      format relies on to persist its intern table as flat int arrays. *)
+      (and equi-hashed) to [k] — the round-trip a resumed explorer relies
+      on to recompute each stored key's hash from its decoded ints. *)
 
   val key_of_data : int array -> key
   (** Rebuild a key from {!key_data} output (the hash is recomputed, so a
@@ -325,8 +339,8 @@ module Make (P : Protocol.S) : sig
       contract; see {!Asyncolor_topology.Graph.is_automorphism}). *)
 
   module Key_tbl : Hashtbl.S with type key = key
-  (** Hash table over packed keys — the hash-consed configuration store
-      of {!Asyncolor_check.Explorer}. *)
+  (** Hash table over packed keys.  The explorer does not use it: it
+      interns the probes' bytes in {!Asyncolor_util.Intern}. *)
 
   (** {1 Running against an adversary} *)
 

@@ -57,54 +57,40 @@ let bytes t =
 
 module Varint = Level_log.Varint
 
-(* Do the stored bytes of [id] encode [data]? *)
-let equal_at t id data =
-  t.compares <- t.compares + 1;
-  let s = t.starts.(id) in
-  Varint.equal_seq t.chunks.(s lsr 32) (s land id_mask) data
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
 (* Are the stored bytes of [id] the [len] bytes of [src] at [pos]?  A
    stored sequence is one code word of a prefix-free code, and so is the
-   slice, so equal bytes over the slice's length are equal sequences. *)
-let equal_bytes_at t id src pos len =
+   slice, so equal bytes over the slice's length are equal sequences.
+   Eight bytes a compare, then the tail byte by byte; both ranges lie
+   inside their buffers ([intern_encoded] checks [src]'s), so the reads
+   are unchecked. *)
+let equal_at t id src pos len =
   t.compares <- t.compares + 1;
   let s = t.starts.(id) in
   let b = t.chunks.(s lsr 32) and off = s land id_mask in
   off + len <= Bytes.length b
   &&
   let i = ref 0 in
+  while !i + 8 <= len && (get64u b (off + !i) : int64) = get64u src (pos + !i) do
+    i := !i + 8
+  done;
   while !i < len && Bytes.unsafe_get b (off + !i) = Bytes.unsafe_get src (pos + !i) do
     incr i
   done;
   !i = len
 
-(* The slot holding [data], or the empty slot where it would go: a slot
-   index [i] with [slots.(i) = 0] on a miss.  A loop, not a local
+(* The slot holding the slice, or the empty slot where it would go: a
+   slot index [i] with [slots.(i) = 0] on a miss.  A loop, not a local
    recursive function, so a lookup allocates no closure. *)
-let probe t tag data =
+let probe t tag src pos len =
   let slots = t.slots in
   let mask = Array.length slots - 1 in
   let i = ref (tag lsr t.shift) in
   let found = ref false in
   while not !found do
     let s = Array.unsafe_get slots !i in
-    if s = 0 || (s lsr 32 = tag && equal_at t ((s land id_mask) - 1) data)
-    then found := true
-    else i := (!i + 1) land mask
-  done;
-  !i
-
-(* [probe] for an encoded slice. *)
-let probe_bytes t tag src pos len =
-  let slots = t.slots in
-  let mask = Array.length slots - 1 in
-  let i = ref (tag lsr t.shift) in
-  let found = ref false in
-  while not !found do
-    let s = Array.unsafe_get slots !i in
-    if
-      s = 0
-      || (s lsr 32 = tag && equal_bytes_at t ((s land id_mask) - 1) src pos len)
+    if s = 0 || (s lsr 32 = tag && equal_at t ((s land id_mask) - 1) src pos len)
     then found := true
     else i := (!i + 1) land mask
   done;
@@ -167,20 +153,11 @@ let fill_slot t i tag id =
   if 2 * t.count > Array.length t.slots then grow_slots t;
   id
 
-let intern t ~hash data =
-  let tag = tag_of hash in
-  let i = probe t tag data in
-  let s = t.slots.(i) in
-  if s <> 0 then (s land id_mask) - 1
-  else begin
-    let id = append t (Varint.seq_size data) in
-    t.pos <- Varint.put_seq t.chunks.(t.nchunks - 1) t.pos data;
-    fill_slot t i tag id
-  end
-
 let intern_encoded t ~hash src ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length src - len then
+    invalid_arg "Intern.intern_encoded: slice outside its bytes";
   let tag = tag_of hash in
-  let i = probe_bytes t tag src pos len in
+  let i = probe t tag src pos len in
   let s = t.slots.(i) in
   if s <> 0 then (s land id_mask) - 1
   else begin
@@ -189,6 +166,10 @@ let intern_encoded t ~hash src ~pos ~len =
     t.pos <- t.pos + len;
     fill_slot t i tag id
   end
+
+let intern t ~hash data =
+  let b = Bytes.create (Varint.seq_size data) in
+  intern_encoded t ~hash b ~pos:0 ~len:(Varint.put_seq b 0 data)
 
 (* --- decoding --------------------------------------------------------- *)
 
@@ -201,7 +182,7 @@ let length_of t id =
 
 let decode_into t id dst =
   let s = t.starts.(id) in
-  ignore (Varint.read_seq t.chunks.(s lsr 32) (s land id_mask) dst)
+  ignore (Varint.read_seq t.chunks.(s lsr 32) (s land id_mask) dst : int)
 
 let seq_length t id =
   check_id t id "seq_length";
@@ -247,10 +228,12 @@ let of_image { im_chunks; im_starts } ~hash =
         invalid_arg "Intern.of_image: offset outside the arena";
       t.starts.(id) <- s;
       t.count <- id + 1;
-      (* Reading the sequence checks its varints stay inside the chunk. *)
-      let data = get t id in
+      (* Reading the sequence checks its varints stay inside the chunk,
+         and its end bounds the slice that probes for it. *)
+      let data = Array.make (length_of t id) 0 in
+      let len = Varint.read_seq im_chunks.(c) off data - off in
       let tag = tag_of (hash data) in
-      let i = probe t tag data in
+      let i = probe t tag im_chunks.(c) off len in
       if t.slots.(i) <> 0 then invalid_arg "Intern.of_image: duplicate sequence";
       t.slots.(i) <- (tag lsl 32) lor (id + 1);
       if 2 * t.count > Array.length t.slots then grow_slots t)

@@ -18,6 +18,11 @@
       slots, and compares bytes only where the tag matches; nothing is
       allocated, and growing the table rehashes from the tags alone.
 
+    There is one lookup path, over bytes: a caller hands the store a
+    sequence already encoded ({!intern_encoded}), as the engine's
+    probes write it, and a hit is a compare of that slice against the
+    stored bytes, eight bytes at a time.
+
     A small-valued sequence costs about one byte per element plus its
     share of the offset and slot arrays — against a boxed array, a
     record and a hash-table cell per key in a [Hashtbl].  The caller
@@ -35,24 +40,25 @@ val create : ?capacity:int -> unit -> t
 val length : t -> int
 (** Number of interned sequences — the id the next new one gets. *)
 
-val intern : t -> hash:int -> int array -> int
-(** The id of the sequence, interning it first if it is new: a new
-    sequence gets id [length t] (so the caller tells a miss by comparing
-    with [length t] taken before the call).  The array is copied into the
-    arena, never retained.
+val intern_encoded : t -> hash:int -> Bytes.t -> pos:int -> len:int -> int
+(** [intern_encoded t ~hash src ~pos ~len] is the id of the sequence
+    whose encoding ({!Level_log.Varint.put_seq}, the arena's own layout)
+    is the [len] bytes of [src] at [pos], interning it first if it is
+    new: a new sequence gets id [length t] (so the caller tells a miss by
+    comparing with [length t] taken before the call).  It decodes
+    nothing: a hit is a byte compare against the stored bytes, a miss a
+    blit of the slice into the arena; the slice is never retained.
+    [hash] is the caller's hash of the sequence, equal for equal
+    sequences (the explorer's is the configuration key's).  The slice
+    must be one well-formed encoding, as {!Level_log.Varint.put_seq}
+    writes it.
+    @raise Invalid_argument when the slice is not inside [src].
     @raise Failure past [2^30] sequences (the tag/id slot layout). *)
 
-val intern_encoded : t -> hash:int -> Bytes.t -> pos:int -> len:int -> int
-(** [intern_encoded t ~hash src ~pos ~len] is [intern t ~hash data] for
-    the [data] whose encoding ({!Level_log.Varint.put_seq}, the arena's
-    own layout) is the [len] bytes of [src] at [pos]: the same id, the
-    same arena bytes.  It decodes nothing: a hit is a byte compare
-    against the stored bytes, a miss a blit of the slice into the arena.
-    So a sequence encoded where it was made (the explorer's expansion
-    tasks) reaches the store as bytes.  [hash] is the hash {!intern}
-    would be given for [data].  The slice must be one well-formed
-    encoding, as {!Level_log.Varint.put_seq} writes it.
-    @raise Failure past [2^30] sequences. *)
+val intern : t -> hash:int -> int array -> int
+(** [intern t ~hash data] encodes [data] with
+    {!Level_log.Varint.put_seq} into a fresh buffer and interns that:
+    {!intern_encoded} for a caller that holds the ints. *)
 
 val get : t -> int -> int array
 (** The sequence with that id, decoded afresh.
@@ -91,8 +97,9 @@ val image : t -> image
 val of_image : image -> hash:(int array -> int) -> t
 (** The store whose ids and sequences are the image's: id [i] holds the
     sequence at [im_starts.(i)].  [hash] must be the hash the store's
-    lookups are given ({!intern}'s [~hash]); it is recomputed for every
-    sequence, never stored.  New sequences go to a fresh chunk.
+    lookups are given ({!intern_encoded}'s [~hash]); it is recomputed for
+    every sequence from its decoded ints, never stored, and each
+    sequence probes the rebuilt table with its own arena bytes.  New sequences go to a fresh chunk.
     @raise Invalid_argument when an offset lies outside the arena, a
     varint runs past its chunk, or two ids hold equal sequences. *)
 

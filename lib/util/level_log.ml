@@ -40,20 +40,6 @@ module Varint = struct
       !v
     end
 
-  (* Match [z]'s LEB128 bytes against [b] at [pos]: the position after
-     them, or [-1] at the first differing byte.  Prefix-freeness makes a
-     full match of the bytes a match of the value. *)
-  let match_at b pos z =
-    let z = ref z and p = ref pos in
-    while !p >= 0 && !z lsr 7 <> 0 do
-      if Char.code (Bytes.get b !p) = !z land 127 lor 128 then begin
-        z := !z lsr 7;
-        incr p
-      end
-      else p := -1
-    done;
-    if !p >= 0 && Char.code (Bytes.get b !p) = !z then !p + 1 else -1
-
   let seq_size data =
     let n = Array.length data in
     let total = ref (size n) in
@@ -70,19 +56,6 @@ module Varint = struct
     done;
     !p
 
-  (* The length prefix goes first, so a stored sequence that [data] is a
-     proper prefix of (or vice versa) differs there, and the element loop
-     never reads past the stored sequence's end. *)
-  let equal_seq b pos data =
-    let n = Array.length data in
-    let p = ref (match_at b pos n) in
-    let i = ref 0 in
-    while !p >= 0 && !i < n do
-      p := match_at b !p (zigzag (Array.unsafe_get data !i));
-      incr i
-    done;
-    !p >= 0
-
   (* Every element takes at least one byte, so a length the rest of [b]
      cannot hold is damage, not a sequence. *)
   let seq_length b pos =
@@ -91,17 +64,6 @@ module Varint = struct
     if n > Bytes.length b - !p then invalid_arg "Varint: sequence runs past its bytes";
     n
 
-  let seq_end b pos =
-    let p = ref pos in
-    let n = read b p in
-    for _ = 1 to n do
-      while Char.code (Bytes.get b !p) >= 128 do
-        incr p
-      done;
-      incr p
-    done;
-    !p
-
   let read_seq b pos dst =
     let p = ref pos in
     let n = read b p in
@@ -109,7 +71,7 @@ module Varint = struct
     for i = 0 to n - 1 do
       Array.unsafe_set dst i (unzigzag (read b p))
     done;
-    n
+    !p
 end
 
 type flat = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t

@@ -63,23 +63,15 @@ module Varint : sig
   val seq_size : int array -> int
   val put_seq : Bytes.t -> int -> int array -> int
 
-  val equal_seq : Bytes.t -> int -> int array -> bool
-  (** Do the bytes at that position encode the sequence?  Compares byte
-      by byte and stops at the first difference. *)
-
   val seq_length : Bytes.t -> int -> int
   (** The length prefix at that position.
       @raise Invalid_argument when the rest of the bytes cannot hold that
       many elements. *)
 
-  val seq_end : Bytes.t -> int -> int
-  (** The position just past the sequence at that position: its bytes
-      are the slice from there to the result.
-      @raise Invalid_argument when they run past the end of [b]. *)
-
   val read_seq : Bytes.t -> int -> int array -> int
   (** [read_seq b pos dst] decodes the sequence into [dst] from index 0
-      and returns its length.
+      and returns the position just past it: its bytes are the slice
+      from [pos] to the result.
       @raise Invalid_argument when [dst] is too short. *)
 end
 

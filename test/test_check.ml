@@ -212,6 +212,22 @@ let test_masks_singletons =
   QCheck.Test.make ~name:"masks_of = subsets_of (singletons, k <= 8)"
     ~count:300 arb_unfinished_mask (prop_masks_match_subsets `Singletons)
 
+(* The explorer's allocation-free walk visits [masks_of]'s sets in
+   [masks_of]'s order. *)
+let prop_walk_matches_masks mode m =
+  let rec walk s acc =
+    if s = 0 then List.rev acc else walk (Explorer.next_mask mode m s) (s :: acc)
+  in
+  walk (Explorer.next_mask mode m 0) [] = Array.to_list (Explorer.masks_of mode m)
+
+let test_walk_all_subsets =
+  QCheck.Test.make ~name:"next_mask walk = masks_of (all-subsets, k <= 8)"
+    ~count:300 arb_unfinished_mask (prop_walk_matches_masks `All_subsets)
+
+let test_walk_singletons =
+  QCheck.Test.make ~name:"next_mask walk = masks_of (singletons, k <= 8)"
+    ~count:300 arb_unfinished_mask (prop_walk_matches_masks `Singletons)
+
 (* --- differential: packed parallel BFS vs the reference Map ------------ *)
 
 (* The packed parallel explorer must be report-identical (counts, verdicts,
@@ -858,7 +874,12 @@ let () =
           Alcotest.test_case "max_violations cap" `Quick test_max_violations_cap;
         ] );
       ( "packed-enumeration",
-        [ qtest test_masks_all_subsets; qtest test_masks_singletons ] );
+        [
+          qtest test_masks_all_subsets;
+          qtest test_masks_singletons;
+          qtest test_walk_all_subsets;
+          qtest test_walk_singletons;
+        ] );
       ( "differential",
         [
           Alcotest.test_case "alg2 on C3 (E6/E13)" `Quick test_differential_alg2_c3;

@@ -7,6 +7,8 @@ module Adversary = Asyncolor_kernel.Adversary
 module Engine = Asyncolor_kernel.Engine
 module Builders = Asyncolor_topology.Builders
 module Prng = Asyncolor_util.Prng
+module Intern = Asyncolor_util.Intern
+module Varint = Asyncolor_util.Level_log.Varint
 
 let check = Alcotest.check
 let qtest t = QCheck_alcotest.to_alcotest t
@@ -508,24 +510,35 @@ module Mask3 = Mask_walk (Asyncolor.Algorithm3.P)
    restores a fresh copy each time (an identity [config_permute]), so it
    always copies the whole configuration.  After every operation [fast]
    and [lazy_] must equal [full] in [config_compare], time, activation
-   counters and unfinished mask; on [fast], [key], [key_probe] and
-   [config_key (snapshot)] must agree in data and hash.  [lazy_] is keyed
+   counters and unfinished mask; on [fast], [key_probe]'s bytes must be
+   the intern store's encoding ([Varint.put_seq]) of
+   [key_data (config_key (snapshot))] and its hash that key's hash, and
+   [key] must equal that key in data and hash.  [lazy_] is keyed
    only now and then, so stale marks pile up across operations between
    its keys.  n runs over C3..C8 and one cycle past the mask width, where
    every restore and key takes the full path. *)
+let put_seq data =
+  let b = Bytes.create (Varint.seq_size data) in
+  ignore (Varint.put_seq b 0 data : int);
+  b
+
 module Cache_walk (P : Asyncolor_kernel.Protocol.S) = struct
   module E = Engine.Make (P)
 
+  (* The probe goes first, so it is the one that meets stale segments. *)
   let keys_agree eng =
     let packed = E.config_key (E.snapshot eng) in
+    let hash = E.key_probe eng in
+    let probe = Bytes.sub (E.probe_bytes eng) 0 (E.probe_length eng) in
     let copied = E.key eng in
-    let probe = E.key_probe eng in
-    List.for_all
-      (fun k ->
-        E.key_data k = E.key_data packed
-        && E.key_hash k = E.key_hash packed
-        && E.key_equal k packed)
-      [ copied; probe; E.key_of_data (E.key_data probe) ]
+    hash = E.key_hash packed
+    && Bytes.equal probe (put_seq (E.key_data packed))
+    && List.for_all
+         (fun k ->
+           E.key_data k = E.key_data packed
+           && E.key_hash k = E.key_hash packed
+           && E.key_equal k packed)
+         [ copied; E.key_of_data (E.key_data copied) ]
 
   let same a b =
     let n = E.n a in
@@ -930,17 +943,22 @@ let test_config_of_key_data_rejects () =
 module A2 = Asyncolor.Algorithm2
 
 (* Every configuration the full model reaches from [idents] on the cycle,
-   interned the explorer's way: each successor is looked up with the
-   engine's probe and copied into the table only on a miss.  Returns the
-   table (key to BFS id), the configurations by id, and the engine.
+   interned the explorer's way: each successor's probe bytes are looked
+   up in an intern store, which copies them only on a miss.  Returns the
+   store (key to BFS id), the configurations by id, and the engine.
    Fails past [cap] configurations: a key whose hash disagrees with its
-   data never finds its duplicates, and the search would not end. *)
+   bytes never finds its duplicates, and the search would not end. *)
 let intern_reachable ~cap idents =
   let eng = A2.E.create (Builders.cycle (Array.length idents)) ~idents in
-  let tbl = A2.E.Key_tbl.create 16 in
+  let store = Intern.create () in
+  let intern () =
+    let hash = A2.E.key_probe eng in
+    Intern.intern_encoded store ~hash (A2.E.probe_bytes eng) ~pos:0
+      ~len:(A2.E.probe_length eng)
+  in
   let root = A2.E.snapshot eng in
-  let found = ref [ root ] and next = ref 1 in
-  A2.E.Key_tbl.add tbl (A2.E.key eng) 0;
+  let found = ref [ root ] in
+  ignore (intern () : int);
   let queue = Queue.create () in
   Queue.push root queue;
   while not (Queue.is_empty queue) do
@@ -950,27 +968,27 @@ let intern_reachable ~cap idents =
     while !s <> 0 do
       A2.E.restore eng c;
       A2.E.activate_mask eng !s;
-      let probe = A2.E.key_probe eng in
-      if not (A2.E.Key_tbl.mem tbl probe) then begin
-        if !next >= cap then Alcotest.failf "more than %d configurations" cap;
+      let next = Intern.length store in
+      if intern () = next then begin
+        if next >= cap then Alcotest.failf "more than %d configurations" cap;
         let succ = A2.E.snapshot eng in
-        A2.E.Key_tbl.add tbl (A2.E.key_copy probe) !next;
         found := succ :: !found;
-        incr next;
         Queue.push succ queue
       end;
       s := (!s - 1) land um
     done
   done;
-  (tbl, Array.of_list (List.rev !found), eng)
+  (store, Array.of_list (List.rev !found), eng)
 
 (* The key hash must spread the explorer's keys over a [Hashtbl]'s
    buckets, which it indexes by the low hash bits: over the C5 full
    model's keys, a successful lookup must average at most two key
    compares.  The unmixed polynomial hash needs 3.37. *)
 let test_key_hash_spread () =
-  let tbl, configs, _ = intern_reachable ~cap:100_000 [| 5; 1; 9; 4; 7 |] in
+  let _, configs, _ = intern_reachable ~cap:100_000 [| 5; 1; 9; 4; 7 |] in
   check Alcotest.int "C5 full-model configurations" 97_197 (Array.length configs);
+  let tbl = A2.E.Key_tbl.create 16 in
+  Array.iteri (fun id c -> A2.E.Key_tbl.add tbl (A2.E.config_key c) id) configs;
   let st = A2.E.Key_tbl.stats tbl in
   let compares = ref 0 in
   Array.iteri
@@ -981,34 +999,33 @@ let test_key_hash_spread () =
     Alcotest.failf "%.2f compares per successful lookup (max bucket %d)" mean
       st.max_bucket_length
 
-(* A table filled probe-on-hit, copy-on-miss holds no buffer of the
-   engine's: after many more steps overwrite the probe buffers, it still
-   equals a table built from [config_key (snapshot)]. *)
+(* A store filled from probes holds no buffer of the engine's: after
+   many more probes overwrite the probe buffer, every id still decodes
+   to its configuration's key and is found again by it. *)
 let test_probe_lifetime () =
-  let tbl, configs, eng = intern_reachable ~cap:3_000 [| 5; 1; 9; 4 |] in
+  let store, configs, eng = intern_reachable ~cap:3_000 [| 5; 1; 9; 4 |] in
   let prng = Prng.create ~seed:3 in
   for _ = 1 to 2_000 do
     A2.E.restore eng (Prng.choose prng configs);
     let um = A2.E.unfinished_mask eng in
     if um <> 0 then begin
       A2.E.activate_mask eng (Prng.bool_mask prng um);
-      ignore (A2.E.key_probe eng)
+      ignore (A2.E.key_probe eng : int)
     end
   done;
-  check Alcotest.int "same size" (Array.length configs) (A2.E.Key_tbl.length tbl);
+  check Alcotest.int "same size" (Array.length configs) (Intern.length store);
   Array.iteri
     (fun id c ->
-      match A2.E.Key_tbl.find_opt tbl (A2.E.config_key c) with
-      | Some id' when id' = id -> ()
-      | _ -> Alcotest.failf "config %d lost from the probe-filled table" id)
-    configs;
-  A2.E.Key_tbl.iter
-    (fun k id ->
-      let packed = A2.E.config_key configs.(id) in
-      if A2.E.key_data k <> A2.E.key_data packed
-         || A2.E.key_hash k <> A2.E.key_hash packed
-      then Alcotest.failf "stored key %d differs from config_key" id)
-    tbl
+      let packed = A2.E.config_key c in
+      if Intern.get store id <> A2.E.key_data packed then
+        Alcotest.failf "stored key %d differs from config_key" id;
+      let b = put_seq (A2.E.key_data packed) in
+      if
+        Intern.intern_encoded store ~hash:(A2.E.key_hash packed) b ~pos:0
+          ~len:(Bytes.length b)
+        <> id
+      then Alcotest.failf "config %d lost from the probe-filled store" id)
+    configs
 
 (* Past the mask width the engine keeps its array scans: [run] still
    drives it to completion, and the mask entry points refuse it. *)

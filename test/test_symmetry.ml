@@ -9,6 +9,7 @@ module Graph = Asyncolor_topology.Graph
 module Idents = Asyncolor_workload.Idents
 module Executor = Asyncolor_util.Executor
 module Spill = Asyncolor_resilience.Spill
+module Varint = Asyncolor_util.Level_log.Varint
 
 let check = Alcotest.check
 let qtest t = QCheck_alcotest.to_alcotest t
@@ -59,16 +60,23 @@ module Canon (P : Asyncolor_kernel.Protocol.S) = struct
     end
 
   (* The engine's canonical probe of the live configuration against both
-     canonicalizers of its snapshot: the same key data and hash, winner
-     and orbit, and the representative's unfinished mask. *)
+     canonicalizers of its snapshot: its bytes the intern store's
+     encoding ([Varint.put_seq]) of their key, the same hash, winner and
+     orbit, and the representative's unfinished mask. *)
   let probe_agrees group eng =
-    let key, wi, orbit, um = E.canonical_probe eng group in
-    let data = Array.copy (E.key_data key) and hash = E.key_hash key in
+    let hash, wi, orbit, um = E.canonical_probe eng group in
+    let bytes = Bytes.sub (E.probe_bytes eng) 0 (E.probe_length eng) in
     let c = E.snapshot eng in
     let k1, rep, o1, w1 = X.canonicalize group c in
     let k2, _, o2, w2 = reference_canonicalize group c in
-    data = E.key_data k1
-    && data = E.key_data k2
+    let encoded k =
+      let data = E.key_data k in
+      let b = Bytes.create (Varint.seq_size data) in
+      ignore (Varint.put_seq b 0 data : int);
+      b
+    in
+    Bytes.equal bytes (encoded k1)
+    && E.key_data k1 = E.key_data k2
     && hash = E.key_hash k1
     && hash = E.key_hash k2
     && wi = w1 && wi = w2 && orbit = o1 && orbit = o2

@@ -836,8 +836,8 @@ let prop_intern_constant_hash =
 
 (* [intern_encoded] against [intern] over one stream of sequences: each
    encoded where the last one ended (after a junk byte, so slices do not
-   start at 0), sliced with [Varint.seq_end], and interned as bytes into
-   one store and as arrays into another.  Same ids, same images. *)
+   start at 0), and interned as slices of the stream into one store and
+   as arrays into another.  Same ids, same images. *)
 let encoded_matches_intern ~hash ops =
   let module V = Asyncolor_util.Level_log.Varint in
   let by_array = Intern.create ~capacity:1 () in
@@ -852,10 +852,9 @@ let encoded_matches_intern ~hash ops =
       Bytes.set stream !pos '\255';
       let at = !pos + 1 in
       pos := V.put_seq stream at a;
-      V.seq_end stream at = !pos
-      && Intern.intern_encoded by_bytes ~hash:(hash a) stream ~pos:at
-           ~len:(!pos - at)
-         = Intern.intern by_array ~hash:(hash a) a)
+      Intern.intern_encoded by_bytes ~hash:(hash a) stream ~pos:at
+        ~len:(!pos - at)
+      = Intern.intern by_array ~hash:(hash a) a)
     ops
   && Intern.image by_bytes = Intern.image by_array
 
@@ -899,7 +898,10 @@ let test_intern_dense_ids () =
     (Intern.intern t ~hash:7 [| 1; 2; 3; 4 |]);
   Alcotest.check_raises "get out of range"
     (Invalid_argument "Intern.get: id out of range") (fun () ->
-      ignore (Intern.get t 6))
+      ignore (Intern.get t 6));
+  Alcotest.check_raises "slice past its bytes"
+    (Invalid_argument "Intern.intern_encoded: slice outside its bytes") (fun () ->
+      ignore (Intern.intern_encoded t ~hash:7 (Bytes.make 3 '\000') ~pos:2 ~len:2))
 
 (* From the smallest table, through many slot-array doublings, offset
    growths and arena chunks, plus one sequence larger than a chunk. *)
@@ -972,6 +974,84 @@ let prop_intern_image =
              Intern.intern u ~hash:(Hashtbl.hash a) a
              = Intern.intern t ~hash:(Hashtbl.hash a) a)
            (before @ after))
+
+(* [seq]'s encoding at offset 5 of a buffer with junk bytes before it
+   and zero bytes after it, interned from there.  A compare that reads
+   before the slice meets the junk; one that reads past it meets the
+   zeros that also follow the arena's last sequence, and so takes a
+   longer match for a different one. *)
+let intern_slice t ~hash seq =
+  let module V = Asyncolor_util.Level_log.Varint in
+  let len = V.seq_size seq in
+  let b = Bytes.make (len + 10) '\000' in
+  Bytes.fill b 0 5 '\255';
+  ignore (V.put_seq b 5 seq : int);
+  Intern.intern_encoded t ~hash b ~pos:5 ~len
+
+(* The hit compare reads eight bytes at a time, then the tail.  For
+   every byte length 1..40, a stored sequence of one-byte varints and
+   one variant per position that differs from it at that byte alone (at
+   byte 0, the length, a variant of the same byte length whose first
+   difference is there), all under one hash, so the compare alone tells
+   them apart: each variant is new, and both are found again. *)
+let test_intern_compare_edges () =
+  for len = 1 to 40 do
+    let t = Intern.create () in
+    let base = Array.init (len - 1) (fun j -> ((7 * j) + len) mod 50) in
+    check Alcotest.int "base" 0 (intern_slice t ~hash:42 base);
+    let variants =
+      List.init (len - 1) (fun i ->
+          Array.mapi (fun j v -> if j = i then (v + 1) mod 50 else v) base)
+      @
+      if len >= 3 then [ Array.append (Array.sub base 0 (len - 3)) [| 100 |] ]
+      else []
+    in
+    List.iteri
+      (fun k v ->
+        let id = intern_slice t ~hash:42 v in
+        if id <> k + 1 then
+          Alcotest.failf "length %d, variant %d: id %d, expected a new one" len k id;
+        if intern_slice t ~hash:42 base <> 0 || intern_slice t ~hash:42 v <> id
+        then Alcotest.failf "length %d, variant %d: not found again" len k)
+      variants
+  done
+
+(* A sequence whose bytes end on the last byte of an arena chunk, hit by
+   a slice that ends on the last byte of its own buffer, and missed by
+   one that differs in that byte; then a store rebuilt from the image
+   keeps every id. *)
+let test_intern_chunk_end () =
+  let t = Intern.create () in
+  (* 648 sequences of 101 bytes and one of 88 fill the 65,536-byte
+     chunk exactly. *)
+  let seqs =
+    Array.init 649 (fun i ->
+        if i = 648 then Array.make 87 1
+        else Array.init 100 (function 0 -> i mod 60 | 1 -> i / 60 | _ -> 0))
+  in
+  let hash = Hashtbl.hash in
+  Array.iteri
+    (fun i a ->
+      check Alcotest.int "fresh id" i (Intern.intern t ~hash:(hash a) a))
+    seqs;
+  let image = Intern.image t in
+  check Alcotest.int "one full chunk" 65_536 (Bytes.length image.im_chunks.(0));
+  check Alcotest.int "the last sequence ends it" (65_536 - 88) image.im_starts.(648);
+  let last = seqs.(648) in
+  check Alcotest.int "hit at the chunk's end" 648
+    (Intern.intern t ~hash:(hash last) last);
+  let other = Array.copy last in
+  other.(86) <- 2;
+  check Alcotest.int "a different last byte is new" 649
+    (Intern.intern t ~hash:(hash other) other);
+  let u = Intern.of_image (Intern.image t) ~hash in
+  check Alcotest.int "same length" (Intern.length t) (Intern.length u);
+  Array.iteri
+    (fun i a ->
+      if Intern.get u i <> a || Intern.intern u ~hash:(hash a) a <> i then
+        Alcotest.failf "id %d lost across of_image" i)
+    (Array.append seqs [| other |]);
+  check Alcotest.int "new after of_image" 650 (Intern.intern u ~hash:7 [| 5 |])
 
 let test_intern_image_rejects () =
   let t = Intern.create () in
@@ -1147,11 +1227,10 @@ let test_varint_codec () =
   let seq = [| 3; -7; 1 lsl 40 |] in
   let b = Bytes.make (Varint.seq_size seq) '\000' in
   check Alcotest.int "put_seq fills seq_size" (Bytes.length b) (Varint.put_seq b 0 seq);
-  check Alcotest.bool "equal_seq" true (Varint.equal_seq b 0 seq);
-  check Alcotest.bool "a prefix is not equal" false (Varint.equal_seq b 0 [| 3; -7 |]);
   check Alcotest.int "seq_length" 3 (Varint.seq_length b 0);
   let dst = Array.make 4 0 in
-  check Alcotest.int "read_seq" 3 (Varint.read_seq b 0 dst);
+  check Alcotest.int "read_seq ends where put_seq did" (Bytes.length b)
+    (Varint.read_seq b 0 dst);
   check Alcotest.(array int) "decoded" seq (Array.sub dst 0 3)
 
 (* --- Int_log and Level_log against plain-array models ----------------- *)
@@ -1459,6 +1538,10 @@ let () =
             test_intern_growth;
           Alcotest.test_case "tags filter byte compares" `Quick
             test_intern_tag_filters;
+          Alcotest.test_case "compare: one differing byte, lengths 1..40"
+            `Quick test_intern_compare_edges;
+          Alcotest.test_case "compare at a chunk's last byte, of_image" `Quick
+            test_intern_chunk_end;
           qtest prop_intern_image;
           Alcotest.test_case "of_image rejects damage" `Quick
             test_intern_image_rejects;
