@@ -487,32 +487,23 @@ module Make (P : Protocol.S) = struct
 
   (* Re-encode process [p]'s cached segment from the live engine: its
      ints, their hash, and their bytes as the intern store writes them
-     (zigzag LEB128, {!Asyncolor_util.Level_log.Varint}).  Nearly every
-     int of a key is small, so the zigzag and the one-byte case are
-     written in line (as calls, they cost c5-full about a tenth of its
-     wall time on a 2-vCPU host). *)
+     ({!Varint.put_ints}).  It is one call a segment: the default dune
+     profile inlines nothing across modules, and a call per int cost
+     c5-full about a tenth of its wall time. *)
   let refresh_segment t p =
     let b = t.segs.(p) in
     b.len <- 0;
     encode_segment b ~status:t.status ~states:t.states ~public:t.public p;
     if Bytes.length t.seg_bytes.(p) < 9 * b.len then
       t.seg_bytes.(p) <- Bytes.create (18 * b.len);
-    let sb = t.seg_bytes.(p) in
-    let h = ref 0 and pow = ref 1 and at = ref 0 in
+    let h = ref 0 and pow = ref 1 in
     for i = 0 to b.len - 1 do
-      let x = b.data.(i) in
-      h := ((!h * 31) + x) land max_int;
-      pow := (!pow * 31) land max_int;
-      let z = (x lsl 1) lxor (x asr (Sys.int_size - 1)) in
-      if z < 128 then begin
-        Bytes.unsafe_set sb !at (Char.unsafe_chr z);
-        incr at
-      end
-      else at := Varint.put sb !at z
+      h := ((!h * 31) + b.data.(i)) land max_int;
+      pow := (!pow * 31) land max_int
     done;
     t.seg_hash.(p) <- !h;
     t.seg_pow.(p) <- !pow;
-    t.seg_blen.(p) <- !at
+    t.seg_blen.(p) <- Varint.put_ints t.seg_bytes.(p) 0 b.data b.len
 
   (* Re-encode the stale segments; the key's length in ints. *)
   let refresh_stale t =

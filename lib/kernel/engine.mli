@@ -35,8 +35,9 @@
       {!Make.reset}, is copied whole;
     - the engine caches each process's framed key segment twice, as
       ints (what {!Make.canonical_probe} ranks and the hash folds) and
-      as the intern store's zigzag-LEB128 bytes
-      ({!Asyncolor_util.Level_log.Varint}), with the segment's hash.  A
+      as the intern store's zigzag-LEB128 bytes (written by
+      {!Asyncolor_util.Level_log.Varint.put_ints}, the store's own
+      codec), with the segment's hash.  A
       segment is stale once its process is stepped or rewritten, and
       every segment is stale after {!Make.reset} or a full restore.
       {!Make.key_probe} and {!Make.canonical_probe} re-encode only the

@@ -22,6 +22,25 @@ module Varint = struct
     Bytes.unsafe_set b !p (Char.unsafe_chr !z);
     !p + 1
 
+  (* Nearly every int of a configuration key zigzags below 128: that
+     case is one store.  The test is unsigned, as [put]'s, so an int
+     beyond +-2^61 (whose zigzag wraps negative) takes the long path. *)
+  let[@inline] put_zigzag b pos x =
+    let z = zigzag x in
+    if z lsr 7 = 0 then begin
+      Bytes.unsafe_set b pos (Char.unsafe_chr z);
+      pos + 1
+    end
+    else put b pos z
+
+  let put_ints b pos data len =
+    if len < 0 || len > Array.length data then invalid_arg "Varint.put_ints: length";
+    let p = ref pos in
+    for i = 0 to len - 1 do
+      p := put_zigzag b !p (Array.unsafe_get data i)
+    done;
+    !p
+
   (* One-byte varints (small values, nearly every element of a
      configuration key) return at the first test. *)
   let read b p =
@@ -50,11 +69,7 @@ module Varint = struct
 
   let put_seq b pos data =
     let n = Array.length data in
-    let p = ref (put b pos n) in
-    for i = 0 to n - 1 do
-      p := put b !p (zigzag (Array.unsafe_get data i))
-    done;
-    !p
+    put_ints b (put b pos n) data n
 
   (* Every element takes at least one byte, so a length the rest of [b]
      cannot hold is damage, not a sequence. *)

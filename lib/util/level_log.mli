@@ -52,6 +52,13 @@ module Varint : sig
   (** [put b pos z] writes [z] at [pos] and returns the position after
       it.  The caller ensures [b] has room ({!size}). *)
 
+  val put_ints : Bytes.t -> int -> int array -> int -> int
+  (** [put_ints b pos data len] writes [data.(0)] to [data.(len - 1)],
+      each zigzagged, and returns the position after them: a sequence's
+      elements without its length.  The caller ensures [b] has room
+      ([9 * len] bytes always suffice).
+      @raise Invalid_argument when [len] is not within [data]. *)
+
   val read : Bytes.t -> int ref -> int
   (** The value at [!p], advancing [p] past it. *)
 

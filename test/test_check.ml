@@ -293,6 +293,19 @@ let test_differential_c4 () =
   diff_report (module Asyncolor.Algorithm2.P) ~mode:`All_subsets c4
     ~idents:[| 5; 1; 9; 4 |] ()
 
+(* Identifiers beyond +-2^61 zigzag to negative ints and take the
+   store's nine-byte varints; the report must still be the reference's. *)
+let test_differential_extreme_idents () =
+  List.iter
+    (fun idents ->
+      diff_report (module Asyncolor.Algorithm2.P) ~mode:`All_subsets
+        (Builders.cycle (Array.length idents))
+        ~idents ())
+    [
+      [| 1 lsl 61; 1; -(1 lsl 61) - 1 |];
+      [| max_int; min_int; 5; 1 lsl 61 |];
+    ]
+
 let test_differential_alg3_alg2s () =
   (* E6's Algorithm 3 instance and E17's rank-offset repair (the monotone
      C4 refutation instance) *)
@@ -884,6 +897,8 @@ let () =
         [
           Alcotest.test_case "alg2 on C3 (E6/E13)" `Quick test_differential_alg2_c3;
           Alcotest.test_case "alg1/alg2 on C4" `Quick test_differential_c4;
+          Alcotest.test_case "alg2, identifiers beyond 2^61" `Quick
+            test_differential_extreme_idents;
           Alcotest.test_case "alg3 & alg2s (E6/E17)" `Quick
             test_differential_alg3_alg2s;
           Alcotest.test_case "alg2 on K4 (E16)" `Quick test_differential_e16_k4;

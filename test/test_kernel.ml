@@ -549,10 +549,14 @@ module Cache_walk (P : Asyncolor_kernel.Protocol.S) = struct
          (List.init n Fun.id)
     && (n > Sys.int_size - 1 || E.unfinished_mask a = E.unfinished_mask b)
 
-  let walk (n, seed) =
+  (* Identifiers are a permutation shifted by [base]: a base beyond
+     +-2^61 makes every identifier's zigzag wrap negative, the edge of
+     the byte encoding. *)
+  let walk (n, seed, base) =
     let prng = Prng.create ~seed in
     let idents =
-      Asyncolor_workload.Idents.random_permutation (Prng.split prng) n
+      Array.map (( + ) base)
+        (Asyncolor_workload.Idents.random_permutation (Prng.split prng) n)
     in
     let g = Builders.cycle n in
     let fast = E.create g ~idents
@@ -570,7 +574,7 @@ module Cache_walk (P : Asyncolor_kernel.Protocol.S) = struct
     in
     let identity = Array.init n Fun.id in
     let snaps = ref [||] and last = ref None in
-    let next_ident = ref (10 * n) in
+    let next_ident = ref (base + (10 * n)) in
     let ok = ref (keys_agree fast) in
     for _ = 1 to 60 do
       (match Prng.int prng 6 with
@@ -604,13 +608,28 @@ module Cache_walk (P : Asyncolor_kernel.Protocol.S) = struct
     done;
     !ok
 
+  let sizes = QCheck.oneofl [ 3; 4; 5; 6; 7; 8; 8; Sys.int_size ]
+
   let prop name =
     QCheck.Test.make
       ~name:("segment cache and fast restore = full path, " ^ name)
       ~count:100
-      QCheck.(pair (oneofl [ 3; 4; 5; 6; 7; 8; 8; Sys.int_size ]) (int_range 0 10_000))
+      QCheck.(pair sizes (int_range 0 10_000))
+      (fun (n, seed) -> walk (n, seed, 0))
+
+  let prop_extreme name bases =
+    QCheck.Test.make
+      ~name:("segment cache with identifiers beyond 2^61, " ^ name)
+      ~count:40
+      QCheck.(triple sizes (int_range 0 10_000) (oneofl bases))
       walk
 end
+
+(* Shifts that put every identifier (and every reset's) beyond +-2^61;
+   Algorithm 3 reduces identifiers bit by bit, so it takes only
+   non-negative ones. *)
+let huge_bases = [ 1 lsl 61; max_int - 1000 ]
+let huge_negative_bases = [ min_int; -(1 lsl 61) - 1000 ]
 
 module Cache1 = Cache_walk (Asyncolor.Algorithm1.P)
 module Cache2 = Cache_walk (Asyncolor.Algorithm2.P)
@@ -1466,6 +1485,9 @@ let () =
           qtest (Cache1.prop "algorithm 1");
           qtest (Cache2.prop "algorithm 2");
           qtest (Cache3.prop "algorithm 3");
+          qtest (Cache1.prop_extreme "algorithm 1" (huge_bases @ huge_negative_bases));
+          qtest (Cache2.prop_extreme "algorithm 2" (huge_bases @ huge_negative_bases));
+          qtest (Cache3.prop_extreme "algorithm 3" huge_bases);
           qtest (Decode1.prop "algorithm 1");
           qtest (Decode2.prop "algorithm 2");
           qtest (Decode2s.prop "algorithm 2s");

@@ -1207,7 +1207,7 @@ let test_level_log_bytes_at_capacity () =
 let test_varint_codec () =
   let values =
     [ 0; 1; -1; 63; -64; 64; 127; 128; 16_383; 16_384; max_int; min_int;
-      (1 lsl 62) - 1; -(1 lsl 61) ]
+      (1 lsl 62) - 1; -(1 lsl 61); 1 lsl 61; -(1 lsl 61) - 1 ]
   in
   List.iter
     (fun x ->
@@ -1218,8 +1218,24 @@ let test_varint_codec () =
       check Alcotest.int "size" (Varint.size z) (stop - 1);
       let p = ref 1 in
       check Alcotest.int (Printf.sprintf "read %d" x) z (Varint.read b p);
-      check Alcotest.int "read stops after it" stop !p)
+      check Alcotest.int "read stops after it" stop !p;
+      (* put_ints writes what put writes for the zigzag, one byte or
+         nine; beyond +-2^61 the zigzag is negative. *)
+      let c = Bytes.make 12 '\255' in
+      let stop' = Varint.put_ints c 1 [| x; 0 |] 1 in
+      check Alcotest.int (Printf.sprintf "put_ints %d ends" x) stop stop';
+      check Alcotest.string (Printf.sprintf "put_ints %d bytes" x)
+        (Bytes.sub_string b 0 stop) (Bytes.sub_string c 0 stop');
+      let dst = [| 0 |] in
+      let s = Bytes.create (Varint.seq_size [| x |]) in
+      ignore (Varint.put_seq s 0 [| x |] : int);
+      ignore (Varint.read_seq s 0 dst : int);
+      check Alcotest.int (Printf.sprintf "put_seq/read_seq %d" x) x dst.(0))
     values;
+  check Alcotest.bool "put_ints rejects a length beyond its array" true
+    (match Varint.put_ints (Bytes.create 32) 0 [| 1; 2 |] 3 with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
   check Alcotest.(list int) "zigzag interleaves signs" [ 0; 2; 1; 4; 3 ]
     (List.map Varint.zigzag [ 0; 1; -1; 2; -2 ]);
   check Alcotest.(list int) "sizes" [ 1; 1; 2; 2; 3; 9; 9 ]
