@@ -34,6 +34,16 @@ module Trace_export = Asyncolor_obs.Trace_export
    reproduced by pasting the seed back with --seed. *)
 let announce_seed seed = Diag.printf "effective seed: %d\n" seed
 
+(* A flag value the command cannot use ends it as a value the flag's
+   converter rejects does: one line naming the flag on stderr and
+   cmdliner's command-line-error exit code, 124. *)
+let usage_error ~flag fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "asyncolor: option '%s': %s\n" flag msg;
+      exit 124)
+    fmt
+
 let make_idents ~kind ~seed n =
   match kind with
   | "increasing" -> Idents.increasing n
@@ -42,7 +52,7 @@ let make_idents ~kind ~seed n =
   | "random" -> Idents.random_permutation (Prng.create ~seed) n
   | "sparse" -> Idents.random_sparse (Prng.create ~seed) ~n ~universe:(max 64 (n * n))
   | "bit-adversarial" -> Idents.bit_adversarial n
-  | k -> failwith (Printf.sprintf "unknown identifier workload %S" k)
+  | k -> usage_error ~flag:"--idents" "unknown identifier workload %S" k
 
 let make_adversary ~kind ~seed ~n =
   match String.split_on_char ':' kind with
@@ -52,16 +62,16 @@ let make_adversary ~kind ~seed ~n =
   | [ "singletons" ] -> Adversary.singletons (Prng.create ~seed)
   | [ "staircase" ] -> Adversary.staircase
   | [ "waves" ] -> Adversary.alternating_waves
-  | [ "random"; p ] -> Adversary.random_subsets (Prng.create ~seed) ~p:(float_of_string p)
-  | [ "crash"; rate ] ->
+  | [ "random"; p ] when Option.is_some (float_of_string_opt p) ->
+      Adversary.random_subsets (Prng.create ~seed) ~p:(float_of_string p)
+  | [ "crash"; rate ] when Option.is_some (float_of_string_opt rate) ->
       Adversary.random_crashes (Prng.create ~seed) ~n ~rate:(float_of_string rate)
         ~horizon:20 (Adversary.random_subsets (Prng.create ~seed:(seed + 1)) ~p:0.7)
   | _ ->
-      failwith
-        (Printf.sprintf
-           "unknown adversary %S (try sync, seq, rr, singletons, staircase, waves, \
-            random:P, crash:RATE)"
-           kind)
+      usage_error ~flag:"--adversary"
+        "unknown adversary %S (try sync, seq, rr, singletons, staircase, waves, \
+         random:P, crash:RATE)"
+        kind
 
 let make_graph ~kind ~seed n =
   match kind with
@@ -72,7 +82,7 @@ let make_graph ~kind ~seed n =
   | "petersen" -> Builders.petersen ()
   | "hypercube" -> Builders.hypercube n
   | "random3" -> Builders.random_regular (Prng.create ~seed) ~n ~d:3
-  | k -> failwith (Printf.sprintf "unknown graph %S" k)
+  | k -> usage_error ~flag:"--graph" "unknown graph %S" k
 
 (* Dispatch over the four algorithms, erasing the differing output types
    into strings for display. *)
@@ -138,7 +148,7 @@ let run_algorithm ~alg ~graph ~idents ~adv ~max_steps ~verbose =
         ~equal:(fun a b -> a = b)
         ~in_palette:(Asyncolor.Algorithm4.in_palette ~max_degree:(Graph.max_degree graph))
         ~graph ~idents ~adv ~max_steps ~verbose
-  | n -> failwith (Printf.sprintf "unknown algorithm %d (1-4)" n)
+  | n -> usage_error ~flag:"-a" "unknown algorithm %d (1-4)" n
 
 open Cmdliner
 
@@ -341,6 +351,16 @@ let ensure_dir ~flag dir =
   | () -> if not (Sys.is_directory dir) then fail (dir ^ ": not a directory")
   | exception Sys_error msg -> fail msg
 
+(* [--checkpoint], [--trace-out], [--min-out] and [--save-trace] name a
+   file the command writes, some of them only after all the work: its
+   directory must exist before any work starts. *)
+let ensure_parent ~flag path =
+  let dir = Filename.dirname path in
+  if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+    Printf.eprintf "%s %s: no directory %s\n" flag path dir;
+    exit 2
+  end
+
 (* An unreadable checkpoint or spilled level ends [check] with no
    report.  The diagnostic names the file (in [msg]) and the first of
    [candidates] (the run's own checkpoint, then the one it resumed) of
@@ -430,7 +450,7 @@ let sweep_cmd =
         | 3 ->
             let module S = Asyncolor_experiments.Harness.Sweep (Asyncolor.Algorithm3.P) in
             S.run ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents suite
-        | n -> failwith (Printf.sprintf "sweep supports algorithms 1-3, not %d" n)
+        | n -> usage_error ~flag:"-a" "sweep supports algorithms 1-3, not %d" n
       in
       [
         string_of_int n;
@@ -561,10 +581,18 @@ let check_cmd =
     let chaos = make_chaos ~obs chaos_spec in
     let idents = Array.of_list idents in
     let n = Array.length idents in
-    if n < 3 then failwith "need at least 3 identifiers";
+    if n < 3 then usage_error ~flag:"--idents" "need at least 3 identifiers";
     if n > Sys.int_size - 1 then
-      failwith "too many identifiers for packed activation masks (n <= 62)";
+      usage_error ~flag:"--idents"
+        "too many identifiers for packed activation masks (n <= 62)";
+    if alg < 1 || alg > 3 then
+      usage_error ~flag:"-a" "check supports algorithms 1-3, not %d" alg;
+    if spill_threshold_mb < 0 then
+      usage_error ~flag:"--spill-threshold-mb" "must be >= 0, not %d"
+        spill_threshold_mb;
     Option.iter (ensure_dir ~flag:"--spill-dir") spill_dir;
+    Option.iter (ensure_parent ~flag:"--checkpoint") ckpt_path;
+    Option.iter (ensure_parent ~flag:"--trace-out") trace_out;
     let checkpoint = Option.map (fun p -> (p, ckpt_every)) ckpt_path in
     let budget = make_budget ~time_s ~mem_mb in
     let spill =
@@ -663,7 +691,7 @@ let check_cmd =
     | 1 -> go (module Asyncolor.Algorithm1.P) (Color.pair_in_palette ~budget:2)
     | 2 -> go (module Asyncolor.Algorithm2.P) Color.in_five
     | 3 -> go (module Asyncolor.Algorithm3.P) Color.in_five
-    | n -> failwith (Printf.sprintf "check supports algorithms 1-3, not %d" n)
+    | n -> usage_error ~flag:"-a" "check supports algorithms 1-3, not %d" n
   in
   let exits =
     Cmd.Exit.info io_exit_code
@@ -683,6 +711,7 @@ let check_cmd =
 let lockhunt_cmd =
   let doc = "attack every adjacent pair with the isolate-pair schedule (finding F1)" in
   let f alg n seed idents_kind jobs time_s mem_mb trace_out metrics =
+    Option.iter (ensure_parent ~flag:"--trace-out") trace_out;
     announce_seed seed;
     let obs = make_obs ~trace_out ~metrics in
     let graph = Builders.cycle n in
@@ -727,7 +756,7 @@ let lockhunt_cmd =
     | 1 -> hunt (module Asyncolor.Algorithm1.P)
     | 2 -> hunt (module Asyncolor.Algorithm2.P)
     | 3 -> hunt (module Asyncolor.Algorithm3.P)
-    | n -> failwith (Printf.sprintf "lockhunt supports algorithms 1-3, not %d" n));
+    | n -> usage_error ~flag:"-a" "lockhunt supports algorithms 1-3, not %d" n);
     Table.print table;
     finish_obs obs ~trace_out ~metrics
   in
@@ -797,6 +826,9 @@ let fuzz_cmd =
             (Fz.Scenario.algo_name i.base) i.describe)
         Fz.Mutation.all
     else begin
+      Option.iter (ensure_parent ~flag:"--trace-out") trace_out;
+      Option.iter (ensure_parent ~flag:"--min-out") min_out;
+      Option.iter (ensure_dir ~flag:"--corpus") corpus;
       announce_seed seed;
       let algos =
         List.map
@@ -805,7 +837,7 @@ let fuzz_cmd =
             | "2" -> Fz.Scenario.A2
             | "2s" -> Fz.Scenario.A2s
             | "3" -> Fz.Scenario.A3
-            | a -> failwith (Printf.sprintf "unknown algorithm %S (1, 2, 2s, 3)" a))
+            | a -> usage_error ~flag:"--algos" "unknown algorithm %S (1, 2, 2s, 3)" a)
           algos
       in
       let budget = make_budget ~time_s ~mem_mb in
@@ -961,6 +993,8 @@ let churn_cmd =
             (Churn.Session.bug_detector b))
         Churn.Session.bugs
     else begin
+      Option.iter (ensure_parent ~flag:"--trace-out") trace_out;
+      Option.iter (ensure_parent ~flag:"--save-trace") save_trace;
       let obs = make_obs ~trace_out ~metrics in
       match replay with
       | Some path -> (
@@ -980,9 +1014,8 @@ let churn_cmd =
             match Churn.Session.algo_of_string algo with
             | Some a -> a
             | None ->
-                failwith
-                  (Printf.sprintf "churn supports algorithms 2 and 3, not %S"
-                     algo)
+                usage_error ~flag:"--algo" "churn supports algorithms 2 and 3, not %S"
+                  algo
           in
           let bug =
             Option.map
@@ -990,9 +1023,8 @@ let churn_cmd =
                 match Churn.Session.bug_of_string name with
                 | Some b -> b
                 | None ->
-                    failwith
-                      (Printf.sprintf
-                         "unknown recovery bug %S (see --list-mutants)" name))
+                    usage_error ~flag:"--mutant"
+                      "unknown recovery bug %S (see --list-mutants)" name)
               mutant
           in
           let cfg =
@@ -1080,7 +1112,8 @@ let replay_cmd =
         let idents = make_idents ~kind:idents_kind ~seed n in
         let adv = Adversary.finite (Adversary.parse sched) in
         run_algorithm ~alg ~graph ~idents ~adv ~max_steps:1_000_000 ~verbose
-    | _ -> failwith "replay needs exactly one of --schedule and --trace"
+    | _ ->
+        usage_error ~flag:"--trace" "replay needs exactly one of --schedule and --trace"
   in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(

@@ -18,27 +18,6 @@
 module Make (P : Asyncolor_kernel.Protocol.S) : sig
   module E : module type of Asyncolor_kernel.Engine.Make (P)
 
-  val adversary :
-    ?mode:[ `All_subsets | `Singletons ] ->
-    Asyncolor_topology.Graph.t ->
-    idents:int array ->
-    E.t ->
-    Asyncolor_kernel.Adversary.t
-  (** [adversary g ~idents engine] builds the greedy scheduler for
-      [engine] (which must run on [g] with [idents] — the scratch engine
-      is built from the same data).  The returned adversary must only be
-      used to drive that very engine.  Candidate sets in [`All_subsets]
-      mode: all singletons, all adjacent working pairs, and the full
-      unfinished set.  Default mode: [`Singletons].
-
-      When the graph fits the packed mask width
-      ([n <= Sys.int_size - 1] — every graph of practical interest) the
-      candidate simulation runs through
-      {!Asyncolor_kernel.Engine.Make.activate_mask} with bitmask
-      candidate sets, allocating nothing per candidate; beyond that it
-      falls back to the list path.  Both paths enumerate candidates in
-      the same order and pick the same sets. *)
-
   val worst_rounds :
     ?mode:[ `All_subsets | `Singletons ] ->
     ?max_steps:int ->

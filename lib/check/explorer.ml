@@ -1,5 +1,4 @@
 module Vec = Asyncolor_util.Vec
-module Mask = Asyncolor_util.Mask
 module Ring = Asyncolor_util.Ring
 module Executor = Asyncolor_util.Executor
 module Intern = Asyncolor_util.Intern
@@ -87,56 +86,11 @@ let subset_of_mask mask =
 
 let mask_of_subset subset = List.fold_left (fun m p -> m lor (1 lsl p)) 0 subset
 
-(* The packed counterpart of [subsets_of]: all activation sets drawn from
-   the set bits of [unfinished], as bitmasks, in an order whose unpacked
-   lists are exactly [subsets_of mode (subset_of_mask unfinished)] —
-   element for element.  That order identity is what keeps the packed
-   explorer's reports (parent pointers, adjacency, lasso schedules)
-   byte-identical to the reference implementation. *)
-let masks_of mode unfinished =
-  match mode with
-  | `Singletons ->
-      let k = ref 0 in
-      let m = ref unfinished in
-      while !m <> 0 do
-        incr k;
-        m := !m land (!m - 1)
-      done;
-      let out = Array.make !k 0 in
-      let i = ref 0 in
-      for p = 0 to Sys.int_size - 2 do
-        if unfinished land (1 lsl p) <> 0 then begin
-          out.(!i) <- 1 lsl p;
-          incr i
-        end
-      done;
-      out
-  | `All_subsets ->
-      let k = Mask.popcount unfinished in
-      let positions = Array.make k 0 in
-      let m = ref unfinished in
-      for i = 0 to k - 1 do
-        positions.(i) <- Mask.lowest_bit !m;
-        m := !m land (!m - 1)
-      done;
-      if k = 0 then [||]
-      else
-        Array.init
-          ((1 lsl k) - 1)
-          (fun m ->
-            let c = m + 1 in
-            let mask = ref 0 in
-            for i = 0 to k - 1 do
-              if c land (1 lsl i) <> 0 then mask := !mask lor (1 lsl positions.(i))
-            done;
-            !mask)
-
-(* The set after [s] in [masks_of mode unfinished], or 0 after the last;
-   [next_mask mode unfinished 0] is the first.  [masks_of] lists its
-   sets in increasing order (it deposits an increasing counter's bits
-   into ascending positions), so this is the next submask of
-   [unfinished] ([`All_subsets]) or its next set bit ([`Singletons]):
-   the same walk, allocating nothing. *)
+(* The activation set after [s] among those of the unfinished processes
+   [unfinished], or 0 after the last; [next_mask mode unfinished 0] is
+   the first.  [subsets_of] lists the sets in increasing order as masks,
+   so this is the next submask of [unfinished] ([`All_subsets]) or its
+   next set bit ([`Singletons]): the same walk, allocating nothing. *)
 let next_mask mode unfinished s =
   match mode with
   | `All_subsets -> (s - unfinished) land unfinished
@@ -872,7 +826,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      needs no storage of its own.  A pending configuration is only its
      key in the intern store; [config_of_id] decodes it when it is
      expanded ({!E.config_of_key_data}, observers zero).  Each iteration
-     folds the head entry's successors, in [masks_of] order, into the
+     folds the head entry's successors, in [next_mask] order, into the
      packed state through [merge] (intern, dense id, adjacency, parent,
      safety checks) under the [max_configs] cap.  Every output derives
      from this one order, so the report is byte-identical for every
@@ -1006,7 +960,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
        helps execute tasks while waiting). *)
     let engine_key = Domain.DLS.new_key (fun () -> E.create graph ~idents) in
     let records_key = Domain.DLS.new_key (fun () -> ref (Bytes.create 4096)) in
-    (* An expansion task's result: one record per successor, in [masks_of]
+    (* An expansion task's result: one record per successor, in [next_mask]
        order — its mask, its representative's unfinished mask, orbit
        size and winner index as varints, its key's hash as 8 bytes, then
        the byte length of its key and the key as the intern store holds

@@ -28,13 +28,14 @@
     {1 Data layer}
 
     Activation subsets are bitmasks end-to-end (bit [p] = process [p]):
-    enumeration ({!masks_of}), engine steps
+    enumeration ({!next_mask}), engine steps
     ({!Asyncolor_kernel.Engine.Make.activate_mask}), the adjacency of the
-    configuration graph (flat int arrays in CSR layout) and the
-    longest-path table (one flat [n * configs] int32 bigarray, off the
-    OCaml heap).  Lists of
+    configuration graph (an {!Asyncolor_util.Level_log} varint stream,
+    one row of edges a configuration) and the longest-path table (one
+    flat [n * configs] int32 bigarray, off the OCaml heap).  Lists of
     process indices only appear at the API boundary, in
-    {!Make.violation.schedule}.  This caps the explorer at
+    {!Make.violation.schedule}, and in the [`Reference] explorer, which
+    enumerates with {!subsets_of}.  Masks cap the explorer at
     [n <= Sys.int_size - 1] processes — far beyond exhaustive reach. *)
 
 val subsets_of : [ `All_subsets | `Singletons ] -> int list -> int list list
@@ -44,25 +45,18 @@ val subsets_of : [ `All_subsets | `Singletons ] -> int list -> int list list
     explorer's determinism contract (it fixes BFS discovery order and
     hence configuration ids). *)
 
-val masks_of : [ `All_subsets | `Singletons ] -> int -> int array
-(** [masks_of mode unfinished] is the packed counterpart of
-    {!subsets_of}: the same subsets, of the set bits of [unfinished], as
-    bitmasks, in the same order — [Array.to_list (Array.map subset_of_mask
-    (masks_of mode m))] equals [subsets_of mode (subset_of_mask m)]. *)
-
 val next_mask : [ `All_subsets | `Singletons ] -> int -> int -> int
-(** [next_mask mode unfinished s] is the set after [s] in
-    [masks_of mode unfinished], or [0] after the last; the first is
-    [next_mask mode unfinished 0].  The explorer walks a configuration's
-    activation sets this way, allocating nothing: {!masks_of} lists them
-    in increasing order, so this is the next submask of [unfinished]
-    ([`All_subsets]) or its next set bit ([`Singletons]). *)
+(** [next_mask mode unfinished s] is the activation set after [s] among
+    those of the unfinished processes [unfinished] (a mask), or [0]
+    after the last; the first is [next_mask mode unfinished 0].  The
+    explorer walks a configuration's activation sets this way,
+    allocating nothing.  The walk visits the sets {!subsets_of} lists,
+    in the same order: increasing as masks, so each step is the next
+    submask of [unfinished] ([`All_subsets]) or its next set bit
+    ([`Singletons]). *)
 
 val subset_of_mask : int -> int list
 (** Ascending list of the set bits of a mask. *)
-
-val mask_of_subset : int list -> int
-(** Bitmask with the listed bits set. *)
 
 type orbit_stats = {
   group_order : int;  (** ident-preserving automorphisms used *)
@@ -204,7 +198,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
 
       [jobs] (default 1, [`Hashcons] only) sets the number of domains
       expanding configurations; [policy] the execution policy (default:
-      the one {!Asyncolor_util.Executor.create} picks for [jobs]).
+      the one {!Asyncolor_util.Executor.with_executor} picks for [jobs]).
       Whenever the executor has one job — [Serial], or any policy at
       [jobs = 1] — the merging domain expands each entry in line, keying
       each successor on its live engine.  With more jobs,
@@ -365,10 +359,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       far, the intern store's image (its arena bytes and offsets), and
       the range of ids interned but not yet expanded, in FIFO discovery
       order.  A resumed run rebuilds each pending configuration from its
-      key, exactly as an uninterrupted run does.  Version 2 files (which
-      held boxed keys and marshalled pending configurations) still load:
-      each pending configuration must agree with the key of its id, or
-      the load raises {!Asyncolor_resilience.Checkpoint.Corrupt}.
+      key, exactly as an uninterrupted run does.  Only files of the
+      current format (version 4) load; an older one raises
+      {!Asyncolor_resilience.Checkpoint.Corrupt} naming its version.
       Because the BFS driver expands pending entries in stored order and
       assigns dense ids in expansion order under every policy, resuming is
       {e byte-identical}: the final report of an interrupted-and-resumed
@@ -425,9 +418,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       save time), so a resumed run re-spills into its own directory as
       levels close.  The saved stream is pushed again, row by row, into
       the resumed run's own log, whose chunk size follows its own spill
-      threshold.  Files of formats v2 and v3 still load: their int
-      adjacency is re-encoded as varint bytes and their word offsets
-      converted to byte offsets.  [chaos] behaves as in {!explore}; the
+      threshold.  [chaos] behaves as in {!explore}; the
       resume load itself goes through
       {!Asyncolor_resilience.Checkpoint.load_rotated}, so a corrupt
       primary is quarantined and the previous rotation resumed instead.

@@ -30,13 +30,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       pair_activations = (r.activations_per_process.(p), r.activations_per_process.(q));
     }
 
-  let probe ?max_steps graph ~idents pair =
-    let max_steps =
-      match max_steps with Some m -> m | None -> default_steps (Graph.n graph)
-    in
-    let engine = E.create graph ~idents in
-    probe_restored ~max_steps engine (E.snapshot engine) pair
-
   let hunt ?max_steps ?(jobs = 1) ?budget ?stop ?(obs = Obs.disabled) graph
       ~idents =
     let max_steps =

@@ -19,9 +19,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
     pair_activations : int * int;  (** rounds the two processes worked *)
   }
 
-  val probe : ?max_steps:int -> Asyncolor_topology.Graph.t -> idents:int array -> int * int -> finding
-  (** Attack one adjacent pair.  Default [max_steps]: [2_000 + 20 * n]. *)
-
   val hunt :
     ?max_steps:int ->
     ?jobs:int ->

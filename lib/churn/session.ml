@@ -43,15 +43,6 @@ let bug_detector = function
 
 let bugs = [ Ident_collide; Skip_reinit; Heal_starve; Spurious_recolor ]
 
-let detector_names =
-  [
-    "churn-recovery";
-    "churn-locality";
-    "churn-stability";
-    "churn-reinit";
-    "churn-fresh-ident";
-  ]
-
 type config = {
   algo : algo;
   n : int;

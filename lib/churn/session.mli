@@ -42,11 +42,6 @@
 
 type algo = A2 | A3
 
-val algo_name : algo -> string
-(** ["2"] or ["3"] — the CLI spelling.  Only the wait-free cycle
-    algorithms run under churn: the recovery invariant needs a healing
-    bound, which Algorithm 2s does not have. *)
-
 val algo_of_string : string -> algo option
 
 (** {1 Planted recovery bugs}
@@ -70,7 +65,6 @@ val bug_detector : bug -> string
     [spurious-recolor] → [churn-stability]). *)
 
 val bugs : bug list
-val detector_names : string list
 
 (** {1 Configuration} *)
 
@@ -113,18 +107,6 @@ type result = {
   violations : violation list;
 }
 
-val session_seed : seed:int -> int -> int
-(** The per-session stream derivation (exposed for tests). *)
-
-val run : ?obs:Asyncolor_obs.Obs.t -> config -> seed:int -> session:int -> result
-(** Run one session.  Deterministic: a pure function of
-    [(config, seed, session)].  Emits [churn.*] counters, spans and the
-    recovery-latency gauge when [obs] is enabled (out-of-band; the result
-    is byte-identical either way).  Allocation-free in steady state
-    beyond the engine step and the samples the result keeps: per-step
-    and per-recovery bookkeeping walks only the nodes that changed.
-    @raise Invalid_argument on an invalid configuration. *)
-
 (** {1 Campaigns} *)
 
 type report = {
@@ -152,7 +134,7 @@ val campaign :
   unit ->
   report
 (** Fan the sessions out over an executor ([policy] defaults to the one
-    {!Asyncolor_util.Executor.create} picks for [jobs]) and merge by
+    {!Asyncolor_util.Executor.with_executor} picks for [jobs]) and merge by
     session index.  The report is a pure function of
     [(config, seed, sessions)] whatever [jobs] or [policy] ran it. *)
 

@@ -9,9 +9,6 @@ type t = {
   violations : (int * Session.violation) list;
 }
 
-val version : int
-val fingerprint : string
-
 val of_report : Session.report -> t
 
 val save : path:string -> t -> unit

@@ -53,7 +53,6 @@ end
 module E = Asyncolor_kernel.Engine.Make (P)
 
 let activation_bound n = (3 * n / 2) + 4
-let monotone_bound ~l ~l' = min (min (3 * l) (3 * l')) (l + l') + 4
 
 let run_on_cycle ?max_steps ~idents adv =
   let engine = E.create (Builders.cycle (Array.length idents)) ~idents in

@@ -26,11 +26,6 @@ module E : module type of Asyncolor_kernel.Engine.Make (P)
 val activation_bound : int -> int
 (** [activation_bound n = (3 * n / 2) + 4], the bound of Theorem 3.1. *)
 
-val monotone_bound : l:int -> l':int -> int
-(** Lemma 3.9: a non-extremal process at monotone distances [l] and [l']
-    from its closest extrema returns within
-    [min (3l, 3l', l + l') + 4] activations. *)
-
 val run_on_cycle :
   ?max_steps:int -> idents:int array -> Asyncolor_kernel.Adversary.t -> E.run_result
 (** Convenience: build [C_n] for [n = Array.length idents], run to

@@ -58,7 +58,6 @@ end
 module E = Asyncolor_kernel.Engine.Make (P)
 
 let activation_bound n = (3 * n) + 8
-let non_minimum_bound ~l = (3 * l) + 4
 
 let run_on_cycle ?max_steps ~idents adv =
   let engine = E.create (Builders.cycle (Array.length idents)) ~idents in
@@ -66,7 +65,3 @@ let run_on_cycle ?max_steps ~idents adv =
 
 let general_palette ~max_degree = (2 * max_degree) + 1
 let in_general_palette ~max_degree c = c >= 0 && c <= 2 * max_degree
-
-let run_on_graph ?max_steps g ~idents adv =
-  let engine = E.create g ~idents in
-  E.run ?max_steps engine adv

@@ -28,11 +28,6 @@ val activation_bound : int -> int
 (** [activation_bound n = 3 * n + 8]: the bound of Theorem 3.11 covering
     all processes (local minima included). *)
 
-val non_minimum_bound : l:int -> int
-(** Lemma 3.14: a process that is not a local minimum, at monotone distance
-    [l] from its closest local maximum, returns within [3l + 4]
-    activations. *)
-
 val run_on_cycle :
   ?max_steps:int -> idents:int array -> Asyncolor_kernel.Adversary.t -> E.run_result
 
@@ -53,10 +48,3 @@ val general_palette : max_degree:int -> int
 (** [2Δ + 1]. *)
 
 val in_general_palette : max_degree:int -> int -> bool
-
-val run_on_graph :
-  ?max_steps:int ->
-  Asyncolor_topology.Graph.t ->
-  idents:int array ->
-  Asyncolor_kernel.Adversary.t ->
-  E.run_result

@@ -59,7 +59,6 @@ end
 
 module E = Asyncolor_kernel.Engine.Make (P)
 
-let palette_size = 7
 let in_palette c = c >= 0 && c <= 6
 
 let run_on_cycle ?max_steps ~idents adv =

@@ -37,9 +37,6 @@ module P :
 
 module E : module type of Asyncolor_kernel.Engine.Make (P)
 
-val palette_size : int
-(** 7: outputs lie in [{0,…,6}] on the cycle. *)
-
 val in_palette : int -> bool
 
 val run_on_cycle :

@@ -38,13 +38,6 @@ module P :
 
 module E : module type of Asyncolor_kernel.Engine.Make (P)
 
-val lemma_3_5 : state -> (unit, string) result
-(** Check the ordering property of the shadow sets for one process. *)
-
-val lemma_3_7 : state -> (unit, string) result
-(** Check the parity property (only binding when the process just missed
-    with at most one higher/lower awake neighbour). *)
-
 val monitor : E.t -> unit
 (** Assert Lemma 3.5 and Lemma 3.7 on every working process.
     @raise Failure on violation; install with [E.set_monitor]. *)

@@ -29,11 +29,9 @@ module P :
 
 module E : module type of Asyncolor_kernel.Engine.Make (P)
 
-val eq5 : state -> (unit, string) result
-(** Check Equation (5) for one process (binding when [higher_awake <= 1]). *)
-
 val monitor : E.t -> unit
-(** Assert {!eq5} on every working process; raise [Failure] on violation. *)
+(** Assert Equation (5) on every working process; raise [Failure] on
+    violation. *)
 
 val agrees_with_algorithm2 : idents:int array -> schedule:int list list -> bool
 (** Observational transparency against the plain Algorithm 2. *)

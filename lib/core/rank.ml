@@ -13,7 +13,6 @@ let compare a b =
 
 let ( <= ) a b = compare a b <= 0
 let min a b = if a <= b then a else b
-let equal a b = compare a b = 0
 
 let encode emit = function
   | Fin k ->

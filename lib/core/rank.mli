@@ -12,10 +12,8 @@ val succ : t -> t
 (** [succ Inf = Inf]. *)
 
 val is_finite : t -> bool
-val compare : t -> t -> int
 val ( <= ) : t -> t -> bool
 val min : t -> t -> t
-val equal : t -> t -> bool
 
 val encode : (int -> unit) -> t -> unit
 (** Injective integer encoding for the run-core packed-key layer. *)

@@ -18,11 +18,3 @@ let first_differing_bit x y =
     let d = x lxor y in
     let rec loop k = if d lsr k land 1 = 1 then k else loop (k + 1) in
     Some (loop 0)
-
-let to_string z =
-  check_nat "Bits.to_string" z;
-  if z = 0 then "0"
-  else begin
-    let len = length z in
-    String.init len (fun i -> if bit z (len - 1 - i) = 1 then '1' else '0')
-  end

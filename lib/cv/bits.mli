@@ -14,6 +14,3 @@ val bit : int -> int -> int
 val first_differing_bit : int -> int -> int option
 (** [first_differing_bit x y] is [Some (min { k | x_k ≠ y_k })], or [None]
     when [x = y]. *)
-
-val to_string : int -> string
-(** Binary rendering, most significant bit first ("0" for 0). *)

@@ -6,15 +6,3 @@ let log_star x =
 let log_star_int n =
   if n < 0 then invalid_arg "Logstar.log_star_int: negative";
   log_star (float_of_int n)
-
-let tower k =
-  if k < 0 then invalid_arg "Logstar.tower: negative height";
-  let rec loop k acc =
-    if k = 0 then acc
-    else begin
-      if acc >= 63 then invalid_arg "Logstar.tower: overflow";
-      loop (k - 1) (1 lsl acc)
-    end
-  in
-  (* tower k = 2^(tower (k-1)); build from the top of the tower down. *)
-  loop k 1

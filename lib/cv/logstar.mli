@@ -2,16 +2,6 @@
     [log(0) x = x], [log(k+1) x = log2 (log(k) x)], and [log* x] is the
     smallest [k ≥ 0] such that [log(k) x ≤ 1]. *)
 
-val log_star : float -> int
-(** [log_star x].  For [x ≤ 1] this is [0]; [log_star 2. = 1];
-    [log_star 16. = 3]; [log_star 65536. = 4].
-    @raise Invalid_argument on non-finite input. *)
-
 val log_star_int : int -> int
-(** [log_star_int n = log_star (float_of_int n)].
+(** [log_star_int n] is [log* n].
     @raise Invalid_argument on negative input. *)
-
-val tower : int -> int
-(** [tower k] is the power tower [2^2^…^2] of height [k] ([tower 0 = 1]);
-    the largest [n] with [log_star_int n = k].
-    @raise Invalid_argument if the result exceeds [max_int] ([k >= 5]). *)

@@ -7,16 +7,6 @@ let f x y =
   in
   (2 * i) + Bits.bit x i
 
-let shrink_bound x = (2 * Bits.length x) + 1
-
-let iterate_f_chain chain =
-  let rec loop = function
-    | [] -> []
-    | [ last ] -> [ last ]
-    | x :: (y :: _ as rest) -> f x y :: loop rest
-  in
-  loop chain
-
 let iterations_to_small ?(limit = 10) x =
   if x < 0 then invalid_arg "Reduce.iterations_to_small: negative input";
   let envelope z = (2 * Bits.length z) + 1 in

@@ -14,16 +14,6 @@
 val f : int -> int -> int
 (** [f x y] as above.  @raise Invalid_argument on negative input. *)
 
-val shrink_bound : int -> int
-(** [shrink_bound x = 2 * Bits.length x + 1], the a-priori bound on
-    [f x y] for any [y]. *)
-
-val iterate_f_chain : int list -> int list
-(** [iterate_f_chain [x1; x2; …; xk]] applies one synchronous reduction
-    step down a monotone chain: element [i] becomes [f x_i x_{i+1}] and the
-    last element is kept.  Used to study convergence outside the
-    asynchronous engine. *)
-
 val iterations_to_small : ?limit:int -> int -> int
 (** [iterations_to_small x] is the number of iterations of the envelope
     function [F x = 2 ⌈log2 (x + 1)⌉ + 1] needed to bring [x] strictly

@@ -6,7 +6,6 @@ type entry = {
   run : ?quick:bool -> unit -> Outcome.t;
 }
 
-val all : entry list
 val find : string -> entry option
 (** Lookup by case-insensitive id, e.g. "e4". *)
 

@@ -1,5 +1,4 @@
 module Graph = Asyncolor_topology.Graph
-module Adversary = Asyncolor_kernel.Adversary
 module Status = Asyncolor_kernel.Status
 module Checker = Asyncolor.Checker
 module Color = Asyncolor.Color

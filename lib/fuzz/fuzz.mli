@@ -1,8 +1,8 @@
 (** Campaign driver: seed-deterministic fault-injection fuzzing.
 
     A campaign of [execs] executions is a pure function of its [seed]:
-    exec [i] derives its own PRNG stream from [(seed, i)] alone
-    ({!exec_seed}), generates a {!Scenario.t}, runs it through the
+    exec [i] derives its own PRNG stream from [(seed, i)] alone,
+    generates a {!Scenario.t}, runs it through the
     invariant suite ({!Exec.run}) and, on a violation, minimises it
     ({!Shrink.minimize}) and records both raw and shrunk traces.  Because
     streams are per-exec, the report — findings included — is identical
@@ -29,21 +29,6 @@ type report = {
   complete : bool;  (** false iff budget/stop truncated the campaign *)
   findings : finding list;  (** in exec order *)
 }
-
-val exec_seed : seed:int -> int -> int
-(** PRNG seed of exec [i]: pure in [(seed, i)], independent of [jobs]
-    and batching. *)
-
-val run_one :
-  ?obs:Asyncolor_obs.Obs.t ->
-  ?algos:Scenario.algo list ->
-  ?mutation:string ->
-  ?max_n:int ->
-  seed:int ->
-  int ->
-  finding option
-(** Generate, execute and (on violation) shrink exec [i] of the campaign
-    with seed [seed].  [None] when every invariant holds. *)
 
 val campaign :
   ?jobs:int ->
@@ -77,9 +62,6 @@ val campaign :
     the invariant suite, across all domains) and the
     ["fuzz.execs_per_sec"] gauge (whole-campaign throughput; meaningful
     on the monotonic clock only). *)
-
-val trace_paths : dir:string -> int -> string * string
-(** [(raw, shrunk)] corpus paths for an exec index. *)
 
 val replay : Trace.t -> Exec.outcome * bool
 (** Re-execute a trace's scenario; the boolean is true iff the observed

@@ -39,7 +39,6 @@ let all =
     };
   ]
 
-let names = List.map (fun i -> i.name) all
 let find name = List.find_opt (fun i -> i.name = name) all
 
 (* Churn mutants corrupt how {!Exec} applies recovery events; the protocol

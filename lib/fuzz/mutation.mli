@@ -23,19 +23,13 @@ type info = {
 }
 
 val all : info list
-val names : string list
 val find : string -> info option
 
 val is_churn : string -> bool
 (** Does the mutation name denote a recovery-machinery bug (the
     ["churn-"] prefix convention, shared with {!Scenario.generate})? *)
 
-(** Planted protocols (exported for direct use in tests). *)
-
-module Skip_read : module type of Asyncolor.Algorithm2.P
-module Guard_always : module type of Asyncolor.Algorithm2.P
-module Guard_never : module type of Asyncolor.Algorithm2.P
-module Palette_off_by_one : module type of Asyncolor.Algorithm1.P
+(** Planted protocols, as first-class modules. *)
 
 type a1_protocol =
   (module Asyncolor_kernel.Protocol.S

@@ -1,6 +1,5 @@
 module Prng = Asyncolor_util.Prng
 module Builders = Asyncolor_topology.Builders
-module Graph = Asyncolor_topology.Graph
 module Idents = Asyncolor_workload.Idents
 module Adversary = Asyncolor_kernel.Adversary
 
@@ -30,13 +29,6 @@ type t = {
 
 let algo_name = function A1 -> "1" | A2 -> "2" | A2s -> "2s" | A3 -> "3"
 
-let algo_of_string = function
-  | "1" -> Some A1
-  | "2" -> Some A2
-  | "2s" -> Some A2s
-  | "3" -> Some A3
-  | _ -> None
-
 let graph_n = function Cycle n | Path n | Complete n | Star n -> n
 
 let graph_name = function
@@ -52,16 +44,6 @@ let build_graph = function
   | Star n -> Builders.star n
 
 let steps t = List.length t.schedule
-
-let weight t =
-  List.fold_left (fun acc set -> acc + 1 + List.length set) 0 t.schedule
-  (* each churn event weighs 2 (its crash and its recovery), so dropping
-     one strictly decreases the cost the shrinker minimises *)
-  + (2 * List.length t.churn)
-
-(* Lexicographic cost the shrinker minimises: fewer nodes, then fewer
-   steps, then thinner activation sets / fewer churn events. *)
-let size t = (graph_n t.graph, steps t, weight t)
 
 let pp_churn ppf churn =
   Format.fprintf ppf "%s"

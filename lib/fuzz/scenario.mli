@@ -47,21 +47,11 @@ type t = {
 val algo_name : algo -> string
 (** ["1"], ["2"], ["2s"], ["3"] — the CLI spelling. *)
 
-val algo_of_string : string -> algo option
-
 val graph_n : graph_spec -> int
-val graph_name : graph_spec -> string
 val build_graph : graph_spec -> Asyncolor_topology.Graph.t
 
 val steps : t -> int
 (** Schedule length. *)
-
-val weight : t -> int
-(** Total activation-set occupancy (steps + sum of set sizes) plus 2 per
-    churn event, so dropping an event strictly shrinks the scenario. *)
-
-val size : t -> int * int * int
-(** [(n, steps, weight)] — the lexicographic cost {!Shrink} minimises. *)
 
 val pp : Format.formatter -> t -> unit
 

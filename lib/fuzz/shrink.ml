@@ -3,8 +3,8 @@
    Greedy descent over the structural shrinking primitives of {!Scenario},
    re-running the scenario after every candidate edit and keeping it only
    if the *same invariant* still fails.  Each accepted edit strictly
-   decreases [Scenario.size] (node count, then steps, then activation-set
-   occupancy), so the loop terminates; an exec budget additionally caps
+   decreases the scenario's size (node count, then steps, then
+   activation-set occupancy), so the loop terminates; an exec budget additionally caps
    pathological searches.  Everything is deterministic: same input, same
    minimum. *)
 

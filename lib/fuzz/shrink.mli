@@ -7,7 +7,8 @@
     invariant still fails, until no single edit makes progress.
 
     Deterministic (same failing scenario, same minimum) and terminating:
-    every accepted edit strictly decreases {!Scenario.size}, and
+    every accepted edit strictly decreases the scenario's size (node
+    count, then steps, then activation-set occupancy), and
     [max_execs] caps the total number of re-executions (the returned
     scenario is still a valid, failing one when the budget runs out —
     just possibly not minimal). *)

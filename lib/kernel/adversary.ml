@@ -66,27 +66,6 @@ let crash ~at ~procs inner =
             | None -> None
             | Some set -> Some (List.filter (fun p -> not (crashed p)) set)))
 
-(* The schedule-side half of a crash/recover pair: while a node is inside
-   one of its outage windows the scheduler behaves as if it had crashed;
-   once the window closes the node is eligible again.  The engine-side
-   half — wiping the node's state and installing the fresh identifier —
-   is [Engine.reset]; the churn session engine drives both. *)
-let outages ~windows inner =
-  let down time p =
-    List.exists
-      (fun (q, from_, until_) -> q = p && time >= from_ && time < until_)
-      windows
-  in
-  make
-    ~name:(Printf.sprintf "%s+outages(%d)" inner.name (List.length windows))
-    (fun ~time ~unfinished ->
-      match List.filter (fun p -> not (down time p)) unfinished with
-      | [] -> None
-      | up -> (
-          match inner.next ~time ~unfinished:up with
-          | None -> None
-          | Some set -> Some (List.filter (fun p -> not (down time p)) set)))
-
 let random_crashes prng ~n ~rate ~horizon inner =
   let crash_time =
     Array.init n (fun _ ->
@@ -104,17 +83,6 @@ let random_crashes prng ~n ~rate ~horizon inner =
           match inner.next ~time ~unfinished:alive with
           | None -> None
           | Some set -> Some (List.filter (fun p -> not (crashed p time)) set)))
-
-let eager_then_lazy ~slow ~delay =
-  make ~name:(Printf.sprintf "eager-then-lazy(delay=%d)" delay) (fun ~time ~unfinished ->
-      match unfinished with
-      | [] -> None
-      | l -> (
-          if time > delay then Some l
-          else
-            match List.filter (fun p -> not (List.mem p slow)) l with
-            | [] -> Some l
-            | eager -> Some eager))
 
 let isolate_pair (p, q) =
   make ~name:(Printf.sprintf "isolate-pair(%d,%d)" p q) (fun ~time:_ ~unfinished ->

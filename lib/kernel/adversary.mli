@@ -57,20 +57,6 @@ val random_crashes : Asyncolor_util.Prng.t -> n:int -> rate:float -> horizon:int
 (** Crash each of the [n] processes independently with probability [rate],
     at a time uniform in [\[1, horizon\]]. *)
 
-val outages : windows:(int * int * int) list -> t -> t
-(** [outages ~windows adv] is the schedule-side half of a crash/recover
-    pair: a window [(p, from, until)] makes [adv] treat process [p] as
-    crashed at every [time] with [from <= time < until] — it is hidden
-    from [adv]'s unfinished view and filtered from its activation sets —
-    and eligible again from [until] on.  The engine-side half of recovery
-    (fresh identifier, state wiped back to asleep) is [Engine.reset];
-    drive both to model a node that leaves and rejoins. *)
-
-val eager_then_lazy : slow:int list -> delay:int -> t
-(** The processes in [slow] take no step before [time > delay]; everybody
-    else runs synchronously.  Models the paper's "moderately slow"
-    neighbours that block identifier reduction in Algorithm 3. *)
-
 val isolate_pair : int * int -> t
 (** [isolate_pair (p, q)] first runs everyone {e except} [p] and [q]
     synchronously until only [p] and [q] remain unfinished, then activates

@@ -550,17 +550,6 @@ module Make (P : Protocol.S) = struct
   let probe_bytes t = t.probe
   let probe_length t = t.probe_len
 
-  (* A fresh key of the live configuration, from the cached segments. *)
-  let key t =
-    let len = refresh_stale t in
-    let data = Array.make len 0 and off = ref 0 in
-    Array.iter
-      (fun seg ->
-        Array.blit seg.data 0 data !off seg.len;
-        off := !off + seg.len)
-      t.segs;
-    { kdata = data; khash = fold_hash t t.identity }
-
   (* Lexicographic order of the cached segments of processes [a] and
      [b].  A segment is self-delimiting (a tag, then framed payloads
      whose lengths it holds), so neither of two different segments is a
@@ -718,13 +707,6 @@ module Make (P : Protocol.S) = struct
       incr i
     done;
     !i = la
-
-  module Key_tbl = Hashtbl.Make (struct
-    type t = key
-
-    let equal = key_equal
-    let hash = key_hash
-  end)
 
   let config_unfinished c =
     let acc = ref [] in

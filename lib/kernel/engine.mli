@@ -86,7 +86,6 @@ module Make (P : Protocol.S) : sig
   val activations : t -> int -> int
   (** Number of rounds process [p] has performed while working. *)
 
-  val max_activations : t -> int
   val unfinished : t -> int list
   (** Sorted list of processes that have not returned (asleep or working). *)
 
@@ -220,17 +219,12 @@ module Make (P : Protocol.S) : sig
   (** Pack the process-visible part of [c] into a flat, hashable key
       (observers excluded, exactly like {!config_compare}). *)
 
-  val key : t -> key
-  (** [key t] packs the live engine's process-visible part: it equals
-      [config_key (snapshot t)] (same data, same hash) without building
-      the snapshot, read from the segment cache. *)
-
   val key_probe : t -> int
   (** [key_probe t] writes the live configuration's key into the
       engine's probe buffer, encoded as the intern store holds it: the
       first {!probe_length} bytes of {!probe_bytes} are
-      [Varint.put_seq] of [key_data (key t)].  It returns the key's hash,
-      [key_hash (key t)].  It re-encodes only the stale segments (see
+      [Varint.put_seq] of [key_data (config_key (snapshot t))].  It
+      returns that key's hash.  It re-encodes only the stale segments (see
       the segment cache above), and allocates nothing once the buffers
       have grown to the key's size.  The buffer belongs to [t]: the next
       probe overwrites it, so a store must copy the bytes (the explorer
@@ -337,11 +331,7 @@ module Make (P : Protocol.S) : sig
       system — the orbit member the symmetry-reduced explorer picks
       representatives from.  @raise Invalid_argument if [perm]'s length
       differs from the process count (bijectivity is the caller's
-      contract; see {!Asyncolor_topology.Graph.is_automorphism}). *)
-
-  module Key_tbl : Hashtbl.S with type key = key
-  (** Hash table over packed keys.  The explorer does not use it: it
-      interns the probes' bytes in {!Asyncolor_util.Intern}. *)
+      contract). *)
 
   (** {1 Running against an adversary} *)
 

@@ -1,7 +1,5 @@
 type 'output t = Asleep | Working | Returned of 'output
 
-let is_asleep = function Asleep -> true | Working | Returned _ -> false
-let is_working = function Working -> true | Asleep | Returned _ -> false
 let is_returned = function Returned _ -> true | Asleep | Working -> false
 let output = function Returned o -> Some o | Asleep | Working -> None
 

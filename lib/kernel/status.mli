@@ -7,8 +7,6 @@
 
 type 'output t = Asleep | Working | Returned of 'output
 
-val is_asleep : 'o t -> bool
-val is_working : 'o t -> bool
 val is_returned : 'o t -> bool
 
 val output : 'o t -> 'o option

@@ -23,15 +23,6 @@ type result = {
   cv_iterations : int;  (** rounds of the coin-tossing phase *)
 }
 
-val cv_step : int array -> int array
-(** One synchronous coin-tossing round.  Input must be a proper colouring
-    of the ring.  @raise Invalid_argument if two adjacent entries are
-    equal or any entry is negative. *)
-
-val six_color : int array -> int array * int
-(** Iterate {!cv_step} until all colours are at most 5; returns the
-    colouring and the number of rounds. *)
-
 val three_color : int array -> result
 (** Full pipeline: coin tossing then the three reduction rounds.
     @raise Invalid_argument if the input (identifiers) is not a proper

@@ -36,7 +36,6 @@ let create ~idents ~universe =
     outputs = Array.make n None;
   }
 
-let round t = t.round
 let advance t = t.round <- t.round + 1
 let outputs t = Array.copy t.outputs
 

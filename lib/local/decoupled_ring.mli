@@ -31,26 +31,8 @@ val create : idents:int array -> universe:int -> t
     pairwise distinct and in [\[0, universe)].
     @raise Invalid_argument otherwise, or if fewer than 3 nodes. *)
 
-val cv_iterations_needed : universe:int -> int
-(** [K]: the iteration count every process derives from the universe bound
-    alone (so no coordination is needed). *)
-
 val rounds_needed : universe:int -> int
 (** [K + 3]: knowledge radius after which any activation outputs. *)
-
-val round : t -> int
-(** Global rounds elapsed. *)
-
-val advance : t -> unit
-(** One synchronous communication round: every knowledge ball grows by 1. *)
-
-val activate : t -> int -> int option
-(** [activate t p] gives process [p] a computing step: returns its colour
-    (in [{0,1,2}]) if the knowledge radius suffices, [None] otherwise
-    (the process just waits — on the {e network}, not on other
-    processes).  Idempotent after success. *)
-
-val outputs : t -> int option array
 
 val run :
   ?horizon:int ->

@@ -14,7 +14,7 @@
     within O(log* m) rounds at a palette of at most [p²] for [p] the
     smallest prime above [2Δ] — i.e. O(Δ²).
 
-    A further {e slow} phase ({!reduce_to_delta_plus_one}) removes one
+    A further {e slow} phase ({!color_delta_plus_one}) removes one
     colour class per round down to the greedy optimum [Δ + 1] — possible
     in LOCAL, while in the paper's asynchronous model fewer than [2Δ+1]
     colours are impossible whenever [Δ+1] is a prime power (renaming
@@ -26,33 +26,18 @@ type result = {
   final_palette : int;  (** all colours are in [\[0, final_palette)] *)
 }
 
-val smallest_prime_above : int -> int
-(** [smallest_prime_above k] is the least prime strictly greater than [k].
-    @raise Invalid_argument on negative input. *)
-
 val palette_bound : max_degree:int -> int
 (** Conservative bound on the stall palette of {!color}: [p²] for [p] the
     smallest prime above [2·max 1 Δ]. *)
 
-val reduce_step : Asyncolor_topology.Graph.t -> m:int -> int array -> int array * int
-(** One polynomial reduction round: takes a proper colouring with values in
-    [\[0, m)], returns the new colouring and its palette size [q²].
-    @raise Invalid_argument if the input is not proper or out of range. *)
-
 val color : Asyncolor_topology.Graph.t -> idents:int array -> result
-(** Iterate {!reduce_step} from the identifiers until the palette stops
-    shrinking.  [result.final_palette <= palette_bound].
+(** Iterate the reduction step from the identifiers until the palette
+    stops shrinking.  [result.final_palette <= palette_bound].
     @raise Invalid_argument if identifiers are not pairwise distinct
     non-negative. *)
 
-val reduce_to_delta_plus_one : Asyncolor_topology.Graph.t -> m:int -> int array -> result
-(** The slow phase: one round per removed colour class (the class is an
-    independent set, so its nodes safely re-colour to the mex of their
-    neighbourhoods, which is ≤ Δ).  Output palette is [Δ + 1]; rounds =
-    [max 0 (m - Δ - 1)]. *)
-
 val color_delta_plus_one : Asyncolor_topology.Graph.t -> idents:int array -> result
-(** Full pipeline: {!color} then {!reduce_to_delta_plus_one}; the classic
+(** Full pipeline: {!color} then the slow phase; the classic
     [Δ+1]-colouring in [O(log* n) + O(Δ²)] rounds. *)
 
 val is_proper : Asyncolor_topology.Graph.t -> int array -> bool

@@ -106,10 +106,6 @@ module Counter : sig
 
   val incr : t -> unit
 
-  val value : t -> int
-  (** Sum over shards.  A concurrent read is a consistent snapshot per
-      shard, not across shards — read after the fan-out joins for exact
-      totals. *)
 end
 
 module Gauge : sig
@@ -118,7 +114,6 @@ module Gauge : sig
   val set : t -> int -> unit
   val max_ : t -> int -> unit  (** keep the running maximum *)
 
-  val value : t -> int
 end
 
 val counter : t -> string -> Counter.t

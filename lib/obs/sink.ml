@@ -13,5 +13,3 @@ let emit s =
     (fun () ->
       output_string !channel s;
       flush !channel)
-
-let printf fmt = Printf.ksprintf emit fmt

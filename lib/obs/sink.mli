@@ -15,9 +15,5 @@
 val emit : string -> unit
 (** Emit a pre-formatted string as one atomic write + flush. *)
 
-val printf : ('a, unit, string, unit) format4 -> 'a
-(** Format, then {!emit} the result.  Terminate your format with ["\n"];
-    the sink does not add one. *)
-
 val set_channel : out_channel -> unit
 (** Redirect the sink (tests).  Default: [stderr]. *)

@@ -89,8 +89,6 @@ let create ?(obs = Obs.disabled) ?(rate = 0.0) ?sites ~seed () : t =
     }
 
 let enabled = function None -> false | Some _ -> true
-let seed = function None -> 0 | Some c -> c.seed
-let rate = function None -> 0.0 | Some c -> c.rate
 
 type stats = { injected : int; quarantined : int }
 
@@ -158,8 +156,6 @@ let draw (t : t) ~site kinds =
 let write_kinds = [| Enospc; Eio; Torn_write; Fsync_fail |]
 let read_kinds = [| Eio; Bit_rot |]
 
-let draw_write t ~site = Option.map snd (draw t ~site write_kinds)
-
 (* A site-deterministic draw that does not count as an operation of the
    fault schedule (the position of a bit-rot flip). *)
 let side_u01 t ~site =
@@ -219,9 +215,6 @@ let write_with t ?(fsync = true) ~site path write =
       ignore (output_with ~fsync:false path write);
       raise (Injected { site; op; fault = Fsync_fail })
   | Some (_, Bit_rot) -> assert false
-
-let write_file t ?fsync ~site path data =
-  write_with t ?fsync ~site path (fun oc -> output_bytes oc data)
 
 let read_file t ~site path =
   match draw t ~site read_kinds with

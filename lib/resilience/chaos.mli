@@ -36,8 +36,6 @@ type fault =
   | Fsync_fail  (** the data is written but the fsync raises *)
   | Bit_rot  (** one byte of the data is flipped as it is read *)
 
-val fault_name : fault -> string
-
 exception Injected of { site : string; op : int; fault : fault }
 (** Raised (or, for silent faults, recorded) when the injector fires:
     operation [op] of [site]'s stream drew [fault]. *)
@@ -62,8 +60,6 @@ val create :
     {!Asyncolor_obs.Obs.disabled}) receives the [chaos.*] counters. *)
 
 val enabled : t -> bool
-val seed : t -> int
-val rate : t -> float
 
 type stats = {
   injected : int;  (** faults actually delivered *)
@@ -75,16 +71,8 @@ val stats : t -> stats
     on stderr after a chaos run. *)
 
 val note_quarantine : t -> unit
-(** Accounting hook for {!Checkpoint.quarantine} (a no-op on
+(** Accounting hook for the checkpoint quarantine (a no-op on
     {!disabled}). *)
-
-(** {1 Decision points} *)
-
-val draw_write : t -> site:string -> fault option
-(** Advance [site]'s stream one write operation; [Some] at most with
-    probability [rate].  Possible faults: [Enospc], [Eio], [Torn_write],
-    [Fsync_fail].  Exposed for the determinism tests; I/O goes through
-    {!write_file}. *)
 
 (** {1 The injectable filesystem} *)
 
@@ -92,23 +80,19 @@ val read_raw : string -> bytes
 (** Whole-file read with {e no} injection — the verify-on-save path.
     @raise Sys_error as [open_in_bin]. *)
 
-val write_file : t -> ?fsync:bool -> site:string -> string -> bytes -> unit
-(** Write [data] to a fresh file at the path, fault-injected: consults
-    {!draw_write} first and realises the drawn fault (partial write +
-    {!Injected}, silent torn write, or a failed fsync).  [fsync] defaults
-    to [true]. *)
-
 val write_with :
   t -> ?fsync:bool -> site:string -> string -> (out_channel -> unit) -> unit
-(** {!write_file} for content that is streamed rather than held: the
-    callback writes the file through the channel (it may seek back and
-    patch what it wrote).  The drawn fault is realised on the finished
-    file, by cutting it back to the prefix {!write_file} would have
-    left, so the two draw and fail alike. *)
+(** Write a file through one draw of [site]'s stream: the callback
+    writes it through the channel (it may seek back and patch what it
+    wrote), then the drawn fault is realised on the finished file.
+    [Enospc] and [Eio] leave a partial file and raise {!Injected};
+    [Torn_write] cuts the file back to a prefix and reports success;
+    [Fsync_fail] leaves the data in place and raises.  [fsync] defaults
+    to [true]. *)
 
 val read_file : t -> site:string -> string -> bytes
 (** Whole-file read, fault-injected by one draw of [site]'s stream, as
-    {!draw_write} draws for a write: [Eio] raises {!Injected} without
+    {!write_with} draws for a write: [Eio] raises {!Injected} without
     touching the file; [Bit_rot] flips one byte of the returned buffer
     (the on-disk file is untouched).
     @raise Sys_error as [open_in_bin] when the file is missing. *)

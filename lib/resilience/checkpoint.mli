@@ -82,15 +82,6 @@ val load :
 val rotated_path : string -> string
 (** [path ^ ".1"] — where {!save_rotated} keeps the previous snapshot. *)
 
-val quarantine_dir : path:string -> string
-(** [quarantine/] in the checkpoint's directory. *)
-
-val quarantine : ?chaos:Chaos.t -> string -> string option
-(** Move a (presumed corrupt) file into {!quarantine_dir}, never
-    overwriting earlier evidence (suffixes [.1], [.2], … on collision).
-    Returns the destination, or [None] if the file is missing or the move
-    failed.  Counts on [chaos.quarantined]. *)
-
 val clean_stale : path:string -> bool
 (** Remove the stale [path ^ ".tmp"] a killed process may have left
     behind between write and rename; [true] if one was removed.  Called

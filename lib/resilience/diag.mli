@@ -16,9 +16,6 @@ val printf : ('a, unit, string, unit) format4 -> 'a
 (** Format, then emit the result as one atomic write.  Terminate your
     format with ["\n"]; the module does not add one. *)
 
-val emit : string -> unit
-(** Emit a pre-formatted string as one atomic write + flush. *)
-
 val set_channel : out_channel -> unit
 (** Redirect the shared sink (tests) — affects every producer routed
     through {!Asyncolor_obs.Sink}.  Default: [stderr]. *)

@@ -76,8 +76,3 @@ let read t ~level =
 let bytes_written t = Atomic.get t.bytes_written
 let bytes_read t = Atomic.get t.bytes_read
 let levels_on_disk t = Atomic.get t.levels
-
-let files t =
-  Sys.readdir t.dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".spill")
-  |> List.sort compare

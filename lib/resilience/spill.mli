@@ -35,10 +35,6 @@ val create : ?chaos:Chaos.t -> dir:string -> unit -> t
 
 val dir : t -> string
 
-val path : t -> level:int -> string
-(** The file that {!write} targets for [level] ([level-NNNNNN.spill]
-    under the store's directory). *)
-
 val write : t -> level:int -> Bytes.t -> int
 (** Persist one closed level's bytes, atomically; returns the container
     size in bytes.  Levels are written at most once per store (level
@@ -60,6 +56,3 @@ val bytes_read : t -> int
 
 val levels_on_disk : t -> int
 (** Number of levels written through this store. *)
-
-val files : t -> string list
-(** The [.spill] files currently in the directory, sorted. *)

@@ -12,12 +12,7 @@
     domains may poll it concurrently. *)
 
 val requested : unit -> bool
-(** Has a stop been requested (signal received, or {!request})? *)
-
-val request : unit -> unit
-(** Set the flag by hand (tests, programmatic cancellation). *)
-
-val reset : unit -> unit
+(** Has a stop been requested (a signal received)? *)
 
 val with_signals : (unit -> 'a) -> 'a
 (** [with_signals f] runs [f] with SIGINT/SIGTERM routed to the flag;

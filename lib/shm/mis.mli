@@ -18,13 +18,6 @@
 val valid : Asyncolor_topology.Graph.t -> bool option array -> bool
 (** Validity of a partial MIS outcome per the paper's definition. *)
 
-val independence_ok : Asyncolor_topology.Graph.t -> bool option array -> bool
-(** Condition (2) alone: no two adjacent terminated [true]s. *)
-
-val domination_ok : Asyncolor_topology.Graph.t -> bool option array -> bool
-(** Condition (1) alone: every terminated [false] has a terminated [true]
-    neighbour. *)
-
 (** Wait-free but incorrect: decide from the first visible snapshot. *)
 module Greedy : sig
   type fields = { x : int }

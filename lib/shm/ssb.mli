@@ -13,16 +13,6 @@
 type outcome = int option array
 (** One entry per process; [None] = did not terminate; [Some b], [b ∈ {0,1}]. *)
 
-val all_terminated : outcome -> bool
-
-val condition_both_sides : outcome -> bool
-(** Condition (1): vacuously true unless all processes terminated; then at
-    least one 0 and at least one 1 are required. *)
-
-val condition_some_one : outcome -> bool
-(** Condition (2): at least one process output 1 — vacuously true when no
-    process terminated at all. *)
-
 val valid : outcome -> bool
 (** Conjunction of the two conditions. *)
 

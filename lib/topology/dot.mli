@@ -1,10 +1,6 @@
 (** Graphviz DOT export, for inspecting topologies and colourings. *)
 
-val to_string : ?labels:(int -> string) -> ?colors:(int -> int option) -> Graph.t -> string
-(** [to_string g] renders [g] in DOT syntax.  [labels] supplies node labels
-    (default: the node index); [colors] maps a node to a palette index used
-    to pick a fill colour (up to 10 distinct fills), [None] leaving the node
-    unfilled (e.g. a crashed process). *)
-
 val write_file : string -> ?labels:(int -> string) -> ?colors:(int -> int option) -> Graph.t -> unit
-(** [write_file path g] writes {!to_string} to [path]. *)
+(** [write_file path g] writes [g] in DOT to [path]: one node a line
+    (labelled by [labels], filled by the palette colour [colors] picks),
+    then one [u -- v] line an edge. *)

@@ -32,8 +32,6 @@ let neighbours t v = t.adj.(v)
 
 let degree t v = Array.length t.adj.(v)
 
-let m t = Array.fold_left (fun acc a -> acc + Array.length a) 0 t.adj / 2
-
 let max_degree t = Array.fold_left (fun acc a -> max acc (Array.length a)) 0 t.adj
 
 let mem_edge t u v = Array.exists (fun w -> w = v) t.adj.(u)
@@ -46,24 +44,6 @@ let fold_edges f t init =
   !acc
 
 let edges t = List.rev (fold_edges (fun u v acc -> (u, v) :: acc) t [])
-
-let is_connected t =
-  let nodes = n t in
-  if nodes <= 1 then true
-  else begin
-    let seen = Array.make nodes false in
-    let rec dfs v =
-      if not seen.(v) then begin
-        seen.(v) <- true;
-        Array.iter dfs t.adj.(v)
-      end
-    in
-    dfs 0;
-    Array.for_all Fun.id seen
-  end
-
-let is_cycle t =
-  n t >= 3 && Array.for_all (fun a -> Array.length a = 2) t.adj && is_connected t
 
 let is_automorphism t perm =
   let nodes = n t in
@@ -105,15 +85,3 @@ let automorphisms t =
       candidates;
     List.rev !keep
   end
-
-let equal a b = a.adj = b.adj
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>graph on %d nodes, %d edges" (n t) (m t);
-  Array.iteri
-    (fun v nbrs ->
-      Format.fprintf ppf "@,  %d: %a" v
-        Format.(pp_print_list ~pp_sep:(fun ppf () -> pp_print_string ppf " ") pp_print_int)
-        (Array.to_list nbrs))
-    t.adj;
-  Format.fprintf ppf "@]"

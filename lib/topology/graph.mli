@@ -16,9 +16,6 @@ val make : n:int -> edges:(int * int) list -> t
 val n : t -> int
 (** Number of nodes. *)
 
-val m : t -> int
-(** Number of (undirected) edges. *)
-
 val neighbours : t -> int -> int array
 (** [neighbours g v] is the sorted array of neighbours of [v].  The returned
     array is owned by the graph: callers must not mutate it. *)
@@ -28,36 +25,17 @@ val degree : t -> int -> int
 val max_degree : t -> int
 (** 0 for the empty graph. *)
 
-val mem_edge : t -> int -> int -> bool
-
 val edges : t -> (int * int) list
 (** All edges, each as [(u, v)] with [u < v], sorted. *)
 
 val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 
-val is_connected : t -> bool
-(** True on the empty and one-node graphs. *)
-
-val is_cycle : t -> bool
-(** [is_cycle g] holds iff [g] is a simple cycle on [n >= 3] nodes
-    (connected and 2-regular). *)
-
-val is_automorphism : t -> int array -> bool
-(** [is_automorphism g perm] holds iff [perm] is a permutation of
-    [0 .. n-1] mapping edges to edges.  On a finite simple graph a
-    bijective edge-preserving vertex map is an automorphism. *)
-
 val automorphisms : t -> int array list
 (** The index-dihedral automorphisms of [g]: the candidates
     [p -> (p+k) mod n] (rotations) and [p -> (r-p) mod n] (reflections)
-    filtered through {!is_automorphism} and deduplicated.  The identity is
+    filtered to the edge-preserving ones and deduplicated.  The identity is
     always the head of the list.  On cycles and cliques this is the full
     dihedral group of order [2n] (cliques have more automorphisms, but
     only the dihedral ones are enumerated — any subgroup is sound for
     quotienting); on paths and stars the compatible reflections survive;
     on graphs with no index symmetry the result is the identity alone. *)
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable summary: node count and adjacency lists. *)

@@ -9,7 +9,7 @@
     the oldest task, and so does the caller while it blocks in {!await}.
     Tasks are therefore {e dispatched in submission order}.  That FIFO
     dispatch is the executor's determinism anchor: batch failures report
-    the lowest failing index (see {!map_result}) and the explorer's
+    the lowest failing index (see {!map}) and the explorer's
     sequential id-merge stays byte-identical whichever domain runs which
     task.
 
@@ -18,13 +18,13 @@
     of [4 * jobs] with backpressure, whose [kappa] additionally gates
     how early the explorer may overlap successive BFS levels (see
     {!Asyncolor_check.Explorer}).  Callers normally pass only [jobs]:
-    {!create} picks the policy.  Policy never changes {e results}, only
+    {!with_executor} picks the policy.  Policy never changes {e results}, only
     scheduling: outputs are byte-identical across policies and [jobs].
 
     {b Failure.}  {!submit} wraps every task, so an exception from a task
     lands in its future and never reaches the worker loop.  Should a
-    worker domain ever die some other way, {!shutdown}'s [Domain.join]
-    re-raises its exception rather than hiding it.
+    worker domain ever die some other way, the [Domain.join] that shuts
+    the executor down re-raises its exception rather than hiding it.
 
     {b Observability} (all out-of-band, stdout untouched): every task
     runs under an ["exec.task"] span on the executing domain's lane
@@ -64,41 +64,20 @@ type 'a future
     with its backtrace.  Futures are tied to the executor that created
     them. *)
 
-type batch_error = {
-  index : int;  (** input index whose execution failed *)
-  error : exn;  (** the exception it raised *)
-  backtrace : Printexc.raw_backtrace;  (** its backtrace *)
-}
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
-
-val create :
-  ?obs:Asyncolor_obs.Obs.t ->
-  ?policy:policy ->
-  ?jobs:int ->
-  unit ->
-  t
-(** [create ~policy ~jobs ()] spawns [jobs - 1] worker domains (so the
-    caller is always worker 0).  {b [jobs] is clamped to at least 1 here,
-    at the executor boundary} — [~jobs:0] and negative values behave as
-    [~jobs:1], uniformly for every client; a [Serial] policy forces
-    [jobs = 1] and spawns nothing.  Defaults: [jobs = default_jobs ()],
-    [obs = Asyncolor_obs.Obs.disabled], and [policy] [Serial] at one
-    (clamped) job, else [asynchronous ~jobs ()] — the only place a
-    policy is chosen for a caller that gives none. *)
 
 val jobs : t -> int
 (** The clamped worker count (caller included). *)
 
 val policy : t -> policy
-(** The policy passed to {!create}; it is fixed for the executor's
-    lifetime. *)
+(** The policy passed to {!with_executor}, or the one it picked; it is
+    fixed for the executor's lifetime. *)
 
 val stream_window : t -> int
 (** The in-flight bound a streaming client (the explorer) should keep:
     [1] for [Serial], [max_active] for [Asynchronous], and [4 * jobs]
-    for [Synchronous].  {!map_result} keeps the same window.  The
+    for [Synchronous].  {!map} keeps the same window.  The
     stream's level barrier is its own business; the window only bounds
     how many finished tasks' results wait for the client at once, so a
     wide level is not held in memory whole. *)
@@ -117,7 +96,7 @@ val submit : t -> (unit -> 'a) -> 'a future
 (** Queue a task.  Tasks submitted by the caller are dispatched in
     submission order (FIFO).  Only submit from the caller domain or from
     inside a running task.
-    @raise Invalid_argument after {!shutdown}. *)
+    @raise Invalid_argument once the executor is shut down. *)
 
 val await : 'a future -> 'a
 (** Block until the future lands, helping execute queued tasks while
@@ -125,38 +104,13 @@ val await : 'a future -> 'a
     degenerates to sequential execution on the caller).  Re-raises the
     task's exception with its original backtrace. *)
 
-val await_result : 'a future -> ('a, exn * Printexc.raw_backtrace) result
-(** Like {!await} but returns the exception instead of raising. *)
-
-val map_result : t -> ('a -> 'b) -> 'a array -> ('b array, batch_error) result
-(** Parallel [Array.map] with deterministic result order: output index
-    [i] always holds [f input.(i)].  The policy fixes the in-flight
-    window ({!stream_window}); completed futures are consumed as a
-    sequential FIFO stream.
-
-    {b Failure isolation.}  Once an item raises, the batch is
-    {e cancelled}: tasks above the lowest failing index not yet
-    started complete as no-ops (their [f] is never called), only
-    in-flight items run to completion — one poisoned item no longer pays
-    for the whole remaining batch.  Items below that index always run
-    (dispatch is FIFO in index order, so they were all submitted before
-    it), so the reported error is the overall lowest failing index,
-    deterministic regardless of domain scheduling or policy.  The
-    executor stays usable after a failed batch. *)
-
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Like {!map_result} but re-raises the lowest-index error with its
-    backtrace. *)
+(** [map t f input] applies [f] to every item on the executor, results
+    in index order.  A failing item cancels the rest of the batch, and
+    the lowest-index failure is re-raised with its backtrace. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over lists, preserving order. *)
-
-val shutdown : t -> unit
-(** Drain the remaining queued tasks, stop and join the worker domains.
-    Safe to call while or after a batch has failed; subsequent {!submit}
-    or {!map} calls raise [Invalid_argument].  A worker domain that died
-    of an exception (tasks cannot cause one, see {!submit}) has it
-    re-raised here by [Domain.join]. *)
 
 val with_executor :
   ?obs:Asyncolor_obs.Obs.t ->

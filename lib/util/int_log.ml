@@ -32,7 +32,6 @@ let create ?(chunk_words = max_chunk_words) () =
   { shift = !shift; mask = chunk_words - 1; chunks = [||]; nchunks = 0;
     cap = 0; len = 0 }
 
-let chunk_words t = t.mask + 1
 let length t = t.len
 
 (* The first chunk starts at [min_chunk_words] and doubles up to the chunk
@@ -72,8 +71,6 @@ let push t x =
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Int_log.get: index out of bounds";
   Array.unsafe_get (Array.unsafe_get t.chunks (i lsr t.shift)) (i land t.mask)
-
-let clear t = t.len <- 0
 
 let iter_chunks t f =
   let size = t.mask + 1 in

@@ -28,7 +28,6 @@ val create : ?chunk_words:int -> unit -> t
     Default [chunk_words]: 65,536.
     @raise Invalid_argument unless [chunk_words] is a power of two. *)
 
-val chunk_words : t -> int
 val length : t -> int
 
 val push : t -> int -> unit
@@ -37,11 +36,6 @@ val push : t -> int -> unit
 val get : t -> int -> int
 (** [get t i] reads word [i] in place.
     @raise Invalid_argument unless [0 <= i < length t]. *)
-
-val clear : t -> unit
-(** Truncate to length 0, keeping the chunks for reuse: a log that is
-    filled and cleared in turns (a spilled adjacency tail) allocates
-    nothing after its first fill. *)
 
 val iter_chunks : t -> (int array -> int -> unit) -> unit
 (** [iter_chunks t f] calls [f chunk n] for each chunk in order, where

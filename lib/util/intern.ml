@@ -167,10 +167,6 @@ let intern_encoded t ~hash src ~pos ~len =
     fill_slot t i tag id
   end
 
-let intern t ~hash data =
-  let b = Bytes.create (Varint.seq_size data) in
-  intern_encoded t ~hash b ~pos:0 ~len:(Varint.put_seq b 0 data)
-
 (* --- decoding --------------------------------------------------------- *)
 
 let check_id t id what =
@@ -191,12 +187,6 @@ let seq_length t id =
 let blit t id dst =
   check_id t id "blit";
   decode_into t id dst
-
-let get t id =
-  check_id t id "get";
-  let a = Array.make (length_of t id) 0 in
-  decode_into t id a;
-  a
 
 (* --- images ----------------------------------------------------------- *)
 

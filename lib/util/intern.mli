@@ -55,15 +55,6 @@ val intern_encoded : t -> hash:int -> Bytes.t -> pos:int -> len:int -> int
     @raise Invalid_argument when the slice is not inside [src].
     @raise Failure past [2^30] sequences (the tag/id slot layout). *)
 
-val intern : t -> hash:int -> int array -> int
-(** [intern t ~hash data] encodes [data] with
-    {!Level_log.Varint.put_seq} into a fresh buffer and interns that:
-    {!intern_encoded} for a caller that holds the ints. *)
-
-val get : t -> int -> int array
-(** The sequence with that id, decoded afresh.
-    @raise Invalid_argument when the id is out of range. *)
-
 val seq_length : t -> int -> int
 (** The length of the sequence with that id, read from its prefix.
     @raise Invalid_argument when the id is out of range. *)

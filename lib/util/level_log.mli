@@ -41,16 +41,9 @@
     bits first, the top bit set on every byte but the last.  The code is
     injective and prefix-free. *)
 module Varint : sig
-  val zigzag : int -> int
-  val unzigzag : int -> int
-
-  val size : int -> int
-  (** Bytes of the LEB128 code of a value (1 to 9; a negative int counts
-      as an unsigned 63-bit number). *)
-
   val put : Bytes.t -> int -> int -> int
   (** [put b pos z] writes [z] at [pos] and returns the position after
-      it.  The caller ensures [b] has room ({!size}). *)
+      it.  The caller ensures [b] has room (at most 9 bytes). *)
 
   val put_ints : Bytes.t -> int -> int array -> int -> int
   (** [put_ints b pos data len] writes [data.(0)] to [data.(len - 1)],

@@ -9,5 +9,3 @@ let of_sorted s =
   scan 0 s
 
 let of_list s = of_sorted (List.sort_uniq compare s)
-
-let excluding s ~avoid = of_list (List.rev_append avoid s)

@@ -8,11 +8,3 @@ val of_list : int list -> int
 (** [of_list s] is the least natural number not occurring in [s].
     Negative elements are ignored (colours are naturals).  Runs in
     O(|s| log |s|). *)
-
-val of_sorted : int list -> int
-(** Same as {!of_list} for a list already sorted in increasing order
-    (duplicates allowed).  Runs in O(|s|). *)
-
-val excluding : int list -> avoid:int list -> int
-(** [excluding s ~avoid] is the least natural not in [s] and not in
-    [avoid]. *)

@@ -24,8 +24,6 @@ let of_state state =
 
 let create ~seed = of_state (mix (Int64.of_int seed))
 
-let copy = Bytes.copy
-
 let[@inline] bits64 t =
   let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
   Bytes.set_int64_ne t 0 state;
@@ -81,10 +79,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
-  a.(int t (Array.length a))
 
 let sample_without_replacement t k n =
   if k < 0 || k > n then invalid_arg "Prng.sample_without_replacement";

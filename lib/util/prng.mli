@@ -13,10 +13,6 @@ val create : seed:int -> t
 (** [create ~seed] returns a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator that will produce the same future
-    stream as [t]. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of the remainder of [t]'s stream. *)
@@ -46,10 +42,6 @@ val float : t -> float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array.  @raise Invalid_argument on
-    empty input. *)
 
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] is a sorted list of [k] distinct

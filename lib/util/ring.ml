@@ -19,10 +19,6 @@ let create ?(capacity = 16) ?(start = 0) ~dummy () =
   done;
   { buf = Array.make !cap dummy; lo = start; hi = start; dummy }
 
-let lo t = t.lo
-let hi t = t.hi
-let length t = t.hi - t.lo
-
 let get t p =
   if p < t.lo || p >= t.hi then
     invalid_arg

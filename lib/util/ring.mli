@@ -11,20 +11,12 @@ val create : ?capacity:int -> ?start:int -> dummy:'a -> unit -> 'a t
 (** An empty ring whose first pushed element will be position [start]
     (default 0).  [dummy] fills unused slots. *)
 
-val lo : 'a t -> int
-(** Position of the front element (equals {!hi} when empty). *)
-
-val hi : 'a t -> int
-(** One past the last pushed position. *)
-
-val length : 'a t -> int
-
 val get : 'a t -> int -> 'a
 (** [get t p] is the element at absolute position [p].
     @raise Invalid_argument outside [[lo, hi)]. *)
 
 val push : 'a t -> 'a -> unit
-(** Append at position {!hi}. *)
+(** Append at position [hi]. *)
 
 val drop : 'a t -> unit
 (** Retire the front element.

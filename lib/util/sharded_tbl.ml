@@ -20,8 +20,6 @@ module Make (H : Hashtbl.HashedType) = struct
     let shards = shards_for shards in
     { tables = Array.init shards (fun _ -> Tbl.create n); mask = shards - 1 }
 
-  let shards t = Array.length t.tables
-
   (* The shard comes from the high bits of the multiplicatively mixed
      hash.  Each shard's [Hashtbl] buckets on the {e low} bits of the raw
      hash, so taking the shard from those bits too would leave a shard
@@ -30,14 +28,4 @@ module Make (H : Hashtbl.HashedType) = struct
   let shard_of t k = ((H.hash k * 0x2545F4914F6CDD1D) lsr 40) land t.mask
   let find_opt t k = Tbl.find_opt t.tables.(shard_of t k) k
   let add t k v = Tbl.add t.tables.(shard_of t k) k v
-
-  let find_opt_in t ~shard k = Tbl.find_opt t.tables.(shard) k
-  let add_in t ~shard k v = Tbl.add t.tables.(shard) k v
-
-  let length t =
-    Array.fold_left (fun acc tbl -> acc + Tbl.length tbl) 0 t.tables
-
-  let shard_lengths t = Array.map Tbl.length t.tables
-
-  let iter f t = Array.iter (Tbl.iter f) t.tables
 end

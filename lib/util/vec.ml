@@ -29,15 +29,6 @@ let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let set_grow t i x =
-  if i < 0 then invalid_arg "Vec.set_grow: negative index";
-  if i >= t.len then begin
-    ensure_capacity t (i + 1);
-    Array.fill t.data t.len (i - t.len) t.dummy;
-    t.len <- i + 1
-  end;
-  t.data.(i) <- x
-
 let pop t =
   if t.len = 0 then invalid_arg "Vec.pop: empty";
   t.len <- t.len - 1;
@@ -45,10 +36,4 @@ let pop t =
   t.data.(t.len) <- t.dummy;
   x
 
-let clear t = t.len <- 0
 let to_array t = Array.sub t.data 0 t.len
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
-  done

@@ -20,18 +20,9 @@ val set : 'a t -> int -> 'a -> unit
 
 val push : 'a t -> 'a -> unit
 
-val set_grow : 'a t -> int -> 'a -> unit
-(** [set_grow t i x] writes [x] at index [i], extending the vector with
-    [dummy] elements if [i >= length t]. *)
-
 val pop : 'a t -> 'a
 (** Remove and return the last element (the slot is reset to [dummy] so
     no value is retained).  @raise Invalid_argument when empty. *)
 
-val clear : 'a t -> unit
-(** Truncate to length 0 (capacity retained). *)
-
 val to_array : 'a t -> 'a array
 (** Fresh array of the first [length t] elements. *)
-
-val iteri : (int -> 'a -> unit) -> 'a t -> unit

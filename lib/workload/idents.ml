@@ -19,11 +19,6 @@ let random_sparse prng ~n ~universe =
 
 let uniform ?(ident = 7) n = Array.make n ident
 
-let periodic pattern n =
-  let k = Array.length pattern in
-  if k = 0 then invalid_arg "Idents.periodic: empty pattern";
-  Array.init n (fun i -> pattern.(i mod k))
-
 (* Consecutive identifiers share a long low-bit prefix, so the first
    differing bit — what Cole–Vishkin keys on — sits high. *)
 let bit_adversarial n =

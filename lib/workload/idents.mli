@@ -5,7 +5,7 @@
     choice of identifier workload *is* the benchmark workload.  Generators
     return an array of naturals, one per node in cycle order —
     pairwise-distinct (the paper's model) except for the deliberately
-    symmetric {!uniform} and {!periodic} workloads that feed the
+    symmetric {!uniform} workload that feeds the
     explorer's symmetry-reduction benchmarks. *)
 
 val increasing : int -> int array
@@ -34,12 +34,6 @@ val uniform : ?ident:int -> int -> int array
     benchmarked and differentially tested on (the algorithms may
     legitimately livelock or miscolour here; the two explorers must agree
     that they do). *)
-
-val periodic : int array -> int -> int array
-(** Tile a pattern around the cycle ([periodic [|0;1|] 6] =
-    [[|0;1;0;1;0;1|]]): symmetric under the rotations that are multiples
-    of the pattern length, a middle ground between {!uniform} and the
-    injective workloads.  @raise Invalid_argument on an empty pattern. *)
 
 val bit_adversarial : int -> int array
 (** Identifiers engineered so consecutive nodes differ only in a high bit

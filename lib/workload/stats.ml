@@ -40,11 +40,6 @@ let summarize_array a =
 
 let summarize l = summarize_array (Array.of_list l)
 
-let mean l =
-  match l with
-  | [] -> invalid_arg "Stats.mean: empty"
-  | l -> float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l)
-
 let pp_summary ppf s =
   Format.fprintf ppf "n=%d min=%d p50=%d p95=%d p99=%d max=%d mean=%.2f sd=%.2f"
     s.count s.min s.p50 s.p95 s.p99 s.max s.mean s.stddev

@@ -14,17 +14,6 @@ type summary = {
 val summarize : int list -> summary
 (** @raise Invalid_argument on the empty list. *)
 
-val summarize_array : int array -> summary
-(** Same summary over an array (no intermediate list).
-    @raise Invalid_argument on the empty array — the very same
-    ["Stats.summarize: empty"] exception as {!summarize}, which delegates
-    here. *)
-
-val percentile : int array -> float -> int
-(** [percentile sorted q] with [q ∈ \[0, 1\]] by nearest-rank on a sorted
-    array.  @raise Invalid_argument on empty input or out-of-range [q]. *)
-
-val mean : int list -> float
 val pp_summary : Format.formatter -> summary -> unit
 
 val linear_fit : (float * float) list -> float * float

@@ -8,10 +8,6 @@ let add_row t row =
   t.rows <- row :: t.rows
 
 let row_int = List.map string_of_int
-let headers t = t.headers
-
-(* [t.rows] is stored newest-first *)
-let rows t = List.rev t.rows
 
 let to_string t =
   let rows = List.rev t.rows in

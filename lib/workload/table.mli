@@ -9,18 +9,10 @@ val add_row : t -> string list -> unit
 
 val row_int : int list -> string list
 
-val headers : t -> string list
-val rows : t -> string list list
-(** Data rows in insertion order (headers excluded). *)
-
-val to_string : t -> string
-
-val to_csv : t -> string
-(** RFC-4180-style CSV: header row then data rows; cells containing commas,
-    quotes or newlines are quoted. *)
-
 val write_csv : string -> t -> unit
-(** [write_csv path t] writes {!to_csv} to [path]. *)
+(** [write_csv path t] writes [t] to [path] as CSV, header first; a
+    field holding a comma, quote or newline is quoted, its quotes
+    doubled. *)
 
 val print : t -> unit
 (** Write to stdout with a trailing newline. *)

@@ -43,9 +43,13 @@ let test_a_le_b_invariant () =
       done);
   ignore (A2.E.run e (Adversary.random_subsets (Prng.create ~seed:6) ~p:0.4))
 
+(* Lemma 3.14: a non-minimum at monotone distance [l] from the closest
+   maximum returns within this many activations. *)
+let non_minimum_bound ~l = (3 * l) + 4
+
 let test_bound_formulas () =
   check Alcotest.int "3n+8" 38 (A2.activation_bound 10);
-  check Alcotest.int "lemma 3.14" 19 (A2.non_minimum_bound ~l:5)
+  check Alcotest.int "lemma 3.14" 19 (non_minimum_bound ~l:5)
 
 let test_output_never_conflicts_with_frozen_register () =
   (* A returned process's register persists; neighbours must colour around
@@ -124,8 +128,8 @@ let test_phase_lock_lasso_replay () =
     A2.E.activate e [ 1; 2 ];
     A2.E.activate e [ 1; 2 ]
   done;
-  check Alcotest.bool "p1 still working" true (Status.is_working (A2.E.status e 1));
-  check Alcotest.bool "p2 still working" true (Status.is_working (A2.E.status e 2));
+  check Alcotest.bool "p1 still working" true ((A2.E.status e 1 = Status.Working));
+  check Alcotest.bool "p2 still working" true ((A2.E.status e 2 = Status.Working));
   check Alcotest.bool "period-2 state cycle" true
     (A2.P.equal_state s1 (A2.E.state e 1) && A2.P.equal_state s2 (A2.E.state e 2))
 
@@ -184,7 +188,7 @@ let prop_non_minimum_bound =
            (Array.init (n - 1) (fun i ->
                 i = 0
                 || r.activations_per_process.(i)
-                   <= A2.non_minimum_bound ~l:(n - 1 - i))))
+                   <= non_minimum_bound ~l:(n - 1 - i))))
 
 let prop_five_colors_only =
   QCheck.Test.make ~name:"outputs always within {0..4}" ~count:200 arb_scenario
@@ -210,7 +214,7 @@ let test_clique_is_renaming () =
   let n = 6 in
   let g = Builders.complete n in
   let idents = Idents.random_permutation (Prng.create ~seed:21) n in
-  let r = A2.run_on_graph g ~idents (Adversary.singletons (Prng.create ~seed:22)) in
+  let r = A2.E.run (A2.E.create g ~idents) (Adversary.singletons (Prng.create ~seed:22)) in
   check Alcotest.bool "all returned" true r.all_returned;
   let names = List.filter_map Fun.id (Array.to_list r.outputs) in
   check Alcotest.int "distinct" n (List.length (List.sort_uniq compare names));
@@ -228,7 +232,7 @@ let prop_general_graphs_safe =
       let g = Asyncolor_topology.Builders.gnp (Prng.split prng) ~n ~p:(float_of_int pct /. 100.) in
       let delta = Asyncolor_topology.Graph.max_degree g in
       let idents = Idents.random_permutation (Prng.split prng) n in
-      let r = A2.run_on_graph g ~idents (Adversary.singletons (Prng.split prng)) in
+      let r = A2.E.run (A2.E.create g ~idents) (Adversary.singletons (Prng.split prng)) in
       let v =
         Checker.check ~equal:Int.equal
           ~in_palette:(A2.in_general_palette ~max_degree:delta)

@@ -17,7 +17,6 @@ let validate n outputs =
   Checker.check ~equal:Int.equal ~in_palette:A2s.in_palette (Builders.cycle n) outputs
 
 let test_palette_constant () =
-  check Alcotest.int "7 colours" 7 A2s.palette_size;
   check Alcotest.bool "6 in" true (A2s.in_palette 6);
   check Alcotest.bool "7 out" false (A2s.in_palette 7)
 

@@ -1,7 +1,6 @@
 (* Tests for Algorithm 4 (O(Δ²)-colouring of general graphs, Appendix A). *)
 
 module A4 = Asyncolor.Algorithm4
-module Color = Asyncolor.Color
 module Checker = Asyncolor.Checker
 module Adversary = Asyncolor_kernel.Adversary
 module Graph = Asyncolor_topology.Graph

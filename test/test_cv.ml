@@ -33,12 +33,6 @@ let test_first_differing_bit () =
   check Alcotest.(option int) "5 vs 7" (Some 1) (Bits.first_differing_bit 5 7);
   check Alcotest.(option int) "8 vs 0" (Some 3) (Bits.first_differing_bit 8 0)
 
-let test_to_string () =
-  check Alcotest.string "0" "0" (Bits.to_string 0);
-  check Alcotest.string "1" "1" (Bits.to_string 1);
-  check Alcotest.string "6" "110" (Bits.to_string 6);
-  check Alcotest.string "10" "1010" (Bits.to_string 10)
-
 let test_negative_rejected () =
   Alcotest.check_raises "length" (Invalid_argument "Bits.length: negative input")
     (fun () -> ignore (Bits.length (-1)))
@@ -86,28 +80,21 @@ let test_log_star_values () =
   check Alcotest.int "log* 65537" 5 (Logstar.log_star_int 65537);
   check Alcotest.int "log* max_int" 5 (Logstar.log_star_int max_int)
 
-let test_tower () =
-  check Alcotest.int "tower 0" 1 (Logstar.tower 0);
-  check Alcotest.int "tower 1" 2 (Logstar.tower 1);
-  check Alcotest.int "tower 2" 4 (Logstar.tower 2);
-  check Alcotest.int "tower 3" 16 (Logstar.tower 3);
-  check Alcotest.int "tower 4" 65536 (Logstar.tower 4);
-  Alcotest.check_raises "tower 5 overflows"
-    (Invalid_argument "Logstar.tower: overflow") (fun () ->
-      ignore (Logstar.tower 5))
+(* The tower 2^2^..^2 of k twos: the largest [x] with log* x = k. *)
+let towers = [| 1; 2; 4; 16; 65536 |]
 
 let test_tower_is_logstar_boundary () =
   for k = 0 to 4 do
     check Alcotest.int
       (Printf.sprintf "log*(tower %d) = %d" k k)
       k
-      (Logstar.log_star_int (Logstar.tower k))
+      (Logstar.log_star_int towers.(k))
   done;
   for k = 1 to 4 do
     check Alcotest.int
       (Printf.sprintf "log*(tower %d + 1) = %d" k (k + 1))
       (k + 1)
-      (Logstar.log_star_int (Logstar.tower k + 1))
+      (Logstar.log_star_int (towers.(k) + 1))
   done
 
 let prop_log_star_monotone =
@@ -136,7 +123,7 @@ let test_f_rejects_negative () =
 let prop_f_bound =
   QCheck.Test.make ~name:"f x y <= 2|x| + 1 (shrink bound)"
     QCheck.(pair (int_range 0 (1 lsl 50)) (int_range 0 (1 lsl 50)))
-    (fun (x, y) -> Reduce.f x y <= Reduce.shrink_bound x)
+    (fun (x, y) -> Reduce.f x y <= (2 * Bits.length x) + 1)
 
 let prop_lemma_4_2 =
   QCheck.Test.make ~name:"Lemma 4.2: x > y >= 10 => f x y < y" ~count:5_000
@@ -155,6 +142,13 @@ let prop_lemma_4_3 =
       QCheck.assume (x > y && y > z);
       Reduce.f x y <> Reduce.f y z)
 
+(* One reduction step along a chain: each element but the last is
+   replaced by [f] of itself and its successor. *)
+let rec iterate_f_chain = function
+  | [] -> []
+  | [ last ] -> [ last ]
+  | x :: (y :: _ as rest) -> Reduce.f x y :: iterate_f_chain rest
+
 let prop_chain_preserves_coloring =
   (* Internal elements of a decreasing chain stay pairwise distinct after
      one reduction step (Lemma 4.3).  The *last* element is kept unreduced
@@ -168,7 +162,7 @@ let prop_chain_preserves_coloring =
     (fun l ->
       let chain = List.sort_uniq compare l |> List.rev in
       QCheck.assume (List.length chain >= 3);
-      let reduced = Reduce.iterate_f_chain chain in
+      let reduced = iterate_f_chain chain in
       let rec internal_distinct = function
         | a :: (b :: _ :: _ as rest) -> a <> b && internal_distinct rest
         | _ -> true
@@ -194,13 +188,6 @@ let prop_lemma_4_1 =
     (fun x ->
       Reduce.iterations_to_small x <= (4 * Logstar.log_star_int x) + 4)
 
-let test_iterate_chain_shapes () =
-  check Alcotest.(list int) "empty" [] (Reduce.iterate_f_chain []);
-  check Alcotest.(list int) "singleton kept" [ 7 ] (Reduce.iterate_f_chain [ 7 ]);
-  let reduced = Reduce.iterate_f_chain [ 100; 50; 20 ] in
-  check Alcotest.int "length preserved" 3 (List.length reduced);
-  check Alcotest.int "last kept" 20 (List.nth reduced 2)
-
 let () =
   Alcotest.run "cv"
     [
@@ -209,7 +196,6 @@ let () =
           Alcotest.test_case "length" `Quick test_length;
           Alcotest.test_case "bit" `Quick test_bit;
           Alcotest.test_case "first differing bit" `Quick test_first_differing_bit;
-          Alcotest.test_case "to_string" `Quick test_to_string;
           Alcotest.test_case "negative rejected" `Quick test_negative_rejected;
           qtest prop_length_tight;
           qtest prop_bits_reconstruct;
@@ -218,7 +204,6 @@ let () =
       ( "logstar",
         [
           Alcotest.test_case "values" `Quick test_log_star_values;
-          Alcotest.test_case "tower" `Quick test_tower;
           Alcotest.test_case "tower boundary" `Quick test_tower_is_logstar_boundary;
           qtest prop_log_star_monotone;
         ] );
@@ -227,7 +212,6 @@ let () =
           Alcotest.test_case "worked examples" `Quick test_f_worked_examples;
           Alcotest.test_case "negative rejected" `Quick test_f_rejects_negative;
           Alcotest.test_case "iterations_to_small" `Quick test_iterations_to_small;
-          Alcotest.test_case "iterate chain shapes" `Quick test_iterate_chain_shapes;
           Alcotest.test_case "boundary collision motivates line-15 guard" `Quick
             test_boundary_collision_motivates_guard;
           qtest prop_f_bound;

@@ -83,11 +83,24 @@ let test_replay_identical () =
 
 (* --- Trace round-trip ------------------------------------------------ *)
 
+(* The finding of exec 0 of the seed-7 campaign against [mutation]. *)
+let first_finding mutation =
+  match (Fuzz.campaign ~mutation ~seed:7 ~execs:1 ()).findings with
+  | f :: _ -> f
+  | [] -> Alcotest.failf "seed-7 exec 0 no longer finds the %s bug" mutation
+
 let failing_scenario () =
   (* First skip-read counterexample of the seed-7 campaign; deterministic. *)
-  match Fuzz.run_one ~mutation:"skip-read" ~seed:7 0 with
-  | Some f -> f
-  | None -> Alcotest.fail "seed-7 exec 0 no longer finds the skip-read bug"
+  first_finding "skip-read"
+
+(* The shrinker's cost, lexicographic: fewer nodes, then fewer steps,
+   then thinner activation sets and fewer churn events (each weighs 2:
+   its crash and its recovery). *)
+let weight (sc : Scenario.t) =
+  List.fold_left (fun acc set -> acc + 1 + List.length set) 0 sc.schedule
+  + (2 * List.length sc.churn)
+
+let size (sc : Scenario.t) = (Scenario.graph_n sc.graph, Scenario.steps sc, weight sc)
 
 let test_trace_roundtrip () =
   let f = failing_scenario () in
@@ -161,7 +174,7 @@ let test_shrink_preserves_failure () =
   check Alcotest.bool "shrunk still fails the same invariant" true
     (Exec.fails_invariant small ~invariant);
   check Alcotest.bool "no larger than the original" true
-    (Scenario.size small <= Scenario.size sc);
+    (size small <= size sc);
   check Alcotest.bool "did some work" true (stats.Shrink.execs > 0);
   (* Deterministic: same input, same minimum. *)
   let small', stats' = Shrink.minimize sc ~invariant in
@@ -232,7 +245,7 @@ let test_drop_churn_event_atomic () =
         check Alcotest.int "exactly one pair gone" (events - 1)
           (List.length sc'.churn);
         check Alcotest.bool "strictly smaller" true
-          (Scenario.weight sc' < Scenario.weight sc);
+          (weight sc' < weight sc);
         check Alcotest.bool "remaining pairs intact" true
           (churn_events_well_formed sc')
   done;
@@ -268,9 +281,7 @@ let test_drop_steps_never_strands_a_crash () =
 let churn_finding () =
   (* First churn-zombie counterexample of the seed-7 campaign — the same
      deterministic anchor the mutation-testing suite uses. *)
-  match Fuzz.run_one ~mutation:"churn-zombie" ~seed:7 0 with
-  | Some f -> f
-  | None -> Alcotest.fail "seed-7 exec 0 no longer finds the churn-zombie bug"
+  first_finding "churn-zombie"
 
 let test_shrink_keeps_churn_pairs () =
   let f = churn_finding () in
@@ -289,7 +300,7 @@ let test_shrink_keeps_churn_pairs () =
   check Alcotest.bool "shrunk still fails the same churn detector" true
     (Exec.fails_invariant small ~invariant);
   check Alcotest.bool "no larger than the original" true
-    (Scenario.size small <= Scenario.size sc)
+    (size small <= size sc)
 
 (* --- Campaigns ------------------------------------------------------- *)
 
@@ -330,7 +341,8 @@ let test_campaign_corpus () =
       check Alcotest.bool "found something" true (r.findings <> []);
       List.iter
         (fun (f : Fuzz.finding) ->
-          let raw, min = Fuzz.trace_paths ~dir f.exec in
+          let raw = Filename.concat dir (Printf.sprintf "t%04d.trace" f.exec) in
+          let min = Filename.concat dir (Printf.sprintf "t%04d.min.trace" f.exec) in
           check Alcotest.bool "raw trace persisted" true
             (Trace.load raw = f.trace);
           check Alcotest.bool "shrunk trace persisted" true
@@ -377,7 +389,7 @@ let test_mutants_caught () =
 let test_unknown_mutant_rejected () =
   Alcotest.check_raises "unknown mutation"
     (Invalid_argument "Fuzz: unknown mutation \"no-such-bug\"") (fun () ->
-      ignore (Fuzz.run_one ~mutation:"no-such-bug" ~seed:1 0))
+      ignore (Fuzz.campaign ~mutation:"no-such-bug" ~seed:1 ~execs:1 ()))
 
 let () =
   Alcotest.run "fuzz"

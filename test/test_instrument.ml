@@ -3,7 +3,6 @@
    executions. *)
 
 module I = Asyncolor.Instrument
-module A1 = Asyncolor.Algorithm1
 module Status = Asyncolor_kernel.Status
 module Adversary = Asyncolor_kernel.Adversary
 module Builders = Asyncolor_topology.Builders

@@ -34,7 +34,7 @@ module Solo_progress (P : Asyncolor_kernel.Protocol.S) = struct
     let idents = Idents.random_permutation (Prng.split prng) n in
     let e = E.create (Builders.cycle n) ~idents in
     List.iter (E.activate e) (random_prefix (Prng.split prng) ~n ~steps:(Prng.int prng 12));
-    match List.find_opt (fun p -> Status.is_working (E.status e p)) (List.init n Fun.id) with
+    match List.find_opt (fun p -> (E.status e p = Status.Working)) (List.init n Fun.id) with
     | None -> true
     | Some p ->
         E.activate e [ p ];
@@ -82,7 +82,7 @@ let prop_x_changes_with_r =
             match A3.E.status e p with
             | Status.Working ->
                 let s = A3.E.state e p in
-                if s.A3.x <> prev_x.(p) && Rank.equal s.A3.r prev_r.(p) then
+                if s.A3.x <> prev_x.(p) && s.A3.r = prev_r.(p) then
                   ok := false;
                 prev_x.(p) <- s.A3.x;
                 prev_r.(p) <- s.A3.r

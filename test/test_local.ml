@@ -2,7 +2,6 @@
    of the oriented ring. *)
 
 module Cv = Asyncolor_local.Cole_vishkin_ring
-module Logstar = Asyncolor_cv.Logstar
 module Idents = Asyncolor_workload.Idents
 module Prng = Asyncolor_util.Prng
 
@@ -14,22 +13,6 @@ let test_is_proper_ring () =
   check Alcotest.bool "adjacent equal" false (Cv.is_proper_ring [| 0; 0; 1 |]);
   check Alcotest.bool "wrap equal" false (Cv.is_proper_ring [| 0; 1; 0 |]);
   check Alcotest.bool "single node self-adjacent" false (Cv.is_proper_ring [| 7 |])
-
-let test_cv_step_small () =
-  (* identifiers 0..5 on a ring stay proper after one step *)
-  let c = Cv.cv_step [| 0; 1; 2; 3; 4; 5 |] in
-  check Alcotest.bool "still proper" true (Cv.is_proper_ring c)
-
-let test_cv_step_rejects_improper () =
-  Alcotest.check_raises "improper"
-    (Invalid_argument "Cole_vishkin_ring.cv_step: not a proper colouring") (fun () ->
-      ignore (Cv.cv_step [| 3; 3; 4 |]))
-
-let test_six_color () =
-  let colors, rounds = Cv.six_color (Idents.random_permutation (Prng.create ~seed:3) 100) in
-  check Alcotest.bool "all <= 5" true (Array.for_all (fun c -> c <= 5) colors);
-  check Alcotest.bool "proper" true (Cv.is_proper_ring colors);
-  check Alcotest.bool "few rounds" true (rounds <= Cv.rounds_upper_bound 100)
 
 let test_three_color_small () =
   let r = Cv.three_color [| 5; 1; 9 |] in
@@ -65,13 +48,6 @@ let prop_three_color_correct =
       && Array.for_all (fun c -> c >= 0 && c <= 2) r.colors
       && r.cv_iterations <= Cv.rounds_upper_bound n)
 
-let prop_cv_step_preserves_proper =
-  QCheck.Test.make ~name:"cv_step preserves properness" ~count:200
-    QCheck.(pair (int_range 3 100) (int_range 0 10_000))
-    (fun (n, seed) ->
-      let idents = Idents.random_permutation (Prng.create ~seed) n in
-      Cv.is_proper_ring (Cv.cv_step idents))
-
 (* --- DECOUPLED ring --------------------------------------------------- *)
 
 module D = Asyncolor_local.Decoupled_ring
@@ -79,11 +55,9 @@ module Adversary = Asyncolor_kernel.Adversary
 
 let test_decoupled_rounds_needed () =
   (* K derives from the universe alone; +3 reduction rounds *)
-  let k8 = D.cv_iterations_needed ~universe:8 in
-  check Alcotest.bool "small universe small K" true (k8 <= 2);
-  check Alcotest.int "+3" (k8 + 3) (D.rounds_needed ~universe:8);
+  check Alcotest.bool "small universe small K" true (D.rounds_needed ~universe:8 <= 5);
   check Alcotest.bool "huge universe still tiny" true
-    (D.cv_iterations_needed ~universe:(1 lsl 60) <= 6)
+    (D.rounds_needed ~universe:(1 lsl 60) <= 9)
 
 let test_decoupled_c3_three_colors () =
   let d = D.create ~idents:[| 5; 1; 9 |] ~universe:16 in
@@ -92,17 +66,6 @@ let test_decoupled_c3_three_colors () =
   let colours = List.sort compare (List.filter_map Fun.id (Array.to_list outs)) in
   check Alcotest.(list int) "exactly {0,1,2}" [ 0; 1; 2 ] colours;
   check Alcotest.bool "few rounds" true (rounds <= D.rounds_needed ~universe:16 + 1)
-
-let test_decoupled_waiting_before_radius () =
-  let d = D.create ~idents:[| 3; 7; 1; 9 |] ~universe:16 in
-  D.advance d;
-  check Alcotest.(option int) "too early: no output" None (D.activate d 0);
-  for _ = 1 to D.rounds_needed ~universe:16 do
-    D.advance d
-  done;
-  check Alcotest.bool "late activation outputs" true (D.activate d 0 <> None);
-  (* idempotent *)
-  check Alcotest.(option int) "stable" (D.activate d 0) (D.activate d 0)
 
 let test_decoupled_crash_tolerance () =
   (* crashed processes never compute, but their identifiers propagate:
@@ -155,29 +118,6 @@ module L = Asyncolor_local.Linial
 module Builders = Asyncolor_topology.Builders
 module Graph = Asyncolor_topology.Graph
 
-let test_smallest_prime_above () =
-  check Alcotest.int "above 0" 2 (L.smallest_prime_above 0);
-  check Alcotest.int "above 2" 3 (L.smallest_prime_above 2);
-  check Alcotest.int "above 7" 11 (L.smallest_prime_above 7);
-  check Alcotest.int "above 89" 97 (L.smallest_prime_above 89);
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Linial.smallest_prime_above: negative input") (fun () ->
-      ignore (L.smallest_prime_above (-1)))
-
-let test_reduce_step_basic () =
-  let g = Builders.cycle 6 in
-  let colors = [| 0; 10; 20; 30; 40; 50 |] in
-  let fresh, m' = L.reduce_step g ~m:64 colors in
-  check Alcotest.bool "proper after step" true (L.is_proper g fresh);
-  check Alcotest.bool "palette shrank" true (m' < 64);
-  Array.iter (fun c -> check Alcotest.bool "in range" true (c >= 0 && c < m')) fresh
-
-let test_reduce_step_rejects_improper () =
-  let g = Builders.cycle 3 in
-  Alcotest.check_raises "improper"
-    (Invalid_argument "Linial.reduce_step: input not proper") (fun () ->
-      ignore (L.reduce_step g ~m:4 [| 1; 1; 2 |]))
-
 let test_color_stall_bound () =
   List.iter
     (fun g ->
@@ -219,9 +159,6 @@ let () =
     [
       ( "linial",
         [
-          Alcotest.test_case "smallest prime" `Quick test_smallest_prime_above;
-          Alcotest.test_case "reduce step" `Quick test_reduce_step_basic;
-          Alcotest.test_case "rejects improper" `Quick test_reduce_step_rejects_improper;
           Alcotest.test_case "stall bound" `Quick test_color_stall_bound;
           Alcotest.test_case "Δ+1 pipeline" `Quick test_color_delta_plus_one;
           qtest prop_linial_random_graphs;
@@ -230,8 +167,6 @@ let () =
         [
           Alcotest.test_case "rounds needed" `Quick test_decoupled_rounds_needed;
           Alcotest.test_case "C3 three colours" `Quick test_decoupled_c3_three_colors;
-          Alcotest.test_case "waits on network only" `Quick
-            test_decoupled_waiting_before_radius;
           Alcotest.test_case "crash tolerance" `Quick test_decoupled_crash_tolerance;
           Alcotest.test_case "input validation" `Quick test_decoupled_rejects_bad_input;
           qtest prop_decoupled_consistency;
@@ -239,14 +174,9 @@ let () =
       ( "cole-vishkin",
         [
           Alcotest.test_case "is_proper_ring" `Quick test_is_proper_ring;
-          Alcotest.test_case "cv_step small" `Quick test_cv_step_small;
-          Alcotest.test_case "cv_step rejects improper" `Quick
-            test_cv_step_rejects_improper;
-          Alcotest.test_case "six_color" `Quick test_six_color;
           Alcotest.test_case "three_color small" `Quick test_three_color_small;
           Alcotest.test_case "three_color rejects" `Quick test_three_color_rejects;
           Alcotest.test_case "log* growth" `Quick test_logstar_growth;
           qtest prop_three_color_correct;
-          qtest prop_cv_step_preserves_proper;
         ] );
     ]

@@ -5,7 +5,6 @@
 
 module Explorer = Asyncolor_check.Explorer
 module Builders = Asyncolor_topology.Builders
-module Graph = Asyncolor_topology.Graph
 module Idents = Asyncolor_workload.Idents
 module Executor = Asyncolor_util.Executor
 module Spill = Asyncolor_resilience.Spill
@@ -136,7 +135,7 @@ let config_of_schedule graph ~idents masks =
 
 let idents_of_workload n = function
   | `Uniform -> Idents.uniform n
-  | `Periodic -> Idents.periodic [| 0; 1 |] n
+  | `Periodic -> Array.init n (fun i -> i mod 2)
   | `Distinct -> Idents.increasing n
 
 let pp_workload = function
@@ -432,7 +431,7 @@ let test_diff_uniform_c5_singletons () =
 
 let test_diff_periodic_c6 () =
   diff_symmetric ~mode:`Singletons (Builders.cycle 6)
-    ~idents:(Idents.periodic [| 3; 8 |] 6) ()
+    ~idents:[| 3; 8; 3; 8; 3; 8 |] ()
 
 (* Distinct identifiers (the E6/E13/E17 regime): the group degenerates to
    the identity, and symmetry-on must match symmetry-off field-for-field

@@ -21,12 +21,6 @@ let test_seed_sensitivity () =
   let db = List.init 8 (fun _ -> Prng.bits64 b) in
   check Alcotest.bool "different seeds differ" true (da <> db)
 
-let test_copy_preserves_stream () =
-  let a = Prng.create ~seed:9 in
-  ignore (Prng.bits64 a);
-  let b = Prng.copy a in
-  check Alcotest.int64 "copy continues identically" (Prng.bits64 a) (Prng.bits64 b)
-
 let test_split_independent () =
   let a = Prng.create ~seed:5 in
   let b = Prng.split a in
@@ -181,15 +175,6 @@ let test_shuffle_actually_moves () =
   Prng.shuffle p a;
   check Alcotest.bool "not identity" true (a <> Array.init 100 Fun.id)
 
-let test_choose () =
-  let p = Prng.create ~seed:41 in
-  for _ = 1 to 100 do
-    let v = Prng.choose p [| 10; 20; 30 |] in
-    check Alcotest.bool "member" true (List.mem v [ 10; 20; 30 ])
-  done;
-  Alcotest.check_raises "empty" (Invalid_argument "Prng.choose: empty array") (fun () ->
-      ignore (Prng.choose p [||]))
-
 let test_sample_without_replacement () =
   let p = Prng.create ~seed:43 in
   for _ = 1 to 200 do
@@ -223,17 +208,6 @@ let test_mex_cases () =
   check Alcotest.int "negatives ignored" 1 (Mex.of_list [ -3; 0; -1 ]);
   check Alcotest.int "only negatives" 0 (Mex.of_list [ -3; -1 ])
 
-let test_mex_sorted () =
-  check Alcotest.int "sorted dense" 3 (Mex.of_sorted [ 0; 1; 2 ]);
-  check Alcotest.int "sorted gap" 2 (Mex.of_sorted [ 0; 1; 4; 9 ]);
-  check Alcotest.int "sorted dups" 3 (Mex.of_sorted [ 0; 1; 1; 2; 2 ])
-
-let test_mex_excluding () =
-  check Alcotest.int "avoid" 2 (Mex.excluding [ 0 ] ~avoid:[ 1 ]);
-  check Alcotest.int "avoid nothing" 1 (Mex.excluding [ 0 ] ~avoid:[]);
-  check Alcotest.int "avoid everything small" 5
-    (Mex.excluding [ 0; 2; 4 ] ~avoid:[ 1; 3 ])
-
 let prop_mex_not_member =
   QCheck.Test.make ~name:"mex s ∉ s"
     QCheck.(list small_nat)
@@ -245,11 +219,6 @@ let prop_mex_minimal =
     (fun s ->
       let m = Mex.of_list s in
       List.for_all (fun k -> List.mem k s) (List.init m Fun.id))
-
-let prop_mex_sorted_agrees =
-  QCheck.Test.make ~name:"of_sorted agrees with of_list"
-    QCheck.(list small_nat)
-    (fun s -> Mex.of_sorted (List.sort compare s) = Mex.of_list s)
 
 (* --- Vec ----------------------------------------------------------- *)
 
@@ -273,13 +242,6 @@ let test_vec_bounds () =
       ignore (Vec.get v 1));
   Alcotest.check_raises "set out of bounds"
     (Invalid_argument "Vec.set: index out of bounds") (fun () -> Vec.set v 1 0)
-
-let test_vec_set_grow () =
-  let v = Vec.create ~dummy:0 () in
-  Vec.set_grow v 5 42;
-  check Alcotest.int "grown length" 6 (Vec.length v);
-  check Alcotest.int "target" 42 (Vec.get v 5);
-  check Alcotest.int "filler" 0 (Vec.get v 2)
 
 let test_vec_to_array () =
   let v = Vec.create ~dummy:"" () in
@@ -353,17 +315,15 @@ let test_pool_fail_fast_sequential () =
   let executed = Atomic.make 0 in
   with_pool ~jobs:1 (fun pool ->
       match
-        Executor.map_result pool
+        Executor.map pool
           (fun x ->
             Atomic.incr executed;
             if x = 5 then raise (Boom x))
           (Array.init 100 Fun.id)
       with
-      | Ok _ -> Alcotest.fail "expected an error"
-      | Error e ->
-          check Alcotest.int "failing index" 5 e.Executor.index;
-          check Alcotest.bool "the item's exception kept" true
-            (e.Executor.error = Boom 5);
+      | _ -> Alcotest.fail "expected an error"
+      | exception Boom i ->
+          check Alcotest.int "the failing item's exception" 5 i;
           check Alcotest.int "items 0..5 executed, tail skipped" 6
             (Atomic.get executed))
 
@@ -374,15 +334,15 @@ let test_pool_fail_fast_parallel () =
   let executed = Atomic.make 0 in
   with_pool ~jobs:4 (fun pool ->
       match
-        Executor.map_result pool
+        Executor.map pool
           (fun x ->
             Atomic.incr executed;
             if x = 10 then raise (Boom x) else Unix.sleepf 0.002)
           (Array.init 200 Fun.id)
       with
-      | Ok _ -> Alcotest.fail "expected an error"
-      | Error e ->
-          check Alcotest.int "failing index" 10 e.Executor.index;
+      | _ -> Alcotest.fail "expected an error"
+      | exception Boom i ->
+          check Alcotest.int "failing index" 10 i;
           check Alcotest.bool "most of the batch was cancelled" true
             (Atomic.get executed < 100))
 
@@ -445,11 +405,10 @@ let test_executor_idle_shutdown () =
   (* Workers asleep on an empty queue, with and without a task run first,
      are woken and joined by [shutdown] every time. *)
   for round = 1 to 200 do
-    let exec = Executor.create ~jobs:4 () in
-    if round mod 2 = 0 then
-      check Alcotest.int "task result" round
-        (Executor.await (Executor.submit exec (fun () -> round)));
-    Executor.shutdown exec
+    Executor.with_executor ~jobs:4 (fun exec ->
+        if round mod 2 = 0 then
+          check Alcotest.int "task result" round
+            (Executor.await (Executor.submit exec (fun () -> round))))
   done
 
 (* Spin until [flag] is set, failing after [seconds]: the caller never
@@ -592,15 +551,15 @@ let test_executor_async_failure_isolation () =
   Executor.with_executor ~policy:(Executor.asynchronous ~jobs:1 ()) ~jobs:4
     (fun exec ->
       match
-        Executor.map_result exec
+        Executor.map exec
           (fun x ->
             Atomic.incr executed;
             if x = 3 then raise (Boom x) else Unix.sleepf 0.001)
           (Array.init 100 Fun.id)
       with
-      | Ok _ -> Alcotest.fail "expected an error"
-      | Error e ->
-          check Alcotest.int "lowest failing index" 3 e.Executor.index;
+      | _ -> Alcotest.fail "expected an error"
+      | exception Boom i ->
+          check Alcotest.int "lowest failing index" 3 i;
           check Alcotest.bool "tail of the batch was cancelled" true
             (Atomic.get executed < 50);
           (* the executor survives the poisoned batch *)
@@ -619,14 +578,13 @@ let test_executor_submit_await_stream () =
         futs);
   Executor.with_executor ~jobs:2 (fun exec ->
       let fut = Executor.submit exec (fun () -> raise (Boom 7)) in
-      match Executor.await_result fut with
-      | Error (Boom 7, _) -> ()
-      | Error _ -> Alcotest.fail "wrong exception"
-      | Ok _ -> Alcotest.fail "expected the task's exception")
+      match Executor.await fut with
+      | exception Boom 7 -> ()
+      | exception _ -> Alcotest.fail "wrong exception"
+      | _ -> Alcotest.fail "expected the task's exception")
 
 let test_executor_submit_after_shutdown () =
-  let exec = Executor.create ~jobs:2 () in
-  Executor.shutdown exec;
+  let exec = Executor.with_executor ~jobs:2 Fun.id in
   match Executor.submit exec (fun () -> ()) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
@@ -662,10 +620,10 @@ let test_executor_raising_batches () =
           in
           Array.iteri
             (fun i fut ->
-              match Executor.await_result fut with
-              | Error (Boom j, _) when i = j -> ()
-              | Error (e, _) -> Alcotest.fail (Printexc.to_string e)
-              | Ok () -> Alcotest.fail "a raising task returned")
+              match Executor.await fut with
+              | exception Boom j when i = j -> ()
+              | exception e -> Alcotest.fail (Printexc.to_string e)
+              | () -> Alcotest.fail "a raising task returned")
             futs
         done;
         Executor.map exec (slow (fun x -> x * x)) input)
@@ -686,17 +644,13 @@ module Ring = Asyncolor_util.Ring
 
 let test_ring_fifo_window () =
   let r = Ring.create ~capacity:2 ~start:100 ~dummy:(-1) () in
-  check Alcotest.int "lo starts at start" 100 (Ring.lo r);
   for i = 0 to 499 do
     Ring.push r (i * 2)
   done;
-  check Alcotest.int "hi advanced" 600 (Ring.hi r);
-  check Alcotest.int "length" 500 (Ring.length r);
   check Alcotest.int "absolute get" 84 (Ring.get r 142);
   for _ = 1 to 300 do
     Ring.drop r
   done;
-  check Alcotest.int "lo advanced" 400 (Ring.lo r);
   check Alcotest.int "window survives drops" (2 * 350) (Ring.get r 450);
   Alcotest.check_raises "get below lo"
     (Invalid_argument "Ring.get: position 399 outside [400, 600)") (fun () ->
@@ -716,65 +670,28 @@ end)
 
 let test_sharded_tbl_basics () =
   let t = Int_tbl.create ~shards:3 16 in
-  check Alcotest.int "shard count rounds up to a power of two" 4
-    (Int_tbl.shards t);
   for k = 0 to 999 do
     Int_tbl.add t k (k * 7)
   done;
-  check Alcotest.int "length sums the shards" 1_000 (Int_tbl.length t);
   check Alcotest.(option int) "find_opt routes to the owner" (Some 4_900)
     (Int_tbl.find_opt t 700);
-  check Alcotest.(option int) "absent key" None (Int_tbl.find_opt t 1_000);
-  let lens = Int_tbl.shard_lengths t in
-  check Alcotest.int "shard_lengths sum to length" 1_000
-    (Array.fold_left ( + ) 0 lens);
-  check Alcotest.bool "hash spreads over shards" true
-    (Array.for_all (fun l -> l > 0) lens)
-
-let test_sharded_tbl_explicit_shard () =
-  let t = Int_tbl.create ~shards:4 4 in
-  List.iter
-    (fun k ->
-      let shard = Int_tbl.shard_of t k in
-      Int_tbl.add_in t ~shard k (k + 1);
-      check Alcotest.(option int) "find_opt_in own shard" (Some (k + 1))
-        (Int_tbl.find_opt_in t ~shard k);
-      check Alcotest.(option int) "plain find_opt agrees" (Some (k + 1))
-        (Int_tbl.find_opt t k))
-    [ 0; 17; 123_456; max_int ];
-  let seen = ref [] in
-  Int_tbl.iter (fun k v -> seen := (k, v) :: !seen) t;
-  check Alcotest.int "iter visits every binding" 4 (List.length !seen)
-
-(* Every hash [16 * k] has the same low 4 bits.  A shard taken from those
-   bits puts every key in shard 0, and inside that shard the [Hashtbl]
-   buckets on the same low bits, so only 1/16 of its buckets fill. *)
-module Aliased_tbl = Asyncolor_util.Sharded_tbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = 16 * k
-end)
-
-let test_sharded_tbl_high_bits () =
-  let t = Aliased_tbl.create ~shards:16 16 in
-  for k = 0 to 4_095 do
-    Aliased_tbl.add t k k
-  done;
-  let used =
-    Array.fold_left
-      (fun acc l -> if l > 0 then acc + 1 else acc)
-      0 (Aliased_tbl.shard_lengths t)
-  in
-  check Alcotest.bool
-    (Printf.sprintf "keys with equal low hash bits span >= 8 shards (%d)" used)
-    true (used >= 8);
-  check Alcotest.(option int) "lookups still route" (Some 4_095)
-    (Aliased_tbl.find_opt t 4_095)
+  check Alcotest.(option int) "absent key" None (Int_tbl.find_opt t 1_000)
 
 (* --- Intern ------------------------------------------------------------- *)
 
 module Intern = Asyncolor_util.Intern
+
+(* Interning and decoding whole int sequences through the store's byte
+   encoding, [Varint.put_seq]: what the explorer does with its keys. *)
+let intern t ~hash a =
+  let module V = Asyncolor_util.Level_log.Varint in
+  let b = Bytes.create (V.seq_size a) in
+  Intern.intern_encoded t ~hash b ~pos:0 ~len:(V.put_seq b 0 a)
+
+let get t id =
+  let a = Array.make (Intern.seq_length t id) 0 in
+  Intern.blit t id a;
+  a
 
 (* Elements that stress the varint coding: 0, both signs, one- and
    multi-byte values and the extremes whose zigzag uses bit 62. *)
@@ -816,12 +733,12 @@ let intern_matches_oracle ~hash ops =
               Hashtbl.add oracle a id;
               id
         in
-        Intern.intern t ~hash:(hash a) a = expected)
+        intern t ~hash:(hash a) a = expected)
       ops
   in
   ok
   && Intern.length t = Hashtbl.length oracle
-  && Hashtbl.fold (fun a id acc -> acc && Intern.get t id = a) oracle true
+  && Hashtbl.fold (fun a id acc -> acc && get t id = a) oracle true
 
 let prop_intern_oracle =
   QCheck.Test.make ~name:"Intern: ids and payloads match a Hashtbl oracle"
@@ -854,7 +771,7 @@ let encoded_matches_intern ~hash ops =
       pos := V.put_seq stream at a;
       Intern.intern_encoded by_bytes ~hash:(hash a) stream ~pos:at
         ~len:(!pos - at)
-      = Intern.intern by_array ~hash:(hash a) a)
+      = intern by_array ~hash:(hash a) a)
     ops
   && Intern.image by_bytes = Intern.image by_array
 
@@ -883,22 +800,22 @@ let test_intern_dense_ids () =
   in
   Array.iteri
     (fun i a ->
-      check Alcotest.int "next dense id" i (Intern.intern t ~hash:7 a))
+      check Alcotest.int "next dense id" i (intern t ~hash:7 a))
     seqs;
   check Alcotest.int "length" 4 (Intern.length t);
   Array.iteri
-    (fun i a -> check Alcotest.(array int) "get (intern s) = s" a (Intern.get t i))
+    (fun i a -> check Alcotest.(array int) "get (intern s) = s" a (get t i))
     seqs;
   check Alcotest.int "re-interning returns the first id" 2
-    (Intern.intern t ~hash:7 [| min_int; max_int; 0; -1 |]);
+    (intern t ~hash:7 [| min_int; max_int; 0; -1 |]);
   (* Same hash, one sequence a prefix of another: only the stored length
      tells them apart. *)
-  check Alcotest.int "proper prefix is new" 4 (Intern.intern t ~hash:7 [| 1 |]);
+  check Alcotest.int "proper prefix is new" 4 (intern t ~hash:7 [| 1 |]);
   check Alcotest.int "proper extension is new" 5
-    (Intern.intern t ~hash:7 [| 1; 2; 3; 4 |]);
+    (intern t ~hash:7 [| 1; 2; 3; 4 |]);
   Alcotest.check_raises "get out of range"
-    (Invalid_argument "Intern.get: id out of range") (fun () ->
-      ignore (Intern.get t 6));
+    (Invalid_argument "Intern.seq_length: id out of range") (fun () ->
+      ignore (get t 6));
   Alcotest.check_raises "slice past its bytes"
     (Invalid_argument "Intern.intern_encoded: slice outside its bytes") (fun () ->
       ignore (Intern.intern_encoded t ~hash:7 (Bytes.make 3 '\000') ~pos:2 ~len:2))
@@ -911,20 +828,20 @@ let test_intern_growth () =
   let seq i = [| i; -i; i * 1_000_003; i land 7 |] in
   let hash a = Hashtbl.hash a in
   for i = 0 to n - 1 do
-    if Intern.intern t ~hash:(hash (seq i)) (seq i) <> i then
+    if intern t ~hash:(hash (seq i)) (seq i) <> i then
       Alcotest.failf "sequence %d got another id" i
   done;
   let big = Array.init 20_000 (fun i -> if i land 1 = 0 then max_int else i) in
   check Alcotest.int "oversized sequence interned" n
-    (Intern.intern t ~hash:1 big);
-  check Alcotest.(array int) "oversized sequence decodes" big (Intern.get t n);
+    (intern t ~hash:1 big);
+  check Alcotest.(array int) "oversized sequence decodes" big (get t n);
   for i = 0 to n - 1 do
     let a = seq i in
-    if Intern.intern t ~hash:(hash a) a <> i || Intern.get t i <> a then
+    if intern t ~hash:(hash a) a <> i || get t i <> a then
       Alcotest.failf "sequence %d lost across growth" i
   done;
   check Alcotest.int "new after growth" (n + 1)
-    (Intern.intern t ~hash:(hash (seq n)) (seq n));
+    (intern t ~hash:(hash (seq n)) (seq n));
   check Alcotest.bool
     (Printf.sprintf "compact: %d bytes for %d sequences" (Intern.bytes t) n)
     true
@@ -937,11 +854,11 @@ let test_intern_tag_filters () =
   let hash i = i * 0x2545F4914F6CDD1D in
   let n = 2_000 in
   for i = 0 to n - 1 do
-    ignore (Intern.intern t ~hash:(hash i) [| i |])
+    ignore (intern t ~hash:(hash i) [| i |])
   done;
   check Alcotest.int "misses compare no bytes" 0 (Intern.compares t);
   for i = 0 to n - 1 do
-    ignore (Intern.intern t ~hash:(hash i) [| i |])
+    ignore (intern t ~hash:(hash i) [| i |])
   done;
   check Alcotest.int "each hit compares once" n (Intern.compares t)
 
@@ -952,7 +869,7 @@ let prop_intern_image =
   QCheck.Test.make ~name:"Intern: of_image (image t) is t" ~count:200
     (QCheck.pair intern_ops intern_ops) (fun (before, after) ->
       let t = Intern.create ~capacity:1 () in
-      List.iter (fun a -> ignore (Intern.intern t ~hash:(Hashtbl.hash a) a)) before;
+      List.iter (fun a -> ignore (intern t ~hash:(Hashtbl.hash a) a)) before;
       let (image : Intern.image) =
         Marshal.from_string (Marshal.to_string (Intern.image t) []) 0
       in
@@ -963,16 +880,16 @@ let prop_intern_image =
              (fun id ->
                let buf = Array.make (Intern.seq_length t id + 1) 7 in
                Intern.blit u id buf;
-               Intern.get u id = Intern.get t id
-               && Array.sub buf 0 (Intern.seq_length u id) = Intern.get t id)
+               get u id = get t id
+               && Array.sub buf 0 (Intern.seq_length u id) = get t id)
              (List.init (Intern.length t) Fun.id)
       in
       (* both stores take the same further operations to the same ids *)
       same_ids
       && List.for_all
            (fun a ->
-             Intern.intern u ~hash:(Hashtbl.hash a) a
-             = Intern.intern t ~hash:(Hashtbl.hash a) a)
+             intern u ~hash:(Hashtbl.hash a) a
+             = intern t ~hash:(Hashtbl.hash a) a)
            (before @ after))
 
 (* [seq]'s encoding at offset 5 of a buffer with junk bytes before it
@@ -1032,31 +949,31 @@ let test_intern_chunk_end () =
   let hash = Hashtbl.hash in
   Array.iteri
     (fun i a ->
-      check Alcotest.int "fresh id" i (Intern.intern t ~hash:(hash a) a))
+      check Alcotest.int "fresh id" i (intern t ~hash:(hash a) a))
     seqs;
   let image = Intern.image t in
   check Alcotest.int "one full chunk" 65_536 (Bytes.length image.im_chunks.(0));
   check Alcotest.int "the last sequence ends it" (65_536 - 88) image.im_starts.(648);
   let last = seqs.(648) in
   check Alcotest.int "hit at the chunk's end" 648
-    (Intern.intern t ~hash:(hash last) last);
+    (intern t ~hash:(hash last) last);
   let other = Array.copy last in
   other.(86) <- 2;
   check Alcotest.int "a different last byte is new" 649
-    (Intern.intern t ~hash:(hash other) other);
+    (intern t ~hash:(hash other) other);
   let u = Intern.of_image (Intern.image t) ~hash in
   check Alcotest.int "same length" (Intern.length t) (Intern.length u);
   Array.iteri
     (fun i a ->
-      if Intern.get u i <> a || Intern.intern u ~hash:(hash a) a <> i then
+      if get u i <> a || intern u ~hash:(hash a) a <> i then
         Alcotest.failf "id %d lost across of_image" i)
     (Array.append seqs [| other |]);
-  check Alcotest.int "new after of_image" 650 (Intern.intern u ~hash:7 [| 5 |])
+  check Alcotest.int "new after of_image" 650 (intern u ~hash:7 [| 5 |])
 
 let test_intern_image_rejects () =
   let t = Intern.create () in
   List.iter
-    (fun a -> ignore (Intern.intern t ~hash:(Hashtbl.hash a) a))
+    (fun a -> ignore (intern t ~hash:(Hashtbl.hash a) a))
     [ [| 1; 2 |]; [| 3 |]; [||]; [| -5; 70_000 |] ];
   let image = Intern.image t in
   let rejects what image =
@@ -1204,6 +1121,10 @@ let test_level_log_bytes_at_capacity () =
     ((2 * 65_536) + ((5_000 - (2 * (65_536 / 27))) * 27))
     (Level_log.offset l)
 
+(* The zigzag map the codec applies to signed ints, restated: small
+   magnitudes of either sign become small unsigned numbers. *)
+let zigzag x = (x lsl 1) lxor (x asr (Sys.int_size - 1))
+
 let test_varint_codec () =
   let values =
     [ 0; 1; -1; 63; -64; 64; 127; 128; 16_383; 16_384; max_int; min_int;
@@ -1211,11 +1132,9 @@ let test_varint_codec () =
   in
   List.iter
     (fun x ->
-      let z = Varint.zigzag x in
-      check Alcotest.int (Printf.sprintf "unzigzag %d" x) x (Varint.unzigzag z);
+      let z = zigzag x in
       let b = Bytes.make 12 '\255' in
       let stop = Varint.put b 1 z in
-      check Alcotest.int "size" (Varint.size z) (stop - 1);
       let p = ref 1 in
       check Alcotest.int (Printf.sprintf "read %d" x) z (Varint.read b p);
       check Alcotest.int "read stops after it" stop !p;
@@ -1236,10 +1155,8 @@ let test_varint_codec () =
     (match Varint.put_ints (Bytes.create 32) 0 [| 1; 2 |] 3 with
     | _ -> false
     | exception Invalid_argument _ -> true);
-  check Alcotest.(list int) "zigzag interleaves signs" [ 0; 2; 1; 4; 3 ]
-    (List.map Varint.zigzag [ 0; 1; -1; 2; -2 ]);
   check Alcotest.(list int) "sizes" [ 1; 1; 2; 2; 3; 9; 9 ]
-    (List.map Varint.size [ 0; 127; 128; 16_383; 16_384; max_int; -1 ]);
+    (List.map (Varint.put (Bytes.create 9) 0) [ 0; 127; 128; 16_383; 16_384; max_int; -1 ]);
   let seq = [| 3; -7; 1 lsl 40 |] in
   let b = Bytes.make (Varint.seq_size seq) '\000' in
   check Alcotest.int "put_seq fills seq_size" (Bytes.length b) (Varint.put_seq b 0 seq);
@@ -1253,14 +1170,14 @@ let test_varint_codec () =
 
 module Int_log = Asyncolor_util.Int_log
 
-(* Every observable of an [Int_log] against the oracle array of the words
-   pushed since the last clear: length, each word, out-of-range reads and
-   the chunk walk. *)
-let int_log_agrees l oracle =
+(* Every observable of an [Int_log] of [chunk_words]-word chunks against
+   the oracle array of the words pushed: length, each word, out-of-range
+   reads and the chunk walk. *)
+let int_log_agrees ~chunk_words l oracle =
   let n = Array.length oracle in
   let chunks = ref [] and chunk_ok = ref true in
   Int_log.iter_chunks l (fun chunk k ->
-      if k < 1 || k > Int_log.chunk_words l then chunk_ok := false;
+      if k < 1 || k > chunk_words then chunk_ok := false;
       chunks := Array.sub chunk 0 k :: !chunks);
   let raises i =
     match Int_log.get l i with _ -> false | exception Invalid_argument _ -> true
@@ -1272,41 +1189,32 @@ let int_log_agrees l oracle =
   && Array.concat (List.rev !chunks) = oracle
 
 (* A chunk size of 1 to 4096 words and a program of pushes (small
-   counts) and clears (0), so lengths cross first-chunk growth and many
-   chunk boundaries, and refills reuse chunks. *)
+   counts), so lengths cross first-chunk growth and many chunk
+   boundaries. *)
 let int_log_program =
   QCheck.make
     ~print:QCheck.Print.(pair int (list int))
-    QCheck.Gen.(
-      pair (int_range 0 12)
-        (list_size (int_range 0 12)
-           (frequency [ (1, return 0); (6, int_range 1 1500) ])))
+    QCheck.Gen.(pair (int_range 0 12) (list_size (int_range 0 12) (int_range 1 1500)))
 
 let prop_int_log_oracle =
-  QCheck.Test.make ~name:"Int_log: pushes and clears match an array"
+  QCheck.Test.make ~name:"Int_log: pushes match an array"
     ~count:200 int_log_program (fun (shift, program) ->
-      let l = Int_log.create ~chunk_words:(1 lsl shift) () in
+      let chunk_words = 1 lsl shift in
+      let l = Int_log.create ~chunk_words () in
       let oracle = ref [||] and next = ref (-7) in
       List.for_all
         (fun op ->
-          if op = 0 then begin
-            Int_log.clear l;
-            oracle := [||]
-          end
-          else begin
-            let words = Array.init op (fun i -> (!next + i) * 0x9E37) in
-            next := !next + op;
-            Array.iter (Int_log.push l) words;
-            oracle := Array.append !oracle words
-          end;
-          int_log_agrees l !oracle)
+          let words = Array.init op (fun i -> (!next + i) * 0x9E37) in
+          next := !next + op;
+          Array.iter (Int_log.push l) words;
+          oracle := Array.append !oracle words;
+          int_log_agrees ~chunk_words l !oracle)
         program)
 
 let test_int_log_full_chunks () =
   (* the default chunk, crossed twice; and a log that allocates nothing
      until its first push *)
   let l = Int_log.create () in
-  check Alcotest.int "default chunk" 65_536 (Int_log.chunk_words l);
   check Alcotest.int "empty log holds nothing" 0 (Int_log.bytes l);
   let n = (2 * 65_536) + 3 in
   for i = 0 to n - 1 do
@@ -1316,7 +1224,7 @@ let test_int_log_full_chunks () =
     (fun i -> check Alcotest.int (Printf.sprintf "word %d" i) (n - i) (Int_log.get l i))
     [ 0; 65_535; 65_536; 131_071; 131_072; n - 1 ];
   check Alcotest.bool "agrees with the pushed words" true
-    (int_log_agrees l (Array.init n (fun i -> n - i)));
+    (int_log_agrees ~chunk_words:65_536 l (Array.init n (fun i -> n - i)));
   check Alcotest.bool "three chunks at capacity" true
     (Int_log.bytes l >= 3 * 65_536 * 8 && Int_log.bytes l < (3 * 65_536 * 8) + 1024)
 
@@ -1446,7 +1354,6 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
-          Alcotest.test_case "copy" `Quick test_copy_preserves_stream;
           Alcotest.test_case "split" `Quick test_split_independent;
           Alcotest.test_case "known bits64" `Quick test_known_bits64;
           Alcotest.test_case "known split" `Quick test_known_split;
@@ -1461,7 +1368,6 @@ let () =
           Alcotest.test_case "bool balance" `Quick test_bool_balance;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_is_permutation;
           Alcotest.test_case "shuffle moves" `Quick test_shuffle_actually_moves;
-          Alcotest.test_case "choose" `Quick test_choose;
           Alcotest.test_case "sample w/o replacement" `Quick
             test_sample_without_replacement;
           qtest prop_sample_distinct;
@@ -1469,17 +1375,13 @@ let () =
       ( "mex",
         [
           Alcotest.test_case "cases" `Quick test_mex_cases;
-          Alcotest.test_case "sorted" `Quick test_mex_sorted;
-          Alcotest.test_case "excluding" `Quick test_mex_excluding;
           qtest prop_mex_not_member;
           qtest prop_mex_minimal;
-          qtest prop_mex_sorted_agrees;
         ] );
       ( "vec",
         [
           Alcotest.test_case "push/get" `Quick test_vec_push_get;
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
-          Alcotest.test_case "set_grow" `Quick test_vec_set_grow;
           Alcotest.test_case "to_array" `Quick test_vec_to_array;
         ] );
       ( "domain_pool",
@@ -1535,10 +1437,6 @@ let () =
       ( "sharded_tbl",
         [
           Alcotest.test_case "basics" `Quick test_sharded_tbl_basics;
-          Alcotest.test_case "explicit shards" `Quick
-            test_sharded_tbl_explicit_shard;
-          Alcotest.test_case "shard from high hash bits" `Quick
-            test_sharded_tbl_high_bits;
         ] );
       ( "intern",
         [
