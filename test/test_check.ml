@@ -206,6 +206,20 @@ let prop_walk_matches_subsets mode m =
   walk (Explorer.next_mask mode m 0) []
   = Explorer.subsets_of mode (Explorer.subset_of_mask m)
 
+let test_subsets_order () =
+  check Alcotest.(list (list int)) "all subsets, increasing as masks"
+    [ [ 1 ]; [ 3 ]; [ 1; 3 ]; [ 4 ]; [ 1; 4 ]; [ 3; 4 ]; [ 1; 3; 4 ] ]
+    (Explorer.subsets_of `All_subsets [ 1; 3; 4 ]);
+  check Alcotest.(list (list int)) "singletons" [ [ 1 ]; [ 3 ]; [ 4 ] ]
+    (Explorer.subsets_of `Singletons [ 1; 3; 4 ]);
+  check Alcotest.(list (list int)) "nobody unfinished" []
+    (Explorer.subsets_of `All_subsets []);
+  List.iter
+    (fun mode -> check Alcotest.int "empty mask: no first set" 0 (Explorer.next_mask mode 0 0))
+    [ `All_subsets; `Singletons ];
+  check Alcotest.(list int) "subset_of_mask" [ 0; 2; 61 ]
+    (Explorer.subset_of_mask ((1 lsl 61) lor 0b101))
+
 let test_walk_all_subsets =
   QCheck.Test.make ~name:"next_mask walk = subsets_of (all-subsets, k <= 8)"
     ~count:300 arb_unfinished_mask (prop_walk_matches_subsets `All_subsets)
@@ -874,6 +888,7 @@ let () =
         ] );
       ( "packed-enumeration",
         [
+          Alcotest.test_case "subsets_of order" `Quick test_subsets_order;
           qtest test_walk_all_subsets;
           qtest test_walk_singletons;
         ] );

@@ -110,6 +110,28 @@ let test_bug_names () =
       | None -> Alcotest.fail "bug name does not parse")
     Session.bugs
 
+let test_algo_names () =
+  check Alcotest.bool "2" true (Session.algo_of_string "2" = Some Session.A2);
+  check Alcotest.bool "3" true (Session.algo_of_string "3" = Some Session.A3);
+  check Alcotest.bool "unknown" true (Session.algo_of_string "1" = None)
+
+(* Each session draws from its own stream, derived from the campaign
+   seed and its index alone: session 0 of a longer campaign is the whole
+   of a one-session campaign, and sessions differ from each other. *)
+let test_session_seed () =
+  let cfg = { (small Session.A2) with horizon = 1_500 } in
+  let one = campaign cfg ~seed:42 ~sessions:1 in
+  let three = campaign cfg ~seed:42 ~sessions:3 in
+  check Alcotest.(list int) "session indices" [ 0; 1; 2 ]
+    (List.map (fun (r : Session.result) -> r.session) three.results);
+  check Alcotest.bool "session 0 independent of the session count" true
+    (List.hd one.results = List.hd three.results);
+  let shapes =
+    List.map (fun (r : Session.result) -> { r with session = 0 }) three.results
+  in
+  check Alcotest.int "pairwise distinct sessions" 3
+    (List.length (List.sort_uniq compare shapes))
+
 (* --- trace persistence and replay -------------------------------------- *)
 
 let with_tmp f =
@@ -191,6 +213,8 @@ let () =
           Alcotest.test_case "campaign determinism" `Quick
             test_campaign_determinism;
           qtest prop_session_pure_function;
+          Alcotest.test_case "session seed" `Quick test_session_seed;
+          Alcotest.test_case "algo names" `Quick test_algo_names;
         ] );
       ( "detectors",
         [

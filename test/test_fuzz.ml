@@ -386,6 +386,35 @@ let test_mutants_caught () =
             (Exec.fails_invariant f.shrunk.scenario ~invariant:f.invariant))
     Mutation.all
 
+(* [find] knows every listed mutant and nothing else; the churn prefix
+   tells recovery bugs apart; each protocol mutant resolves for its base
+   algorithm only. *)
+let test_mutation_registry () =
+  List.iter
+    (fun (i : Mutation.info) ->
+      check Alcotest.bool (i.name ^ " found") true (Mutation.find i.name = Some i);
+      let churn = String.starts_with ~prefix:"churn-" i.name in
+      check Alcotest.bool (i.name ^ " is_churn") churn (Mutation.is_churn i.name);
+      check Alcotest.bool (i.name ^ " resolves for its base only") true
+        (Option.is_some (Mutation.a1_protocol i.name)
+         = (i.base = Scenario.A1 && not churn)
+        && Option.is_some (Mutation.a2_protocol i.name)
+           = (i.base = Scenario.A2 && not churn)))
+    Mutation.all;
+  check Alcotest.bool "unknown name" true (Mutation.find "no-such-bug" = None);
+  check Alcotest.bool "short name is not churn" false (Mutation.is_churn "churn")
+
+let test_graph_specs () =
+  List.iter
+    (fun (spec, n, max_degree) ->
+      let g = Scenario.build_graph spec in
+      check Alcotest.int "graph_n" n (Scenario.graph_n spec);
+      check Alcotest.int "built order" n (Asyncolor_topology.Graph.n g);
+      check Alcotest.int "built degree" max_degree (Asyncolor_topology.Graph.max_degree g))
+    Scenario.[ (Cycle 5, 5, 2); (Path 4, 4, 2); (Complete 4, 4, 3); (Star 6, 6, 5) ];
+  check Alcotest.(list string) "algo names" [ "1"; "2"; "2s"; "3" ]
+    (List.map Scenario.algo_name Scenario.[ A1; A2; A2s; A3 ])
+
 let test_unknown_mutant_rejected () =
   Alcotest.check_raises "unknown mutation"
     (Invalid_argument "Fuzz: unknown mutation \"no-such-bug\"") (fun () ->
@@ -402,6 +431,7 @@ let () =
             test_generate_deterministic;
           Alcotest.test_case "validate rejects malformed scenarios" `Quick
             test_validate_rejects;
+          Alcotest.test_case "graph specs" `Quick test_graph_specs;
           Alcotest.test_case "clean scenarios trip no detector" `Quick
             test_clean_scenarios_pass;
           Alcotest.test_case "replay is bit-identical" `Quick
@@ -448,5 +478,6 @@ let () =
             test_mutants_caught;
           Alcotest.test_case "unknown mutants are rejected" `Quick
             test_unknown_mutant_rejected;
+          Alcotest.test_case "mutation registry" `Quick test_mutation_registry;
         ] );
     ]

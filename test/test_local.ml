@@ -48,6 +48,22 @@ let prop_three_color_correct =
       && Array.for_all (fun c -> c >= 0 && c <= 2) r.colors
       && r.cv_iterations <= Cv.rounds_upper_bound n)
 
+(* Coin tossing needs a proper colouring, not distinct values. *)
+let test_three_color_repeated_colours () =
+  List.iter
+    (fun input -> check Alcotest.bool "proper" true (Cv.is_proper_ring (Cv.three_color input).colors))
+    [ [| 0; 1; 0; 1 |]; [| 7; 3; 7; 3; 9 |]; [| 1 lsl 40; 0; 1 lsl 40; 5; 6; 0 |] ]
+
+(* Every node applies one rule to its colour and its successor's. *)
+let prop_three_color_rotation =
+  QCheck.Test.make ~name:"three_color commutes with rotation" ~count:100
+    QCheck.(triple (int_range 3 200) (int_range 0 10_000) (int_range 0 199))
+    (fun (n, seed, shift) ->
+      let idents = Idents.random_sparse (Prng.create ~seed) ~n ~universe:(8 * n) in
+      let rot a = Array.init n (fun i -> a.((i + shift) mod n)) in
+      let r = Cv.three_color idents and r' = Cv.three_color (rot idents) in
+      r'.colors = rot r.colors && r'.rounds = r.rounds)
+
 (* --- DECOUPLED ring --------------------------------------------------- *)
 
 module D = Asyncolor_local.Decoupled_ring
@@ -66,6 +82,19 @@ let test_decoupled_c3_three_colors () =
   let colours = List.sort compare (List.filter_map Fun.id (Array.to_list outs)) in
   check Alcotest.(list int) "exactly {0,1,2}" [ 0; 1; 2 ] colours;
   check Alcotest.bool "few rounds" true (rounds <= D.rounds_needed ~universe:16 + 1)
+
+(* Outputs wait for the network's rounds, not for activations. *)
+let test_decoupled_waiting_before_radius () =
+  let run ?horizon adv = D.run ?horizon adv (D.create ~idents:[| 3; 7; 1; 9 |] ~universe:16) in
+  let needed = D.rounds_needed ~universe:16 in
+  let early, _ = run ~horizon:(needed - 1) Adversary.synchronous in
+  check Alcotest.(array (option int)) "too early: no output" (Array.make 4 None) early;
+  let prompt, rounds = run Adversary.synchronous in
+  check Alcotest.int "everyone outputs at the radius" needed rounds;
+  let late = Adversary.make ~name:"late" (fun ~time ~unfinished ->
+      if time < 3 * needed then Some [] else Some unfinished) in
+  check Alcotest.(pair (array (option int)) int) "a late wake-up outputs at once, the same"
+    (prompt, 3 * needed) (run late)
 
 let test_decoupled_crash_tolerance () =
   (* crashed processes never compute, but their identifiers propagate:
@@ -118,6 +147,25 @@ module L = Asyncolor_local.Linial
 module Builders = Asyncolor_topology.Builders
 module Graph = Asyncolor_topology.Graph
 
+let test_palette_bound () =
+  check Alcotest.(list int) "next prime above 2Δ, squared" [ 9; 9; 25; 49; 121; 7921; 9409 ]
+    (List.map (fun max_degree -> L.palette_bound ~max_degree) [ 0; 1; 2; 3; 4; 44; 45 ])
+
+let test_color_reduce_step () =
+  let g = Builders.cycle 6 in
+  let r = L.color g ~idents:[| 0; 10; 20; 30; 40; 50 |] in
+  check Alcotest.bool "proper, shrunk, within its palette" true
+    (L.is_proper g r.colors && r.rounds >= 1 && r.final_palette <= L.palette_bound ~max_degree:2
+    && Array.for_all (fun c -> c >= 0 && c < r.final_palette) r.colors)
+
+let test_color_rejects_bad_identifiers () =
+  List.iter
+    (fun (msg, idents) ->
+      Alcotest.check_raises msg (Invalid_argument ("Linial.color: " ^ msg)) (fun () ->
+          ignore (L.color (Builders.cycle 3) ~idents)))
+    [ ("size mismatch", [| 1; 2 |]); ("negative identifier", [| 1; -2; 3 |]);
+      ("identifiers must be distinct", [| 1; 1; 2 |]) ]
+
 let test_color_stall_bound () =
   List.iter
     (fun g ->
@@ -159,6 +207,9 @@ let () =
     [
       ( "linial",
         [
+          Alcotest.test_case "palette bound" `Quick test_palette_bound;
+          Alcotest.test_case "reduce step" `Quick test_color_reduce_step;
+          Alcotest.test_case "rejects bad identifiers" `Quick test_color_rejects_bad_identifiers;
           Alcotest.test_case "stall bound" `Quick test_color_stall_bound;
           Alcotest.test_case "Δ+1 pipeline" `Quick test_color_delta_plus_one;
           qtest prop_linial_random_graphs;
@@ -167,6 +218,7 @@ let () =
         [
           Alcotest.test_case "rounds needed" `Quick test_decoupled_rounds_needed;
           Alcotest.test_case "C3 three colours" `Quick test_decoupled_c3_three_colors;
+          Alcotest.test_case "waits on network only" `Quick test_decoupled_waiting_before_radius;
           Alcotest.test_case "crash tolerance" `Quick test_decoupled_crash_tolerance;
           Alcotest.test_case "input validation" `Quick test_decoupled_rejects_bad_input;
           qtest prop_decoupled_consistency;
@@ -178,5 +230,7 @@ let () =
           Alcotest.test_case "three_color rejects" `Quick test_three_color_rejects;
           Alcotest.test_case "log* growth" `Quick test_logstar_growth;
           qtest prop_three_color_correct;
+          Alcotest.test_case "repeated colours" `Quick test_three_color_repeated_colours;
+          qtest prop_three_color_rotation;
         ] );
     ]

@@ -262,6 +262,30 @@ let test_stop_with_signals () =
   check Alcotest.bool "flag cleared when the scope exits" false
     (Stop.requested ())
 
+(* Signal this process, then give the runtime safe points until the
+   handler has run (or a second has passed). *)
+let signal_self signal =
+  Unix.kill (Unix.getpid ()) signal;
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  while (not (Stop.requested ())) && Unix.gettimeofday () < deadline do
+    ignore (Sys.opaque_identity (ref 0))
+  done
+
+let test_stop_flag () =
+  check Alcotest.bool "initially clear" false (Stop.requested ());
+  check Alcotest.bool "SIGINT sets it" true
+    (Stop.with_signals (fun () -> signal_self Sys.sigint; Stop.requested ()));
+  check Alcotest.bool "the next scope starts clear" false (Stop.with_signals Stop.requested)
+
+let test_stop_restores_on_exception () =
+  let previous = Sys.signal Sys.sigterm Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigterm previous) (fun () ->
+      Alcotest.check_raises "the scope raised" Exit (fun () ->
+          Stop.with_signals (fun () -> signal_self Sys.sigterm; if Stop.requested () then raise Exit));
+      check Alcotest.bool "flag cleared" false (Stop.requested ());
+      check Alcotest.bool "previous handler back" true
+        (Sys.signal Sys.sigterm Sys.Signal_ignore = Sys.Signal_ignore))
+
 (* --- Diag ----------------------------------------------------------- *)
 
 let test_diag_line_atomicity () =
@@ -597,6 +621,9 @@ let () =
       ( "stop",
         [
           Alcotest.test_case "with_signals scope" `Quick test_stop_with_signals;
+          Alcotest.test_case "flag set/reset" `Quick test_stop_flag;
+          Alcotest.test_case "cleared and restored on exception" `Quick
+            test_stop_restores_on_exception;
         ] );
       ( "diag",
         [

@@ -72,6 +72,11 @@ let test_ssb_validators () =
     (Ssb.valid [| Some 0; None |]);
   check Alcotest.bool "nobody terminated: vacuous" true (Ssb.valid [| None; None |])
 
+let test_ssb_pp () =
+  check Alcotest.string "bits and ⊥ for the unterminated" "[0;⊥;1]"
+    (Format.asprintf "%a" Ssb.pp [| Some 0; None; Some 1 |]);
+  check Alcotest.string "nobody" "[]" (Format.asprintf "%a" Ssb.pp [||])
+
 (* --- MIS --------------------------------------------------------------- *)
 
 let g5 = Builders.cycle 5
@@ -195,7 +200,11 @@ let () =
           Alcotest.test_case "name bound" `Quick test_name_bound;
           qtest prop_renaming_correct;
         ] );
-      ("ssb", [ Alcotest.test_case "validators" `Quick test_ssb_validators ]);
+      ( "ssb",
+        [
+          Alcotest.test_case "validators" `Quick test_ssb_validators;
+          Alcotest.test_case "pp" `Quick test_ssb_pp;
+        ] );
       ( "mis",
         [
           Alcotest.test_case "validators" `Quick test_mis_validators;

@@ -51,6 +51,40 @@ let test_fold_edges () =
   let count = Graph.fold_edges (fun _ _ acc -> acc + 1) g 0 in
   check Alcotest.int "fold visits each edge once" 5 count
 
+(* Every view of a graph agrees with the edge list [make] was given. *)
+let prop_views_agree =
+  QCheck.Test.make ~name:"graph views agree with the edge list" ~count:200
+    QCheck.(pair (int_range 1 12) (list (pair small_nat small_nat)))
+    (fun (n, pairs) ->
+      let pairs = List.map (fun (u, v) -> (u mod n, v mod n)) pairs in
+      let pairs = List.filter (fun (u, v) -> u <> v) pairs in
+      let g = Graph.make ~n ~edges:pairs in
+      let edges = List.sort_uniq compare (List.map (fun (u, v) -> (min u v, max u v)) pairs) in
+      let nbrs v = List.filter_map (fun (a, b) -> if a = v then Some b else if b = v then Some a else None) edges in
+      let nodes = List.init n Fun.id in
+      Graph.edges g = edges
+      && List.sort compare (Graph.fold_edges (fun u v acc -> (u, v) :: acc) g []) = edges
+      && List.for_all (fun v -> List.sort compare (Array.to_list (Graph.neighbours g v)) = nbrs v) nodes
+      && Graph.max_degree g = List.fold_left (fun m v -> max m (List.length (nbrs v))) 0 nodes)
+
+let test_automorphism_counts () =
+  List.iter
+    (fun (g, order) ->
+      let autos = Graph.automorphisms g in
+      check Alcotest.int "group order" order (List.length autos);
+      check Alcotest.(array int) "identity first" (Array.init (Graph.n g) Fun.id) (List.hd autos))
+    Builders.[ (cycle 5, 10); (cycle 8, 16); (complete 4, 8); (path 5, 2); (star 5, 2) ]
+
+let prop_automorphisms_preserve_edges =
+  QCheck.Test.make ~name:"automorphisms are distinct edge-preserving permutations" ~count:100
+    QCheck.(pair (int_range 1 12) (int_range 0 10_000))
+    (fun (n, seed) ->
+      let g = Builders.gnp (Prng.create ~seed) ~n ~p:0.5 in
+      let autos = Graph.automorphisms g and edges = Graph.edges g in
+      let image s = List.sort compare (List.map (fun (u, v) -> (min s.(u) s.(v), max s.(u) s.(v))) edges) in
+      List.length (List.sort_uniq compare autos) = List.length autos
+      && List.for_all (fun s -> List.sort compare (Array.to_list s) = List.init n Fun.id && image s = edges) autos)
+
 (* --- builders ------------------------------------------------------ *)
 
 let test_cycle () =
@@ -145,12 +179,12 @@ let prop_gnp_valid =
 (* --- dot ----------------------------------------------------------- *)
 
 (* The DOT text [Dot.write_file] writes for [g]. *)
-let dot ?colors g =
+let dot ?labels ?colors g =
   let path = Filename.temp_file "asyncolor" ".dot" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Dot.write_file path ?colors g;
+      Dot.write_file path ?labels ?colors g;
       In_channel.with_open_text path In_channel.input_all)
 
 let test_dot_contains_edges () =
@@ -165,6 +199,11 @@ let test_dot_colors () =
   check Alcotest.bool "fill for node 0" true
     (Astring.String.is_infix ~affix:"fillcolor=\"#e6194b\"" s)
 
+let test_dot_labels () =
+  check Alcotest.string "whole file"
+    "graph asyncolor {\n  node [style=filled];\n  0 [label=\"a\"];\n  1 [label=\"b\"];\n  0 -- 1;\n}\n"
+    (dot ~labels:(fun v -> if v = 0 then "a" else "b") (Builders.path 2))
+
 let () =
   Alcotest.run "topology"
     [
@@ -177,6 +216,9 @@ let () =
           Alcotest.test_case "empty graph" `Quick test_empty_graph;
           Alcotest.test_case "edges canonical" `Quick test_edges_canonical;
           Alcotest.test_case "fold_edges" `Quick test_fold_edges;
+          qtest prop_views_agree;
+          Alcotest.test_case "automorphism counts" `Quick test_automorphism_counts;
+          qtest prop_automorphisms_preserve_edges;
         ] );
       ( "builders",
         [
@@ -196,5 +238,6 @@ let () =
         [
           Alcotest.test_case "edges rendered" `Quick test_dot_contains_edges;
           Alcotest.test_case "colors rendered" `Quick test_dot_colors;
+          Alcotest.test_case "labels rendered" `Quick test_dot_labels;
         ] );
     ]

@@ -220,6 +220,43 @@ let prop_mex_minimal =
       let m = Mex.of_list s in
       List.for_all (fun k -> List.mem k s) (List.init m Fun.id))
 
+let test_mex_sorted () =
+  check Alcotest.(list int) "dense, gap, dups, gap after dups" [ 3; 2; 3; 1 ]
+    (List.map Mex.of_list [ [ 0; 1; 2 ]; [ 0; 1; 4; 9 ]; [ 0; 1; 1; 2; 2 ]; [ 0; 0; 0; 2 ] ])
+
+let prop_mex_order_free =
+  QCheck.Test.make ~name:"mex ignores order and repeats"
+    QCheck.(list small_nat)
+    (fun s ->
+      let m = Mex.of_list s in
+      Mex.of_list (List.rev s) = m && Mex.of_list (List.sort_uniq compare s @ s) = m)
+
+(* --- Mask ---------------------------------------------------------- *)
+
+module Mask = Asyncolor_util.Mask
+
+let test_mask_popcount () =
+  check Alcotest.(list int) "popcounts" [ 0; 1; 5; 62 ]
+    (List.map Mask.popcount [ 0; 0b1000; 0b1011_0101; max_int ])
+
+let test_mask_lowest_bit () =
+  for i = 0 to 61 do
+    check Alcotest.int "bit alone" i (Mask.lowest_bit (1 lsl i));
+    check Alcotest.int "bits above" i (Mask.lowest_bit (max_int land lnot ((1 lsl i) - 1)))
+  done
+
+let test_mask_nth_bit () =
+  check Alcotest.(list int) "every k" [ 1; 2; 5; 7 ] (List.init 4 (Mask.nth_bit 0b1010_0110));
+  check Alcotest.int "top bit" 61 (Mask.nth_bit max_int 61)
+
+let prop_mask_bit_walk =
+  QCheck.Test.make ~name:"Mask: popcount, lowest_bit, nth_bit = a bit scan" ~count:500
+    QCheck.(map (fun x -> x land max_int) int)
+    (fun m ->
+      let bits = List.filter (fun i -> m land (1 lsl i) <> 0) (List.init 62 Fun.id) in
+      List.init (Mask.popcount m) (Mask.nth_bit m) = bits
+      && (m = 0 || Mask.lowest_bit m = List.hd bits))
+
 (* --- Vec ----------------------------------------------------------- *)
 
 module Vec = Asyncolor_util.Vec
@@ -247,6 +284,31 @@ let test_vec_to_array () =
   let v = Vec.create ~dummy:"" () in
   List.iter (Vec.push v) [ "a"; "b"; "c" ];
   Alcotest.(check (array string)) "to_array" [| "a"; "b"; "c" |] (Vec.to_array v)
+
+let test_vec_pop () =
+  let v = Vec.create ~capacity:1 ~dummy:0 () in
+  List.iter (Vec.push v) [ 1; 2; 3 ];
+  check Alcotest.int "last pushed first" 3 (Vec.pop v);
+  Vec.push v 9;
+  check Alcotest.(array int) "push after pop" [| 1; 2; 9 |] (Vec.to_array v);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Vec.pop: empty") (fun () ->
+      List.iter (fun _ -> ignore (Vec.pop v)) [ 1; 2; 3; 4 ])
+
+(* Pushes (non-negative) and pops (-1) against a stack. *)
+let prop_vec_oracle =
+  QCheck.Test.make ~name:"Vec: pushes and pops match a stack" ~count:300
+    QCheck.(list (int_range (-1) 50))
+    (fun program ->
+      let v = Vec.create ~capacity:1 ~dummy:(-99) () in
+      let step stack op =
+        match (op, stack) with
+        | -1, [] -> Some []
+        | -1, x :: rest -> if Vec.pop v = x then Some rest else None
+        | x, _ -> Vec.push v x; Some (x :: stack)
+      in
+      match List.fold_left (fun s op -> Option.bind s (fun s -> step s op)) (Some []) program with
+      | Some stack -> Vec.to_array v = Array.of_list (List.rev stack)
+      | None -> false)
 
 (* --- Batches on the Synchronous executor policy --------------------- *)
 
@@ -659,6 +721,22 @@ let test_ring_fifo_window () =
     (Invalid_argument "Ring.get: position 600 outside [400, 600)") (fun () ->
       ignore (Ring.get r 600))
 
+(* [pushes] pushes, then [drops] drops until empty: exactly the positions
+   still held read back, each what was pushed there. *)
+let prop_ring_window =
+  QCheck.Test.make ~name:"Ring: pushes then drops leave a readable window" ~count:300
+    QCheck.(triple (int_range 0 1000) (int_range 0 300) (int_range 0 300))
+    (fun (start, pushes, drops) ->
+      let r = Ring.create ~capacity:1 ~start ~dummy:(-1) () in
+      for i = 0 to pushes - 1 do Ring.push r (i * 3) done;
+      let dropped = ref 0 in
+      (try for _ = 1 to drops do Ring.drop r; incr dropped done with Invalid_argument _ -> ());
+      let read i = match Ring.get r (start + i) with v -> Some v | exception Invalid_argument _ -> None in
+      !dropped = min pushes drops
+      && List.for_all
+           (fun i -> read i = if i >= !dropped && i < pushes then Some (i * 3) else None)
+           (List.init (pushes + 2) (fun i -> i - 1)))
+
 (* --- Sharded_tbl ----------------------------------------------------- *)
 
 module Int_tbl = Asyncolor_util.Sharded_tbl.Make (struct
@@ -676,6 +754,31 @@ let test_sharded_tbl_basics () =
   check Alcotest.(option int) "find_opt routes to the owner" (Some 4_900)
     (Int_tbl.find_opt t 700);
   check Alcotest.(option int) "absent key" None (Int_tbl.find_opt t 1_000)
+
+let prop_sharded_tbl_oracle =
+  QCheck.Test.make ~name:"Sharded_tbl: adds and lookups match a Hashtbl" ~count:200
+    QCheck.(pair (int_range 1 9) (list (pair (int_range (-50) 50) small_nat)))
+    (fun (shards, adds) ->
+      let t = Int_tbl.create ~shards 4 and oracle = Hashtbl.create 16 in
+      List.iter (fun (k, v) -> Int_tbl.add t k v; Hashtbl.add oracle k v) adds;
+      List.for_all (fun k -> Int_tbl.find_opt t k = Hashtbl.find_opt oracle k)
+        (List.init 101 (fun i -> i - 50)))
+
+(* Every hash [16 * k] has the same low 4 bits, which the shards'
+   [Hashtbl]s bucket on; the shard comes from the high bits. *)
+module Aliased_tbl = Asyncolor_util.Sharded_tbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = 16 * k
+end)
+
+let test_sharded_tbl_high_bits () =
+  let t = Aliased_tbl.create ~shards:16 16 in
+  for k = 0 to 4_095 do Aliased_tbl.add t k (k + 1) done;
+  check Alcotest.bool "every key found" true
+    (List.for_all (fun k -> Aliased_tbl.find_opt t k = Some (k + 1)) (List.init 4_096 Fun.id));
+  check Alcotest.(option int) "absent key" None (Aliased_tbl.find_opt t 4_096)
 
 (* --- Intern ------------------------------------------------------------- *)
 
@@ -1166,6 +1269,20 @@ let test_varint_codec () =
     (Varint.read_seq b 0 dst);
   check Alcotest.(array int) "decoded" seq (Array.sub dst 0 3)
 
+(* The engine writes key segments with [put_ints]; the store reads whole
+   sequences: a sequence is its length prefix, then [put_ints]'s bytes. *)
+let prop_varint_seq_layout =
+  QCheck.Test.make ~name:"Varint: put_seq = length ^ put_ints, read_seq inverts" ~count:300
+    (QCheck.make QCheck.Gen.(array_size (int_range 0 40) intern_elt))
+    (fun a ->
+      let n = Array.length a and b = Bytes.make (Varint.seq_size a) '\000' in
+      let stop = Varint.put_seq b 0 a and p = ref 0 in
+      let elems = Bytes.make (9 * n) '\000' and dst = Array.make n 0 in
+      let elems_stop = Varint.put_ints elems 0 a n in
+      stop = Bytes.length b && Varint.read b p = n && Varint.seq_length b 0 = n
+      && Bytes.sub b !p (stop - !p) = Bytes.sub elems 0 elems_stop
+      && Varint.read_seq b 0 dst = stop && dst = a)
+
 (* --- Int_log and Level_log against plain-array models ----------------- *)
 
 module Int_log = Asyncolor_util.Int_log
@@ -1377,12 +1494,23 @@ let () =
           Alcotest.test_case "cases" `Quick test_mex_cases;
           qtest prop_mex_not_member;
           qtest prop_mex_minimal;
+          Alcotest.test_case "sorted" `Quick test_mex_sorted;
+          qtest prop_mex_order_free;
+        ] );
+      ( "mask",
+        [
+          Alcotest.test_case "popcount" `Quick test_mask_popcount;
+          Alcotest.test_case "lowest_bit" `Quick test_mask_lowest_bit;
+          Alcotest.test_case "nth_bit" `Quick test_mask_nth_bit;
+          qtest prop_mask_bit_walk;
         ] );
       ( "vec",
         [
           Alcotest.test_case "push/get" `Quick test_vec_push_get;
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
           Alcotest.test_case "to_array" `Quick test_vec_to_array;
+          Alcotest.test_case "pop" `Quick test_vec_pop;
+          qtest prop_vec_oracle;
         ] );
       ( "domain_pool",
         [
@@ -1433,10 +1561,15 @@ let () =
             test_executor_steals_counted;
         ] );
       ( "ring",
-        [ Alcotest.test_case "absolute-position FIFO" `Quick test_ring_fifo_window ] );
+        [
+          Alcotest.test_case "absolute-position FIFO" `Quick test_ring_fifo_window;
+          qtest prop_ring_window;
+        ] );
       ( "sharded_tbl",
         [
           Alcotest.test_case "basics" `Quick test_sharded_tbl_basics;
+          qtest prop_sharded_tbl_oracle;
+          Alcotest.test_case "shard from high hash bits" `Quick test_sharded_tbl_high_bits;
         ] );
       ( "intern",
         [
@@ -1473,6 +1606,7 @@ let () =
           Alcotest.test_case "empty tail never seals" `Quick
             test_level_log_empty_tail_never_seals;
           qtest prop_level_log_oracle;
+          qtest prop_varint_seq_layout;
           Alcotest.test_case "thresholds around the largest chunk" `Quick
             test_level_log_large_thresholds;
           Alcotest.test_case "bytes counts chunks at capacity" `Quick

@@ -45,6 +45,10 @@ let test_random_sparse () =
     (Invalid_argument "Idents.random_sparse: universe too small") (fun () ->
       ignore (Idents.random_sparse (Prng.create ~seed:3) ~n:10 ~universe:5))
 
+let test_uniform () =
+  check Alcotest.(array int) "default identifier" [| 7; 7; 7; 7 |] (Idents.uniform 4);
+  check Alcotest.(array int) "given identifier" [| 2; 2; 2 |] (Idents.uniform ~ident:2 3)
+
 let test_bit_adversarial () =
   let ids = Idents.bit_adversarial 32 in
   check Alcotest.bool "injective" true (Idents.is_injective ids)
@@ -155,6 +159,24 @@ let test_summarize_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.summarize: empty") (fun () ->
       ignore (Stats.summarize []))
 
+(* Nearest rank: the smallest sample with a fraction p at or below it. *)
+let test_percentile () =
+  let s = Stats.summarize [ 70; 10; 100; 40; 20; 90; 30; 60; 80; 50 ] in
+  check Alcotest.(list int) "min, p50, p95, max" [ 10; 50; 100; 100 ] [ s.min; s.p50; s.p95; s.max ];
+  let s = Stats.summarize (List.init 100 (fun i -> 100 - i)) in
+  check Alcotest.(list int) "1..100" [ 50; 95; 99 ] [ s.p50; s.p95; s.p99 ]
+
+let prop_summarize_order_free =
+  QCheck.Test.make ~name:"summarize ignores the sample's order" ~count:200
+    QCheck.(pair int (list_of_size (Gen.int_range 1 80) (int_range (-1000) 1000)))
+    (fun (seed, l) ->
+      let a = Array.of_list l in
+      Prng.shuffle (Prng.create ~seed) a;
+      let s = Stats.summarize l and s' = Stats.summarize (Array.to_list a) in
+      (* the variance is a float sum, exact only up to its order *)
+      Float.abs (s.stddev -. s'.stddev) <= 1e-9 *. (1.0 +. s.stddev)
+      && { s with stddev = 0.0 } = { s' with stddev = 0.0 })
+
 let prop_percentiles_ordered =
   QCheck.Test.make ~name:"min <= p50 <= p95 <= p99 <= max, min <= mean <= max"
     ~count:500
@@ -189,6 +211,24 @@ let prop_summary_consistent =
 
 (* --- table ------------------------------------------------------------ *)
 
+let test_table_rendering () =
+  let t = Table.create ~headers:[ "name"; "value" ] in
+  Table.add_row t [ "alpha"; "1" ];
+  Table.add_row t [ "b"; "22" ];
+  let path = Filename.temp_file "asyncolor" ".out" and saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+  flush stdout;
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect (fun () -> Table.print t) ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved);
+  let printed = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  check Alcotest.string "padded columns, rows in order"
+    "| name  | value |\n|-------|-------|\n| alpha | 1     |\n| b     | 22    |\n" printed
+
 let test_table_width_mismatch () =
   let t = Table.create ~headers:[ "a"; "b" ] in
   Alcotest.check_raises "mismatch" (Invalid_argument "Table.add_row: row width mismatch")
@@ -216,6 +256,7 @@ let () =
           Alcotest.test_case "increasing" `Quick test_increasing;
           Alcotest.test_case "decreasing" `Quick test_decreasing;
           Alcotest.test_case "zigzag" `Quick test_zigzag;
+          Alcotest.test_case "uniform" `Quick test_uniform;
           Alcotest.test_case "random permutation" `Quick test_random_permutation;
           Alcotest.test_case "random sparse" `Quick test_random_sparse;
           Alcotest.test_case "bit adversarial" `Quick test_bit_adversarial;
@@ -230,6 +271,8 @@ let () =
           Alcotest.test_case "summarize" `Quick test_summarize;
           Alcotest.test_case "singleton" `Quick test_summarize_singleton;
           Alcotest.test_case "empty" `Quick test_summarize_empty;
+          Alcotest.test_case "percentile" `Quick test_percentile;
+          qtest prop_summarize_order_free;
           qtest prop_percentiles_ordered;
           Alcotest.test_case "linear fit exact" `Quick test_linear_fit_exact;
           Alcotest.test_case "linear fit errors" `Quick test_linear_fit_errors;
@@ -237,6 +280,7 @@ let () =
         ] );
       ( "table",
         [
+          Alcotest.test_case "rendering" `Quick test_table_rendering;
           Alcotest.test_case "width mismatch" `Quick test_table_width_mismatch;
           Alcotest.test_case "row_int" `Quick test_row_int;
           Alcotest.test_case "csv" `Quick test_table_csv;
