@@ -691,7 +691,7 @@ let check_cmd =
     | 1 -> go (module Asyncolor.Algorithm1.P) (Color.pair_in_palette ~budget:2)
     | 2 -> go (module Asyncolor.Algorithm2.P) Color.in_five
     | 3 -> go (module Asyncolor.Algorithm3.P) Color.in_five
-    | n -> usage_error ~flag:"-a" "check supports algorithms 1-3, not %d" n
+    | _ -> assert false (* [-a] was checked before any work *)
   in
   let exits =
     Cmd.Exit.info io_exit_code

@@ -26,7 +26,8 @@ type result = {
 val three_color : int array -> result
 (** Full pipeline: coin tossing then the three reduction rounds.
     @raise Invalid_argument if the input (identifiers) is not a proper
-    colouring of the ring or has fewer than 3 entries. *)
+    colouring of the ring, has fewer than 3 entries or holds a negative
+    identifier that coin tossing reaches. *)
 
 val is_proper_ring : int array -> bool
 (** No two cyclically-adjacent entries equal. *)

@@ -48,8 +48,7 @@ let test_a_le_b_invariant () =
 let non_minimum_bound ~l = (3 * l) + 4
 
 let test_bound_formulas () =
-  check Alcotest.int "3n+8" 38 (A2.activation_bound 10);
-  check Alcotest.int "lemma 3.14" 19 (non_minimum_bound ~l:5)
+  check Alcotest.int "3n+8" 38 (A2.activation_bound 10)
 
 let test_output_never_conflicts_with_frozen_register () =
   (* A returned process's register persists; neighbours must colour around

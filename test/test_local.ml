@@ -27,7 +27,10 @@ let test_three_color_rejects () =
   Alcotest.check_raises "improper input"
     (Invalid_argument
        "Cole_vishkin_ring.three_color: identifiers must properly colour the ring")
-    (fun () -> ignore (Cv.three_color [| 1; 1; 2 |]))
+    (fun () -> ignore (Cv.three_color [| 1; 1; 2 |]));
+  Alcotest.check_raises "negative identifier"
+    (Invalid_argument "Cole_vishkin_ring.cv_step: negative colour")
+    (fun () -> ignore (Cv.three_color [| -1; 20; 30 |]))
 
 let test_logstar_growth () =
   (* rounds grow like log* n: going from n=16 to n=2^16 adds only a few *)

@@ -13,6 +13,32 @@ module Idents = Asyncolor_workload.Idents
 let check = Alcotest.check
 let qtest t = QCheck_alcotest.to_alcotest t
 
+(* --- kth_free ---------------------------------------------------------- *)
+
+let test_kth_free_cases () =
+  check Alcotest.int "1st free of []" 0 (Renaming.kth_free 1 []);
+  check Alcotest.int "3rd free of []" 2 (Renaming.kth_free 3 []);
+  check Alcotest.int "1st free of [0]" 1 (Renaming.kth_free 1 [ 0 ]);
+  check Alcotest.int "2nd free of [0;2]" 3 (Renaming.kth_free 2 [ 0; 2 ]);
+  check Alcotest.int "dups ignored" 1 (Renaming.kth_free 1 [ 0; 0; 0 ]);
+  check Alcotest.int "unsorted input" 4 (Renaming.kth_free 2 [ 3; 0; 1 ]);
+  Alcotest.check_raises "k=0" (Invalid_argument "Renaming.kth_free: k must be >= 1")
+    (fun () -> ignore (Renaming.kth_free 0 []))
+
+let prop_kth_free_naive =
+  QCheck.Test.make ~name:"kth_free agrees with naive enumeration"
+    QCheck.(pair (int_range 1 10) (list_of_size (Gen.int_range 0 12) (int_range 0 15)))
+    (fun (k, taken) ->
+      let naive =
+        let rec collect acc candidate =
+          if List.length acc = k then List.rev acc
+          else if List.mem candidate taken then collect acc (candidate + 1)
+          else collect (candidate :: acc) (candidate + 1)
+        in
+        List.nth (collect [] 0) (k - 1)
+      in
+      Renaming.kth_free k taken = naive)
+
 (* --- renaming ---------------------------------------------------------- *)
 
 let distinct_names outputs =
@@ -191,6 +217,11 @@ let prop_reduction_equivalence =
 let () =
   Alcotest.run "shm"
     [
+      ( "kth_free",
+        [
+          Alcotest.test_case "cases" `Quick test_kth_free_cases;
+          qtest prop_kth_free_naive;
+        ] );
       ( "renaming",
         [
           Alcotest.test_case "sequential" `Quick test_renaming_sequential;

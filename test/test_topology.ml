@@ -87,6 +87,23 @@ let prop_automorphisms_preserve_edges =
 
 (* --- builders ------------------------------------------------------ *)
 
+(* Whether a breadth-first search from node 0 reaches every node. *)
+let connected g =
+  let seen = Array.make (Graph.n g) false in
+  let rec visit = function
+    | [] -> ()
+    | v :: rest when seen.(v) -> visit rest
+    | v :: rest ->
+        seen.(v) <- true;
+        visit (Array.to_list (Graph.neighbours g v) @ rest)
+  in
+  visit (if Graph.n g = 0 then [] else [ 0 ]);
+  Array.for_all Fun.id seen
+
+let test_connectivity () =
+  check Alcotest.bool "disconnected" false (connected (Graph.make ~n:4 ~edges:[ (0, 1); (2, 3) ]));
+  check Alcotest.bool "cycle connected" true (connected (Builders.cycle 7))
+
 let test_cycle () =
   let g = Builders.cycle 6 in
   check Alcotest.int "m" 6 (List.length (Graph.edges g));
@@ -121,7 +138,8 @@ let test_grid () =
   check Alcotest.int "n" 12 (Graph.n g);
   check Alcotest.int "m" ((2 * 4) + (3 * 3)) (List.length (Graph.edges g));
   check Alcotest.int "corner degree" 2 (Graph.degree g 0);
-  check Alcotest.int "max degree" 4 (Graph.max_degree g)
+  check Alcotest.int "max degree" 4 (Graph.max_degree g);
+  check Alcotest.bool "connected" true (connected g)
 
 let test_torus () =
   let g = Builders.torus 4 5 in
@@ -137,7 +155,8 @@ let test_petersen () =
   check Alcotest.int "m" 15 (List.length (Graph.edges g));
   for v = 0 to 9 do
     check Alcotest.int "3-regular" 3 (Graph.degree g v)
-  done
+  done;
+  check Alcotest.bool "connected" true (connected g)
 
 let test_hypercube () =
   let g = Builders.hypercube 4 in
@@ -222,6 +241,7 @@ let () =
         ] );
       ( "builders",
         [
+          Alcotest.test_case "connectivity" `Quick test_connectivity;
           Alcotest.test_case "cycle" `Quick test_cycle;
           Alcotest.test_case "path" `Quick test_path;
           Alcotest.test_case "complete" `Quick test_complete;
