@@ -17,7 +17,6 @@ module Builders = Asyncolor_topology.Builders
 module Idents = Asyncolor_workload.Idents
 module Table = Asyncolor_workload.Table
 module Checker = Asyncolor.Checker
-module Color = Asyncolor.Color
 module Budget = Asyncolor_resilience.Budget
 module Stop = Asyncolor_resilience.Stop
 module Diag = Asyncolor_resilience.Diag
@@ -84,71 +83,59 @@ let make_graph ~kind ~seed n =
   | "random3" -> Builders.random_regular (Prng.create ~seed) ~n ~d:3
   | k -> usage_error ~flag:"--graph" "unknown graph %S" k
 
-(* Dispatch over the four algorithms, erasing the differing output types
-   into strings for display. *)
-module Show (P : Asyncolor_kernel.Protocol.S) = struct
-  module E = Asyncolor_kernel.Engine.Make (P)
+(* The table entry [-a] names.  [run] and [replay] take every numbered
+   algorithm; [sweep], [check] and [lockhunt] (cycle-only commands, on
+   which Algorithm 4 is Algorithm 1) take 1-3. *)
+let algorithm ?cmd alg =
+  match (Asyncolor.Algos.find (string_of_int alg), cmd) with
+  | Some entry, None -> entry
+  | Some entry, Some _ when alg <= 3 -> entry
+  | _, None -> usage_error ~flag:"-a" "unknown algorithm %d (1-4)" alg
+  | _, Some cmd ->
+      usage_error ~flag:"-a" "%s supports algorithms 1-3, not %d" cmd alg
 
-  let run ~pp_output ~equal ~in_palette ~graph ~idents ~adv ~max_steps ~verbose =
-    let engine = E.create ~record_trace:verbose graph ~idents in
-    let r = E.run ~max_steps engine adv in
-    let verdict = Checker.check ~equal ~in_palette graph r.outputs in
-    if verbose then Format.printf "%a@.@." E.pp_spacetime engine;
-    if verbose then
-      List.iter
-        (fun (e : E.event) ->
-          Printf.printf "t=%-4d activated={%s}%s\n" e.time
-            (String.concat "," (List.map string_of_int e.activated))
-            (match e.returned with
-            | [] -> ""
-            | l ->
-                " returned: "
-                ^ String.concat ", "
-                    (List.map (fun (p, o) -> Printf.sprintf "p%d=%s" p (pp_output o)) l)))
-        (E.trace engine);
-    Array.iteri
-      (fun p out ->
-        Printf.printf "p%-4d id=%-8d %s\n" p idents.(p)
-          (match out with
-          | Some o -> "colour " ^ pp_output o
-          | None -> "did not return (crashed or cut off)"))
-      r.outputs;
-    Printf.printf
-      "steps=%d rounds(max activations)=%d all_returned=%b proper=%b palette_ok=%b \
-       distinct=%d\n"
-      r.steps r.rounds r.all_returned verdict.Checker.proper
-      (verdict.Checker.off_palette = [])
-      verdict.Checker.distinct_colors;
-    if not (Checker.ok verdict) then (
-      Format.printf "VIOLATION: %a@." Checker.pp verdict;
-      exit 1)
-end
-
-module Show1 = Show (Asyncolor.Algorithm1.P)
-module Show2 = Show (Asyncolor.Algorithm2.P)
-module Show3 = Show (Asyncolor.Algorithm3.P)
-module Show4 = Show (Asyncolor.Algorithm4.P)
-
-let run_algorithm ~alg ~graph ~idents ~adv ~max_steps ~verbose =
-  let pair_pp (a, b) = Printf.sprintf "(%d,%d)" a b in
-  match alg with
-  | 1 ->
-      Show1.run ~pp_output:pair_pp
-        ~equal:(fun a b -> a = b)
-        ~in_palette:(Color.pair_in_palette ~budget:2)
-        ~graph ~idents ~adv ~max_steps ~verbose
-  | 2 ->
-      Show2.run ~pp_output:string_of_int ~equal:Int.equal ~in_palette:Color.in_five
-        ~graph ~idents ~adv ~max_steps ~verbose
-  | 3 ->
-      Show3.run ~pp_output:string_of_int ~equal:Int.equal ~in_palette:Color.in_five
-        ~graph ~idents ~adv ~max_steps ~verbose
-  | 4 ->
-      Show4.run ~pp_output:pair_pp
-        ~equal:(fun a b -> a = b)
-        ~in_palette:(Asyncolor.Algorithm4.in_palette ~max_degree:(Graph.max_degree graph))
-        ~graph ~idents ~adv ~max_steps ~verbose
-  | n -> usage_error ~flag:"-a" "unknown algorithm %d (1-4)" n
+(* One execution, judged by the algorithm's palette claim on the graph. *)
+let run_algorithm (Asyncolor.Algos.Any alg) ~graph ~on_cycle ~idents ~adv
+    ~max_steps ~verbose =
+  let (module P) = alg.protocol in
+  let module E = Asyncolor_kernel.Engine.Make (P) in
+  let show o = Format.asprintf "%a" P.pp_output o in
+  let engine = E.create ~record_trace:verbose graph ~idents in
+  let r = E.run ~max_steps engine adv in
+  let verdict =
+    Checker.check ~equal:alg.equal
+      ~in_palette:(alg.palette graph ~on_cycle)
+      graph r.outputs
+  in
+  if verbose then Format.printf "%a@.@." E.pp_spacetime engine;
+  if verbose then
+    List.iter
+      (fun (e : E.event) ->
+        Printf.printf "t=%-4d activated={%s}%s\n" e.time
+          (String.concat "," (List.map string_of_int e.activated))
+          (match e.returned with
+          | [] -> ""
+          | l ->
+              " returned: "
+              ^ String.concat ", "
+                  (List.map (fun (p, o) -> Printf.sprintf "p%d=%s" p (show o)) l)))
+      (E.trace engine);
+  Array.iteri
+    (fun p out ->
+      Printf.printf "p%-4d id=%-8d %s\n" p idents.(p)
+        (match out with
+        | Some o -> "colour " ^ show o
+        | None -> "did not return (crashed or cut off)"))
+    r.outputs;
+  Printf.printf
+    "steps=%d rounds(max activations)=%d all_returned=%b proper=%b palette_ok=%b \
+     distinct=%d\n"
+    r.steps r.rounds r.all_returned verdict.Checker.proper
+    (verdict.Checker.off_palette = [])
+    verdict.Checker.distinct_colors;
+  if not (Checker.ok verdict) then (
+    Format.printf "VIOLATION: %a@." Checker.pp verdict;
+    exit 1)
 
 open Cmdliner
 
@@ -412,7 +399,8 @@ let run_cmd =
     let n = Graph.n graph in
     let idents = make_idents ~kind:idents_kind ~seed n in
     let adv = make_adversary ~kind:adv_kind ~seed ~n in
-    run_algorithm ~alg ~graph ~idents ~adv ~max_steps ~verbose
+    run_algorithm (algorithm alg) ~graph ~on_cycle:(graph_kind = "cycle")
+      ~idents ~adv ~max_steps ~verbose
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -429,6 +417,9 @@ let sweep_cmd =
   in
   let f alg seed idents_kind sizes jobs =
     announce_seed seed;
+    let (Asyncolor.Algos.Any alg) = algorithm ~cmd:"sweep" alg in
+    let (module P) = alg.protocol in
+    let module S = Asyncolor_experiments.Harness.Sweep (P) in
     (* Each size is one self-contained cell: it builds its own graph,
        identifiers and (seed-derived) adversary suite, so the cells fan
        out across domains and the rows merge back in size order — the
@@ -438,19 +429,9 @@ let sweep_cmd =
       let idents = make_idents ~kind:idents_kind ~seed n in
       let suite = Asyncolor_experiments.Harness.adversary_suite ~seed in
       let summary =
-        match alg with
-        | 1 ->
-            let module S = Asyncolor_experiments.Harness.Sweep (Asyncolor.Algorithm1.P) in
-            S.run
-              ~equal:(fun a b -> a = b)
-              ~in_palette:(Color.pair_in_palette ~budget:2) ~graph ~idents suite
-        | 2 ->
-            let module S = Asyncolor_experiments.Harness.Sweep (Asyncolor.Algorithm2.P) in
-            S.run ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents suite
-        | 3 ->
-            let module S = Asyncolor_experiments.Harness.Sweep (Asyncolor.Algorithm3.P) in
-            S.run ~equal:Int.equal ~in_palette:Color.in_five ~graph ~idents suite
-        | n -> usage_error ~flag:"-a" "sweep supports algorithms 1-3, not %d" n
+        S.run ~equal:alg.equal
+          ~in_palette:(alg.palette graph ~on_cycle:true)
+          ~graph ~idents suite
       in
       [
         string_of_int n;
@@ -585,8 +566,7 @@ let check_cmd =
     if n > Sys.int_size - 1 then
       usage_error ~flag:"--idents"
         "too many identifiers for packed activation masks (n <= 62)";
-    if alg < 1 || alg > 3 then
-      usage_error ~flag:"-a" "check supports algorithms 1-3, not %d" alg;
+    let (Asyncolor.Algos.Any alg) = algorithm ~cmd:"check" alg in
     if spill_threshold_mb < 0 then
       usage_error ~flag:"--spill-threshold-mb" "must be >= 0, not %d"
         spill_threshold_mb;
@@ -611,87 +591,81 @@ let check_cmd =
       | _ -> ());
       Stop.requested ()
     in
-    let go (type s r o) (module P : Asyncolor_kernel.Protocol.S
-          with type state = s and type register = r and type output = o)
-        (in_palette : o -> bool) =
-      let module Exp = Asyncolor_check.Explorer.Make (P) in
-      (* The safety predicate is rebuilt against whichever graph the run
-         actually uses — the CLI-provided cycle for a fresh run, the
-         stored one for --resume — so fresh and resumed runs share every
-         line of the reporting path below. *)
-      let coloring_check graph outs =
-        let v = Checker.check ~equal:(fun a b -> a = b) ~in_palette graph outs in
+    let (module P) = alg.protocol in
+    let module Exp = Asyncolor_check.Explorer.Make (P) in
+    (* The safety predicate is rebuilt against whichever graph the run
+       actually uses — the CLI-provided cycle for a fresh run, the
+       stored one for --resume — so fresh and resumed runs share every
+       line of the reporting path below. *)
+    let coloring_check graph =
+      let in_palette = alg.palette graph ~on_cycle:true in
+      fun outs ->
+        let v = Checker.check ~equal:alg.equal ~in_palette graph outs in
         if Checker.ok v then None else Some (Format.asprintf "%a" Checker.pp v)
-      in
-      let t0 = Oclock.monotonic () in
-      let r =
-        match
-          Stop.with_signals (fun () ->
-              match resume with
-              | Some path ->
-                  let info = Exp.resume_info path in
-                  Diag.printf
-                    "resuming %s: %d configs interned, %d pending (n=%d)\n"
-                    path info.ri_configs info.ri_pending
-                    (Graph.n info.ri_graph);
-                  Exp.explore_resume ~jobs ?checkpoint ?budget ~stop ?spill
-                    ~chaos
-                    ~check_outputs:(coloring_check info.ri_graph) ~obs path
-              | None ->
-                  let graph = Builders.cycle n in
-                  Exp.explore ~mode ~max_configs ~jobs ?checkpoint ?budget
-                    ~stop ~symmetry ?spill ~chaos
-                    ~check_outputs:(coloring_check graph) ~obs graph ~idents)
-        with
-        | r -> r
-        | exception Checkpoint.Corrupt msg ->
-            io_exit ~chaos
-              ~candidates:(Option.to_list ckpt_path @ Option.to_list resume)
-              msg
-      in
-      let dt = elapsed_s t0 in
-      Diag.printf "explored %d configs in %.3fs (%.0f configs/sec, jobs=%d)\n"
-        r.configs dt
-        (float_of_int r.configs /. Float.max dt 1e-9)
-        jobs;
-      let per_config =
-        let metrics = Obs.metrics obs in
-        List.filter_map
-          (fun (store, gauge) ->
-            match List.assoc_opt gauge metrics with
-            | Some b when r.configs > 0 ->
-                Some (store, float_of_int b /. float_of_int r.configs)
-            | _ -> None)
-          [
-            ("intern store", "explorer.intern_bytes");
-            ("adjacency", "explorer.adj_bytes");
-            ("tables", "explorer.table_bytes");
-          ]
-      in
-      Diag.printf "%s\n" (memory_pressure_line ~per_config ?spill ());
-      chaos_stats_line chaos;
-      finish_obs obs ~trace_out ~metrics;
-      (match budget with
-      | Some b when Budget.exceeded b ->
-          Diag.printf "budget exceeded (%s): truncated report\n"
-            (Budget.describe b)
-      | _ -> ());
-      Format.printf "%a@." Exp.pp_report r;
-      (match r.livelock with
-      | Some v ->
-          Format.printf "lasso schedule: %s@."
-            (String.concat " "
-               (List.map
-                  (fun l -> "{" ^ String.concat "," (List.map string_of_int l) ^ "}")
-                  v.schedule))
-      | None -> ());
-      List.iter (fun (v : Exp.violation) -> Format.printf "violation: %s@." v.message) r.safety
     in
-    match alg with
-    | 1 -> go (module Asyncolor.Algorithm1.P) (Color.pair_in_palette ~budget:2)
-    | 2 -> go (module Asyncolor.Algorithm2.P) Color.in_five
-    | 3 -> go (module Asyncolor.Algorithm3.P) Color.in_five
-    | _ -> assert false (* [-a] was checked before any work *)
+    let t0 = Oclock.monotonic () in
+    let r =
+      match
+        Stop.with_signals (fun () ->
+            match resume with
+            | Some path ->
+                let info = Exp.resume_info path in
+                Diag.printf
+                  "resuming %s: %d configs interned, %d pending (n=%d)\n"
+                  path info.ri_configs info.ri_pending
+                  (Graph.n info.ri_graph);
+                Exp.explore_resume ~jobs ?checkpoint ?budget ~stop ?spill
+                  ~chaos
+                  ~check_outputs:(coloring_check info.ri_graph) ~obs path
+            | None ->
+                let graph = Builders.cycle n in
+                Exp.explore ~mode ~max_configs ~jobs ?checkpoint ?budget
+                  ~stop ~symmetry ?spill ~chaos
+                  ~check_outputs:(coloring_check graph) ~obs graph ~idents)
+      with
+      | r -> r
+      | exception Checkpoint.Corrupt msg ->
+          io_exit ~chaos
+            ~candidates:(Option.to_list ckpt_path @ Option.to_list resume)
+            msg
+    in
+    let dt = elapsed_s t0 in
+    Diag.printf "explored %d configs in %.3fs (%.0f configs/sec, jobs=%d)\n"
+      r.configs dt
+      (float_of_int r.configs /. Float.max dt 1e-9)
+      jobs;
+    let per_config =
+      let metrics = Obs.metrics obs in
+      List.filter_map
+        (fun (store, gauge) ->
+          match List.assoc_opt gauge metrics with
+          | Some b when r.configs > 0 ->
+              Some (store, float_of_int b /. float_of_int r.configs)
+          | _ -> None)
+        [
+          ("intern store", "explorer.intern_bytes");
+          ("adjacency", "explorer.adj_bytes");
+          ("tables", "explorer.table_bytes");
+        ]
+    in
+    Diag.printf "%s\n" (memory_pressure_line ~per_config ?spill ());
+    chaos_stats_line chaos;
+    finish_obs obs ~trace_out ~metrics;
+    (match budget with
+    | Some b when Budget.exceeded b ->
+        Diag.printf "budget exceeded (%s): truncated report\n"
+          (Budget.describe b)
+    | _ -> ());
+    Format.printf "%a@." Exp.pp_report r;
+    (match r.livelock with
+    | Some v ->
+        Format.printf "lasso schedule: %s@."
+          (String.concat " "
+             (List.map
+                (fun l -> "{" ^ String.concat "," (List.map string_of_int l) ^ "}")
+                v.schedule))
+    | None -> ());
+    List.iter (fun (v : Exp.violation) -> Format.printf "violation: %s@." v.message) r.safety
   in
   let exits =
     Cmd.Exit.info io_exit_code
@@ -718,45 +692,38 @@ let lockhunt_cmd =
     let idents = make_idents ~kind:idents_kind ~seed n in
     let budget = make_budget ~time_s ~mem_mb in
     let table = Table.create ~headers:[ "pair"; "locked"; "steps"; "pair activations" ] in
-    let report (findings : (int * int) list) total =
-      Printf.printf "%d/%d pairs lock\n" (List.length findings) total
+    let (Asyncolor.Algos.Any alg) = algorithm ~cmd:"lockhunt" alg in
+    let (module P) = alg.protocol in
+    let module H = Asyncolor_check.Lockhunt.Make (P) in
+    let t0 = Oclock.monotonic () in
+    let findings =
+      Stop.with_signals (fun () ->
+          H.hunt ~jobs ?budget ~stop:Stop.requested ~obs graph ~idents)
     in
-    let hunt (type s r) (module P : Asyncolor_kernel.Protocol.S
-          with type state = s and type register = r) =
-      let module H = Asyncolor_check.Lockhunt.Make (P) in
-      let t0 = Oclock.monotonic () in
-      let findings =
-        Stop.with_signals (fun () ->
-            H.hunt ~jobs ?budget ~stop:Stop.requested ~obs graph ~idents)
-      in
-      let dt = elapsed_s t0 in
-      Diag.printf "%d probes in %.3fs (%.0f probes/sec, jobs=%d)\n"
-        (List.length findings) dt
-        (float_of_int (List.length findings) /. Float.max dt 1e-9)
-        jobs;
-      Diag.printf "%s\n" (memory_pressure_line ());
-      let nedges = List.length (Graph.edges graph) in
-      if List.length findings < nedges then
-        Printf.printf "hunt cut short: probed %d/%d pairs\n"
-          (List.length findings) nedges;
-      List.iter
-        (fun (f : H.finding) ->
-          if f.locked then
-            Table.add_row table
-              [
-                Printf.sprintf "(%d,%d)" (fst f.pair) (snd f.pair);
-                "yes";
-                string_of_int f.steps;
-                Printf.sprintf "(%d,%d)" (fst f.pair_activations) (snd f.pair_activations);
-              ])
-        findings;
-      report (H.locked findings) (List.length findings)
-    in
-    (match alg with
-    | 1 -> hunt (module Asyncolor.Algorithm1.P)
-    | 2 -> hunt (module Asyncolor.Algorithm2.P)
-    | 3 -> hunt (module Asyncolor.Algorithm3.P)
-    | n -> usage_error ~flag:"-a" "lockhunt supports algorithms 1-3, not %d" n);
+    let dt = elapsed_s t0 in
+    Diag.printf "%d probes in %.3fs (%.0f probes/sec, jobs=%d)\n"
+      (List.length findings) dt
+      (float_of_int (List.length findings) /. Float.max dt 1e-9)
+      jobs;
+    Diag.printf "%s\n" (memory_pressure_line ());
+    let nedges = List.length (Graph.edges graph) in
+    if List.length findings < nedges then
+      Printf.printf "hunt cut short: probed %d/%d pairs\n"
+        (List.length findings) nedges;
+    List.iter
+      (fun (f : H.finding) ->
+        if f.locked then
+          Table.add_row table
+            [
+              Printf.sprintf "(%d,%d)" (fst f.pair) (snd f.pair);
+              "yes";
+              string_of_int f.steps;
+              Printf.sprintf "(%d,%d)" (fst f.pair_activations) (snd f.pair_activations);
+            ])
+      findings;
+    Printf.printf "%d/%d pairs lock\n"
+      (List.length (H.locked findings))
+      (List.length findings);
     Table.print table;
     finish_obs obs ~trace_out ~metrics
   in
@@ -1111,7 +1078,8 @@ let replay_cmd =
         let graph = Builders.cycle n in
         let idents = make_idents ~kind:idents_kind ~seed n in
         let adv = Adversary.finite (Adversary.parse sched) in
-        run_algorithm ~alg ~graph ~idents ~adv ~max_steps:1_000_000 ~verbose
+        run_algorithm (algorithm alg) ~graph ~on_cycle:true ~idents ~adv
+          ~max_steps:1_000_000 ~verbose
     | _ ->
         usage_error ~flag:"--trace" "replay needs exactly one of --schedule and --trace"
   in

@@ -117,31 +117,7 @@ let ring_dist n a b =
   let d = abs (a - b) in
   min d (n - d)
 
-(* The protocol plus what the invariant suite needs: palette membership
-   and the wait-freedom activation bound (both cycle-only here). *)
-module type PROTO = sig
-  include Asyncolor_kernel.Protocol.S with type output = int
-
-  val in_palette : int -> bool
-  val bound : n:int -> int
-end
-
-let proto : algo -> (module PROTO) = function
-  | A2 ->
-      (module struct
-        include Asyncolor.Algorithm2.P
-
-        (* 5 colours on the cycle: the 2Δ+1 palette at Δ = 2. *)
-        let in_palette = Asyncolor.Algorithm2.in_general_palette ~max_degree:2
-        let bound ~n = Asyncolor.Algorithm2.activation_bound n
-      end)
-  | A3 ->
-      (module struct
-        include Asyncolor.Algorithm3.P
-
-        let in_palette = Asyncolor.Color.in_five
-        let bound ~n = Asyncolor.Algorithm3.activation_bound n
-      end)
+let entry = function A2 -> Asyncolor.Algos.a2 | A3 -> Asyncolor.Algos.a3
 
 (* Observability: counters are sharded per domain in the sink, so
    parallel sessions never contend; everything is out-of-band and leaves
@@ -191,16 +167,18 @@ let same_output (a : int Status.t) (b : int Status.t) =
 let run ?(obs = Obs.disabled) cfg ~seed ~session =
   validate_config cfg;
   let octx = make_octx obs in
-  let (module P) = proto cfg.algo in
+  let alg = entry cfg.algo in
+  let (module P) = alg.protocol in
   let module E = Asyncolor_kernel.Engine.Make (P) in
   let n = cfg.n in
   let graph = Builders.cycle n in
+  let in_palette = alg.palette graph ~on_cycle:true in
   let universe = max 64 (4 * n) in
   let base = session_seed ~seed session in
   let prng = Prng.create ~seed:base in
   let idents = Idents.random_sparse prng ~n ~universe in
   let engine = E.create graph ~idents in
-  let heal_bound = P.bound ~n in
+  let heal_bound = Option.get alg.bound n in
   (* The session loop allocates nothing in steady state beyond what the
      result keeps (latency and radius samples, violations) and what the
      engine step itself allocates.  Node sets are bitmasks (n <= 62),
@@ -359,7 +337,7 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
     for p = 0 to n - 1 do
       match E.status engine p with
       | Status.Returned c ->
-          if not (P.in_palette c) then ok := false;
+          if not (in_palette c) then ok := false;
           let nbrs = Graph.neighbours graph p in
           for i = 0 to Array.length nbrs - 1 do
             match E.status engine nbrs.(i) with
@@ -433,7 +411,7 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
        palette — the other half of the recovery invariant *)
     if (not !give_up) && not (coloring_ok ()) then begin
       let verdict =
-        Checker.check ~equal:Int.equal ~in_palette:P.in_palette graph
+        Checker.check ~equal:Int.equal ~in_palette graph
           (E.outputs engine)
       in
       if not (Checker.ok verdict) then

@@ -4,16 +4,6 @@ module Builders = Asyncolor_topology.Builders
 
 type fields = { x : int; a : int; b : int }
 
-(* The (1-based) k-th natural not in [taken]. *)
-let kth_free k taken =
-  let taken = List.sort_uniq compare taken in
-  let rec scan k cand = function
-    | t :: rest when t < cand -> scan k cand rest
-    | t :: rest when t = cand -> scan k (cand + 1) rest
-    | rest -> if k = 1 then cand else scan (k - 1) (cand + 1) rest
-  in
-  scan k 0 taken
-
 module P = struct
   type state = fields
   type register = fields
@@ -33,7 +23,7 @@ module P = struct
       let c_plus = List.concat_map (fun r -> [ r.a; r.b ]) higher in
       (* the symmetry breaker: offset the b choice by the local rank *)
       let rank = 1 + List.length higher in
-      Step.Continue { s with a = Mex.of_list c_plus; b = kth_free rank c }
+      Step.Continue { s with a = Mex.of_list c_plus; b = Mex.kth_free rank c }
     end
 
   let equal_state (s : state) (s' : state) = s = s'

@@ -1,7 +1,7 @@
 module Graph = Asyncolor_topology.Graph
 module Status = Asyncolor_kernel.Status
 module Checker = Asyncolor.Checker
-module Color = Asyncolor.Color
+module Algos = Asyncolor.Algos
 
 type violation = { invariant : string; message : string }
 
@@ -21,114 +21,35 @@ type outcome = {
   returned : int;
 }
 
-(* A protocol plus everything the invariant suite needs to judge a run of
-   it: output equality and rendering, the palette claim (graph-dependent)
-   and the wait-freedom activation bound (cycle-only). *)
-module type ALG = sig
-  include Asyncolor_kernel.Protocol.S
-
-  val equal_output : output -> output -> bool
-  val show_output : output -> string
-  val palette : graph:Graph.t -> on_cycle:bool -> (output -> bool) option
-  val bound : n:int -> on_cycle:bool -> int option
-end
-
-let a1_alg (p : Mutation.a1_protocol) : (module ALG) =
-  let (module P) = p in
-  (module struct
-    include P
-
-    let equal_output (a : output) (b : output) = a = b
-    let show_output (a, b) = Printf.sprintf "(%d,%d)" a b
-
-    let palette ~graph ~on_cycle =
-      (* Theorem 3.1 on the cycle (a + b <= 2); Appendix A's Algorithm 4
-         palette (a + b <= Δ) elsewhere. *)
-      let budget = if on_cycle then 2 else Graph.max_degree graph in
-      Some (Color.pair_in_palette ~budget)
-
-    let bound ~n ~on_cycle =
-      if on_cycle then Some (Asyncolor.Algorithm1.activation_bound n) else None
-  end)
-
-(* Generic builder for the int-output protocols (Algorithms 2, 2s, 3 and
-   the Algorithm-2 mutants); palette claim and activation bound are the
-   per-algorithm parameters. *)
-let int_alg (type s r)
-    (module P : Asyncolor_kernel.Protocol.S
-      with type state = s
-       and type register = r
-       and type output = int)
-    ~(palette : graph:Graph.t -> on_cycle:bool -> (int -> bool) option)
-    ~(bound : n:int -> on_cycle:bool -> int option) : (module ALG) =
-  (module struct
-    include P
-
-    let equal_output = Int.equal
-    let show_output = string_of_int
-    let palette = palette
-    let bound = bound
-  end)
-
-let a2_alg (p : Mutation.a2_protocol) : (module ALG) =
-  let (module P) = p in
-  int_alg
-    (module P)
-    (* 5 colours on the cycle (Δ = 2), the 2Δ+1 general palette beyond. *)
-    ~palette:(fun ~graph ~on_cycle:_ ->
-      Some
-        (Asyncolor.Algorithm2.in_general_palette
-           ~max_degree:(Graph.max_degree graph)))
-    ~bound:(fun ~n ~on_cycle ->
-      if on_cycle then Some (Asyncolor.Algorithm2.activation_bound n) else None)
-
-let a2s_alg () : (module ALG) =
-  (* Algorithm 2s is not wait-free (the symmetric lasso of E13), so no
-     activation bound applies; palette is the 7-colour one, cycle only. *)
-  int_alg
-    (module Asyncolor.Algorithm2s.P)
-    ~palette:(fun ~graph:_ ~on_cycle ->
-      if on_cycle then Some Asyncolor.Algorithm2s.in_palette else None)
-    ~bound:(fun ~n:_ ~on_cycle:_ -> None)
-
-let a3_alg () : (module ALG) =
-  int_alg
-    (module Asyncolor.Algorithm3.P)
-    ~palette:(fun ~graph:_ ~on_cycle:_ -> Some Color.in_five)
-    ~bound:(fun ~n ~on_cycle ->
-      if on_cycle then Some (Asyncolor.Algorithm3.activation_bound n) else None)
-
-let resolve (sc : Scenario.t) : (module ALG) =
+(* The table entry the scenario names, its protocol swapped for the
+   planted one when a protocol mutation applies. *)
+let resolve (sc : Scenario.t) : Algos.any =
+  let name = Scenario.algo_name sc.algo in
   let bad_mutation m =
     invalid_arg
       (Printf.sprintf "Exec.run: mutation %S does not apply to algorithm %s" m
-         (Scenario.algo_name sc.algo))
+         name)
+  in
+  let plant entry m = function
+    | Some protocol -> Algos.Any { entry with Algos.protocol }
+    | None -> bad_mutation m
   in
   match (sc.algo, sc.mutation) with
-  | Scenario.A1, None -> a1_alg (module Asyncolor.Algorithm1.P)
-  | Scenario.A1, Some m -> (
-      match Mutation.a1_protocol m with
-      | Some p -> a1_alg p
-      | None -> bad_mutation m)
-  | Scenario.A2, None -> a2_alg (module Asyncolor.Algorithm2.P)
-  | Scenario.A2, Some m when Mutation.is_churn m -> (
-      (* churn mutants corrupt the recovery machinery in [drive], not the
-         protocol: the clean step function runs *)
-      match Mutation.find m with
-      | Some _ -> a2_alg (module Asyncolor.Algorithm2.P)
-      | None -> bad_mutation m)
-  | Scenario.A2, Some m -> (
-      match Mutation.a2_protocol m with
-      | Some p -> a2_alg p
-      | None -> bad_mutation m)
-  | Scenario.A2s, None -> a2s_alg ()
-  | Scenario.A3, None -> a3_alg ()
+  | _, None -> Option.get (Algos.find name)
+  (* churn mutants corrupt the recovery machinery in [drive], not the
+     protocol: the clean step function runs *)
+  | Scenario.A2, Some m when Mutation.is_churn m && Mutation.find m <> None ->
+      Algos.Any Algos.a2
+  | Scenario.A1, Some m -> plant Algos.a1 m (Mutation.a1_protocol m)
+  | Scenario.A2, Some m -> plant Algos.a2 m (Mutation.a2_protocol m)
   | (Scenario.A2s | Scenario.A3), Some m -> bad_mutation m
 
 let mask_of_set set = List.fold_left (fun m p -> m lor (1 lsl p)) 0 set
 
-let run_alg (module A : ALG) (sc : Scenario.t) : outcome =
-  let module E = Asyncolor_kernel.Engine.Make (A) in
+let run_alg (type o) (alg : o Algos.t) (sc : Scenario.t) : outcome =
+  let (module P) = alg.Algos.protocol in
+  let module E = Asyncolor_kernel.Engine.Make (P) in
+  let show o = Format.asprintf "%a" P.pp_output o in
   let graph = Scenario.build_graph sc.graph in
   let n = Graph.n graph in
   let on_cycle = match sc.graph with Scenario.Cycle _ -> true | _ -> false in
@@ -199,7 +120,7 @@ let run_alg (module A : ALG) (sc : Scenario.t) : outcome =
              "process %d not re-initialised on recovery (status %s, %d \
               activations)"
              p
-             (Format.asprintf "%a" (Status.pp A.pp_output) st)
+             (Format.asprintf "%a" (Status.pp P.pp_output) st)
              (E.activations engine p)));
     for u = 0 to n - 1 do
       for v = u + 1 to n - 1 do
@@ -215,14 +136,13 @@ let run_alg (module A : ALG) (sc : Scenario.t) : outcome =
   let run_outputs = E.outputs engine in
   let run_activations = Array.init n (fun p -> E.activations engine p) in
   (* 1-2: proper colouring of the returned subgraph + palette membership *)
-  let in_palette =
-    match A.palette ~graph ~on_cycle with Some f -> f | None -> fun _ -> true
-  in
   let verdict =
-    Checker.check ~equal:A.equal_output ~in_palette graph run_outputs
+    Checker.check ~equal:alg.equal
+      ~in_palette:(alg.palette graph ~on_cycle)
+      graph run_outputs
   in
   let show_out p =
-    match run_outputs.(p) with Some o -> A.show_output o | None -> "⊥"
+    match run_outputs.(p) with Some o -> show o | None -> "⊥"
   in
   if not verdict.Checker.proper then
     add "proper"
@@ -244,8 +164,9 @@ let run_alg (module A : ALG) (sc : Scenario.t) : outcome =
      model (frozen registers of returned neighbours), where the bounds of
      Theorems 3.1/3.11/4.4 are simply not claimed — and demonstrably do
      not hold under lockstep scheduling. *)
-  (match A.bound ~n ~on_cycle with
-  | Some b when churn = [] ->
+  (match alg.bound with
+  | Some bound when on_cycle && churn = [] ->
+      let b = bound n in
       Array.iteri
         (fun p a ->
           if a > b then
@@ -271,7 +192,7 @@ let run_alg (module A : ALG) (sc : Scenario.t) : outcome =
       let same_status =
         match (E.status engine p, E.status e2 p) with
         | Status.Asleep, Status.Asleep | Status.Working, Status.Working -> true
-        | Status.Returned a, Status.Returned b -> A.equal_output a b
+        | Status.Returned a, Status.Returned b -> alg.equal a b
         | _ -> false
       in
       if (not same_status) || E.activations engine p <> E.activations e2 p then
@@ -284,8 +205,8 @@ let run_alg (module A : ALG) (sc : Scenario.t) : outcome =
              "process %d diverges between activate and activate_mask \
               (status %s vs %s, activations %d vs %d)"
              p
-             (Format.asprintf "%a" (Status.pp A.pp_output) (E.status engine p))
-             (Format.asprintf "%a" (Status.pp A.pp_output) (E.status e2 p))
+             (Format.asprintf "%a" (Status.pp P.pp_output) (E.status engine p))
+             (Format.asprintf "%a" (Status.pp P.pp_output) (E.status e2 p))
              (E.activations engine p) (E.activations e2 p))
     | None -> ()
   end;
@@ -295,7 +216,7 @@ let run_alg (module A : ALG) (sc : Scenario.t) : outcome =
         {
           time = e.E.time;
           activated = e.E.activated;
-          returned = List.map (fun (p, o) -> (p, A.show_output o)) e.E.returned;
+          returned = List.map (fun (p, o) -> (p, show o)) e.E.returned;
           resets = e.E.resets;
         })
       (E.trace engine)
@@ -303,7 +224,7 @@ let run_alg (module A : ALG) (sc : Scenario.t) : outcome =
   {
     violations = List.rev !violations;
     events;
-    outputs = Array.map (Option.map A.show_output) run_outputs;
+    outputs = Array.map (Option.map show) run_outputs;
     activations = run_activations;
     steps = run_steps;
     returned = verdict.Checker.returned;
@@ -311,7 +232,7 @@ let run_alg (module A : ALG) (sc : Scenario.t) : outcome =
 
 let run (sc : Scenario.t) : outcome =
   Scenario.validate sc;
-  run_alg (resolve sc) sc
+  match resolve sc with Algos.Any alg -> run_alg alg sc
 
 let fails_invariant sc ~invariant =
   List.exists (fun v -> v.invariant = invariant) (run sc).violations

@@ -25,11 +25,11 @@
     + {b churn-fresh-ident} — installed identifiers stay pairwise
       distinct after every recovery.
 
-    The suite is pluggable at the [ALG] seam: a protocol plus its palette
-    claim and activation bound.  {!Mutation} supplies deliberately broken
-    protocols through the same seam — except the ["churn-"] mutants,
-    whose planted bug corrupts how this module applies recovery events
-    while the protocol itself stays clean. *)
+    The protocol, its palette claim and its activation bound come from
+    the scenario's entry in {!Asyncolor.Algos}.  {!Mutation} supplies
+    deliberately broken protocols in place of the entry's — except the
+    ["churn-"] mutants, whose planted bug corrupts how this module
+    applies recovery events while the protocol itself stays clean. *)
 
 type violation = { invariant : string; message : string }
 

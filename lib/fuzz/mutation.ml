@@ -94,24 +94,12 @@ module Palette_off_by_one = struct
     | c -> c
 end
 
-type a1_protocol =
-  (module Asyncolor_kernel.Protocol.S
-     with type state = Asyncolor.Algorithm1.fields
-      and type register = Asyncolor.Algorithm1.fields
-      and type output = Asyncolor.Color.pair)
-
-type a2_protocol =
-  (module Asyncolor_kernel.Protocol.S
-     with type state = Asyncolor.Algorithm2.fields
-      and type register = Asyncolor.Algorithm2.fields
-      and type output = int)
-
-let a1_protocol name : a1_protocol option =
+let a1_protocol name : Asyncolor.Color.pair Asyncolor.Algos.protocol option =
   match name with
   | "palette-off-by-one" -> Some (module Palette_off_by_one)
   | _ -> None
 
-let a2_protocol name : a2_protocol option =
+let a2_protocol name : int Asyncolor.Algos.protocol option =
   match name with
   | "skip-read" -> Some (module Skip_read)
   | "guard-always" -> Some (module Guard_always)

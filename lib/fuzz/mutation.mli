@@ -31,20 +31,8 @@ val is_churn : string -> bool
 
 (** Planted protocols, as first-class modules. *)
 
-type a1_protocol =
-  (module Asyncolor_kernel.Protocol.S
-     with type state = Asyncolor.Algorithm1.fields
-      and type register = Asyncolor.Algorithm1.fields
-      and type output = Asyncolor.Color.pair)
-
-type a2_protocol =
-  (module Asyncolor_kernel.Protocol.S
-     with type state = Asyncolor.Algorithm2.fields
-      and type register = Asyncolor.Algorithm2.fields
-      and type output = int)
-
-val a1_protocol : string -> a1_protocol option
+val a1_protocol : string -> Asyncolor.Color.pair Asyncolor.Algos.protocol option
 (** The Algorithm 1 mutant of that name, if any. *)
 
-val a2_protocol : string -> a2_protocol option
+val a2_protocol : string -> int Asyncolor.Algos.protocol option
 (** The Algorithm 2 mutant of that name, if any. *)

@@ -2,9 +2,10 @@
 
    Greedy descent over the structural shrinking primitives of {!Scenario},
    re-running the scenario after every candidate edit and keeping it only
-   if the *same invariant* still fails.  Each accepted edit strictly
-   decreases the scenario's size (node count, then steps, then
-   activation-set occupancy), so the loop terminates; an exec budget additionally caps
+   if the *same invariant* still fails.  Each accepted edit lowers at
+   least one of node count, churn events, steps and activation-set
+   occupancy and raises none of them (test_fuzz checks this of every
+   primitive), so the loop terminates; an exec budget additionally caps
    pathological searches.  Everything is deterministic: same input, same
    minimum. *)
 

@@ -1,18 +1,8 @@
 module Step = Asyncolor_kernel.Step
 module Builders = Asyncolor_topology.Builders
+module Mex = Asyncolor_util.Mex
 
 type fields = { x : int; proposal : int }
-
-let kth_free k taken =
-  if k < 1 then invalid_arg "Renaming.kth_free: k must be >= 1";
-  let taken = List.sort_uniq compare taken in
-  let rec scan k candidate taken =
-    match taken with
-    | t :: rest when t < candidate -> scan k candidate rest
-    | t :: rest when t = candidate -> scan k (candidate + 1) rest
-    | _ -> if k = 1 then candidate else scan (k - 1) (candidate + 1) taken
-  in
-  scan k 0 taken
 
 module P = struct
   type state = fields
@@ -33,7 +23,7 @@ module P = struct
         1 + List.length (List.filter (fun id -> id < s.x) ids)
       in
       let taken = List.map (fun r -> r.proposal) others in
-      Step.Continue { s with proposal = kth_free rank taken }
+      Step.Continue { s with proposal = Mex.kth_free rank taken }
     end
 
   let equal_state (s : state) (s' : state) = s = s'

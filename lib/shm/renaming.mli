@@ -28,10 +28,6 @@ val name_bound : int -> int
     output among [n] processes, i.e. names lie in [{0, …, 2n−2}] —
     a palette of [2n − 1] names. *)
 
-val kth_free : int -> int list -> int
-(** [kth_free k taken] is the [k]-th smallest natural (1-based [k]) not in
-    [taken].  Exposed for testing.  @raise Invalid_argument if [k < 1]. *)
-
 val run : ?max_steps:int -> n:int -> idents:int array -> Asyncolor_kernel.Adversary.t -> E.run_result
 (** Run renaming among [n] processes (complete graph).
     @raise Invalid_argument if [Array.length idents <> n] or [n < 2]. *)

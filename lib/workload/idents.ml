@@ -76,8 +76,9 @@ let longest_monotone_run a =
       let d = compare y x in
       if d = !dir && d <> 0 then incr run
       else begin
+        (* an edge between equal identifiers is in no strict run *)
         dir := d;
-        run := 1
+        run := if d = 0 then 0 else 1
       end;
       if !run > !best then best := !run
     done;

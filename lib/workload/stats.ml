@@ -24,7 +24,11 @@ let summarize_array a =
   let sum = Array.fold_left ( + ) 0 a in
   let mean = float_of_int sum /. float_of_int n in
   let var =
-    Array.fold_left (fun acc x -> acc +. ((float_of_int x -. mean) ** 2.0)) 0.0 a
+    (* summed over the sorted copy, so the float sum does not depend
+       on the sample's order *)
+    Array.fold_left
+      (fun acc x -> acc +. ((float_of_int x -. mean) ** 2.0))
+      0.0 sorted
     /. float_of_int n
   in
   {

@@ -1,7 +1,10 @@
-(* Direct unit tests for the colour palettes and the output checker. *)
+(* Direct unit tests for the colour palettes, the algorithm table's
+   claims and the output checker. *)
 
 module Color = Asyncolor.Color
+module Algos = Asyncolor.Algos
 module Checker = Asyncolor.Checker
+module Graph = Asyncolor_topology.Graph
 module Builders = Asyncolor_topology.Builders
 
 let check = Alcotest.check
@@ -116,6 +119,98 @@ let test_checker_pp_renders () =
   check Alcotest.bool "mentions the conflict" true
     (Astring.String.is_infix ~affix:"0-1" s)
 
+(* --- The algorithm table ------------------------------------------------ *)
+
+(* The reference the table is held to, written out per algorithm as the
+   fuzzer claims it (palette, [None] for no claim, and cycle bound) and,
+   for Algorithm 4, as [run] judges it.  The table must claim exactly
+   these. *)
+let reference_pair_palette name ~graph ~on_cycle =
+  let delta = Graph.max_degree graph in
+  match name with
+  | "1" -> Some (Color.pair_in_palette ~budget:(if on_cycle then 2 else delta))
+  | "4" -> Some (Asyncolor.Algorithm4.in_palette ~max_degree:delta)
+  | _ -> assert false
+
+let reference_int_palette name ~graph ~on_cycle =
+  match name with
+  | "2" ->
+      Some
+        (Asyncolor.Algorithm2.in_general_palette
+           ~max_degree:(Graph.max_degree graph))
+  | "2s" -> if on_cycle then Some Asyncolor.Algorithm2s.in_palette else None
+  | "3" -> Some Color.in_five
+  | _ -> assert false
+
+let reference_bound name ~n ~on_cycle =
+  if not on_cycle then None
+  else
+    match name with
+    | "1" -> Some (Asyncolor.Algorithm1.activation_bound n)
+    | "2" -> Some (Asyncolor.Algorithm2.activation_bound n)
+    | "3" -> Some (Asyncolor.Algorithm3.activation_bound n)
+    | _ -> None
+
+let table_graphs =
+  List.concat_map
+    (fun n ->
+      [
+        ("cycle", n, Builders.cycle n, true);
+        ("path", n, Builders.path n, false);
+        ("star", n, Builders.star n, false);
+        ("complete", n, Builders.complete n, false);
+      ])
+    [ 3; 4; 5; 6; 7; 8 ]
+
+let agrees_with_reference (type o) name (entry : o Algos.t)
+    (reference : graph:Graph.t -> on_cycle:bool -> (o -> bool) option)
+    (outputs : o list) =
+  let (module P) = entry.protocol in
+  List.iter
+    (fun (kind, n, graph, on_cycle) ->
+      let where = Printf.sprintf "algorithm %s on %s %d" name kind n in
+      let claimed = entry.palette graph ~on_cycle in
+      let reference =
+        Option.value (reference ~graph ~on_cycle) ~default:(fun _ -> true)
+      in
+      List.iter
+        (fun o ->
+          if claimed o <> reference o then
+            Alcotest.failf "%s: palette disagrees on %a" where P.pp_output o)
+        outputs;
+      check
+        Alcotest.(option int)
+        (where ^ ": bound")
+        (reference_bound name ~n ~on_cycle)
+        (if on_cycle then Option.map (fun b -> b n) entry.bound else None))
+    table_graphs
+
+let test_table_matches_reference () =
+  let ints = List.init 23 (fun i -> i - 2) in
+  let pairs = List.concat_map (fun a -> List.map (fun b -> (a, b)) ints) ints in
+  agrees_with_reference "1" Algos.a1 (reference_pair_palette "1") pairs;
+  agrees_with_reference "4" Algos.a4 (reference_pair_palette "4") pairs;
+  List.iter
+    (fun (name, entry) ->
+      agrees_with_reference name entry (reference_int_palette name) ints)
+    [ ("2", Algos.a2); ("2s", Algos.a2s); ("3", Algos.a3) ]
+
+(* [find] knows each algorithm under its CLI and trace spelling, and no
+   other name. *)
+let test_table_find () =
+  List.iter
+    (fun name ->
+      match Algos.find name with
+      | Some (Algos.Any e) ->
+          let (module P) = e.protocol in
+          check Alcotest.string ("protocol of " ^ name)
+            ("algorithm" ^ name) P.name
+      | None -> Alcotest.failf "no entry %S" name)
+    [ "1"; "2"; "2s"; "3"; "4" ];
+  List.iter
+    (fun name -> check Alcotest.bool ("no " ^ name) true (Algos.find name = None))
+    [ ""; "0"; "5"; "2S"; "s2" ]
+
 (* --- Outcome CSVs -------------------------------------------------------- *)
 
 let test_outcome_write_csvs () =
@@ -165,6 +260,12 @@ let () =
           Alcotest.test_case "off palette" `Quick test_checker_off_palette;
           Alcotest.test_case "length mismatch" `Quick test_checker_length_mismatch;
           Alcotest.test_case "pp" `Quick test_checker_pp_renders;
+        ] );
+      ( "algorithm table",
+        [
+          Alcotest.test_case "claims match the reference" `Quick
+            test_table_matches_reference;
+          Alcotest.test_case "find" `Quick test_table_find;
         ] );
       ( "outcome",
         [ Alcotest.test_case "write csvs" `Quick test_outcome_write_csvs ] );

@@ -278,6 +278,59 @@ let test_drop_steps_never_strands_a_crash () =
       ]
   done
 
+(* The shrinker terminates because every primitive, wherever it yields
+   a valid scenario, raises none of (nodes, churn events, steps,
+   occupancy) and lowers at least one. *)
+let measure (sc : Scenario.t) =
+  [
+    Scenario.graph_n sc.graph;
+    List.length sc.churn;
+    Scenario.steps sc;
+    List.fold_left (fun acc set -> acc + List.length set) 0 sc.schedule;
+  ]
+
+let prop_primitives_shrink =
+  QCheck.Test.make ~name:"every shrinking primitive shrinks the measure"
+    ~count:200
+    QCheck.(pair (int_range 0 1_000_000) bool)
+    (fun (seed, churny) ->
+      let prng = Prng.create ~seed in
+      let mutation = if churny then Some "churn-zombie" else None in
+      let sc = Scenario.generate ?mutation prng in
+      let steps = Scenario.steps sc in
+      let drops =
+        List.init 4 (fun _ ->
+            let lo = Prng.int prng steps in
+            let len = 1 + Prng.int prng (steps - lo) in
+            Some (Scenario.drop_steps sc ~lo ~len))
+      in
+      let thins =
+        List.init 4 (fun _ ->
+            let step = Prng.int prng steps in
+            match List.length (List.nth sc.schedule step) with
+            | 0 -> None
+            | len ->
+                Some (Scenario.thin_step sc ~step ~drop:(Prng.int prng len)))
+      in
+      let churns =
+        List.mapi (fun i _ -> Scenario.drop_churn_event sc i) sc.churn
+      in
+      let nodes =
+        List.init (Scenario.graph_n sc.graph) (Scenario.drop_node sc)
+      in
+      let before = measure sc in
+      let shrinks c =
+        match Scenario.validate c with
+        | exception Invalid_argument _ -> true
+        | () ->
+            let after = measure c in
+            List.for_all2 ( >= ) before after
+            && List.exists2 ( > ) before after
+      in
+      List.for_all
+        (function Some c -> shrinks c | None -> true)
+        (drops @ thins @ churns @ nodes))
+
 let churn_finding () =
   (* First churn-zombie counterexample of the seed-7 campaign — the same
      deterministic anchor the mutation-testing suite uses. *)
@@ -449,6 +502,7 @@ let () =
           Alcotest.test_case "minimum still fails, deterministically" `Quick
             test_shrink_preserves_failure;
           Alcotest.test_case "exec budget is honoured" `Quick test_shrink_budget;
+          QCheck_alcotest.to_alcotest prop_primitives_shrink;
         ] );
       ( "churn",
         [

@@ -8,6 +8,7 @@ module Reduction = Asyncolor_shm.Reduction
 module Adversary = Asyncolor_kernel.Adversary
 module Builders = Asyncolor_topology.Builders
 module Prng = Asyncolor_util.Prng
+module Mex = Asyncolor_util.Mex
 module Idents = Asyncolor_workload.Idents
 
 let check = Alcotest.check
@@ -16,14 +17,14 @@ let qtest t = QCheck_alcotest.to_alcotest t
 (* --- kth_free ---------------------------------------------------------- *)
 
 let test_kth_free_cases () =
-  check Alcotest.int "1st free of []" 0 (Renaming.kth_free 1 []);
-  check Alcotest.int "3rd free of []" 2 (Renaming.kth_free 3 []);
-  check Alcotest.int "1st free of [0]" 1 (Renaming.kth_free 1 [ 0 ]);
-  check Alcotest.int "2nd free of [0;2]" 3 (Renaming.kth_free 2 [ 0; 2 ]);
-  check Alcotest.int "dups ignored" 1 (Renaming.kth_free 1 [ 0; 0; 0 ]);
-  check Alcotest.int "unsorted input" 4 (Renaming.kth_free 2 [ 3; 0; 1 ]);
-  Alcotest.check_raises "k=0" (Invalid_argument "Renaming.kth_free: k must be >= 1")
-    (fun () -> ignore (Renaming.kth_free 0 []))
+  check Alcotest.int "1st free of []" 0 (Mex.kth_free 1 []);
+  check Alcotest.int "3rd free of []" 2 (Mex.kth_free 3 []);
+  check Alcotest.int "1st free of [0]" 1 (Mex.kth_free 1 [ 0 ]);
+  check Alcotest.int "2nd free of [0;2]" 3 (Mex.kth_free 2 [ 0; 2 ]);
+  check Alcotest.int "dups ignored" 1 (Mex.kth_free 1 [ 0; 0; 0 ]);
+  check Alcotest.int "unsorted input" 4 (Mex.kth_free 2 [ 3; 0; 1 ]);
+  Alcotest.check_raises "k=0" (Invalid_argument "Mex.kth_free: k must be >= 1")
+    (fun () -> ignore (Mex.kth_free 0 []))
 
 let prop_kth_free_naive =
   QCheck.Test.make ~name:"kth_free agrees with naive enumeration"
@@ -37,7 +38,7 @@ let prop_kth_free_naive =
         in
         List.nth (collect [] 0) (k - 1)
       in
-      Renaming.kth_free k taken = naive)
+      Mex.kth_free k taken = naive)
 
 (* --- renaming ---------------------------------------------------------- *)
 

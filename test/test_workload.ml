@@ -130,7 +130,11 @@ let test_longest_monotone_run () =
     (Idents.longest_monotone_run (Idents.zigzag 12));
   check Alcotest.int "tiny" 0 (Idents.longest_monotone_run [| 7 |]);
   (* a run crossing the wrap-around boundary *)
-  check Alcotest.int "wrap run" 3 (Idents.longest_monotone_run [| 5; 9; 1; 3 |])
+  check Alcotest.int "wrap run" 3 (Idents.longest_monotone_run [| 5; 9; 1; 3 |]);
+  (* equal neighbours are in no strictly monotone run *)
+  check Alcotest.int "uniform" 0 (Idents.longest_monotone_run (Idents.uniform 5));
+  check Alcotest.int "plateau splits a run" 2
+    (Idents.longest_monotone_run [| 0; 1; 2; 2; 3; 4 |])
 
 let prop_monotone_run_bounds =
   QCheck.Test.make ~name:"longest run in [1, n-1] for injective rings" ~count:200
@@ -172,10 +176,17 @@ let prop_summarize_order_free =
     (fun (seed, l) ->
       let a = Array.of_list l in
       Prng.shuffle (Prng.create ~seed) a;
-      let s = Stats.summarize l and s' = Stats.summarize (Array.to_list a) in
-      (* the variance is a float sum, exact only up to its order *)
-      Float.abs (s.stddev -. s'.stddev) <= 1e-9 *. (1.0 +. s.stddev)
-      && { s with stddev = 0.0 } = { s' with stddev = 0.0 })
+      Stats.summarize l = Stats.summarize (Array.to_list a))
+
+(* Summed in sample order, the squared deviations of these shuffles
+   differ in the last bits of [stddev]. *)
+let test_summarize_order_free_case () =
+  let s = Stats.summarize [ 0; 0; -14; 91; 82 ] in
+  List.iter
+    (fun l ->
+      check Alcotest.bool "same summary, stddev exactly" true
+        (Stats.summarize l = s))
+    [ [ 0; -14; 0; 82; 91 ]; [ 91; 82; 0; 0; -14 ]; [ -14; 0; 91; 0; 82 ] ]
 
 let prop_percentiles_ordered =
   QCheck.Test.make ~name:"min <= p50 <= p95 <= p99 <= max, min <= mean <= max"
@@ -273,6 +284,8 @@ let () =
           Alcotest.test_case "empty" `Quick test_summarize_empty;
           Alcotest.test_case "percentile" `Quick test_percentile;
           qtest prop_summarize_order_free;
+          Alcotest.test_case "order-free counterexample" `Quick
+            test_summarize_order_free_case;
           qtest prop_percentiles_ordered;
           Alcotest.test_case "linear fit exact" `Quick test_linear_fit_exact;
           Alcotest.test_case "linear fit errors" `Quick test_linear_fit_errors;
