@@ -319,12 +319,17 @@ let () =
     ]
     (fun d -> dirs := d :: !dirs)
     "dead_surface.exe [-allow FILE] [-tests DIR]... DIR...";
+  (* The walk runs in the build tree, where other rules' work files
+     (bin's chaos runs rename spill files under cli-chaos-*.w) come and
+     go while it reads; an entry that vanishes is not a source
+     directory, as sources are this rule's dependencies. *)
   let rec walk dir =
     let subdirs =
-      Sys.readdir dir |> Array.to_list |> List.sort compare
+      (try Sys.readdir dir with Sys_error _ -> [||])
+      |> Array.to_list |> List.sort compare
       |> List.filter (fun d -> d.[0] <> '.' && d.[0] <> '_')
       |> List.map (Filename.concat dir)
-      |> List.filter Sys.is_directory
+      |> List.filter (fun d -> try Sys.is_directory d with Sys_error _ -> false)
     in
     (if Sys.file_exists (Filename.concat dir "dune") then stanzas dir else [])
     @ List.concat_map walk subdirs
