@@ -394,6 +394,9 @@ let memory_pressure_line ?(per_config = []) ?spill () =
 let run_cmd =
   let doc = "run one execution and print the colouring" in
   let f alg n seed idents_kind adv_kind graph_kind max_steps verbose =
+    if alg = 3 && graph_kind <> "cycle" then
+      usage_error ~flag:"--graph"
+        "Algorithm 3 is claimed on the cycle only, not on %S" graph_kind;
     announce_seed seed;
     let graph = make_graph ~kind:graph_kind ~seed n in
     let n = Graph.n graph in
@@ -549,11 +552,11 @@ let check_cmd =
       & opt int 8
       & info [ "spill-threshold-mb" ] ~docv:"MB"
           ~doc:
-            "Close and spill a level once the resident adjacency tail \
-             holds MB megabytes of entries counted at 8 bytes each (an \
-             edge is 2 entries, 3 under symmetry; its varint bytes take \
-             a fraction of that).  0 spills at every merge boundary — \
-             only useful for exercising the spill path in tests.")
+            "At the end of a BFS level, spill the resident adjacency \
+             tail once it holds MB megabytes of entries counted at 8 \
+             bytes each (an edge is 2 entries, 3 under symmetry; its \
+             varint bytes take a fraction of that).  0 writes one spill \
+             file per BFS level.")
   in
   let f alg idents mode max_configs jobs ckpt_path ckpt_every resume time_s
       mem_mb kill_after symmetry spill_dir spill_threshold_mb chaos_spec

@@ -1,5 +1,4 @@
 module Vec = Asyncolor_util.Vec
-module Ring = Asyncolor_util.Ring
 module Executor = Asyncolor_util.Executor
 module Intern = Asyncolor_util.Intern
 module Int_log = Asyncolor_util.Int_log
@@ -60,22 +59,7 @@ let make_octx o =
     og_tables = Obs.gauge o "explorer.table_bytes";
   }
 
-(* --- activation subsets: list form (reference) and packed form --------- *)
-
-let subsets_of mode procs =
-  match (mode, procs) with
-  | _, [] -> []
-  | `Singletons, procs -> List.map (fun p -> [ p ]) procs
-  | `All_subsets, procs ->
-      let procs = Array.of_list procs in
-      let k = Array.length procs in
-      List.init ((1 lsl k) - 1) (fun m ->
-          let mask = m + 1 in
-          let acc = ref [] in
-          for i = k - 1 downto 0 do
-            if mask land (1 lsl i) <> 0 then acc := procs.(i) :: !acc
-          done;
-          !acc)
+(* --- activation subsets ------------------------------------------------ *)
 
 let subset_of_mask mask =
   let acc = ref [] in
@@ -84,13 +68,11 @@ let subset_of_mask mask =
   done;
   !acc
 
-let mask_of_subset subset = List.fold_left (fun m p -> m lor (1 lsl p)) 0 subset
-
 (* The activation set after [s] among those of the unfinished processes
    [unfinished], or 0 after the last; [next_mask mode unfinished 0] is
-   the first.  [subsets_of] lists the sets in increasing order as masks,
-   so this is the next submask of [unfinished] ([`All_subsets]) or its
-   next set bit ([`Singletons]): the same walk, allocating nothing. *)
+   the first.  The sets come in increasing order as masks: the next
+   submask of [unfinished] ([`All_subsets]) or its next set bit
+   ([`Singletons]), allocating nothing. *)
 let next_mask mode unfinished s =
   match mode with
   | `All_subsets -> (s - unfinished) land unfinished
@@ -110,12 +92,6 @@ type orbit_stats = {
 
 module Make (P : Asyncolor_kernel.Protocol.S) = struct
   module E = Asyncolor_kernel.Engine.Make (P)
-
-  module CMap = Map.Make (struct
-    type t = E.config
-
-    let compare = E.config_compare
-  end)
 
   type violation = { message : string; schedule : int list list }
 
@@ -230,13 +206,12 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       end
     end
 
-  (* The packed configuration graph the reference oracle and the BFS
-     driver both produce: flat int stores only — dense ids, CSR
-     adjacency, parent pointers as (pred id, activation mask).  The boxed
-     configurations themselves are not part of it; the BFS loop keeps
-     them as keys in its intern store.  Every table is an accessor, not an array:
-     the driver's read its [Int_log]s in place (no copy at the heap's
-     peak) and the oracle's wrap its arrays.  The adjacency is a
+  (* The packed configuration graph the BFS driver produces: flat int
+     stores only — dense ids, CSR adjacency, parent pointers as (pred id,
+     activation mask).  The boxed configurations themselves are not part
+     of it; the BFS loop keeps them as keys in its intern store.  Every
+     table is an accessor reading the driver's [Int_log]s in place (no
+     copy at the heap's peak).  The adjacency is a
      [Level_log] byte stream read row by row through a cursor: in place,
      or from an off-heap reassembly on a spilled run.  An edge is
      (mask, vid), plus under symmetry reduction [perm], an index into
@@ -414,110 +389,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
               expanded_terminal = term;
             })
           p.expanded;
-    }
-
-  (* --- the seed implementation: sequential BFS, Map interning ---------- *)
-
-  (* Kept verbatim in spirit as the oracle for the differential tests: a
-     FIFO queue over a [Map] keyed by [config_compare], expanding with the
-     list-based [subsets_of] and [E.activate].  Only the output format
-     changed with the data layer (packed adjacency and parent arrays); its
-     adjacency goes through the same [Level_log] codec, which test_util
-     checks against an int-array model. *)
-  let explore_reference ~max_configs ~max_violations ~mode ~check_outputs
-      ~check_config graph ~idents =
-    let engine = E.create graph ~idents in
-    let initial = E.snapshot engine in
-    let store : E.config Vec.t = Vec.create ~capacity:1024 ~dummy:initial () in
-    let parent_pred = Vec.create ~capacity:1024 ~dummy:(-1) () in
-    let parent_mask = Vec.create ~capacity:1024 ~dummy:0 () in
-    let adj_off = Vec.create ~capacity:1024 ~dummy:0 () in
-    let adj = Level_log.create ~stride:2 () in
-    Vec.push adj_off 0;
-    let next_id = ref 0 in
-    let transitions = ref 0 in
-    let terminal = ref 0 in
-    let safety = ref [] in
-    let n_safety = ref 0 in
-    let complete = ref true in
-    let register config =
-      let id = !next_id in
-      incr next_id;
-      Vec.push store config;
-      Vec.push parent_pred (-1);
-      Vec.push parent_mask 0;
-      if E.config_unfinished config = [] then incr terminal;
-      id
-    in
-    let ids = ref CMap.empty in
-    let intern config =
-      match CMap.find_opt config !ids with
-      | Some id -> (id, false)
-      | None ->
-          let id = register config in
-          ids := CMap.add config id !ids;
-          (id, true)
-    in
-    (* Runs the safety predicates; the engine must currently hold [config]. *)
-    let check id config =
-      if !n_safety < max_violations then begin
-        let record message =
-          incr n_safety;
-          safety := (message, id) :: !safety
-        in
-        (match check_outputs with
-        | None -> ()
-        | Some f -> (
-            match f (E.config_outputs config) with
-            | None -> ()
-            | Some msg -> record msg));
-        match check_config with
-        | None -> ()
-        | Some f -> (
-            match f engine with None -> () | Some msg -> record msg)
-      end
-    in
-    let queue = Queue.create () in
-    let root_id, _ = intern initial in
-    check root_id initial;
-    Queue.add root_id queue;
-    while not (Queue.is_empty queue) do
-      let uid = Queue.pop queue in
-      let config = Vec.get store uid in
-      let unfinished = E.config_unfinished config in
-      List.iter
-        (fun subset ->
-          if !next_id < max_configs then begin
-            E.restore engine config;
-            E.activate engine subset;
-            let succ = E.snapshot engine in
-            let vid, fresh = intern succ in
-            incr transitions;
-            Level_log.push adj ~uid ~mask:(mask_of_subset subset) ~target:vid
-              ~perm:0;
-            if fresh then begin
-              Vec.set parent_pred vid uid;
-              Vec.set parent_mask vid (mask_of_subset subset);
-              check vid succ;
-              Queue.add vid queue
-            end
-          end
-          else complete := false)
-        (subsets_of mode unfinished);
-      Vec.push adj_off (Level_log.offset adj)
-    done;
-    {
-      total = !next_id;
-      transitions = !transitions;
-      terminal = !terminal;
-      complete = !complete;
-      parent_pred = Array.get (Vec.to_array parent_pred);
-      parent_mask = Array.get (Vec.to_array parent_mask);
-      adj_off = Array.get (Vec.to_array adj_off);
-      adj_cursor = (fun () -> Level_log.cursor adj);
-      group = [| Array.init (Asyncolor_topology.Graph.n graph) Fun.id |];
-      expanded = None;
-      safety_raw = List.rev !safety;
     }
 
   (* --- crash-safe packed exploration: shared state --------------------- *)
@@ -830,7 +701,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      packed state through [merge] (intern, dense id, adjacency, parent,
      safety checks) under the [max_configs] cap.  Every output derives
      from this one order, so the report is byte-identical for every
-     [jobs] value, every policy, and the reference oracle.
+     [jobs] value and every policy.
 
      Only where the successors come from depends on the executor:
 
@@ -1043,10 +914,12 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       latch ()
     in
     (* Close the adjacency tail as a spill level if it crossed the
-       threshold.  Called only at entry boundaries, where every pushed edge
-       is final.  The bytes handed over by [Level_log.seal] are a fresh copy
-       and level files are distinct, so the only ordering that matters —
-       written before reread — is enforced by [drain_spills]. *)
+       threshold.  Called only after the last entry of a BFS level, where
+       every pushed edge is final, so a spill file holds whole BFS levels
+       (one each at threshold 0).  The bytes handed over by
+       [Level_log.seal] are a fresh copy and level files are distinct, so
+       the only ordering that matters — written before reread — is
+       enforced by [drain_spills]. *)
     let seal () =
       match params.spill with
       | None -> ()
@@ -1096,9 +969,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
                 note_io_error io_error "checkpoint save" e)
       | _ -> ()
     in
-    (* Futures for submitted-but-unmerged entries, at their ids as
-       absolute positions; unused at one job. *)
-    let futs = Ring.create ~start:pending_from ~dummy:None () in
+    (* Futures for submitted-but-unmerged entries, in submission (id)
+       order: the merge always takes the head; unused at one job. *)
+    let futs = Queue.create () in
     let submit_pos = ref pending_from in
     (* On resume the whole pending range plays the role of the current
        frontier (it may span what were several levels originally —
@@ -1155,8 +1028,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
             && gate_open !submit_pos
           do
             let p = !submit_pos in
-            Ring.push futs
-              (Some (Executor.submit exec (expand (config_of_id p))));
+            Queue.push (Executor.submit exec (expand (config_of_id p))) futs;
             if p >= !lvl_hi then begin
               Obs.Counter.incr octx.oc_overlap;
               Obs.Gauge.max_ octx.og_overlap (p - !lvl_hi + 1)
@@ -1166,18 +1038,14 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
           Executor.note_inflight exec (!submit_pos - uid);
           if !submit_pos < st.s_next_id && !submit_pos - uid >= window
           then Executor.note_backpressure exec;
-          let fut =
-            match Ring.get futs uid with Some f -> f | None -> assert false
-          in
           let t0 = Obs.now o in
-          let records = Executor.await fut in
+          let records = Executor.await (Queue.take futs) in
           Obs.Counter.add octx.oc_wait_ns
             (Int64.to_int (Int64.sub (Obs.now o) t0));
-          Ring.drop futs;
           merge_records uid orbit_u records
         end;
         Int_log.push st.s_adj_off (Level_log.offset st.s_adj_data);
-        seal ();
+        if uid + 1 = !lvl_hi then seal ();
         if uid land 1023 = 0 then sample_heap ~params;
         incr next
       end
@@ -1225,54 +1093,38 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     run ~params ?policy ~jobs ~graph ~idents st store ~pending_from:root_id
 
   let explore ?(max_configs = 500_000) ?(max_violations = 5)
-      ?(mode = `All_subsets) ?(impl = `Hashcons) ?(jobs = 1) ?policy
-      ?checkpoint ?budget ?stop ?(symmetry = false) ?spill
-      ?(chaos = Chaos.disabled) ?check_outputs ?check_config
-      ?(obs = Obs.disabled) graph ~idents =
+      ?(mode = `All_subsets) ?(jobs = 1) ?policy ?checkpoint ?budget ?stop
+      ?(symmetry = false) ?spill ?(chaos = Chaos.disabled) ?check_outputs
+      ?check_config ?(obs = Obs.disabled) graph ~idents =
     let n = Asyncolor_topology.Graph.n graph in
     if n > Sys.int_size - 1 then
       invalid_arg "Explorer.explore: packed activation masks need n <= 62";
     let octx = make_octx obs in
     let packed =
       Obs.span obs ~args:[ ("n", string_of_int n) ] "explore" @@ fun () ->
-      match impl with
-      | `Reference ->
-          if
-            Option.is_some checkpoint || Option.is_some budget
-            || Option.is_some stop || Option.is_some policy || symmetry
-            || Option.is_some spill || Chaos.enabled chaos
-          then
-            invalid_arg
-              "Explorer.explore: the `Reference oracle supports neither \
-               checkpoints, budgets, stop callbacks, execution policies, \
-               symmetry reduction, spilling nor fault injection (use \
-               `Hashcons)";
-          explore_reference ~max_configs ~max_violations ~mode ~check_outputs
-            ~check_config graph ~idents
-      | `Hashcons ->
-          (* A killed predecessor may have left [path ^ ".tmp"] between
-             write and rename; sweep it before the first save. *)
-          Option.iter
-            (fun (path, _) -> ignore (Checkpoint.clean_stale ~path))
-            checkpoint;
-          let params =
-            {
-              mode;
-              max_configs;
-              max_violations;
-              check_outputs;
-              check_config;
-              checkpoint;
-              budget;
-              stop;
-              symmetry;
-              group = symmetry_group ~symmetry graph ~idents;
-              spill;
-              chaos;
-              octx;
-            }
-          in
-          explore_fresh ~params ?policy ~jobs graph ~idents
+      (* A killed predecessor may have left [path ^ ".tmp"] between write
+         and rename; sweep it before the first save. *)
+      Option.iter
+        (fun (path, _) -> ignore (Checkpoint.clean_stale ~path))
+        checkpoint;
+      let params =
+        {
+          mode;
+          max_configs;
+          max_violations;
+          check_outputs;
+          check_config;
+          checkpoint;
+          budget;
+          stop;
+          symmetry;
+          group = symmetry_group ~symmetry graph ~idents;
+          spill;
+          chaos;
+          octx;
+        }
+      in
+      explore_fresh ~params ?policy ~jobs graph ~idents
     in
     finish_report ~octx ~n packed
 

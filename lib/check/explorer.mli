@@ -34,26 +34,20 @@
     one row of edges a configuration) and the longest-path table (one
     flat [n * configs] int32 bigarray, off the OCaml heap).  Lists of
     process indices only appear at the API boundary, in
-    {!Make.violation.schedule}, and in the [`Reference] explorer, which
-    enumerates with {!subsets_of}.  Masks cap the explorer at
+    {!Make.violation.schedule}.  Masks cap the explorer at
     [n <= Sys.int_size - 1] processes — far beyond exhaustive reach. *)
-
-val subsets_of : [ `All_subsets | `Singletons ] -> int list -> int list list
-(** [subsets_of mode procs] enumerates the activation subsets of [procs]:
-    every nonempty subset for [`All_subsets] ([2^k - 1] of them), the
-    singletons for [`Singletons].  The enumeration order is part of the
-    explorer's determinism contract (it fixes BFS discovery order and
-    hence configuration ids). *)
 
 val next_mask : [ `All_subsets | `Singletons ] -> int -> int -> int
 (** [next_mask mode unfinished s] is the activation set after [s] among
     those of the unfinished processes [unfinished] (a mask), or [0]
     after the last; the first is [next_mask mode unfinished 0].  The
     explorer walks a configuration's activation sets this way,
-    allocating nothing.  The walk visits the sets {!subsets_of} lists,
-    in the same order: increasing as masks, so each step is the next
-    submask of [unfinished] ([`All_subsets]) or its next set bit
-    ([`Singletons]). *)
+    allocating nothing: every nonempty subset of [unfinished]
+    ([`All_subsets], [2^k - 1] of them) or its singletons
+    ([`Singletons]), in increasing order as masks, so each step is the
+    next submask of [unfinished] or its next set bit.  The order is part
+    of the explorer's determinism contract: it fixes BFS discovery order
+    and hence configuration ids. *)
 
 val subset_of_mask : int -> int list
 (** Ascending list of the set bits of a mask. *)
@@ -138,7 +132,6 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
     ?max_configs:int ->
     ?max_violations:int ->
     ?mode:[ `All_subsets | `Singletons ] ->
-    ?impl:[ `Hashcons | `Reference ] ->
     ?jobs:int ->
     ?policy:Asyncolor_util.Executor.policy ->
     ?checkpoint:string * int ->
@@ -176,8 +169,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       EXPERIMENTS.md.  Defaults: [max_configs = 500_000],
       [max_violations = 5].
 
-      [impl] selects the exploration engine: [`Hashcons] (default) is the
-      packed BFS — configurations interned by the integer keys of
+      The exploration is a packed BFS — configurations interned by the
+      integer keys of
       {!Asyncolor_kernel.Engine.Make.config_key} in one
       {!Asyncolor_util.Intern} store (varint bytes in an arena, about
       100 B a configuration), which is also the pending queue: the
@@ -191,12 +184,11 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       store grows by fixed-size chunks, never copied, and the post-BFS
       analyses read them in place, the adjacency row by row through an
       allocation-free cursor, with no copy at the heap's peak; one FIFO
-      merge loop for every policy;
-      [`Reference] is the seed
-      implementation (sequential FIFO BFS over a [Map] keyed by
-      [config_compare]), kept as the oracle for the differential tests.
+      merge loop for every policy.  The test suite checks it against an
+      independent interpreter of the paper's model that shares only
+      {!Asyncolor_kernel.Protocol.S} with it.
 
-      [jobs] (default 1, [`Hashcons] only) sets the number of domains
+      [jobs] (default 1) sets the number of domains
       expanding configurations; [policy] the execution policy (default:
       the one {!Asyncolor_util.Executor.with_executor} picks for [jobs]).
       Whenever the executor has one job — [Serial], or any policy at
@@ -218,15 +210,14 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       unordered, id assignment stays a sequential FIFO merge.
       {b Deterministic-output guarantee}: the report — configuration ids
       embedded in messages, schedules, violation order, every counter —
-      is byte-identical for every [jobs] value, every policy, and
-      identical to [`Reference]'s, because dense ids are assigned by
+      is byte-identical for every [jobs] value and every policy, and
+      equal to a sequential FIFO BFS's, because dense ids are assigned by
       awaiting expansion futures strictly in submission (FIFO) order and
       walking each candidate array in activation-subset order — exactly
       sequential BFS discovery order, independent of which domain stole
       which expansion when.
 
-      {b Crash safety} ([`Hashcons] only — [`Reference] raises
-      [Invalid_argument] when any of the options below is given):
+      {b Crash safety}:
 
       [checkpoint:(path, every)] persists the exploration state to [path]
       (atomically, through {!Asyncolor_resilience.Checkpoint}) whenever at
@@ -253,8 +244,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       (unless every pending configuration was terminal anyway) — exactly
       the [max_configs] contract.
 
-      {b Symmetry reduction} ([symmetry], default [false]; [`Hashcons]
-      only).  Every successor is mapped to the lexicographically-least
+      {b Symmetry reduction} ([symmetry], default [false]).  Every successor is mapped to the lexicographically-least
       packed key of its orbit under the graph's ident-preserving
       index-dihedral automorphisms
       ({!Asyncolor_topology.Graph.automorphisms} filtered by
@@ -275,13 +265,15 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       execution.  The canonical representative is a pure function of the
       successor, so the deterministic-output guarantee above is unchanged.
 
-      {b Spilling} ([spill:(store, threshold_words)]; [`Hashcons] only).
+      {b Spilling} ([spill:(store, threshold_words)]).
       The adjacency stream of merged configurations — varint bytes, a
       few per transition, never read again until the post-BFS
-      analyses — is closed into levels at merge boundaries once a level
-      holds [threshold_words] entries (an edge counts 2, or 3 under
-      symmetry: the words of an int encoding, so level cuts do not
-      depend on the byte coding), and each level's bytes are written as
+      analyses — is closed into a spill level after the last entry of a
+      BFS level, once the unspilled tail holds [threshold_words] entries
+      (an edge counts 2, or 3 under symmetry: the words of an int
+      encoding, so level cuts do not depend on the byte coding).  A
+      spill level is thus one or more whole BFS levels; at threshold 0,
+      exactly one.  Each level's bytes are written as
       they are through {!Asyncolor_resilience.Spill} (checksummed
       {!Asyncolor_resilience.Checkpoint} containers), leaving the live
       heap to the frontier, the intern store and the per-config arrays —
@@ -301,7 +293,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       ["checkpoint.save"] spans and the final analyses
       ["analyze.livelock"]/["analyze.worstcase"].  Counters:
       ["explorer.configs"] equals {!report.configs} exactly on fresh
-      [`Hashcons] runs, any [jobs] (on resume it counts only newly
+      runs, any [jobs] (on resume it counts only newly
       interned configurations); ["explorer.transitions"] likewise tracks
       {!report.transitions}; plus ["explorer.levels"],
       ["checkpoint.saves"], ["explorer.wait_ns"] (time the FIFO merge
@@ -321,12 +313,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) : sig
       ({!Asyncolor_util.Intern.bytes}), ["explorer.adj_bytes"] the
       resident adjacency stream's and ["explorer.table_bytes"] the
       per-id tables' (parent id and mask, row offsets, orbit sizes), all
-      at allocated capacity.  The
-      [`Reference] oracle is deliberately uninstrumented — its counters
-      stay 0 — so differential tests compare protocol behaviour, not
-      plumbing.
+      at allocated capacity.
 
-      {b Fault injection and recovery} ([chaos]; [`Hashcons] only).  An
+      {b Fault injection and recovery} ([chaos]).  An
       enabled {!Asyncolor_resilience.Chaos} instance injects environment
       faults into every I/O edge of the run — checkpoint saves/loads
       (sites ["checkpoint.*"]) and spill writes/reads (sites

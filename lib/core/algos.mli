@@ -14,9 +14,10 @@
     4     Algorithm 4   a + b <= 2       a + b <= Δ (App. A)        none
     v}
 
-    Algorithm 3 is a cycle algorithm; its five colours are checked
-    wherever it runs.  A new protocol enters as one entry here and one
-    case of {!find}. *)
+    Algorithm 3 is a cycle algorithm, claimed on [C_n] only: [asyncolor
+    run] refuses it on another graph, and the fuzzer and the churn
+    sessions run it on cycles alone.  A new protocol enters as one entry
+    here and one case of {!find}. *)
 
 type 'o protocol = (module Asyncolor_kernel.Protocol.S with type output = 'o)
 

@@ -721,8 +721,6 @@ module Make (P : Protocol.S) = struct
       invalid_arg "Engine.config_unfinished_mask: needs n <= word size - 1";
     unfinished_bits c.c_status
 
-  let config_outputs c = Array.map Status.output c.c_status
-
   type run_result = {
     steps : int;
     rounds : int;

@@ -203,8 +203,6 @@ module Make (P : Protocol.S) : sig
   (** {!config_unfinished} as a bitmask (bit [p] = process [p]).
       @raise Invalid_argument when the mask cannot name every process. *)
 
-  val config_outputs : config -> P.output option array
-
   (** {1 Packed configuration keys}
 
       The run-core layer interns configurations through a packed integer

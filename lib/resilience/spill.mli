@@ -1,8 +1,10 @@
 (** Spilled BFS levels on disk — the explorer's escape hatch from the
     live heap.
 
-    A spill store owns a directory of level files, one per closed BFS
-    level handed over by {!Asyncolor_util.Level_log.seal}.
+    A spill store owns a directory of level files, one per level handed
+    over by {!Asyncolor_util.Level_log.seal}.  The explorer seals only
+    after the last entry of a BFS level, so a file holds one or more
+    whole BFS levels: exactly one at threshold 0.
     Each file is an ordinary {!Checkpoint} container (same magic, format,
     atomic tmp+fsync+rename write, MD5-checksummed payload), whose payload
     is the level's bytes exactly as the log coded them (varint edges, see

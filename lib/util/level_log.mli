@@ -22,7 +22,9 @@
     {b Levels.}  At caller-chosen safe boundaries ({!seal}) the tail is
     closed once it holds [threshold_words] pushed entries — an edge
     counts as its stride, the word count of the int encoding, so level
-    cut points do not depend on the encoding.  The log keeps only the
+    cut points do not depend on the encoding.  The explorer's boundaries
+    are the ends of its BFS levels, so a closed level is one or more
+    whole BFS levels: exactly one at threshold 0.  The log keeps only the
     level's byte length and hands its bytes to the caller to persist
     (the explorer writes them through {!Asyncolor_resilience.Spill});
     the tail's chunks are kept and refilled.  Reassembly streams the

@@ -1080,9 +1080,7 @@ let test_config_accessors () =
   E3.activate e [ 1 ];
   let c = E3.snapshot e in
   check Alcotest.(list int) "unfinished from config" [ 0; 1; 2 ]
-    (E3.config_unfinished c);
-  check Alcotest.(array (option int)) "outputs from config" [| None; None; None |]
-    (E3.config_outputs c)
+    (E3.config_unfinished c)
 
 (* --- runner --------------------------------------------------------- *)
 
@@ -1388,6 +1386,79 @@ let prop_random_crashes_permanent_and_filtered =
       done;
       !ok)
 
+(* The engine against the spec interpreter ([Spec], test/spec.ml), which
+   executes the paper's model from its text and shares only
+   [Protocol.S] with the engine.  On cycles, paths and stars of 3..8
+   nodes, one engine takes a random schedule through [activate], another
+   through [activate_mask], and the spec takes it too.  A crash is a
+   process the schedule stops naming for good, some before their first
+   activation; the list form repeats a process now and then.  After every
+   step the statuses, outputs, registers and activation counts must
+   agree. *)
+module Spec_walk (P : Asyncolor_kernel.Protocol.S) = struct
+  module E = Engine.Make (P)
+  module S = Spec.Make (P)
+
+  let status = function
+    | Status.Asleep -> S.Asleep
+    | Status.Working -> S.Working
+    | Status.Returned o -> S.Returned o
+
+  let walk (kind, n, seed) =
+    let prng = Prng.create ~seed in
+    let graph =
+      match kind with
+      | "cycle" -> Builders.cycle n
+      | "path" -> Builders.path n
+      | _ -> Builders.star n
+    in
+    let idents = Asyncolor_workload.Idents.random_sparse prng ~n ~universe:64 in
+    let crash = Array.init n (fun _ -> if Prng.int prng 3 = 0 then Prng.int prng 30 else max_int) in
+    let by_list = E.create graph ~idents and by_mask = E.create graph ~idents in
+    let counts = Array.make n 0 in
+    let agree c =
+      List.for_all
+        (fun e ->
+          E.outputs e = S.outputs c
+          && List.for_all
+               (fun p ->
+                 status (E.status e p) = c.S.status.(p)
+                 && E.public e p = c.S.register.(p)
+                 && E.activations e p = counts.(p))
+               (List.init n Fun.id))
+        [ by_list; by_mask ]
+    in
+    let rec go t c =
+      t = 60
+      ||
+      let mask = ref 0 in
+      for p = 0 to n - 1 do
+        if crash.(p) > t && Prng.bool prng then mask := !mask lor (1 lsl p)
+      done;
+      let set = List.filter (fun p -> !mask land (1 lsl p) <> 0) (List.init n Fun.id) in
+      let listed = match set with p :: _ when Prng.bool prng -> set @ [ p ] | _ -> set in
+      List.iter (fun p -> counts.(p) <- counts.(p) + 1) (S.live c set);
+      E.activate by_list listed;
+      E.activate_mask by_mask !mask;
+      let c = S.step graph ~idents c listed in
+      agree c && go (t + 1) c
+    in
+    go 0 (S.initial n)
+
+  let prop name =
+    QCheck.Test.make ~name:("engine = spec interpreter, " ^ name) ~count:200
+      QCheck.(
+        triple
+          (oneofl ~print:Fun.id [ "cycle"; "path"; "star" ])
+          (int_range 3 8) (int_range 0 100_000))
+      walk
+end
+
+module Spec1 = Spec_walk (Asyncolor.Algorithm1.P)
+module Spec2 = Spec_walk (Asyncolor.Algorithm2.P)
+module Spec2s = Spec_walk (Asyncolor.Algorithm2s.P)
+module Spec3 = Spec_walk (Asyncolor.Algorithm3.P)
+
 let () =
   Alcotest.run "kernel"
     [
@@ -1453,6 +1524,13 @@ let () =
             test_wide_engine_without_mask;
         ] );
       ("decoders", List.map qtest codec_tests);
+      ( "spec",
+        [
+          qtest (Spec1.prop "algorithm 1");
+          qtest (Spec2.prop "algorithm 2");
+          qtest (Spec2s.prop "algorithm 2s");
+          qtest (Spec3.prop "algorithm 3");
+        ] );
       ( "runner",
         [
           Alcotest.test_case "synchronous" `Quick test_run_synchronous;

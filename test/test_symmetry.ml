@@ -477,9 +477,9 @@ let with_temp_spill_dir f =
 (* Spilling closed levels to disk is a memory optimisation, not a
    semantic one: with many levels on disk the report must stay identical
    to the in-memory run, symmetric or not, serial or parallel.  A
-   threshold of a few hundred entries closes hundreds of levels here;
-   a zero threshold (one fsynced file per merged row) is left to the
-   chaos legs, which need every merge boundary to be an I/O site. *)
+   threshold of a few hundred entries closes a spill level at most BFS
+   level ends here; a zero threshold (one fsynced file per BFS level) is
+   left to the chaos legs. *)
 let test_spill_report_invariant () =
   let graph = Builders.cycle 5 in
   let idents = Idents.uniform 5 in

@@ -700,43 +700,6 @@ let test_executor_raising_batches () =
     ((rounds + 1) * Array.length input)
     (List.length task_spans)
 
-(* --- Ring ------------------------------------------------------------ *)
-
-module Ring = Asyncolor_util.Ring
-
-let test_ring_fifo_window () =
-  let r = Ring.create ~capacity:2 ~start:100 ~dummy:(-1) () in
-  for i = 0 to 499 do
-    Ring.push r (i * 2)
-  done;
-  check Alcotest.int "absolute get" 84 (Ring.get r 142);
-  for _ = 1 to 300 do
-    Ring.drop r
-  done;
-  check Alcotest.int "window survives drops" (2 * 350) (Ring.get r 450);
-  Alcotest.check_raises "get below lo"
-    (Invalid_argument "Ring.get: position 399 outside [400, 600)") (fun () ->
-      ignore (Ring.get r 399));
-  Alcotest.check_raises "get at hi"
-    (Invalid_argument "Ring.get: position 600 outside [400, 600)") (fun () ->
-      ignore (Ring.get r 600))
-
-(* [pushes] pushes, then [drops] drops until empty: exactly the positions
-   still held read back, each what was pushed there. *)
-let prop_ring_window =
-  QCheck.Test.make ~name:"Ring: pushes then drops leave a readable window" ~count:300
-    QCheck.(triple (int_range 0 1000) (int_range 0 300) (int_range 0 300))
-    (fun (start, pushes, drops) ->
-      let r = Ring.create ~capacity:1 ~start ~dummy:(-1) () in
-      for i = 0 to pushes - 1 do Ring.push r (i * 3) done;
-      let dropped = ref 0 in
-      (try for _ = 1 to drops do Ring.drop r; incr dropped done with Invalid_argument _ -> ());
-      let read i = match Ring.get r (start + i) with v -> Some v | exception Invalid_argument _ -> None in
-      !dropped = min pushes drops
-      && List.for_all
-           (fun i -> read i = if i >= !dropped && i < pushes then Some (i * 3) else None)
-           (List.init (pushes + 2) (fun i -> i - 1)))
-
 (* --- Sharded_tbl ----------------------------------------------------- *)
 
 module Int_tbl = Asyncolor_util.Sharded_tbl.Make (struct
@@ -1559,11 +1522,6 @@ let () =
             test_executor_workers_take_work;
           Alcotest.test_case "exec.steals: 0 on Serial, <= exec.tasks" `Quick
             test_executor_steals_counted;
-        ] );
-      ( "ring",
-        [
-          Alcotest.test_case "absolute-position FIFO" `Quick test_ring_fifo_window;
-          qtest prop_ring_window;
         ] );
       ( "sharded_tbl",
         [
