@@ -209,9 +209,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
   (* The packed configuration graph the BFS driver produces: flat int
      stores only — dense ids, CSR adjacency, parent pointers as (pred id,
      activation mask).  The boxed configurations themselves are not part
-     of it; the BFS loop keeps them as keys in its intern store.  Every
-     table is an accessor reading the driver's [Int_log]s in place (no
-     copy at the heap's peak).  The adjacency is a
+     of it; the BFS loop keeps them as keys in its intern store.  The
+     tables are the driver's own [Int_log]s, read in place (no copy at
+     the heap's peak).  The adjacency is a
      [Level_log] byte stream read row by row through a cursor: in place,
      or from an off-heap reassembly on a spilled run.  An edge is
      (mask, vid), plus under symmetry reduction [perm], an index into
@@ -224,9 +224,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     transitions : int;
     terminal : int;
     complete : bool;
-    parent_pred : int -> int;  (* -1 at the root *)
-    parent_mask : int -> int;
-    adj_off : int -> int;  (* total + 1 byte offsets into the adjacency stream *)
+    parent_pred : Int_log.t;  (* -1 at the root *)
+    parent_mask : Int_log.t;
+    adj_off : Int_log.t;  (* total + 1 byte offsets into the adjacency stream *)
     adj_cursor : unit -> Level_log.cursor;  (* a fresh cursor over its rows *)
     group : int array array;  (* symmetry group; singleton identity when off *)
     expanded : (int * int * int) option;
@@ -238,8 +238,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
      that reaches it. *)
   let schedule_to pred mask id =
     let rec loop id acc =
-      let p = pred id in
-      if p < 0 then acc else loop p (subset_of_mask (mask id) :: acc)
+      let p = Int_log.get pred id in
+      if p < 0 then acc
+      else loop p (subset_of_mask (Int_log.get mask id) :: acc)
     in
     loop id []
 
@@ -257,12 +258,13 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     let st_cur = Vec.create ~capacity:64 ~dummy:0 () in
     let path = Vec.create ~capacity:64 ~dummy:0 () in
     Vec.push st_id 0;
-    Vec.push st_cur (p.adj_off 0);
+    Vec.push st_cur (Int_log.get p.adj_off 0);
     Bytes.set color 0 '\001';
     while Vec.length st_id > 0 && !livelock = None do
       let depth = Vec.length st_id - 1 in
       let u = Vec.get st_id depth in
-      Level_log.seek c ~uid:u (Vec.get st_cur depth) (p.adj_off (u + 1));
+      Level_log.seek c ~uid:u (Vec.get st_cur depth)
+        (Int_log.get p.adj_off (u + 1));
       if Level_log.next c then begin
         Vec.set st_cur depth c.pos;
         let mask = c.mask and v = c.target in
@@ -271,7 +273,7 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
             Bytes.set color v '\001';
             Vec.push path mask;
             Vec.push st_id v;
-            Vec.push st_cur (p.adj_off v)
+            Vec.push st_cur (Int_log.get p.adj_off v)
         | '\001' ->
             (* A back edge: the masks on the tree path plus this one are a
                lasso schedule (prefix + cycle) witnessing the livelock. *)
@@ -333,7 +335,8 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
     for i = Int_log.length finish - 1 downto 0 do
       let u = Int_log.get finish i in
       let bu = u * n in
-      Level_log.seek c ~uid:u (p.adj_off u) (p.adj_off (u + 1));
+      Level_log.seek c ~uid:u (Int_log.get p.adj_off u)
+        (Int_log.get p.adj_off (u + 1));
       while Level_log.next c do
         let mask = c.mask and v = c.target in
         let sigma = p.group.(c.perm) in
@@ -498,9 +501,9 @@ module Make (P : Asyncolor_kernel.Protocol.S) = struct
       transitions = st.s_transitions;
       terminal = st.s_terminal;
       complete = st.s_complete;
-      parent_pred = Int_log.get st.s_parent_pred;
-      parent_mask = Int_log.get st.s_parent_mask;
-      adj_off = Int_log.get st.s_adj_off;
+      parent_pred = st.s_parent_pred;
+      parent_mask = st.s_parent_mask;
+      adj_off = st.s_adj_off;
       adj_cursor;
       group = params.group;
       expanded =

@@ -1,4 +1,3 @@
-module Graph = Asyncolor_topology.Graph
 module Builders = Asyncolor_topology.Builders
 module Status = Asyncolor_kernel.Status
 module Idents = Asyncolor_workload.Idents
@@ -194,23 +193,53 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
   let recovered = ref 0 in
   (* nodes the heal-starve mutant silently starves *)
   let starved = ref 0 in
-  (* conservative freshness: the allocator avoids the identifiers of
-     every node, dead incarnations included — their registers may still
-     be visible to neighbours *)
-  let pool = Idents.pool ~universe in
-  let ident_of = E.ident engine in
-  let fresh_ident () = Idents.fresh_in pool ~count:n ident_of in
-  (* churn-fresh-ident scratch, indexed by identifier (every installed
-     identifier lies in [0, universe): drawn by [random_sparse], by the
-     allocator, or copied from another node): [owner.(id)] is the first
-     node seen holding [id] in the scan numbered [stamp.(id)] *)
+  (* Every installed identifier lies in [0, universe): drawn by
+     [random_sparse], by the allocator, or copied from another node.
+     [held.(id)] counts the nodes the engine shows holding [id], kept
+     exact around every reset.  The allocator is conservative: it avoids
+     the identifiers of every node, dead incarnations included (their
+     registers may still be visible to neighbours), so its answer is the
+     smallest identifier with count 0.  At most n are held and
+     universe > n, so the scan stops by n. *)
+  let held = Array.make universe 0 in
+  for q = 0 to n - 1 do
+    let id = E.ident engine q in
+    held.(id) <- held.(id) + 1
+  done;
+  let fresh_ident () =
+    let c = ref 0 in
+    while held.(!c) > 0 do
+      incr c
+    done;
+    !c
+  in
+  (* churn-fresh-ident scratch, indexed by identifier: [owner.(id)] is
+     the first node seen holding [id] in the scan numbered [stamp.(id)] *)
   let owner = Array.make universe 0 and stamp = Array.make universe 0 in
   let scans = ref 0 in
   (* heal's per-node activation count at the start of the quiet period *)
   let start = Array.make n 0 in
-  (* outputs at the epoch's start, and after its heal *)
-  let baseline = Array.make n Status.Asleep in
-  let healed = Array.make n Status.Asleep in
+  (* Change masks: a status moves only when its node is stepped while
+     unfinished or reset (a returned process never recolours), so the
+     detectors walk what moved, not all n nodes.  [moved] holds the nodes
+     stepped live or reset since it was last cleared (at the epoch's
+     start, and after the locality pass), and [before.(p)] is p's status
+     at that point, recorded just before its first move. *)
+  let moved = ref 0 in
+  let before = Array.make n Status.Asleep in
+  let note set =
+    let m = ref (set land lnot !moved) in
+    moved := !moved lor set;
+    while !m <> 0 do
+      let p = Mask.lowest_bit !m in
+      m := !m land (!m - 1);
+      before.(p) <- E.status engine p
+    done
+  in
+  (* nodes stepped live since the last colouring check that passed: a
+     colour appears only through a step, and a reset only removes one *)
+  let dirty = ref all in
+  let status_of = E.status engine in
   let churned = ref 0 in
   let violations = ref [] in
   let nviol = ref 0 in
@@ -245,12 +274,24 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
        the heal phase — "silently never scheduled again" *)
     let m = mask land lnot !starved in
     let live = m land E.unfinished_mask engine in
+    note live;
+    dirty := !dirty lor live;
     E.activate_mask engine m;
     Obs.Counter.incr octx.oc_steps;
     let did = Mask.popcount live in
     activations := !activations + did;
     Obs.Counter.add octx.oc_activations did;
     check_new_returns ()
+  in
+  (* Every reset, the planted bugs' included, goes through here, so
+     [held] and [moved] stay exact. *)
+  let reset p ~ident =
+    note (1 lsl p);
+    let old = E.ident engine p in
+    held.(old) <- held.(old) - 1;
+    E.reset engine p ~ident;
+    let id = E.ident engine p in
+    held.(id) <- held.(id) + 1
   in
   (* Recovery event: the engine-side reset plus the bookkeeping the
      detectors audit.  The planted bugs live here — each one breaks the
@@ -260,11 +301,11 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
     | Some Ident_collide ->
         (* planted bug: reuse another node's identifier instead (distance
            2, so the collision is global, not a degenerate adjacent pair) *)
-        E.reset engine p ~ident:(E.ident engine ((p + 2) mod n))
+        reset p ~ident:(E.ident engine ((p + 2) mod n))
     | Some Skip_reinit ->
         (* planted bug: declare the node recovered without re-initialising *)
         ()
-    | _ -> E.reset engine p ~ident:(fresh_ident ()));
+    | _ -> reset p ~ident:(fresh_ident ()));
     let bit = 1 lsl p in
     up := !up lor bit;
     pending := !pending lor bit;
@@ -330,24 +371,6 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
       end
     done
   in
-  (* [Checker.ok] on the current outputs, without building them: every
-     returned colour on palette, no edge with equal returned colours. *)
-  let coloring_ok () =
-    let ok = ref true in
-    for p = 0 to n - 1 do
-      match E.status engine p with
-      | Status.Returned c ->
-          if not (in_palette c) then ok := false;
-          let nbrs = Graph.neighbours graph p in
-          for i = 0 to Array.length nbrs - 1 do
-            match E.status engine nbrs.(i) with
-            | Status.Returned c' when Int.equal c c' -> ok := false
-            | _ -> ()
-          done
-      | Status.Asleep | Status.Working -> ()
-    done;
-    !ok
-  in
   (* Quiet-period healing: round-robin singleton activations over the
      unfinished processes — the sequential adversary.  Wait-freedom then
      bounds each process's own activations to return; exceeding that
@@ -408,21 +431,23 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
       end
     done;
     (* the coloring the quiet period restored must be proper and on
-       palette — the other half of the recovery invariant *)
-    if (not !give_up) && not (coloring_ok ()) then begin
-      let verdict =
-        Checker.check ~equal:Int.equal ~in_palette graph
-          (E.outputs engine)
-      in
-      if not (Checker.ok verdict) then
+       palette — the other half of the recovery invariant.  Only the
+       dirty nodes can break a colouring that passed; a failed check
+       leaves every node dirty, so the next one checks them all. *)
+    if not !give_up then
+      if Checker.ok_changed ~equal:Int.equal ~in_palette graph status_of !dirty
+      then dirty := 0
+      else begin
+        dirty := all;
+        let verdict =
+          Checker.check ~equal:Int.equal ~in_palette graph (E.outputs engine)
+        in
         add_violation ~epoch "churn-recovery"
           (Format.asprintf "healed coloring invalid: %a" Checker.pp verdict)
-    end
+      end
   in
   let run_epoch epoch =
-    for q = 0 to n - 1 do
-      baseline.(q) <- E.status engine q
-    done;
+    moved := 0;
     churned := 0;
     (* -- churn phase: crashes, recoveries and activity interleave -- *)
     for _ = 1 to churn_window do
@@ -441,15 +466,16 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
     recover_down ~epoch ~drain:true;
     (* -- heal: quiet period; the recovery invariant's clock runs here -- *)
     heal ~epoch;
-    (* -- repair locality: nobody outside the churn radius recoloured -- *)
-    for q = 0 to n - 1 do
-      healed.(q) <- E.status engine q
-    done;
-    for q = 0 to n - 1 do
-      (* a node not coloured at baseline is not constrained *)
+    (* -- repair locality: nobody outside the churn radius recoloured.
+       Only a node that moved can have; one not coloured at the epoch's
+       start is not constrained. -- *)
+    let mv = ref !moved in
+    while !mv <> 0 do
+      let q = Mask.lowest_bit !mv in
+      mv := !mv land (!mv - 1);
       if
-        Status.is_returned baseline.(q)
-        && not (same_output baseline.(q) healed.(q))
+        Status.is_returned before.(q)
+        && not (same_output before.(q) (E.status engine q))
       then begin
         let dist = ref n and m = ref !churned in
         while !m <> 0 do
@@ -471,20 +497,23 @@ let run ?(obs = Obs.disabled) cfg ~seed ~session =
        healed outputs are compared after every step (not only at the
        end), so a node that recolours and happens to land back on its old
        colour within the window is still caught; [flagged] keeps it one
-       violation per node per epoch. -- *)
+       violation per node per epoch.  From here [before] holds the healed
+       status of every node that moved since the heal. -- *)
+    moved := 0;
     let flagged = ref 0 in
     for s = 1 to stability_window do
       (match cfg.mutant with
       | Some Spurious_recolor when epoch = 1 && s = 1 ->
-          (* planted bug: an unrecorded reset while no churn is in flight *)
-          E.reset engine 0 ~ident:(fresh_ident ())
+          (* planted bug: a reset that no churn event accounts for, while
+             no churn is in flight *)
+          reset 0 ~ident:(fresh_ident ())
       | _ -> ());
       step (Prng.bool_mask prng all);
-      for q = 0 to n - 1 do
-        if
-          !flagged land (1 lsl q) = 0
-          && not (same_output healed.(q) (E.status engine q))
-        then begin
+      let mv = ref (!moved land lnot !flagged) in
+      while !mv <> 0 do
+        let q = Mask.lowest_bit !mv in
+        mv := !mv land (!mv - 1);
+        if not (same_output before.(q) (E.status engine q)) then begin
           flagged := !flagged lor (1 lsl q);
           add_violation ~epoch "churn-stability"
             (Printf.sprintf "node %d changed output with no churn in flight" q)

@@ -6,8 +6,9 @@
     packed {!Asyncolor_kernel.Engine.Make.activate_mask} fast path) under
     a seed-deterministic churn schedule.  Processes crash (stop being
     scheduled, registers left behind), recover through
-    {!Asyncolor_kernel.Engine.Make.reset} with a fresh identifier from
-    {!Asyncolor_workload.Idents.fresh_in}, and must be re-colored online.
+    {!Asyncolor_kernel.Engine.Make.reset} with a fresh identifier (the
+    smallest one no node holds, from a count per identifier kept around
+    every reset), and must be re-colored online.
 
     Time is organised in {e epochs}: a short churn window (crashes and
     recoveries interleaved with random activity), a {e drain} (every node
@@ -32,6 +33,15 @@
       (asleep, register [⊥], activation counter restarted);
     + {b churn-fresh-ident} — installed identifiers stay pairwise
       distinct after every recovery.
+
+    {b Cost.} The bookkeeping follows what changed, not n: a status moves
+    only when its node is stepped while unfinished or reset, so the
+    locality and stability detectors compare only the nodes that moved
+    in their span, and the colouring check reads only the nodes stepped
+    live since the last check that passed
+    ({!Asyncolor.Checker.ok_changed}).  churn-fresh-ident alone still
+    reads every node's identifier: it is the independent check on the
+    allocator.
 
     {b Determinism.} Session [i] of a campaign draws everything from a
     SplitMix64 stream that is a pure function of [(seed, i)], with all

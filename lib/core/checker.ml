@@ -1,4 +1,6 @@
 module Graph = Asyncolor_topology.Graph
+module Mask = Asyncolor_util.Mask
+module Status = Asyncolor_kernel.Status
 
 type 'c verdict = {
   proper : bool;
@@ -39,6 +41,26 @@ let check ~equal ~in_palette g outputs =
   }
 
 let ok v = v.proper && v.off_palette = []
+
+let ok_changed ~equal ~in_palette g status changed =
+  let ok = ref true and m = ref changed in
+  while !ok && !m <> 0 do
+    let p = Mask.lowest_bit !m in
+    m := !m land (!m - 1);
+    match status p with
+    | Status.Returned c ->
+        if not (in_palette c) then ok := false
+        else begin
+          let nbrs = Graph.neighbours g p in
+          for i = 0 to Array.length nbrs - 1 do
+            match status nbrs.(i) with
+            | Status.Returned c' when equal c c' -> ok := false
+            | _ -> ()
+          done
+        end
+    | Status.Asleep | Status.Working -> ()
+  done;
+  !ok
 
 let pp ppf v =
   Format.fprintf ppf

@@ -25,4 +25,22 @@ val check :
 val ok : 'c verdict -> bool
 (** [proper] and no palette violations. *)
 
+val ok_changed :
+  equal:('c -> 'c -> bool) ->
+  in_palette:('c -> bool) ->
+  Asyncolor_topology.Graph.t ->
+  (int -> 'c Asyncolor_kernel.Status.t) ->
+  int ->
+  bool
+(** [ok_changed ~equal ~in_palette g status changed] checks only the
+    nodes of the bitmask [changed] and the edges at them: every returned
+    node of [changed] is on palette and shares its colour with no
+    returned neighbour.  For a colouring that was {!ok} before, and in
+    which since then only the nodes of [changed] took colours (any node
+    may have lost one), it is {!ok} of {!check} on the current outputs:
+    an off-palette colour or a monochromatic edge needs a colour that
+    appeared after the last check.  [status p] is node [p]'s status;
+    [changed] names nodes of [g] only, so [g] has at most
+    [Sys.int_size - 1] nodes.  Allocates nothing. *)
+
 val pp : Format.formatter -> 'c verdict -> unit

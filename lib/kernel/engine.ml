@@ -273,9 +273,10 @@ module Make (P : Protocol.S) = struct
      leaves the execution and a brand-new one takes its place — asleep,
      holding input identifier [ident], its register back to [⊥].  Freshness
      of [ident] with respect to the live identifiers is the caller's
-     contract (see [Asyncolor_workload.Idents.fresh]); the engine only
-     installs it.  Neighbours observe the change through their next
-     register read, exactly as they observe a first write.  The activation
+     contract (the churn session's count per identifier, or
+     [Asyncolor_workload.Idents.fresh]); the engine only installs it.
+     Neighbours observe the change through their next register read,
+     exactly as they observe a first write.  The activation
      counter restarts, so wait-freedom bounds are per incarnation. *)
   let reset t p ~ident =
     let n = n t in

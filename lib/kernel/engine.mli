@@ -134,8 +134,11 @@ module Make (P : Protocol.S) : sig
       ordinary shared-register reads; no out-of-band signal exists.  The
       activation counter of [p] restarts at [0], so wait-freedom bounds
       are per incarnation.  Freshness of [ident] — no collision with the
-      identifiers of live processes — is the {e caller's} contract (use
-      {!Asyncolor_workload.Idents.fresh}); the engine installs it blindly.
+      identifiers of live processes — is the {e caller's} contract (a
+      churn session keeps a count per identifier of the nodes holding it
+      and installs the smallest one no node holds;
+      [Asyncolor_workload.Idents.fresh] is the one-shot form); the engine
+      installs it blindly.
       Recorded as a {!event} with a singleton [resets] field when tracing.
       Note that configurations snapshotted {e before} a reset still carry
       the old incarnation: {!restore} rewinds states and registers but

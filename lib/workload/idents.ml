@@ -28,35 +28,17 @@ let bit_adversarial n =
       (gray lsl 8) lor 0xAA)
 
 (* Fresh-identifier allocator for recovery: deterministic (smallest
-   candidate), so churn sessions replay byte-identically without having
-   to persist allocator state.  The occupancy buffer is a stamp per
-   identifier: a call marks the live identifiers with a new stamp and
-   scans for the first unmarked one, so it costs O(live + answer) and
-   allocates nothing — no clearing pass, no set. *)
-type pool = { stamp : int array; mutable gen : int }
-
-let pool ~universe =
+   candidate), so a replay needs no allocator state. *)
+let fresh ~live ~universe =
   if universe <= 0 then invalid_arg "Idents.fresh: universe must be positive";
-  { stamp = Array.make universe 0; gen = 0 }
-
-let fresh_in pool ~count live =
-  pool.gen <- pool.gen + 1;
-  let gen = pool.gen and universe = Array.length pool.stamp in
-  for i = 0 to count - 1 do
-    let x = live i in
-    if x >= 0 && x < universe then pool.stamp.(x) <- gen
-  done;
+  let taken = Array.make universe false in
+  List.iter (fun x -> if x >= 0 && x < universe then taken.(x) <- true) live;
   let c = ref 0 in
-  while !c < universe && pool.stamp.(!c) = gen do
+  while !c < universe && taken.(!c) do
     incr c
   done;
   if !c >= universe then invalid_arg "Idents.fresh: universe exhausted";
   !c
-
-let fresh ~live ~universe =
-  let pool = pool ~universe in
-  let live = Array.of_list live in
-  fresh_in pool ~count:(Array.length live) (Array.get live)
 
 let is_injective a =
   let module S = Set.Make (Int) in

@@ -114,7 +114,7 @@ let prop_monotone_distance_bound =
      has l = i, l' = n-i monotone distances (indices 1..n-1); apply the
      formula per process under the synchronous schedule. *)
   QCheck.Test.make ~name:"Lemma 3.9: per-process activation bound" ~count:100
-    QCheck.(int_range 4 60)
+    (Bounded.int_range 4 60)
     (fun n ->
       let idents = Idents.increasing n in
       let r = A1.run_on_cycle ~idents Adversary.synchronous in
@@ -129,7 +129,7 @@ let prop_monotone_distance_bound =
 
 let prop_zigzag_constant_time =
   QCheck.Test.make ~name:"zigzag workload: O(1) rounds" ~count:50
-    QCheck.(int_range 4 200)
+    (Bounded.int_range 4 200)
     (fun n ->
       let r = A1.run_on_cycle ~idents:(Idents.zigzag n) Adversary.synchronous in
       r.all_returned && r.rounds <= 10)

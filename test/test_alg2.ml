@@ -179,7 +179,7 @@ let prop_non_minimum_bound =
   (* Lemma 3.14 under the synchronous schedule on the increasing ring:
      node i's monotone distance to the closest maximum is n-1-i. *)
   QCheck.Test.make ~name:"Lemma 3.14: non-minima within 3l+4" ~count:60
-    QCheck.(int_range 4 80)
+    (Bounded.int_range 4 80)
     (fun n ->
       let r = A2.run_on_cycle ~idents:(Idents.increasing n) Adversary.synchronous in
       r.all_returned
@@ -225,7 +225,7 @@ let test_clique_is_renaming () =
 
 let prop_general_graphs_safe =
   QCheck.Test.make ~name:"general graphs: proper within 2Δ+1, terminates" ~count:120
-    QCheck.(triple (int_range 2 24) (int_range 0 100) (int_range 0 10_000))
+    QCheck.(triple (Bounded.int_range 2 24) (int_range 0 100) (int_range 0 10_000))
     (fun (n, pct, seed) ->
       let prng = Prng.create ~seed in
       let g = Asyncolor_topology.Builders.gnp (Prng.split prng) ~n ~p:(float_of_int pct /. 100.) in

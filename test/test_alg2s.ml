@@ -41,7 +41,7 @@ let test_c4_monotone_refutation () =
 let prop_safety_always =
   (* whatever happens to liveness, outputs are always safe *)
   QCheck.Test.make ~name:"alg2s: proper within {0..6} on every run" ~count:200
-    QCheck.(pair (int_range 3 32) (int_range 0 10_000))
+    QCheck.(pair (Bounded.int_range 3 32) (int_range 0 10_000))
     (fun (n, seed) ->
       let prng = Prng.create ~seed in
       let idents = Idents.random_permutation (Prng.split prng) n in
@@ -53,7 +53,7 @@ let prop_safety_always =
 
 let prop_interleaved_terminates =
   QCheck.Test.make ~name:"alg2s: terminates under singleton schedules" ~count:150
-    QCheck.(pair (int_range 3 24) (int_range 0 10_000))
+    QCheck.(pair (Bounded.int_range 3 24) (int_range 0 10_000))
     (fun (n, seed) ->
       let prng = Prng.create ~seed in
       let idents = Idents.random_permutation (Prng.split prng) n in

@@ -227,7 +227,7 @@ let prop_transition_matches_reference =
 let prop_logstar_rounds_random =
   QCheck.Test.make ~name:"Theorem 4.4: rounds <= O(log* n), random idents"
     ~count:100
-    QCheck.(pair (int_range 3 2000) (int_range 0 10_000))
+    QCheck.(pair (Bounded.int_range 3 2000) (int_range 0 10_000))
     (fun (n, seed) ->
       let prng = Prng.create ~seed in
       let idents = Idents.random_sparse (Prng.split prng) ~n ~universe:(max 64 (n * n)) in
@@ -238,7 +238,7 @@ let prop_logstar_rounds_random =
 
 let prop_logstar_rounds_monotone =
   QCheck.Test.make ~name:"Theorem 4.4: monotone chains collapse" ~count:20
-    QCheck.(int_range 64 4096)
+    (Bounded.int_range 64 4096)
     (fun n ->
       let r = A3.run_on_cycle ~idents:(Idents.increasing n) Adversary.synchronous in
       (* flat in n: a fixed small constant suffices empirically *)

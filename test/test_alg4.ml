@@ -80,7 +80,7 @@ let test_crashes_on_graph () =
 
 let prop_gnp_random =
   QCheck.Test.make ~name:"random G(n,p): proper, palette, terminates" ~count:80
-    QCheck.(triple (int_range 2 30) (int_range 0 100) (int_range 0 1000))
+    QCheck.(triple (Bounded.int_range 2 30) (int_range 0 100) (int_range 0 1000))
     (fun (n, pct, seed) ->
       let prng = Prng.create ~seed in
       let graph = Builders.gnp (Prng.split prng) ~n ~p:(float_of_int pct /. 100.0) in
@@ -91,7 +91,7 @@ let prop_gnp_random =
 
 let prop_regular_random =
   QCheck.Test.make ~name:"random d-regular: proper within palette" ~count:40
-    QCheck.(pair (int_range 2 5) (int_range 0 1000))
+    QCheck.(pair (Bounded.int_range 2 5) (int_range 0 1000))
     (fun (d, seed) ->
       let n = 4 * (d + 2) in
       let prng = Prng.create ~seed in

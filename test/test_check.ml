@@ -685,7 +685,7 @@ let chaos_hops ~seed ~rate ~max_hops ~jobs ~policy =
 let prop_chaos_differential =
   QCheck.Test.make ~count:4
     ~name:"fault-injected report = fault-free report by resume hops"
-    QCheck.(int_range 1 10_000)
+    (Bounded.int_range 1 10_000)
     (fun seed ->
       let baseline = baseline3 () in
       let truncated = ref 0 in

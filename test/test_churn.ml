@@ -67,7 +67,7 @@ let test_campaign_determinism () =
 let prop_session_pure_function =
   QCheck.Test.make ~name:"a campaign is a pure function of (config, seed, sessions)"
     ~count:8
-    QCheck.(pair (int_range 0 1000) (int_range 1 4))
+    QCheck.(pair (int_range 0 1000) (Bounded.int_range 1 4))
     (fun (seed, sessions) ->
       let cfg = { (small Session.A2) with horizon = 1_500 } in
       campaign cfg ~seed ~sessions = campaign cfg ~seed ~sessions)

@@ -6,6 +6,8 @@ module Algos = Asyncolor.Algos
 module Checker = Asyncolor.Checker
 module Graph = Asyncolor_topology.Graph
 module Builders = Asyncolor_topology.Builders
+module Status = Asyncolor_kernel.Status
+module Prng = Asyncolor_util.Prng
 
 let check = Alcotest.check
 let qtest t = QCheck_alcotest.to_alcotest t
@@ -118,6 +120,71 @@ let test_checker_pp_renders () =
     (Astring.String.is_infix ~affix:"proper=false" s);
   check Alcotest.bool "mentions the conflict" true
     (Astring.String.is_infix ~affix:"0-1" s)
+
+(* [ok_changed] reads only the changed nodes and their edges: a conflict
+   between two unchanged nodes is outside its view, one at a changed
+   node is not. *)
+let test_ok_changed_reads_changed_nodes () =
+  let st =
+    Status.[| Returned 0; Returned 1; Returned 1; Asleep; Returned 7 |]
+  in
+  let ok changed =
+    Checker.ok_changed ~equal:Int.equal ~in_palette:Color.in_five g5 (Array.get st) changed
+  in
+  check Alcotest.bool "nothing changed" true (ok 0);
+  check Alcotest.bool "unchanged neighbours of node 0" true (ok 0b1);
+  check Alcotest.bool "conflict at node 1" false (ok 0b10);
+  check Alcotest.bool "conflict at node 2" false (ok 0b100);
+  check Alcotest.bool "off palette at node 4" false (ok 0b10000);
+  check Alcotest.bool "an uncoloured node" true (ok 0b1000)
+
+(* The shortcut of the churn session's colouring check, against [check]:
+   from a proper colouring on palette of a random cycle (some nodes left
+   uncoloured), give a random node set [changed] new statuses, colours
+   drawn from 0..6 so that conflicts and off-palette colours are common,
+   and uncolour a few other nodes (a reset only removes a colour).  The
+   restricted check must give [check]'s verdict. *)
+let prop_ok_changed_matches_check =
+  QCheck.Test.make ~name:"ok_changed after a change = check" ~count:1000
+    QCheck.(pair (Bounded.int_range 3 62) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let prng = Prng.create ~seed in
+      let g = Builders.cycle n in
+      let st = Array.make n Status.Asleep in
+      for p = 0 to n - 1 do
+        if Prng.int prng 4 > 0 then begin
+          let taken c =
+            Array.exists (fun q -> st.(q) = Status.Returned c) (Graph.neighbours g p)
+          in
+          let c = ref (Prng.int prng 5) in
+          while taken !c do
+            c := (!c + 1) mod 5
+          done;
+          st.(p) <- Status.Returned !c
+        end
+      done;
+      let verdict () =
+        Checker.ok
+          (Checker.check ~equal:Int.equal ~in_palette:Color.in_five g
+             (Array.map Status.output st))
+      in
+      assert (verdict ());
+      let changed = ref 0 in
+      for p = 0 to n - 1 do
+        match Prng.int prng 8 with
+        | 0 | 1 | 2 ->
+            changed := !changed lor (1 lsl p);
+            st.(p) <-
+              (match Prng.int prng 4 with
+              | 0 -> Status.Asleep
+              | 1 -> Status.Working
+              | _ -> Status.Returned (Prng.int prng 7))
+        | 3 -> st.(p) <- Status.Asleep
+        | _ -> ()
+      done;
+      Checker.ok_changed ~equal:Int.equal ~in_palette:Color.in_five g (Array.get st)
+        !changed
+      = verdict ())
 
 (* --- The algorithm table ------------------------------------------------ *)
 
@@ -260,6 +327,9 @@ let () =
           Alcotest.test_case "off palette" `Quick test_checker_off_palette;
           Alcotest.test_case "length mismatch" `Quick test_checker_length_mismatch;
           Alcotest.test_case "pp" `Quick test_checker_pp_renders;
+          Alcotest.test_case "ok_changed reads the changed nodes" `Quick
+            test_ok_changed_reads_changed_nodes;
+          qtest prop_ok_changed_matches_check;
         ] );
       ( "algorithm table",
         [

@@ -39,7 +39,7 @@ let test_negative_rejected () =
 
 let prop_length_tight =
   QCheck.Test.make ~name:"2^(|z|-1) <= z < 2^|z| for z > 0"
-    QCheck.(int_range 1 (1 lsl 40))
+    (Bounded.int_range 1 (1 lsl 40))
     (fun z ->
       let l = Bits.length z in
       (1 lsl (l - 1)) <= z && z < 1 lsl l)
@@ -127,7 +127,7 @@ let prop_f_bound =
 
 let prop_lemma_4_2 =
   QCheck.Test.make ~name:"Lemma 4.2: x > y >= 10 => f x y < y" ~count:5_000
-    QCheck.(pair (int_range 10 (1 lsl 50)) (int_range 10 (1 lsl 50)))
+    QCheck.(pair (Bounded.int_range 10 (1 lsl 50)) (Bounded.int_range 10 (1 lsl 50)))
     (fun (a, b) ->
       QCheck.assume (a <> b);
       let x = max a b and y = min a b in

@@ -21,7 +21,7 @@ let random_schedule prng ~n ~steps =
 
 let prop_agrees_with_algorithm1 =
   QCheck.Test.make ~name:"instrumentation is observationally transparent" ~count:200
-    QCheck.(pair (int_range 3 12) (int_range 0 100_000))
+    QCheck.(pair (Bounded.int_range 3 12) (int_range 0 100_000))
     (fun (n, seed) ->
       let prng = Prng.create ~seed in
       let idents = Idents.random_permutation (Prng.split prng) n in
@@ -40,7 +40,7 @@ let run_monitored ~n ~seed =
 
 let prop_lemmas_hold_on_random_runs =
   QCheck.Test.make ~name:"Lemmas 3.5 & 3.7 hold at every step" ~count:150
-    QCheck.(pair (int_range 3 24) (int_range 0 100_000))
+    QCheck.(pair (Bounded.int_range 3 24) (int_range 0 100_000))
     (fun (n, seed) ->
       let _, _, r = run_monitored ~n ~seed in
       r.all_returned)
@@ -48,7 +48,7 @@ let prop_lemmas_hold_on_random_runs =
 let prop_shadow_sets_grow =
   (* Remark 3.6: A_p and B_p are inclusion-monotone over time. *)
   QCheck.Test.make ~name:"Remark 3.6: shadow sets grow monotonically" ~count:100
-    QCheck.(pair (int_range 3 16) (int_range 0 100_000))
+    QCheck.(pair (Bounded.int_range 3 16) (int_range 0 100_000))
     (fun (n, seed) ->
       let prng = Prng.create ~seed in
       let idents = Idents.random_permutation (Prng.split prng) n in
@@ -75,7 +75,7 @@ let prop_lemma_3_8 =
      Remark 3.6 this bounds its number of misses by l + l' + 1). *)
   QCheck.Test.make ~name:"Lemma 3.8: misses of non-extremal processes grow A∪B"
     ~count:100
-    QCheck.(pair (int_range 4 16) (int_range 0 100_000))
+    QCheck.(pair (Bounded.int_range 4 16) (int_range 0 100_000))
     (fun (n, seed) ->
       let prng = Prng.create ~seed in
       let idents = Idents.random_permutation (Prng.split prng) n in
@@ -134,7 +134,7 @@ module I2 = Asyncolor.Instrument2
 let prop_agrees_with_algorithm2 =
   QCheck.Test.make ~name:"alg2 instrumentation is observationally transparent"
     ~count:200
-    QCheck.(pair (int_range 3 12) (int_range 0 100_000))
+    QCheck.(pair (Bounded.int_range 3 12) (int_range 0 100_000))
     (fun (n, seed) ->
       let prng = Prng.create ~seed in
       let idents = Idents.random_permutation (Prng.split prng) n in
@@ -143,7 +143,7 @@ let prop_agrees_with_algorithm2 =
 
 let prop_eq5_random_runs =
   QCheck.Test.make ~name:"Eq. (5) holds at every step (random schedules)" ~count:150
-    QCheck.(pair (int_range 3 24) (int_range 0 100_000))
+    QCheck.(pair (Bounded.int_range 3 24) (int_range 0 100_000))
     (fun (n, seed) ->
       let prng = Prng.create ~seed in
       let idents = Idents.random_permutation (Prng.split prng) n in

@@ -427,7 +427,7 @@ module Key_walk (P : Asyncolor_kernel.Protocol.S) = struct
   let prop name ~resets =
     QCheck.Test.make ~name:("E.key_probe = config_key (snapshot), " ^ name)
       ~count:60
-      QCheck.(pair (int_range 5 8) (int_range 0 10_000))
+      QCheck.(pair (Bounded.int_range 5 8) (int_range 0 10_000))
       (walk ~resets)
 end
 
@@ -934,7 +934,7 @@ module Decode_walk (P : Asyncolor_kernel.Protocol.S) = struct
   let prop name =
     QCheck.Test.make ~name:("config_of_key_data inverts config_key, " ^ name)
       ~count:100
-      QCheck.(pair (int_range 3 7) (int_range 0 10_000))
+      QCheck.(pair (Bounded.int_range 3 7) (int_range 0 10_000))
       walk
 end
 
@@ -1114,7 +1114,7 @@ let test_run_max_steps () =
 let prop_run_determinism =
   (* identical seeds drive identical executions end to end *)
   QCheck.Test.make ~name:"determinism: same seed, same run" ~count:100
-    QCheck.(pair (int_range 3 16) (int_range 0 100_000))
+    QCheck.(pair (Bounded.int_range 3 16) (int_range 0 100_000))
     (fun (n, seed) ->
       let go () =
         let module A3 = Asyncolor.Algorithm3 in
@@ -1319,7 +1319,7 @@ let test_adv_random_crashes_eventually_stop () =
 let prop_crash_never_activates_after_crash_time =
   QCheck.Test.make ~name:"crash: no activation at time >= at" ~count:200
     QCheck.(
-      triple (int_range 1 10)
+      triple (Bounded.int_range 1 10)
         (list_of_size (Gen.int_range 0 5) (int_range 0 4))
         (int_range 0 1000))
     (fun (at, procs, seed) ->
@@ -1338,7 +1338,7 @@ let prop_crash_never_activates_after_crash_time =
 let prop_crash_ends_when_only_crashed_remain =
   QCheck.Test.make ~name:"crash: None once only crashed remain" ~count:200
     QCheck.(
-      triple (int_range 1 10)
+      triple (Bounded.int_range 1 10)
         (list_of_size (Gen.int_range 1 5) (int_range 0 4))
         (int_range 0 1000))
     (fun (at, procs, seed) ->
@@ -1358,7 +1358,7 @@ let prop_random_crashes_permanent_and_filtered =
      activations never include a crashed process, and that the schedule
      ends exactly when every unfinished process has crashed. *)
   QCheck.Test.make ~name:"random_crashes: permanent, filtered, ends" ~count:100
-    QCheck.(pair (int_range 0 1000) (int_range 1 8))
+    QCheck.(pair (int_range 0 1000) (Bounded.int_range 1 8))
     (fun (seed, horizon) ->
       let n = 5 in
       let adv =
@@ -1450,7 +1450,7 @@ module Spec_walk (P : Asyncolor_kernel.Protocol.S) = struct
       QCheck.(
         triple
           (oneofl ~print:Fun.id [ "cycle"; "path"; "star" ])
-          (int_range 3 8) (int_range 0 100_000))
+          (Bounded.int_range 3 8) (int_range 0 100_000))
       walk
 end
 

@@ -41,7 +41,7 @@ let test_logstar_growth () =
 let prop_three_color_correct =
   QCheck.Test.make ~name:"three_color: proper 3-colouring in log*n+O(1) rounds"
     ~count:100
-    QCheck.(pair (int_range 3 3000) (int_range 0 10_000))
+    QCheck.(pair (Bounded.int_range 3 3000) (int_range 0 10_000))
     (fun (n, seed) ->
       let idents =
         Idents.random_sparse (Prng.create ~seed) ~n ~universe:(max 64 (4 * n))
@@ -60,7 +60,7 @@ let test_three_color_repeated_colours () =
 (* Every node applies one rule to its colour and its successor's. *)
 let prop_three_color_rotation =
   QCheck.Test.make ~name:"three_color commutes with rotation" ~count:100
-    QCheck.(triple (int_range 3 200) (int_range 0 10_000) (int_range 0 199))
+    QCheck.(triple (Bounded.int_range 3 200) (int_range 0 10_000) (int_range 0 199))
     (fun (n, seed, shift) ->
       let idents = Idents.random_sparse (Prng.create ~seed) ~n ~universe:(8 * n) in
       let rot a = Array.init n (fun i -> a.((i + shift) mod n)) in
@@ -127,7 +127,7 @@ let prop_decoupled_consistency =
      when *)
   QCheck.Test.make ~name:"DECOUPLED: schedule-independent proper 3-colouring"
     ~count:100
-    QCheck.(pair (int_range 3 64) (int_range 0 10_000))
+    QCheck.(pair (Bounded.int_range 3 64) (int_range 0 10_000))
     (fun (n, seed) ->
       let prng = Prng.create ~seed in
       let universe = max 8 (4 * n) in
@@ -193,7 +193,7 @@ let test_color_delta_plus_one () =
 
 let prop_linial_random_graphs =
   QCheck.Test.make ~name:"Linial: proper within bound on random graphs" ~count:60
-    QCheck.(pair (int_range 4 40) (int_range 0 10_000))
+    QCheck.(pair (Bounded.int_range 4 40) (int_range 0 10_000))
     (fun (n, seed) ->
       let prng = Prng.create ~seed in
       let g = Asyncolor_topology.Builders.gnp (Prng.split prng) ~n ~p:0.2 in

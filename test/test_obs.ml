@@ -272,7 +272,7 @@ let prop_explorer_counters_match_report =
   let module Exp = Asyncolor_check.Explorer.Make (Asyncolor.Algorithm2.P) in
   QCheck.Test.make
     ~name:"explorer.configs/transitions = report, jobs 1/2/4" ~count:12
-    QCheck.(pair (int_range 3 4) (int_range 0 119))
+    QCheck.(pair (Bounded.int_range 3 4) (int_range 0 119))
     (fun (n, perm) ->
       (* pick n distinct identifiers from the pool, order keyed by perm *)
       let idents = Array.sub idents_pool 0 n in

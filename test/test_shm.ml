@@ -72,7 +72,7 @@ let test_renaming_crash_safe () =
 let prop_renaming_correct =
   QCheck.Test.make ~name:"renaming: distinct names within 2n-1, wait-free"
     ~count:200
-    QCheck.(pair (int_range 2 8) (int_range 0 10_000))
+    QCheck.(pair (Bounded.int_range 2 8) (int_range 0 10_000))
     (fun (n, seed) ->
       let prng = Prng.create ~seed in
       let ids = Idents.random_sparse (Prng.split prng) ~n ~universe:1000 in
@@ -195,7 +195,7 @@ let test_reduction_rejects_small_n () =
 
 let prop_reduction_equivalence =
   QCheck.Test.make ~name:"reduction = direct cycle run (random schedules)" ~count:100
-    QCheck.(pair (int_range 3 6) (int_range 0 10_000))
+    QCheck.(pair (Bounded.int_range 3 6) (int_range 0 10_000))
     (fun (n, seed) ->
       let prng = Prng.create ~seed in
       (* one shared random schedule, replayed against both systems *)

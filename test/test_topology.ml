@@ -54,7 +54,7 @@ let test_fold_edges () =
 (* Every view of a graph agrees with the edge list [make] was given. *)
 let prop_views_agree =
   QCheck.Test.make ~name:"graph views agree with the edge list" ~count:200
-    QCheck.(pair (int_range 1 12) (list (pair small_nat small_nat)))
+    QCheck.(pair (Bounded.int_range 1 12) (list (pair small_nat small_nat)))
     (fun (n, pairs) ->
       let pairs = List.map (fun (u, v) -> (u mod n, v mod n)) pairs in
       let pairs = List.filter (fun (u, v) -> u <> v) pairs in
@@ -77,7 +77,7 @@ let test_automorphism_counts () =
 
 let prop_automorphisms_preserve_edges =
   QCheck.Test.make ~name:"automorphisms are distinct edge-preserving permutations" ~count:100
-    QCheck.(pair (int_range 1 12) (int_range 0 10_000))
+    QCheck.(pair (Bounded.int_range 1 12) (int_range 0 10_000))
     (fun (n, seed) ->
       let g = Builders.gnp (Prng.create ~seed) ~n ~p:0.5 in
       let autos = Graph.automorphisms g and edges = Graph.edges g in
@@ -187,7 +187,7 @@ let test_gnp () =
 
 let prop_gnp_valid =
   QCheck.Test.make ~name:"gnp: simple symmetric graph" ~count:50
-    QCheck.(pair (int_range 1 30) (int_range 0 100))
+    QCheck.(pair (Bounded.int_range 1 30) (int_range 0 100))
     (fun (n, pct) ->
       let prng = Prng.create ~seed:(n + (pct * 31)) in
       let g = Builders.gnp prng ~n ~p:(float_of_int pct /. 100.0) in

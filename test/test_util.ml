@@ -1427,9 +1427,42 @@ let test_level_log_large_thresholds () =
            (level_log_rows ~stride:3 ~seed:w ~n:7_000 ~width:20)))
     [ 65_535; 65_536; 65_537 ]
 
+(* --- test helpers ---------------------------------------------------- *)
+
+(* [Bounded.int_range]'s shrinker, which the suites' qchecks draw sizes
+   with: every candidate of [x] lies in [lo, x), and every [x > lo] has
+   one, so shrinking reaches [lo] and never leaves the range. *)
+let test_bounded_shrink_in_range () =
+  List.iter
+    (fun (lo, hi) ->
+      let shrink = Option.get (Bounded.int_range lo hi).QCheck.shrink in
+      let xs =
+        List.init (min (hi - lo + 1) 2000) (fun i -> lo + i)
+        @ [ (lo + hi) / 2; hi - 1; hi ]
+      in
+      List.iter
+        (fun x ->
+          let cands = ref [] in
+          shrink x (fun y -> cands := y :: !cands);
+          List.iter
+            (fun y ->
+              if y < lo || y >= x then
+                Alcotest.failf "int_range %d %d: candidate %d of %d outside [%d, %d)"
+                  lo hi y x lo x)
+            !cands;
+          if x > lo && !cands = [] then
+            Alcotest.failf "int_range %d %d: no candidate for %d" lo hi x)
+        xs)
+    [ (0, 100); (1, 4); (3, 8); (3, 3000); (10, 1 lsl 50); (64, 4096) ]
+
 let () =
   Alcotest.run "util"
     [
+      ( "test helpers",
+        [
+          Alcotest.test_case "bounded shrink stays in range" `Quick
+            test_bounded_shrink_in_range;
+        ] );
       ( "prng",
         [
           Alcotest.test_case "determinism" `Quick test_determinism;

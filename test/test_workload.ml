@@ -80,8 +80,8 @@ let prop_fresh_no_collision =
       let id = Idents.fresh ~live ~universe in
       id >= 0 && id < universe && not (List.mem id live))
 
-(* The allocator before the reusable occupancy buffer, kept as the
-   oracle: fold the live list into a set, scan for the first gap. *)
+(* The oracle: fold the live list into a set, scan for the first
+   gap. *)
 let reference_fresh ~live ~universe =
   if universe <= 0 then invalid_arg "Idents.fresh: universe must be positive";
   let module S = Set.Make (Int) in
@@ -95,12 +95,10 @@ let reference_fresh ~live ~universe =
 
 let outcome f = match f () with id -> Ok id | exception Invalid_argument m -> Error m
 
-(* One pool serves a sequence of calls (its stamps must not leak from one
-   call into the next), and every answer — exhaustion included — matches
-   the oracle, for live sets with repeats and with identifiers outside
-   [0, universe). *)
+(* Every answer — exhaustion included — matches the oracle, for live
+   sets with repeats and with identifiers outside [0, universe). *)
 let prop_fresh_matches_reference =
-  QCheck.Test.make ~name:"fresh and a reused pool agree with the set oracle"
+  QCheck.Test.make ~name:"fresh agrees with the set oracle"
     ~count:500
     QCheck.(
       make
@@ -111,15 +109,10 @@ let prop_fresh_matches_reference =
             (list_size (int_range 0 80) (int_range (-3) (universe + 8)))
           >|= fun calls -> (universe, calls)))
     (fun (universe, calls) ->
-      let pool = Idents.pool ~universe in
       List.for_all
         (fun live ->
-          let want = outcome (fun () -> reference_fresh ~live ~universe) in
-          let arr = Array.of_list live in
-          want = outcome (fun () -> Idents.fresh ~live ~universe)
-          && want
-             = outcome (fun () ->
-                   Idents.fresh_in pool ~count:(Array.length arr) (Array.get arr)))
+          outcome (fun () -> reference_fresh ~live ~universe)
+          = outcome (fun () -> Idents.fresh ~live ~universe))
         calls)
 
 let test_longest_monotone_run () =
@@ -138,7 +131,7 @@ let test_longest_monotone_run () =
 
 let prop_monotone_run_bounds =
   QCheck.Test.make ~name:"longest run in [1, n-1] for injective rings" ~count:200
-    QCheck.(pair (int_range 3 50) (int_range 0 10_000))
+    QCheck.(pair (Bounded.int_range 3 50) (int_range 0 10_000))
     (fun (n, seed) ->
       let ids = Idents.random_permutation (Prng.create ~seed) n in
       let r = Idents.longest_monotone_run ids in
